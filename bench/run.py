@@ -63,8 +63,8 @@ WORKLOADS = {
     "orbits": {"kind": "orbits", "n_orbits": 100},
 }
 
-# Host speed.  On a shared host the same work runs up to half as fast again
-# in phases that last minutes, longer than one run.  Before each worker
+# Host speed.  On a shared host the same work runs up to twice as slowly in
+# phases that can last minutes, longer than one run.  Before each worker
 # process the parent times a fixed probe of interpreter and numpy work; the
 # run's time metrics are divided by median(probe) / PROBE_REF_S, so they read
 # in seconds of the reference machine in a quiet phase.  The raw times and
