@@ -277,6 +277,9 @@ def cmd_transport(cfg: dict) -> dict:
     sign = int(sec.get("sign", 1))
     tol = float(sec["tol"])
     k_max = int(sec.get("k_max", transport.K_MAX_DEFAULT))
+    if not (1 <= k_max <= transport.K_MAX_DEFAULT):
+        raise ConfigError(f"transport.k_max must lie in "
+                          f"[1, {transport.K_MAX_DEFAULT}]")
     t_max = float(sec.get("t_max", 1e5))
     h_eta = float(sec.get("h_eta", 0.2))
 
@@ -284,7 +287,7 @@ def cmd_transport(cfg: dict) -> dict:
     summary = {"command": "transport", "k_max": k_max, "residuals": {}}
     for k in range(1, k_max + 1):
         res = transport.symbol_b_result(k, p, spec, sign=sign, t_max=t_max,
-                                        tol=tol, m=m, eps=eps, k_max=k_max)
+                                        tol=tol, m=m, eps=eps)
         qk = transport.symbol_q(k, p, spec, sign=sign, tol=tol, m=m, eps=eps)
         pde = transport.transport_residual(k, p, spec, sign=sign,
                                            h_eta=h_eta, tol=tol, m=m, eps=eps)
@@ -361,17 +364,13 @@ def cmd_kernel(cfg: dict) -> dict:
     fit = kernel.kernel_fft_check(grid, law,
                                   k_window=(w_lo * k_ir, w_hi * k_ir),
                                   n_bins=int(sec.get("n_bins", 40)))
-    k_axis, T = kernel.kernel_transform(grid)
-    centers, binned = kernel.radial_bins(k_axis, T,
-                                         n_bins=int(sec.get("n_bins", 40)),
-                                         k_lo=w_lo * k_ir, k_hi=w_hi * k_ir)
     write_csv(_outdir(cfg) / "kernel_bins.csv",
               ["k", "T_abs", "law_abs", "fit_abs", "log_residual"],
               ([k, t, abs(law.prefactor) * k ** law.exponent,
                 fit.prefactor_modulus * k ** fit.exponent,
                 math.log(t) - math.log(fit.prefactor_modulus
                                        * k ** fit.exponent)]
-               for k, t in zip(centers, binned)))
+               for k, t in zip(fit.bin_centers, fit.bin_values)))
     summary = {
         "command": "kernel",
         "fitted_exponent": fit.exponent,

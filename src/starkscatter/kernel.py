@@ -213,6 +213,8 @@ class FftFit:
     prefactor_stderr: float
     k_window: tuple
     residual_rms: float
+    bin_centers: np.ndarray  # the radially binned |T| the fit was made on
+    bin_values: np.ndarray
 
 
 def kernel_fft_check(grid: SymbolGrid, law: KernelLaw,
@@ -253,4 +255,5 @@ def kernel_fft_check(grid: SymbolGrid, law: KernelLaw,
                   prefactor_modulus=pref,
                   prefactor_stderr=pref * inter_err,
                   k_window=(k_lo, k_hi),
-                  residual_rms=float(np.sqrt(np.mean(resid ** 2))))
+                  residual_rms=float(np.sqrt(np.mean(resid ** 2))),
+                  bin_centers=centers, bin_values=binned)

@@ -140,10 +140,7 @@ def grad_potential(spec: PotentialSpec, x: float, y) -> np.ndarray:
 
 
 def eval_potential_array(spec: PotentialSpec, x, y_sq):
-    """Vectorized evaluation on arrays of x and |y|^2 (built-in kinds only).
-
-    Used by quadrature-heavy code paths; the table kind falls back to a loop.
-    """
+    """Vectorized q on arrays of x and |y|^2; the table kind is rejected."""
     x = np.asarray(x, dtype=float)
     y_sq = np.asarray(y_sq, dtype=float)
     if spec.kind == "zero":
@@ -155,3 +152,31 @@ def eval_potential_array(spec: PotentialSpec, x, y_sq):
                 "evaluation inside the origin exclusion ball with zero softening")
         return spec.kappa * r2 ** (-spec.alpha / 2.0)
     raise DomainError("vectorized evaluation requires a built-in kind")
+
+
+def radial_jets(spec: PotentialSpec, x, y):
+    """(q, grad q, Laplacian q, bi-Laplacian q) in closed form, vectorized.
+
+    x has shape S, y shape S + (d - 1,) and grad q shape S + (d,).  With
+    u = r^2 + softening^2 and q = g(u) = kappa u^{-alpha/2}: grad q =
+    2 g' (x, y), Laplacian q = 2 d g' + 4 r^2 g'', and once more
+    bi-Laplacian q = 4 d (d + 2) g'' + 16 (d + 2) r^2 g''' + 16 r^4 g''''.
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    d = 1 + y.shape[-1]
+    if spec.kind == "zero":
+        zeros = np.zeros(x.shape)
+        return zeros, np.zeros(x.shape + (d,)), zeros, zeros
+    y_sq = np.sum(y * y, axis=-1)
+    r2 = x * x + y_sq
+    u = r2 + spec.softening ** 2
+    # g^(n+1) = g^(n) (-alpha/2 - n) / u; the first call checks kind and point
+    g = [eval_potential_array(spec, x, y_sq)]
+    for n in range(4):
+        g.append(g[-1] * (-spec.alpha / 2.0 - n) / u)
+    grad = 2.0 * g[1][..., None] * np.concatenate([x[..., None], y], axis=-1)
+    lap = 2.0 * d * g[1] + 4.0 * r2 * g[2]
+    bilap = (4.0 * d * (d + 2) * g[2] + 16.0 * (d + 2) * r2 * g[3]
+             + 16.0 * r2 * r2 * g[4])
+    return g[0], grad, lap, bilap

@@ -1,35 +1,48 @@
-"""Transport-equation symbol hierarchy computed along the free flow.
+"""Transport-equation symbol hierarchy computed along one free trajectory.
 
-The symbols start from b_0 = 1, q_0 = q and are built recursively:
-b_{k+1} integrates i * q_k along the free flow from the phase point to
-infinity (outgoing or incoming branch), and q_{k+1} = q b_{k+1} minus half
-the configuration-space Laplacian of b_{k+1}.  The construction lives on the
-flow-invariant cones X^{+-}; all quadrature is vectorized over batches of
-phase points, with the improper time integral mapped to (0, 1) by
-t = tau s / (1 - s) so the decay of q_k makes the integrand smooth.
+b_0 = 1, q_0 = q, b_{k+1}(z) = sgn i * integral_0^inf q_k(phi_t z) dt along
+the free flow of the outgoing (sgn = +1) or incoming (sgn = -1) branch, and
+q_{k+1} = q b_{k+1} - (1/2) Laplacian b_{k+1}, on the invariant cones X^{+-}.
+Spatial translations commute with the flow, so a derivative of b_k is the
+flow integral of the same derivative of q_{k-1}; the group law gives
+b_k(phi_s z) = sgn i * integral_s^inf q_{k-1}(phi_u z) du.  So b_1 and its
+gradient, Laplacian and bi-Laplacian are tail integrals of the closed-form
+jets of q at the quadrature nodes of one trajectory; there q_1 and, by
+Laplacian(q b) = Laplacian q b + 2 grad q . grad b + q Laplacian b, also
+Laplacian q_1 follow, and their integrals give b_2 and q_2.  Orders k >= 3
+need higher jets of q_1 and are not implemented.  The table kind is
+rejected (DomainError): it has no closed-form jets, and differencing
+quadrature values amplifies their noise.
+
+Time is mapped to (0, 1) by t = tau s / (1 - s) and integrated with
+Gauss-Legendre panels, doubled until every output converges; the tail
+integral at a node is the Legendre integration matrix inside its panel plus
+the sum over the later panels.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .classical import PhasePoint, in_region_X
+from .classical import PhasePoint, free_flow, in_region_X
 from .errors import BudgetError, DomainError
-from .potentials import PotentialSpec, eval_potential_array
+from .potentials import PotentialSpec, radial_jets
 
 K_MAX_DEFAULT = 2
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
+_MAX_PANELS = 64
 
-
-@dataclass(frozen=True)
-class SymbolValue:
-    k: int
-    value: complex
-    point: PhasePoint
-    sign: int
+_GL_ORDER = 16
+_leg = np.polynomial.legendre
+_GL_NODES, _GL_WEIGHTS = _leg.leggauss(_GL_ORDER)
+# _GL_TAIL[j, i]: integral over [node j, 1] of the Lagrange polynomial of
+# node i, from its Legendre coefficients, which the Gauss rule gives exactly
+_GL_TAIL = -_leg.legval(_GL_NODES, _leg.legint(
+    _leg.legvander(_GL_NODES, _GL_ORDER - 1).T * _GL_WEIGHTS
+    * (np.arange(_GL_ORDER) + 0.5)[:, None], lbnd=1.0)).T
 
 
 @dataclass(frozen=True)
@@ -39,111 +52,80 @@ class SymbolResult:
     quad_error: float
 
 
-def _panel_rule(n_panels: int):
-    edges = np.linspace(0.0, 1.0, n_panels + 1)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * (edges[1] - edges[0])
-    s = (mid[:, None] + half * _GL_NODES[None, :]).ravel()
-    w = np.broadcast_to(half * _GL_WEIGHTS, (n_panels, _GL_WEIGHTS.size)).ravel()
-    return s, w
+class _Jets(NamedTuple):
+    """Hierarchy values at a batch of n phase points."""
+
+    q: np.ndarray        # q, (n,)
+    b: np.ndarray        # b_1 .. b_k, (k, n)
+    lap_b: np.ndarray    # Laplacian of b_1 .. b_k, (k, n)
+    grad_b1: np.ndarray  # gradient of b_1, (n, d)
+
+    def q_k(self, j: int) -> np.ndarray:
+        if j == 0:
+            return self.q
+        return self.q * self.b[j - 1] - 0.5 * self.lap_b[j - 1]
 
 
-def _flow_scale(X, Y_sq, ETA, ZETA_sq, m):
-    y_m = np.sqrt(m * m + Y_sq)
-    return np.sqrt(np.maximum(2.0 * X + 2.0 * y_m, 1.0)) + np.abs(ETA) \
-        + np.sqrt(ZETA_sq) + 1.0
+def _tails(f, half):
+    """Integrals from every node to s = 1, from node values f (..., nodes)."""
+    fp = f.reshape(f.shape[:-1] + (-1, _GL_ORDER))
+    panel = half * (fp @ _GL_WEIGHTS)
+    later = np.cumsum(panel[..., ::-1], axis=-1)[..., ::-1] - panel
+    return (half * (fp @ _GL_TAIL.T) + later[..., None]).reshape(f.shape)
 
 
-def _q_batch(k, X, Y, ETA, ZETA, spec, sign, tol, h_scale, m):
-    """q_k on a batch of phase points; X (n,), Y (n, d-1)."""
-    if k == 0:
-        return eval_potential_array(spec, X, np.sum(Y * Y, axis=-1)).astype(complex)
-    b_center = _b_batch(k, X, Y, ETA, ZETA, spec, sign, tol, h_scale, m)
-    lap = _laplacian_b(k, X, Y, ETA, ZETA, spec, sign, tol, h_scale, m, b_center)
-    q0 = eval_potential_array(spec, X, np.sum(Y * Y, axis=-1))
-    return q0 * b_center - 0.5 * lap
-
-
-def _laplacian_b(k, X, Y, ETA, ZETA, spec, sign, tol, h_scale, m, b_center):
-    """Central second differences with one Richardson refinement."""
-    n = X.size
-    dm1 = Y.shape[-1]
-    d = 1 + dm1
-    h = h_scale * np.sqrt(1.0 + np.abs(X))
-
-    def lap_at(step):
-        xs, ys = [], []
-        for j in range(d):
-            for sgn in (+1.0, -1.0):
-                dx = np.zeros(n)
-                dy = np.zeros((n, dm1))
-                if j == 0:
-                    dx = sgn * step
-                else:
-                    dy[:, j - 1] = sgn * step
-                xs.append(X + dx)
-                ys.append(Y + dy)
-        Xs = np.concatenate(xs)
-        Ys = np.concatenate(ys)
-        Es = np.tile(ETA, 2 * d)
-        Zs = np.tile(ZETA, (2 * d, 1))
-        vals = _b_batch(k, Xs, Ys, Es, Zs, spec, sign, tol, h_scale, m)
-        vals = vals.reshape(2 * d, n)
-        acc = np.zeros(n, dtype=complex)
-        for j in range(d):
-            acc += (vals[2 * j] + vals[2 * j + 1] - 2.0 * b_center) / step ** 2
-        return acc
-
-    lap_h = lap_at(h)
-    lap_h2 = lap_at(0.5 * h)
-    return (4.0 * lap_h2 - lap_h) / 3.0
-
-
-def _b_batch(k, X, Y, ETA, ZETA, spec, sign, tol, h_scale, m,
-             s_split=None, max_panels=64):
-    """b_k = i * integral of q_{k-1} along the free flow, batched.
-
-    Returns the full improper integral; with s_split set, only the piece on
-    [0, s_split] resp. [s_split, 1) is integrated (used for tail reporting).
-    """
-    if k < 1:
-        return np.ones(X.size, dtype=complex)
-    Y_sq = np.sum(Y * Y, axis=-1)
-    ZETA_sq = np.sum(ZETA * ZETA, axis=-1)
-    tau = _flow_scale(X, Y_sq, ETA, ZETA_sq, m)
+def _hierarchy(k, X, Y, ETA, ZETA, spec, sign, tol, m) -> _Jets:
+    """b_j, Laplacian b_j (j <= k) and grad b_1 on a batch of points."""
+    y_m = np.sqrt(m * m + np.sum(Y * Y, axis=-1))
+    tau = (np.sqrt(np.maximum(2.0 * X + 2.0 * y_m, 1.0)) + np.abs(ETA)
+           + np.sqrt(np.sum(ZETA * ZETA, axis=-1)) + 1.0)
     sgn = 1.0 if sign >= 0 else -1.0
+    c = sgn * 1j
 
-    def eval_sum(n_panels, lo, hi):
-        s, w = _panel_rule(n_panels)
-        s = lo + (hi - lo) * s
-        w = (hi - lo) * w
-        t = tau[:, None] * s[None, :] / (1.0 - s[None, :])
-        jac = tau[:, None] / (1.0 - s[None, :]) ** 2
+    def one_pass(n_panels):
+        half = 0.5 / n_panels
+        mid = (np.arange(n_panels) + 0.5) / n_panels
+        s = (mid[:, None] + half * _GL_NODES).ravel()
+        t = tau[:, None] * s / (1.0 - s)
+        jac = tau[:, None] / (1.0 - s) ** 2
         Xt = X[:, None] + sgn * t * ETA[:, None] + 0.5 * t * t
-        Yt = Y[:, None, :] + sgn * t[:, :, None] * ZETA[:, None, :]
-        Et = ETA[:, None] + sgn * t
-        nm = X.size * s.size
-        qv = _q_batch(k - 1, Xt.reshape(nm), Yt.reshape(nm, -1),
-                      Et.reshape(nm), np.repeat(ZETA, s.size, axis=0),
-                      spec, sign, tol, h_scale, m).reshape(X.size, s.size)
-        return (qv * jac * w[None, :]).sum(axis=1)
+        Yt = Y[:, None, :] + sgn * t[..., None] * ZETA[:, None, :]
+        q, grad, lap, bilap = radial_jets(spec, Xt, Yt)
+        grad = np.moveaxis(grad, -1, 1)                   # (n, d, nodes)
+        w = half * np.tile(_GL_WEIGHTS, n_panels) * jac   # weights in t
+        b = [c * np.sum(q * w, axis=-1)]
+        lap_b = [c * np.sum(lap * w, axis=-1)]
+        grad_b1 = c * np.sum(grad * w[:, None, :], axis=-1)
+        if k >= 2:
+            b1 = c * _tails(q * jac, half)
+            grad_b1_t = c * _tails(grad * jac[:, None, :], half)
+            lap_b1 = c * _tails(lap * jac, half)
+            bilap_b1 = c * _tails(bilap * jac, half)
+            q1 = q * b1 - 0.5 * lap_b1
+            lap_q1 = (lap * b1 + 2.0 * np.sum(grad * grad_b1_t, axis=1)
+                      + q * lap_b1 - 0.5 * bilap_b1)
+            b.append(c * np.sum(q1 * w, axis=-1))
+            lap_b.append(c * np.sum(lap_q1 * w, axis=-1))
+        return np.concatenate([b, lap_b, grad_b1.T])
 
-    lo, hi = 0.0, 1.0
-    if s_split is not None:
-        lo, hi = s_split
     n_panels = 8
-    prev = eval_sum(n_panels, lo, hi)
-    while n_panels < max_panels:
+    prev = one_pass(n_panels)
+    while n_panels < _MAX_PANELS:
         n_panels *= 2
-        cur = eval_sum(n_panels, lo, hi)
-        err = float(np.max(np.abs(cur - prev)))
-        prev = cur
-        if err <= tol * max(1.0, float(np.max(np.abs(cur)))):
+        cur = one_pass(n_panels)
+        if np.all(np.abs(cur - prev) <= tol * np.maximum(1.0, np.abs(cur))):
             break
+        prev = cur
     else:
         raise BudgetError("flow quadrature failed to converge",
                           module="transport", operation="symbol_b", budget=tol)
-    return sgn * 1j * prev
+    return _Jets(q=radial_jets(spec, X, Y)[0], b=cur[:k], lap_b=cur[k:2 * k],
+                 grad_b1=cur[2 * k:].T)
+
+
+def _check_order(k: int):
+    if not (1 <= k <= K_MAX_DEFAULT):
+        raise DomainError(f"symbol order must lie in [1, {K_MAX_DEFAULT}]")
 
 
 def _check_point(p: PhasePoint, m, eps, sign):
@@ -151,8 +133,10 @@ def _check_point(p: PhasePoint, m, eps, sign):
         raise DomainError("phase point outside the invariant cone X")
 
 
-def _as_batch(p: PhasePoint):
-    return (np.array([p.x]), p.y[None, :], np.array([p.eta]), p.zeta[None, :])
+def _as_batch(*points: PhasePoint):
+    return (np.array([p.x for p in points]), np.stack([p.y for p in points]),
+            np.array([p.eta for p in points]),
+            np.stack([p.zeta for p in points]))
 
 
 def symbol_b(k: int, p: PhasePoint, spec: PotentialSpec, sign: int = +1,
@@ -163,52 +147,36 @@ def symbol_b(k: int, p: PhasePoint, spec: PotentialSpec, sign: int = +1,
 
 def symbol_b_result(k: int, p: PhasePoint, spec: PotentialSpec, sign: int = +1,
                     t_max: float = 1e5, tol: float = 1e-10,
-                    m: float = 1.0, eps: float = 0.3,
-                    k_max: int = K_MAX_DEFAULT) -> SymbolResult:
-    """b_k with the tail beyond t_max integrated via the decay substitution.
+                    m: float = 1.0, eps: float = 0.3) -> SymbolResult:
+    """b_k over the whole flow, with the contribution beyond t_max reported.
 
-    The reported tail estimate is the modulus of the contribution from times
-    beyond t_max; by the decay bounds of the hierarchy it also bounds the
-    change under any further increase of t_max.
+    By the group law that contribution is b_k at the point flowed for t_max,
+    so the tail estimate is |b_k(phi_{t_max} z)|; by the decay bounds of the
+    hierarchy it also bounds the change under any further increase of t_max.
     """
-    if not (1 <= k <= k_max):
-        raise DomainError(f"symbol order must lie in [1, {k_max}]")
+    _check_order(k)
     _check_point(p, m, eps, sign)
-    X, Y, ETA, ZETA = _as_batch(p)
-    h_scale = 1e-3
-    tau = float(_flow_scale(X, np.sum(Y * Y, axis=-1), ETA,
-                            np.sum(ZETA * ZETA, axis=-1), m)[0])
-    s_max = t_max / (tau + t_max)
-    head = _b_batch(k, X, Y, ETA, ZETA, spec, sign, tol, h_scale, m,
-                    s_split=(0.0, s_max))
-    tail = _b_batch(k, X, Y, ETA, ZETA, spec, sign, tol, h_scale, m,
-                    s_split=(s_max, 1.0))
-    value = complex(head[0] + tail[0])
-    return SymbolResult(value=value, tail_estimate=float(abs(tail[0])),
+    far = free_flow(p, (1.0 if sign >= 0 else -1.0) * t_max)
+    b = _hierarchy(k, *_as_batch(p, far), spec, sign, tol, m).b[k - 1]
+    value = complex(b[0])
+    return SymbolResult(value=value, tail_estimate=float(abs(b[1])),
                         quad_error=tol * max(1.0, abs(value)))
 
 
 def symbol_q(k: int, p: PhasePoint, spec: PotentialSpec, sign: int = +1,
-             t_max: float = 1e5, tol: float = 1e-10, h: float | None = None,
-             m: float = 1.0, eps: float = 0.3) -> complex:
-    """q_k = q * b_k - (1/2) Laplacian b_k, Laplacian by refined differences."""
-    if k < 1:
-        raise DomainError("use eval_potential for q_0")
-    _check_point(p, m, eps, sign)
-    h_scale = 1e-3 if h is None else h / np.sqrt(1.0 + abs(p.x))
-    X, Y, ETA, ZETA = _as_batch(p)
-    return complex(_q_batch(k, X, Y, ETA, ZETA, spec, sign, tol, h_scale, m)[0])
+             tol: float = 1e-10, m: float = 1.0, eps: float = 0.3) -> complex:
+    """q_k = q * b_k - (1/2) Laplacian b_k."""
+    qb, lap_half = symbol_q_parts(k, p, spec, sign, tol, m, eps)
+    return qb + lap_half
 
 
-def symbol_q_parts(k, p, spec, sign=+1, tol=1e-10, h=None, m=1.0, eps=0.3):
+def symbol_q_parts(k, p, spec, sign=+1, tol=1e-10, m=1.0, eps=0.3):
     """(q * b_k, -Laplacian b_k / 2) separately, for magnitude comparisons."""
+    _check_order(k)
     _check_point(p, m, eps, sign)
-    h_scale = 1e-3 if h is None else h / np.sqrt(1.0 + abs(p.x))
-    X, Y, ETA, ZETA = _as_batch(p)
-    b = _b_batch(k, X, Y, ETA, ZETA, spec, sign, tol, h_scale, m)
-    lap = _laplacian_b(k, X, Y, ETA, ZETA, spec, sign, tol, h_scale, m, b)
-    q0 = eval_potential_array(spec, X, np.sum(Y * Y, axis=-1))
-    return complex((q0 * b)[0]), complex(-0.5 * lap[0])
+    jets = _hierarchy(k, *_as_batch(p), spec, sign, tol, m)
+    return (complex(jets.q[0] * jets.b[k - 1, 0]),
+            complex(-0.5 * jets.lap_b[k - 1, 0]))
 
 
 def transport_residual(k: int, p: PhasePoint, spec: PotentialSpec,
@@ -220,8 +188,7 @@ def transport_residual(k: int, p: PhasePoint, spec: PotentialSpec,
     The directional configuration-space derivative uses a step of the same
     size as h_eta along the unit momentum direction.
     """
-    if k < 1:
-        raise DomainError("transport residual is defined for k >= 1")
+    _check_order(k)
     _check_point(p, m, eps, sign)
     mom = np.concatenate([[p.eta], p.zeta])
     mom_norm = float(np.linalg.norm(mom))
@@ -230,19 +197,18 @@ def transport_residual(k: int, p: PhasePoint, spec: PotentialSpec,
     u = mom / mom_norm
     h_xy = h_eta
 
-    X = np.array([p.x, p.x, p.x + h_xy * u[0], p.x - h_xy * u[0]])
-    Y = np.stack([p.y, p.y, p.y + h_xy * u[1:], p.y - h_xy * u[1:]])
-    ETA = np.array([p.eta + h_eta, p.eta - h_eta, p.eta, p.eta])
-    ZETA = np.tile(p.zeta, (4, 1))
-    for i in range(4):
-        _check_point(PhasePoint(X[i], Y[i], ETA[i], ZETA[i]), m, eps, sign)
+    shifted = [PhasePoint(p.x, p.y, p.eta + h_eta, p.zeta),
+               PhasePoint(p.x, p.y, p.eta - h_eta, p.zeta),
+               PhasePoint(p.x + h_xy * u[0], p.y + h_xy * u[1:], p.eta, p.zeta),
+               PhasePoint(p.x - h_xy * u[0], p.y - h_xy * u[1:], p.eta, p.zeta)]
+    for s in shifted:
+        _check_point(s, m, eps, sign)
 
-    b = _b_batch(k, X, Y, ETA, ZETA, spec, sign, tol, 1e-3, m)
+    jets = _hierarchy(k, *_as_batch(*shifted, p), spec, sign, tol, m)
+    b = jets.b[k - 1]
     d_eta = (b[0] - b[1]) / (2.0 * h_eta)
     d_dir = mom_norm * (b[2] - b[3]) / (2.0 * h_xy)
-    Xc, Yc, Ec, Zc = _as_batch(p)
-    q_prev = _q_batch(k - 1, Xc, Yc, Ec, Zc, spec, sign, tol, 1e-3, m)[0]
-    return float(abs(1j * (d_eta + d_dir) - q_prev))
+    return float(abs(1j * (d_eta + d_dir) - jets.q_k(k - 1)[4]))
 
 
 def decay_fit_symbols(k: int, spec: PotentialSpec, sign: int = +1,
@@ -260,17 +226,15 @@ def decay_fit_symbols(k: int, spec: PotentialSpec, sign: int = +1,
     x_values = np.asarray(x_values, dtype=float)
     if x_values.size < 3:
         raise DomainError("need at least 3 ray samples for a decay fit")
-    vals = []
-    for x in x_values:
-        y = np.full(d - 1, y_over_x * x / np.sqrt(d - 1))
-        z = np.full(d - 1, zeta / np.sqrt(d - 1))
-        p = PhasePoint(x=x, y=y, eta=np.sqrt(2.0 * x), zeta=z)
-        if which == "b":
-            v = symbol_b(k, p, spec, sign=sign, tol=tol, m=m, eps=eps)
-        else:
-            v = symbol_q(k, p, spec, sign=sign, tol=tol, m=m, eps=eps)
-        vals.append(abs(v))
-    vals = np.asarray(vals)
+    _check_order(k)
+    points = [PhasePoint(x=x, y=np.full(d - 1, y_over_x * x / np.sqrt(d - 1)),
+                         eta=np.sqrt(2.0 * x),
+                         zeta=np.full(d - 1, zeta / np.sqrt(d - 1)))
+              for x in x_values]
+    for p in points:
+        _check_point(p, m, eps, sign)
+    jets = _hierarchy(k, *_as_batch(*points), spec, sign, tol, m)
+    vals = np.abs(jets.b[k - 1] if which == "b" else jets.q_k(k))
     if np.any(vals == 0.0):
         raise DomainError("symbol vanishes on the ray; no decay fit")
     slope = np.polyfit(np.log(x_values), np.log(vals), 1)[0]

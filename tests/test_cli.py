@@ -84,6 +84,14 @@ def test_domain_error_exits_4(capsys, tmp_path):
     assert summary["error"] == "domain"
 
 
+@pytest.mark.parametrize("k_max", [0, 3])
+def test_unsupported_transport_order_exits_2(capsys, tmp_path, k_max):
+    code, summary = _run(capsys, "transport", f"--transport.k_max={k_max}",
+                         f"--output_dir={tmp_path}")
+    assert code == 2
+    assert summary["error"] == "config"
+
+
 def test_malformed_override_exits_2(capsys, tmp_path):
     code, summary = _run(capsys, "eikonal", "--=3")
     assert code == 2

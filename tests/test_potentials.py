@@ -13,7 +13,11 @@ from starkscatter import (
     homogeneous,
     zero_potential,
 )
-from starkscatter.potentials import PotentialSpec, eval_potential_array
+from starkscatter.potentials import (
+    PotentialSpec,
+    eval_potential_array,
+    radial_jets,
+)
 
 
 def test_zero_potential_vanishes():
@@ -148,6 +152,37 @@ def test_array_evaluation_matches_scalar():
     vals = eval_potential_array(spec, xs, np.full(3, float(y @ y)))
     expected = [eval_potential(spec, float(x), y) for x in xs]
     np.testing.assert_allclose(vals, expected, rtol=1e-14)
+
+
+def test_radial_jets_match_values_and_power_law_laplacians():
+    x = np.array([1.0, -2.0, 5.0])
+    y = np.array([[0.5, 1.5], [0.0, -3.0], [2.0, 0.25]])
+    spec = homogeneous(1.2, 1.4, softening=0.05)
+    q, grad, _, _ = radial_jets(spec, x, y)
+    np.testing.assert_allclose(q, [eval_potential(spec, a, b)
+                                   for a, b in zip(x, y)], rtol=1e-14)
+    np.testing.assert_allclose(grad, [grad_potential(spec, a, b)
+                                      for a, b in zip(x, y)], rtol=1e-14)
+    # Laplacian r^-a = a (a + 2 - d) r^(-a-2), applied twice for the
+    # bi-Laplacian; coulomb in d = 3 is harmonic
+    r = np.sqrt(x * x + np.sum(y * y, axis=-1))
+    for spec in (homogeneous(1.2, 1.4, softening=0.0),
+                 coulomb(1.0, softening=0.0)):
+        a, d = spec.alpha, 3
+        _, _, lap, bilap = radial_jets(spec, x, y)
+        c1 = a * (a + 2 - d)
+        c2 = c1 * (a + 2) * (a + 4 - d)
+        np.testing.assert_allclose(lap, spec.kappa * c1 * r ** (-a - 2),
+                                   rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(bilap, spec.kappa * c2 * r ** (-a - 4),
+                                   rtol=1e-12, atol=1e-15)
+    for jet in radial_jets(zero_potential(), x, y):
+        assert np.all(jet == 0.0)
+    table = PotentialSpec(kind="table", kappa=1.0, func=lambda x, y: 0.0)
+    with pytest.raises(DomainError):
+        radial_jets(table, x, y)
+    with pytest.raises(DomainError):
+        radial_jets(coulomb(1.0, softening=0.0), np.zeros(1), np.zeros((1, 2)))
 
 
 def test_unsoftened_copy_removes_softening_only():

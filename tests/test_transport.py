@@ -16,9 +16,16 @@ from starkscatter import (
     transport_residual,
     zero_potential,
 )
-from starkscatter.transport import decay_fit_symbols, symbol_q_parts
+from starkscatter.transport import (
+    _as_batch,
+    _hierarchy,
+    decay_fit_symbols,
+    symbol_q_parts,
+)
 
 POINT = PhasePoint(100.0, [5.0], 15.0, [0.3])
+# the transport point of the d = 3 command-line configuration
+POINT_D3 = PhasePoint(100.0, [5.0, 0.0], 15.0, [0.3, 0.0])
 
 
 def _flow_quad_b1(spec, p, sign=+1):
@@ -34,6 +41,32 @@ def _flow_quad_b1(spec, p, sign=+1):
     tail, _ = quad(lambda u: integrand(1e3 / u) * 1e3 / u ** 2, 0.0, 1.0,
                    limit=800, epsabs=1e-13, epsrel=1e-13)
     return sgn * 1j * (head + tail)
+
+
+def _shifted(p, j, step):
+    """p moved by step along configuration coordinate j (0 is x)."""
+    dy = np.zeros(p.d - 1)
+    if j > 0:
+        dy[j - 1] = step
+    return PhasePoint(p.x + (step if j == 0 else 0.0), p.y + dy, p.eta, p.zeta)
+
+
+def _richardson(diff, h=1.0):
+    """Wide-step central difference with one Richardson step (h, h/2)."""
+    return (4.0 * diff(0.5 * h) - diff(h)) / 3.0
+
+
+def _fd_gradient(f, p):
+    return np.array([_richardson(
+        lambda h: (f(_shifted(p, j, h)) - f(_shifted(p, j, -h))) / (2.0 * h))
+        for j in range(p.d)])
+
+
+def _fd_laplacian(f, p):
+    center = f(p)
+    return _richardson(lambda h: sum(
+        f(_shifted(p, j, h)) + f(_shifted(p, j, -h)) - 2.0 * center
+        for j in range(p.d)) / h ** 2)
 
 
 def test_b1_against_direct_flow_quadrature():
@@ -99,6 +132,35 @@ def test_q1_splits_into_potential_and_laplacian_parts():
     assert qb + lap_half == pytest.approx(total, rel=1e-8)
     # the Laplacian correction is subleading at this distance
     assert abs(lap_half) < abs(qb)
+
+
+def test_b1_derivatives_against_differenced_flow_quadrature():
+    # the gradient and Laplacian of b1 from the jets of q match wide-step
+    # differences of the independent scipy flow quadrature (coulomb is
+    # harmonic in d = 3, so d = 3 takes a non-harmonic exponent)
+    for spec, p in ((coulomb(1.0, softening=0.0), POINT),
+                    (homogeneous(1.0, 1.5, softening=0.0), POINT_D3)):
+        jets = _hierarchy(1, *_as_batch(p), spec, +1, 1e-12, 1.0)
+        grad = _fd_gradient(lambda z: _flow_quad_b1(spec, z), p)
+        np.testing.assert_allclose(jets.grad_b1[0], grad,
+                                   rtol=1e-7, atol=1e-7 * np.abs(grad).max())
+        lap = _fd_laplacian(lambda z: _flow_quad_b1(spec, z), p)
+        assert jets.lap_b[0, 0] == pytest.approx(lap, rel=1e-7, abs=0.0)
+
+
+def test_q2_against_differenced_b2():
+    # q2 = q b2 - lap b2 / 2 with the Laplacian of b2 differenced from
+    # tightly converged b2 values
+    spec = coulomb(1.0)
+
+    def b2(z):
+        return symbol_b(2, z, spec, tol=1e-13)
+
+    for p in (POINT, POINT_D3):
+        oracle = eval_potential(spec, p.x, p.y) * b2(p) \
+            - 0.5 * _fd_laplacian(b2, p)
+        assert symbol_q(2, p, spec, tol=1e-9) == pytest.approx(oracle,
+                                                               rel=1e-7)
 
 
 def test_transport_pde_residual_small():
