@@ -91,12 +91,13 @@ def energy(spec: PotentialSpec, p: PhasePoint) -> float:
 
 def free_flow(p0: PhasePoint, t: float) -> PhasePoint:
     """Exact free orbit: x gains t*eta + t^2/2, eta gains t, zeta fixed."""
-    return PhasePoint(
-        x=p0.x + t * p0.eta + 0.5 * t * t,
-        y=p0.y + t * p0.zeta,
-        eta=p0.eta + t,
-        zeta=p0.zeta.copy(),
-    )
+    x, y, eta, zeta = free_flow_arrays(p0.x, p0.y, p0.eta, p0.zeta, t)
+    return PhasePoint(x=x, y=y, eta=eta, zeta=zeta.copy())
+
+
+def free_flow_arrays(x, y, eta, zeta, t):
+    """free_flow on arrays: x, eta of shape S, y, zeta of shape S + (d-1,)."""
+    return x + t * eta + 0.5 * t * t, y + t * zeta, eta + t, zeta
 
 
 def _deviation_rhs(spec: PotentialSpec, p0: PhasePoint):
@@ -278,23 +279,39 @@ def _log_subsample(ts: np.ndarray, per_octave: int = 4) -> np.ndarray:
     return idx
 
 
+def _mourre_parts(x, y, eta, zeta, m):
+    """(x + <y>_m, numerator eta + yhat_m . zeta, sqrt(2x + 2<y>_m)), batched.
+
+    The square root is taken of max(2x + 2<y>_m, 0); it is meaningful only
+    where x + <y>_m > 0.
+    """
+    y_m = np.sqrt(m * m + np.sum(y * y, axis=-1))
+    a_num = eta + np.sum(y / y_m[..., None] * zeta, axis=-1)
+    return x + y_m, a_num, np.sqrt(np.maximum(2.0 * x + 2.0 * y_m, 0.0))
+
+
+def cone_mask(x, y, eta, zeta, m: float = 1.0, eps: float = 0.3,
+              sign: int = +1) -> np.ndarray:
+    """Membership in X^{+-}_{m, eps} for arrays of phase points.
+
+    x and eta have shape S, y and zeta shape S + (d - 1,); the result is a
+    boolean array of shape S.
+    """
+    x, y, eta, zeta = (np.asarray(a, dtype=float) for a in (x, y, eta, zeta))
+    shift, a_num, root = _mourre_parts(x, y, eta, zeta, m)
+    s = 1.0 if sign >= 0 else -1.0
+    return (shift > 0.0) & (s * a_num > -eps * root)
+
+
 def in_region_X(p: PhasePoint, m: float = 1.0, eps: float = 0.3,
                 sign: int = +1) -> bool:
     """Membership in the flow-invariant cone X^{+-}_{m, eps}."""
-    y_m = np.sqrt(m * m + float(np.dot(p.y, p.y)))
-    if p.x + y_m <= 0.0:
-        return False
-    yhat_m = p.y / y_m
-    a_num = p.eta + float(np.dot(yhat_m, p.zeta))
-    s = 1.0 if sign >= 0 else -1.0
-    return bool(s * a_num > -eps * np.sqrt(2.0 * p.x + 2.0 * y_m))
+    return bool(cone_mask(p.x, p.y, p.eta, p.zeta, m, eps, sign))
 
 
 def mourre_ratio(p: PhasePoint, m: float = 1.0) -> float:
     """a = (eta + yhat_m . zeta) / sqrt(2x + 2<y>_m), defined for x+<y>_m>0."""
-    y_m = np.sqrt(m * m + float(np.dot(p.y, p.y)))
-    if p.x + y_m <= 0.0:
+    shift, a_num, root = _mourre_parts(p.x, p.y, p.eta, p.zeta, m)
+    if shift <= 0.0:
         raise DomainError("a is defined only where x + <y>_m > 0")
-    yhat_m = p.y / y_m
-    return float((p.eta + np.dot(yhat_m, p.zeta))
-                 / np.sqrt(2.0 * p.x + 2.0 * y_m))
+    return float(a_num / root)

@@ -71,11 +71,30 @@ def to_parabolic(x: float, y) -> ParabolicPoint:
     return ParabolicPoint(f=f, g=y / f)
 
 
-def _require_identity_regime(x: float, y: np.ndarray) -> float:
-    r = float(np.hypot(x, np.linalg.norm(y)))
-    if r + x <= 2.0:
+def _require_identity_regime(x, y):
+    r = np.hypot(x, np.linalg.norm(y, axis=-1))
+    if np.any(r + x <= 2.0):
         raise DomainError("r + x <= 2: outside the parabolic identity regime")
     return r
+
+
+def _identity_frame(x, y, d):
+    """(y, d, r, f = sqrt(r + x)) in the identity regime, batches allowed.
+
+    x has shape S and y shape S + (d - 1,); there r + x > 2, so the
+    mollifier is the identity and f^2 = r + x exactly.
+    """
+    y = np.asarray(y, dtype=float)
+    if d is None:
+        d = 1 + y.shape[-1]
+    elif d != 1 + y.shape[-1]:
+        raise DomainError("dimension inconsistent with the y block")
+    r = _require_identity_regime(x, y)
+    return y, d, r, np.sqrt(r + x)
+
+
+def _scalar_or_array(a):
+    return float(a) if np.ndim(a) == 0 else a
 
 
 def grad_f(x: float, y) -> np.ndarray:
@@ -104,27 +123,25 @@ def grad_g(x: float, y) -> np.ndarray:
     return out
 
 
-def jacobian_det(x: float, y, d: int | None = None) -> float:
-    """|det| of the coordinate change (x, y) -> (f, g): f^{2-d}/(f^2+g^2)."""
-    y = np.asarray(y, dtype=float)
-    if d is None:
-        d = 1 + y.size
-    elif d != 1 + y.size:
-        raise DomainError("dimension inconsistent with the y block")
-    _require_identity_regime(x, y)
-    p = to_parabolic(x, y)
-    return p.f ** (2 - d) / (p.f ** 2 + float(np.dot(p.g, p.g)))
+def jacobian_det(x, y, d: int | None = None):
+    """|det| of the coordinate change (x, y) -> (f, g): f^{2-d}/(f^2+g^2).
+
+    x may be an array of shape (n,) with y of shape (n, d - 1).
+    """
+    y, d, _, f = _identity_frame(x, y, d)
+    g = y / f[..., None]
+    return _scalar_or_array(f ** (2 - d) / (f * f + np.sum(g * g, axis=-1)))
+
+
+def theta_laplacian(x, y, d: int | None = None):
+    """Laplacian d f / (2 r) of f^3/3, batched like jacobian_det."""
+    _, d, r, f = _identity_frame(x, y, d)
+    return _scalar_or_array(0.5 * d * f / r)
 
 
 def theta_calculus(x: float, y, d: int | None = None) -> PhaseData:
     """Value, gradient, Hessian and Laplacian of f^3/3 (identity regime)."""
-    y = np.asarray(y, dtype=float)
-    if d is None:
-        d = 1 + y.size
-    elif d != 1 + y.size:
-        raise DomainError("dimension inconsistent with the y block")
-    r = _require_identity_regime(x, y)
-    f = np.sqrt(r + x)
+    y, d, r, f = _identity_frame(x, y, d)
 
     value = f ** 3 / 3.0
     grad = np.empty(d)
@@ -140,13 +157,12 @@ def theta_calculus(x: float, y, d: int | None = None) -> PhaseData:
     hess[1:, 1:] = (-0.5 * yy * f / r ** 3 + 0.25 * yy / (r ** 2 * f)
                     + 0.5 * f / r * np.eye(d - 1))
     return PhaseData(value=value, gradient=grad, hessian=hess,
-                     laplacian=0.5 * d * f / r)
+                     laplacian=theta_laplacian(x, y, d))
 
 
-def _eikonal_domain(x: float, y: np.ndarray) -> float:
-    y_sq = float(np.dot(y, y))
-    disc = x * x - y_sq
-    if x <= 0.0 or disc <= _CAUSTIC_MARGIN * x * x:
+def _eikonal_domain(x, y: np.ndarray):
+    disc = x * x - np.sum(y * y, axis=-1)
+    if np.any((x <= 0.0) | (disc <= _CAUSTIC_MARGIN * x * x)):
         raise DomainError("caustic region: requires x > 0 and x^2 > y^2")
     return np.sqrt(disc)
 
@@ -194,18 +210,19 @@ def theta1_minus_theta(x: float, y) -> float:
     return theta1_value(x, y) - theta_calculus(x, y).value
 
 
-def eikonal_residual(x: float, y) -> float:
+def eikonal_residual(x, y):
     """|grad|^2 / 2 - x for the exact phase; zero up to rounding.
 
     Evaluated in extended precision so the cancellation between |grad|^2 / 2
-    and x does not swamp the residual at large x.
+    and x does not swamp the residual at large x.  x may be an array of
+    shape (n,) with y of shape (n, d - 1).
     """
     y = np.asarray(y, dtype=float)
     _eikonal_domain(x, y)
-    xl = np.longdouble(x)
+    xl = np.asarray(x, dtype=np.longdouble)
     yl = y.astype(np.longdouble)
-    y_sq = np.dot(yl, yl)
+    y_sq = np.sum(yl * yl, axis=-1)
     w = np.sqrt(xl * xl - y_sq)
     # |grad|^2 = (x + w) + y^2 / (x + w) for the closed-form gradient
     grad_sq = (xl + w) + y_sq / (xl + w)
-    return float(0.5 * grad_sq - xl)
+    return _scalar_or_array((0.5 * grad_sq - xl).astype(float))

@@ -14,10 +14,13 @@ need higher jets of q_1 and are not implemented.  The table kind is
 rejected (DomainError): it has no closed-form jets, and differencing
 quadrature values amplifies their noise.
 
-Time is mapped to (0, 1) by t = tau s / (1 - s) and integrated with
-Gauss-Legendre panels, doubled until every output converges; the tail
-integral at a node is the Legendre integration matrix inside its panel plus
-the sum over the later panels.
+Time is mapped to (0, 1) by t = tau (s / (1 - s))^P and integrated with
+the panel rule of `quadrature`, doubled until every output converges.  q
+decays like t^{-2 alpha} along the flow and P is chosen from that rate:
+P = 1 for Coulomb, larger where the plain map leaves the integrand singular
+(1/2 < alpha < 1) or not smooth (2 alpha not an integer) at s = 1.  The
+tail integral at a node is the Legendre integration matrix inside its panel
+plus the sum over the later panels.
 """
 
 from __future__ import annotations
@@ -28,21 +31,11 @@ from typing import NamedTuple
 import numpy as np
 
 from .classical import PhasePoint, free_flow, in_region_X
-from .errors import BudgetError, DomainError
+from .errors import DomainError
 from .potentials import PotentialSpec, radial_jets
+from .quadrature import converge, map_power, tails
 
 K_MAX_DEFAULT = 2
-
-_MAX_PANELS = 64
-
-_GL_ORDER = 16
-_leg = np.polynomial.legendre
-_GL_NODES, _GL_WEIGHTS = _leg.leggauss(_GL_ORDER)
-# _GL_TAIL[j, i]: integral over [node j, 1] of the Lagrange polynomial of
-# node i, from its Legendre coefficients, which the Gauss rule gives exactly
-_GL_TAIL = -_leg.legval(_GL_NODES, _leg.legint(
-    _leg.legvander(_GL_NODES, _GL_ORDER - 1).T * _GL_WEIGHTS
-    * (np.arange(_GL_ORDER) + 0.5)[:, None], lbnd=1.0)).T
 
 
 @dataclass(frozen=True)
@@ -59,19 +52,12 @@ class _Jets(NamedTuple):
     b: np.ndarray        # b_1 .. b_k, (k, n)
     lap_b: np.ndarray    # Laplacian of b_1 .. b_k, (k, n)
     grad_b1: np.ndarray  # gradient of b_1, (n, d)
+    b_err: np.ndarray    # last refinement change of b_1 .. b_k, (k, n)
 
     def q_k(self, j: int) -> np.ndarray:
         if j == 0:
             return self.q
         return self.q * self.b[j - 1] - 0.5 * self.lap_b[j - 1]
-
-
-def _tails(f, half):
-    """Integrals from every node to s = 1, from node values f (..., nodes)."""
-    fp = f.reshape(f.shape[:-1] + (-1, _GL_ORDER))
-    panel = half * (fp @ _GL_WEIGHTS)
-    later = np.cumsum(panel[..., ::-1], axis=-1)[..., ::-1] - panel
-    return (half * (fp @ _GL_TAIL.T) + later[..., None]).reshape(f.shape)
 
 
 def _hierarchy(k, X, Y, ETA, ZETA, spec, sign, tol, m) -> _Jets:
@@ -82,25 +68,20 @@ def _hierarchy(k, X, Y, ETA, ZETA, spec, sign, tol, m) -> _Jets:
     sgn = 1.0 if sign >= 0 else -1.0
     c = sgn * 1j
 
-    def one_pass(n_panels):
-        half = 0.5 / n_panels
-        mid = (np.arange(n_panels) + 0.5) / n_panels
-        s = (mid[:, None] + half * _GL_NODES).ravel()
-        t = tau[:, None] * s / (1.0 - s)
-        jac = tau[:, None] / (1.0 - s) ** 2
+    def one_pass(rule):
+        t, jac, w = rule.t, rule.jac, rule.w
         Xt = X[:, None] + sgn * t * ETA[:, None] + 0.5 * t * t
         Yt = Y[:, None, :] + sgn * t[..., None] * ZETA[:, None, :]
         q, grad, lap, bilap = radial_jets(spec, Xt, Yt)
         grad = np.moveaxis(grad, -1, 1)                   # (n, d, nodes)
-        w = half * np.tile(_GL_WEIGHTS, n_panels) * jac   # weights in t
         b = [c * np.sum(q * w, axis=-1)]
         lap_b = [c * np.sum(lap * w, axis=-1)]
         grad_b1 = c * np.sum(grad * w[:, None, :], axis=-1)
         if k >= 2:
-            b1 = c * _tails(q * jac, half)
-            grad_b1_t = c * _tails(grad * jac[:, None, :], half)
-            lap_b1 = c * _tails(lap * jac, half)
-            bilap_b1 = c * _tails(bilap * jac, half)
+            b1 = c * tails(q * jac, rule.half)
+            grad_b1_t = c * tails(grad * jac[:, None, :], rule.half)
+            lap_b1 = c * tails(lap * jac, rule.half)
+            bilap_b1 = c * tails(bilap * jac, rule.half)
             q1 = q * b1 - 0.5 * lap_b1
             lap_q1 = (lap * b1 + 2.0 * np.sum(grad * grad_b1_t, axis=1)
                       + q * lap_b1 - 0.5 * bilap_b1)
@@ -108,19 +89,11 @@ def _hierarchy(k, X, Y, ETA, ZETA, spec, sign, tol, m) -> _Jets:
             lap_b.append(c * np.sum(lap_q1 * w, axis=-1))
         return np.concatenate([b, lap_b, grad_b1.T])
 
-    n_panels = 8
-    prev = one_pass(n_panels)
-    while n_panels < _MAX_PANELS:
-        n_panels *= 2
-        cur = one_pass(n_panels)
-        if np.all(np.abs(cur - prev) <= tol * np.maximum(1.0, np.abs(cur))):
-            break
-        prev = cur
-    else:
-        raise BudgetError("flow quadrature failed to converge",
-                          module="transport", operation="symbol_b", budget=tol)
+    # q decays like t^{-2 alpha} along the flow
+    cur, change = converge(one_pass, tau, map_power(2.0 * spec.alpha), tol,
+                           "transport", "symbol_b")
     return _Jets(q=radial_jets(spec, X, Y)[0], b=cur[:k], lap_b=cur[k:2 * k],
-                 grad_b1=cur[2 * k:].T)
+                 grad_b1=cur[2 * k:].T, b_err=change[:k])
 
 
 def _check_order(k: int):
@@ -153,14 +126,17 @@ def symbol_b_result(k: int, p: PhasePoint, spec: PotentialSpec, sign: int = +1,
     By the group law that contribution is b_k at the point flowed for t_max,
     so the tail estimate is |b_k(phi_{t_max} z)|; by the decay bounds of the
     hierarchy it also bounds the change under any further increase of t_max.
+    quad_error is the achieved quadrature error estimate: the change of the
+    value under the last panel doubling, at most tol * max(1, |value|).
     """
     _check_order(k)
     _check_point(p, m, eps, sign)
     far = free_flow(p, (1.0 if sign >= 0 else -1.0) * t_max)
-    b = _hierarchy(k, *_as_batch(p, far), spec, sign, tol, m).b[k - 1]
+    jets = _hierarchy(k, *_as_batch(p, far), spec, sign, tol, m)
+    b = jets.b[k - 1]
     value = complex(b[0])
     return SymbolResult(value=value, tail_estimate=float(abs(b[1])),
-                        quad_error=tol * max(1.0, abs(value)))
+                        quad_error=float(jets.b_err[k - 1, 0]))
 
 
 def symbol_q(k: int, p: PhasePoint, spec: PotentialSpec, sign: int = +1,

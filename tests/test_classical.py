@@ -22,7 +22,7 @@ from starkscatter import (
     mourre_ratio,
     zero_potential,
 )
-from starkscatter.classical import is_escaping
+from starkscatter.classical import cone_mask, free_flow_arrays, is_escaping
 from starkscatter.parabolic import theta1_calculus
 
 
@@ -245,6 +245,42 @@ def test_region_invariance_under_free_flow():
         checked += 1
         for t in (1.0, 10.0, 100.0):
             assert in_region_X(free_flow(p, t))
+
+
+def _in_cone_reference(p, m, eps, sign):
+    """The scalar cone test as a loop would write it."""
+    y_m = math.sqrt(m * m + float(p.y @ p.y))
+    if p.x + y_m <= 0.0:
+        return False
+    a_num = p.eta + float((p.y / y_m) @ p.zeta)
+    return (1.0 if sign >= 0 else -1.0) * a_num > -eps * math.sqrt(
+        2.0 * p.x + 2.0 * y_m)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("sign", [+1, -1])
+def test_cone_mask_matches_pointwise_membership(d, sign):
+    # x reaches far enough below -<y>_m for the first branch to reject
+    rng = np.random.default_rng(28 + d)
+    n = 2000
+    x = rng.uniform(-60.0, 50.0, size=n)
+    y = rng.uniform(-20.0, 20.0, size=(n, d - 1))
+    eta = rng.uniform(-10.0, 10.0, size=n)
+    zeta = rng.uniform(-3.0, 3.0, size=(n, d - 1))
+    mask = cone_mask(x, y, eta, zeta, m=1.5, eps=0.2, sign=sign)
+    points = [PhasePoint(*row) for row in zip(x, y, eta, zeta)]
+    assert mask.tolist() == [in_region_X(p, m=1.5, eps=0.2, sign=sign)
+                             for p in points]
+    assert mask.tolist() == [_in_cone_reference(p, 1.5, 0.2, sign)
+                             for p in points]
+    behind = x + np.sqrt(1.5 ** 2 + np.sum(y * y, axis=-1)) <= 0.0
+    assert behind.any() and mask.any() and not mask[~behind].all()
+    # the batched free flow moves every point as free_flow does
+    flowed = free_flow_arrays(x, y, eta, zeta, 10.0)
+    for i in (0, n // 2, n - 1):
+        q = free_flow(points[i], 10.0)
+        assert (flowed[0][i], flowed[2][i]) == (q.x, q.eta)
+        assert flowed[1][i].tolist() == q.y.tolist()
 
 
 def test_mourre_ratio_stays_above_cone_margin():

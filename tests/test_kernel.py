@@ -2,11 +2,13 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
 from starkscatter import (
     DomainError,
+    PotentialSpec,
     apply_taper,
     born_symbol,
     c1_constant,
@@ -21,7 +23,25 @@ from starkscatter import (
     zero_potential,
 )
 from starkscatter.errors import ConfigError
-from starkscatter.kernel import radial_bins
+from starkscatter.kernel import born_symbols, radial_bins
+
+
+def _mpmath_born(q, R):
+    """Oracle: -2i * integral_R^inf q(x) / sqrt(2x) dx (zeta = 0, lam = 0).
+
+    Split at decades of x from R to 1e9 R and beyond that taken in
+    x = T e^u; a single [R, 10 r, inf] split is inaccurate for alpha <= 0.6.
+    """
+    def f(x):
+        return q(x) / mpmath.sqrt(2 * x)
+
+    with mpmath.workdps(30):
+        edges = [mpmath.mpf(R) * 10 ** k for k in range(10)]
+        T = edges[-1]
+        head = mpmath.quad(f, edges)
+        tail = mpmath.quad(lambda u: f(T * mpmath.exp(u)) * T * mpmath.exp(u),
+                           [0, 1, 4, 16, 64, mpmath.inf])
+        return -2j * complex(head + tail)
 
 
 # ---------------------------------------------------------------------------
@@ -29,6 +49,50 @@ from starkscatter.kernel import radial_bins
 
 def test_born_symbol_zero_potential():
     assert born_symbol(zero_potential(), [0.0, 0.0], [5.0, 0.0]) == 0.0
+
+
+@pytest.mark.parametrize("alpha", [0.75, 1.0, 1.5, 2.5])
+def test_born_symbol_against_mpmath(alpha):
+    # the default radius is R = 2 at zeta = 0, lam = 0
+    spec = coulomb(1.0) if alpha == 1.0 else homogeneous(1.0, alpha)
+    for r in (1e-2, 1.0, 50.0, 3.5e4, 1e5, 1.4e5):
+        oracle = _mpmath_born(
+            lambda x: (x * x + r * r) ** (-mpmath.mpf(alpha) / 2), 2.0)
+        assert born_symbol(spec, [0.0], [r]) == pytest.approx(oracle,
+                                                              rel=1e-9)
+
+
+def test_born_symbol_table_kind_against_mpmath():
+    # a Gaussian table potential goes through eval_potential node by node
+    spec = PotentialSpec(kind="table", kappa=1.0, func=lambda x, y: math.exp(
+        -(x * x + float(y @ y)) / 9.0))
+    for y in ([0.5, 0.0], [1.0, -2.0]):
+        y_sq = float(np.dot(y, y))
+        # beyond x = 64 the integrand is below e^{-450}
+        with mpmath.workdps(30):
+            oracle = -2j * complex(mpmath.quad(
+                lambda x: mpmath.exp(-(x * x + y_sq) / 9) / mpmath.sqrt(2 * x),
+                [2, 4, 8, 16, 32, 64]))
+        assert born_symbol(spec, [0.0, 0.0], y) == pytest.approx(oracle,
+                                                                 rel=1e-9)
+
+
+def test_born_symbols_report_the_achieved_refinement_change():
+    # per radius: the last panel-doubling change is within the request
+    # and, up to the rounding of the final sums, bounds the distance to
+    # the mpmath value; the batch agrees with the one-radius calls
+    spec = homogeneous(1.0, 0.75)
+    radii = np.array([1e-2, 3.0, 1e3, 1.4e5])
+    tol = 1e-6
+    values, errors = born_symbols(spec, [0.0], radii[:, None], tol=tol)
+    assert np.all(errors <= tol * np.maximum(1.0, np.abs(values)))
+    assert errors[-1] > 1e-13
+    for r, val, err in zip(radii, values, errors):
+        oracle = _mpmath_born(
+            lambda x: (x * x + r * r) ** (-mpmath.mpf(0.75) / 2), 2.0)
+        assert abs(val - oracle) <= err + 4e-16 * abs(oracle)
+        assert born_symbol(spec, [0.0], [r], tol=tol) == pytest.approx(
+            val, rel=1e-12)
 
 
 def test_born_symbol_linear_in_coupling():

@@ -20,6 +20,7 @@ from starkscatter.parabolic import (
     mollifier,
     mollifier_deriv,
     theta1_minus_theta,
+    theta_laplacian,
 )
 
 
@@ -224,6 +225,36 @@ def test_eikonal_equation_residual():
         x = 10.0 ** rng.uniform(1.0, 6.0)
         y = rng.uniform(-0.1, 0.1, size=2) * x / math.sqrt(2.0)
         assert abs(eikonal_residual(x, y)) <= 1e-10
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_batched_phase_functions_match_scalar_calls(d):
+    # the eikonal sweep's batched calls against one call per point
+    rng = np.random.default_rng(19 + d)
+    x = 10.0 ** rng.uniform(1.0, 6.0, size=400)
+    y = rng.uniform(-0.5, 0.5, size=(400, d - 1)) * x[:, None]
+    res = eikonal_residual(x, y)
+    assert np.max(np.abs(res)) <= 1e-10
+    np.testing.assert_array_max_ulp(
+        res, [eikonal_residual(a, b) for a, b in zip(x, y)], maxulp=4)
+    np.testing.assert_array_max_ulp(
+        jacobian_det(x, y, d), [jacobian_det(a, b, d) for a, b in zip(x, y)],
+        maxulp=4)
+    np.testing.assert_array_max_ulp(
+        theta_laplacian(x, y, d),
+        [theta_calculus(a, b, d).laplacian for a, b in zip(x, y)], maxulp=4)
+
+
+def test_batched_caustic_and_regime_inputs_raise():
+    x = np.array([10.0, 5.0])
+    with pytest.raises(DomainError):
+        eikonal_residual(x, np.array([[1.0], [6.0]]))
+    with pytest.raises(DomainError):
+        eikonal_residual(np.array([10.0, -1.0]), np.zeros((2, 1)))
+    with pytest.raises(DomainError):
+        jacobian_det(np.array([10.0, -5.0]), np.array([[1.0], [0.1]]))
+    with pytest.raises(DomainError):
+        theta_laplacian(x, np.zeros((2, 2)), 2)
 
 
 def test_theta1_gradient_solves_eikonal_directly():

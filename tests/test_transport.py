@@ -1,10 +1,12 @@
 """Transport symbol hierarchy along the free flow."""
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
 from starkscatter import (
+    BudgetError,
     DomainError,
     PhasePoint,
     coulomb,
@@ -43,6 +45,26 @@ def _flow_quad_b1(spec, p, sign=+1):
     return sgn * 1j * (head + tail)
 
 
+def _mpmath_b1(spec, p):
+    """Oracle: outgoing b1 = i * integral of q along the free flow, mpmath.
+
+    Split at decades of t up to 1e4 and beyond that taken in t = 1e4 e^u,
+    so slowly decaying tails (alpha near 1/2) are resolved.
+    """
+    def q(t):
+        x = p.x + t * p.eta + t * t / 2
+        y = p.y + t * p.zeta
+        r_sq = x * x + float(y @ y)
+        return spec.kappa * r_sq ** (-mpmath.mpf(spec.alpha) / 2)
+
+    with mpmath.workdps(30):
+        head = mpmath.quad(q, [0, 1, 10, 100, 1000, 10000])
+        tail = mpmath.quad(lambda u: q(10000 * mpmath.exp(u))
+                           * 10000 * mpmath.exp(u),
+                           [0, 1, 4, 16, 64, 256, mpmath.inf])
+        return 1j * float(head + tail)
+
+
 def _shifted(p, j, step):
     """p moved by step along configuration coordinate j (0 is x)."""
     dy = np.zeros(p.d - 1)
@@ -75,6 +97,41 @@ def test_b1_against_direct_flow_quadrature():
         oracle = _flow_quad_b1(spec, p)
         val = symbol_b(1, p, spec, tol=1e-12)
         assert val == pytest.approx(oracle, rel=1e-9)
+
+
+@pytest.mark.parametrize("alpha", [0.75, 0.9, 1.2])
+def test_b1_power_decay_against_mpmath(alpha):
+    # under t = tau s / (1 - s) the integrand q dt/ds behaves like
+    # (1 - s)^{2 alpha - 2}: singular at s = 1 for alpha < 1, not smooth
+    # there when 2 alpha is not an integer; the map power chosen from the
+    # decay removes both
+    spec = homogeneous(1.0, alpha, softening=0.0)
+    oracle = _mpmath_b1(spec, POINT)
+    assert symbol_b(1, POINT, spec, tol=1e-12) == pytest.approx(oracle,
+                                                                rel=1e-10)
+    assert transport_residual(2, POINT, spec, h_eta=0.2, tol=1e-9) < 1e-4
+
+
+def test_unreachable_decay_raises_budget_error():
+    # alpha this close to 1/2 needs a map power that overflows the float
+    # range within the panel cap: a budget failure, never a wrong value
+    with pytest.raises(BudgetError):
+        symbol_b(1, POINT, homogeneous(1.0, 0.501, softening=0.0))
+
+
+@pytest.mark.parametrize("spec", [coulomb(1.0, softening=0.0),
+                                  homogeneous(1.0, 0.9, softening=0.0)])
+def test_quad_error_is_the_achieved_refinement_change(spec):
+    # the reported error is the last panel-doubling change: within the
+    # request, and (up to the rounding of the final sums) at least the
+    # distance to the mpmath value; near the cone's edge the first
+    # doublings still move b1 (by 6.5e-10 and 1.2e-11 here)
+    p = PhasePoint(-1.7, [-3.3], 7.1, [1.1])
+    tol = 1e-6
+    res = symbol_b_result(1, p, spec, tol=tol)
+    assert 1e-13 < res.quad_error < tol * max(1.0, abs(res.value))
+    oracle = _mpmath_b1(spec, p)
+    assert abs(res.value - oracle) <= res.quad_error + 4e-16 * abs(oracle)
 
 
 def test_b1_incoming_branch_against_quadrature():
