@@ -185,9 +185,7 @@ def write_csv(path: Path, header: list[str], rows) -> None:
 
 
 def _emit(cfg: dict, name: str, summary: dict) -> dict:
-    out = Path(cfg["output_dir"])
-    out.mkdir(parents=True, exist_ok=True)
-    with open(out / f"{name}_summary.json", "w", newline="\n") as fh:
+    with open(_outdir(cfg) / f"{name}_summary.json", "w", newline="\n") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return summary
@@ -235,10 +233,8 @@ def cmd_momenta(cfg: dict) -> dict:
                                      t_eval=sign * t_grid)
     write_csv(_outdir(cfg) / "momenta.csv",
               ["t"] + [f"zeta{i+1}" for i in range(d - 1)],
-              ([t, *p.zeta] for t, p in zip(traj.times, traj.points)))
-    z_inf, err = classical.asymptotic_momentum(
-        spec, p0, direction=direction, t_start=float(sec["t_start"]),
-        n_doublings=int(sec["n_doublings"]), tol=float(sec["tol"]))
+              np.column_stack([traj.times, traj.states[:, d + 1:]]))
+    z_inf, err = classical.momentum_limit(traj)
     summary = {
         "command": "momenta",
         "zeta_infinity": [float(z) for z in np.atleast_1d(z_inf)],
@@ -628,6 +624,9 @@ def main(argv: list[str] | None = None) -> int:
     except DomainError as exc:
         print(json.dumps({"error": "domain", "message": str(exc)}))
         return 4
+    except MemoryError:
+        print(json.dumps({"error": "budget", "message": "out of memory"}))
+        return 3
 
 
 if __name__ == "__main__":

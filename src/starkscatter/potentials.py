@@ -9,6 +9,7 @@ in the library.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -92,14 +93,27 @@ def _radius_sq(x, y):
     return float(x) * float(x) + float(np.dot(y, y))
 
 
-def _check_point(spec: PotentialSpec, x, y):
-    r2 = _radius_sq(x, y)
-    if not np.isfinite(r2):
+def _check_radius_sq(spec: PotentialSpec, r2: float) -> float:
+    if not math.isfinite(r2):
         raise DomainError("potential evaluated at a non-finite point")
     if spec.softening == 0.0 and r2 <= spec.exclusion_radius ** 2:
         raise DomainError(
             "evaluation inside the origin exclusion ball with zero softening")
     return r2
+
+
+def _check_point(spec: PotentialSpec, x, y):
+    return _check_radius_sq(spec, _radius_sq(x, y))
+
+
+def _radial_grad_prefactor(spec: PotentialSpec, r2: float) -> float:
+    """Scalar c with grad q = c (x, y) for the radial kinds, r2 = x^2 + |y|^2.
+
+    The point checks of eval_potential run first; then
+    c = -alpha kappa (r^2 + softening^2)^(-alpha/2 - 1).
+    """
+    s = _check_radius_sq(spec, r2) + spec.softening ** 2
+    return -spec.alpha * spec.kappa * s ** (-spec.alpha / 2.0 - 1.0)
 
 
 def eval_potential(spec: PotentialSpec, x: float, y) -> float:
@@ -118,15 +132,15 @@ def grad_potential(spec: PotentialSpec, x: float, y) -> np.ndarray:
     d = 1 + y.size
     if spec.kind == "zero":
         return np.zeros(d)
-    r2 = _check_point(spec, x, y)
+    r2 = _radius_sq(x, y)
     if spec.kind in ("homogeneous", "coulomb"):
-        s = r2 + spec.softening ** 2
-        pref = -spec.alpha * spec.kappa * s ** (-spec.alpha / 2.0 - 1.0)
+        pref = _radial_grad_prefactor(spec, r2)
         out = np.empty(d)
         out[0] = pref * x
         out[1:] = pref * y
         return out
     # table kind: central differences, step scaled with distance
+    _check_radius_sq(spec, r2)
     h = _FD_STEP * max(1.0, np.sqrt(r2))
     out = np.empty(d)
     out[0] = (eval_potential(spec, x + h, y)

@@ -9,6 +9,7 @@ from starkscatter import (
     ConvergenceError,
     DomainError,
     PhasePoint,
+    PotentialSpec,
     asymptotic_momentum,
     coulomb,
     decay_slope,
@@ -22,7 +23,13 @@ from starkscatter import (
     mourre_ratio,
     zero_potential,
 )
-from starkscatter.classical import cone_mask, free_flow_arrays, is_escaping
+from starkscatter.classical import (
+    _log_subsample,
+    cone_mask,
+    free_flow_arrays,
+    gamma_observables_arrays,
+    is_escaping,
+)
 from starkscatter.parabolic import theta1_calculus
 
 
@@ -113,6 +120,52 @@ def test_time_reversal_recovers_initial_point():
     np.testing.assert_allclose(p2.zeta, p0.zeta, atol=1e-7)
 
 
+def test_trajectory_points_view_matches_state_rows():
+    spec = coulomb(0.5, softening=0.1)
+    p0 = PhasePoint(5.0, [1.0, -0.5], 1.0, [0.2, 0.1])
+    traj = integrate_orbit(spec, p0, 20.0, tol=1e-10, n_samples=7)
+    rows = [PhasePoint.from_vector(v, 3) for v in traj.states]
+    assert traj.states.shape == (7, 6) and len(traj.points) == 7
+
+    def same(a, b):
+        return a.as_vector().tolist() == b.as_vector().tolist()
+
+    assert all(same(a, b) for a, b in zip(traj.points, rows))
+    assert len(list(traj.points)) == 7
+    assert same(traj.points[-1], rows[-1]) and same(traj.points[2], rows[2])
+    for sl in (slice(1, 5), slice(None, None, -2), slice(-3, None)):
+        assert [v.as_vector().tolist() for v in traj.points[sl]] == \
+            [v.as_vector().tolist() for v in rows[sl]]
+    with pytest.raises(IndexError):
+        traj.points[7]
+    with pytest.raises(TypeError):
+        traj.points[0] = rows[0]
+
+
+def test_orbit_through_the_exclusion_ball_raises():
+    with pytest.raises(DomainError):
+        integrate_orbit(coulomb(1.0, softening=0.0),
+                        PhasePoint(0.0, [0.0], 0.0, [0.0]), 1.0)
+
+
+@pytest.mark.parametrize("p0", [
+    PhasePoint(5.0, [1.0], 1.0, [0.2]),
+    PhasePoint(5.0, [1.0, -0.5], -1.0, [0.2, 0.1]),
+])
+def test_table_orbit_tracks_the_builtin_kind(p0):
+    # the table kind takes its force from finite differences of func
+    kappa, soft = 0.5, 0.1
+    spec = coulomb(kappa, softening=soft)
+    table = PotentialSpec(kind="table", func=lambda x, y: kappa * (
+        x * x + float(y @ y) + soft ** 2) ** -0.5)
+    ref = integrate_orbit(spec, p0, 50.0, tol=1e-11, n_samples=26)
+    traj = integrate_orbit(table, p0, 50.0, tol=1e-11, n_samples=26)
+    np.testing.assert_allclose(traj.states, ref.states, rtol=0.0, atol=1e-6)
+    np.testing.assert_allclose(traj.energies, ref.energies, rtol=0.0,
+                               atol=1e-6)
+    assert traj.energy_drift() < 1e-8
+
+
 def test_escape_detection():
     spec = coulomb(0.1, softening=0.1)
     traj = integrate_orbit(spec, PhasePoint(10.0, [1.0], 2.0, [0.1]),
@@ -190,6 +243,92 @@ def test_gamma_observables_domain():
         gamma_observables(PhasePoint(5.0, [0.0], 1.0, [0.0]))
     with pytest.raises(DomainError):
         gamma_observables(PhasePoint(100.0, [50.0], 1.0, [0.0]))
+
+
+def _gamma_reference(p):
+    """The radiation observables at one point, written out in longdouble."""
+    x = np.longdouble(p.x)
+    y = p.y.astype(np.longdouble)
+    r = np.sqrt(x * x + y @ y)
+    w = np.sqrt(x * x - y @ y)
+    sp = np.sqrt(x + w)
+    gamma = (np.concatenate([[np.longdouble(p.eta)], p.zeta.astype(np.longdouble)])
+             - np.concatenate([[sp], sp * y / (x + w)]))
+    f = np.sqrt(r + x)
+    gamma_tilde = y / (r + x)
+    gf = np.concatenate([[(x / r + 1.0) / (2.0 * f)], y / (r * 2.0 * f)])
+    big = np.concatenate([gamma, gamma_tilde])
+    return float((gf @ gamma) / (gf @ gf)), float(np.sqrt(big @ big))
+
+
+def _zero_energy_orbit(d, x0, t_eval):
+    spec = coulomb(0.1, softening=1e-3)
+    y0 = np.linspace(1.5, 0.5, d - 1)
+    zeta0 = np.full(d - 1, 0.2)
+    eta0 = math.sqrt(2.0 * (x0 - eval_potential(spec, x0, y0))
+                     - float(zeta0 @ zeta0))
+    return integrate_orbit(spec, PhasePoint(x0, y0, eta0, zeta0), t_eval[-1],
+                           tol=1e-12, t_eval=t_eval)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_batched_gamma_observables_match_pointwise(d):
+    traj = _zero_energy_orbit(d, 20.0, np.geomspace(1.0, 1e4, 80))
+    s = traj.states
+    obs = gamma_observables_arrays(s[:, 0], s[:, 1:d], s[:, d], s[:, d + 1:])
+    assert obs.gamma.shape == (80, d) and obs.gamma_tilde.shape == (80, d - 1)
+    for i, p in enumerate(traj.points):
+        one = gamma_observables(p)
+        par, norm = _gamma_reference(p)
+        for value in (one.Gamma_norm, norm):
+            assert abs(obs.Gamma_norm[i] - value) <= 4 * np.spacing(value)
+        for value in (one.gamma_par, par):
+            assert abs(obs.gamma_par[i] - value) <= 1e-12 * abs(value)
+        np.testing.assert_array_equal(obs.gamma[i], one.gamma)
+        np.testing.assert_array_equal(obs.gamma_tilde[i], one.gamma_tilde)
+    with pytest.raises(DomainError):
+        gamma_observables_arrays(s[:2, 0], np.full((2, d - 1), 100.0),
+                                 s[:2, d], s[:2, d + 1:])
+
+
+def _decay_slope_reference(traj, observable, window):
+    """decay_slope as a per-point loop that skips undefined samples."""
+    ts, vals = [], []
+    for t, p in zip(traj.times, traj.points):
+        if not window[0] <= t <= window[1]:
+            continue
+        try:
+            obs = gamma_observables(p)
+        except DomainError:
+            continue
+        v = abs(obs.Gamma_norm if observable == "Gamma_norm" else obs.gamma_par)
+        if v > 0.0:
+            ts.append(t)
+            vals.append(v)
+    ts, vals = np.asarray(ts), np.asarray(vals)
+    keep = _log_subsample(ts, per_octave=4)
+    lt, lv = np.log(ts[keep]), np.log(vals[keep])
+    coef, res, _, _ = np.linalg.lstsq(
+        np.vstack([lt, np.ones_like(lt)]).T, lv, rcond=None)
+    var_slope = float(res[0]) / (lt.size - 2) / float(
+        np.sum((lt - lt.mean()) ** 2))
+    return float(coef[0]), 2.0 * math.sqrt(var_slope), len(ts)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("observable", ["Gamma_norm", "gamma_par"])
+def test_decay_slope_matches_pointwise_reference(d, observable):
+    # starting at x0 = 12 with |y0| >= 1.5, the first samples lie outside
+    # the exact-phase domain |y|/x < 1/10 and must be dropped
+    t_eval = np.concatenate([[0.0], np.geomspace(0.1, 1e4, 120)])
+    traj = _zero_energy_orbit(d, 12.0, t_eval)
+    window = (0.05, 1e4)
+    slope, half = decay_slope(traj, observable, window)
+    ref_slope, ref_half, n_used = _decay_slope_reference(traj, observable,
+                                                         window)
+    assert 80 < n_used < 120
+    assert slope == pytest.approx(ref_slope, rel=1e-12)
+    assert half == pytest.approx(ref_half, rel=1e-9)
 
 
 def test_decay_slope_needs_enough_samples():

@@ -4,9 +4,10 @@ import json
 
 import pytest
 
-from starkscatter import free_flow
+from starkscatter import asymptotic_momentum, classical, free_flow
 from starkscatter.classical import PhasePoint
 from starkscatter.cli import (
+    _DISPATCH,
     CONFIG_ENV_VAR,
     apply_override,
     load_config,
@@ -92,6 +93,16 @@ def test_unsupported_transport_order_exits_2(capsys, tmp_path, k_max):
     assert summary["error"] == "config"
 
 
+def test_memory_error_exits_3(capsys, tmp_path, monkeypatch):
+    def exhausted(cfg):
+        raise MemoryError
+
+    monkeypatch.setitem(_DISPATCH, "orbit", exhausted)
+    code, summary = _run(capsys, "orbit", f"--output_dir={tmp_path}")
+    assert code == 3
+    assert summary["error"] == "budget"
+
+
 def test_malformed_override_exits_2(capsys, tmp_path):
     code, summary = _run(capsys, "eikonal", "--=3")
     assert code == 2
@@ -136,6 +147,24 @@ def test_momenta_summary_fields(capsys, tmp_path):
     assert len(summary["zeta_infinity"]) == 1
     assert summary["error_estimate"] >= 0.0
     assert (tmp_path / "momenta.csv").exists()
+
+
+def test_momenta_integrates_once(capsys, tmp_path, monkeypatch):
+    calls = []
+    integrate = classical.integrate_orbit
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return integrate(*args, **kwargs)
+
+    monkeypatch.setattr(classical, "integrate_orbit", counted)
+    code, summary = _run(capsys, "momenta", f"--output_dir={tmp_path}",
+                         "--momenta.n_doublings=3")
+    assert code == 0 and len(calls) == 1
+    spec, p0 = calls[0][:2]
+    z_inf, err = asymptotic_momentum(spec, p0, n_doublings=3, tol=1e-10)
+    assert summary["zeta_infinity"] == z_inf.tolist()
+    assert summary["error_estimate"] == err
 
 
 def test_transport_csv_layout(capsys, tmp_path):
