@@ -24,6 +24,7 @@ from scipy.integrate import solve_ivp
 from .errors import ConvergenceError, DomainError
 from .potentials import (PotentialSpec, _radial_grad_prefactor, eval_potential,
                          eval_potential_array, grad_potential)
+from .quadrature import loglog_fit
 
 # Domain constant C for the exact-phase observables: x > C, |y|/x < 1/C.
 THETA1_DOMAIN_C = 10.0
@@ -352,14 +353,8 @@ def decay_slope(traj: Trajectory, observable: str, window) -> tuple[float, float
         ts, vals = ts[keep], vals[keep]
     if ts.size < 8:
         raise ConvergenceError("fewer than 8 usable samples for the decay fit")
-    lt, lv = np.log(ts), np.log(vals)
-    A = np.vstack([lt, np.ones_like(lt)]).T
-    coef, res, _, _ = np.linalg.lstsq(A, lv, rcond=None)
-    slope = float(coef[0])
-    dof = max(1, lt.size - 2)
-    sigma2 = float(res[0]) / dof if res.size else 0.0
-    var_slope = sigma2 / float(np.sum((lt - lt.mean()) ** 2))
-    return slope, 2.0 * np.sqrt(var_slope)
+    slope, _, slope_err, _ = loglog_fit(ts, vals)
+    return slope, 2.0 * slope_err
 
 
 def _log_subsample(ts: np.ndarray, per_octave: int = 4) -> np.ndarray:

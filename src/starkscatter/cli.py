@@ -13,7 +13,6 @@ error.  With a fixed config and seed all artifacts are byte-identical.
 from __future__ import annotations
 
 import argparse
-import copy
 import json
 import math
 import os
@@ -38,12 +37,16 @@ SUBCOMMANDS = (
     "airy-compare", "verify-all",
 )
 
+# The config schema.  Every key a config may set, with its default; a key's
+# type is its default's type (float keys also take JSON integers, list keys
+# hold numbers).  A type in place of a default declares an optional key of
+# that type whose default is None.
 _DEFAULT_CONFIG = {
     "dimension": 2,
     "seed": 0,
     "output_dir": "out",
-    "workers": 1,
-    "potential": {"kind": "coulomb", "kappa": 1.0, "softening": 1e-3},
+    "potential": {"kind": "coulomb", "kappa": 1.0, "softening": 1e-3,
+                  "alpha": float, "delta": float},
     "region": {"m": 1.0, "eps": 0.3},
     "orbit": {
         "x": 10.0, "y": [1.0], "eta": 1.0, "zeta": [0.3],
@@ -59,7 +62,7 @@ _DEFAULT_CONFIG = {
         "k_max": 2, "sign": 1, "tol": 1e-9, "t_max": 1e5,
         "h_eta": 0.2, "decay_fit": True,
     },
-    "born": {"zeta": None, "lam": 0.0, "r_min": 1.0, "r_max": 1e4, "n_radii": 25},
+    "born": {"zeta": list, "lam": 0.0, "r_min": 1.0, "r_max": 1e4, "n_radii": 25},
     "kernel": {
         "n": 2048, "extent": 1e5, "lam": 0.0, "window": [10.0, 60.0],
         "n_radial": 400, "profile_radius": 1.05, "tol": 1e-9, "n_bins": 40,
@@ -69,40 +72,107 @@ _DEFAULT_CONFIG = {
 }
 
 
+def _at_least(lo: int):
+    return (lambda v: v >= lo), f"at least {lo}"
+
+
+def _one_of(*allowed):
+    return (lambda v: v in allowed), " or ".join(map(json.dumps, allowed))
+
+
+_POSITIVE = (lambda v: v > 0), "positive"
+_INTERVAL = ((lambda v: len(v) == 2 and 0 < v[0] < v[1]),
+             "[lo, hi] with 0 < lo < hi")
+
+# Allowed values by key name, in every section: (test, what it requires).
+_RANGES = {
+    "dimension": _at_least(2), "seed": _at_least(0), "n": _at_least(2),
+    "n_samples": _at_least(2), "n_doublings": _at_least(1),
+    "n_points": _at_least(1), "n_radii": _at_least(1),
+    "n_radial": _at_least(2), "n_bins": _at_least(5), "n_args": _at_least(1),
+    "k_max": ((lambda v: 1 <= v <= transport.K_MAX_DEFAULT),
+              f"in [1, {transport.K_MAX_DEFAULT}]"),
+    "kind": _one_of("zero", "coulomb", "homogeneous"),
+    "sign": _one_of(-1, 1), "direction": _one_of(-1, 1),
+    "x_range": _INTERVAL, "window": _INTERVAL,
+    **dict.fromkeys(("tol", "t_final", "t_start", "t_max", "h_eta", "extent",
+                     "r_min", "r_max", "profile_radius", "m", "eps"),
+                    _POSITIVE),
+}
+
+_TYPE_NAMES = {float: "a number", int: "an integer", bool: "true or false",
+               str: "a string", list: "a list of numbers"}
+
+
 # ---------------------------------------------------------------------------
 # config handling
 
-def load_config(path: str | None) -> dict:
-    cfg = copy.deepcopy(_DEFAULT_CONFIG)
+def load_config(path: str | None, overrides: list[str] = ()) -> dict:
+    """The config file at path (or $STARKSCATTER_CONFIG) with the
+    --dotted.path=value overrides applied, checked against _DEFAULT_CONFIG:
+    typed values, every default filled in, ConfigError on anything else.
+    """
+    raw = {}
     if path is None:
         path = os.environ.get(CONFIG_ENV_VAR)
     if path is not None:
         try:
             with open(path) as fh:
-                user = json.load(fh)
+                raw = json.load(fh)
         except OSError as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # also integers too long to parse
             raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-        if not isinstance(user, dict):
+        if not isinstance(raw, dict):
             raise ConfigError("config root must be a JSON object")
-        _merge(cfg, user)
-    return cfg
+    parse_overrides(raw, overrides)
+    return _validate(_DEFAULT_CONFIG, raw, "")
 
 
-def _merge(base: dict, update: dict) -> None:
-    for key, val in update.items():
-        if isinstance(val, dict) and isinstance(base.get(key), dict):
-            _merge(base[key], val)
-        else:
-            base[key] = val
+def _validate(schema: dict, raw: dict, prefix: str) -> dict:
+    """Typed copy of the section raw, with the defaults of schema filled in."""
+    for key in raw:
+        if key not in schema:
+            raise ConfigError(f"unknown config key {prefix}{key}")
+    out = {}
+    for key, default in schema.items():
+        name = prefix + key
+        if isinstance(default, dict):
+            section = raw.get(key, {})
+            if not isinstance(section, dict):
+                raise ConfigError(f"{name} must be a JSON object")
+            out[key] = _validate(default, section, name + ".")
+            continue
+        optional = isinstance(default, type)
+        value = raw.get(key, None if optional else default)
+        if not (optional and value is None):
+            value = _typed(name, default if optional else type(default), value)
+            test, allowed = _RANGES.get(key, (None, ""))
+            if test is not None and not test(value):
+                raise ConfigError(f"{name} must be {allowed}, "
+                                  f"got {json.dumps(value)}")
+        out[key] = value
+    return out
+
+
+def _typed(name: str, kind: type, value):
+    if kind is float and type(value) is int:
+        value = float(value) if abs(value) <= sys.float_info.max else math.inf
+    if type(value) is not kind:
+        raise ConfigError(f"{name} must be {_TYPE_NAMES[kind]}, "
+                          f"got {json.dumps(value)}")
+    if kind is float and not math.isfinite(value):
+        raise ConfigError(f"{name} must be finite, got {value}")
+    if kind is list:
+        return [_typed(f"{name}[{i}]", float, v) for i, v in enumerate(value)]
+    return value
 
 
 def apply_override(cfg: dict, dotted: str, raw: str) -> None:
     """Set a config entry from a --dotted.path=value token."""
     try:
         value = json.loads(raw)
-    except json.JSONDecodeError:
+    except ValueError:  # a bare string, or an integer too long to parse
         value = raw
     node = cfg
     parts = dotted.split(".")
@@ -126,39 +196,32 @@ def parse_overrides(cfg: dict, tokens: list[str]) -> None:
 
 
 def potential_from_config(cfg: dict) -> PotentialSpec:
-    pot = cfg.get("potential", {})
-    kind = pot.get("kind", "coulomb")
-    kappa = float(pot.get("kappa", 1.0))
-    softening = float(pot.get("softening", 1e-3))
+    pot = cfg["potential"]
+    kind, kappa, softening = pot["kind"], pot["kappa"], pot["softening"]
     try:
         if kind == "zero":
             return zero_potential()
         if kind == "coulomb":
             return coulomb(kappa, softening=softening)
-        if kind == "homogeneous":
-            if "alpha" not in pot:
-                raise ConfigError("homogeneous potential requires alpha")
-            return homogeneous(kappa, float(pot["alpha"]),
-                               delta=pot.get("delta"), softening=softening)
+        if pot["alpha"] is None:
+            raise ConfigError("homogeneous potential requires alpha")
+        return homogeneous(kappa, pot["alpha"], delta=pot["delta"],
+                           softening=softening)
     except DomainError as exc:
         raise ConfigError(str(exc)) from exc
-    raise ConfigError(f"unknown potential kind: {kind}")
+
+
+def _block(values: list, d: int) -> np.ndarray:
+    """A y or zeta block of the config as an array of length d - 1."""
+    if len(values) != d - 1:
+        raise ConfigError("y/zeta blocks inconsistent with dimension")
+    return np.asarray(values, dtype=float)
 
 
 def _phase_point(section: dict, d: int) -> classical.PhasePoint:
-    y = np.atleast_1d(np.asarray(section["y"], dtype=float))
-    zeta = np.atleast_1d(np.asarray(section["zeta"], dtype=float))
-    if y.size != d - 1 or zeta.size != d - 1:
-        raise ConfigError("y/zeta blocks inconsistent with dimension")
-    return classical.PhasePoint(x=float(section["x"]), y=y,
-                                eta=float(section["eta"]), zeta=zeta)
-
-
-def _dimension(cfg: dict) -> int:
-    d = int(cfg.get("dimension", 2))
-    if d < 2:
-        raise ConfigError("dimension must be at least 2")
-    return d
+    return classical.PhasePoint(x=section["x"], y=_block(section["y"], d),
+                                eta=section["eta"],
+                                zeta=_block(section["zeta"], d))
 
 
 # ---------------------------------------------------------------------------
@@ -201,13 +264,12 @@ def _outdir(cfg: dict) -> Path:
 # subcommands
 
 def cmd_orbit(cfg: dict) -> dict:
-    d = _dimension(cfg)
+    d = cfg["dimension"]
     spec = potential_from_config(cfg)
     sec = cfg["orbit"]
     p0 = _phase_point(sec, d)
-    traj = classical.integrate_orbit(
-        spec, p0, float(sec["t_final"]), tol=float(sec["tol"]),
-        n_samples=int(sec["n_samples"]))
+    traj = classical.integrate_orbit(spec, p0, sec["t_final"], tol=sec["tol"],
+                                     n_samples=sec["n_samples"])
     header = (["t", "x"] + [f"y{i+1}" for i in range(d - 1)]
               + ["eta"] + [f"zeta{i+1}" for i in range(d - 1)] + ["energy"])
     write_csv(_outdir(cfg) / "orbit.csv", header, traj.to_csv_rows())
@@ -221,16 +283,14 @@ def cmd_orbit(cfg: dict) -> dict:
 
 
 def cmd_momenta(cfg: dict) -> dict:
-    d = _dimension(cfg)
+    d = cfg["dimension"]
     spec = potential_from_config(cfg)
     sec = cfg["momenta"]
     p0 = _phase_point(sec, d)
-    direction = int(sec.get("direction", 1))
-    t_grid = float(sec["t_start"]) * 2.0 ** np.arange(int(sec["n_doublings"]) + 1)
-    sign = 1 if direction >= 0 else -1
+    sign = sec["direction"]
+    t_grid = sec["t_start"] * 2.0 ** np.arange(sec["n_doublings"] + 1)
     traj = classical.integrate_orbit(spec, p0, sign * t_grid[-1],
-                                     tol=float(sec["tol"]),
-                                     t_eval=sign * t_grid)
+                                     tol=sec["tol"], t_eval=sign * t_grid)
     write_csv(_outdir(cfg) / "momenta.csv",
               ["t"] + [f"zeta{i+1}" for i in range(d - 1)],
               np.column_stack([traj.times, traj.states[:, d + 1:]]))
@@ -245,12 +305,12 @@ def cmd_momenta(cfg: dict) -> dict:
 
 
 def cmd_eikonal(cfg: dict) -> dict:
-    d = _dimension(cfg)
+    d = cfg["dimension"]
     sec = cfg["eikonal"]
-    rng = np.random.default_rng(int(cfg["seed"]))
-    n = int(sec["n_points"])
-    x_lo, x_hi = (float(v) for v in sec["x_range"])
-    ratio = float(sec["y_over_x"])
+    rng = np.random.default_rng(cfg["seed"])
+    n = sec["n_points"]
+    x_lo, x_hi = sec["x_range"]
+    ratio = sec["y_over_x"]
     # one row per point: log10 x, then the y block, as drawn point by point
     u = rng.uniform([math.log10(x_lo)] + [-ratio] * (d - 1),
                     [math.log10(x_hi)] + [ratio] * (d - 1), size=(n, d))
@@ -269,20 +329,13 @@ def cmd_eikonal(cfg: dict) -> dict:
 
 
 def cmd_transport(cfg: dict) -> dict:
-    d = _dimension(cfg)
+    d = cfg["dimension"]
     spec = potential_from_config(cfg)
     sec = cfg["transport"]
-    region = cfg["region"]
-    m, eps = float(region["m"]), float(region["eps"])
+    m, eps = cfg["region"]["m"], cfg["region"]["eps"]
     p = _phase_point(sec, d)
-    sign = int(sec.get("sign", 1))
-    tol = float(sec["tol"])
-    k_max = int(sec.get("k_max", transport.K_MAX_DEFAULT))
-    if not (1 <= k_max <= transport.K_MAX_DEFAULT):
-        raise ConfigError(f"transport.k_max must lie in "
-                          f"[1, {transport.K_MAX_DEFAULT}]")
-    t_max = float(sec.get("t_max", 1e5))
-    h_eta = float(sec.get("h_eta", 0.2))
+    sign, tol, k_max = sec["sign"], sec["tol"], sec["k_max"]
+    t_max, h_eta = sec["t_max"], sec["h_eta"]
 
     rows = []
     summary = {"command": "transport", "k_max": k_max, "residuals": {}}
@@ -302,7 +355,7 @@ def cmd_transport(cfg: dict) -> dict:
               + ["k", "b_re", "b_im", "q_re", "q_im",
                  "tail_estimate", "pde_residual"],
               rows)
-    if sec.get("decay_fit", True) and spec.kind != "zero":
+    if sec["decay_fit"] and spec.kind != "zero":
         summary["decay_exponent_b1"] = transport.decay_fit_symbols(
             1, spec, sign=sign, which="b", tol=tol, m=m, eps=eps, d=d)
         summary["decay_exponent_q1"] = transport.decay_fit_symbols(
@@ -312,18 +365,14 @@ def cmd_transport(cfg: dict) -> dict:
 
 
 def cmd_born(cfg: dict) -> dict:
-    d = _dimension(cfg)
+    d = cfg["dimension"]
     spec = potential_from_config(cfg)
     sec = cfg["born"]
-    lam = float(sec.get("lam", 0.0))
-    zeta = sec.get("zeta")
-    zeta = np.zeros(d - 1) if zeta is None else np.atleast_1d(
-        np.asarray(zeta, dtype=float))
-    radii = np.geomspace(float(sec["r_min"]), float(sec["r_max"]),
-                         int(sec["n_radii"]))
+    zeta = np.zeros(d - 1) if sec["zeta"] is None else _block(sec["zeta"], d)
+    radii = np.geomspace(sec["r_min"], sec["r_max"], sec["n_radii"])
     ys = np.zeros((radii.size, d - 1))
     ys[:, 0] = radii
-    values, _ = kernel.born_symbols(spec, zeta, ys, lam)
+    values, _ = kernel.born_symbols(spec, zeta, ys, sec["lam"])
     rows = []
     last_ratio = None
     for r, y, val in zip(radii, ys, values):
@@ -345,26 +394,23 @@ def cmd_born(cfg: dict) -> dict:
 
 
 def cmd_kernel(cfg: dict) -> dict:
-    d = _dimension(cfg)
+    d = cfg["dimension"]
     spec = potential_from_config(cfg)
     if spec.kind not in ("homogeneous", "coulomb") or spec.kappa == 0.0:
         raise ConfigError("kernel fit needs a homogeneous or coulomb potential")
     sec = cfg["kernel"]
-    n = int(sec["n"])
-    extent = float(sec["extent"])
-    lam = float(sec.get("lam", 0.0))
+    extent = sec["extent"]
     grid = kernel.populate_grid(
-        spec, n, extent, lam=lam, d=d, tol=float(sec.get("tol", 1e-9)),
-        n_radial=int(sec.get("n_radial", 400)),
-        use_asymptote=bool(sec.get("use_asymptote", False)),
-        R=sec.get("profile_radius"))
+        spec, sec["n"], extent, lam=sec["lam"], d=d, tol=sec["tol"],
+        n_radial=sec["n_radial"], use_asymptote=sec["use_asymptote"],
+        R=sec["profile_radius"])
     grid = kernel.apply_taper(grid)
     law = kernel.kernel_singularity_law(d, spec.alpha, spec.kappa)
     k_ir = 2.0 * math.pi / extent
-    w_lo, w_hi = (float(v) for v in sec.get("window", [10.0, 60.0]))
+    w_lo, w_hi = sec["window"]
     fit = kernel.kernel_fft_check(grid, law,
                                   k_window=(w_lo * k_ir, w_hi * k_ir),
-                                  n_bins=int(sec.get("n_bins", 40)))
+                                  n_bins=sec["n_bins"])
     write_csv(_outdir(cfg) / "kernel_bins.csv",
               ["k", "T_abs", "law_abs", "fit_abs", "log_residual"],
               ([k, t, abs(law.prefactor) * k ** law.exponent,
@@ -387,8 +433,7 @@ def cmd_kernel(cfg: dict) -> dict:
 
 def cmd_airy_compare(cfg: dict) -> dict:
     sec = cfg["airy"]
-    args = np.linspace(float(sec["arg_min"]), float(sec["arg_max"]),
-                       int(sec["n_args"]))
+    args = np.linspace(sec["arg_min"], sec["arg_max"], sec["n_args"])
     rows = []
     worst = 0.0
     for x in args:
@@ -408,8 +453,8 @@ def cmd_airy_compare(cfg: dict) -> dict:
 # verify-all
 
 def _suite_parabolic(cfg: dict) -> dict:
-    d = _dimension(cfg)
-    rng = np.random.default_rng(int(cfg["seed"]) + 1)
+    d = cfg["dimension"]
+    rng = np.random.default_rng(cfg["seed"] + 1)
     worst_ident = 0.0
     worst_jac = 0.0
     for _ in range(2000):
@@ -452,7 +497,7 @@ def _numeric_jacobian(x: float, y: np.ndarray, h: float) -> float:
 
 def _suite_constants(cfg: dict) -> dict:
     from scipy.integrate import quad
-    rng = np.random.default_rng(int(cfg["seed"]) + 2)
+    rng = np.random.default_rng(cfg["seed"] + 2)
     worst = 0.0
     for alpha in (0.8, 1.0, 1.5, 2.0, 3.0):
         val, _ = quad(lambda t, a=alpha: (t * t + 1.0) ** (-a / 2.0)
@@ -476,10 +521,9 @@ def _suite_constants(cfg: dict) -> dict:
 
 
 def _suite_region(cfg: dict) -> dict:
-    d = _dimension(cfg)
-    region = cfg["region"]
-    m, eps = float(region["m"]), float(region["eps"])
-    rng = np.random.default_rng(int(cfg["seed"]) + 3)
+    d = cfg["dimension"]
+    m, eps = cfg["region"]["m"], cfg["region"]["eps"]
+    rng = np.random.default_rng(cfg["seed"] + 3)
     n_points = 10000
     # candidate rows (x, y, eta, zeta), as drawn field by field per point
     lo = [-5.0] + [-20.0] * (d - 1) + [-10.0] + [-3.0] * (d - 1)
@@ -503,7 +547,7 @@ def _suite_region(cfg: dict) -> dict:
 
 
 def _suite_free_case(cfg: dict) -> dict:
-    d = _dimension(cfg)
+    d = cfg["dimension"]
     spec = zero_potential()
     p = classical.PhasePoint(x=20.0, y=np.ones(d - 1), eta=3.0,
                              zeta=0.3 * np.ones(d - 1))
@@ -605,8 +649,7 @@ def main(argv: list[str] | None = None) -> int:
         print(_usage(), file=sys.stderr)
         return 2
     try:
-        cfg = load_config(ns.config)
-        parse_overrides(cfg, rest)
+        cfg = load_config(ns.config, rest)
         summary = _DISPATCH[ns.subcommand](cfg)
         print(json.dumps(summary, sort_keys=True))
         return 0 if summary.get("passed", True) else 1

@@ -24,7 +24,7 @@ from scipy.interpolate import CubicSpline
 
 from .errors import ConfigError, DomainError
 from .potentials import PotentialSpec, eval_potential, eval_potential_array
-from .quadrature import converge, map_power
+from .quadrature import converge, loglog_fit, map_power
 from .special import KernelLaw, c1_constant, c2_constant
 
 
@@ -261,16 +261,8 @@ def kernel_fft_check(grid: SymbolGrid, law: KernelLaw,
                                   k_lo=k_lo, k_hi=k_hi)
     if centers.size < 5:
         raise ConfigError("fit window too narrow: fewer than 5 bins")
-    lk = np.log(centers)
-    lv = np.log(binned)
-    A = np.vstack([lk, np.ones_like(lk)]).T
-    coef, res, _, _ = np.linalg.lstsq(A, lv, rcond=None)
-    slope, intercept = float(coef[0]), float(coef[1])
-    dof = max(1, lk.size - 2)
-    sigma2 = float(res[0]) / dof if res.size else 0.0
-    sxx = float(np.sum((lk - lk.mean()) ** 2))
-    slope_err = math.sqrt(sigma2 / sxx)
-    inter_err = math.sqrt(sigma2 * (1.0 / lk.size + lk.mean() ** 2 / sxx))
+    slope, intercept, slope_err, inter_err = loglog_fit(centers, binned)
+    lk, lv = np.log(centers), np.log(binned)
     # prefactor read off inside the window with the law's exponent pinned,
     # so a small slope bias does not leak into the amplitude
     pref = math.exp(float(np.mean(lv - law.exponent * lk)))

@@ -18,6 +18,7 @@ from scipy.integrate import IntegrationWarning, quad
 
 from . import parabolic
 from .errors import BudgetError, DomainError
+from .quadrature import loglog_fit
 from .special import airy_ai
 
 _CBRT2 = 2.0 ** (1.0 / 3.0)
@@ -187,5 +188,4 @@ def asymptotic_convergence(y_over_x: float, x_list, xi, lam: float = 0.0,
     errs = np.array([s.rel_error for s in samples])
     if np.any(errs <= 0.0):
         raise DomainError("degenerate data: zero relative error")
-    exponent = float(np.polyfit(np.log(x_list), np.log(errs), 1)[0])
-    return exponent, samples
+    return loglog_fit(x_list, errs)[0], samples

@@ -89,8 +89,9 @@ def homogeneous(kappa: float, alpha: float, delta: Optional[float] = None,
 
 
 def _radius_sq(x, y):
+    # a plain sum, as in radial_jets and the orbit rhs (BLAS dots round apart)
     y = np.asarray(y, dtype=float)
-    return float(x) * float(x) + float(np.dot(y, y))
+    return float(x) * float(x) + float(np.sum(y * y))
 
 
 def _check_radius_sq(spec: PotentialSpec, r2: float) -> float:
@@ -100,10 +101,6 @@ def _check_radius_sq(spec: PotentialSpec, r2: float) -> float:
         raise DomainError(
             "evaluation inside the origin exclusion ball with zero softening")
     return r2
-
-
-def _check_point(spec: PotentialSpec, x, y):
-    return _check_radius_sq(spec, _radius_sq(x, y))
 
 
 def _radial_grad_prefactor(spec: PotentialSpec, r2: float) -> float:
@@ -120,10 +117,14 @@ def eval_potential(spec: PotentialSpec, x: float, y) -> float:
     """Potential energy q(x, y)."""
     if spec.kind == "zero":
         return 0.0
-    r2 = _check_point(spec, x, y)
+    y = np.asarray(y, dtype=float)
+    _check_radius_sq(spec, _radius_sq(x, y))
     if spec.kind in ("homogeneous", "coulomb"):
-        return spec.kappa * (r2 + spec.softening ** 2) ** (-spec.alpha / 2.0)
-    return float(spec.func(float(x), np.asarray(y, dtype=float)))
+        # a one-point batch, since numpy's SIMD power and Python's ** can
+        # differ in the last bit
+        return float(eval_potential_array(spec, [float(x)],
+                                          [np.sum(y * y)])[0])
+    return float(spec.func(float(x), y))
 
 
 def grad_potential(spec: PotentialSpec, x: float, y) -> np.ndarray:

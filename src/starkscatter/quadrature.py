@@ -7,6 +7,9 @@ t^{-p}, the mapped integrand behaves like (1 - s)^{P (p - 1) - 1} at s = 1;
 `map_power` picks P so that it stays bounded there (P = 1, the plain
 s / (1 - s) map, for p = 2 or 3).  `converge` doubles the panels until
 every output element has converged and reports the last change.
+
+The module also holds the one log-log least-squares fit, `loglog_fit`,
+which the decay-rate and kernel-law checks share.
 """
 
 from __future__ import annotations
@@ -101,3 +104,19 @@ def converge(one_pass, scale, power: int, tol: float, module: str,
             prev = cur
     raise BudgetError(f"{operation} quadrature failed to converge",
                       module=module, operation=operation, budget=tol)
+
+
+def loglog_fit(x, y) -> tuple[float, float, float, float]:
+    """Least-squares line log y = slope log x + intercept, for x, y > 0.
+
+    Returns (slope, intercept, slope_stderr, intercept_stderr); the standard
+    errors come from the residual variance on max(1, n - 2) degrees of
+    freedom.
+    """
+    lx, ly = np.log(x), np.log(y)
+    coef, res, _, _ = np.linalg.lstsq(
+        np.vstack([lx, np.ones_like(lx)]).T, ly, rcond=None)
+    sigma2 = float(res[0]) / max(1, lx.size - 2) if res.size else 0.0
+    sxx = float(np.sum((lx - lx.mean()) ** 2))
+    return (float(coef[0]), float(coef[1]), math.sqrt(sigma2 / sxx),
+            math.sqrt(sigma2 * (1.0 / lx.size + lx.mean() ** 2 / sxx)))

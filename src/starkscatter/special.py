@@ -147,12 +147,16 @@ def c1_constant(alpha: float) -> float:
             / gamma_fn(alpha / 2.0))
 
 
-def c2_constant(d: int, alpha: float) -> complex:
-    """-i (2 pi)^{(1-d)/2} 2^{(d-1)/2-alpha} G(1/4) G(d/2-1/4-a/2) / G(a/2)."""
+def _check_c2_domain(d: int, alpha: float) -> None:
     if d < 2:
         raise DomainError("dimension must be at least 2")
     if not (0.5 < alpha < d - 0.5):
         raise DomainError("c2 requires 1/2 < alpha < d - 1/2")
+
+
+def c2_constant(d: int, alpha: float) -> complex:
+    """-i (2 pi)^{(1-d)/2} 2^{(d-1)/2-alpha} G(1/4) G(d/2-1/4-a/2) / G(a/2)."""
+    _check_c2_domain(d, alpha)
     mag = ((2.0 * math.pi) ** ((1 - d) / 2.0)
            * 2.0 ** ((d - 1) / 2.0 - alpha)
            * gamma_fn(0.25) * gamma_fn(d / 2.0 - 0.25 - alpha / 2.0)
@@ -165,10 +169,7 @@ def c2_constant_from_c1(d: int, alpha: float) -> complex:
 
     Kept separate so the two routes can be compared against each other.
     """
-    if d < 2:
-        raise DomainError("dimension must be at least 2")
-    if not (0.5 < alpha < d - 0.5):
-        raise DomainError("c2 requires 1/2 < alpha < d - 1/2")
+    _check_c2_domain(d, alpha)
     return (c1_constant(alpha) * (2.0 * math.pi) ** (1 - d) * (-2j)
             * (2.0 * math.pi) ** ((d - 1) / 2.0) * 2.0 ** (d / 2.0 - alpha)
             * gamma_fn((d - 0.5 - alpha) / 2.0)

@@ -33,7 +33,7 @@ import numpy as np
 from .classical import PhasePoint, free_flow, in_region_X
 from .errors import DomainError
 from .potentials import PotentialSpec, radial_jets
-from .quadrature import converge, map_power, tails
+from .quadrature import converge, loglog_fit, map_power, tails
 
 K_MAX_DEFAULT = 2
 
@@ -213,5 +213,4 @@ def decay_fit_symbols(k: int, spec: PotentialSpec, sign: int = +1,
     vals = np.abs(jets.b[k - 1] if which == "b" else jets.q_k(k))
     if np.any(vals == 0.0):
         raise DomainError("symbol vanishes on the ray; no decay fit")
-    slope = np.polyfit(np.log(x_values), np.log(vals), 1)[0]
-    return float(slope)
+    return loglog_fit(x_values, vals)[0]

@@ -103,6 +103,62 @@ def test_memory_error_exits_3(capsys, tmp_path, monkeypatch):
     assert summary["error"] == "budget"
 
 
+@pytest.mark.parametrize("argv", [
+    ["orbit", "--orbit.tol=abc"],
+    ["orbit", "--orbit=5"],
+    ["kernel", "--kernel.n=0"],
+    ["eikonal", "--eikonal.x_range=[1]"],
+    ["eikonal", "--eikonal.x_range=[-1,10]"],
+    ["eikonal", "--eikonal.n_points=-3"],
+    ["orbit", "--orbit.t_final=-1"],
+    ["orbit", "--orbit.n_samples=0"],
+    ["orbit", "--orbit.n_samples=2.5"],
+    ["kernel", "--kernel.nn=3"],
+    ["airy-compare", "--workers=2"],
+    ["eikonal", "--dimension=abc"],
+    ["eikonal", "--seed=1.5"],
+    ["orbit", "--potential.softening=abc"],
+    ["orbit", "--potential.kind=homogeneous", "--potential.alpha=x"],
+    ["born", "--born.n_radii=0"],
+    ["born", "--born.r_min=0"],
+    ["airy-compare", "--airy.n_args=-1"],
+    ["momenta", "--momenta.n_doublings=0"],
+    ["transport", "--transport.sign=0"],
+    ["kernel", "--kernel.n_radial=1"],
+    ["orbit", "--orbit.y=5"],
+    ["orbit", "--orbit.x=NaN"],
+    ["transport", "--transport.decay_fit=1"],
+    pytest.param(["orbit", "--orbit.x=1" + "0" * 400], id="float overflow"),
+    pytest.param(["orbit", "--orbit.x=1" + "0" * 5000], id="integer too long"),
+], ids=" ".join)
+def test_malformed_config_exits_2(capsys, tmp_path, argv):
+    code = main(argv + [f"--output_dir={tmp_path}"])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert err == ""
+    (line,) = out.splitlines()
+    assert json.loads(line)["error"] == "config"
+
+
+def test_unknown_key_in_config_file_exits_2(capsys, tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"dimension": 2, "worker": 1}))
+    code = main(["eikonal", "--config", str(path), f"--output_dir={tmp_path}"])
+    out, err = capsys.readouterr()
+    assert code == 2 and err == ""
+    assert json.loads(out) == {"error": "config",
+                               "message": "unknown config key worker"}
+
+
+def test_config_values_are_typed_with_defaults_filled_in():
+    cfg = load_config(None, ["--orbit.t_final=10", "--born.zeta=[1]"])
+    assert type(cfg["orbit"]["t_final"]) is float
+    assert cfg["born"]["zeta"] == [1.0]
+    assert cfg["potential"]["alpha"] is None
+    cfg["orbit"]["y"].append(2.0)  # the result is a copy of the defaults
+    assert load_config(None)["orbit"]["y"] == [1.0]
+
+
 def test_malformed_override_exits_2(capsys, tmp_path):
     code, summary = _run(capsys, "eikonal", "--=3")
     assert code == 2

@@ -154,6 +154,18 @@ def test_array_evaluation_matches_scalar():
     np.testing.assert_allclose(vals, expected, rtol=1e-14)
 
 
+@pytest.mark.parametrize("d", [2, 3])
+def test_scalar_and_batched_values_agree_bitwise(d):
+    # both sum |y|^2 the same way and raise it to the same numpy power
+    rng = np.random.default_rng(40 + d)
+    x = rng.uniform(-50.0, 50.0, 2000)
+    y = rng.uniform(-50.0, 50.0, (2000, d - 1))
+    for spec in (coulomb(1.0), homogeneous(0.5, 1.5, softening=0.0)):
+        batched = eval_potential_array(spec, x, np.sum(y * y, axis=-1))
+        scalar = [eval_potential(spec, a, b) for a, b in zip(x, y)]
+        assert np.array_equal(batched, scalar)
+
+
 def test_radial_jets_match_values_and_power_law_laplacians():
     x = np.array([1.0, -2.0, 5.0])
     y = np.array([[0.5, 1.5], [0.0, -3.0], [2.0, 0.25]])
