@@ -65,8 +65,7 @@ _DEFAULT_CONFIG = {
     "born": {"zeta": list, "lam": 0.0, "r_min": 1.0, "r_max": 1e4, "n_radii": 25},
     "kernel": {
         "n": 2048, "extent": 1e5, "lam": 0.0, "window": [10.0, 60.0],
-        "n_radial": 400, "profile_radius": 1.05, "tol": 1e-9, "n_bins": 40,
-        "use_asymptote": False,
+        "profile_radius": 1.05, "tol": 1e-9,
     },
     "airy": {"arg_min": -10.0, "arg_max": 10.0, "n_args": 21},
 }
@@ -88,8 +87,7 @@ _INTERVAL = ((lambda v: len(v) == 2 and 0 < v[0] < v[1]),
 _RANGES = {
     "dimension": _at_least(2), "seed": _at_least(0), "n": _at_least(2),
     "n_samples": _at_least(2), "n_doublings": _at_least(1),
-    "n_points": _at_least(1), "n_radii": _at_least(1),
-    "n_radial": _at_least(2), "n_bins": _at_least(5), "n_args": _at_least(1),
+    "n_points": _at_least(1), "n_radii": _at_least(1), "n_args": _at_least(1),
     "k_max": ((lambda v: 1 <= v <= transport.K_MAX_DEFAULT),
               f"in [1, {transport.K_MAX_DEFAULT}]"),
     "kind": _one_of("zero", "coulomb", "homogeneous"),
@@ -211,17 +209,28 @@ def potential_from_config(cfg: dict) -> PotentialSpec:
         raise ConfigError(str(exc)) from exc
 
 
-def _block(values: list, d: int) -> np.ndarray:
-    """A y or zeta block of the config as an array of length d - 1."""
-    if len(values) != d - 1:
-        raise ConfigError("y/zeta blocks inconsistent with dimension")
+def _block(cfg: dict, section: str, key: str) -> np.ndarray:
+    """The y or zeta block section.key as an array of length dimension - 1."""
+    values, n = cfg[section][key], cfg["dimension"] - 1
+    if len(values) != n:
+        raise ConfigError(f"{section}.{key} must hold dimension - 1 = {n} "
+                          f"numbers, got {len(values)}")
     return np.asarray(values, dtype=float)
 
 
-def _phase_point(section: dict, d: int) -> classical.PhasePoint:
-    return classical.PhasePoint(x=section["x"], y=_block(section["y"], d),
-                                eta=section["eta"],
-                                zeta=_block(section["zeta"], d))
+def _check_blocks(cfg: dict, sections) -> None:
+    """Check every y/zeta block of sections before a stage writes anything."""
+    for section in sections:
+        for key in ("y", "zeta"):
+            if cfg[section].get(key) is not None:
+                _block(cfg, section, key)
+
+
+def _phase_point(cfg: dict, section: str) -> classical.PhasePoint:
+    sec = cfg[section]
+    return classical.PhasePoint(x=sec["x"], y=_block(cfg, section, "y"),
+                                eta=sec["eta"],
+                                zeta=_block(cfg, section, "zeta"))
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +276,7 @@ def cmd_orbit(cfg: dict) -> dict:
     d = cfg["dimension"]
     spec = potential_from_config(cfg)
     sec = cfg["orbit"]
-    p0 = _phase_point(sec, d)
+    p0 = _phase_point(cfg, "orbit")
     traj = classical.integrate_orbit(spec, p0, sec["t_final"], tol=sec["tol"],
                                      n_samples=sec["n_samples"])
     header = (["t", "x"] + [f"y{i+1}" for i in range(d - 1)]
@@ -286,7 +295,7 @@ def cmd_momenta(cfg: dict) -> dict:
     d = cfg["dimension"]
     spec = potential_from_config(cfg)
     sec = cfg["momenta"]
-    p0 = _phase_point(sec, d)
+    p0 = _phase_point(cfg, "momenta")
     sign = sec["direction"]
     t_grid = sec["t_start"] * 2.0 ** np.arange(sec["n_doublings"] + 1)
     traj = classical.integrate_orbit(spec, p0, sign * t_grid[-1],
@@ -333,7 +342,7 @@ def cmd_transport(cfg: dict) -> dict:
     spec = potential_from_config(cfg)
     sec = cfg["transport"]
     m, eps = cfg["region"]["m"], cfg["region"]["eps"]
-    p = _phase_point(sec, d)
+    p = _phase_point(cfg, "transport")
     sign, tol, k_max = sec["sign"], sec["tol"], sec["k_max"]
     t_max, h_eta = sec["t_max"], sec["h_eta"]
 
@@ -368,7 +377,8 @@ def cmd_born(cfg: dict) -> dict:
     d = cfg["dimension"]
     spec = potential_from_config(cfg)
     sec = cfg["born"]
-    zeta = np.zeros(d - 1) if sec["zeta"] is None else _block(sec["zeta"], d)
+    zeta = (np.zeros(d - 1) if sec["zeta"] is None
+            else _block(cfg, "born", "zeta"))
     radii = np.geomspace(sec["r_min"], sec["r_max"], sec["n_radii"])
     ys = np.zeros((radii.size, d - 1))
     ys[:, 0] = radii
@@ -400,29 +410,26 @@ def cmd_kernel(cfg: dict) -> dict:
         raise ConfigError("kernel fit needs a homogeneous or coulomb potential")
     sec = cfg["kernel"]
     extent = sec["extent"]
-    grid = kernel.populate_grid(
-        spec, sec["n"], extent, lam=sec["lam"], d=d, tol=sec["tol"],
-        n_radial=sec["n_radial"], use_asymptote=sec["use_asymptote"],
-        R=sec["profile_radius"])
-    grid = kernel.apply_taper(grid)
     law = kernel.kernel_singularity_law(d, spec.alpha, spec.kappa)
+    k, T = kernel.radial_kernel(spec, d, sec["n"], extent, lam=sec["lam"],
+                                R=sec["profile_radius"], tol=sec["tol"])
     k_ir = 2.0 * math.pi / extent
     w_lo, w_hi = sec["window"]
-    fit = kernel.kernel_fft_check(grid, law,
-                                  k_window=(w_lo * k_ir, w_hi * k_ir),
-                                  n_bins=sec["n_bins"])
+    fit = kernel.fit_kernel_law(k, T, law, (w_lo * k_ir, w_hi * k_ir))
     write_csv(_outdir(cfg) / "kernel_bins.csv",
               ["k", "T_abs", "law_abs", "fit_abs", "log_residual"],
-              ([k, t, abs(law.prefactor) * k ** law.exponent,
-                fit.prefactor_modulus * k ** fit.exponent,
-                math.log(t) - math.log(fit.prefactor_modulus
-                                       * k ** fit.exponent)]
-               for k, t in zip(fit.bin_centers, fit.bin_values)))
+              np.column_stack([fit.k, fit.values,
+                               abs(law.prefactor) * fit.k ** law.exponent,
+                               fit.model, np.log(fit.values / fit.model)]))
     summary = {
         "command": "kernel",
         "fitted_exponent": fit.exponent,
         "fitted_exponent_stderr": fit.exponent_stderr,
         "fitted_prefactor_modulus": fit.prefactor_modulus,
+        "fitted_prefactor_stderr": fit.prefactor_stderr,
+        "subleading_coefficient": fit.subleading,
+        "subleading_coefficient_stderr": fit.subleading_stderr,
+        "half_sample_change": fit.half_sample_change,
         "law_exponent": law.exponent,
         "law_prefactor_modulus": abs(law.prefactor),
         "k_window": list(fit.k_window),
@@ -566,6 +573,8 @@ def _suite_free_case(cfg: dict) -> dict:
 
 def cmd_verify_all(cfg: dict) -> dict:
     spec = potential_from_config(cfg)
+    _check_blocks(cfg, ("orbit",) if spec.kind == "zero"
+                  else ("orbit", "transport", "born"))
     suites: dict[str, dict] = {}
 
     eik = cmd_eikonal(cfg)

@@ -4,14 +4,24 @@ The symbol is t(zeta, y) = -2i * integral_R^inf q(x, -y)/sqrt(2x + 2 lam
 - zeta^2) dx.  For homogeneous potentials kappa r^{-alpha} it approaches
 -2i kappa c1 |y|^{1/2 - alpha} at large |y|, and the kernel of S - I
 develops the diagonal power law kappa c2 |zeta - zeta'|^{1/2 + alpha - d},
-which the FFT check recovers from a tapered grid of symbol values.
+which `radial_kernel` and `fit_kernel_law` recover from the symbol.
 
 `born_symbols` evaluates the symbol at a batch of transverse positions in
 one pass of the mapped Gauss-Legendre rule of `quadrature`: x = R + c (s /
 (1 - s))^P with c = max(|y|, R) and P chosen from the decay rate alpha + 1/2
 of the integrand, so every position converges on the same panel layout.
-`born_symbol` is its one-position case and `populate_grid` computes its
-whole radial profile in one call.
+`born_symbol` is its one-position case.
+
+`radial_kernel` recovers the kernel from the radial Born profile with one
+FFTLog transform (Talman, J. Comput. Phys. 29 (1978) 35; Hamilton, MNRAS
+312 (2000) 257): the (d - 1)-dimensional Fourier transform of a radial
+function is a Hankel transform of order (d - 3)/2, which `scipy.fft.fht`
+evaluates on log-spaced radii.  The profile is the Born symbol out to
+sqrt(2) extent and its two-term tail beyond, and `fit_kernel_law` fits the
+law together with the next-order term that the cutoff R puts into it.  The
+grid route (`populate_grid`, `apply_taper`, `kernel_transform`,
+`radial_bins`, `kernel_fft_check`) transforms the same profile on a
+(d - 1)-dimensional grid and stays as its cross-check.
 """
 
 from __future__ import annotations
@@ -20,11 +30,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import fft
 from scipy.interpolate import CubicSpline
+from scipy.optimize import minimize_scalar
 
 from .errors import ConfigError, DomainError
 from .potentials import PotentialSpec, eval_potential, eval_potential_array
-from .quadrature import converge, loglog_fit, map_power
+from .quadrature import converge, gauss_legendre, loglog_fit, map_power
 from .special import KernelLaw, c1_constant, c2_constant
 
 
@@ -125,6 +137,173 @@ def kernel_singularity_law(d: int, alpha: float, kappa: float) -> KernelLaw:
                      exponent=0.5 + alpha - d)
 
 
+# ---------------------------------------------------------------------------
+# radial route
+
+# Half-width in ln r of the radii of radial_kernel, about 17 decades on each
+# side of extent.  Widening it to 60 moves the fitted exponent by under 1e-7
+# and the prefactor by under 1e-6 relative (d = 2, 3; alpha 0.75 to 1.5).
+_LN_HALF_SPAN = 40.0
+# fewest window samples fit_kernel_law accepts: the half-sample refit of the
+# four-parameter model keeps one degree of freedom
+_MIN_FIT_SAMPLES = 10
+
+
+def born_symbol_tail(spec: PotentialSpec, r, lam: float,
+                     R: float) -> np.ndarray:
+    """Im t(0, y) at large |y| = r: -2 kappa c1 r^{1/2-alpha} + c_R r^{-alpha}.
+
+    integral_R^inf = integral_{-lam}^inf - integral_{-lam}^R.  The first part
+    gives the asymptote -2 kappa c1 r^{1/2 - alpha} up to O(lam r^{-1/2 -
+    alpha}), the second c_R r^{-alpha} (1 + O(R^2 / r^2)) with c_R =
+    2 kappa sqrt(2 (R + lam)), the cutoff term the asymptote leaves out.
+    """
+    r = np.asarray(r, dtype=float)
+    c_R = 2.0 * spec.kappa * math.sqrt(2.0 * (R + lam))
+    return (-2.0 * spec.kappa * c1_constant(spec.alpha)
+            * r ** (0.5 - spec.alpha) + c_R * r ** -spec.alpha)
+
+
+def radial_transform(r: np.ndarray, f: np.ndarray, d: int,
+                     bias: float) -> tuple[np.ndarray, np.ndarray]:
+    """(2 pi)^{1-d} integral e^{i k.y} f(|y|) dy over R^{d-1}, by FFTLog.
+
+    r holds n log-spaced radii and f the real profile at them.  The
+    integral is (2 pi)^{(d-1)/2} k^{(3-d)/2} integral f(r) J_mu(k r)
+    r^{(d-1)/2} dr with mu = (d - 3)/2, which `scipy.fft.fht` evaluates at
+    n log-spaced wavenumbers k (k_j r_{n-1-j} fixed by its low-ringing
+    offset).  fht treats f r^{(d-1)/2 - bias} as periodic in ln r, so the
+    bias should make it equal, or small, at both ends.  Returns (k,
+    transform).
+    """
+    half = (d - 1) / 2.0
+    mu = (d - 3) / 2.0
+    dln = math.log(r[-1] / r[0]) / (r.size - 1)
+    offset = fft.fhtoffset(dln, mu, bias=bias)
+    k = math.exp(offset) / r[::-1]
+    a = fft.fht(f * r ** half, dln, mu, offset=offset, bias=bias)
+    return k, (2.0 * math.pi * k) ** -half * a
+
+
+def radial_kernel(spec: PotentialSpec, d: int, n: int, extent: float,
+                  lam: float, R: float,
+                  tol: float = 1e-9) -> tuple[np.ndarray, np.ndarray]:
+    """The kernel T(k) of the Born symbol at zeta = 0, by one FFTLog transform.
+
+    The radii are n log-spaced points over extent e^{-40} .. extent e^{40};
+    the profile Im t is one born_symbols call at those up to sqrt(2) extent
+    (the corner of a grid of half-width extent) and born_symbol_tail beyond.
+    The bias q makes f r^{(d-1)/2 - q} equal at the first and last radius, so
+    its periodic continuation in ln r has no jump.  f keeps one sign, and q
+    falls between the rates 1/2 - alpha + (d-1)/2 and (d-1)/2 of
+    f r^{(d-1)/2} at large and small r (within 0.15 of their midpoint at
+    extent 1e5 for alpha 0.75 to 1.5), away from the first pole of scipy's
+    coefficients at q = -(d-1)/2.  Returns (k, T) with T = i times the
+    transform of Im t, as kernel_transform's.
+    """
+    if spec.kind not in ("homogeneous", "coulomb"):
+        raise ConfigError("radial kernel needs a homogeneous or coulomb "
+                          "potential")
+    dln = 2.0 * _LN_HALF_SPAN / n
+    r = extent * np.exp((np.arange(n) - (n - 1) / 2.0) * dln)
+    m = int(np.count_nonzero(r <= math.sqrt(2.0) * extent))
+    ys = np.zeros((m, d - 1))
+    ys[:, 0] = r[:m]
+    profile = np.concatenate([
+        born_symbols(spec, np.zeros(d - 1), ys, lam, R, tol)[0].imag,
+        born_symbol_tail(spec, r[m:], lam, R)])
+    ends = profile[[0, -1]] * r[[0, -1]] ** ((d - 1) / 2.0)
+    k, transform = radial_transform(r, profile, d, bias=float(
+        np.log(ends[1] / ends[0]) / np.log(r[-1] / r[0])))
+    return k, 1j * transform
+
+
+@dataclass(frozen=True)
+class KernelFit:
+    """|T| = A k^p + B s(k) + C fitted on the transform samples in a window.
+
+    s(k) = k^{l + 1/2}, or log k where l + 1/2 = 0, is the transform of the
+    cutoff term c_R r^{-alpha} of the profile; l is the law's exponent.
+    """
+
+    exponent: float           # p
+    exponent_stderr: float
+    prefactor_modulus: float  # A
+    prefactor_stderr: float
+    subleading: float         # B
+    subleading_stderr: float
+    k_window: tuple
+    residual_rms: float       # of model / |T| - 1
+    half_sample_change: dict  # of p and A when every other sample is dropped
+    k: np.ndarray             # the samples fitted
+    values: np.ndarray        # |T| at them
+    model: np.ndarray         # A k^p + B s(k) + C at them
+
+
+def fit_kernel_law(k: np.ndarray, T: np.ndarray, law: KernelLaw,
+                   k_window: tuple) -> KernelFit:
+    """Fit the law and its next-order term to the samples of T in k_window.
+
+    The exponent p is fitted, not pinned: see _fit_powers.  The fit is
+    repeated on every other sample, and the change is reported next to the
+    standard errors.
+    """
+    k_lo, k_hi = k_window
+    if not (k[0] <= k_lo < k_hi <= k[-1]):
+        raise ConfigError("fit window outside the transformed wavenumbers")
+    inside = (k >= k_lo) & (k <= k_hi)
+    if np.count_nonzero(inside) < _MIN_FIT_SAMPLES:
+        raise ConfigError("fit window too narrow: fewer than "
+                          f"{_MIN_FIT_SAMPLES} samples")
+    ks, values = k[inside], np.abs(T[inside])
+    (p, a, b), (p_err, a_err, b_err), resid = _fit_powers(
+        ks, values, law.exponent)
+    (p_half, a_half, _), _, _ = _fit_powers(ks[::2], values[::2],
+                                               law.exponent)
+    return KernelFit(
+        exponent=p, exponent_stderr=p_err, prefactor_modulus=a,
+        prefactor_stderr=a_err, subleading=b, subleading_stderr=b_err,
+        k_window=(k_lo, k_hi),
+        residual_rms=float(np.sqrt(np.mean(resid ** 2))),
+        half_sample_change={"exponent": abs(p_half - p),
+                            "prefactor_modulus": abs(a_half - a)},
+        k=ks, values=values, model=values * (1.0 + resid))
+
+
+def _fit_powers(k: np.ndarray, y: np.ndarray, ell: float):
+    """Least squares of A k^p + B s(k) + C against y, relative to y.
+
+    Variable projection: at fixed p the fit is linear in (A, B, C), and p
+    minimises the remaining residual over (l - 1/2, l + 1/2), the interval
+    between the neighbouring exponents l - 1/2 and s's l + 1/2.  Returns
+    (p, A, B), the standard errors of (p, A, B) from the Jacobian of the
+    four-parameter model and the residual variance on n - 4 degrees of
+    freedom, and the relative residuals.
+    """
+    sub = np.log(k) if abs(ell + 0.5) < 1e-12 else k ** (ell + 0.5)
+    ones = np.ones_like(k)
+
+    def linear(p):
+        basis = np.column_stack([k ** p, sub, ones]) / y[:, None]
+        coef = np.linalg.lstsq(basis, ones, rcond=None)[0]
+        return coef, basis @ coef - 1.0
+
+    p = float(minimize_scalar(
+        lambda p: float(np.sum(linear(p)[1] ** 2)),
+        bounds=(ell - 0.5, ell + 0.5), method="bounded",
+        options={"xatol": 1e-12}).x)
+    (a, b, _), resid = linear(p)
+    jac = np.column_stack([k ** p, sub, ones,
+                           a * k ** p * np.log(k)]) / y[:, None]
+    sigma2 = float(resid @ resid) / (k.size - 4)
+    err = np.sqrt(sigma2 * np.diag(np.linalg.inv(jac.T @ jac)))
+    return ((p, float(a), float(b)),
+            (float(err[3]), float(err[0]), float(err[1])), resid)
+
+
+# ---------------------------------------------------------------------------
+# grid route
+
 def _grid_radii(grid_axes: list[np.ndarray]) -> np.ndarray:
     mesh = np.meshgrid(*grid_axes, indexing="ij", sparse=True)
     return np.sqrt(sum(a * a for a in mesh))
@@ -169,13 +348,16 @@ def populate_grid(spec: PotentialSpec, n: int, extent: float,
 
 
 def _cell_average_power(h: float, p: float, ndim: int) -> float:
-    """Mean of |y|^p over the origin grid cell [-h/2, h/2]^ndim."""
+    """Mean of |y|^p over the origin grid cell [-h/2, h/2]^ndim.
+
+    In the square, by its eight-fold symmetry and polar coordinates, the
+    mean is 8 (h/2)^{p+2} / ((p + 2) h^2) * integral_0^{pi/4} sec^{p+2}.
+    """
     if ndim == 1:
         return (h / 2.0) ** p / (p + 1.0)
-    from scipy.integrate import dblquad
-    val, _ = dblquad(lambda b, a: (a * a + b * b) ** (p / 2.0),
-                     0.0, h / 2.0, 0.0, h / 2.0)
-    return 4.0 * val / h ** 2
+    theta, w = gauss_legendre(0.0, math.pi / 4.0)
+    sec_integral = float(np.sum(w / np.cos(theta) ** (p + 2.0)))
+    return 8.0 * (h / 2.0) ** (p + 2.0) / ((p + 2.0) * h * h) * sec_integral
 
 
 def apply_taper(grid: SymbolGrid, taper_fraction: float = 0.2) -> SymbolGrid:

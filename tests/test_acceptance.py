@@ -241,8 +241,8 @@ def test_verification_run_is_deterministic(tmp_path):
         "born": {"zeta": None, "lam": 0.0, "r_min": 1.0, "r_max": 1e4,
                  "n_radii": 10},
         "kernel": {"n": 2048, "extent": 1e5, "lam": 0.0,
-                   "window": [10.0, 60.0], "n_radial": 200,
-                   "profile_radius": 1.05, "tol": 1e-9, "n_bins": 40},
+                   "window": [10.0, 60.0], "profile_radius": 1.05,
+                   "tol": 1e-9},
         "airy": {"arg_min": -10.0, "arg_max": 10.0, "n_args": 21},
     }
     cfg_path = tmp_path / "config.json"

@@ -1,6 +1,7 @@
 """Command-line interface: configs, overrides, artifacts, exit codes."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -159,6 +160,19 @@ def test_config_values_are_typed_with_defaults_filled_in():
     assert load_config(None)["orbit"]["y"] == [1.0]
 
 
+def test_block_mismatch_exits_2_before_any_stage(capsys, tmp_path):
+    # the default orbit block has one transverse entry; at dimension 3 the
+    # error names the key and verify-all writes nothing
+    outdir = tmp_path / "out"
+    code = main(["verify-all", "--dimension=3", f"--output_dir={outdir}"])
+    out, err = capsys.readouterr()
+    assert code == 2 and err == ""
+    assert json.loads(out) == {
+        "error": "config",
+        "message": "orbit.y must hold dimension - 1 = 2 numbers, got 1"}
+    assert not outdir.exists() or not any(outdir.iterdir())
+
+
 def test_malformed_override_exits_2(capsys, tmp_path):
     code, summary = _run(capsys, "eikonal", "--=3")
     assert code == 2
@@ -272,3 +286,20 @@ def test_csv_values_roundtrip_at_full_precision(capsys, tmp_path):
         x = float(row.split(",")[0])
         # %.17g formatting is lossless for doubles
         assert "%.17g" % x == row.split(",")[0]
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+@pytest.mark.parametrize("name", ["zero", "coulomb_d2", "coulomb_d3"])
+def test_shipped_config_verifies(capsys, tmp_path, name):
+    code, summary = _run(capsys, "verify-all", "--config",
+                         str(CONFIGS / f"{name}.json"),
+                         f"--output_dir={tmp_path}")
+    assert code == 0
+    assert summary["passed"] is True
+    if name != "zero":
+        kernel = json.loads((tmp_path / "kernel_summary.json").read_text())
+        assert {"fitted_prefactor_stderr", "subleading_coefficient",
+                "subleading_coefficient_stderr",
+                "half_sample_change"} <= kernel.keys()
