@@ -21,7 +21,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import classical, kernel, oscillatory, parabolic, special, transport
+from . import (checks, classical, kernel, oscillatory, parabolic, special,
+               transport)
 from .errors import BudgetError, ConfigError, ConvergenceError, DomainError
 from .potentials import (
     PotentialSpec,
@@ -316,24 +317,17 @@ def cmd_momenta(cfg: dict) -> dict:
 def cmd_eikonal(cfg: dict) -> dict:
     d = cfg["dimension"]
     sec = cfg["eikonal"]
-    rng = np.random.default_rng(cfg["seed"])
-    n = sec["n_points"]
-    x_lo, x_hi = sec["x_range"]
-    ratio = sec["y_over_x"]
-    # one row per point: log10 x, then the y block, as drawn point by point
-    u = rng.uniform([math.log10(x_lo)] + [-ratio] * (d - 1),
-                    [math.log10(x_hi)] + [ratio] * (d - 1), size=(n, d))
-    x = 10.0 ** u[:, 0]
-    y = u[:, 1:] * x[:, None] / math.sqrt(d - 1)
-    res = parabolic.eikonal_residual(x, y)
+    chk = checks.eikonal(np.random.default_rng(cfg["seed"]), sec["n_points"],
+                         d, sec["x_range"], sec["y_over_x"])
+    x, y = chk.x, chk.y
     jac = parabolic.jacobian_det(x, y, d)
     lap = parabolic.theta_laplacian(x, y, d)
     write_csv(_outdir(cfg) / "eikonal.csv",
               ["x"] + [f"y{i+1}" for i in range(d - 1)]
               + ["residual", "jacobian", "laplacian_theta"],
-              np.column_stack([x, y, res, jac, lap]))
-    summary = {"command": "eikonal", "n_points": n,
-               "max_abs_residual": float(np.max(np.abs(res), initial=0.0))}
+              np.column_stack([x, y, chk.residual, jac, lap]))
+    summary = {"command": "eikonal", "n_points": sec["n_points"],
+               "max_abs_residual": chk.max_abs_residual}
     return _emit(cfg, "eikonal", summary)
 
 
@@ -441,18 +435,15 @@ def cmd_kernel(cfg: dict) -> dict:
 def cmd_airy_compare(cfg: dict) -> dict:
     sec = cfg["airy"]
     args = np.linspace(sec["arg_min"], sec["arg_max"], sec["n_args"])
-    rows = []
-    worst = 0.0
-    for x in args:
-        series = oscillatory.airy_reduction(float(x), [0.0])
-        quadr = oscillatory.airy_reduction_quadrature(float(x), [0.0])
-        diff = abs(series - quadr)
-        worst = max(worst, diff)
-        rows.append([x, series.real, quadr.real, quadr.imag, diff])
+    series = np.array([oscillatory.airy_reduction(float(x), [0.0]).real
+                       for x in args])
+    quadr = oscillatory.airy_reduction_quadrature(args)
+    diff = np.abs(series - quadr)
     write_csv(_outdir(cfg) / "airy_compare.csv",
-              ["arg", "series", "quad_re", "quad_im", "abs_diff"], rows)
+              ["arg", "series", "quad_re", "quad_im", "abs_diff"],
+              np.column_stack([args, series, quadr.real, quadr.imag, diff]))
     summary = {"command": "airy-compare", "n_args": len(args),
-               "max_abs_diff": worst}
+               "max_abs_diff": float(np.max(diff))}
     return _emit(cfg, "airy-compare", summary)
 
 
@@ -460,51 +451,16 @@ def cmd_airy_compare(cfg: dict) -> dict:
 # verify-all
 
 def _suite_parabolic(cfg: dict) -> dict:
-    d = cfg["dimension"]
-    rng = np.random.default_rng(cfg["seed"] + 1)
-    worst_ident = 0.0
-    worst_jac = 0.0
-    for _ in range(2000):
-        x = 10.0 ** rng.uniform(0.5, 4.0)
-        y = rng.uniform(-0.5, 0.5, size=d - 1) * x
-        r = math.hypot(x, float(np.linalg.norm(y)))
-        if r + x <= 2.5:
-            continue
-        p = parabolic.to_parabolic(x, y)
-        g_sq = float(p.g @ p.g)
-        worst_ident = max(
-            worst_ident,
-            abs(p.f ** 2 + g_sq - 2.0 * r) / (2.0 * r),
-            abs(p.f ** 2 - g_sq - 2.0 * x) / max(1.0, abs(2.0 * x)),
-            abs(2.0 * r * float(parabolic.grad_f(x, y) @ parabolic.grad_f(x, y)) - 1.0),
-        )
-        jac = parabolic.jacobian_det(x, y, d)
-        h = 1e-6 * max(1.0, r)
-        num = _numeric_jacobian(x, y, h)
-        worst_jac = max(worst_jac, abs(num - jac) / jac)
-    return {"max_identity_residual": worst_ident,
-            "max_jacobian_mismatch": worst_jac,
-            "passed": bool(worst_ident < 1e-10 and worst_jac < 1e-5)}
-
-
-def _numeric_jacobian(x: float, y: np.ndarray, h: float) -> float:
-    d = 1 + y.size
-    cols = []
-    for j in range(d):
-        dx = h if j == 0 else 0.0
-        dy = np.zeros(y.size)
-        if j > 0:
-            dy[j - 1] = h
-        pp = parabolic.to_parabolic(x + dx, y + dy)
-        pm = parabolic.to_parabolic(x - dx, y - dy)
-        cols.append(np.concatenate([[(pp.f - pm.f) / (2 * h)],
-                                    (pp.g - pm.g) / (2 * h)]))
-    return float(abs(np.linalg.det(np.stack(cols, axis=1))))
+    chk = checks.parabolic_identities(np.random.default_rng(cfg["seed"] + 1),
+                                      2000, cfg["dimension"])
+    return {"max_identity_residual": chk.max_identity_residual,
+            "max_jacobian_mismatch": chk.max_jacobian_mismatch,
+            "passed": bool(chk.max_identity_residual < 1e-10
+                           and chk.max_jacobian_mismatch < 1e-5)}
 
 
 def _suite_constants(cfg: dict) -> dict:
     from scipy.integrate import quad
-    rng = np.random.default_rng(cfg["seed"] + 2)
     worst = 0.0
     for alpha in (0.8, 1.0, 1.5, 2.0, 3.0):
         val, _ = quad(lambda t, a=alpha: (t * t + 1.0) ** (-a / 2.0)
@@ -513,13 +469,7 @@ def _suite_constants(cfg: dict) -> dict:
                     / special.c1_constant(alpha))
     c2_31 = special.c2_constant(3, 1.0)
     err_c2 = abs(c2_31 - (-1j / math.sqrt(2.0 * math.pi)))
-    worst_routes = 0.0
-    for _ in range(20):
-        d = int(rng.integers(2, 6))
-        alpha = rng.uniform(0.55, d - 0.55)
-        a = special.c2_constant(d, alpha)
-        b = special.c2_constant_from_c1(d, alpha)
-        worst_routes = max(worst_routes, abs(a - b) / abs(a))
+    worst_routes = checks.c2_routes(np.random.default_rng(cfg["seed"] + 2), 20)
     return {"max_c1_quadrature_mismatch": worst,
             "c2_coulomb_d3_error": err_c2,
             "max_c2_route_mismatch": worst_routes,
@@ -528,47 +478,21 @@ def _suite_constants(cfg: dict) -> dict:
 
 
 def _suite_region(cfg: dict) -> dict:
-    d = cfg["dimension"]
-    m, eps = cfg["region"]["m"], cfg["region"]["eps"]
-    rng = np.random.default_rng(cfg["seed"] + 3)
-    n_points = 10000
-    # candidate rows (x, y, eta, zeta), as drawn field by field per point
-    lo = [-5.0] + [-20.0] * (d - 1) + [-10.0] + [-3.0] * (d - 1)
-    hi = [50.0] + [20.0] * (d - 1) + [10.0] + [3.0] * (d - 1)
-    blocks, accepted = [], 0
-    while accepted < n_points:
-        z = rng.uniform(lo, hi, size=(n_points, 2 * d))
-        z = z[classical.cone_mask(z[:, 0], z[:, 1:d], z[:, d], z[:, d + 1:],
-                                  m=m, eps=eps, sign=+1)]
-        blocks.append(z)
-        accepted += len(z)
-    z = np.concatenate(blocks)[:n_points]
-    violations = 0
-    for t in (1.0, 10.0, 100.0):
-        flowed = classical.free_flow_arrays(z[:, 0], z[:, 1:d], z[:, d],
-                                            z[:, d + 1:], t)
-        violations += int(np.count_nonzero(
-            ~classical.cone_mask(*flowed, m=m, eps=eps, sign=+1)))
-    return {"n_points": n_points, "violations": violations,
-            "passed": violations == 0}
+    chk = checks.cone_invariance(np.random.default_rng(cfg["seed"] + 3),
+                                 10000, cfg["dimension"], m=cfg["region"]["m"],
+                                 eps=cfg["region"]["eps"])
+    return {"n_points": chk.n_points, "violations": chk.violations,
+            "passed": chk.violations == 0}
 
 
 def _suite_free_case(cfg: dict) -> dict:
-    d = cfg["dimension"]
-    spec = zero_potential()
-    p = classical.PhasePoint(x=20.0, y=np.ones(d - 1), eta=3.0,
-                             zeta=0.3 * np.ones(d - 1))
-    b1 = transport.symbol_b(1, p, spec)
-    b2 = transport.symbol_b(2, p, spec)
-    y = np.zeros(d - 1)
-    y[0] = 5.0
-    t = kernel.born_symbol(spec, np.zeros(d - 1), y)
-    z_inf, _ = classical.asymptotic_momentum(spec, p, n_doublings=3)
-    drift = float(np.linalg.norm(np.atleast_1d(z_inf) - p.zeta))
-    return {"b1_abs": abs(b1), "b2_abs": abs(b2), "t_psym_abs": abs(t),
-            "momentum_drift": drift,
-            "passed": bool(abs(b1) < 1e-12 and abs(b2) < 1e-12
-                           and abs(t) < 1e-12 and drift < 1e-12)}
+    chk = checks.free_case(cfg["dimension"])
+    return {"b1_abs": chk.b1_abs, "b2_abs": chk.b2_abs,
+            "t_psym_abs": chk.t_psym_abs,
+            "momentum_drift": chk.momentum_drift,
+            "passed": bool(chk.b1_abs < 1e-12 and chk.b2_abs < 1e-12
+                           and chk.t_psym_abs < 1e-12
+                           and chk.momentum_drift < 1e-12)}
 
 
 def cmd_verify_all(cfg: dict) -> dict:

@@ -10,15 +10,14 @@ double integral by contributions of the two real critical points.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
+from scipy.integrate import quad
 
 from . import parabolic
 from .errors import BudgetError, DomainError
-from .quadrature import loglog_fit
+from .quadrature import converge, loglog_fit
 from .special import airy_ai
 
 _CBRT2 = 2.0 ** (1.0 / 3.0)
@@ -67,37 +66,34 @@ def airy_reduction(x: float, zeta, lam: float = 0.0) -> complex:
     return complex(_CBRT2 * 2.0 * math.pi * airy_ai(-_CBRT2 * arg))
 
 
-def airy_reduction_quadrature(x: float, zeta, lam: float = 0.0,
-                              angle: float = math.pi / 8.0,
-                              radius: float = 60.0) -> complex:
-    """Oracle: the same eta-integral by rotated-contour quadrature.
+def airy_reduction_quadrature(w, angle: float = math.pi / 8.0,
+                              tol: float = 1e-12):
+    """Oracle: the eta-integral at x + lam - zeta^2/2 = w by contour quadrature.
 
     The contour is bent at the origin, eta = u e^{-i angle} for u > 0 and
     eta = u e^{+i angle} for u < 0, which puts both ends into sectors where
-    the cubic exponential decays.  Kept for verification only.
+    the cubic exponential decays like exp(-sin(3 angle) |u|^3 / 6).  Both
+    rays are integrated over u in (0, inf) on mapped Gauss-Legendre panels
+    (map power 1, scale 4) for all w at once, refined until every value
+    changes by at most tol * max(1, |value|); BudgetError if it does not.
+    w may be an array; kept for verification only.
     """
-    zeta = np.atleast_1d(np.asarray(zeta, dtype=float))
-    w = x + lam - 0.5 * float(np.dot(zeta, zeta))
-    rot_pos = complex(math.cos(angle), -math.sin(angle))
-    rot_neg = rot_pos.conjugate()
+    w_arr = np.atleast_1d(np.asarray(w, dtype=float))
+    # outgoing direction of each ray, and the sign of its contribution
+    rays = ((np.exp(-1j * angle), 1.0), (-np.exp(1j * angle), -1.0))
 
-    def integrand(u):
-        rot = rot_pos if u >= 0 else rot_neg
-        eta = u * rot
-        return np.exp(1j * (-eta ** 3 / 6.0 + w * eta)) * rot
+    def one_pass(rule):
+        total = 0.0
+        for direction, sign in rays:
+            eta = rule.t * direction
+            total = total + sign * direction * np.sum(
+                np.exp(1j * (-eta ** 3 / 6.0 + w_arr[:, None] * eta))
+                * rule.w, axis=-1)
+        return total
 
-    def half(a, b):
-        # the 1e-13 target sits at the roundoff edge by design; the
-        # resulting roundoff report is expected and harmless
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", IntegrationWarning)
-            re = quad(lambda u: integrand(u).real, a, b, limit=400,
-                      epsabs=1e-13, epsrel=1e-13)[0]
-            im = quad(lambda u: integrand(u).imag, a, b, limit=400,
-                      epsabs=1e-13, epsrel=1e-13)[0]
-        return complex(re, im)
-
-    return half(-radius, 0.0) + half(0.0, radius)
+    value, _ = converge(one_pass, np.full(w_arr.size, 4.0), 1, tol,
+                        "oscillatory", "airy_reduction_quadrature")
+    return complex(value[0]) if np.ndim(w) == 0 else value
 
 
 def free_eigenfunction(x: float, y, xi, lam: float = 0.0,

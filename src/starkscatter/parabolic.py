@@ -20,12 +20,14 @@ _CAUSTIC_MARGIN = 1e-12
 
 @dataclass(frozen=True)
 class ParabolicPoint:
-    f: float
+    """f of shape S and g of shape S + (d - 1,); S is () for one point."""
+
+    f: float | np.ndarray
     g: np.ndarray
 
     @property
     def d(self) -> int:
-        return 1 + self.g.size
+        return 1 + self.g.shape[-1]
 
 
 @dataclass(frozen=True)
@@ -38,41 +40,57 @@ class PhaseData:
     laplacian: float
 
 
-def mollifier(t: float) -> float:
+def _scalar_or_array(a):
+    return float(a) if np.ndim(a) == 0 else a
+
+
+def mollifier(t):
     """Smooth convex interpolation: 1 below 1/2, identity above 3/2.
 
     The blend is the integral of a quintic smoothstep, which makes the
     function C^2 and convex; its values inside the blend interval are an
-    implementation detail no identity depends on.
+    implementation detail no identity depends on.  t may be an array.
     """
-    if t <= 0.5:
-        return 1.0
-    if t >= 1.5:
-        return float(t)
-    v = t - 0.5
-    return 1.0 + v ** 4 * (2.5 - 3.0 * v + v * v)
+    t = np.asarray(t, dtype=float)
+    v, v2 = _blend_variable(t)
+    return _scalar_or_array(
+        np.where(t >= 1.5, t, 1.0 + v2 * v2 * (2.5 - 3.0 * v + v2)))
 
 
-def mollifier_deriv(t: float) -> float:
-    if t <= 0.5:
-        return 0.0
-    if t >= 1.5:
-        return 1.0
-    v = t - 0.5
-    # quintic smoothstep
-    return v ** 3 * (10.0 - 15.0 * v + 6.0 * v * v)
+def mollifier_deriv(t):
+    v, v2 = _blend_variable(np.asarray(t, dtype=float))
+    # quintic smoothstep: 0 at v = 0, 1 at v = 1
+    return _scalar_or_array(v * v2 * (10.0 - 15.0 * v + 6.0 * v2))
 
 
-def to_parabolic(x: float, y) -> ParabolicPoint:
-    """Map (x, y) to the mollified parabolic coordinates (f, g)."""
+def _blend_variable(t):
+    """v = t - 1/2 clipped to [0, 1], and v^2.
+
+    Powers are products: numpy's vectorised power can differ in the last
+    bit from its one-element loop, and batched rows must equal scalar calls.
+    """
+    v = np.clip(t, 0.5, 1.5) - 0.5
+    return v, v * v
+
+
+def _radius(x, y):
+    """r = |(x, y)| for x of shape S and y of shape S + (d - 1,)."""
+    return np.hypot(x, np.linalg.norm(y, axis=-1))
+
+
+def to_parabolic(x, y) -> ParabolicPoint:
+    """Map (x, y) to the mollified parabolic coordinates (f, g).
+
+    x may be an array of shape (n,) with y of shape (n, d - 1); f is then an
+    array of shape (n,) and g of shape (n, d - 1).
+    """
     y = np.asarray(y, dtype=float)
-    r = float(np.hypot(x, np.linalg.norm(y)))
-    f = float(np.sqrt(mollifier(r + x)))
-    return ParabolicPoint(f=f, g=y / f)
+    f = np.sqrt(mollifier(_radius(x, y) + x))
+    return ParabolicPoint(f=_scalar_or_array(f), g=y / np.expand_dims(f, -1))
 
 
 def _require_identity_regime(x, y):
-    r = np.hypot(x, np.linalg.norm(y, axis=-1))
+    r = _radius(x, y)
     if np.any(r + x <= 2.0):
         raise DomainError("r + x <= 2: outside the parabolic identity regime")
     return r
@@ -93,21 +111,20 @@ def _identity_frame(x, y, d):
     return y, d, r, np.sqrt(r + x)
 
 
-def _scalar_or_array(a):
-    return float(a) if np.ndim(a) == 0 else a
-
-
-def grad_f(x: float, y) -> np.ndarray:
-    """Gradient of f = sqrt(mollify(r + x)) in (x, y)."""
+def grad_f(x, y) -> np.ndarray:
+    """Gradient of f = sqrt(mollify(r + x)) in (x, y), batched like
+    to_parabolic: shape S + (d,)."""
+    x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    r = float(np.hypot(x, np.linalg.norm(y)))
-    f2 = mollifier(r + x)
+    r = _radius(x, y)
     fp = mollifier_deriv(r + x)
-    f = np.sqrt(f2)
-    out = np.empty(1 + y.size)
-    out[0] = fp * (x / r + 1.0) / (2.0 * f)
-    out[1:] = fp * (y / r) / (2.0 * f)
-    return out
+    two_f = 2.0 * np.sqrt(mollifier(r + x))
+    # fp = 0 wherever r + x <= 1/2, the origin included, where r is 0
+    r = np.where(r > 0.0, r, 1.0)
+    gx = fp * (x / r + 1.0) / two_f
+    gy = (np.expand_dims(fp, -1) * (y / np.expand_dims(r, -1))
+          / np.expand_dims(two_f, -1))
+    return np.concatenate([np.expand_dims(gx, -1), gy], axis=-1)
 
 
 def grad_g(x: float, y) -> np.ndarray:

