@@ -59,11 +59,15 @@ class BumpProfile:
         return math.exp(-1.0 / (1.0 - u2))
 
 
-def airy_reduction(x: float, zeta, lam: float = 0.0) -> complex:
-    """The eta-integral as 2^{1/3} 2 pi Ai(-2^{1/3} (x + lam - zeta^2/2))."""
+def airy_reduction(x, zeta, lam: float = 0.0):
+    """The eta-integral as 2^{1/3} 2 pi Ai(-2^{1/3} (x + lam - zeta^2/2)).
+
+    x may be an array (one zeta for all of it); then so is the result.
+    """
     zeta = np.atleast_1d(np.asarray(zeta, dtype=float))
-    arg = x + lam - 0.5 * float(np.dot(zeta, zeta))
-    return complex(_CBRT2 * 2.0 * math.pi * airy_ai(-_CBRT2 * arg))
+    arg = np.asarray(x, dtype=float) + lam - 0.5 * float(np.dot(zeta, zeta))
+    value = _CBRT2 * 2.0 * math.pi * airy_ai(-_CBRT2 * arg)
+    return complex(value) if np.ndim(x) == 0 else value.astype(complex)
 
 
 def airy_reduction_quadrature(w, angle: float = math.pi / 8.0,
@@ -101,7 +105,8 @@ def free_eigenfunction(x: float, y, xi, lam: float = 0.0,
     """c * integral of xi(zeta) e^{i y.zeta} (Airy-reduced eta-integral).
 
     Supports d = 2 (scalar zeta) and d = 3 (tensor-product quadrature).
-    xi must expose .support; use BumpProfile or TabulatedProfile.
+    xi is a callable profile with a .support bounding box, such as
+    BumpProfile.
     """
     y = np.atleast_1d(np.asarray(y, dtype=float))
     if y.size != d - 1:

@@ -10,3 +10,7 @@ def pytest_configure(config):
     src = str(config.rootpath / "src")
     os.environ["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    # ... and turn warnings into errors, as filterwarnings = ["error"] in
+    # pyproject.toml does here, so a numpy or scipy RuntimeWarning in a CLI
+    # run fails the test that started it.
+    os.environ["PYTHONWARNINGS"] = "error"

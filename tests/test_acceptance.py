@@ -193,6 +193,7 @@ def test_verification_run_is_deterministic(tmp_path):
              "--config", str(cfg_path), f"--output_dir={outdir}"],
             capture_output=True, text=True)
         assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert proc.stderr == ""
         summary = json.loads(proc.stdout.strip().splitlines()[-1])
         assert summary["passed"] is True
         artifacts = {p.name: p.read_bytes()

@@ -94,6 +94,20 @@ def test_unsupported_transport_order_exits_2(capsys, tmp_path, k_max):
     assert summary["error"] == "config"
 
 
+@pytest.mark.parametrize("argv", [
+    ["kernel", "--dimension=400"],
+    ["born", "--potential.kind=homogeneous", "--potential.alpha=400"],
+], ids=" ".join)
+def test_constant_overflow_exits_4(capsys, tmp_path, argv):
+    # Gamma overflows in c2 (d = 400) and in c1 (alpha = 400)
+    code = main(argv + [f"--output_dir={tmp_path}"])
+    out, err = capsys.readouterr()
+    assert code == 4 and err == ""
+    (line,) = out.splitlines()
+    assert json.loads(line)["error"] == "domain"
+    assert "overflows" in json.loads(line)["message"]
+
+
 def test_memory_error_exits_3(capsys, tmp_path, monkeypatch):
     def exhausted(cfg):
         raise MemoryError
@@ -303,3 +317,18 @@ def test_shipped_config_verifies(capsys, tmp_path, name):
         assert {"fitted_prefactor_stderr", "subleading_coefficient",
                 "subleading_coefficient_stderr",
                 "half_sample_change"} <= kernel.keys()
+
+
+@pytest.mark.parametrize("name, alpha", [("coulomb_d2", 0.75),
+                                         ("coulomb_d2", 1.25),
+                                         ("coulomb_d3", 0.75)])
+def test_homogeneous_potential_verifies(capsys, tmp_path, name, alpha):
+    # the transport gate expects b_1 ~ x^{1/2 - alpha} and
+    # q_1 ~ x^{max(1/2 - 2 alpha, -3/2 - alpha)}, not the Coulomb rates
+    code, summary = _run(capsys, "verify-all", "--config",
+                         str(CONFIGS / f"{name}.json"),
+                         "--potential.kind=homogeneous",
+                         f"--potential.alpha={alpha}",
+                         f"--output_dir={tmp_path}")
+    assert code == 0
+    assert summary["passed"] is True

@@ -73,6 +73,16 @@ def test_airy_reduction_over_argument_range():
         assert abs(airy_reduction(float(w), [0.0]) - q) < 1e-8
 
 
+def test_airy_reduction_array_call_equals_scalar_calls():
+    xs = np.random.default_rng(4).uniform(-12.0, 12.0, 50)
+    for zeta, lam in (([0.0], 0.0), ([0.7, -0.2], 0.35)):
+        batch = airy_reduction(xs, zeta, lam)
+        assert batch.dtype == complex
+        assert np.array_equal(batch, [airy_reduction(float(x), zeta, lam)
+                                      for x in xs])
+    assert type(airy_reduction(1.0, [0.0])) is complex
+
+
 def test_contour_oracle_against_mpmath():
     # the verify-all arguments: 2^{1/3} 2 pi Ai(-2^{1/3} w) to 30 digits
     ws = np.linspace(-10.0, 10.0, 21)

@@ -1,74 +1,25 @@
-"""Gamma/Airy implementations and the closed-form kernel constants."""
+"""The Airy function and the closed-form kernel constants.
+
+The oracles are 30-digit mpmath references, closed forms and scipy quad.
+"""
 
 import math
 
 import mpmath
 import numpy as np
 import pytest
-import scipy.special
 from scipy.integrate import quad
 
-from starkscatter import DomainError, airy_ai, c1_constant, c2_constant, gamma_fn
+from starkscatter import DomainError, airy_ai, c1_constant, c2_constant
 from starkscatter.special import c2_constant_from_c1
-
-
-# ---------------------------------------------------------------------------
-# gamma
-
-def test_gamma_known_values():
-    assert gamma_fn(0.5) == pytest.approx(math.sqrt(math.pi), rel=1e-12)
-    assert gamma_fn(1.0) == pytest.approx(1.0, rel=1e-12)
-    assert gamma_fn(5.0) == pytest.approx(24.0, rel=1e-12)
-
-
-def test_gamma_quarter_against_quadrature():
-    # independent integral representation of Gamma(1/4)
-    val, _ = quad(lambda t: t ** (-0.75) * math.exp(-t), 0.0, np.inf, limit=200)
-    assert gamma_fn(0.25) == pytest.approx(val, rel=1e-10)
-    assert gamma_fn(0.25) == pytest.approx(3.6256099082, rel=1e-9)
-
-
-def test_gamma_against_stdlib():
-    rng = np.random.default_rng(0)
-    for _ in range(200):
-        x = rng.uniform(0.05, 50.0)
-        assert gamma_fn(x) == pytest.approx(math.gamma(x), rel=1e-12)
-
-
-def test_gamma_reflection_formula():
-    rng = np.random.default_rng(1)
-    for _ in range(50):
-        x = rng.uniform(-9.95, 0.45)
-        if abs(x - round(x)) < 0.05:
-            continue
-        lhs = gamma_fn(x) * gamma_fn(1.0 - x)
-        rhs = math.pi / math.sin(math.pi * x)
-        assert lhs == pytest.approx(rhs, rel=1e-10)
-
-
-def test_gamma_recurrence():
-    for x in np.linspace(0.1, 20.0, 64):
-        assert gamma_fn(x + 1.0) == pytest.approx(x * gamma_fn(x), rel=1e-12)
-
-
-def test_gamma_poles_raise():
-    for x in (0.0, -1.0, -2.0, -7.0):
-        with pytest.raises(DomainError):
-            gamma_fn(x)
 
 
 # ---------------------------------------------------------------------------
 # airy
 
 def test_airy_value_at_zero():
-    exact = 3.0 ** (-2.0 / 3.0) / gamma_fn(2.0 / 3.0)
+    exact = 3.0 ** (-2.0 / 3.0) / math.gamma(2.0 / 3.0)
     assert airy_ai(0.0) == pytest.approx(exact, rel=1e-12)
-
-
-def test_airy_against_scipy():
-    for u in np.linspace(-20.0, 20.0, 401):
-        assert airy_ai(float(u)) == pytest.approx(
-            float(scipy.special.airy(u)[0]), abs=1e-10)
 
 
 def test_airy_decays_on_positive_axis():
@@ -87,20 +38,8 @@ def test_airy_ode_residual():
         assert second == pytest.approx(u * airy_ai(u), abs=1e-6)
 
 
-def test_airy_branch_crossover_is_seamless():
-    # both branches are exercised near the crossover; values stay smooth
-    for u0 in (6.5, -6.5):
-        vals = np.array([airy_ai(u0 + s) for s in np.linspace(-0.2, 0.2, 81)])
-        ref = np.array([float(scipy.special.airy(u0 + s)[0])
-                        for s in np.linspace(-0.2, 0.2, 81)])
-        np.testing.assert_allclose(vals, ref, atol=1e-10)
-
-
 def test_airy_against_mpmath():
-    # 30-digit reference on [-15, 15], finely through both sides of the
-    # series/asymptotic crossover at |u| = 6.5.  The worst point is on the
-    # series side, 1.02e-11 at u = 6.484: Ai is 2.9e-6 there and the
-    # series' cancellation leaves a relative error of 3.5e-6
+    # 30-digit reference on [-15, 15], with extra points around |u| = 6.5
     us = np.concatenate([np.linspace(-15.0, 15.0, 301),
                          np.linspace(6.3, 6.7, 81), np.linspace(-6.7, -6.3, 41)])
     with mpmath.workdps(30):
@@ -110,9 +49,36 @@ def test_airy_against_mpmath():
     assert np.max(err[np.abs(us) > 6.5]) <= 1e-11
 
 
+def test_airy_relative_accuracy_against_mpmath():
+    # on the decaying side Ai falls to 1e-15 by u = 15, where absolute
+    # accuracy alone would not see a loss of digits; the extra points sit
+    # around u = 6.5, where an earlier series/asymptotic split lost them
+    us = np.concatenate([np.linspace(-15.0, 15.0, 301),
+                         np.linspace(6.3, 6.7, 41)])
+    with mpmath.workdps(30):
+        ref = np.array([float(mpmath.airyai(float(u))) for u in us])
+    ai = airy_ai(us)
+    assert np.max(np.abs(ai - ref)) <= 1e-13
+    assert np.max(np.abs(ai / ref - 1.0)[us >= 0.0]) <= 1e-12
+
+
+def test_airy_array_call_equals_scalar_calls():
+    us = np.random.default_rng(3).uniform(-20.0, 20.0, (7, 9))
+    batch = airy_ai(us)
+    assert batch.shape == us.shape
+    assert np.array_equal(batch, [[airy_ai(float(u)) for u in row]
+                                  for row in us])
+    assert type(airy_ai(1.5)) is float
+
+
 def test_airy_rejects_nonfinite():
     with pytest.raises(DomainError):
         airy_ai(float("nan"))
+
+
+def test_airy_rejects_a_nonfinite_array_entry():
+    with pytest.raises(DomainError):
+        airy_ai(np.array([0.0, 1.0, np.inf]))
 
 
 # ---------------------------------------------------------------------------
@@ -121,7 +87,7 @@ def test_airy_rejects_nonfinite():
 def test_c1_closed_form_values():
     assert c1_constant(2.0) == pytest.approx(math.pi / 2.0, rel=1e-12)
     assert c1_constant(1.0) == pytest.approx(
-        2.0 ** -1.5 * gamma_fn(0.25) * gamma_fn(0.25) / gamma_fn(0.5),
+        2.0 ** -1.5 * math.gamma(0.25) * math.gamma(0.25) / math.gamma(0.5),
         rel=1e-12)
 
 
@@ -143,6 +109,39 @@ def test_c1_alternative_integral_form():
     val, _ = quad(lambda s: (s * s + 1.0) ** (-alpha / 2.0)
                   / math.sqrt(2.0 * s), 0.0, np.inf, limit=400)
     assert c1_constant(alpha) == pytest.approx(val, rel=1e-9)
+
+
+@pytest.mark.parametrize("alpha", [0.55, 0.75, 1.0, 1.5, 2.0, 3.0, 10.0])
+def test_c1_against_mpmath(alpha):
+    # 2^{-3/2} B(1/4, alpha/2 - 1/4), the beta-integral form of c1, at 30 digits
+    with mpmath.workdps(30):
+        a = mpmath.mpf(alpha)
+        ref = float(mpmath.beta(0.25, a / 2 - 0.25) / mpmath.mpf(2) ** 1.5)
+    assert abs(c1_constant(alpha) / ref - 1.0) <= 1e-14
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_c2_against_mpmath(d):
+    for alpha in np.linspace(0.55, d - 0.55, 9):
+        with mpmath.workdps(30):
+            a = mpmath.mpf(float(alpha))
+            ref = float((2 * mpmath.pi) ** (mpmath.mpf(1 - d) / 2)
+                        * mpmath.mpf(2) ** (mpmath.mpf(d - 1) / 2 - a)
+                        * mpmath.gamma(0.25)
+                        * mpmath.gamma(mpmath.mpf(d) / 2 - 0.25 - a / 2)
+                        / mpmath.gamma(a / 2))
+        for route in (c2_constant, c2_constant_from_c1):
+            value = route(d, float(alpha))
+            assert value.real == 0.0
+            assert abs(-value.imag / ref - 1.0) <= 1e-14
+
+
+def test_constant_overflow_is_a_domain_error():
+    with pytest.raises(DomainError, match="alpha = 400"):
+        c1_constant(400.0)
+    for route in (c2_constant, c2_constant_from_c1):
+        with pytest.raises(DomainError, match="d = 400, alpha = 1.0"):
+            route(400, 1.0)
 
 
 def test_c1_domain():
