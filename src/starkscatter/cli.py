@@ -93,7 +93,7 @@ _RANGES = {
               f"in [1, {transport.K_MAX_DEFAULT}]"),
     "kind": _one_of("zero", "coulomb", "homogeneous"),
     "sign": _one_of(-1, 1), "direction": _one_of(-1, 1),
-    "x_range": _INTERVAL, "window": _INTERVAL,
+    "x_range": _INTERVAL, "window": _INTERVAL, "y_over_x": _at_least(0),
     **dict.fromkeys(("tol", "t_final", "t_start", "t_max", "h_eta", "extent",
                      "r_min", "r_max", "profile_radius", "m", "eps"),
                     _POSITIVE),
@@ -397,14 +397,25 @@ def cmd_born(cfg: dict) -> dict:
     return _emit(cfg, "born", summary)
 
 
+def _kernel_law(cfg: dict, spec: PotentialSpec) -> special.KernelLaw:
+    """The kernel law the kernel stage fits, checked before any work."""
+    if spec.kind not in ("homogeneous", "coulomb") or spec.kappa == 0.0:
+        raise ConfigError("kernel fit needs a homogeneous or coulomb "
+                          "potential with kappa != 0")
+    d = cfg["dimension"]
+    if not 0.5 < spec.alpha < d - 0.5:
+        raise DomainError(f"kernel law needs potential.alpha in (1/2, "
+                          f"dimension - 1/2) = (0.5, {d - 0.5}), "
+                          f"got {spec.alpha}")
+    return kernel.kernel_singularity_law(d, spec.alpha, spec.kappa)
+
+
 def cmd_kernel(cfg: dict) -> dict:
     d = cfg["dimension"]
     spec = potential_from_config(cfg)
-    if spec.kind not in ("homogeneous", "coulomb") or spec.kappa == 0.0:
-        raise ConfigError("kernel fit needs a homogeneous or coulomb potential")
+    law = _kernel_law(cfg, spec)
     sec = cfg["kernel"]
     extent = sec["extent"]
-    law = kernel.kernel_singularity_law(d, spec.alpha, spec.kappa)
     k, T = kernel.radial_kernel(spec, d, sec["n"], extent, lam=sec["lam"],
                                 R=sec["profile_radius"], tol=sec["tol"])
     k_ir = 2.0 * math.pi / extent
@@ -498,6 +509,8 @@ def cmd_verify_all(cfg: dict) -> dict:
     spec = potential_from_config(cfg)
     _check_blocks(cfg, ("orbit",) if spec.kind == "zero"
                   else ("orbit", "transport", "born"))
+    if spec.kind != "zero":
+        _kernel_law(cfg, spec)
     suites: dict[str, dict] = {}
 
     eik = cmd_eikonal(cfg)

@@ -191,7 +191,9 @@ def radial_jets(spec: PotentialSpec, x, y):
     for n in range(4):
         g.append(g[-1] * (-spec.alpha / 2.0 - n) / u)
     grad = 2.0 * g[1][..., None] * np.concatenate([x[..., None], y], axis=-1)
-    lap = 2.0 * d * g[1] + 4.0 * r2 * g[2]
-    bilap = (4.0 * d * (d + 2) * g[2] + 16.0 * (d + 2) * r2 * g[3]
-             + 16.0 * r2 * r2 * g[4])
+    # no r2 * r2: far out on a steep quadrature map it overflows where g[4]
+    # underflows, and inf * 0 is nan
+    lap = 2.0 * d * g[1] + 4.0 * (r2 * g[2])
+    bilap = (4.0 * d * (d + 2) * g[2] + 16.0 * (d + 2) * (r2 * g[3])
+             + 16.0 * (r2 * (r2 * g[4])))
     return g[0], grad, lap, bilap

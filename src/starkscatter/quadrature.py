@@ -6,11 +6,10 @@ width in s, for a batch of scales c at once.  If the integrand decays like
 t^{-p}, the mapped integrand behaves like (1 - s)^{P (p - 1) - 1} at s = 1;
 `map_power` picks P so that it stays bounded there (P = 1, the plain
 s / (1 - s) map, for p = 2 or 3).  `converge` doubles the panels until
-every output element has converged and reports the last change;
-`gauss_legendre` is one fixed panel on a finite interval.
+every output element has converged and reports the last change.
 
 The module also holds the one log-log least-squares fit, `loglog_fit`,
-which the decay-rate and kernel-law checks share.
+which the decay-rate and convergence-rate fits share.
 """
 
 from __future__ import annotations
@@ -69,12 +68,6 @@ def _mapped_rule(n_panels: int, scale, power: int) -> Rule:
     jac = scale * power * s ** (power - 1) / (1.0 - s) ** (power + 1)
     return Rule(t=t, jac=jac, w=half * np.tile(_GL_WEIGHTS, n_panels) * jac,
                 half=half)
-
-
-def gauss_legendre(a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the 16-node Gauss-Legendre rule on [a, b]."""
-    half = 0.5 * (b - a)
-    return a + half * (1.0 + _GL_NODES), half * _GL_WEIGHTS
 
 
 def tails(f: np.ndarray, half: float) -> np.ndarray:

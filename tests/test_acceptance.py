@@ -12,7 +12,6 @@ from scipy.integrate import quad
 
 from starkscatter import (
     PhasePoint,
-    apply_taper,
     asymptotic_convergence,
     BumpProfile,
     c1_constant,
@@ -20,10 +19,10 @@ from starkscatter import (
     coulomb,
     decay_slope,
     eval_potential,
+    fit_kernel_law,
     integrate_orbit,
-    kernel_fft_check,
     kernel_singularity_law,
-    populate_grid,
+    radial_kernel,
     transport_residual,
 )
 from starkscatter import checks
@@ -137,13 +136,13 @@ def test_stationary_phase_asymptote_accuracy():
 
 def test_kernel_power_law_from_fft():
     # coulomb in d = 3: fitted exponent -1.5 +- 0.1 and prefactor within
-    # 10% of (2 pi)^{-1/2} on a 2048^2 tapered grid
+    # 10% of (2 pi)^{-1/2} from the transform of 2048 profile radii
     start = time.perf_counter()
     spec = coulomb(1.0)
-    grid = apply_taper(populate_grid(spec, 2048, 1e5, d=3, R=1.05, tol=1e-9))
+    k, T = radial_kernel(spec, 3, 2048, 1e5, 0.0, 1.05, tol=1e-9)
     law = kernel_singularity_law(3, 1.0, 1.0)
-    k_ir = 2.0 * math.pi / grid.extent
-    fit = kernel_fft_check(grid, law, k_window=(10.0 * k_ir, 60.0 * k_ir))
+    k_ir = 2.0 * math.pi / 1e5
+    fit = fit_kernel_law(k, T, law, (10.0 * k_ir, 60.0 * k_ir))
     assert fit.exponent == pytest.approx(-1.5, abs=0.1)
     assert fit.prefactor_modulus == pytest.approx(
         1.0 / math.sqrt(2.0 * math.pi), rel=0.1)

@@ -125,6 +125,7 @@ def test_memory_error_exits_3(capsys, tmp_path, monkeypatch):
     ["eikonal", "--eikonal.x_range=[1]"],
     ["eikonal", "--eikonal.x_range=[-1,10]"],
     ["eikonal", "--eikonal.n_points=-3"],
+    ["eikonal", "--eikonal.y_over_x=-0.1"],
     ["orbit", "--orbit.t_final=-1"],
     ["orbit", "--orbit.n_samples=0"],
     ["orbit", "--orbit.n_samples=2.5"],
@@ -184,6 +185,29 @@ def test_block_mismatch_exits_2_before_any_stage(capsys, tmp_path):
     assert json.loads(out) == {
         "error": "config",
         "message": "orbit.y must hold dimension - 1 = 2 numbers, got 1"}
+    assert not outdir.exists() or not any(outdir.iterdir())
+
+
+@pytest.mark.parametrize("command", ["verify-all", "kernel"])
+@pytest.mark.parametrize("overrides, code, error, message", [
+    pytest.param(
+        ["--potential.kind=homogeneous", "--potential.alpha=2.1"], 4,
+        "domain", "kernel law needs potential.alpha in (1/2, dimension - "
+        "1/2) = (0.5, 1.5), got 2.1", id="alpha=2.1"),
+    pytest.param(
+        ["--potential.kappa=0"], 2, "config", "kernel fit needs a "
+        "homogeneous or coulomb potential with kappa != 0", id="kappa=0"),
+])
+def test_kernel_domain_exits_before_any_stage(capsys, tmp_path, command,
+                                              overrides, code, error,
+                                              message):
+    # a potential the kernel law cannot take stops verify-all before its
+    # first stage, as it stops kernel, with the same error
+    outdir = tmp_path / "out"
+    assert main([command, *overrides, f"--output_dir={outdir}"]) == code
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert json.loads(out) == {"error": error, "message": message}
     assert not outdir.exists() or not any(outdir.iterdir())
 
 

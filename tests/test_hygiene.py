@@ -1,0 +1,45 @@
+"""Package hygiene: the public names resolve and no module imports dead names."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import starkscatter
+
+MODULES = sorted(p for p in Path(starkscatter.__file__).parent.glob("*.py")
+                 if p.name != "__init__.py")
+
+
+def test_star_import_resolves_every_public_name():
+    namespace = {}
+    exec("from starkscatter import *", namespace)
+    assert set(starkscatter.__all__) <= namespace.keys()
+
+
+def test_public_names_are_listed_once():
+    names = starkscatter.__all__
+    assert len(names) == len(set(names))
+
+
+def _imported_names(tree: ast.Module) -> dict:
+    """Name bound by each import statement of the module, to its line."""
+    names = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                names[alias.asname or alias.name.partition(".")[0]] = (
+                    node.lineno)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                names[alias.asname or alias.name] = node.lineno
+    return names
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_module_uses_every_name_it_imports(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = {name: line for name, line in _imported_names(tree).items()
+              if name not in used}
+    assert not unused, f"{path.name} imports names it never uses: {unused}"

@@ -1,4 +1,4 @@
-"""Born-level symbol and the diagonal kernel power law via the FFT check."""
+"""Born-level symbol and the diagonal kernel power law by FFTLog."""
 
 import math
 
@@ -10,7 +10,6 @@ from starkscatter import (
     DomainError,
     KernelLaw,
     PotentialSpec,
-    apply_taper,
     born_symbol,
     born_symbol_tail,
     c1_constant,
@@ -19,18 +18,14 @@ from starkscatter import (
     fit_kernel_law,
     homogeneous,
     homogeneous_symbol_asymptote,
-    kernel_fft_check,
     kernel_singularity_law,
-    kernel_transform,
-    populate_grid,
     radial_kernel,
     radial_transform,
     zero_potential,
 )
 from starkscatter.cli import cmd_kernel, load_config
 from starkscatter.errors import ConfigError
-from starkscatter.kernel import _cell_average_power, born_symbols, radial_bins
-from starkscatter.quadrature import loglog_fit
+from starkscatter.kernel import born_symbols
 
 
 def _mpmath_born(q, R):
@@ -175,94 +170,7 @@ def test_singularity_law_examples():
 
 
 # ---------------------------------------------------------------------------
-# grids and transforms
-
-def test_grid_geometry():
-    grid = populate_grid(coulomb(1.0), 64, 100.0, d=3, use_asymptote=True)
-    assert grid.values.shape == (64, 64)
-    assert grid.spacing == pytest.approx(200.0 / 64)
-    assert grid.axes[32] == 0.0
-
-
-def test_taper_preserves_interior_and_kills_boundary():
-    grid = populate_grid(coulomb(1.0), 64, 100.0, d=3, use_asymptote=True)
-    tapered = apply_taper(grid, taper_fraction=0.2)
-    np.testing.assert_allclose(tapered.values[32, 32:48],
-                               grid.values[32, 32:48], rtol=1e-13)
-    assert abs(tapered.values[32, 0]) < 1e-13
-
-
-def test_transform_of_pure_power_recovers_fourier_pair():
-    # |y|^{-1/2} input on a 2-d grid: the radial Fourier pair has the
-    # closed-form modulus |c2(3, 1)| k^{-3/2} after the |kappa c1| rescale
-    spec = coulomb(1.0)
-    grid = apply_taper(populate_grid(spec, 1024, 1e5, d=3, use_asymptote=True))
-    law = kernel_singularity_law(3, 1.0, 1.0)
-    k_ir = 2.0 * math.pi / grid.extent
-    fit = kernel_fft_check(grid, law, k_window=(10 * k_ir, 60 * k_ir))
-    assert fit.exponent == pytest.approx(-1.5, abs=0.06)
-    assert fit.prefactor_modulus == pytest.approx(abs(law.prefactor), rel=0.05)
-
-
-@pytest.mark.parametrize("d,alpha", [(3, 1.0), (3, 1.5), (2, 1.0)])
-def test_fft_exponent_matches_law(d, alpha):
-    spec = coulomb(1.0) if alpha == 1.0 else homogeneous(1.0, alpha)
-    n = 1024 if d == 3 else 4096
-    grid = apply_taper(populate_grid(spec, n, 1e5, d=d, use_asymptote=True))
-    law = kernel_singularity_law(d, alpha, 1.0)
-    k_ir = 2.0 * math.pi / grid.extent
-    fit = kernel_fft_check(grid, law, k_window=(10 * k_ir, 60 * k_ir))
-    assert fit.exponent == pytest.approx(law.exponent, abs=0.1)
-
-
-def test_radial_bins_monotone_grid():
-    grid = apply_taper(populate_grid(coulomb(1.0), 256, 1e4, d=3,
-                                     use_asymptote=True))
-    k_axis, T = kernel_transform(grid)
-    centers, binned = radial_bins(k_axis, T, n_bins=20)
-    assert np.all(np.diff(centers) > 0)
-    assert np.all(binned > 0)
-
-
-def test_fft_check_window_validation():
-    grid = apply_taper(populate_grid(coulomb(1.0), 128, 1e3, d=3,
-                                     use_asymptote=True))
-    law = kernel_singularity_law(3, 1.0, 1.0)
-    with pytest.raises(ConfigError):
-        kernel_fft_check(grid, law, k_window=(1e-9, 1e-8))
-    with pytest.raises(ConfigError):
-        kernel_fft_check(grid, law, k_window=(1.0, 1e3))
-
-
-def test_populate_grid_dimension_check():
-    with pytest.raises(ConfigError):
-        populate_grid(coulomb(1.0), 32, 10.0, d=4)
-
-
-def test_populated_profile_matches_direct_symbol():
-    # interpolated grid values agree with direct quadrature off the profile
-    spec = coulomb(1.0)
-    grid = populate_grid(spec, 128, 1e3, d=2, n_radial=120, R=1.05)
-    ax = grid.axes
-    for idx in (70, 100, 127):
-        direct = born_symbol(spec, [0.0], [abs(ax[idx])], R=1.05)
-        assert grid.values[idx] == pytest.approx(direct, rel=1e-5)
-
-
-@pytest.mark.parametrize("p", [-0.5, -1.0, -1.5])
-def test_cell_average_power_against_dblquad(p):
-    # the closed form in polar coordinates against scipy's 2-d adaptive
-    # quadrature, kept here as the oracle
-    from scipy.integrate import dblquad
-    for h in (1.0, 200.0 / 1024):
-        val, _ = dblquad(lambda b, a: (a * a + b * b) ** (p / 2.0),
-                         0.0, h / 2.0, 0.0, h / 2.0)
-        assert _cell_average_power(h, p, 2) == pytest.approx(
-            4.0 * val / h ** 2, rel=1e-13)
-
-
-# ---------------------------------------------------------------------------
-# radial route
+# transform and fit
 
 def _spec(alpha):
     return coulomb(1.0) if alpha == 1.0 else homogeneous(1.0, alpha)
@@ -283,6 +191,19 @@ def test_pure_power_profile_transforms_to_the_law(d, alpha):
     law = kernel_singularity_law(d, alpha, kappa)
     np.testing.assert_allclose(1j * t, law.prefactor * k ** law.exponent,
                                rtol=1e-11)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_gaussian_profile_transforms_to_its_closed_form(d):
+    # e^{-r^2/2} transforms to (2 pi)^{(1-d)/2} e^{-k^2/2} in d - 1
+    # dimensions; unlike a pure power the Gaussian has a scale, so this also
+    # checks the placement of the wavenumbers
+    r = np.geomspace(1e-30, 1e2, 2048)
+    k, t = radial_transform(r, np.exp(-r * r / 2.0), d, bias=0.0)
+    inside = (k > 1e-2) & (k < 6.0)
+    np.testing.assert_allclose(
+        t[inside], (2.0 * math.pi) ** ((1 - d) / 2.0)
+        * np.exp(-k[inside] ** 2 / 2.0), rtol=1e-7)
 
 
 @pytest.mark.parametrize("alpha", [0.75, 1.0, 1.5])
@@ -338,28 +259,6 @@ def test_fit_recovers_an_exponent_off_the_law(ell):
     assert abs(fit.exponent - (ell + 0.01)) < 4.0 * fit.exponent_stderr
     assert abs(fit.prefactor_modulus - 0.4) < 4.0 * fit.prefactor_stderr
     assert abs(fit.subleading + 0.46) < 4.0 * fit.subleading_stderr
-
-
-def test_radial_and_grid_routes_agree():
-    # the same Coulomb d = 3 profile through both routes: the grid's bins
-    # lie within 5% of the radial transform, and its one-power fit differs
-    # from the same fit of the radial values by what the taper and the
-    # shell binning add (measured: -0.0143 in the exponent, -1.1% in the
-    # prefactor)
-    spec = coulomb(1.0)
-    law = kernel_singularity_law(3, 1.0, 1.0)
-    k_ir = 2.0 * math.pi / 1e5
-    grid = apply_taper(populate_grid(spec, 2048, 1e5, d=3, R=1.05, tol=1e-9))
-    grid_fit = kernel_fft_check(grid, law, k_window=(10 * k_ir, 60 * k_ir))
-    centers = grid_fit.bin_centers
-    k, T = radial_kernel(spec, 3, 2048, 1e5, 0.0, 1.05)
-    radial = np.exp(np.interp(np.log(centers), np.log(k), np.log(np.abs(T))))
-    np.testing.assert_allclose(grid_fit.bin_values, radial, rtol=0.05)
-    slope = loglog_fit(centers, radial)[0]
-    prefactor = math.exp(float(np.mean(np.log(radial)
-                                       - law.exponent * np.log(centers))))
-    assert grid_fit.exponent == pytest.approx(slope, abs=0.02)
-    assert grid_fit.prefactor_modulus == pytest.approx(prefactor, rel=0.02)
 
 
 def test_fit_window_validation():
