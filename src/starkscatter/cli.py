@@ -237,24 +237,13 @@ def _phase_point(cfg: dict, section: str) -> classical.PhasePoint:
 # ---------------------------------------------------------------------------
 # artifact emission
 
-def _fmt(v) -> str:
-    if isinstance(v, (bool, np.bool_)):
-        return str(bool(v))
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    return "%.17g" % float(v)
-
-
 def write_csv(path: Path, header: list[str], rows) -> None:
-    """rows is an iterable of rows, or a 2-d float array (one format a row)."""
+    """rows as a 2-d float array, every value in %.17g (1.0 is written 1)."""
+    rows = np.asarray(rows, dtype=float)
+    line = ",".join(["%.17g"] * rows.shape[1]) + "\n"
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        if isinstance(rows, np.ndarray):
-            line = ",".join(["%.17g"] * rows.shape[1]) + "\n"
-            fh.writelines(line % tuple(row.tolist()) for row in rows)
-            return
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        fh.writelines(line % tuple(row.tolist()) for row in rows)
 
 
 def _emit(cfg: dict, name: str, summary: dict) -> dict:
@@ -377,23 +366,17 @@ def cmd_born(cfg: dict) -> dict:
     ys = np.zeros((radii.size, d - 1))
     ys[:, 0] = radii
     values, _ = kernel.born_symbols(spec, zeta, ys, sec["lam"])
-    rows = []
-    last_ratio = None
-    for r, y, val in zip(radii, ys, values):
-        row = [r, val.real, val.imag]
-        if spec.kind in ("homogeneous", "coulomb") and spec.kappa != 0.0:
-            asym = kernel.homogeneous_symbol_asymptote(spec.kappa, spec.alpha, y)
-            last_ratio = val.imag / asym.imag
-            row += [asym.imag, last_ratio]
-        rows.append(row)
-    header = ["r", "t_re", "t_im"]
-    if rows and len(rows[0]) == 5:
-        header += ["asymptote_im", "ratio"]
-    write_csv(_outdir(cfg) / "born.csv", header, rows)
+    header, columns = ["r", "t_re", "t_im"], [radii, values.real, values.imag]
     summary = {"command": "born", "n_radii": len(radii),
-               "max_abs_symbol": max(abs(complex(r[1], r[2])) for r in rows)}
-    if last_ratio is not None:
-        summary["asymptote_ratio_at_r_max"] = last_ratio
+               "max_abs_symbol": float(np.max(np.abs(values)))}
+    if spec.kind in ("homogeneous", "coulomb") and spec.kappa != 0.0:
+        asym = np.array([kernel.homogeneous_symbol_asymptote(
+            spec.kappa, spec.alpha, y).imag for y in ys])
+        ratio = values.imag / asym
+        header += ["asymptote_im", "ratio"]
+        columns += [asym, ratio]
+        summary["asymptote_ratio_at_r_max"] = float(ratio[-1])
+    write_csv(_outdir(cfg) / "born.csv", header, np.column_stack(columns))
     return _emit(cfg, "born", summary)
 
 

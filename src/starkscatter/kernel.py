@@ -32,7 +32,7 @@ from scipy.optimize import minimize_scalar
 
 from .errors import ConfigError, DomainError
 from .potentials import PotentialSpec, eval_potential, eval_potential_array
-from .quadrature import converge, map_power
+from .quadrature import converge, half_line, map_power
 from .special import KernelLaw, c1_constant, c2_constant
 
 
@@ -89,9 +89,9 @@ def born_symbols(spec: PotentialSpec, zeta, ys, lam: float = 0.0,
     # scale R, reached at s ~ (R / c)^{1/P}: P >= 4 keeps that inside the
     # first panels for |y| up to about 1e5 R.
     alpha = 0.5 + spec.delta if spec.kind == "table" else spec.alpha
-    return converge(one_pass, np.maximum(np.sqrt(y_sq), R),
-                    map_power(alpha + 0.5, least=4), tol, "kernel",
-                    "born_symbol")
+    return converge(one_pass, half_line(np.maximum(np.sqrt(y_sq), R),
+                                        map_power(alpha + 0.5, least=4)),
+                    tol, "kernel", "born_symbol")
 
 
 def homogeneous_symbol_asymptote(kappa: float, alpha: float, y) -> complex:

@@ -3,8 +3,10 @@
 The eigenfunction is c * integral over zeta of xi(zeta) e^{i y.zeta} times
 the eta-integral of e^{i(-eta^3/6 + (x + lambda - zeta^2/2) eta)}.  The
 eta-integral reduces exactly to an Airy function by the substitution
-eta = -2^{1/3} s; the two-term stationary-phase asymptote replaces the whole
-double integral by contributions of the two real critical points.
+eta = -2^{1/3} s, and the zeta-integral is one tensor-product sum on the
+panel rule of `quadrature` for d = 2 and 3; the two-term stationary-phase
+asymptote replaces the whole double integral by contributions of the two
+real critical points.
 """
 
 from __future__ import annotations
@@ -13,14 +15,16 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from . import parabolic
 from .errors import BudgetError, DomainError
-from .quadrature import converge, loglog_fit
+from .quadrature import converge, half_line, loglog_fit, panels
 from .special import airy_ai
 
 _CBRT2 = 2.0 ** (1.0 / 3.0)
+# free_eigenfunction: most radians of phase on one tile, most nodes a pass
+_TILE_RADIANS = 128.0
+_MAX_NODES = 2 ** 21
 
 
 @dataclass(frozen=True)
@@ -39,7 +43,10 @@ class EigenfunctionSample:
 
 
 class BumpProfile:
-    """Smooth compactly supported profile exp(-1 / (1 - |z - z0|^2 / w^2))."""
+    """Smooth compactly supported profile exp(-1 / (1 - |z - z0|^2 / w^2)).
+
+    Called on one point (a float) or on an (n, d - 1) array of points.
+    """
 
     def __init__(self, center, width: float):
         self.center = np.atleast_1d(np.asarray(center, dtype=float))
@@ -51,23 +58,26 @@ class BumpProfile:
     def support(self):
         return self.center - self.width, self.center + self.width
 
-    def __call__(self, z) -> float:
-        z = np.atleast_1d(np.asarray(z, dtype=float))
-        u2 = float(np.dot(z - self.center, z - self.center)) / self.width ** 2
-        if u2 >= 1.0:
-            return 0.0
-        return math.exp(-1.0 / (1.0 - u2))
+    def __call__(self, z):
+        z = np.asarray(z, dtype=float)
+        diff = z.reshape(-1, self.center.size) - self.center
+        u2 = np.sum(diff * diff, axis=-1) / self.width ** 2
+        inside = u2 < 1.0
+        value = np.zeros(u2.shape)
+        value[inside] = np.exp(-1.0 / (1.0 - u2[inside]))
+        return value if z.ndim == 2 else float(value[0])
 
 
 def airy_reduction(x, zeta, lam: float = 0.0):
     """The eta-integral as 2^{1/3} 2 pi Ai(-2^{1/3} (x + lam - zeta^2/2)).
 
-    x may be an array (one zeta for all of it); then so is the result.
+    x may be an array, or zeta an (n, d - 1) array of rows; then the result
+    is an array, of their broadcast shape.
     """
     zeta = np.atleast_1d(np.asarray(zeta, dtype=float))
-    arg = np.asarray(x, dtype=float) + lam - 0.5 * float(np.dot(zeta, zeta))
+    arg = np.asarray(x, dtype=float) + lam - 0.5 * np.sum(zeta * zeta, axis=-1)
     value = _CBRT2 * 2.0 * math.pi * airy_ai(-_CBRT2 * arg)
-    return complex(value) if np.ndim(x) == 0 else value.astype(complex)
+    return complex(value) if np.ndim(arg) == 0 else value.astype(complex)
 
 
 def airy_reduction_quadrature(w, angle: float = math.pi / 8.0,
@@ -95,7 +105,7 @@ def airy_reduction_quadrature(w, angle: float = math.pi / 8.0,
                 * rule.w, axis=-1)
         return total
 
-    value, _ = converge(one_pass, np.full(w_arr.size, 4.0), 1, tol,
+    value, _ = converge(one_pass, half_line(np.full(w_arr.size, 4.0), 1), tol,
                         "oscillatory", "airy_reduction_quadrature")
     return complex(value[0]) if np.ndim(w) == 0 else value
 
@@ -104,43 +114,37 @@ def free_eigenfunction(x: float, y, xi, lam: float = 0.0,
                        tol: float = 1e-10, d: int = 2) -> complex:
     """c * integral of xi(zeta) e^{i y.zeta} (Airy-reduced eta-integral).
 
-    Supports d = 2 (scalar zeta) and d = 3 (tensor-product quadrature).
-    xi is a callable profile with a .support bounding box, such as
-    BumpProfile.
+    For d = 2 and 3: one tensor-product panel sum over the box xi.support
+    = (lo, hi), refined by quadrature.converge.  The profile xi is called
+    once per pass, on the (n, d - 1) array of nodes.  Axis i turns the phase
+    by at most |y_i| + sqrt(2 max(x + lam, 0)) max|zeta_i| radians per unit
+    and is cut into equal tiles of at most _TILE_RADIANS; a pass of more
+    than _MAX_NODES nodes raises BudgetError before it is built.
     """
     y = np.atleast_1d(np.asarray(y, dtype=float))
-    if y.size != d - 1:
-        raise DomainError("y block inconsistent with dimension")
-    c = (2.0 * math.pi) ** (-(d + 1) / 2.0)
-    lo, hi = xi.support
-    if d == 2:
-        def f(z):
-            return (xi(z) * np.exp(1j * y[0] * z)
-                    * airy_reduction(x, z, lam))
-        val = _complex_quad(f, float(lo[0]), float(hi[0]), tol)
-        return c * val
-    if d == 3:
-        def outer(z1):
-            def inner(z2):
-                zeta = np.array([z1, z2])
-                return (xi(zeta) * np.exp(1j * float(np.dot(y, zeta)))
-                        * airy_reduction(x, zeta, lam))
-            return _complex_quad(inner, float(lo[1]), float(hi[1]), tol)
-        val = _complex_quad(outer, float(lo[0]), float(hi[0]), tol)
-        return c * val
-    raise DomainError("free_eigenfunction supports d = 2 or 3")
+    if d not in (2, 3) or y.size != d - 1:
+        raise DomainError("free_eigenfunction needs d = 2 or 3 and a y block "
+                          "of d - 1 entries")
+    lo, hi = (np.atleast_1d(np.asarray(b, dtype=float)) for b in xi.support)
+    rate = (np.abs(y) + math.sqrt(2.0 * max(x + lam, 0.0))
+            * np.maximum(np.abs(lo), np.abs(hi)))
+    tiles = np.maximum(1, np.ceil(rate * (hi - lo) / _TILE_RADIANS)).astype(int)
 
+    def one_pass(axes):
+        if math.prod(r.t.size for r in axes) > _MAX_NODES:
+            raise BudgetError("eigenfunction grid exceeds the node budget",
+                              module="oscillatory",
+                              operation="free_eigenfunction", budget=tol)
+        zeta = np.stack(np.meshgrid(*[a + (b - a) * r.t for a, b, r in
+                                      zip(lo, hi, axes)], indexing="ij"),
+                        axis=-1).reshape(-1, d - 1)
+        w = math.prod(hi - lo) * math.prod(np.ix_(*[r.w for r in axes]))
+        return np.sum(xi(zeta) * np.exp(1j * (zeta @ y))
+                      * airy_reduction(x, zeta, lam) * w.ravel())
 
-def _complex_quad(f, a, b, tol):
-    re, re_err = quad(lambda t: f(t).real, a, b, limit=800,
-                      epsabs=tol, epsrel=tol)
-    im, im_err = quad(lambda t: f(t).imag, a, b, limit=800,
-                      epsabs=tol, epsrel=tol)
-    if re_err + im_err > 100.0 * tol * max(1.0, abs(complex(re, im))):
-        raise BudgetError("eigenfunction quadrature failed to converge",
-                          module="oscillatory", operation="free_eigenfunction",
-                          budget=tol)
-    return complex(re, im)
+    value, _ = converge(one_pass, lambda n: [panels(n * k) for k in tiles],
+                        tol, "oscillatory", "free_eigenfunction")
+    return complex((2.0 * math.pi) ** (-(d + 1) / 2.0) * value)
 
 
 def stationary_phase_eigenfunction(x: float, y, xi, lam: float = 0.0,

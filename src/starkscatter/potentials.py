@@ -107,10 +107,15 @@ def _radial_grad_prefactor(spec: PotentialSpec, r2: float) -> float:
     """Scalar c with grad q = c (x, y) for the radial kinds, r2 = x^2 + |y|^2.
 
     The point checks of eval_potential run first; then
-    c = -alpha kappa (r^2 + softening^2)^(-alpha/2 - 1).
+    c = -alpha kappa (r^2 + softening^2)^(-alpha/2 - 1); DomainError where
+    the power divides by an underflowed 0 or overflows.
     """
     s = _check_radius_sq(spec, r2) + spec.softening ** 2
-    return -spec.alpha * spec.kappa * s ** (-spec.alpha / 2.0 - 1.0)
+    try:
+        return -spec.alpha * spec.kappa * s ** (-spec.alpha / 2.0 - 1.0)
+    except (ZeroDivisionError, OverflowError):
+        raise DomainError(f"potential not representable at r^2 = {r2:g} "
+                          f"with softening {spec.softening:g}") from None
 
 
 def eval_potential(spec: PotentialSpec, x: float, y) -> float:
@@ -118,10 +123,12 @@ def eval_potential(spec: PotentialSpec, x: float, y) -> float:
     if spec.kind == "zero":
         return 0.0
     y = np.asarray(y, dtype=float)
-    _check_radius_sq(spec, _radius_sq(x, y))
+    r2 = _check_radius_sq(spec, _radius_sq(x, y))
     if spec.kind in ("homogeneous", "coulomb"):
-        # a one-point batch, since numpy's SIMD power and Python's ** can
+        # DomainError where q or grad q is out of the double range; then a
+        # one-point batch, since numpy's SIMD power and Python's ** can
         # differ in the last bit
+        _radial_grad_prefactor(spec, r2)
         return float(eval_potential_array(spec, [float(x)],
                                           [np.sum(y * y)])[0])
     return float(spec.func(float(x), y))

@@ -1,12 +1,12 @@
-"""Mapped Gauss-Legendre panel quadrature over half-lines.
+"""Gauss-Legendre panel quadrature: one refinement loop for every integral.
 
-An integral over [a, inf) is mapped to s in (0, 1) by t = x - a =
-c (s / (1 - s))^P and integrated with 16-node Gauss-Legendre panels of equal
-width in s, for a batch of scales c at once.  If the integrand decays like
-t^{-p}, the mapped integrand behaves like (1 - s)^{P (p - 1) - 1} at s = 1;
-`map_power` picks P so that it stays bounded there (P = 1, the plain
-s / (1 - s) map, for p = 2 or 3).  `converge` doubles the panels until
-every output element has converged and reports the last change.
+`panels` lays 16-node Gauss-Legendre panels of equal width on s in (0, 1);
+`half_line` maps them to [a, inf) by t = x - a = c (s / (1 - s))^P, for a
+batch of scales c at once.  If the integrand decays like t^{-p}, the mapped
+integrand behaves like (1 - s)^{P (p - 1) - 1} at s = 1; `map_power` picks
+P so that it stays bounded there (P = 1, the plain s / (1 - s) map, for
+p = 2 or 3).  `converge` doubles the panels of either layout until every
+output element has converged and reports the last change.
 
 The module also holds the one log-log least-squares fit, `loglog_fit`,
 which the decay-rate and convergence-rate fits share.
@@ -51,23 +51,33 @@ def map_power(decay: float, least: int = 1) -> int:
 
 
 class Rule(NamedTuple):
-    """One panel layout mapped to [0, inf) for a batch of n scales."""
+    """One panel layout; the half-line map holds (n, nodes) for n scales."""
 
-    t: np.ndarray    # nodes, distance from the lower limit, (n, nodes)
-    jac: np.ndarray  # dt/ds at the nodes, (n, nodes)
-    w: np.ndarray    # weights for integrals in t, (n, nodes)
+    t: np.ndarray    # nodes: s, or the distance from the lower limit
+    jac: np.ndarray  # dt/ds at the nodes
+    w: np.ndarray    # weights for integrals in t
     half: float      # panel half-width in s
 
 
-def _mapped_rule(n_panels: int, scale, power: int) -> Rule:
+def panels(n_panels: int) -> Rule:
+    """n_panels equal panels on (0, 1), where t = s."""
     half = 0.5 / n_panels
     mid = (np.arange(n_panels) + 0.5) / n_panels
     s = (mid[:, None] + half * _GL_NODES).ravel()
+    return Rule(t=s, jac=np.ones_like(s),
+                w=half * np.tile(_GL_WEIGHTS, n_panels), half=half)
+
+
+def half_line(scale, power: int):
+    """Rule builder: panels mapped to [0, inf) for each of a batch of scales."""
     scale = np.asarray(scale, dtype=float)[:, None]
-    t = scale * s ** power / (1.0 - s) ** power
-    jac = scale * power * s ** (power - 1) / (1.0 - s) ** (power + 1)
-    return Rule(t=t, jac=jac, w=half * np.tile(_GL_WEIGHTS, n_panels) * jac,
-                half=half)
+
+    def rule(n_panels: int) -> Rule:
+        s, _, w, half = panels(n_panels)
+        t = scale * s ** power / (1.0 - s) ** power
+        jac = scale * power * s ** (power - 1) / (1.0 - s) ** (power + 1)
+        return Rule(t=t, jac=jac, w=w * jac, half=half)
+    return rule
 
 
 def tails(f: np.ndarray, half: float) -> np.ndarray:
@@ -82,22 +92,23 @@ def tails(f: np.ndarray, half: float) -> np.ndarray:
     return (half * (fp @ _GL_TAIL.T) + later[..., None]).reshape(f.shape)
 
 
-def converge(one_pass, scale, power: int, tol: float, module: str,
+def converge(one_pass, rule, tol: float, module: str,
              operation: str) -> tuple[np.ndarray, np.ndarray]:
-    """Refine one_pass(rule) from 8 panels, doubling up to MAX_PANELS.
+    """Refine one_pass(rule(n_panels)) from 8 panels, doubling to MAX_PANELS.
 
-    Stops once every output element moved by at most tol * max(1, |value|)
-    and returns the finest values with that last change |cur - prev|, the
+    rule is `panels` or a builder such as `half_line(scale, power)`.  Stops
+    once every output element moved by at most tol * max(1, |value|) and
+    returns the finest values with that last change |cur - prev|, the
     achieved error estimate; raises BudgetError at the panel cap.  A map too
     steep for the float range overflows at the last nodes, and the values
     that are then not finite fail the test until the cap.
     """
     n_panels = 8
     with np.errstate(all="ignore"):
-        prev = one_pass(_mapped_rule(n_panels, scale, power))
+        prev = one_pass(rule(n_panels))
         while n_panels < MAX_PANELS:
             n_panels *= 2
-            cur = one_pass(_mapped_rule(n_panels, scale, power))
+            cur = one_pass(rule(n_panels))
             change = np.abs(cur - prev)
             if np.all(change <= tol * np.maximum(1.0, np.abs(cur))):
                 return cur, change

@@ -33,7 +33,7 @@ import numpy as np
 from .classical import PhasePoint, free_flow, in_region_X
 from .errors import DomainError
 from .potentials import PotentialSpec, radial_jets
-from .quadrature import converge, loglog_fit, map_power, tails
+from .quadrature import converge, half_line, loglog_fit, map_power, tails
 
 K_MAX_DEFAULT = 2
 
@@ -90,7 +90,8 @@ def _hierarchy(k, X, Y, ETA, ZETA, spec, sign, tol, m) -> _Jets:
         return np.concatenate([b, lap_b, grad_b1.T])
 
     # q decays like t^{-2 alpha} along the flow
-    cur, change = converge(one_pass, tau, map_power(2.0 * spec.alpha), tol,
+    cur, change = converge(one_pass,
+                           half_line(tau, map_power(2.0 * spec.alpha)), tol,
                            "transport", "symbol_b")
     return _Jets(q=radial_jets(spec, X, Y)[0], b=cur[:k], lap_b=cur[k:2 * k],
                  grad_b1=cur[2 * k:].T, b_err=change[:k])

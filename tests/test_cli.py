@@ -108,6 +108,26 @@ def test_constant_overflow_exits_4(capsys, tmp_path, argv):
     assert "overflows" in json.loads(line)["message"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["orbit", "--potential.softening=1e-200"],
+    ["momenta", "--potential.softening=1e-200"],
+    ["orbit", "--potential.kind=homogeneous", "--potential.alpha=300",
+     "--potential.softening=0.01"],
+], ids=" ".join)
+def test_unrepresentable_potential_exits_4(capsys, tmp_path, argv):
+    # the orbit starts at the origin, where the radial power underflows
+    # (ZeroDivisionError) or overflows (OverflowError) in Python floats
+    section = argv[0]
+    code = main(argv + [f"--{section}.x=0", f"--{section}.y=[0]",
+                        f"--{section}.eta=0", f"--{section}.zeta=[0]",
+                        f"--output_dir={tmp_path}"])
+    out, err = capsys.readouterr()
+    assert code == 4 and err == ""
+    (line,) = out.splitlines()
+    assert json.loads(line)["error"] == "domain"
+    assert "not representable" in json.loads(line)["message"]
+
+
 def test_memory_error_exits_3(capsys, tmp_path, monkeypatch):
     def exhausted(cfg):
         raise MemoryError

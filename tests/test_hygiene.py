@@ -1,4 +1,6 @@
-"""Package hygiene: the public names resolve and no module imports dead names."""
+"""Package hygiene: the public names resolve, no module imports dead names,
+and scipy.integrate is imported only where the one quadrature primitive,
+quadrature.converge, does not serve."""
 
 import ast
 from pathlib import Path
@@ -43,3 +45,31 @@ def test_module_uses_every_name_it_imports(path):
     unused = {name: line for name, line in _imported_names(tree).items()
               if name not in used}
     assert not unused, f"{path.name} imports names it never uses: {unused}"
+
+
+# scipy.integrate names a module may import: the orbit solver, and the
+# scipy quad oracle of verify-all's c1 check
+_SCIPY_INTEGRATE = {"classical": {"solve_ivp"}, "cli": {"quad"}}
+
+
+def _scipy_integrate_names(tree: ast.Module) -> set:
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names |= {a.name for a in node.names
+                      if a.name.startswith("scipy.integrate")}
+        elif isinstance(node, ast.ImportFrom):
+            if (node.module or "").startswith("scipy.integrate"):
+                names |= {a.name for a in node.names}
+            elif node.module == "scipy":
+                names |= {"scipy." + a.name for a in node.names
+                          if a.name == "integrate"}
+    return names
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_scipy_integrate_only_where_allowed(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    extra = _scipy_integrate_names(tree) - _SCIPY_INTEGRATE.get(path.stem,
+                                                                set())
+    assert not extra, f"{path.name} imports scipy.integrate names {extra}"

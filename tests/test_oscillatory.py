@@ -50,6 +50,19 @@ class _FlippedProfile:
         return self.xi(-np.atleast_1d(np.asarray(z, dtype=float)))
 
 
+class _ProductProfile:
+    """b1(zeta_1) b2(zeta_2) from two one-dimensional profiles."""
+
+    def __init__(self, b1, b2):
+        self.b1, self.b2 = b1, b2
+        self.support = tuple(np.concatenate([a, b]) for a, b in
+                             zip(b1.support, b2.support))
+
+    def __call__(self, z):
+        z = np.asarray(z, dtype=float)
+        return self.b1(z[..., :1]) * self.b2(z[..., 1:])
+
+
 # ---------------------------------------------------------------------------
 # airy reduction
 
@@ -83,6 +96,14 @@ def test_airy_reduction_array_call_equals_scalar_calls():
     assert type(airy_reduction(1.0, [0.0])) is complex
 
 
+def test_airy_reduction_rows_equal_one_point_calls():
+    zetas = np.random.default_rng(8).uniform(-3.0, 3.0, (40, 2))
+    batch = airy_reduction(7.5, zetas, 0.25)
+    assert batch.dtype == complex and batch.shape == (40,)
+    assert np.array_equal(batch, [airy_reduction(7.5, z, 0.25)
+                                  for z in zetas])
+
+
 def test_contour_oracle_against_mpmath():
     # the verify-all arguments: 2^{1/3} 2 pi Ai(-2^{1/3} w) to 30 digits
     ws = np.linspace(-10.0, 10.0, 21)
@@ -113,23 +134,64 @@ def test_eigenfunction_vanishes_for_zero_profile():
     assert free_eigenfunction(5.0, [0.0], _ZeroProfile()) == 0.0
 
 
-def test_eigenfunction_linear_in_profile():
-    x, y = 20.0, [1.5]
-    xi1 = BumpProfile(0.5, 0.8)
-    xi2 = BumpProfile(-0.3, 0.5)
-    u1 = free_eigenfunction(x, y, xi1, tol=1e-11)
-    u2 = free_eigenfunction(x, y, xi2, tol=1e-11)
-    u12 = free_eigenfunction(x, y, _SumProfile(xi1, xi2), tol=1e-11)
+@pytest.mark.parametrize("d, y, center1, center2, tol", [
+    (2, [1.5], 0.5, -0.3, 1e-11),
+    (3, [1.5, -0.4], [0.5, 0.2], [-0.3, 0.1], 1e-10),
+], ids=["d2", "d3"])
+def test_eigenfunction_linear_in_profile(d, y, center1, center2, tol):
+    x = 20.0
+    xi1 = BumpProfile(center1, 0.8)
+    xi2 = BumpProfile(center2, 0.5)
+    u1 = free_eigenfunction(x, y, xi1, tol=tol, d=d)
+    u2 = free_eigenfunction(x, y, xi2, tol=tol, d=d)
+    u12 = free_eigenfunction(x, y, _SumProfile(xi1, xi2), tol=tol, d=d)
     assert u12 == pytest.approx(u1 + u2, rel=1e-8)
 
 
-def test_eigenfunction_conjugate_symmetry():
+@pytest.mark.parametrize("d, y, center", [
+    (2, [0.8], 0.7),
+    (3, [0.8, 0.3], [0.7, -0.2]),
+], ids=["d2", "d3"])
+def test_eigenfunction_conjugate_symmetry(d, y, center):
     # conj(u[xi]) = u[xi(-.)] for real profiles: reality of the Airy factor
-    x, y = 15.0, [0.8]
-    xi = BumpProfile(0.7, 0.6)
-    u = free_eigenfunction(x, y, xi, tol=1e-11)
-    u_flip = free_eigenfunction(x, y, _FlippedProfile(xi), tol=1e-11)
+    x = 15.0
+    xi = BumpProfile(center, 0.6)
+    u = free_eigenfunction(x, y, xi, tol=1e-11, d=d)
+    u_flip = free_eigenfunction(x, y, _FlippedProfile(xi), tol=1e-11, d=d)
     assert u.conjugate() == pytest.approx(u_flip, rel=1e-9)
+
+
+@pytest.mark.parametrize("x", [20.0, 100.0])
+def test_eigenfunction_d3_by_dimension_reduction(x):
+    # for xi = b1(zeta_1) b2(zeta_2) the Airy argument splits, and
+    # u_3(x, (y1, 0)) = (2 pi)^{-1/2} int b2(z) u_2(x - z^2/2, y1; b1) dz;
+    # the outer integral by a 64-point Gauss-Legendre rule of numpy's
+    b1, b2 = BumpProfile(0.5, 0.8), BumpProfile(-0.2, 0.6)
+    y1 = 1.5
+    nodes, weights = np.polynomial.legendre.leggauss(64)
+    (lo,), (hi,) = b2.support
+    z = lo + 0.5 * (hi - lo) * (nodes + 1.0)
+    reduced = (2.0 * math.pi) ** -0.5 * 0.5 * (hi - lo) * sum(
+        wk * b2([zk]) * free_eigenfunction(x - 0.5 * zk * zk, [y1], b1,
+                                           tol=1e-12)
+        for zk, wk in zip(z, weights))
+    u3 = free_eigenfunction(x, [y1, 0.0], _ProductProfile(b1, b2), tol=1e-10,
+                            d=3)
+    assert abs(u3 - reduced) <= 1e-9 * abs(reduced)
+
+
+def test_eigenfunction_converges_far_out():
+    # about 2400 radians of phase over the support: tiled, not one panel set
+    xi = BumpProfile(1.5, 2.0)
+    s = eigenfunction_sample(5000.0, [250.0], xi, tol=1e-10)
+    assert s.rel_error < 0.01
+
+
+def test_eigenfunction_node_budget_raises_before_the_grid():
+    # sqrt(2e6) |zeta| ~ 4e3 radians per unit: ~1.7e4 nodes per axis
+    with pytest.raises(BudgetError):
+        free_eigenfunction(1e6, [0.0, 0.0], BumpProfile([1.0, 1.0], 2.0),
+                           d=3)
 
 
 def test_eigenfunction_annihilated_by_stark_operator():
@@ -216,3 +278,21 @@ def test_bump_profile_support_and_smoothness():
     assert xi([1.5]) == pytest.approx(math.exp(-1.0))
     with pytest.raises(DomainError):
         BumpProfile(0.0, -1.0)
+
+
+@pytest.mark.parametrize("center", [1.5, [0.3, -0.2]], ids=["d2", "d3"])
+def test_bump_profile_batch_rows_equal_one_point_calls(center):
+    xi = BumpProfile(center, 0.7)
+    z = np.random.default_rng(9).uniform(-1.0, 2.5, (500, xi.center.size))
+    z[0] = xi.center
+    batch = xi(z)
+    assert batch.shape == (500,) and np.count_nonzero(batch) > 10
+    one = [xi(row) for row in z]
+    assert all(type(v) is float for v in one)
+    assert np.array_equal(batch, one)
+    # the scalar formula, summed in another order: a rounding of u2 grows
+    # by 1 / (1 - u2)^2, at most ~2e3 where the value exceeds 1e-20
+    u2 = [float(np.dot(row - xi.center, row - xi.center)) / xi.width ** 2
+          for row in z]
+    ref = [math.exp(-1.0 / (1.0 - u)) if u < 1.0 else 0.0 for u in u2]
+    assert np.allclose(batch, ref, rtol=1e-12, atol=1e-20)

@@ -72,6 +72,17 @@ def test_origin_exclusion_without_softening():
     assert math.isfinite(eval_potential(coulomb(1.0, softening=1e-3), 0.0, [0.0]))
 
 
+@pytest.mark.parametrize("spec", [
+    coulomb(1.0, softening=1e-200),       # r^2 + softening^2 underflows to 0
+    homogeneous(1.0, 300.0, softening=0.01),  # 1e-4 ** -151 overflows
+], ids=["underflow", "overflow"])
+def test_unrepresentable_potential_raises_domain_error(spec):
+    with pytest.raises(DomainError, match="not representable"):
+        grad_potential(spec, 0.0, [0.0])
+    with pytest.raises(DomainError, match="not representable"):
+        eval_potential(spec, 0.0, [0.0])
+
+
 def test_softening_regularizes_near_origin():
     spec = coulomb(1.0, softening=0.1)
     assert eval_potential(spec, 0.0, [0.0]) == pytest.approx(10.0)

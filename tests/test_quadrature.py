@@ -1,4 +1,4 @@
-"""The shared log-log least-squares fit."""
+"""The panel refinement loop and the shared log-log least-squares fit."""
 
 import math
 import statistics
@@ -6,7 +6,40 @@ import statistics
 import numpy as np
 import pytest
 
-from starkscatter.quadrature import loglog_fit
+from starkscatter import BudgetError
+from starkscatter.quadrature import (MAX_PANELS, converge, half_line,
+                                     loglog_fit, panels)
+
+
+def test_plain_panels_converge_on_an_oscillatory_integral():
+    # int_0^1 cos(w s) ds = sin(w) / w, for a batch of frequencies
+    w = np.array([1.0, 40.0, 400.0])
+    value, change = converge(lambda r: np.cos(w[:, None] * r.t) @ r.w,
+                             panels, 1e-13, "test", "cos")
+    assert np.allclose(value, np.sin(w) / w, rtol=0.0, atol=1e-14)
+    assert np.all(change <= 1e-13)
+
+
+def test_half_line_rule_integrates_a_power_law():
+    # int_0^inf c^2 / (t + c)^3 dt = 1/2 for every scale c
+    scale = np.array([0.1, 1.0, 30.0])
+    value, _ = converge(lambda r: np.sum(scale[:, None] ** 2
+                                         / (r.t + scale[:, None]) ** 3
+                                         * r.w, axis=-1),
+                        half_line(scale, 1), 1e-13, "test", "power")
+    assert np.allclose(value, 0.5, rtol=1e-13, atol=0.0)
+
+
+def test_panel_cap_raises_budget_error():
+    seen = []
+
+    def one_pass(rule):
+        seen.append(rule.t.size)
+        return np.cos(1e4 * rule.t) @ rule.w
+
+    with pytest.raises(BudgetError):
+        converge(one_pass, panels, 1e-12, "test", "cos")
+    assert seen[-1] == 16 * MAX_PANELS
 
 
 def test_loglog_fit_against_stdlib_regression():
