@@ -8,22 +8,27 @@ conservation.
 Orbits are held as arrays: a Trajectory stores its samples as an (N, 2d)
 state array with (N,) times and energies, and builds PhasePoints only when
 they are read.  The energies, the radiation observables of decay_slope and
-the asymptotic momentum are computed on whole trajectories at once; the
-ODE right-hand side shares the radial gradient formula and its point checks
-with potentials.grad_potential.
+the asymptotic momentum are computed on whole trajectories at once.  The
+scalar ODE right-hand side that drives the compiled solver shares the radial
+gradient formula and its point checks with potentials.grad_potential; the
+batched pass that takes the samples calls potentials.grad_potential_array.
 """
 
 from __future__ import annotations
 
+import math
+import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import ode
+from scipy.integrate._ivp import dop853_coefficients
 
 from .errors import ConvergenceError, DomainError
 from .potentials import (PotentialSpec, _radial_grad_prefactor, eval_potential,
-                         eval_potential_array, grad_potential)
+                         eval_potential_array, grad_potential,
+                         grad_potential_array)
 from .quadrature import loglog_fit
 
 # Domain constant C for the exact-phase observables: x > C, |y|/x < 1/C.
@@ -147,8 +152,8 @@ def _deviation_rhs(spec: PotentialSpec, p0: PhasePoint):
     The deviation u = state - free_flow(p0, t) stays O(1) on scattering
     orbits while x itself grows like t^2/2, so integrating u keeps the
     error control meaningful over long times.  The right-hand side works in
-    Python floats (the solver passes t as a numpy scalar): on vectors of
-    length 2d <= 6, numpy's per-operation overhead is most of the cost.
+    Python floats and returns a list: on vectors of length 2d <= 6, numpy's
+    per-operation overhead is most of the cost.
     """
     n = p0.d - 1
     x0, eta0 = float(p0.x), float(p0.eta)
@@ -170,9 +175,33 @@ def _deviation_rhs(spec: PotentialSpec, p0: PhasePoint):
         else:
             force = no_force
         # (u_x, u_y) dot = (u_eta, u_zeta); (u_eta, u_zeta) dot = -grad q
-        return np.array(u[1 + n:] + force)
+        return u[1 + n:] + force
 
     return rhs
+
+
+def _deviation_rhs_rows(spec: PotentialSpec, p0: PhasePoint):
+    """_deviation_rhs on rows: t of shape (m,), u (m, 2d), result (m, 2d)."""
+    n = p0.d - 1
+
+    def rhs(t, u):
+        x = p0.x + t * p0.eta + 0.5 * t * t + u[:, 0]
+        y = p0.y + t[:, None] * p0.zeta + u[:, 1:1 + n]
+        return np.concatenate([u[:, 1 + n:],
+                               -grad_potential_array(spec, x, y)], axis=1)
+
+    return rhs
+
+
+# Steps, accepted or rejected, that one orbit integration may take before it
+# fails with ConvergenceError.  The orbits of the shipped configs, of the
+# tests and of the benchmark take at most about 60 accepted steps.
+MAX_ORBIT_STEPS = 100_000
+
+_DOP853_FAILURES = {-1: "inconsistent solver input",
+                    -2: "more than {} steps needed",
+                    -3: "step size became too small",
+                    -4: "the problem is probably stiff"}
 
 
 def integrate_orbit(spec: PotentialSpec, p0: PhasePoint, t_final: float,
@@ -183,33 +212,126 @@ def integrate_orbit(spec: PotentialSpec, p0: PhasePoint, t_final: float,
     The integration variable is the deviation from the free parabola of the
     initial condition; the closed-form free part is added back in extended
     precision at the sample times.  Sampling defaults to a uniform grid of
-    n_samples times; pass t_eval for custom (e.g. logarithmic) sampling.
+    n_samples times; pass t_eval for custom (e.g. logarithmic) sampling,
+    inside [0, t_final] and strictly monotone towards t_final.
+
+    Stepping runs in scipy's compiled DOP853 (Hairer's code) from 0 to
+    t_final with rtol = atol = tol, on at most MAX_ORBIT_STEPS steps.  The
+    samples are then taken in one pass over arrays: each sample is one
+    DOP853 step, with the same tableau, from the start of the accepted step
+    that contains it.  The compiled solver is not reentrant, so a potential
+    must not integrate an orbit from inside its own evaluation; nothing in
+    the library nests orbit integrations.
     """
     if tol <= 0:
         raise DomainError("tolerance must be positive")
+    if not math.isfinite(t_final):
+        raise DomainError("t_final must be finite")
     if t_eval is None:
         t_eval = np.linspace(0.0, t_final, n_samples)
     else:
-        t_eval = np.asarray(t_eval, dtype=float)
-    u0 = np.zeros(2 * p0.d)
-    sol = solve_ivp(_deviation_rhs(spec, p0), (0.0, t_final),
-                    u0, method="DOP853",
-                    rtol=tol, atol=tol, t_eval=t_eval, dense_output=False)
-    if not sol.success:
-        partial = _trajectory_from_solution(spec, p0, sol.t, sol.y)
-        raise ConvergenceError(f"orbit integration failed: {sol.message}",
-                               partial=partial)
-    return _trajectory_from_solution(spec, p0, sol.t, sol.y)
+        t_eval = _checked_t_eval(t_eval, t_final)
+    steps_t, steps_u, code = _accepted_steps(_deviation_rhs(spec, p0),
+                                             2 * p0.d, t_final, tol)
+    if code < 0:
+        # the samples up to the last accepted step
+        t_eval = t_eval[np.sign(t_final) * (t_eval - steps_t[-1]) <= 0.0]
+    traj = _trajectory_from_solution(
+        spec, p0, t_eval, _sample_steps(spec, p0, steps_t, steps_u, t_eval))
+    if code < 0:
+        raise ConvergenceError(
+            "orbit integration failed: "
+            + _DOP853_FAILURES[code].format(MAX_ORBIT_STEPS), partial=traj)
+    return traj
+
+
+def _checked_t_eval(t_eval, t_final: float) -> np.ndarray:
+    """t_eval as an array; DomainError unless it lies in [0, t_final] and
+    is strictly monotone towards t_final."""
+    t_eval = np.asarray(t_eval, dtype=float)
+    sign = -1.0 if t_final < 0 else 1.0
+    if not np.all((sign * t_eval >= 0.0) & (sign * t_eval <= sign * t_final)):
+        raise DomainError(f"t_eval must lie between 0 and t_final = {t_final:g}")
+    if np.any(sign * np.diff(t_eval) <= 0.0):
+        raise DomainError("t_eval must be strictly monotone towards t_final")
+    return t_eval
+
+
+def _accepted_steps(rhs, n: int, t_final: float, tol: float):
+    """Every accepted step of compiled DOP853 from u = 0 at t = 0 to t_final.
+
+    Returns the step times (K + 1,) and deviations (K + 1, n), both starting
+    at t = 0, and the solver's return code, negative on failure.  The
+    compiled code cannot carry an exception out of the right-hand side: it
+    would go on calling it.  So an exception is stored and the right-hand
+    side returns NaNs from then on, which no step passes (solout stops the
+    solver should one be accepted) until the step size underflows; then the
+    exception is raised again here.
+    """
+    if t_final == 0.0:
+        return np.zeros(1), np.zeros((1, n)), 1
+    times, states, error = [], [], []
+    nans = np.full(n, np.nan)
+
+    def guarded(t, u):
+        if not error:
+            try:
+                return rhs(t, u)
+            except BaseException as exc:  # raised again below
+                error.append(exc)
+        return nans
+
+    def solout(t, u):
+        if error:
+            return -1
+        times.append(t)
+        states.append(u.copy())
+        return 0
+
+    solver = ode(guarded).set_integrator("dop853", rtol=tol, atol=tol,
+                                         nsteps=MAX_ORBIT_STEPS)
+    solver.set_solout(solout)
+    solver.set_initial_value(np.zeros(n), 0.0)
+    with warnings.catch_warnings():
+        # a failure is reported through the return code
+        warnings.simplefilter("ignore", UserWarning)
+        solver.integrate(t_final)
+    if error:
+        raise error[0]
+    return np.array(times), np.array(states), solver.get_return_code()
+
+
+def _sample_steps(spec, p0, steps_t, steps_u, t_eval) -> np.ndarray:
+    """Deviations (N, 2d) at t_eval, each one DOP853 step from the start of
+    the accepted step that contains it, all in one batch."""
+    sign = -1.0 if steps_t[-1] < 0 else 1.0
+    # steps_t starts at 0, and t_eval lies between 0 and t_final
+    k = np.searchsorted(sign * steps_t, sign * t_eval, side="right") - 1
+    return _dop853_step(_deviation_rhs_rows(spec, p0), steps_t[k],
+                        steps_u[k], t_eval - steps_t[k])
+
+
+def _dop853_step(rhs, t, u, h) -> np.ndarray:
+    """One explicit DOP853 step of size h (m,) from each row of u (m, n)."""
+    a, b, c = dop853_coefficients.A, dop853_coefficients.B, dop853_coefficients.C
+    k = np.empty((b.size,) + u.shape)
+    flat = k.reshape(b.size, -1)
+    h_col = h[:, None]
+    k[0] = rhs(t, u)
+    for s in range(1, b.size):
+        du = (a[s, :s] @ flat[:s]).reshape(u.shape)
+        k[s] = rhs(t + c[s] * h, u + h_col * du)
+    return u + h_col * (b @ flat).reshape(u.shape)
 
 
 def _trajectory_from_solution(spec, p0, times, us) -> Trajectory:
     n = p0.d - 1
     times = np.asarray(times, dtype=float)
     tl = times.astype(np.longdouble)
-    x = (np.longdouble(p0.x) + tl * p0.eta + 0.5 * tl * tl + us[0]).astype(float)
-    y = p0.y + times[:, None] * p0.zeta + us[1:1 + n].T
-    eta = (np.longdouble(p0.eta) + tl + us[1 + n]).astype(float)
-    zeta = p0.zeta + us[2 + n:].T
+    x = (np.longdouble(p0.x) + tl * p0.eta + 0.5 * tl * tl + us[:, 0]).astype(float)
+    y = p0.y + times[:, None] * p0.zeta + us[:, 1:1 + n]
+    eta = (np.longdouble(p0.eta) + tl + us[:, 1 + n]).astype(float)
+    zeta = p0.zeta + us[:, 2 + n:]
     states = np.column_stack([x, y, eta, zeta])
     if not np.all(np.isfinite(states)):
         raise DomainError("phase point must be finite")

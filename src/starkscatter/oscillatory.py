@@ -139,8 +139,13 @@ def free_eigenfunction(x: float, y, xi, lam: float = 0.0,
                                       zip(lo, hi, axes)], indexing="ij"),
                         axis=-1).reshape(-1, d - 1)
         w = math.prod(hi - lo) * math.prod(np.ix_(*[r.w for r in axes]))
-        return np.sum(xi(zeta) * np.exp(1j * (zeta @ y))
-                      * airy_reduction(x, zeta, lam) * w.ravel())
+        # Ai only where the profile is nonzero: a radial bump fills about
+        # pi/4 of its box in d = 3
+        profile = np.broadcast_to(xi(zeta), zeta.shape[:1])
+        on = profile != 0.0
+        zeta = zeta[on]
+        return np.sum(profile[on] * np.exp(1j * (zeta @ y))
+                      * airy_reduction(x, zeta, lam) * w.ravel()[on])
 
     value, _ = converge(one_pass, lambda n: [panels(n * k) for k in tiles],
                         tol, "oscillatory", "free_eigenfunction")

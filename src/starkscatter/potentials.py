@@ -161,6 +161,37 @@ def grad_potential(spec: PotentialSpec, x: float, y) -> np.ndarray:
     return out
 
 
+def grad_potential_array(spec: PotentialSpec, x, y) -> np.ndarray:
+    """grad_potential on rows: x of shape (m,), y (m, d - 1); result (m, d).
+
+    The radial kinds use the closed form with every check of
+    _radial_grad_prefactor; the table kind runs its rows through
+    grad_potential.
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    shape = (x.size, 1 + y.shape[-1])
+    if spec.kind == "zero":
+        return np.zeros(shape)
+    if spec.kind == "table":
+        return np.array([grad_potential(spec, xi, yi)
+                         for xi, yi in zip(x, y)]).reshape(shape)
+    r2 = x * x + np.sum(y * y, axis=-1)
+    if not np.isfinite(r2).all():
+        raise DomainError("potential evaluated at a non-finite point")
+    if spec.softening == 0.0 and np.any(r2 <= spec.exclusion_radius ** 2):
+        raise DomainError(
+            "evaluation inside the origin exclusion ball with zero softening")
+    s = r2 + spec.softening ** 2
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        pref = -spec.alpha * spec.kappa * s ** (-spec.alpha / 2.0 - 1.0)
+        if not np.isfinite(pref).all():
+            bad = float(r2[~np.isfinite(pref)][0])
+            raise DomainError(f"potential not representable at r^2 = {bad:g} "
+                              f"with softening {spec.softening:g}")
+        return pref[:, None] * np.concatenate([x[:, None], y], axis=1)
+
+
 def eval_potential_array(spec: PotentialSpec, x, y_sq):
     """Vectorized q on arrays of x and |y|^2; the table kind is rejected."""
     x = np.asarray(x, dtype=float)

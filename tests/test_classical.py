@@ -1,9 +1,11 @@
 """Free flow, perturbed orbits, invariant cones and the gamma observables."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from starkscatter import (
     ConvergenceError,
@@ -11,12 +13,14 @@ from starkscatter import (
     PhasePoint,
     PotentialSpec,
     asymptotic_momentum,
+    classical,
     coulomb,
     decay_slope,
     energy,
     eval_potential,
     free_flow,
     gamma_observables,
+    grad_potential,
     homogeneous,
     in_region_X,
     integrate_orbit,
@@ -164,6 +168,165 @@ def test_table_orbit_tracks_the_builtin_kind(p0):
     np.testing.assert_allclose(traj.energies, ref.energies, rtol=0.0,
                                atol=1e-6)
     assert traj.energy_drift() < 1e-8
+
+
+# ---------------------------------------------------------------------------
+# compiled stepping and batched samples
+
+_KAPPA, _SOFT = 0.5, 0.1
+_ORACLE_SPECS = {
+    "coulomb": coulomb(_KAPPA, softening=_SOFT),
+    "homogeneous": homogeneous(0.3, 1.5, softening=_SOFT),
+    "table": PotentialSpec(kind="table", func=lambda x, y: _KAPPA * (
+        x * x + float(y @ y) + _SOFT ** 2) ** -0.5),
+}
+
+
+def _hamilton_oracle(spec, p0, t_final, tol, t_eval):
+    """solve_ivp DOP853 on the phase point itself, not on its deviation."""
+    d = p0.d
+    field = np.zeros(d)
+    field[0] = 1.0
+
+    def rhs(t, s):
+        return np.concatenate([s[d:], field - grad_potential(spec, s[0],
+                                                               s[1:d])])
+
+    sol = solve_ivp(rhs, (0.0, t_final), p0.as_vector(), method="DOP853",
+                    rtol=tol, atol=tol, t_eval=t_eval)
+    assert sol.success
+    return sol.y.T
+
+
+@pytest.mark.parametrize("kind", sorted(_ORACLE_SPECS))
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("t_final", [50.0, -50.0], ids=["forward", "backward"])
+def test_orbit_matches_solve_ivp(kind, d, t_final):
+    spec, tol = _ORACLE_SPECS[kind], 1e-10
+    p0 = PhasePoint(5.0, [1.0, -0.5][:d - 1], 1.0, [0.2, 0.1][:d - 1])
+    t_eval = np.linspace(0.0, t_final, 26)
+    traj = integrate_orbit(spec, p0, t_final, tol=tol, t_eval=t_eval)
+    ref = _hamilton_oracle(spec, p0, t_final, tol, t_eval)
+    err = np.linalg.norm(traj.states - ref, axis=1)
+    assert np.all(err <= 100.0 * tol * np.linalg.norm(ref, axis=1))
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("t_final", [1e4, -50.0], ids=["forward", "backward"])
+def test_batched_step_reproduces_the_compiled_steps(d, t_final):
+    # the sample pass's tableau is the compiled solver's: one batched step
+    # from each accepted step's start, with its length, lands on the next
+    spec = coulomb(0.1, softening=1e-3)
+    p0 = PhasePoint(20.0, [1.5, -0.5][:d - 1], 6.0, [0.2, 0.1][:d - 1])
+    times, us, code = classical._accepted_steps(
+        classical._deviation_rhs(spec, p0), 2 * d, t_final, 1e-12)
+    assert code > 0 and times[0] == 0.0 and times.size > 20
+    assert np.all(np.sign(t_final) * np.diff(times) > 0.0)
+    nxt = classical._dop853_step(classical._deviation_rhs_rows(spec, p0),
+                                 times[:-1], us[:-1], np.diff(times))
+    err = np.linalg.norm(nxt - us[1:], axis=1)
+    assert np.all(err <= 1e-13 * np.linalg.norm(us[1:], axis=1))
+
+
+def test_zero_time_span_returns_the_initial_point():
+    p0 = PhasePoint(5.0, [1.0], 1.0, [0.2])
+    traj = integrate_orbit(coulomb(0.5, softening=0.1), p0, 0.0, n_samples=3)
+    assert traj.times.tolist() == [0.0] * 3
+    assert traj.states.tolist() == [p0.as_vector().tolist()] * 3
+
+
+def _counted(monkeypatch):
+    """Count the calls of the scalar and of the row right-hand sides."""
+    counts = {"scalar": 0, "rows": 0}
+
+    def counting(name, factory):
+        def make(*args):
+            rhs = factory(*args)
+
+            def counted(t, u):
+                counts[name] += 1
+                return rhs(t, u)
+
+            return counted
+
+        return make
+
+    monkeypatch.setattr(classical, "_deviation_rhs",
+                        counting("scalar", classical._deviation_rhs))
+    monkeypatch.setattr(classical, "_deviation_rhs_rows",
+                        counting("rows", classical._deviation_rhs_rows))
+    return counts
+
+
+def test_work_counts_do_not_depend_on_sampling(monkeypatch):
+    # the compiled solver steps the same whatever the samples, and the
+    # sample pass is one DOP853 step: 12 stages, each one call on all rows
+    counts = _counted(monkeypatch)
+    spec = coulomb(0.1, softening=1e-3)
+    p0 = PhasePoint(20.0, [1.5], 6.0, [0.2])
+    seen = []
+    for t_eval in (None, np.concatenate([[0.0], np.geomspace(1.0, 1e4, 160)]),
+                   None):
+        counts.update(scalar=0, rows=0)
+        integrate_orbit(spec, p0, 1e4, tol=1e-12, t_eval=t_eval, n_samples=2)
+        seen.append(dict(counts))
+    assert seen[0]["scalar"] > 100
+    assert seen == [{"scalar": seen[0]["scalar"], "rows": 12}] * 3
+
+
+def _orbit_of_a_few_hundred_steps(**kwargs):
+    return integrate_orbit(coulomb(0.5, softening=0.1),
+                           PhasePoint(5.0, [1.0], 1.0, [0.2]), 50.0,
+                           tol=1e-12, n_samples=26, **kwargs)
+
+
+def test_step_budget_raises_with_the_samples_reached(monkeypatch):
+    full = _orbit_of_a_few_hundred_steps()
+    monkeypatch.setattr(classical, "MAX_ORBIT_STEPS", 20)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ConvergenceError, match="more than 20 steps") as info:
+            _orbit_of_a_few_hundred_steps()
+    assert caught == []
+    partial = info.value.partial
+    assert 0 < len(partial) < len(full)
+    np.testing.assert_array_equal(partial.times, full.times[:len(partial)])
+    np.testing.assert_array_equal(partial.states, full.states[:len(partial)])
+
+
+class _PotentialFault(Exception):
+    pass
+
+
+@pytest.mark.parametrize("fault", [_PotentialFault, DomainError])
+def test_exception_in_the_potential_reaches_the_caller(fault):
+    # the compiled solver cannot pass it through; it is stored and raised
+    # again, unchanged, once the solver returns
+    def func(x, y):
+        if x > 8.0:
+            raise fault("raised by the potential")
+        return 0.0
+
+    spec = PotentialSpec(kind="table", func=func)
+    with pytest.raises(fault, match="raised by the potential"):
+        integrate_orbit(spec, PhasePoint(5.0, [1.0], 1.0, [0.2]), 50.0)
+
+
+@pytest.mark.parametrize("t_final, t_eval", [
+    (50.0, [0.0, 10.0, 60.0]),
+    (50.0, [-1.0, 10.0]),
+    (50.0, [0.0, 20.0, 10.0]),
+    (50.0, [0.0, 10.0, 10.0]),
+    (-50.0, [0.0, -60.0]),
+    (-50.0, [0.0, 10.0]),
+    (-50.0, [0.0, -20.0, -10.0]),
+], ids=["after-end", "before-start", "unordered", "repeated",
+        "back-after-end", "back-wrong-side", "back-unordered"])
+def test_t_eval_outside_the_span_or_unordered_raises(t_final, t_eval):
+    with pytest.raises(DomainError, match="t_eval"):
+        integrate_orbit(coulomb(0.5, softening=0.1),
+                        PhasePoint(5.0, [1.0], 1.0, [0.2]), t_final,
+                        t_eval=t_eval)
 
 
 def test_escape_detection():

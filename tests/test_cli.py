@@ -138,6 +138,17 @@ def test_memory_error_exits_3(capsys, tmp_path, monkeypatch):
     assert summary["error"] == "budget"
 
 
+def test_orbit_step_budget_exits_3(capsys, tmp_path, monkeypatch):
+    monkeypatch.setattr(classical, "MAX_ORBIT_STEPS", 20)
+    code = main(["orbit", f"--output_dir={tmp_path}"])
+    out, err = capsys.readouterr()
+    assert code == 3 and err == ""
+    (line,) = out.splitlines()
+    assert json.loads(line) == {
+        "error": "convergence",
+        "message": "orbit integration failed: more than 20 steps needed"}
+
+
 @pytest.mark.parametrize("argv", [
     ["orbit", "--orbit.tol=abc"],
     ["orbit", "--orbit=5"],

@@ -16,6 +16,7 @@ from starkscatter import (
 from starkscatter.potentials import (
     PotentialSpec,
     eval_potential_array,
+    grad_potential_array,
     radial_jets,
 )
 
@@ -81,6 +82,51 @@ def test_unrepresentable_potential_raises_domain_error(spec):
         grad_potential(spec, 0.0, [0.0])
     with pytest.raises(DomainError, match="not representable"):
         eval_potential(spec, 0.0, [0.0])
+
+
+_COULOMB_TABLE = PotentialSpec(kind="table", func=lambda x, y: 0.7 * (
+    x * x + float(y @ y) + 1e-6) ** -0.5)
+
+
+@pytest.mark.parametrize("spec", [
+    coulomb(0.7, softening=1e-3),
+    homogeneous(0.3, 1.5, softening=0.0),
+    homogeneous(-2.0, 0.8, softening=0.1),
+    zero_potential(),
+    _COULOMB_TABLE,
+], ids=["coulomb", "homogeneous", "attractive", "zero", "table"])
+@pytest.mark.parametrize("d", [2, 3])
+def test_grad_potential_array_rows_match_grad_potential(spec, d):
+    rng = np.random.default_rng(40 + d)
+    x = rng.uniform(-50.0, 1e4, size=300)
+    y = rng.uniform(-30.0, 30.0, size=(300, d - 1))
+    got = grad_potential_array(spec, x, y)
+    assert got.shape == (300, d)
+    ref = np.array([grad_potential(spec, xi, yi) for xi, yi in zip(x, y)])
+    np.testing.assert_allclose(got, ref, rtol=1e-15, atol=0.0)
+
+
+@pytest.mark.parametrize("spec", [
+    coulomb(1.0, softening=1e-200),
+    homogeneous(1.0, 300.0, softening=0.01),
+], ids=["underflow", "overflow"])
+def test_grad_potential_array_unrepresentable_raises_domain_error(spec):
+    # one bad row among good ones, the point of the scalar test above
+    with pytest.raises(DomainError, match="not representable"):
+        grad_potential_array(spec, [3.0, 0.0, 5.0], [[1.0], [0.0], [2.0]])
+
+
+@pytest.mark.parametrize("x, y, match", [
+    ([3.0, 0.0], [[1.0], [0.0]], "exclusion ball"),
+    ([3.0, math.inf], [[1.0], [0.0]], "non-finite"),
+    ([3.0, 2.0], [[1.0], [math.nan]], "non-finite"),
+])
+def test_grad_potential_array_rejects_bad_points(x, y, match):
+    spec = coulomb(1.0, softening=0.0)
+    with pytest.raises(DomainError, match=match):
+        grad_potential_array(spec, x, y)
+    with pytest.raises(DomainError, match=match):
+        grad_potential(spec, x[-1], y[-1])
 
 
 def test_softening_regularizes_near_origin():
