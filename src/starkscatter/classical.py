@@ -10,7 +10,7 @@ state array with (N,) times and energies, and builds PhasePoints only when
 they are read.  The energies, the radiation observables of decay_slope and
 the asymptotic momentum are computed on whole trajectories at once.  The
 scalar ODE right-hand side that drives the compiled solver shares the radial
-gradient formula and its point checks with potentials.grad_potential; the
+gradient formula and its point checks with potentials.eval_potential; the
 batched pass that takes the samples calls potentials.grad_potential_array.
 """
 
@@ -26,9 +26,8 @@ from scipy.integrate import ode
 from scipy.integrate._ivp import dop853_coefficients
 
 from .errors import ConvergenceError, DomainError
-from .potentials import (PotentialSpec, _radial_grad_prefactor, eval_potential,
-                         eval_potential_array, grad_potential,
-                         grad_potential_array)
+from .potentials import (PotentialSpec, _radial_grad_prefactor,
+                         eval_potential_array, grad_potential_array)
 from .quadrature import loglog_fit
 
 # Domain constant C for the exact-phase observables: x > C, |y|/x < 1/C.
@@ -171,7 +170,7 @@ def _deviation_rhs(spec: PotentialSpec, p0: PhasePoint):
                 spec, x * x + sum([c * c for c in y]))
             force = [-pref * x] + [-pref * c for c in y]
         elif spec.kind == "table":
-            force = (-grad_potential(spec, x, np.array(y))).tolist()
+            force = (-grad_potential_array(spec, [x], [y])[0]).tolist()
         else:
             force = no_force
         # (u_x, u_y) dot = (u_eta, u_zeta); (u_eta, u_zeta) dot = -grad q
@@ -344,11 +343,7 @@ def _energies(spec: PotentialSpec, states: np.ndarray) -> np.ndarray:
     d = states.shape[1] // 2
     x, y, eta, zeta = states[:, 0], states[:, 1:d], states[:, d], states[:, d + 1:]
     kinetic = 0.5 * (eta ** 2 + np.sum(zeta * zeta, axis=-1))
-    if spec.kind == "table":
-        q = np.array([eval_potential(spec, xi, yi) for xi, yi in zip(x, y)])
-    else:
-        q = eval_potential_array(spec, x, np.sum(y * y, axis=-1))
-    return kinetic - x + q
+    return kinetic - x + eval_potential_array(spec, x, y)
 
 
 def is_escaping(traj: Trajectory, x_escape: float = 100.0) -> bool:

@@ -31,7 +31,7 @@ from scipy import fft
 from scipy.optimize import minimize_scalar
 
 from .errors import ConfigError, DomainError
-from .potentials import PotentialSpec, eval_potential, eval_potential_array
+from .potentials import PotentialSpec, eval_potential_array
 from .quadrature import converge, half_line, map_power
 from .special import KernelLaw, c1_constant, c2_constant
 
@@ -60,7 +60,7 @@ def born_symbols(spec: PotentialSpec, zeta, ys, lam: float = 0.0,
 
     Returns the symbols and, per symbol, the last refinement change of the
     panel rule, which stops once every change is at most tol * max(1, |t|).
-    The table kind is evaluated node by node with eval_potential.
+    Each refinement pass evaluates the potential at all its nodes at once.
     """
     zeta = np.atleast_1d(np.asarray(zeta, dtype=float))
     ys = np.asarray(ys, dtype=float)
@@ -76,21 +76,16 @@ def born_symbols(spec: PotentialSpec, zeta, ys, lam: float = 0.0,
 
     def one_pass(rule):
         x = R + rule.t
-        if pot.kind == "table":
-            q = np.array([[eval_potential(pot, xi, -y) for xi in row]
-                          for row, y in zip(x, ys)])
-        else:
-            q = eval_potential_array(pot, x, y_sq[:, None])
+        q = eval_potential_array(pot, x, -ys[:, None, :])
         return -2j * np.sum(q / np.sqrt(2.0 * x + 2.0 * lam - z2) * rule.w,
                             axis=-1)
 
-    # q decays like x^{-alpha}, or x^{-(1/2 + delta)} for the table kind,
-    # and the square root adds x^{-1/2}.  The square root varies on the
-    # scale R, reached at s ~ (R / c)^{1/P}: P >= 4 keeps that inside the
-    # first panels for |y| up to about 1e5 R.
-    alpha = 0.5 + spec.delta if spec.kind == "table" else spec.alpha
+    # q decays like x^{-decay_rate} and the square root adds x^{-1/2}.  The
+    # square root varies on the scale R, reached at s ~ (R / c)^{1/P}: P >= 4
+    # keeps that inside the first panels for |y| up to about 1e5 R.
     return converge(one_pass, half_line(np.maximum(np.sqrt(y_sq), R),
-                                        map_power(alpha + 0.5, least=4)),
+                                        map_power(spec.decay_rate + 0.5,
+                                                  least=4)),
                     tol, "kernel", "born_symbol")
 
 

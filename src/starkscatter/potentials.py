@@ -5,6 +5,11 @@ the Coulomb potential (delta = 1/2) is the canonical slowly decaying member
 of the class.  Evaluation is split into the field direction x and the
 orthogonal block y, matching the phase-space splitting used everywhere else
 in the library.
+
+Every kind is evaluated on arrays: x of shape S and y of shape S' + (d - 1,),
+with S and S' broadcasting, give q at the broadcast shape.  A table
+potential's callable follows the same contract, so a batch of nodes is one
+call of it; eval_potential and grad_potential are the one-point case.
 """
 
 from __future__ import annotations
@@ -30,7 +35,8 @@ class PotentialSpec:
     alpha      homogeneity exponent (homogeneous kind; coulomb fixes 1)
     delta      decay parameter in (0, 1/2]
     softening  regularization length near the origin (dynamics only)
-    func       callable q(x, y) for the table kind
+    func       callable q(x, y) for the table kind, on arrays: x of shape S,
+               y of shape S' + (d - 1,), q at the broadcast shape of S, S'
     exclusion_radius  points with r below this and softening == 0 are rejected
     """
 
@@ -39,7 +45,7 @@ class PotentialSpec:
     alpha: float = 1.0
     delta: float = 0.5
     softening: float = 1e-3
-    func: Optional[Callable[[float, np.ndarray], float]] = None
+    func: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
     exclusion_radius: float = 1e-8
 
     def __post_init__(self):
@@ -57,6 +63,12 @@ class PotentialSpec:
             raise DomainError("softening must be nonnegative")
         if self.kind == "table" and self.func is None:
             raise DomainError("table kind requires a callable")
+
+    @property
+    def decay_rate(self) -> float:
+        """a with q = O(r^-a): alpha, or the class bound 1/2 + delta for a
+        table."""
+        return 0.5 + self.delta if self.kind == "table" else self.alpha
 
     def unsoftened(self) -> "PotentialSpec":
         """Copy with softening removed (exact power law, kernel formulas)."""
@@ -119,69 +131,48 @@ def _radial_grad_prefactor(spec: PotentialSpec, r2: float) -> float:
 
 
 def eval_potential(spec: PotentialSpec, x: float, y) -> float:
-    """Potential energy q(x, y)."""
+    """Potential energy q(x, y) at one point."""
     if spec.kind == "zero":
         return 0.0
     y = np.asarray(y, dtype=float)
     r2 = _check_radius_sq(spec, _radius_sq(x, y))
     if spec.kind in ("homogeneous", "coulomb"):
-        # DomainError where q or grad q is out of the double range; then a
-        # one-point batch, since numpy's SIMD power and Python's ** can
-        # differ in the last bit
+        # DomainError where q or grad q is out of the double range
         _radial_grad_prefactor(spec, r2)
-        return float(eval_potential_array(spec, [float(x)],
-                                          [np.sum(y * y)])[0])
-    return float(spec.func(float(x), y))
+    return float(eval_potential_array(spec, [float(x)], y[None])[0])
 
 
 def grad_potential(spec: PotentialSpec, x: float, y) -> np.ndarray:
     """Gradient (d_x q, grad_y q) as a vector of length d."""
     y = np.asarray(y, dtype=float)
-    d = 1 + y.size
-    if spec.kind == "zero":
-        return np.zeros(d)
-    r2 = _radius_sq(x, y)
-    if spec.kind in ("homogeneous", "coulomb"):
-        pref = _radial_grad_prefactor(spec, r2)
-        out = np.empty(d)
-        out[0] = pref * x
-        out[1:] = pref * y
-        return out
-    # table kind: central differences, step scaled with distance
-    _check_radius_sq(spec, r2)
-    h = _FD_STEP * max(1.0, np.sqrt(r2))
-    out = np.empty(d)
-    out[0] = (eval_potential(spec, x + h, y)
-              - eval_potential(spec, x - h, y)) / (2 * h)
-    for i in range(y.size):
-        e = np.zeros_like(y)
-        e[i] = h
-        out[1 + i] = (eval_potential(spec, x, y + e)
-                      - eval_potential(spec, x, y - e)) / (2 * h)
-    return out
+    return grad_potential_array(spec, [float(x)], y[None])[0]
 
 
 def grad_potential_array(spec: PotentialSpec, x, y) -> np.ndarray:
-    """grad_potential on rows: x of shape (m,), y (m, d - 1); result (m, d).
+    """Gradient on rows: x of shape (m,), y (m, d - 1); result (m, d).
 
-    The radial kinds use the closed form with every check of
-    _radial_grad_prefactor; the table kind runs its rows through
-    grad_potential.
+    The radial kinds use the closed form, with DomainError where it is out
+    of the double range; the table kind takes central differences with step
+    _FD_STEP max(1, r), all 2 d m shifted points in one call of its func.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     shape = (x.size, 1 + y.shape[-1])
     if spec.kind == "zero":
         return np.zeros(shape)
-    if spec.kind == "table":
-        return np.array([grad_potential(spec, xi, yi)
-                         for xi, yi in zip(x, y)]).reshape(shape)
     r2 = x * x + np.sum(y * y, axis=-1)
     if not np.isfinite(r2).all():
         raise DomainError("potential evaluated at a non-finite point")
     if spec.softening == 0.0 and np.any(r2 <= spec.exclusion_radius ** 2):
         raise DomainError(
             "evaluation inside the origin exclusion ball with zero softening")
+    z = np.concatenate([x[:, None], y], axis=1)
+    if spec.kind == "table":
+        h = _FD_STEP * np.maximum(1.0, np.sqrt(r2))
+        step = h[:, None, None] * np.eye(shape[1])              # (m, d, d)
+        z = np.stack([z[:, None] + step, z[:, None] - step])    # (2, m, d, d)
+        q = spec.func(z[..., 0], z[..., 1:])                    # (2, m, d)
+        return (q[0] - q[1]) / (2 * h[:, None])
     s = r2 + spec.softening ** 2
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         pref = -spec.alpha * spec.kappa * s ** (-spec.alpha / 2.0 - 1.0)
@@ -189,49 +180,55 @@ def grad_potential_array(spec: PotentialSpec, x, y) -> np.ndarray:
             bad = float(r2[~np.isfinite(pref)][0])
             raise DomainError(f"potential not representable at r^2 = {bad:g} "
                               f"with softening {spec.softening:g}")
-        return pref[:, None] * np.concatenate([x[:, None], y], axis=1)
+        return pref[:, None] * z
 
 
-def eval_potential_array(spec: PotentialSpec, x, y_sq):
-    """Vectorized q on arrays of x and |y|^2; the table kind is rejected."""
+def eval_potential_array(spec: PotentialSpec, x, y):
+    """q on arrays: x of shape S, y of shape S' + (d - 1,); q at the
+    broadcast shape of S and S'."""
     x = np.asarray(x, dtype=float)
-    y_sq = np.asarray(y_sq, dtype=float)
+    y = np.asarray(y, dtype=float)
     if spec.kind == "zero":
-        return np.zeros(np.broadcast(x, y_sq).shape)
-    if spec.kind in ("homogeneous", "coulomb"):
-        r2 = x * x + y_sq + spec.softening ** 2
-        if spec.softening == 0.0 and np.any(r2 <= spec.exclusion_radius ** 2):
-            raise DomainError(
-                "evaluation inside the origin exclusion ball with zero softening")
-        return spec.kappa * r2 ** (-spec.alpha / 2.0)
-    raise DomainError("vectorized evaluation requires a built-in kind")
+        return np.zeros(np.broadcast_shapes(x.shape, y.shape[:-1]))
+    r2 = x * x + np.sum(y * y, axis=-1)
+    if spec.softening == 0.0 and np.any(r2 <= spec.exclusion_radius ** 2):
+        raise DomainError(
+            "evaluation inside the origin exclusion ball with zero softening")
+    if spec.kind == "table":
+        return spec.func(x, y)
+    return spec.kappa * (r2 + spec.softening ** 2) ** (-spec.alpha / 2.0)
 
 
 def radial_jets(spec: PotentialSpec, x, y):
     """(q, grad q, Laplacian q, bi-Laplacian q) in closed form, vectorized.
 
     x has shape S, y shape S + (d - 1,) and grad q shape S + (d,).  With
-    u = r^2 + softening^2 and q = g(u) = kappa u^{-alpha/2}: grad q =
-    2 g' (x, y), Laplacian q = 2 d g' + 4 r^2 g'', and once more
-    bi-Laplacian q = 4 d (d + 2) g'' + 16 (d + 2) r^2 g''' + 16 r^4 g''''.
+    u = r^2 + softening^2, q = g(u) = kappa u^{-alpha/2} and g^(n+1) =
+    c_n g^(n) / u, c_n = -alpha/2 - n: grad q = 2 g' (x, y), Laplacian q =
+    2 d g' + 4 r^2 g'', and once more bi-Laplacian q = 4 d (d + 2) g'' +
+    16 (d + 2) r^2 g''' + 16 r^4 g''''.  The table kind has no closed form:
+    DomainError.
     """
+    if spec.kind == "table":
+        raise DomainError("closed-form jets need a radial potential kind")
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     d = 1 + y.shape[-1]
     if spec.kind == "zero":
         zeros = np.zeros(x.shape)
         return zeros, np.zeros(x.shape + (d,)), zeros, zeros
-    y_sq = np.sum(y * y, axis=-1)
-    r2 = x * x + y_sq
+    r2 = x * x + np.sum(y * y, axis=-1)
     u = r2 + spec.softening ** 2
-    # g^(n+1) = g^(n) (-alpha/2 - n) / u; the first call checks kind and point
-    g = [eval_potential_array(spec, x, y_sq)]
-    for n in range(4):
-        g.append(g[-1] * (-spec.alpha / 2.0 - n) / u)
-    grad = 2.0 * g[1][..., None] * np.concatenate([x[..., None], y], axis=-1)
-    # no r2 * r2: far out on a steep quadrature map it overflows where g[4]
-    # underflows, and inf * 0 is nan
-    lap = 2.0 * d * g[1] + 4.0 * (r2 * g[2])
-    bilap = (4.0 * d * (d + 2) * g[2] + 16.0 * (d + 2) * (r2 * g[3])
-             + 16.0 * (r2 * (r2 * g[4])))
-    return g[0], grad, lap, bilap
+    c = -spec.alpha / 2.0 - np.arange(4.0)
+    q = eval_potential_array(spec, x, y)
+    g1 = c[0] * q / u
+    g2 = c[1] * g1 / u
+    # r^2 g^(n+1) = (r^2 / u) c_n g^(n), with the ratio in [0, 1]: far out on
+    # a steep quadrature map r^2 overflows where g^(n) underflows, and
+    # inf * 0 is nan; where u is inf the ratio is 1
+    ratio = np.divide(r2, u, out=np.ones_like(u), where=np.isfinite(u))
+    grad = 2.0 * g1[..., None] * np.concatenate([x[..., None], y], axis=-1)
+    lap = g1 * (2.0 * d + 4.0 * c[1] * ratio)
+    bilap = g2 * (4.0 * d * (d + 2) + 16.0 * (d + 2) * c[2] * ratio
+                  + 16.0 * c[2] * c[3] * ratio * ratio)
+    return q, grad, lap, bilap

@@ -10,9 +10,10 @@ gradient, Laplacian and bi-Laplacian are tail integrals of the closed-form
 jets of q at the quadrature nodes of one trajectory; there q_1 and, by
 Laplacian(q b) = Laplacian q b + 2 grad q . grad b + q Laplacian b, also
 Laplacian q_1 follow, and their integrals give b_2 and q_2.  Orders k >= 3
-need higher jets of q_1 and are not implemented.  The table kind is
-rejected (DomainError): it has no closed-form jets, and differencing
-quadrature values amplifies their noise.
+need higher jets of q_1 and are not implemented.  A table potential is
+rejected (DomainError, from radial_jets): its callable gives values on
+arrays but no closed-form jets, and differencing quadrature values
+amplifies their noise.
 
 Time is mapped to (0, 1) by t = tau (s / (1 - s))^P and integrated with
 the panel rule of `quadrature`, doubled until every output converges.  q

@@ -161,7 +161,7 @@ def test_table_orbit_tracks_the_builtin_kind(p0):
     kappa, soft = 0.5, 0.1
     spec = coulomb(kappa, softening=soft)
     table = PotentialSpec(kind="table", func=lambda x, y: kappa * (
-        x * x + float(y @ y) + soft ** 2) ** -0.5)
+        x * x + np.sum(y * y, axis=-1) + soft ** 2) ** -0.5)
     ref = integrate_orbit(spec, p0, 50.0, tol=1e-11, n_samples=26)
     traj = integrate_orbit(table, p0, 50.0, tol=1e-11, n_samples=26)
     np.testing.assert_allclose(traj.states, ref.states, rtol=0.0, atol=1e-6)
@@ -178,7 +178,7 @@ _ORACLE_SPECS = {
     "coulomb": coulomb(_KAPPA, softening=_SOFT),
     "homogeneous": homogeneous(0.3, 1.5, softening=_SOFT),
     "table": PotentialSpec(kind="table", func=lambda x, y: _KAPPA * (
-        x * x + float(y @ y) + _SOFT ** 2) ** -0.5),
+        x * x + np.sum(y * y, axis=-1) + _SOFT ** 2) ** -0.5),
 }
 
 
@@ -303,9 +303,9 @@ def test_exception_in_the_potential_reaches_the_caller(fault):
     # the compiled solver cannot pass it through; it is stored and raised
     # again, unchanged, once the solver returns
     def func(x, y):
-        if x > 8.0:
+        if np.any(x > 8.0):
             raise fault("raised by the potential")
-        return 0.0
+        return 0.0 * x
 
     spec = PotentialSpec(kind="table", func=func)
     with pytest.raises(fault, match="raised by the potential"):

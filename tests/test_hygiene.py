@@ -74,3 +74,23 @@ def test_scipy_integrate_only_where_allowed(path):
     extra = _scipy_integrate_names(tree) - _SCIPY_INTEGRATE.get(path.stem,
                                                                 set())
     assert not extra, f"{path.name} imports scipy.integrate names {extra}"
+
+
+# the one-point potential functions, which only potentials itself may call:
+# every other module evaluates a batch of points in one array call
+_ONE_POINT = {"eval_potential", "grad_potential"}
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES
+                                  if p.stem != "potentials"],
+                         ids=lambda p: p.stem)
+def test_one_point_potential_functions_stay_in_potentials(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names |= {a.name for a in node.names}
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    assert not names & _ONE_POINT, (
+        f"{path.name} uses {names & _ONE_POINT}: call the array functions")

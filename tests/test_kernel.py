@@ -65,9 +65,9 @@ def test_born_symbol_against_mpmath(alpha):
 
 
 def test_born_symbol_table_kind_against_mpmath():
-    # a Gaussian table potential goes through eval_potential node by node
-    spec = PotentialSpec(kind="table", kappa=1.0, func=lambda x, y: math.exp(
-        -(x * x + float(y @ y)) / 9.0))
+    # a Gaussian table potential, called on all nodes of a pass at once
+    spec = PotentialSpec(kind="table", kappa=1.0, func=lambda x, y: np.exp(
+        -(x * x + np.sum(y * y, axis=-1)) / 9.0))
     for y in ([0.5, 0.0], [1.0, -2.0]):
         y_sq = float(np.dot(y, y))
         # beyond x = 64 the integrand is below e^{-450}

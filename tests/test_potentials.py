@@ -13,6 +13,8 @@ from starkscatter import (
     homogeneous,
     zero_potential,
 )
+from starkscatter.classical import _energies
+from starkscatter.kernel import born_symbols
 from starkscatter.potentials import (
     PotentialSpec,
     eval_potential_array,
@@ -85,7 +87,7 @@ def test_unrepresentable_potential_raises_domain_error(spec):
 
 
 _COULOMB_TABLE = PotentialSpec(kind="table", func=lambda x, y: 0.7 * (
-    x * x + float(y @ y) + 1e-6) ** -0.5)
+    x * x + np.sum(y * y, axis=-1) + 1e-6) ** -0.5)
 
 
 @pytest.mark.parametrize("spec", [
@@ -104,6 +106,61 @@ def test_grad_potential_array_rows_match_grad_potential(spec, d):
     assert got.shape == (300, d)
     ref = np.array([grad_potential(spec, xi, yi) for xi, yi in zip(x, y)])
     np.testing.assert_allclose(got, ref, rtol=1e-15, atol=0.0)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_table_gradient_matches_the_closed_form(d):
+    # _COULOMB_TABLE is coulomb(0.7, softening=1e-3) as a table.  The error
+    # is taken relative to |grad q| per row: central differences round to an
+    # absolute error ~ eps q / h, which a component near 0 cannot carry to
+    # 1e-6 of itself
+    rng = np.random.default_rng(40 + d)
+    x = rng.uniform(-50.0, 1e4, size=300)
+    y = rng.uniform(-30.0, 30.0, size=(300, d - 1))
+    got = grad_potential_array(_COULOMB_TABLE, x, y)
+    ref = grad_potential_array(coulomb(0.7, softening=1e-3), x, y)
+    err = np.linalg.norm(got - ref, axis=1) / np.linalg.norm(ref, axis=1)
+    assert np.all(err <= 1e-6)
+
+
+class _CountingTable:
+    """_COULOMB_TABLE's func, recording the dimension of x and the
+    broadcast shape of every call."""
+
+    def __init__(self):
+        self.calls = []
+
+    def __call__(self, x, y):
+        self.calls.append((np.ndim(x),
+                           np.broadcast_shapes(np.shape(x), np.shape(y)[:-1])))
+        return _COULOMB_TABLE.func(x, y)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_table_func_is_called_once_per_batch(d):
+    # the array contract: every caller hands func all its points at once
+    func = _CountingTable()
+    spec = PotentialSpec(kind="table", func=func)
+    rng = np.random.default_rng(d)
+    x = rng.uniform(1.0, 50.0, size=40)
+    y = rng.uniform(-30.0, 30.0, size=(40, d - 1))
+    grad_potential_array(spec, x, y)
+    assert func.calls == [(3, (2, 40, d))]
+    func.calls.clear()
+    _energies(spec, np.column_stack([x, y, x, y]))
+    assert func.calls == [(1, (40,))]
+    func.calls.clear()
+    eval_potential(spec, x[0], y[0])
+    grad_potential(spec, x[0], y[0])
+    assert func.calls == [(1, (1,)), (3, (2, 1, d))]
+    # born_symbols: one call per refinement pass, 16 nodes per panel from 8
+    # panels, doubling
+    func.calls.clear()
+    born_symbols(spec, np.zeros(d - 1), y[:5])
+    final_panels = func.calls[-1][1][-1] // 16
+    assert len(func.calls) == math.log2(final_panels / 8) + 1
+    assert func.calls == [(2, (5, 128 * 2 ** i))
+                          for i in range(len(func.calls))]
 
 
 @pytest.mark.parametrize("spec", [
@@ -184,8 +241,8 @@ def test_gradient_matches_finite_differences(spec):
 
 
 def test_table_kind_uses_callable_and_fd_gradient():
-    spec = PotentialSpec(kind="table", kappa=1.0,
-                         func=lambda x, y: math.exp(-x * x - float(y @ y)))
+    spec = PotentialSpec(kind="table", kappa=1.0, func=lambda x, y: np.exp(
+        -x * x - np.sum(y * y, axis=-1)))
     assert eval_potential(spec, 0.0, [0.0]) == pytest.approx(1.0)
     g = grad_potential(spec, 0.5, [0.25])
     q = eval_potential(spec, 0.5, [0.25])
@@ -206,7 +263,7 @@ def test_array_evaluation_matches_scalar():
     spec = homogeneous(1.2, 1.4, softening=0.05)
     xs = np.array([1.0, -2.0, 5.0])
     y = np.array([0.5, 1.5])
-    vals = eval_potential_array(spec, xs, np.full(3, float(y @ y)))
+    vals = eval_potential_array(spec, xs, np.tile(y, (3, 1)))
     expected = [eval_potential(spec, float(x), y) for x in xs]
     np.testing.assert_allclose(vals, expected, rtol=1e-14)
 
@@ -218,7 +275,7 @@ def test_scalar_and_batched_values_agree_bitwise(d):
     x = rng.uniform(-50.0, 50.0, 2000)
     y = rng.uniform(-50.0, 50.0, (2000, d - 1))
     for spec in (coulomb(1.0), homogeneous(0.5, 1.5, softening=0.0)):
-        batched = eval_potential_array(spec, x, np.sum(y * y, axis=-1))
+        batched = eval_potential_array(spec, x, y)
         scalar = [eval_potential(spec, a, b) for a, b in zip(x, y)]
         assert np.array_equal(batched, scalar)
 

@@ -9,6 +9,7 @@ from starkscatter import (
     BudgetError,
     DomainError,
     PhasePoint,
+    PotentialSpec,
     coulomb,
     eval_potential,
     homogeneous,
@@ -112,18 +113,26 @@ def test_b1_power_decay_against_mpmath(alpha):
     assert transport_residual(2, POINT, spec, h_eta=0.2, tol=1e-9) < 1e-4
 
 
-@pytest.mark.parametrize("alpha", [0.6, 0.65, 0.71])
+@pytest.mark.parametrize("alpha", [0.57, 0.58, 0.59, 0.6, 0.65, 0.71])
 def test_slow_decay_converges_at_the_command_line_point(alpha):
     # from the tail estimate's point the last nodes of the quadrature map
-    # lie where r^4 overflows and g^(4) underflows: grouped as r^2 (r^2
-    # g^(4)), that bi-Laplacian term is 0 there, not inf * 0 = nan, and b_2
-    # converges at the command-line tolerance
+    # lie where r^2 overflows and the derivatives of q underflow: taken
+    # from the bounded ratio r^2 / u, the r^2 g^(n) terms of the Laplacian
+    # and bi-Laplacian are 0 there, not inf * 0 = nan, and b_2 converges at
+    # the command-line tolerance
     spec = homogeneous(1.0, alpha, softening=0.0)
     for k in (1, 2):
         res = symbol_b_result(k, POINT, spec, t_max=1e5, tol=1e-9)
         assert np.isfinite(res.value) and np.isfinite(res.tail_estimate)
     assert symbol_b(1, POINT, spec, tol=1e-9) == pytest.approx(
         _mpmath_b1(spec, POINT), rel=1e-8)
+
+
+def test_table_potential_is_rejected():
+    # a table potential has no closed-form jets to integrate along the flow
+    table = PotentialSpec(kind="table", func=lambda x, y: 0.0 * x)
+    with pytest.raises(DomainError, match="closed-form jets"):
+        symbol_b(1, POINT, table)
 
 
 def test_unreachable_decay_raises_budget_error():
