@@ -141,8 +141,10 @@ def free_flow(p0: PhasePoint, t: float) -> PhasePoint:
 
 
 def free_flow_arrays(x, y, eta, zeta, t):
-    """free_flow on arrays: x, eta of shape S, y, zeta of shape S + (d-1,)."""
-    return x + t * eta + 0.5 * t * t, y + t * zeta, eta + t, zeta
+    """free_flow on arrays: x, eta of shape S, y, zeta of shape S + (d-1,);
+    t is a number or an array that broadcasts with S."""
+    return (x + t * eta + 0.5 * t * t, y + np.asarray(t)[..., None] * zeta,
+            eta + t, zeta)
 
 
 def _deviation_rhs(spec: PotentialSpec, p0: PhasePoint):
@@ -157,7 +159,7 @@ def _deviation_rhs(spec: PotentialSpec, p0: PhasePoint):
     n = p0.d - 1
     x0, eta0 = float(p0.x), float(p0.eta)
     y0, zeta0 = p0.y.tolist(), p0.zeta.tolist()
-    radial = spec.kind in ("homogeneous", "coulomb")
+    radial = spec.kind == "homogeneous"
     no_force = [0.0] * (n + 1)
 
     def rhs(t, u):
@@ -184,10 +186,9 @@ def _deviation_rhs_rows(spec: PotentialSpec, p0: PhasePoint):
     n = p0.d - 1
 
     def rhs(t, u):
-        x = p0.x + t * p0.eta + 0.5 * t * t + u[:, 0]
-        y = p0.y + t[:, None] * p0.zeta + u[:, 1:1 + n]
-        return np.concatenate([u[:, 1 + n:],
-                               -grad_potential_array(spec, x, y)], axis=1)
+        x, y, _, _ = free_flow_arrays(p0.x, p0.y, p0.eta, p0.zeta, t)
+        force = -grad_potential_array(spec, x + u[:, 0], y + u[:, 1:1 + n])
+        return np.concatenate([u[:, 1 + n:], force], axis=1)
 
     return rhs
 
@@ -453,6 +454,9 @@ def decay_slope(traj: Trajectory, observable: str, window) -> tuple[float, float
     dyadically; samples where the observable vanishes or the observables are
     undefined are dropped.  Returns (slope, confidence half-width).
     """
+    if observable not in ("Gamma_norm", "gamma_par"):
+        raise DomainError('observable must be "Gamma_norm" or "gamma_par", '
+                          f"got {observable!r}")
     t_lo, t_hi = window
     d = traj.d
     x, y = traj.states[:, 0], traj.states[:, 1:d]

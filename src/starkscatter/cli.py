@@ -329,18 +329,14 @@ def cmd_transport(cfg: dict) -> dict:
     sign, tol, k_max = sec["sign"], sec["tol"], sec["k_max"]
     t_max, h_eta = sec["t_max"], sec["h_eta"]
 
-    rows = []
-    summary = {"command": "transport", "k_max": k_max, "residuals": {}}
-    for k in range(1, k_max + 1):
-        res = transport.symbol_b_result(k, p, spec, sign=sign, t_max=t_max,
-                                        tol=tol, m=m, eps=eps)
-        qk = transport.symbol_q(k, p, spec, sign=sign, tol=tol, m=m, eps=eps)
-        pde = transport.transport_residual(k, p, spec, sign=sign,
-                                           h_eta=h_eta, tol=tol, m=m, eps=eps)
-        rows.append([p.x, *p.y, p.eta, *p.zeta, k,
-                     res.value.real, res.value.imag,
-                     qk.real, qk.imag, res.tail_estimate, pde])
-        summary["residuals"][f"k={k}"] = pde
+    results = transport.symbols(k_max, p, spec, sign=sign, t_max=t_max,
+                                h_eta=h_eta, tol=tol, m=m, eps=eps)
+    rows = [[p.x, *p.y, p.eta, *p.zeta, k, res.value.real, res.value.imag,
+             res.q.real, res.q.imag, res.tail_estimate, res.residual]
+            for k, res in enumerate(results, 1)]
+    summary = {"command": "transport", "k_max": k_max,
+               "residuals": {f"k={k}": res.residual
+                             for k, res in enumerate(results, 1)}}
     write_csv(_outdir(cfg) / "transport.csv",
               ["x"] + [f"y{i+1}" for i in range(d - 1)]
               + ["eta"] + [f"zeta{i+1}" for i in range(d - 1)]
@@ -369,7 +365,7 @@ def cmd_born(cfg: dict) -> dict:
     header, columns = ["r", "t_re", "t_im"], [radii, values.real, values.imag]
     summary = {"command": "born", "n_radii": len(radii),
                "max_abs_symbol": float(np.max(np.abs(values)))}
-    if spec.kind in ("homogeneous", "coulomb") and spec.kappa != 0.0:
+    if spec.kind == "homogeneous" and spec.kappa != 0.0:
         asym = np.array([kernel.homogeneous_symbol_asymptote(
             spec.kappa, spec.alpha, y).imag for y in ys])
         ratio = values.imag / asym
@@ -382,7 +378,7 @@ def cmd_born(cfg: dict) -> dict:
 
 def _kernel_law(cfg: dict, spec: PotentialSpec) -> special.KernelLaw:
     """The kernel law the kernel stage fits, checked before any work."""
-    if spec.kind not in ("homogeneous", "coulomb") or spec.kappa == 0.0:
+    if spec.kind != "homogeneous" or spec.kappa == 0.0:
         raise ConfigError("kernel fit needs a homogeneous or coulomb "
                           "potential with kappa != 0")
     d = cfg["dimension"]

@@ -168,7 +168,7 @@ def radial_kernel(spec: PotentialSpec, d: int, n: int, extent: float,
     coefficients at q = -(d-1)/2.  Returns (k, T) with T = i times the
     transform of Im t.
     """
-    if spec.kind not in ("homogeneous", "coulomb"):
+    if spec.kind != "homogeneous":
         raise ConfigError("radial kernel needs a homogeneous or coulomb "
                           "potential")
     dln = 2.0 * _LN_HALF_SPAN / n

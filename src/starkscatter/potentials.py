@@ -30,9 +30,9 @@ _FD_STEP = 1e-6
 class PotentialSpec:
     """Descriptor of the short-range potential q.
 
-    kind       one of "zero", "homogeneous", "coulomb", "table"
+    kind       one of "zero", "homogeneous", "table"
     kappa      coupling constant
-    alpha      homogeneity exponent (homogeneous kind; coulomb fixes 1)
+    alpha      homogeneity exponent (homogeneous kind; 1 for Coulomb)
     delta      decay parameter in (0, 1/2]
     softening  regularization length near the origin (dynamics only)
     func       callable q(x, y) for the table kind, on arrays: x of shape S,
@@ -49,11 +49,8 @@ class PotentialSpec:
     exclusion_radius: float = 1e-8
 
     def __post_init__(self):
-        if self.kind not in ("zero", "homogeneous", "coulomb", "table"):
+        if self.kind not in ("zero", "homogeneous", "table"):
             raise DomainError(f"unknown potential kind {self.kind!r}")
-        if self.kind == "coulomb":
-            object.__setattr__(self, "alpha", 1.0)
-            object.__setattr__(self, "delta", 0.5)
         if self.kind == "homogeneous":
             if self.alpha <= 0.5:
                 raise DomainError("homogeneous exponent must exceed 1/2")
@@ -84,7 +81,8 @@ def zero_potential() -> PotentialSpec:
 
 
 def coulomb(kappa: float, softening: float = 1e-3) -> PotentialSpec:
-    return PotentialSpec(kind="coulomb", kappa=kappa, softening=softening)
+    """Coulomb potential kappa / r: the homogeneous kind at alpha = 1."""
+    return homogeneous(kappa, 1.0, softening=softening)
 
 
 def homogeneous(kappa: float, alpha: float, delta: Optional[float] = None,
@@ -136,7 +134,7 @@ def eval_potential(spec: PotentialSpec, x: float, y) -> float:
         return 0.0
     y = np.asarray(y, dtype=float)
     r2 = _check_radius_sq(spec, _radius_sq(x, y))
-    if spec.kind in ("homogeneous", "coulomb"):
+    if spec.kind == "homogeneous":
         # DomainError where q or grad q is out of the double range
         _radial_grad_prefactor(spec, r2)
     return float(eval_potential_array(spec, [float(x)], y[None])[0])

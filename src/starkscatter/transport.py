@@ -13,7 +13,8 @@ Laplacian q_1 follow, and their integrals give b_2 and q_2.  Orders k >= 3
 need higher jets of q_1 and are not implemented.  A table potential is
 rejected (DomainError, from radial_jets): its callable gives values on
 arrays but no closed-form jets, and differencing quadrature values
-amplifies their noise.
+amplifies their noise.  `symbols` takes every order at a point, with its
+tail estimate and transport residual, from one solve on six rows.
 
 Time is mapped to (0, 1) by t = tau (s / (1 - s))^P and integrated with
 the panel rule of `quadrature`, doubled until every output converges.  q
@@ -31,7 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .classical import PhasePoint, free_flow, in_region_X
+from .classical import PhasePoint, cone_mask, free_flow_arrays
 from .errors import DomainError
 from .potentials import PotentialSpec, radial_jets
 from .quadrature import converge, half_line, loglog_fit, map_power, tails
@@ -41,9 +42,13 @@ K_MAX_DEFAULT = 2
 
 @dataclass(frozen=True)
 class SymbolResult:
+    """b_k and q_k at one point with the checks of b_k (see `symbols`)."""
+
     value: complex
+    q: complex
     tail_estimate: float
     quad_error: float
+    residual: float
 
 
 class _Jets(NamedTuple):
@@ -71,8 +76,9 @@ def _hierarchy(k, X, Y, ETA, ZETA, spec, sign, tol, m) -> _Jets:
 
     def one_pass(rule):
         t, jac, w = rule.t, rule.jac, rule.w
-        Xt = X[:, None] + sgn * t * ETA[:, None] + 0.5 * t * t
-        Yt = Y[:, None, :] + sgn * t[..., None] * ZETA[:, None, :]
+        Xt, Yt, _, _ = free_flow_arrays(X[:, None], Y[:, None, :],
+                                        ETA[:, None], ZETA[:, None, :],
+                                        sgn * t)
         q, grad, lap, bilap = radial_jets(spec, Xt, Yt)
         grad = np.moveaxis(grad, -1, 1)                   # (n, d, nodes)
         b = [c * np.sum(q * w, axis=-1)]
@@ -98,95 +104,74 @@ def _hierarchy(k, X, Y, ETA, ZETA, spec, sign, tol, m) -> _Jets:
                  grad_b1=cur[2 * k:].T, b_err=change[:k])
 
 
-def _check_order(k: int):
+def _solve(k, x, y, eta, zeta, spec, sign, tol, m, eps) -> _Jets:
+    """_hierarchy on rows x, eta (n,), y, zeta (n, d - 1), after the order
+    check and one cone check of every row."""
     if not (1 <= k <= K_MAX_DEFAULT):
         raise DomainError(f"symbol order must lie in [1, {K_MAX_DEFAULT}]")
-
-
-def _check_point(p: PhasePoint, m, eps, sign):
-    if not in_region_X(p, m=m, eps=eps, sign=sign):
+    x, y, eta, zeta = (np.asarray(a, dtype=float) for a in (x, y, eta, zeta))
+    if not np.all(cone_mask(x, y, eta, zeta, m=m, eps=eps, sign=sign)):
         raise DomainError("phase point outside the invariant cone X")
+    return _hierarchy(k, x, y, eta, zeta, spec, sign, tol, m)
 
 
-def _as_batch(*points: PhasePoint):
-    return (np.array([p.x for p in points]), np.stack([p.y for p in points]),
-            np.array([p.eta for p in points]),
-            np.stack([p.zeta for p in points]))
+def symbols(k_max: int, p: PhasePoint, spec: PotentialSpec, sign: int = +1,
+            t_max: float = 1e5, h_eta: float = 1e-3, tol: float = 1e-10,
+            m: float = 1.0, eps: float = 0.3) -> list[SymbolResult]:
+    """b_k, q_k and their checks at p for k = 1 .. k_max, from one solve.
+
+    The solve runs on six rows: p; p with eta moved by +-h_eta; p moved by
+    +-h_eta along the unit momentum; p flowed for sgn t_max.  By the group
+    law the contribution to b_k beyond t_max is b_k at the flowed row, so
+    tail_estimate is its modulus; by the decay bounds of the hierarchy it
+    also bounds the change under any further increase of t_max.  quad_error
+    is the last refinement change of b_k at p, at most tol * max(1, |b_k|).
+    residual is |i (d_eta + (eta, zeta) . grad_xy) b_k - q_{k-1}| at p by
+    central differences of the shifted rows.
+    """
+    if h_eta <= 0.0:
+        raise DomainError("h_eta must be positive")
+    d = p.d
+    z = p.as_vector()
+    mom_norm = float(np.linalg.norm(z[d:]))
+    if mom_norm == 0.0:
+        raise DomainError("vanishing momentum: no transport direction")
+    u = z[d:] / mom_norm
+    step = np.zeros((6, 2 * d))
+    step[1:3, d] = h_eta, -h_eta
+    step[3:5, :d] = h_eta * u, -h_eta * u
+    z = z + step
+    t = np.zeros(6)
+    t[5] = (1.0 if sign >= 0 else -1.0) * t_max
+    rows = free_flow_arrays(z[:, 0], z[:, 1:d], z[:, d], z[:, d + 1:], t)
+    jets = _solve(k_max, *rows, spec, sign, tol, m, eps)
+    results = []
+    for k in range(1, k_max + 1):
+        b = jets.b[k - 1]
+        d_eta = (b[1] - b[2]) / (2.0 * h_eta)
+        d_dir = mom_norm * (b[3] - b[4]) / (2.0 * h_eta)
+        results.append(SymbolResult(
+            value=complex(b[0]), q=complex(jets.q_k(k)[0]),
+            tail_estimate=float(abs(b[5])),
+            quad_error=float(jets.b_err[k - 1, 0]),
+            residual=float(abs(1j * (d_eta + d_dir) - jets.q_k(k - 1)[0]))))
+    return results
 
 
 def symbol_b(k: int, p: PhasePoint, spec: PotentialSpec, sign: int = +1,
-             t_max: float = 1e5, tol: float = 1e-10,
-             m: float = 1.0, eps: float = 0.3) -> complex:
-    return symbol_b_result(k, p, spec, sign, t_max, tol, m, eps).value
-
-
-def symbol_b_result(k: int, p: PhasePoint, spec: PotentialSpec, sign: int = +1,
-                    t_max: float = 1e5, tol: float = 1e-10,
-                    m: float = 1.0, eps: float = 0.3) -> SymbolResult:
-    """b_k over the whole flow, with the contribution beyond t_max reported.
-
-    By the group law that contribution is b_k at the point flowed for t_max,
-    so the tail estimate is |b_k(phi_{t_max} z)|; by the decay bounds of the
-    hierarchy it also bounds the change under any further increase of t_max.
-    quad_error is the achieved quadrature error estimate: the change of the
-    value under the last panel doubling, at most tol * max(1, |value|).
-    """
-    _check_order(k)
-    _check_point(p, m, eps, sign)
-    far = free_flow(p, (1.0 if sign >= 0 else -1.0) * t_max)
-    jets = _hierarchy(k, *_as_batch(p, far), spec, sign, tol, m)
-    b = jets.b[k - 1]
-    value = complex(b[0])
-    return SymbolResult(value=value, tail_estimate=float(abs(b[1])),
-                        quad_error=float(jets.b_err[k - 1, 0]))
+             tol: float = 1e-10, m: float = 1.0, eps: float = 0.3) -> complex:
+    """b_k at p alone, from a one-row solve."""
+    jets = _solve(k, [p.x], p.y[None], [p.eta], p.zeta[None], spec, sign,
+                  tol, m, eps)
+    return complex(jets.b[k - 1, 0])
 
 
 def symbol_q(k: int, p: PhasePoint, spec: PotentialSpec, sign: int = +1,
              tol: float = 1e-10, m: float = 1.0, eps: float = 0.3) -> complex:
-    """q_k = q * b_k - (1/2) Laplacian b_k."""
-    qb, lap_half = symbol_q_parts(k, p, spec, sign, tol, m, eps)
-    return qb + lap_half
-
-
-def symbol_q_parts(k, p, spec, sign=+1, tol=1e-10, m=1.0, eps=0.3):
-    """(q * b_k, -Laplacian b_k / 2) separately, for magnitude comparisons."""
-    _check_order(k)
-    _check_point(p, m, eps, sign)
-    jets = _hierarchy(k, *_as_batch(p), spec, sign, tol, m)
-    return (complex(jets.q[0] * jets.b[k - 1, 0]),
-            complex(-0.5 * jets.lap_b[k - 1, 0]))
-
-
-def transport_residual(k: int, p: PhasePoint, spec: PotentialSpec,
-                       sign: int = +1, h_eta: float = 1e-3,
-                       tol: float = 1e-10, m: float = 1.0,
-                       eps: float = 0.3) -> float:
-    """|i (d_eta + (eta, zeta) . grad_xy) b_k - q_{k-1}| by central differences.
-
-    The directional configuration-space derivative uses a step of the same
-    size as h_eta along the unit momentum direction.
-    """
-    _check_order(k)
-    _check_point(p, m, eps, sign)
-    mom = np.concatenate([[p.eta], p.zeta])
-    mom_norm = float(np.linalg.norm(mom))
-    if mom_norm == 0.0:
-        raise DomainError("vanishing momentum: no transport direction")
-    u = mom / mom_norm
-    h_xy = h_eta
-
-    shifted = [PhasePoint(p.x, p.y, p.eta + h_eta, p.zeta),
-               PhasePoint(p.x, p.y, p.eta - h_eta, p.zeta),
-               PhasePoint(p.x + h_xy * u[0], p.y + h_xy * u[1:], p.eta, p.zeta),
-               PhasePoint(p.x - h_xy * u[0], p.y - h_xy * u[1:], p.eta, p.zeta)]
-    for s in shifted:
-        _check_point(s, m, eps, sign)
-
-    jets = _hierarchy(k, *_as_batch(*shifted, p), spec, sign, tol, m)
-    b = jets.b[k - 1]
-    d_eta = (b[0] - b[1]) / (2.0 * h_eta)
-    d_dir = mom_norm * (b[2] - b[3]) / (2.0 * h_xy)
-    return float(abs(1j * (d_eta + d_dir) - jets.q_k(k - 1)[4]))
+    """q_k = q * b_k - (1/2) Laplacian b_k at p alone, from a one-row solve."""
+    jets = _solve(k, [p.x], p.y[None], [p.eta], p.zeta[None], spec, sign,
+                  tol, m, eps)
+    return complex(jets.q_k(k)[0])
 
 
 def decay_fit_symbols(k: int, spec: PotentialSpec, sign: int = +1,
@@ -197,21 +182,20 @@ def decay_fit_symbols(k: int, spec: PotentialSpec, sign: int = +1,
     """Log-log decay exponent of |b_k| or |q_k| along an outgoing ray.
 
     Points are (x, y = c x, eta = sqrt(2x), zeta fixed); the fitted slope is
-    against x, which is comparable to <x + <y>_m> on the ray.
+    against x, which is comparable to <x + <y>_m> on the ray.  which is "b"
+    or "q".
     """
+    if which not in ("b", "q"):
+        raise DomainError(f'which must be "b" or "q", got {which!r}')
     if x_values is None:
         x_values = np.geomspace(1e2, 1e4, 9)
     x_values = np.asarray(x_values, dtype=float)
     if x_values.size < 3:
         raise DomainError("need at least 3 ray samples for a decay fit")
-    _check_order(k)
-    points = [PhasePoint(x=x, y=np.full(d - 1, y_over_x * x / np.sqrt(d - 1)),
-                         eta=np.sqrt(2.0 * x),
-                         zeta=np.full(d - 1, zeta / np.sqrt(d - 1)))
-              for x in x_values]
-    for p in points:
-        _check_point(p, m, eps, sign)
-    jets = _hierarchy(k, *_as_batch(*points), spec, sign, tol, m)
+    y = np.outer(y_over_x * x_values / np.sqrt(d - 1), np.ones(d - 1))
+    zetas = np.full((x_values.size, d - 1), zeta / np.sqrt(d - 1))
+    jets = _solve(k, x_values, y, np.sqrt(2.0 * x_values), zetas, spec, sign,
+                  tol, m, eps)
     vals = np.abs(jets.b[k - 1] if which == "b" else jets.q_k(k))
     if np.any(vals == 0.0):
         raise DomainError("symbol vanishes on the ray; no decay fit")

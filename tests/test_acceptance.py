@@ -23,7 +23,7 @@ from starkscatter import (
     integrate_orbit,
     kernel_singularity_law,
     radial_kernel,
-    transport_residual,
+    symbols,
 )
 from starkscatter import checks
 from starkscatter.transport import decay_fit_symbols
@@ -110,8 +110,8 @@ def test_transport_hierarchy_verification():
                        math.sqrt(2.0 * x) + rng.uniform(1.0, 8.0),
                        rng.uniform(-0.5, 0.5, size=1))
         for k in (1, 2):
-            res = np.array([transport_residual(k, p, spec, h_eta=float(h),
-                                               tol=1e-9) for h in hs])
+            res = np.array([symbols(k, p, spec, h_eta=float(h),
+                                    tol=1e-9)[k - 1].residual for h in hs])
             slope = np.polyfit(np.log(hs), np.log(res), 1)[0]
             assert slope == pytest.approx(2.0, abs=0.4)
     x_values = np.geomspace(1e2, 1e4, 7)

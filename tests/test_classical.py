@@ -504,6 +504,13 @@ def test_decay_slope_needs_enough_samples():
         decay_slope(traj, "Gamma_norm", (900.0, 1e3))
 
 
+
+def test_unknown_observable_name_is_rejected():
+    p0 = PhasePoint(20.0, [1.0], 6.0, [0.2])
+    traj = integrate_orbit(zero_potential(), p0, 10.0)
+    with pytest.raises(DomainError, match='"Gamma_norm" or "gamma_par"'):
+        decay_slope(traj, "gamma_norm", (1.0, 10.0))
+
 @pytest.mark.parametrize("spec", [
     coulomb(0.1, softening=1e-3),
     homogeneous(0.1, 1.5, softening=1e-3),

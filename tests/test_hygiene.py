@@ -1,6 +1,7 @@
 """Package hygiene: the public names resolve, no module imports dead names,
-and scipy.integrate is imported only where the one quadrature primitive,
-quadrature.converge, does not serve."""
+scipy.integrate is imported only where the one quadrature primitive,
+quadrature.converge, does not serve, one-point functions stay in their own
+module and no module reaches into another's private names."""
 
 import ast
 from pathlib import Path
@@ -76,15 +77,14 @@ def test_scipy_integrate_only_where_allowed(path):
     assert not extra, f"{path.name} imports scipy.integrate names {extra}"
 
 
-# the one-point potential functions, which only potentials itself may call:
-# every other module evaluates a batch of points in one array call
-_ONE_POINT = {"eval_potential", "grad_potential"}
+# the one-point functions, which only their own module may use: every other
+# module works on a batch of points in one array call
+_ONE_POINT = {"potentials": {"eval_potential", "grad_potential"},
+              "classical": {"in_region_X", "free_flow", "gamma_observables",
+                            "energy", "mourre_ratio"}}
 
 
-@pytest.mark.parametrize("path", [p for p in MODULES
-                                  if p.stem != "potentials"],
-                         ids=lambda p: p.stem)
-def test_one_point_potential_functions_stay_in_potentials(path):
+def _one_point_uses(path: Path, owner: str) -> set:
     tree = ast.parse(path.read_text(), filename=str(path))
     names = set()
     for node in ast.walk(tree):
@@ -92,5 +92,69 @@ def test_one_point_potential_functions_stay_in_potentials(path):
             names |= {a.name for a in node.names}
         elif isinstance(node, ast.Attribute):
             names.add(node.attr)
-    assert not names & _ONE_POINT, (
-        f"{path.name} uses {names & _ONE_POINT}: call the array functions")
+    return names & _ONE_POINT[owner]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES
+                                  if p.stem != "potentials"],
+                         ids=lambda p: p.stem)
+def test_one_point_potential_functions_stay_in_potentials(path):
+    used = _one_point_uses(path, "potentials")
+    assert not used, f"{path.name} uses {used}: call the array functions"
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES
+                                  if p.stem != "classical"],
+                         ids=lambda p: p.stem)
+def test_one_point_classical_functions_stay_in_classical(path):
+    used = _one_point_uses(path, "classical")
+    assert not used, f"{path.name} uses {used}: call the array functions"
+
+
+# the one use of another module's private name: the compiled orbit
+# right-hand side shares the radial gradient formula and its point checks
+_PRIVATE_ALLOWED = {("classical", "potentials", "_radial_grad_prefactor")}
+
+
+def _private_uses(tree: ast.Module) -> set:
+    """(module, name) for each _-prefixed name of a package module used,
+    imported by name or read as an attribute of an imported module."""
+    def package_module(node: ast.ImportFrom):
+        if node.level == 1:
+            return node.module or ""
+        if (node.module or "").startswith("starkscatter."):
+            return node.module.partition(".")[2]
+        return None
+
+    modules, used = {}, set()
+    for node in ast.walk(tree):
+        module = (package_module(node) if isinstance(node, ast.ImportFrom)
+                  else None)
+        if module is not None:
+            for alias in node.names:
+                if not module:                  # from . import classical
+                    modules[alias.asname or alias.name] = alias.name
+                elif alias.name.startswith("_"):
+                    used.add((module, alias.name))
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and node.attr.startswith("_")
+                and isinstance(node.value, ast.Name)
+                and node.value.id in modules):
+            used.add((modules[node.value.id], node.attr))
+    return used
+
+
+def test_private_use_check_sees_both_forms():
+    tree = ast.parse("from . import kernel as k\n"
+                     "from .potentials import _FD_STEP, eval_potential_array\n"
+                     "k._LN_HALF_SPAN, k.radial_kernel\n")
+    assert _private_uses(tree) == {("kernel", "_LN_HALF_SPAN"),
+                                   ("potentials", "_FD_STEP")}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_no_module_uses_another_modules_private_names(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    extra = {(module, name) for module, name in _private_uses(tree)
+             if (path.stem, module, name) not in _PRIVATE_ALLOWED}
+    assert not extra, f"{path.name} uses private names {extra}"

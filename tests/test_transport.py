@@ -14,17 +14,12 @@ from starkscatter import (
     eval_potential,
     homogeneous,
     symbol_b,
-    symbol_b_result,
     symbol_q,
-    transport_residual,
+    symbols,
     zero_potential,
 )
-from starkscatter.transport import (
-    _as_batch,
-    _hierarchy,
-    decay_fit_symbols,
-    symbol_q_parts,
-)
+from starkscatter import cli, transport
+from starkscatter.transport import _hierarchy, decay_fit_symbols
 
 POINT = PhasePoint(100.0, [5.0], 15.0, [0.3])
 # the transport point of the d = 3 command-line configuration
@@ -64,6 +59,11 @@ def _mpmath_b1(spec, p):
                            * 10000 * mpmath.exp(u),
                            [0, 1, 4, 16, 64, 256, mpmath.inf])
         return 1j * float(head + tail)
+
+
+def _row(p):
+    """p as the one-row batch (x, y, eta, zeta) of _hierarchy."""
+    return np.array([p.x]), p.y[None], np.array([p.eta]), p.zeta[None]
 
 
 def _shifted(p, j, step):
@@ -110,7 +110,7 @@ def test_b1_power_decay_against_mpmath(alpha):
     oracle = _mpmath_b1(spec, POINT)
     assert symbol_b(1, POINT, spec, tol=1e-12) == pytest.approx(oracle,
                                                                 rel=1e-10)
-    assert transport_residual(2, POINT, spec, h_eta=0.2, tol=1e-9) < 1e-4
+    assert symbols(2, POINT, spec, h_eta=0.2, tol=1e-9)[1].residual < 1e-4
 
 
 @pytest.mark.parametrize("alpha", [0.57, 0.58, 0.59, 0.6, 0.65, 0.71])
@@ -122,7 +122,7 @@ def test_slow_decay_converges_at_the_command_line_point(alpha):
     # the command-line tolerance
     spec = homogeneous(1.0, alpha, softening=0.0)
     for k in (1, 2):
-        res = symbol_b_result(k, POINT, spec, t_max=1e5, tol=1e-9)
+        res = symbols(k, POINT, spec, t_max=1e5, tol=1e-9)[k - 1]
         assert np.isfinite(res.value) and np.isfinite(res.tail_estimate)
     assert symbol_b(1, POINT, spec, tol=1e-9) == pytest.approx(
         _mpmath_b1(spec, POINT), rel=1e-8)
@@ -151,7 +151,7 @@ def test_quad_error_is_the_achieved_refinement_change(spec):
     # doublings still move b1 (by 6.5e-10 and 1.2e-11 here)
     p = PhasePoint(-1.7, [-3.3], 7.1, [1.1])
     tol = 1e-6
-    res = symbol_b_result(1, p, spec, tol=tol)
+    res = symbols(1, p, spec, tol=tol)[0]
     assert 1e-13 < res.quad_error < tol * max(1.0, abs(res.value))
     oracle = _mpmath_b1(spec, p)
     assert abs(res.value - oracle) <= res.quad_error + 4e-16 * abs(oracle)
@@ -199,15 +199,17 @@ def test_symbol_phase_structure():
 
 def test_tail_estimate_bounds_t_max_change():
     spec = coulomb(1.0)
-    res = symbol_b_result(1, POINT, spec, t_max=1e4, tol=1e-11)
-    res_far = symbol_b_result(1, POINT, spec, t_max=1e5, tol=1e-11)
+    res = symbols(1, POINT, spec, t_max=1e4, tol=1e-11)[0]
+    res_far = symbols(1, POINT, spec, t_max=1e5, tol=1e-11)[0]
     assert abs(res.value - res_far.value) <= 2.0 * res.tail_estimate
     assert res_far.tail_estimate < res.tail_estimate
 
 
 def test_q1_splits_into_potential_and_laplacian_parts():
     spec = coulomb(1.0)
-    qb, lap_half = symbol_q_parts(1, POINT, spec, tol=1e-10)
+    jets = _hierarchy(1, *_row(POINT), spec, +1, 1e-10, 1.0)
+    qb = complex(jets.q[0] * jets.b[0, 0])
+    lap_half = complex(-0.5 * jets.lap_b[0, 0])
     total = symbol_q(1, POINT, spec, tol=1e-10)
     assert qb + lap_half == pytest.approx(total, rel=1e-8)
     # the Laplacian correction is subleading at this distance
@@ -220,7 +222,7 @@ def test_b1_derivatives_against_differenced_flow_quadrature():
     # harmonic in d = 3, so d = 3 takes a non-harmonic exponent)
     for spec, p in ((coulomb(1.0, softening=0.0), POINT),
                     (homogeneous(1.0, 1.5, softening=0.0), POINT_D3)):
-        jets = _hierarchy(1, *_as_batch(p), spec, +1, 1e-12, 1.0)
+        jets = _hierarchy(1, *_row(p), spec, +1, 1e-12, 1.0)
         grad = _fd_gradient(lambda z: _flow_quad_b1(spec, z), p)
         np.testing.assert_allclose(jets.grad_b1[0], grad,
                                    rtol=1e-7, atol=1e-7 * np.abs(grad).max())
@@ -246,14 +248,14 @@ def test_q2_against_differenced_b2():
 def test_transport_pde_residual_small():
     spec = coulomb(1.0)
     for k in (1, 2):
-        res = transport_residual(k, POINT, spec, h_eta=0.2, tol=1e-9)
+        res = symbols(k, POINT, spec, h_eta=0.2, tol=1e-9)[k - 1].residual
         assert res < 1e-4
 
 
 def test_transport_residual_second_order_in_step():
     spec = coulomb(1.0)
     hs = np.array([0.4, 0.2, 0.1])
-    res = np.array([transport_residual(1, POINT, spec, h_eta=h, tol=1e-10)
+    res = np.array([symbols(1, POINT, spec, h_eta=h, tol=1e-10)[0].residual
                     for h in hs])
     slope = np.polyfit(np.log(hs), np.log(res), 1)[0]
     assert slope == pytest.approx(2.0, abs=0.3)
@@ -288,4 +290,72 @@ def test_symbol_domain_checks():
     with pytest.raises(DomainError):
         symbol_q(0, POINT, spec)
     with pytest.raises(DomainError):
-        transport_residual(0, POINT, spec)
+        symbols(0, POINT, spec)
+
+
+def test_transport_stage_solves_once_for_every_order(tmp_path, monkeypatch):
+    # one solve serves b_k, q_k, the tail estimates and the residuals of
+    # every order; the decay fit adds one solve per fitted symbol
+    calls = []
+
+    def counted(*args):
+        calls.append(args[0])
+        return _hierarchy(*args)
+
+    monkeypatch.setattr(transport, "_hierarchy", counted)
+    for decay_fit, solves in (("false", 1), ("true", 3)):
+        calls.clear()
+        cfg = cli.load_config(None, [f"--output_dir={tmp_path}",
+                                     f"--transport.decay_fit={decay_fit}"])
+        summary = cli.cmd_transport(cfg)
+        assert set(summary["residuals"]) == {"k=1", "k=2"}
+        assert len(calls) == solves
+        assert calls[0] == 2
+
+
+def test_lower_orders_do_not_depend_on_k_max():
+    spec = coulomb(1.0)
+    tol = 1e-10
+    one, two = symbols(1, POINT, spec, tol=tol), symbols(2, POINT, spec, tol=tol)
+    assert len(one) == 1 and len(two) == 2
+    for v, w in ((one[0].value, two[0].value), (one[0].q, two[0].q)):
+        assert abs(v - w) <= tol * max(1.0, abs(v))
+
+
+@pytest.mark.parametrize("p", [POINT, POINT_D3])
+def test_one_point_symbols_match_symbols(p):
+    spec = coulomb(1.0)
+    tol = 1e-10
+    for k, res in enumerate(symbols(2, p, spec, tol=tol), 1):
+        for v, w in ((res.value, symbol_b(k, p, spec, tol=tol)),
+                     (res.q, symbol_q(k, p, spec, tol=tol))):
+            assert abs(v - w) <= tol * max(1.0, abs(v))
+
+
+def test_symbols_on_the_incoming_branch():
+    spec = coulomb(1.0, softening=0.0)
+    p = PhasePoint(100.0, [5.0], -15.0, [0.3])
+    res = symbols(2, p, spec, sign=-1, h_eta=0.2, tol=1e-9)
+    assert res[0].value == pytest.approx(_flow_quad_b1(spec, p, sign=-1),
+                                         rel=1e-8)
+    for r in res:
+        assert r.residual < 1e-4
+        assert r.tail_estimate < abs(r.value)
+    with pytest.raises(DomainError):
+        symbols(2, p, spec, sign=+1)
+
+
+def test_symbols_domain_checks():
+    spec = coulomb(1.0)
+    with pytest.raises(DomainError, match="h_eta"):
+        symbols(1, POINT, spec, h_eta=0.0)
+    with pytest.raises(DomainError, match="vanishing momentum"):
+        symbols(1, PhasePoint(100.0, [5.0], 0.0, [0.0]), spec)
+    with pytest.raises(DomainError, match="order"):
+        symbols(3, POINT, spec)
+
+
+def test_unknown_symbol_name_is_rejected():
+    with pytest.raises(DomainError, match='"b" or "q"'):
+        decay_fit_symbols(1, coulomb(1.0), which="q1")
+
