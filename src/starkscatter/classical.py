@@ -9,9 +9,11 @@ Orbits are held as arrays: a Trajectory stores its samples as an (N, 2d)
 state array with (N,) times and energies, and builds PhasePoints only when
 they are read.  The energies, the radiation observables of decay_slope and
 the asymptotic momentum are computed on whole trajectories at once.  The
-scalar ODE right-hand side that drives the compiled solver shares the radial
-gradient formula and its point checks with potentials.eval_potential; the
-batched pass that takes the samples calls potentials.grad_potential_array.
+compiled solver calls a right-hand side in Python floats: for the homogeneous
+kind at d = 2 and 3 a closure with every coordinate named, otherwise one
+closure for every kind and d.  The batched pass that takes the samples
+computes the homogeneous force itself.  Other kinds, and points the closed
+form cannot take, go to potentials.grad_potential_array and its DomainError.
 """
 
 from __future__ import annotations
@@ -26,8 +28,8 @@ from scipy.integrate import ode
 from scipy.integrate._ivp import dop853_coefficients
 
 from .errors import ConvergenceError, DomainError
-from .potentials import (PotentialSpec, _radial_grad_prefactor,
-                         eval_potential_array, grad_potential_array)
+from .potentials import (PotentialSpec, eval_potential_array,
+                         grad_potential_array)
 from .quadrature import loglog_fit
 
 # Domain constant C for the exact-phase observables: x > C, |y|/x < 1/C.
@@ -154,29 +156,84 @@ def _deviation_rhs(spec: PotentialSpec, p0: PhasePoint):
     orbits while x itself grows like t^2/2, so integrating u keeps the
     error control meaningful over long times.  The right-hand side works in
     Python floats and returns a list: on vectors of length 2d <= 6, numpy's
-    per-operation overhead is most of the cost.
+    per-operation overhead is most of the cost, and the homogeneous kind at
+    d = 2 and 3 names its floats.  A point where that closed form fails, and
+    every other kind and d, take _generic_rhs.
     """
+    generic = _generic_rhs(spec, p0)
+    if spec.kind != "homogeneous" or p0.d not in (2, 3):
+        return generic
+    r2_min, s2, ak, power = _radial_constants(spec)
+    inf = math.inf
+    if p0.d == 2:
+        x0, y0, eta0, zeta0 = p0.as_vector().tolist()
+
+        def rhs(t, u):
+            dx, dy, deta, dzeta = u.tolist()
+            x = x0 + t * eta0 + 0.5 * t * t + dx
+            y = y0 + t * zeta0 + dy
+            r2 = x * x + y * y
+            if not r2_min < r2 < inf:
+                return generic(t, u)
+            try:
+                f = ak * (r2 + s2) ** power
+            except (ZeroDivisionError, OverflowError):
+                return generic(t, u)
+            return [deta, dzeta, f * x, f * y]
+
+        return rhs
+    x0, y0, y1_0, eta0, zeta0, zeta1_0 = p0.as_vector().tolist()
+
+    def rhs(t, u):
+        dx, dy, dy1, deta, dzeta, dzeta1 = u.tolist()
+        x = x0 + t * eta0 + 0.5 * t * t + dx
+        y = y0 + t * zeta0 + dy
+        y1 = y1_0 + t * zeta1_0 + dy1
+        r2 = x * x + (y * y + y1 * y1)
+        if not r2_min < r2 < inf:
+            return generic(t, u)
+        try:
+            f = ak * (r2 + s2) ** power
+        except (ZeroDivisionError, OverflowError):
+            return generic(t, u)
+        return [deta, dzeta, dzeta1, f * x, f * y, f * y1]
+
+    return rhs
+
+
+def _radial_constants(spec: PotentialSpec):
+    """r2_min, s2, ak, power of the force ak (r^2 + s2)^power (x, y) of the
+    homogeneous kind, at points with r2_min < r^2 < inf."""
+    r2_min = spec.exclusion_radius ** 2 if spec.softening == 0.0 else -1.0
+    return (r2_min, spec.softening ** 2, spec.alpha * spec.kappa,
+            -spec.alpha / 2.0 - 1.0)
+
+
+def _generic_rhs(spec: PotentialSpec, p0: PhasePoint):
+    """_deviation_rhs for any kind and d; a bad point raises in
+    grad_potential_array."""
     n = p0.d - 1
     x0, eta0 = float(p0.x), float(p0.eta)
     y0, zeta0 = p0.y.tolist(), p0.zeta.tolist()
-    radial = spec.kind == "homogeneous"
+    r2_min, s2, ak, power = _radial_constants(spec)
     no_force = [0.0] * (n + 1)
 
     def rhs(t, u):
-        t = float(t)
         u = u.tolist()
         x = x0 + t * eta0 + 0.5 * t * t + u[0]
         y = [a + t * b + c for a, b, c in zip(y0, zeta0, u[1:1 + n])]
-        if radial:
-            pref = _radial_grad_prefactor(
-                spec, x * x + sum([c * c for c in y]))
-            force = [-pref * x] + [-pref * c for c in y]
-        elif spec.kind == "table":
-            force = (-grad_potential_array(spec, [x], [y])[0]).tolist()
-        else:
-            force = no_force
         # (u_x, u_y) dot = (u_eta, u_zeta); (u_eta, u_zeta) dot = -grad q
-        return u[1 + n:] + force
+        if spec.kind == "zero":
+            return u[1 + n:] + no_force
+        r2 = x * x + sum([c * c for c in y])
+        if spec.kind == "homogeneous" and r2_min < r2 < math.inf:
+            try:
+                f = ak * (r2 + s2) ** power
+            except (ZeroDivisionError, OverflowError):
+                pass
+            else:
+                return u[1 + n:] + [f * x] + [f * c for c in y]
+        return u[1 + n:] + (-grad_potential_array(spec, [x], [y])[0]).tolist()
 
     return rhs
 
@@ -184,11 +241,21 @@ def _deviation_rhs(spec: PotentialSpec, p0: PhasePoint):
 def _deviation_rhs_rows(spec: PotentialSpec, p0: PhasePoint):
     """_deviation_rhs on rows: t of shape (m,), u (m, 2d), result (m, 2d)."""
     n = p0.d - 1
+    r2_min, s2, ak, power = _radial_constants(spec)
 
     def rhs(t, u):
-        x, y, _, _ = free_flow_arrays(p0.x, p0.y, p0.eta, p0.zeta, t)
-        force = -grad_potential_array(spec, x + u[:, 0], y + u[:, 1:1 + n])
-        return np.concatenate([u[:, 1 + n:], force], axis=1)
+        x = p0.x + t * p0.eta + 0.5 * t * t + u[:, 0]
+        y = p0.y + t[:, None] * p0.zeta + u[:, 1:1 + n]
+        if spec.kind == "homogeneous":
+            r2 = x * x + (y * y).sum(axis=1)
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                f = ak * (r2 + s2) ** power
+            # a NaN fails the comparison, an inf in r2 or f makes r2 + f inf
+            if r2_min < r2.min(initial=math.inf) and np.isfinite(r2 + f).all():
+                return np.concatenate([u[:, 1 + n:], (f * x)[:, None],
+                                       f[:, None] * y], axis=1)
+        return np.concatenate(
+            [u[:, 1 + n:], -grad_potential_array(spec, x, y)], axis=1)
 
     return rhs
 
@@ -228,6 +295,8 @@ def integrate_orbit(spec: PotentialSpec, p0: PhasePoint, t_final: float,
     if not math.isfinite(t_final):
         raise DomainError("t_final must be finite")
     if t_eval is None:
+        if n_samples < 1:
+            raise DomainError("n_samples must be at least 1")
         t_eval = np.linspace(0.0, t_final, n_samples)
     else:
         t_eval = _checked_t_eval(t_eval, t_final)
@@ -249,6 +318,8 @@ def _checked_t_eval(t_eval, t_final: float) -> np.ndarray:
     """t_eval as an array; DomainError unless it lies in [0, t_final] and
     is strictly monotone towards t_final."""
     t_eval = np.asarray(t_eval, dtype=float)
+    if t_eval.size == 0:
+        raise DomainError("t_eval must hold at least one time")
     sign = -1.0 if t_final < 0 else 1.0
     if not np.all((sign * t_eval >= 0.0) & (sign * t_eval <= sign * t_final)):
         raise DomainError(f"t_eval must lie between 0 and t_final = {t_final:g}")
@@ -317,10 +388,11 @@ def _dop853_step(rhs, t, u, h) -> np.ndarray:
     k = np.empty((b.size,) + u.shape)
     flat = k.reshape(b.size, -1)
     h_col = h[:, None]
+    t_stage = t + c[:b.size, None] * h
     k[0] = rhs(t, u)
     for s in range(1, b.size):
         du = (a[s, :s] @ flat[:s]).reshape(u.shape)
-        k[s] = rhs(t + c[s] * h, u + h_col * du)
+        k[s] = rhs(t_stage[s], u + h_col * du)
     return u + h_col * (b @ flat).reshape(u.shape)
 
 
@@ -365,6 +437,10 @@ def asymptotic_momentum(spec: PotentialSpec, p0: PhasePoint,
     n_doublings, and extrapolated by momentum_limit.  Returns (zeta_limit,
     error_estimate).
     """
+    if not 0.0 < t_start < math.inf:
+        raise DomainError("t_start must be positive and finite")
+    if n_doublings < 1:
+        raise DomainError("n_doublings must be at least 1")
     sign = 1 if direction >= 0 else -1
     t_grid = t_start * 2.0 ** np.arange(n_doublings + 1)
     traj = integrate_orbit(spec, p0, sign * t_grid[-1], tol=tol,

@@ -329,11 +329,109 @@ def test_t_eval_outside_the_span_or_unordered_raises(t_final, t_eval):
                         t_eval=t_eval)
 
 
+@pytest.mark.parametrize("kwargs", [{"n_samples": 0}, {"n_samples": -3},
+                                    {"t_eval": []}],
+                         ids=["no-samples", "negative", "empty-t_eval"])
+def test_orbit_without_samples_raises_naming_the_parameter(kwargs):
+    with pytest.raises(DomainError, match=next(iter(kwargs))):
+        integrate_orbit(coulomb(0.5, softening=0.1),
+                        PhasePoint(5.0, [1.0], 1.0, [0.2]), 10.0, **kwargs)
+
+
+def test_orbit_with_one_sample_has_no_drift():
+    p0 = PhasePoint(5.0, [1.0], 1.0, [0.2])
+    traj = integrate_orbit(coulomb(0.5, softening=0.1), p0, 10.0, n_samples=1)
+    assert traj.states.tolist() == [p0.as_vector().tolist()]
+    assert traj.energy_drift() == 0.0
+
+
 def test_escape_detection():
     spec = coulomb(0.1, softening=0.1)
     traj = integrate_orbit(spec, PhasePoint(10.0, [1.0], 2.0, [0.1]),
                            100.0, tol=1e-10)
     assert is_escaping(traj)
+
+
+# ---------------------------------------------------------------------------
+# right-hand sides: the closure of the homogeneous kind at d = 2 and 3, the
+# generic closure and the sample pass's row form round alike
+
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.uint64)
+
+
+def _rhs_point(d):
+    return PhasePoint(5.0, [1.0, -0.5][:d - 1], 1.0, [0.2, 0.1][:d - 1])
+
+
+def _random_deviations(d, n=300):
+    """Seeded (t, u) pairs; t spans both directions, and u reaches points
+    near the origin and far from it."""
+    rng = np.random.default_rng(7 + d)
+    ts = rng.uniform(-30.0, 30.0, n)
+    us = rng.normal(scale=[5.0] * d + [2.0] * d, size=(n, 2 * d))
+    us[::3, :d] = -_rhs_point(d).as_vector()[:d] + 1e-3 * us[::3, :d]
+    return ts, us
+
+
+@pytest.mark.parametrize("softening", [1e-3, 0.0])
+@pytest.mark.parametrize("alpha", [1.0, 1.5])
+@pytest.mark.parametrize("d", [2, 3])
+def test_radial_rhs_matches_the_generic_rhs_bitwise(d, alpha, softening):
+    spec = homogeneous(0.7, alpha, softening=softening)
+    p0 = _rhs_point(d)
+    fast = classical._deviation_rhs(spec, p0)
+    generic = classical._generic_rhs(spec, p0)
+    assert fast.__qualname__ == "_deviation_rhs.<locals>.rhs"
+    ts, us = _random_deviations(d)
+    for t, u in zip(ts.tolist(), us):
+        got = fast(t, u)
+        assert type(got) is list
+        np.testing.assert_array_equal(_bits(got), _bits(generic(t, u)))
+
+
+@pytest.mark.parametrize("softening", [1e-3, 0.0])
+@pytest.mark.parametrize("alpha", [1.0, 1.5])
+@pytest.mark.parametrize("d", [2, 3])
+def test_row_rhs_matches_the_scalar_rhs_row_by_row(d, alpha, softening):
+    spec = homogeneous(0.7, alpha, softening=softening)
+    p0 = _rhs_point(d)
+    scalar = classical._deviation_rhs(spec, p0)
+    ts, us = _random_deviations(d)
+    rows = classical._deviation_rhs_rows(spec, p0)(ts, us)
+    ref = np.array([scalar(t, u) for t, u in zip(ts.tolist(), us)])
+    # the velocities are copied; numpy's array power (SIMD on some builds)
+    # may round the last bit apart from the C library's pow of Python
+    # floats, and the force inherits that ulp
+    np.testing.assert_array_equal(_bits(rows[:, :d]), _bits(ref[:, :d]))
+    np.testing.assert_array_max_ulp(rows[:, d:], ref[:, d:], maxulp=4)
+
+
+_BAD_POINTS = {
+    "exclusion-ball": (homogeneous(0.7, 1.0, softening=0.0),
+                       "inside the origin exclusion ball"),
+    "non-finite": (homogeneous(0.7, 1.5, softening=1e-3),
+                   "non-finite point"),
+    "unrepresentable": (homogeneous(0.7, 300.0, softening=0.01),
+                        "not representable at r\\^2 = 0 with softening 0.01"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_POINTS))
+@pytest.mark.parametrize("d", [2, 3])
+def test_every_rhs_raises_the_same_domain_error(d, case):
+    spec, message = _BAD_POINTS[case]
+    p0 = _rhs_point(d)
+    u = -p0.as_vector()                 # the origin at t = 0
+    if case == "non-finite":
+        u[0] = np.nan
+    calls = [lambda: classical._deviation_rhs(spec, p0)(0.0, u),
+             lambda: classical._generic_rhs(spec, p0)(0.0, u),
+             lambda: classical._deviation_rhs_rows(spec, p0)(
+                 np.zeros(3), np.tile(u, (3, 1)))]
+    for call in calls:
+        with pytest.raises(DomainError, match=message):
+            call()
 
 
 # ---------------------------------------------------------------------------
@@ -357,6 +455,17 @@ def test_asymptotic_momentum_error_estimate_shrinks():
     z_coarse, _ = asymptotic_momentum(spec, p0, n_doublings=3, tol=1e-11)
     assert np.linalg.norm(np.atleast_1d(z_coarse) - np.atleast_1d(z_fine)) \
         < 10.0 * err_coarse
+
+
+@pytest.mark.parametrize("kwargs", [{"n_doublings": 0}, {"t_start": 0.0},
+                                    {"t_start": -100.0},
+                                    {"t_start": math.inf}],
+                         ids=["no-doubling", "zero-start", "negative-start",
+                              "infinite-start"])
+def test_asymptotic_momentum_checks_its_parameters(kwargs):
+    with pytest.raises(DomainError, match=next(iter(kwargs))):
+        asymptotic_momentum(coulomb(0.2, softening=1e-2),
+                            PhasePoint(10.0, [1.0], 2.0, [0.3]), **kwargs)
 
 
 def test_deflection_linear_in_coupling():

@@ -111,11 +111,6 @@ def test_one_point_classical_functions_stay_in_classical(path):
     assert not used, f"{path.name} uses {used}: call the array functions"
 
 
-# the one use of another module's private name: the compiled orbit
-# right-hand side shares the radial gradient formula and its point checks
-_PRIVATE_ALLOWED = {("classical", "potentials", "_radial_grad_prefactor")}
-
-
 def _private_uses(tree: ast.Module) -> set:
     """(module, name) for each _-prefixed name of a package module used,
     imported by name or read as an attribute of an imported module."""
@@ -155,6 +150,5 @@ def test_private_use_check_sees_both_forms():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
 def test_no_module_uses_another_modules_private_names(path):
     tree = ast.parse(path.read_text(), filename=str(path))
-    extra = {(module, name) for module, name in _private_uses(tree)
-             if (path.stem, module, name) not in _PRIVATE_ALLOWED}
-    assert not extra, f"{path.name} uses private names {extra}"
+    used = _private_uses(tree)
+    assert not used, f"{path.name} uses private names {used}"
