@@ -149,7 +149,7 @@ def free_flow_arrays(x, y, eta, zeta, t):
             eta + t, zeta)
 
 
-def _deviation_rhs(spec: PotentialSpec, p0: PhasePoint):
+def _deviation_rhs(spec: PotentialSpec, p0: PhasePoint, error=None):
     """Hamilton's equations for the deviation from the free parabola of p0.
 
     The deviation u = state - free_flow(p0, t) stays O(1) on scattering
@@ -158,45 +158,59 @@ def _deviation_rhs(spec: PotentialSpec, p0: PhasePoint):
     Python floats and returns a list: on vectors of length 2d <= 6, numpy's
     per-operation overhead is most of the cost, and the homogeneous kind at
     d = 2 and 3 names its floats.  A point where that closed form fails, and
-    every other kind and d, take _generic_rhs.
+    every other kind and d, take _generic_rhs.  Given a list error, it stores
+    an exception there instead of raising it and returns NaNs from then on.
     """
-    generic = _generic_rhs(spec, p0)
+    generic = _generic_rhs(spec, p0, error)
     if spec.kind != "homogeneous" or p0.d not in (2, 3):
         return generic
     r2_min, s2, ak, power = _radial_constants(spec)
     inf = math.inf
+    nans = np.full(2 * p0.d, np.nan)
     if p0.d == 2:
         x0, y0, eta0, zeta0 = p0.as_vector().tolist()
 
         def rhs(t, u):
-            dx, dy, deta, dzeta = u.tolist()
-            x = x0 + t * eta0 + 0.5 * t * t + dx
-            y = y0 + t * zeta0 + dy
-            r2 = x * x + y * y
-            if not r2_min < r2 < inf:
-                return generic(t, u)
+            if error:
+                return nans
             try:
-                f = ak * (r2 + s2) ** power
+                dx, dy, deta, dzeta = u.tolist()
+                x = x0 + t * eta0 + 0.5 * t * t + dx
+                y = y0 + t * zeta0 + dy
+                r2 = x * x + y * y
+                if r2_min < r2 < inf:
+                    f = ak * (r2 + s2) ** power
+                    return [deta, dzeta, f * x, f * y]
             except (ZeroDivisionError, OverflowError):
-                return generic(t, u)
-            return [deta, dzeta, f * x, f * y]
+                pass
+            except BaseException as exc:  # raised again by _accepted_steps
+                if error is None:
+                    raise
+                error.append(exc)  # so generic returns NaNs
+            return generic(t, u)
 
         return rhs
     x0, y0, y1_0, eta0, zeta0, zeta1_0 = p0.as_vector().tolist()
 
     def rhs(t, u):
-        dx, dy, dy1, deta, dzeta, dzeta1 = u.tolist()
-        x = x0 + t * eta0 + 0.5 * t * t + dx
-        y = y0 + t * zeta0 + dy
-        y1 = y1_0 + t * zeta1_0 + dy1
-        r2 = x * x + (y * y + y1 * y1)
-        if not r2_min < r2 < inf:
-            return generic(t, u)
+        if error:
+            return nans
         try:
-            f = ak * (r2 + s2) ** power
+            dx, dy, dy1, deta, dzeta, dzeta1 = u.tolist()
+            x = x0 + t * eta0 + 0.5 * t * t + dx
+            y = y0 + t * zeta0 + dy
+            y1 = y1_0 + t * zeta1_0 + dy1
+            r2 = x * x + (y * y + y1 * y1)
+            if r2_min < r2 < inf:
+                f = ak * (r2 + s2) ** power
+                return [deta, dzeta, dzeta1, f * x, f * y, f * y1]
         except (ZeroDivisionError, OverflowError):
-            return generic(t, u)
-        return [deta, dzeta, dzeta1, f * x, f * y, f * y1]
+            pass
+        except BaseException as exc:  # raised again by _accepted_steps
+            if error is None:
+                raise
+            error.append(exc)  # so generic returns NaNs
+        return generic(t, u)
 
     return rhs
 
@@ -209,31 +223,41 @@ def _radial_constants(spec: PotentialSpec):
             -spec.alpha / 2.0 - 1.0)
 
 
-def _generic_rhs(spec: PotentialSpec, p0: PhasePoint):
+def _generic_rhs(spec: PotentialSpec, p0: PhasePoint, error=None):
     """_deviation_rhs for any kind and d; a bad point raises in
-    grad_potential_array."""
+    grad_potential_array, or is stored in error as in _deviation_rhs."""
     n = p0.d - 1
     x0, eta0 = float(p0.x), float(p0.eta)
     y0, zeta0 = p0.y.tolist(), p0.zeta.tolist()
     r2_min, s2, ak, power = _radial_constants(spec)
     no_force = [0.0] * (n + 1)
+    nans = np.full(2 * p0.d, np.nan)
 
     def rhs(t, u):
-        u = u.tolist()
-        x = x0 + t * eta0 + 0.5 * t * t + u[0]
-        y = [a + t * b + c for a, b, c in zip(y0, zeta0, u[1:1 + n])]
-        # (u_x, u_y) dot = (u_eta, u_zeta); (u_eta, u_zeta) dot = -grad q
-        if spec.kind == "zero":
-            return u[1 + n:] + no_force
-        r2 = x * x + sum([c * c for c in y])
-        if spec.kind == "homogeneous" and r2_min < r2 < math.inf:
-            try:
-                f = ak * (r2 + s2) ** power
-            except (ZeroDivisionError, OverflowError):
-                pass
-            else:
-                return u[1 + n:] + [f * x] + [f * c for c in y]
-        return u[1 + n:] + (-grad_potential_array(spec, [x], [y])[0]).tolist()
+        if error:
+            return nans
+        try:
+            u = u.tolist()
+            x = x0 + t * eta0 + 0.5 * t * t + u[0]
+            y = [a + t * b + c for a, b, c in zip(y0, zeta0, u[1:1 + n])]
+            # (u_x, u_y) dot = (u_eta, u_zeta); (u_eta, u_zeta) dot = -grad q
+            if spec.kind == "zero":
+                return u[1 + n:] + no_force
+            r2 = x * x + sum([c * c for c in y])
+            if spec.kind == "homogeneous" and r2_min < r2 < math.inf:
+                try:
+                    f = ak * (r2 + s2) ** power
+                except (ZeroDivisionError, OverflowError):
+                    pass
+                else:
+                    return u[1 + n:] + [f * x] + [f * c for c in y]
+            return u[1 + n:] + (
+                -grad_potential_array(spec, [x], [y])[0]).tolist()
+        except BaseException as exc:  # raised again by _accepted_steps
+            if error is None:
+                raise
+            error.append(exc)
+            return nans
 
     return rhs
 
@@ -300,8 +324,7 @@ def integrate_orbit(spec: PotentialSpec, p0: PhasePoint, t_final: float,
         t_eval = np.linspace(0.0, t_final, n_samples)
     else:
         t_eval = _checked_t_eval(t_eval, t_final)
-    steps_t, steps_u, code = _accepted_steps(_deviation_rhs(spec, p0),
-                                             2 * p0.d, t_final, tol)
+    steps_t, steps_u, code = _accepted_steps(spec, p0, t_final, tol)
     if code < 0:
         # the samples up to the last accepted step
         t_eval = t_eval[np.sign(t_final) * (t_eval - steps_t[-1]) <= 0.0]
@@ -328,29 +351,20 @@ def _checked_t_eval(t_eval, t_final: float) -> np.ndarray:
     return t_eval
 
 
-def _accepted_steps(rhs, n: int, t_final: float, tol: float):
+def _accepted_steps(spec, p0, t_final: float, tol: float):
     """Every accepted step of compiled DOP853 from u = 0 at t = 0 to t_final.
 
-    Returns the step times (K + 1,) and deviations (K + 1, n), both starting
-    at t = 0, and the solver's return code, negative on failure.  The
-    compiled code cannot carry an exception out of the right-hand side: it
-    would go on calling it.  So an exception is stored and the right-hand
-    side returns NaNs from then on, which no step passes (solout stops the
+    Returns the step times (K + 1,) and deviations (K + 1, 2d), both
+    starting at t = 0, and the solver's return code, negative on failure.
+    The compiled code cannot carry an exception out of the right-hand side:
+    it would go on calling it.  So the right-hand side stores an exception
+    and returns NaNs from then on, which no step passes (solout stops the
     solver should one be accepted) until the step size underflows; then the
     exception is raised again here.
     """
     if t_final == 0.0:
-        return np.zeros(1), np.zeros((1, n)), 1
+        return np.zeros(1), np.zeros((1, 2 * p0.d)), 1
     times, states, error = [], [], []
-    nans = np.full(n, np.nan)
-
-    def guarded(t, u):
-        if not error:
-            try:
-                return rhs(t, u)
-            except BaseException as exc:  # raised again below
-                error.append(exc)
-        return nans
 
     def solout(t, u):
         if error:
@@ -359,10 +373,10 @@ def _accepted_steps(rhs, n: int, t_final: float, tol: float):
         states.append(u.copy())
         return 0
 
-    solver = ode(guarded).set_integrator("dop853", rtol=tol, atol=tol,
-                                         nsteps=MAX_ORBIT_STEPS)
+    solver = ode(_deviation_rhs(spec, p0, error)).set_integrator(
+        "dop853", rtol=tol, atol=tol, nsteps=MAX_ORBIT_STEPS)
     solver.set_solout(solout)
-    solver.set_initial_value(np.zeros(n), 0.0)
+    solver.set_initial_value(np.zeros(2 * p0.d), 0.0)
     with warnings.catch_warnings():
         # a failure is reported through the return code
         warnings.simplefilter("ignore", UserWarning)

@@ -6,10 +6,11 @@ The symbol is t(zeta, y) = -2i * integral_R^inf q(x, -y)/sqrt(2x + 2 lam
 develops the diagonal power law kappa c2 |zeta - zeta'|^{1/2 + alpha - d},
 which `radial_kernel` and `fit_kernel_law` recover from the symbol.
 
-`born_symbols` evaluates the symbol at a batch of transverse positions in
-one pass of the mapped Gauss-Legendre rule of `quadrature`: x = R + c (s /
-(1 - s))^P with c = max(|y|, R) and P chosen from the decay rate alpha + 1/2
-of the integrand, so every position converges on the same panel layout.
+`born_symbols` evaluates the symbol at a batch of transverse positions with
+the mapped Gauss-Legendre rule of `quadrature`: x = R + c (s / (1 - s))^P
+with c = max(|y|, R) and P chosen from the decay rate alpha + 1/2 of the
+integrand, so every position converges on the same panel layout.  A pass
+takes blocks of positions of 2^15 nodes, a few MB whatever the batch size.
 `born_symbol` is its one-position case.
 
 `radial_kernel` recovers the kernel from the radial Born profile with one
@@ -32,8 +33,12 @@ from scipy.optimize import minimize_scalar
 
 from .errors import ConfigError, DomainError
 from .potentials import PotentialSpec, eval_potential_array
-from .quadrature import converge, half_line, map_power
+from .quadrature import converge, map_half_line, map_power, panels
 from .special import KernelLaw, c1_constant, c2_constant
+
+
+# nodes per block of rows of a born_symbols pass, 256 KB a float temporary
+_BLOCK_NODES = 2 ** 15
 
 
 def default_radius(zeta, lam: float) -> float:
@@ -60,7 +65,7 @@ def born_symbols(spec: PotentialSpec, zeta, ys, lam: float = 0.0,
 
     Returns the symbols and, per symbol, the last refinement change of the
     panel rule, which stops once every change is at most tol * max(1, |t|).
-    Each refinement pass evaluates the potential at all its nodes at once.
+    Each refinement pass evaluates the potential _BLOCK_NODES nodes at a time.
     """
     zeta = np.atleast_1d(np.asarray(zeta, dtype=float))
     ys = np.asarray(ys, dtype=float)
@@ -72,21 +77,24 @@ def born_symbols(spec: PotentialSpec, zeta, ys, lam: float = 0.0,
     if spec.kind == "zero":
         return np.zeros(len(ys), dtype=complex), np.zeros(len(ys))
     pot = spec.unsoftened()
-    y_sq = np.sum(ys * ys, axis=-1)
-
-    def one_pass(rule):
-        x = R + rule.t
-        q = eval_potential_array(pot, x, -ys[:, None, :])
-        return -2j * np.sum(q / np.sqrt(2.0 * x + 2.0 * lam - z2) * rule.w,
-                            axis=-1)
-
+    scale = np.maximum(np.sqrt(np.sum(ys * ys, axis=-1)), R)[:, None]
     # q decays like x^{-decay_rate} and the square root adds x^{-1/2}.  The
     # square root varies on the scale R, reached at s ~ (R / c)^{1/P}: P >= 4
     # keeps that inside the first panels for |y| up to about 1e5 R.
-    return converge(one_pass, half_line(np.maximum(np.sqrt(y_sq), R),
-                                        map_power(spec.decay_rate + 0.5,
-                                                  least=4)),
-                    tol, "kernel", "born_symbol")
+    power = map_power(spec.decay_rate + 0.5, least=4)
+
+    def one_pass(base):
+        out = np.empty(len(ys), dtype=complex)
+        rows = max(1, _BLOCK_NODES // base.t.size)
+        for block in (slice(lo, lo + rows) for lo in range(0, len(ys), rows)):
+            rule = map_half_line(base, scale[block], power)
+            x = R + rule.t
+            q = eval_potential_array(pot, x, -ys[block, None, :])
+            out[block] = -2j * np.sum(
+                q / np.sqrt(2.0 * x + 2.0 * lam - z2) * rule.w, axis=-1)
+        return out
+
+    return converge(one_pass, panels, tol, "kernel", "born_symbol")
 
 
 def homogeneous_symbol_asymptote(kappa: float, alpha: float, y) -> complex:

@@ -1,12 +1,13 @@
 """Gauss-Legendre panel quadrature: one refinement loop for every integral.
 
 `panels` lays 16-node Gauss-Legendre panels of equal width on s in (0, 1);
-`half_line` maps them to [a, inf) by t = x - a = c (s / (1 - s))^P, for a
-batch of scales c at once.  If the integrand decays like t^{-p}, the mapped
-integrand behaves like (1 - s)^{P (p - 1) - 1} at s = 1; `map_power` picks
-P so that it stays bounded there (P = 1, the plain s / (1 - s) map, for
-p = 2 or 3).  `converge` doubles the panels of either layout until every
-output element has converged and reports the last change.
+`half_line` (or `map_half_line`, on one layout) maps them to [a, inf) by
+t = x - a = c (s / (1 - s))^P for a batch of scales c.  If the integrand
+decays like t^{-p}, the mapped integrand behaves like (1 - s)^{P (p - 1) - 1}
+at s = 1; `map_power` picks P so that it stays bounded there (P = 1, the
+plain s / (1 - s) map, for p = 2 or 3).  `converge` doubles the panels of
+either layout until every output element has converged and reports the last
+change.
 
 The module also holds the one log-log least-squares fit, `loglog_fit`,
 which the decay-rate and convergence-rate fits share.
@@ -71,13 +72,15 @@ def panels(n_panels: int) -> Rule:
 def half_line(scale, power: int):
     """Rule builder: panels mapped to [0, inf) for each of a batch of scales."""
     scale = np.asarray(scale, dtype=float)[:, None]
+    return lambda n_panels: map_half_line(panels(n_panels), scale, power)
 
-    def rule(n_panels: int) -> Rule:
-        s, _, w, half = panels(n_panels)
-        t = scale * s ** power / (1.0 - s) ** power
-        jac = scale * power * s ** (power - 1) / (1.0 - s) ** (power + 1)
-        return Rule(t=t, jac=jac, w=w * jac, half=half)
-    return rule
+
+def map_half_line(base: Rule, scale: np.ndarray, power: int) -> Rule:
+    """The panels of base on (0, 1) mapped to [0, inf) for scales (n, 1)."""
+    s = base.t
+    t = scale * s ** power / (1.0 - s) ** power
+    jac = scale * power * s ** (power - 1) / (1.0 - s) ** (power + 1)
+    return Rule(t=t, jac=jac, w=base.w * jac, half=base.half)
 
 
 def tails(f: np.ndarray, half: float) -> np.ndarray:

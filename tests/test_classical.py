@@ -218,8 +218,7 @@ def test_batched_step_reproduces_the_compiled_steps(d, t_final):
     # from each accepted step's start, with its length, lands on the next
     spec = coulomb(0.1, softening=1e-3)
     p0 = PhasePoint(20.0, [1.5, -0.5][:d - 1], 6.0, [0.2, 0.1][:d - 1])
-    times, us, code = classical._accepted_steps(
-        classical._deviation_rhs(spec, p0), 2 * d, t_final, 1e-12)
+    times, us, code = classical._accepted_steps(spec, p0, t_final, 1e-12)
     assert code > 0 and times[0] == 0.0 and times.size > 20
     assert np.all(np.sign(t_final) * np.diff(times) > 0.0)
     nxt = classical._dop853_step(classical._deviation_rhs_rows(spec, p0),
@@ -310,6 +309,32 @@ def test_exception_in_the_potential_reaches_the_caller(fault):
     spec = PotentialSpec(kind="table", func=func)
     with pytest.raises(fault, match="raised by the potential"):
         integrate_orbit(spec, PhasePoint(5.0, [1.0], 1.0, [0.2]), 50.0)
+
+
+class _FaultyPower:
+    """A power whose use by a float raises _PotentialFault and keeps it."""
+
+    def __init__(self):
+        self.raised = []
+
+    def __rpow__(self, base):
+        self.raised.append(_PotentialFault("raised in the radial force"))
+        raise self.raised[-1]
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_exception_in_the_radial_rhs_reaches_the_caller(d, monkeypatch):
+    # the homogeneous closures at d = 2 and 3 store the exception themselves
+    power = _FaultyPower()
+    radial_constants = classical._radial_constants
+    monkeypatch.setattr(classical, "_radial_constants",
+                        lambda spec: radial_constants(spec)[:3] + (power,))
+    spec, p0 = coulomb(0.5, softening=0.1), _rhs_point(d)
+    assert (classical._deviation_rhs(spec, p0, []).__qualname__
+            == "_deviation_rhs.<locals>.rhs")
+    with pytest.raises(_PotentialFault) as info:
+        integrate_orbit(spec, p0, 50.0)
+    assert len(power.raised) == 1 and info.value is power.raised[0]
 
 
 @pytest.mark.parametrize("t_final, t_eval", [

@@ -25,6 +25,7 @@ from starkscatter import (
 )
 from starkscatter.cli import cmd_kernel, load_config
 from starkscatter.errors import ConfigError
+from starkscatter import kernel
 from starkscatter.kernel import born_symbols
 
 
@@ -95,6 +96,31 @@ def test_born_symbols_report_the_achieved_refinement_change():
         assert abs(val - oracle) <= err + 4e-16 * abs(oracle)
         assert born_symbol(spec, [0.0], [r], tol=tol) == pytest.approx(
             val, rel=1e-12)
+
+
+_BLOCKING_SPECS = {
+    "homogeneous": homogeneous(1.0, 1.5),
+    "table": PotentialSpec(kind="table", kappa=0.7, func=lambda x, y: (
+        x * x + np.sum(y * y, axis=-1)) ** -0.5),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_BLOCKING_SPECS))
+@pytest.mark.parametrize("d", [2, 3])
+def test_born_symbols_do_not_depend_on_the_row_blocks(d, kind, monkeypatch):
+    # 300 rows: 256 + 44 rows a block at 8 panels; blocks of one row and one
+    # block of every row give the same bits
+    spec = _BLOCKING_SPECS[kind]
+    ys = np.random.default_rng(d).uniform(-1e3, 1e3, size=(300, d - 1))
+    runs = []
+    for block_nodes in (kernel._BLOCK_NODES, 1, 2 ** 40):
+        monkeypatch.setattr(kernel, "_BLOCK_NODES", block_nodes)
+        runs.append(born_symbols(spec, np.zeros(d - 1), ys))
+    for values, errors in runs[1:]:
+        np.testing.assert_array_equal(values.view(np.uint64),
+                                      runs[0][0].view(np.uint64))
+        np.testing.assert_array_equal(errors.view(np.uint64),
+                                      runs[0][1].view(np.uint64))
 
 
 def test_born_symbol_linear_in_coupling():
@@ -271,13 +297,17 @@ def test_fit_window_validation():
 
 
 def test_cmd_kernel_memory(tmp_path):
+    # the Born profile is evaluated in row blocks, so the peak does not grow
+    # with the number of radii
     import tracemalloc
-    cfg = load_config(None, ["--dimension=3", f"--output_dir={tmp_path}"])
-    tracemalloc.start()
-    try:
-        summary = cmd_kernel(cfg)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 64e6
-    assert summary["fitted_exponent"] == pytest.approx(-1.5, abs=1e-4)
+    for n in (2048, 8192):
+        cfg = load_config(None, ["--dimension=3", f"--output_dir={tmp_path}",
+                                 f"--kernel.n={n}"])
+        tracemalloc.start()
+        try:
+            summary = cmd_kernel(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6, n
+        assert summary["fitted_exponent"] == pytest.approx(-1.5, abs=1e-4)

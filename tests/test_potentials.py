@@ -14,6 +14,7 @@ from starkscatter import (
     zero_potential,
 )
 from starkscatter.classical import _energies
+from starkscatter import kernel
 from starkscatter.kernel import born_symbols
 from starkscatter.potentials import (
     PotentialSpec,
@@ -161,14 +162,22 @@ def test_table_func_is_called_once_per_batch(d):
     eval_potential(spec, x[0], y[0])
     grad_potential(spec, x[0], y[0])
     assert func.calls == [(1, (1,)), (3, (2, 1, d))]
-    # born_symbols: one call per refinement pass, 16 nodes per panel from 8
-    # panels, doubling
-    func.calls.clear()
-    born_symbols(spec, np.zeros(d - 1), y[:5])
-    final_panels = func.calls[-1][1][-1] // 16
-    assert len(func.calls) == math.log2(final_panels / 8) + 1
-    assert func.calls == [(2, (5, 128 * 2 ** i))
-                          for i in range(len(func.calls))]
+    # born_symbols: one call per block of rows of each refinement pass, 16
+    # nodes per panel from 8 panels, doubling; 600 rows are 3 blocks at 8
+    for n_rows in (5, 600):
+        func.calls.clear()
+        ys = rng.uniform(-30.0, 30.0, size=(n_rows, d - 1))
+        born_symbols(spec, np.zeros(d - 1), ys)
+        final_panels = func.calls[-1][1][-1] // 16
+        expected = []
+        for i in range(int(math.log2(final_panels / 8)) + 1):
+            nodes = 128 * 2 ** i
+            rows = kernel._BLOCK_NODES // nodes
+            expected += [(2, (min(rows, n_rows - lo), nodes))
+                         for lo in range(0, n_rows, rows)]
+        assert func.calls == expected
+        first_pass = [call for call in func.calls if call[1][-1] == 128]
+        assert len(first_pass) == (1 if n_rows == 5 else 3)
 
 
 @pytest.mark.parametrize("spec", [
