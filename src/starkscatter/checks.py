@@ -151,8 +151,9 @@ class FreeCaseCheck(NamedTuple):
 def free_case(d: int) -> FreeCaseCheck:
     """The zero potential: transport symbols, Born symbol, deflection.
 
-    All of them vanish; the phase point is (20, 1, 3, 0.3) in every y and
-    zeta component and the Born symbol is taken at zeta = 0, y = 5 e_1.
+    All of them vanish; b_1 and b_2 come from one transport solve.  The
+    phase point is (20, 1, 3, 0.3) in every y and zeta component and the
+    Born symbol is taken at zeta = 0, y = 5 e_1.
     """
     spec = zero_potential()
     p = classical.PhasePoint(x=20.0, y=np.ones(d - 1), eta=3.0,
@@ -160,9 +161,8 @@ def free_case(d: int) -> FreeCaseCheck:
     y = np.zeros(d - 1)
     y[0] = 5.0
     z_inf, err = classical.asymptotic_momentum(spec, p, n_doublings=3)
-    return FreeCaseCheck(
-        abs(transport.symbol_b(1, p, spec)),
-        abs(transport.symbol_b(2, p, spec)),
-        abs(kernel.born_symbol(spec, np.zeros(d - 1), y)),
-        float(np.linalg.norm(np.atleast_1d(z_inf) - p.zeta)),
-        float(err))
+    b1, b2 = transport.symbols(2, p, spec)
+    return FreeCaseCheck(abs(b1.value), abs(b2.value),
+                         abs(kernel.born_symbol(spec, np.zeros(d - 1), y)),
+                         float(np.linalg.norm(np.atleast_1d(z_inf) - p.zeta)),
+                         float(err))

@@ -14,6 +14,8 @@ kind at d = 2 and 3 a closure with every coordinate named, otherwise one
 closure for every kind and d.  The batched pass that takes the samples
 computes the homogeneous force itself.  Other kinds, and points the closed
 form cannot take, go to potentials.grad_potential_array and its DomainError.
+The free case is the homogeneous kind at kappa = 0, where the deviation
+stays exactly 0.
 """
 
 from __future__ import annotations
@@ -28,8 +30,8 @@ from scipy.integrate import ode
 from scipy.integrate._ivp import dop853_coefficients
 
 from .errors import ConvergenceError, DomainError
-from .potentials import (PotentialSpec, eval_potential_array,
-                         grad_potential_array)
+from .potentials import (EXCLUSION_RADIUS, PotentialSpec,
+                         eval_potential_array, grad_potential_array)
 from .quadrature import loglog_fit
 
 # Domain constant C for the exact-phase observables: x > C, |y|/x < 1/C.
@@ -218,7 +220,7 @@ def _deviation_rhs(spec: PotentialSpec, p0: PhasePoint, error=None):
 def _radial_constants(spec: PotentialSpec):
     """r2_min, s2, ak, power of the force ak (r^2 + s2)^power (x, y) of the
     homogeneous kind, at points with r2_min < r^2 < inf."""
-    r2_min = spec.exclusion_radius ** 2 if spec.softening == 0.0 else -1.0
+    r2_min = EXCLUSION_RADIUS ** 2 if spec.softening == 0.0 else -1.0
     return (r2_min, spec.softening ** 2, spec.alpha * spec.kappa,
             -spec.alpha / 2.0 - 1.0)
 
@@ -230,7 +232,6 @@ def _generic_rhs(spec: PotentialSpec, p0: PhasePoint, error=None):
     x0, eta0 = float(p0.x), float(p0.eta)
     y0, zeta0 = p0.y.tolist(), p0.zeta.tolist()
     r2_min, s2, ak, power = _radial_constants(spec)
-    no_force = [0.0] * (n + 1)
     nans = np.full(2 * p0.d, np.nan)
 
     def rhs(t, u):
@@ -241,8 +242,6 @@ def _generic_rhs(spec: PotentialSpec, p0: PhasePoint, error=None):
             x = x0 + t * eta0 + 0.5 * t * t + u[0]
             y = [a + t * b + c for a, b, c in zip(y0, zeta0, u[1:1 + n])]
             # (u_x, u_y) dot = (u_eta, u_zeta); (u_eta, u_zeta) dot = -grad q
-            if spec.kind == "zero":
-                return u[1 + n:] + no_force
             r2 = x * x + sum([c * c for c in y])
             if spec.kind == "homogeneous" and r2_min < r2 < math.inf:
                 try:
@@ -468,10 +467,10 @@ def momentum_limit(traj: Trajectory):
     The residual is assumed to decay like t^(-2 delta), the rate inherited
     from the potential decay; a two-point Richardson step on the last two
     samples extrapolates it away.  Raises ConvergenceError when the orbit
-    does not escape (except for the zero potential).
+    does not escape, unless q = 0 (the homogeneous kind at kappa = 0).
     """
     spec = traj.spec
-    if not is_escaping(traj) and spec.kind != "zero":
+    if not is_escaping(traj) and (spec.kind == "table" or spec.kappa != 0.0):
         raise ConvergenceError(
             "orbit does not escape within the time budget", partial=traj)
     zetas = traj.states[:, traj.d + 1:]

@@ -343,12 +343,10 @@ def cmd_transport(cfg: dict) -> dict:
               + ["k", "b_re", "b_im", "q_re", "q_im",
                  "tail_estimate", "pde_residual"],
               rows)
-    if sec["decay_fit"] and spec.kind != "zero":
-        summary["decay_exponent_b1"] = transport.decay_fit_symbols(
-            1, spec, sign=sign, which="b", tol=tol, m=m, eps=eps, d=d)
-        summary["decay_exponent_q1"] = transport.decay_fit_symbols(
-            1, spec, sign=sign, which="q", tol=max(tol, 1e-8),
-            m=m, eps=eps, d=d)
+    if sec["decay_fit"] and cfg["potential"]["kind"] != "zero":
+        (summary["decay_exponent_b1"],
+         summary["decay_exponent_q1"]) = transport.decay_fit_symbols(
+            1, spec, sign=sign, tol=tol, m=m, eps=eps, d=d)
     return _emit(cfg, "transport", summary)
 
 
@@ -365,7 +363,7 @@ def cmd_born(cfg: dict) -> dict:
     header, columns = ["r", "t_re", "t_im"], [radii, values.real, values.imag]
     summary = {"command": "born", "n_radii": len(radii),
                "max_abs_symbol": float(np.max(np.abs(values)))}
-    if spec.kind == "homogeneous" and spec.kappa != 0.0:
+    if spec.kappa != 0.0:
         asym = np.array([kernel.homogeneous_symbol_asymptote(
             spec.kappa, spec.alpha, y).imag for y in ys])
         ratio = values.imag / asym
@@ -378,7 +376,7 @@ def cmd_born(cfg: dict) -> dict:
 
 def _kernel_law(cfg: dict, spec: PotentialSpec) -> special.KernelLaw:
     """The kernel law the kernel stage fits, checked before any work."""
-    if spec.kind != "homogeneous" or spec.kappa == 0.0:
+    if spec.kappa == 0.0:
         raise ConfigError("kernel fit needs a homogeneous or coulomb "
                           "potential with kappa != 0")
     d = cfg["dimension"]
@@ -486,9 +484,9 @@ def _suite_free_case(cfg: dict) -> dict:
 
 def cmd_verify_all(cfg: dict) -> dict:
     spec = potential_from_config(cfg)
-    _check_blocks(cfg, ("orbit",) if spec.kind == "zero"
-                  else ("orbit", "transport", "born"))
-    if spec.kind != "zero":
+    free = cfg["potential"]["kind"] == "zero"
+    _check_blocks(cfg, ("orbit",) if free else ("orbit", "transport", "born"))
+    if not free:
         _kernel_law(cfg, spec)
     suites: dict[str, dict] = {}
 
@@ -507,7 +505,7 @@ def cmd_verify_all(cfg: dict) -> dict:
     suites["orbit"] = {"energy_drift": orb["energy_drift"],
                        "passed": bool(orb["energy_drift"] < 1e-6)}
 
-    if spec.kind == "zero":
+    if free:
         suites["free_case"] = _suite_free_case(cfg)
     else:
         tra = cmd_transport(cfg)

@@ -74,8 +74,6 @@ def born_symbols(spec: PotentialSpec, zeta, ys, lam: float = 0.0,
         R = default_radius(zeta, lam)
     if 2.0 * R + 2.0 * lam - z2 <= 0.0:
         raise DomainError("R too small: square root not bounded away from 0")
-    if spec.kind == "zero":
-        return np.zeros(len(ys), dtype=complex), np.zeros(len(ys))
     pot = spec.unsoftened()
     scale = np.maximum(np.sqrt(np.sum(ys * ys, axis=-1)), R)[:, None]
     # q decays like x^{-decay_rate} and the square root adds x^{-1/2}.  The
@@ -174,9 +172,10 @@ def radial_kernel(spec: PotentialSpec, d: int, n: int, extent: float,
     f r^{(d-1)/2} at large and small r (within 0.15 of their midpoint at
     extent 1e5 for alpha 0.75 to 1.5), away from the first pole of scipy's
     coefficients at q = -(d-1)/2.  Returns (k, T) with T = i times the
-    transform of Im t.
+    transform of Im t.  A table potential, or kappa = 0, where the profile
+    vanishes, is a ConfigError.
     """
-    if spec.kind != "homogeneous":
+    if spec.kind != "homogeneous" or spec.kappa == 0.0:
         raise ConfigError("radial kernel needs a homogeneous or coulomb "
                           "potential")
     dln = 2.0 * _LN_HALF_SPAN / n

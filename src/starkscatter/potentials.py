@@ -6,15 +6,20 @@ of the class.  Evaluation is split into the field direction x and the
 orthogonal block y, matching the phase-space splitting used everywhere else
 in the library.
 
+There are two kinds: the homogeneous kappa r^{-alpha} (Coulomb at alpha =
+1) and a table potential given by a callable.  The free case q = 0 is the
+homogeneous kind at kappa = 0, and goes through the same arithmetic.
+
 Every kind is evaluated on arrays: x of shape S and y of shape S' + (d - 1,),
 with S and S' broadcasting, give q at the broadcast shape.  A table
 potential's callable follows the same contract, so a batch of nodes is one
-call of it; eval_potential and grad_potential are the one-point case.
+call of it; eval_potential and grad_potential are the one-point case, with
+the checks of the array functions.
 """
 
 from __future__ import annotations
 
-import math
+import dataclasses
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -24,32 +29,32 @@ from .errors import DomainError
 
 # Finite-difference step scale for table-defined gradients.
 _FD_STEP = 1e-6
+# Points with r at most this are rejected where the softening is 0.
+EXCLUSION_RADIUS = 1e-8
 
 
 @dataclass(frozen=True)
 class PotentialSpec:
     """Descriptor of the short-range potential q.
 
-    kind       one of "zero", "homogeneous", "table"
-    kappa      coupling constant
+    kind       "homogeneous" or "table"
+    kappa      coupling constant (homogeneous kind; 0 for the free case)
     alpha      homogeneity exponent (homogeneous kind; 1 for Coulomb)
     delta      decay parameter in (0, 1/2]
     softening  regularization length near the origin (dynamics only)
     func       callable q(x, y) for the table kind, on arrays: x of shape S,
                y of shape S' + (d - 1,), q at the broadcast shape of S, S'
-    exclusion_radius  points with r below this and softening == 0 are rejected
     """
 
-    kind: str = "zero"
+    kind: str = "homogeneous"
     kappa: float = 0.0
     alpha: float = 1.0
     delta: float = 0.5
     softening: float = 1e-3
     func: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
-    exclusion_radius: float = 1e-8
 
     def __post_init__(self):
-        if self.kind not in ("zero", "homogeneous", "table"):
+        if self.kind not in ("homogeneous", "table"):
             raise DomainError(f"unknown potential kind {self.kind!r}")
         if self.kind == "homogeneous":
             if self.alpha <= 0.5:
@@ -69,15 +74,12 @@ class PotentialSpec:
 
     def unsoftened(self) -> "PotentialSpec":
         """Copy with softening removed (exact power law, kernel formulas)."""
-        return PotentialSpec(
-            kind=self.kind, kappa=self.kappa, alpha=self.alpha,
-            delta=self.delta, softening=0.0, func=self.func,
-            exclusion_radius=self.exclusion_radius,
-        )
+        return dataclasses.replace(self, softening=0.0)
 
 
 def zero_potential() -> PotentialSpec:
-    return PotentialSpec(kind="zero", kappa=0.0)
+    """The free case q = 0: the homogeneous kind at kappa = 0."""
+    return homogeneous(0.0, 1.0)
 
 
 def coulomb(kappa: float, softening: float = 1e-3) -> PotentialSpec:
@@ -98,46 +100,34 @@ def homogeneous(kappa: float, alpha: float, delta: Optional[float] = None,
                          delta=delta, softening=softening)
 
 
-def _radius_sq(x, y):
-    # a plain sum, as in radial_jets and the orbit rhs (BLAS dots round apart)
-    y = np.asarray(y, dtype=float)
-    return float(x) * float(x) + float(np.sum(y * y))
-
-
-def _check_radius_sq(spec: PotentialSpec, r2: float) -> float:
-    if not math.isfinite(r2):
-        raise DomainError("potential evaluated at a non-finite point")
-    if spec.softening == 0.0 and r2 <= spec.exclusion_radius ** 2:
+def _check_ball(spec: PotentialSpec, r2) -> None:
+    if spec.softening == 0.0 and np.any(r2 <= EXCLUSION_RADIUS ** 2):
         raise DomainError(
             "evaluation inside the origin exclusion ball with zero softening")
+
+
+def _check_rows(spec: PotentialSpec, x, y) -> np.ndarray:
+    """r^2 of the rows x (m,), y (m, d - 1); DomainError at a non-finite
+    point, where r^2 overflows too, or inside the exclusion ball."""
+    with np.errstate(over="ignore"):
+        r2 = x * x + np.sum(y * y, axis=-1)
+    if not np.isfinite(r2).all():
+        raise DomainError("potential evaluated at a non-finite point")
+    _check_ball(spec, r2)
     return r2
 
 
-def _radial_grad_prefactor(spec: PotentialSpec, r2: float) -> float:
-    """Scalar c with grad q = c (x, y) for the radial kinds, r2 = x^2 + |y|^2.
-
-    The point checks of eval_potential run first; then
-    c = -alpha kappa (r^2 + softening^2)^(-alpha/2 - 1); DomainError where
-    the power divides by an underflowed 0 or overflows.
-    """
-    s = _check_radius_sq(spec, r2) + spec.softening ** 2
-    try:
-        return -spec.alpha * spec.kappa * s ** (-spec.alpha / 2.0 - 1.0)
-    except (ZeroDivisionError, OverflowError):
-        raise DomainError(f"potential not representable at r^2 = {r2:g} "
-                          f"with softening {spec.softening:g}") from None
-
-
 def eval_potential(spec: PotentialSpec, x: float, y) -> float:
-    """Potential energy q(x, y) at one point."""
-    if spec.kind == "zero":
-        return 0.0
-    y = np.asarray(y, dtype=float)
-    r2 = _check_radius_sq(spec, _radius_sq(x, y))
-    if spec.kind == "homogeneous":
+    """Potential energy q(x, y) at one point, with the checks of
+    grad_potential_array (the row checks alone for the table kind)."""
+    x = np.array([float(x)])
+    y = np.asarray(y, dtype=float)[None]
+    if spec.kind == "table":
+        _check_rows(spec, x, y)
+    else:
         # DomainError where q or grad q is out of the double range
-        _radial_grad_prefactor(spec, r2)
-    return float(eval_potential_array(spec, [float(x)], y[None])[0])
+        grad_potential_array(spec, x, y)
+    return float(eval_potential_array(spec, x, y)[0])
 
 
 def grad_potential(spec: PotentialSpec, x: float, y) -> np.ndarray:
@@ -149,25 +139,18 @@ def grad_potential(spec: PotentialSpec, x: float, y) -> np.ndarray:
 def grad_potential_array(spec: PotentialSpec, x, y) -> np.ndarray:
     """Gradient on rows: x of shape (m,), y (m, d - 1); result (m, d).
 
-    The radial kinds use the closed form, with DomainError where it is out
-    of the double range; the table kind takes central differences with step
-    _FD_STEP max(1, r), all 2 d m shifted points in one call of its func.
+    The homogeneous kind uses the closed form, with DomainError where it is
+    out of the double range; the table kind takes central differences with
+    step _FD_STEP max(1, r), all 2 d m shifted points in one call of its
+    func.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    shape = (x.size, 1 + y.shape[-1])
-    if spec.kind == "zero":
-        return np.zeros(shape)
-    r2 = x * x + np.sum(y * y, axis=-1)
-    if not np.isfinite(r2).all():
-        raise DomainError("potential evaluated at a non-finite point")
-    if spec.softening == 0.0 and np.any(r2 <= spec.exclusion_radius ** 2):
-        raise DomainError(
-            "evaluation inside the origin exclusion ball with zero softening")
+    r2 = _check_rows(spec, x, y)
     z = np.concatenate([x[:, None], y], axis=1)
     if spec.kind == "table":
         h = _FD_STEP * np.maximum(1.0, np.sqrt(r2))
-        step = h[:, None, None] * np.eye(shape[1])              # (m, d, d)
+        step = h[:, None, None] * np.eye(z.shape[1])            # (m, d, d)
         z = np.stack([z[:, None] + step, z[:, None] - step])    # (2, m, d, d)
         q = spec.func(z[..., 0], z[..., 1:])                    # (2, m, d)
         return (q[0] - q[1]) / (2 * h[:, None])
@@ -186,12 +169,8 @@ def eval_potential_array(spec: PotentialSpec, x, y):
     broadcast shape of S and S'."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    if spec.kind == "zero":
-        return np.zeros(np.broadcast_shapes(x.shape, y.shape[:-1]))
     r2 = x * x + np.sum(y * y, axis=-1)
-    if spec.softening == 0.0 and np.any(r2 <= spec.exclusion_radius ** 2):
-        raise DomainError(
-            "evaluation inside the origin exclusion ball with zero softening")
+    _check_ball(spec, r2)
     if spec.kind == "table":
         return spec.func(x, y)
     return spec.kappa * (r2 + spec.softening ** 2) ** (-spec.alpha / 2.0)
@@ -212,9 +191,6 @@ def radial_jets(spec: PotentialSpec, x, y):
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     d = 1 + y.shape[-1]
-    if spec.kind == "zero":
-        zeros = np.zeros(x.shape)
-        return zeros, np.zeros(x.shape + (d,)), zeros, zeros
     r2 = x * x + np.sum(y * y, axis=-1)
     u = r2 + spec.softening ** 2
     c = -spec.alpha / 2.0 - np.arange(4.0)

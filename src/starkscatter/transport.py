@@ -176,27 +176,25 @@ def symbol_q(k: int, p: PhasePoint, spec: PotentialSpec, sign: int = +1,
 
 def decay_fit_symbols(k: int, spec: PotentialSpec, sign: int = +1,
                       x_values=None, y_over_x: float = 0.0,
-                      zeta: float = 0.0, which: str = "b",
-                      tol: float = 1e-9, m: float = 1.0,
-                      eps: float = 0.3, d: int = 2) -> float:
-    """Log-log decay exponent of |b_k| or |q_k| along an outgoing ray.
+                      zeta: float = 0.0, tol: float = 1e-9, m: float = 1.0,
+                      eps: float = 0.3, d: int = 2) -> tuple[float, float]:
+    """Log-log decay exponents (of |b_k|, of |q_k|) along a ray of a branch.
 
-    Points are (x, y = c x, eta = sqrt(2x), zeta fixed); the fitted slope is
-    against x, which is comparable to <x + <y>_m> on the ray.  which is "b"
-    or "q".
+    Points are (x, y = c x, eta = sgn sqrt(2x), zeta fixed), in the cone of
+    the branch sign, and one solve gives both exponents.  The fitted slopes
+    are against x, which is comparable to <x + <y>_m> on the ray.
     """
-    if which not in ("b", "q"):
-        raise DomainError(f'which must be "b" or "q", got {which!r}')
     if x_values is None:
         x_values = np.geomspace(1e2, 1e4, 9)
     x_values = np.asarray(x_values, dtype=float)
     if x_values.size < 3:
         raise DomainError("need at least 3 ray samples for a decay fit")
+    sgn = 1.0 if sign >= 0 else -1.0
     y = np.outer(y_over_x * x_values / np.sqrt(d - 1), np.ones(d - 1))
     zetas = np.full((x_values.size, d - 1), zeta / np.sqrt(d - 1))
-    jets = _solve(k, x_values, y, np.sqrt(2.0 * x_values), zetas, spec, sign,
-                  tol, m, eps)
-    vals = np.abs(jets.b[k - 1] if which == "b" else jets.q_k(k))
+    jets = _solve(k, x_values, y, sgn * np.sqrt(2.0 * x_values), zetas, spec,
+                  sign, tol, m, eps)
+    vals = np.abs([jets.b[k - 1], jets.q_k(k)])
     if np.any(vals == 0.0):
         raise DomainError("symbol vanishes on the ray; no decay fit")
-    return loglog_fit(x_values, vals)[0]
+    return loglog_fit(x_values, vals[0])[0], loglog_fit(x_values, vals[1])[0]

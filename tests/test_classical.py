@@ -64,6 +64,21 @@ def test_free_flow_identity_at_zero_time():
     np.testing.assert_array_equal(q.zeta, p.zeta)
 
 
+@pytest.mark.parametrize("softening", [1e-3, 0.0])
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_orbit_at_kappa_zero_is_the_free_flow(softening, d):
+    # no force at kappa = 0, so the integrated deviation is exactly 0; the
+    # orbit adds the parabola back in extended precision, and on dyadic data
+    # with integer times the parabola is exact in doubles too
+    spec = homogeneous(0.0, 1.0, softening=softening)
+    p0 = PhasePoint(-20.5, np.linspace(1.25, 3.0, d - 1), 3.75,
+                    np.linspace(-0.5, 0.25, d - 1))
+    traj = integrate_orbit(spec, p0, 64.0, t_eval=np.arange(65.0))
+    free = np.array([free_flow(p0, t).as_vector() for t in traj.times])
+    np.testing.assert_array_equal(traj.states, free)
+    assert traj.energy_drift() == 0.0
+
+
 def test_free_flow_group_law():
     rng = np.random.default_rng(21)
     for _ in range(50):

@@ -374,6 +374,20 @@ def test_shipped_config_verifies(capsys, tmp_path, name):
                 "half_sample_change"} <= kernel.keys()
 
 
+def test_incoming_branch_verifies(capsys, tmp_path):
+    # the decay fit takes its ray on the incoming branch of the transport
+    # point, eta = -sqrt(2x)
+    code, summary = _run(capsys, "verify-all", "--config",
+                         str(CONFIGS / "coulomb_d3.json"),
+                         "--transport.sign=-1", "--transport.eta=-15",
+                         f"--output_dir={tmp_path}")
+    assert code == 0
+    assert summary["passed"] is True
+    tra = json.loads((tmp_path / "transport_summary.json").read_text())
+    assert tra["decay_exponent_b1"] == pytest.approx(-0.5, abs=0.1)
+    assert tra["decay_exponent_q1"] == pytest.approx(-1.5, abs=0.1)
+
+
 @pytest.mark.parametrize("name, alpha", [("coulomb_d2", 0.75),
                                          ("coulomb_d2", 1.25),
                                          ("coulomb_d3", 0.75)])

@@ -54,6 +54,16 @@ def test_born_symbol_zero_potential():
     assert born_symbol(zero_potential(), [0.0, 0.0], [5.0, 0.0]) == 0.0
 
 
+@pytest.mark.parametrize("softening", [1e-3, 0.0])
+@pytest.mark.parametrize("d", [2, 3])
+def test_born_symbols_vanish_at_kappa_zero(softening, d):
+    ys = np.zeros((20, d - 1))
+    ys[:, 0] = np.geomspace(1e-2, 1e4, 20)
+    values, change = born_symbols(homogeneous(0.0, 1.0, softening=softening),
+                                  np.zeros(d - 1), ys)
+    assert np.all(values == 0.0) and np.all(change == 0.0)
+
+
 @pytest.mark.parametrize("alpha", [0.75, 1.0, 1.5, 2.5])
 def test_born_symbol_against_mpmath(alpha):
     # the default radius is R = 2 at zeta = 0, lam = 0

@@ -18,8 +18,6 @@ from starkscatter import kernel
 from starkscatter.kernel import born_symbols
 from starkscatter.potentials import (
     PotentialSpec,
-    _radial_grad_prefactor,
-    _radius_sq,
     eval_potential_array,
     grad_potential_array,
     radial_jets,
@@ -30,6 +28,32 @@ def test_zero_potential_vanishes():
     spec = zero_potential()
     assert eval_potential(spec, 3.0, [4.0]) == 0.0
     assert np.all(grad_potential(spec, 3.0, [4.0, 0.0]) == 0.0)
+
+
+def test_zero_potential_is_the_homogeneous_kind_at_kappa_zero():
+    assert zero_potential() == homogeneous(0.0, 1.0)
+    assert zero_potential().softening == 1e-3
+    with pytest.raises(DomainError):
+        PotentialSpec(kind="zero")
+
+
+@pytest.mark.parametrize("softening", [1e-3, 0.0])
+@pytest.mark.parametrize("d", [2, 3])
+def test_kappa_zero_is_exactly_zero(softening, d):
+    # the free case runs the homogeneous arithmetic: every value and jet is
+    # 0, with no NaN, away from the origin and, softened, at it
+    spec = homogeneous(0.0, 1.0, softening=softening)
+    rng = np.random.default_rng(60 + d)
+    x = rng.uniform(-50.0, 1e4, size=50)
+    y = rng.uniform(-30.0, 30.0, size=(50, d - 1))
+    if softening > 0.0:
+        x[0], y[0] = 0.0, 0.0
+    values = [eval_potential_array(spec, x, y),
+              grad_potential_array(spec, x, y), *radial_jets(spec, x, y),
+              [eval_potential(spec, a, b) for a, b in zip(x, y)],
+              [grad_potential(spec, a, b) for a, b in zip(x, y)]]
+    for v in values:
+        assert np.all(np.asarray(v) == 0.0)
 
 
 def test_coulomb_value_and_gradient():
@@ -93,6 +117,17 @@ _COULOMB_TABLE = PotentialSpec(kind="table", func=lambda x, y: 0.7 * (
     x * x + np.sum(y * y, axis=-1) + 1e-6) ** -0.5)
 
 
+@pytest.mark.parametrize("spec", [coulomb(1.0), _COULOMB_TABLE],
+                         ids=["coulomb", "table"])
+@pytest.mark.parametrize("x, y", [(np.nan, [0.0]), (1e200, [0.0]),
+                                  (0.0, [1e200])])
+def test_non_finite_point_raises_domain_error(spec, x, y):
+    # an overflowing r^2 is a non-finite point, not a numpy warning
+    for f in (eval_potential, grad_potential):
+        with pytest.raises(DomainError, match="non-finite point"):
+            f(spec, x, y)
+
+
 @pytest.mark.parametrize("spec", [
     coulomb(0.7, softening=1e-3),
     homogeneous(0.3, 1.5, softening=0.0),
@@ -107,10 +142,13 @@ def test_grad_potential_array_rows_match_grad_potential(spec, d):
     y = rng.uniform(-30.0, 30.0, size=(300, d - 1))
     got = grad_potential_array(spec, x, y)
     assert got.shape == (300, d)
-    if spec.kind in ("coulomb", "homogeneous"):
-        # the scalar closed form of the compiled orbit right-hand side
-        ref = np.array([_radial_grad_prefactor(spec, _radius_sq(xi, yi))
-                        * np.r_[xi, yi] for xi, yi in zip(x, y)])
+    if spec.kind == "homogeneous":
+        # the closed form in Python floats, as the orbit right-hand sides
+        # evaluate it
+        a, kappa, s2 = spec.alpha, spec.kappa, spec.softening ** 2
+        ref = np.array([
+            -a * kappa * (float(xi) * float(xi) + float(np.sum(yi * yi)) + s2)
+            ** (-a / 2.0 - 1.0) * np.r_[xi, yi] for xi, yi in zip(x, y)])
     else:
         ref = np.array([grad_potential(spec, xi, yi)
                         for xi, yi in zip(x, y)])

@@ -264,16 +264,15 @@ def test_transport_residual_second_order_in_step():
 def test_decay_rates_along_outgoing_ray():
     spec = coulomb(1.0)
     x_values = np.geomspace(1e2, 1e4, 7)
-    assert decay_fit_symbols(1, spec, which="b", x_values=x_values) == \
-        pytest.approx(-0.5, abs=0.05)
-    assert decay_fit_symbols(1, spec, which="q", x_values=x_values,
-                             tol=1e-8) == pytest.approx(-1.5, abs=0.05)
+    b_exp, q_exp = decay_fit_symbols(1, spec, x_values=x_values)
+    assert b_exp == pytest.approx(-0.5, abs=0.05)
+    assert q_exp == pytest.approx(-1.5, abs=0.05)
 
 
 def test_decay_rate_faster_for_shorter_range():
     spec = homogeneous(1.0, 1.5, softening=0.0)
     x_values = np.geomspace(1e2, 1e4, 5)
-    slope = decay_fit_symbols(1, spec, which="b", x_values=x_values)
+    slope, _ = decay_fit_symbols(1, spec, x_values=x_values)
     # b1 ~ integral of r^{-3/2} along the flow decays faster than coulomb b1
     assert slope < -0.7
 
@@ -295,7 +294,7 @@ def test_symbol_domain_checks():
 
 def test_transport_stage_solves_once_for_every_order(tmp_path, monkeypatch):
     # one solve serves b_k, q_k, the tail estimates and the residuals of
-    # every order; the decay fit adds one solve per fitted symbol
+    # every order; the decay fit adds one solve for both fitted symbols
     calls = []
 
     def counted(*args):
@@ -303,7 +302,7 @@ def test_transport_stage_solves_once_for_every_order(tmp_path, monkeypatch):
         return _hierarchy(*args)
 
     monkeypatch.setattr(transport, "_hierarchy", counted)
-    for decay_fit, solves in (("false", 1), ("true", 3)):
+    for decay_fit, solves in (("false", 1), ("true", 2)):
         calls.clear()
         cfg = cli.load_config(None, [f"--output_dir={tmp_path}",
                                      f"--transport.decay_fit={decay_fit}"])
@@ -311,6 +310,14 @@ def test_transport_stage_solves_once_for_every_order(tmp_path, monkeypatch):
         assert set(summary["residuals"]) == {"k=1", "k=2"}
         assert len(calls) == solves
         assert calls[0] == 2
+
+
+@pytest.mark.parametrize("softening", [1e-3, 0.0])
+@pytest.mark.parametrize("p", [POINT, POINT_D3])
+def test_symbols_vanish_at_kappa_zero(softening, p):
+    for res in symbols(2, p, homogeneous(0.0, 1.0, softening=softening)):
+        assert (res.value, res.q, res.tail_estimate, res.quad_error,
+                res.residual) == (0.0, 0.0, 0.0, 0.0, 0.0)
 
 
 def test_lower_orders_do_not_depend_on_k_max():
@@ -353,9 +360,3 @@ def test_symbols_domain_checks():
         symbols(1, PhasePoint(100.0, [5.0], 0.0, [0.0]), spec)
     with pytest.raises(DomainError, match="order"):
         symbols(3, POINT, spec)
-
-
-def test_unknown_symbol_name_is_rejected():
-    with pytest.raises(DomainError, match='"b" or "q"'):
-        decay_fit_symbols(1, coulomb(1.0), which="q1")
-
