@@ -8,12 +8,13 @@ conservation.
 Orbits are held as arrays: a Trajectory stores its samples as an (N, 2d)
 state array with (N,) times and energies, and builds PhasePoints only when
 they are read.  The energies, the radiation observables of decay_slope and
-the asymptotic momentum are computed on whole trajectories at once.  The
-compiled solver calls a right-hand side in Python floats: for the homogeneous
-kind at d = 2 and 3 a closure with every coordinate named, otherwise one
-closure for every kind and d.  The batched pass that takes the samples
-computes the homogeneous force itself.  Other kinds, and points the closed
-form cannot take, go to potentials.grad_potential_array and its DomainError.
+the asymptotic momentum are computed on whole trajectories at once.  Orbits
+are stepped by DOP853 under scipy's step-size controller in Python floats:
+one step is one closure call, with every coordinate named for the
+homogeneous kind at d = 2 and 3, otherwise one closure for every kind and d.
+The batched pass that takes the samples computes the homogeneous force
+itself.  Other kinds, and points the closed form cannot take, go to
+potentials.grad_potential_array and its DomainError.
 The free case is the homogeneous kind at kappa = 0, where the deviation
 stays exactly 0.
 """
@@ -21,13 +22,10 @@ stays exactly 0.
 from __future__ import annotations
 
 import math
-import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import ode
-from scipy.integrate._ivp import dop853_coefficients
 
 from .errors import ConvergenceError, DomainError
 from .potentials import (EXCLUSION_RADIUS, PotentialSpec,
@@ -151,70 +149,67 @@ def free_flow_arrays(x, y, eta, zeta, t):
             eta + t, zeta)
 
 
-def _deviation_rhs(spec: PotentialSpec, p0: PhasePoint, error=None):
-    """Hamilton's equations for the deviation from the free parabola of p0.
+# The DOP853 tableau: Dormand and Prince's explicit 8(5,3) pair with the
+# coefficients of Hairer's DOP853 code (Hairer, Norsett and Wanner, Solving
+# Ordinary Differential Equations I, section II.10), as scipy holds them.
+# Stage s = 1 .. 12 is taken at t + C[s] h from u + h sum_j A[s][j] K_j.
+# Row 12 of A (C = 1) holds the weights of the solution, so the last stage
+# is the new state and its K the next step's K_0; E5 and E3 weight K_0 ..
+# K_12 in the two error estimates.
+_C = (0.0, 0.05260015195876773, 0.0789002279381516, 0.1183503419072274,
+      0.2816496580927726, 0.3333333333333333, 0.25, 0.3076923076923077,
+      0.6512820512820513, 0.6, 0.8571428571428571, 1.0, 1.0)
+_A = (
+    (),
+    (0.05260015195876773,),
+    (0.0197250569845379, 0.0591751709536137),
+    (0.02958758547680685, 0.0, 0.08876275643042054),
+    (0.2413651341592667, 0.0, -0.8845494793282861, 0.924834003261792),
+    (0.037037037037037035, 0.0, 0.0, 0.17082860872947386,
+     0.12546768756682242),
+    (0.037109375, 0.0, 0.0, 0.17025221101954405, 0.06021653898045596,
+     -0.017578125),
+    (0.03709200011850479, 0.0, 0.0, 0.17038392571223998, 0.10726203044637328,
+     -0.015319437748624402, 0.008273789163814023),
+    (0.6241109587160757, 0.0, 0.0, -3.3608926294469414, -0.868219346841726,
+     27.59209969944671, 20.154067550477894, -43.48988418106996),
+    (0.47766253643826434, 0.0, 0.0, -2.4881146199716677, -0.590290826836843,
+     21.230051448181193, 15.279233632882423, -33.28821096898486,
+     -0.020331201708508627),
+    (-0.9371424300859873, 0.0, 0.0, 5.186372428844064, 1.0914373489967295,
+     -8.149787010746927, -18.52006565999696, 22.739487099350505,
+     2.4936055526796523, -3.0467644718982196),
+    (2.273310147516538, 0.0, 0.0, -10.53449546673725, -2.0008720582248625,
+     -17.9589318631188, 27.94888452941996, -2.8589982771350235,
+     -8.87285693353063, 12.360567175794303, 0.6433927460157636),
+    (0.054293734116568765, 0.0, 0.0, 0.0, 0.0, 4.450312892752409,
+     1.8915178993145003, -5.801203960010585, 0.3111643669578199,
+     -0.1521609496625161, 0.20136540080403034, 0.04471061572777259),
+)
+_E5 = (0.01312004499419488, 0.0, 0.0, 0.0, 0.0, -1.2251564463762044,
+       -0.4957589496572502, 1.6643771824549864, -0.35032884874997366,
+       0.3341791187130175, 0.08192320648511571, -0.022355307863886294, 0.0)
+_E3 = (-0.18980075407240762, 0.0, 0.0, 0.0, 0.0, 4.450312892752409,
+       1.8915178993145003, -5.801203960010585, -0.4226823213237919,
+       -0.1521609496625161, 0.20136540080403034, 0.02265179219836082, 0.0)
 
-    The deviation u = state - free_flow(p0, t) stays O(1) on scattering
-    orbits while x itself grows like t^2/2, so integrating u keeps the
-    error control meaningful over long times.  The right-hand side works in
-    Python floats and returns a list: on vectors of length 2d <= 6, numpy's
-    per-operation overhead is most of the cost, and the homogeneous kind at
-    d = 2 and 3 names its floats.  A point where that closed form fails, and
-    every other kind and d, take _generic_rhs.  Given a list error, it stores
-    an exception there instead of raising it and returns NaNs from then on.
-    """
-    generic = _generic_rhs(spec, p0, error)
-    if spec.kind != "homogeneous" or p0.d not in (2, 3):
-        return generic
-    r2_min, s2, ak, power = _radial_constants(spec)
-    inf = math.inf
-    nans = np.full(2 * p0.d, np.nan)
-    if p0.d == 2:
-        x0, y0, eta0, zeta0 = p0.as_vector().tolist()
 
-        def rhs(t, u):
-            if error:
-                return nans
-            try:
-                dx, dy, deta, dzeta = u.tolist()
-                x = x0 + t * eta0 + 0.5 * t * t + dx
-                y = y0 + t * zeta0 + dy
-                r2 = x * x + y * y
-                if r2_min < r2 < inf:
-                    f = ak * (r2 + s2) ** power
-                    return [deta, dzeta, f * x, f * y]
-            except (ZeroDivisionError, OverflowError):
-                pass
-            except BaseException as exc:  # raised again by _accepted_steps
-                if error is None:
-                    raise
-                error.append(exc)  # so generic returns NaNs
-            return generic(t, u)
+def _nonzero(weights) -> tuple:
+    """The (j, weight) pairs of the nonzero weights."""
+    return tuple((j, w) for j, w in enumerate(weights) if w != 0.0)
 
-        return rhs
-    x0, y0, y1_0, eta0, zeta0, zeta1_0 = p0.as_vector().tolist()
 
-    def rhs(t, u):
-        if error:
-            return nans
-        try:
-            dx, dy, dy1, deta, dzeta, dzeta1 = u.tolist()
-            x = x0 + t * eta0 + 0.5 * t * t + dx
-            y = y0 + t * zeta0 + dy
-            y1 = y1_0 + t * zeta1_0 + dy1
-            r2 = x * x + (y * y + y1 * y1)
-            if r2_min < r2 < inf:
-                f = ak * (r2 + s2) ** power
-                return [deta, dzeta, dzeta1, f * x, f * y, f * y1]
-        except (ZeroDivisionError, OverflowError):
-            pass
-        except BaseException as exc:  # raised again by _accepted_steps
-            if error is None:
-                raise
-            error.append(exc)  # so generic returns NaNs
-        return generic(t, u)
+# what the scalar steps loop over: (C[s], the nonzero (j, A[s][j])) for
+# stages 1 .. 12, and the nonzero (j, weight) of E5 and of E3
+_STAGES = tuple((_C[s], _nonzero(_A[s])) for s in range(1, 13))
+_ERRORS = (_nonzero(_E5), _nonzero(_E3))
+# the batched sample step's arrays: C, and A padded to (13, 12)
+_C_ARRAY = np.array(_C)
+_A_ROWS = np.array([row + (0.0,) * (12 - len(row)) for row in _A])
 
-    return rhs
+# scipy's step-size controller (solve_ivp's RungeKutta): the step grows or
+# shrinks by SAFETY err^(-1/8), within [MIN_FACTOR, MAX_FACTOR]
+_SAFETY, _MIN_FACTOR, _MAX_FACTOR, _ERROR_EXPONENT = 0.9, 0.2, 10.0, -1.0 / 8
 
 
 def _radial_constants(spec: PotentialSpec):
@@ -225,73 +220,189 @@ def _radial_constants(spec: PotentialSpec):
             -spec.alpha / 2.0 - 1.0)
 
 
-def _generic_rhs(spec: PotentialSpec, p0: PhasePoint, error=None):
-    """_deviation_rhs for any kind and d; a bad point raises in
-    grad_potential_array, or is stored in error as in _deviation_rhs."""
+def _point_force(spec: PotentialSpec, x: float, y: list) -> list:
+    """-grad q at one point, as a list; DomainError where q is undefined."""
+    return (-grad_potential_array(spec, [x], [y])[0]).tolist()
+
+
+def _deviation_rhs(spec: PotentialSpec, p0: PhasePoint):
+    """Hamilton's equations for the deviation from the free parabola of p0.
+
+    The deviation u = state - free_flow(p0, t) stays O(1) on scattering
+    orbits while x itself grows like t^2/2, so integrating u keeps the
+    error control meaningful over long times.  The right-hand side takes and
+    returns Python floats, for any kind and d: the homogeneous closed form
+    where it holds, else grad_potential_array and its DomainError.
+    """
     n = p0.d - 1
     x0, eta0 = float(p0.x), float(p0.eta)
     y0, zeta0 = p0.y.tolist(), p0.zeta.tolist()
     r2_min, s2, ak, power = _radial_constants(spec)
-    nans = np.full(2 * p0.d, np.nan)
+    radial = spec.kind == "homogeneous"
 
     def rhs(t, u):
-        if error:
-            return nans
-        try:
-            u = u.tolist()
-            x = x0 + t * eta0 + 0.5 * t * t + u[0]
-            y = [a + t * b + c for a, b, c in zip(y0, zeta0, u[1:1 + n])]
-            # (u_x, u_y) dot = (u_eta, u_zeta); (u_eta, u_zeta) dot = -grad q
-            r2 = x * x + sum([c * c for c in y])
-            if spec.kind == "homogeneous" and r2_min < r2 < math.inf:
+        x = x0 + t * eta0 + 0.5 * t * t + u[0]
+        y = [a + t * b + c for a, b, c in zip(y0, zeta0, u[1:1 + n])]
+        # (u_x, u_y) dot = (u_eta, u_zeta); (u_eta, u_zeta) dot = -grad q
+        r2 = x * x + sum([c * c for c in y])
+        if radial and r2_min < r2 < math.inf:
+            try:
+                f = ak * (r2 + s2) ** power
+            except (ZeroDivisionError, OverflowError):
+                pass
+            else:
+                return [*u[1 + n:], f * x, *[f * c for c in y]]
+        return [*u[1 + n:], *_point_force(spec, x, y)]
+
+    return rhs
+
+
+def _step_closure(spec: PotentialSpec, p0: PhasePoint):
+    """One DOP853 step of the deviation of p0.
+
+    step(t, u, f, h) takes the deviation u at t with f, its right-hand side
+    (the last step's final stage), and returns the deviation at t + h, its
+    right-hand side and the E5 and E3 error estimates.  It works in Python
+    floats and loops over the nonzero tableau entries: on 2d <= 6
+    components, numpy's per-operation overhead would be most of the cost.
+    The homogeneous kind at d = 2 and 3 names every float and computes its
+    force itself, and a point where that closed form fails takes
+    grad_potential_array; every other kind and d take _generic_step.
+    """
+    if spec.kind != "homogeneous" or p0.d not in (2, 3):
+        return _generic_step(_deviation_rhs(spec, p0))
+    r2_min, s2, ak, power = _radial_constants(spec)
+    inf = math.inf
+    if p0.d == 2:
+        x0, y0, eta0, zeta0 = p0.as_vector().tolist()
+
+        def step(t, u, f, h):
+            u0, u1, u2, u3 = u
+            ks = [f]
+            for c, row in _STAGES:
+                a0 = a1 = a2 = a3 = 0.0
+                for j, w in row:
+                    k0, k1, k2, k3 = ks[j]
+                    a0 += w * k0
+                    a1 += w * k1
+                    a2 += w * k2
+                    a3 += w * k3
+                v0, v1 = u0 + a0 * h, u1 + a1 * h
+                v2, v3 = u2 + a2 * h, u3 + a3 * h
+                ts = t + c * h
+                x = x0 + ts * eta0 + 0.5 * ts * ts + v0
+                y = y0 + ts * zeta0 + v1
+                r2 = x * x + y * y
+                g = None
+                if r2_min < r2 < inf:
+                    try:
+                        g = ak * (r2 + s2) ** power
+                    except (ZeroDivisionError, OverflowError):
+                        pass
+                ks.append((v2, v3, g * x, g * y) if g is not None
+                          else (v2, v3, *_point_force(spec, x, [y])))
+            v = (v0, v1, v2, v3)
+            errors = []
+            for row in _ERRORS:
+                a0 = a1 = a2 = a3 = 0.0
+                for j, w in row:
+                    k0, k1, k2, k3 = ks[j]
+                    a0 += w * k0
+                    a1 += w * k1
+                    a2 += w * k2
+                    a3 += w * k3
+                errors.append((a0, a1, a2, a3))
+            return v, ks[-1], *errors
+
+        return step
+    x0, y0, y1_0, eta0, zeta0, zeta1_0 = p0.as_vector().tolist()
+
+    def step(t, u, f, h):
+        u0, u1, u2, u3, u4, u5 = u
+        ks = [f]
+        for c, row in _STAGES:
+            a0 = a1 = a2 = a3 = a4 = a5 = 0.0
+            for j, w in row:
+                k0, k1, k2, k3, k4, k5 = ks[j]
+                a0 += w * k0
+                a1 += w * k1
+                a2 += w * k2
+                a3 += w * k3
+                a4 += w * k4
+                a5 += w * k5
+            v0, v1, v2 = u0 + a0 * h, u1 + a1 * h, u2 + a2 * h
+            v3, v4, v5 = u3 + a3 * h, u4 + a4 * h, u5 + a5 * h
+            ts = t + c * h
+            x = x0 + ts * eta0 + 0.5 * ts * ts + v0
+            y = y0 + ts * zeta0 + v1
+            y1 = y1_0 + ts * zeta1_0 + v2
+            r2 = x * x + (y * y + y1 * y1)
+            g = None
+            if r2_min < r2 < inf:
                 try:
-                    f = ak * (r2 + s2) ** power
+                    g = ak * (r2 + s2) ** power
                 except (ZeroDivisionError, OverflowError):
                     pass
-                else:
-                    return u[1 + n:] + [f * x] + [f * c for c in y]
-            return u[1 + n:] + (
-                -grad_potential_array(spec, [x], [y])[0]).tolist()
-        except BaseException as exc:  # raised again by _accepted_steps
-            if error is None:
-                raise
-            error.append(exc)
-            return nans
+            ks.append((v3, v4, v5, g * x, g * y, g * y1) if g is not None
+                      else (v3, v4, v5, *_point_force(spec, x, [y, y1])))
+        v = (v0, v1, v2, v3, v4, v5)
+        errors = []
+        for row in _ERRORS:
+            a0 = a1 = a2 = a3 = a4 = a5 = 0.0
+            for j, w in row:
+                k0, k1, k2, k3, k4, k5 = ks[j]
+                a0 += w * k0
+                a1 += w * k1
+                a2 += w * k2
+                a3 += w * k3
+                a4 += w * k4
+                a5 += w * k5
+            errors.append((a0, a1, a2, a3, a4, a5))
+        return v, ks[-1], *errors
 
-    return rhs
+    return step
 
 
-def _deviation_rhs_rows(spec: PotentialSpec, p0: PhasePoint):
-    """_deviation_rhs on rows: t of shape (m,), u (m, 2d), result (m, 2d)."""
-    n = p0.d - 1
-    r2_min, s2, ak, power = _radial_constants(spec)
+def _generic_step(rhs):
+    """_step_closure on lists, for any kind and d, with rhs from
+    _deviation_rhs; it rounds as the closures with named floats do."""
+    def combine(ks, row):
+        acc = [0.0] * len(ks[0])
+        for j, w in row:
+            acc = [a + w * k for a, k in zip(acc, ks[j])]
+        return acc
 
-    def rhs(t, u):
-        x = p0.x + t * p0.eta + 0.5 * t * t + u[:, 0]
-        y = p0.y + t[:, None] * p0.zeta + u[:, 1:1 + n]
-        if spec.kind == "homogeneous":
-            r2 = x * x + (y * y).sum(axis=1)
-            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-                f = ak * (r2 + s2) ** power
-            # a NaN fails the comparison, an inf in r2 or f makes r2 + f inf
-            if r2_min < r2.min(initial=math.inf) and np.isfinite(r2 + f).all():
-                return np.concatenate([u[:, 1 + n:], (f * x)[:, None],
-                                       f[:, None] * y], axis=1)
-        return np.concatenate(
-            [u[:, 1 + n:], -grad_potential_array(spec, x, y)], axis=1)
+    def step(t, u, f, h):
+        ks = [f]
+        for c, row in _STAGES:
+            v = [a + b * h for a, b in zip(u, combine(ks, row))]
+            ks.append(rhs(t + c * h, v))
+        return (v, ks[-1], *[combine(ks, row) for row in _ERRORS])
 
-    return rhs
+    return step
+
+
+def _error_norm(err5, err3, u, v, h: float, tol: float) -> float:
+    """scipy's DOP853 error norm of a step of size h from u to v.
+
+    With each component of the E5 and E3 estimates divided by tol (1 +
+    max(|u|, |v|)), and s5, s3 their sums of squares, the norm is
+    |h| s5 / sqrt((s5 + s3 / 100) n); a step is accepted below 1.
+    """
+    s5 = s3 = 0.0
+    for a5, a3, a, b in zip(err5, err3, u, v):
+        scale = tol + max(abs(a), abs(b)) * tol
+        q5 = a5 / scale
+        q3 = a3 / scale
+        s5 += q5 * q5
+        s3 += q3 * q3
+    return abs(h) * s5 / math.sqrt((s5 + 0.01 * s3) * len(u)) if s5 else 0.0
 
 
 # Steps, accepted or rejected, that one orbit integration may take before it
 # fails with ConvergenceError.  The orbits of the shipped configs, of the
 # tests and of the benchmark take at most about 60 accepted steps.
 MAX_ORBIT_STEPS = 100_000
-
-_DOP853_FAILURES = {-1: "inconsistent solver input",
-                    -2: "more than {} steps needed",
-                    -3: "step size became too small",
-                    -4: "the problem is probably stiff"}
 
 
 def integrate_orbit(spec: PotentialSpec, p0: PhasePoint, t_final: float,
@@ -305,13 +416,13 @@ def integrate_orbit(spec: PotentialSpec, p0: PhasePoint, t_final: float,
     n_samples times; pass t_eval for custom (e.g. logarithmic) sampling,
     inside [0, t_final] and strictly monotone towards t_final.
 
-    Stepping runs in scipy's compiled DOP853 (Hairer's code) from 0 to
-    t_final with rtol = atol = tol, on at most MAX_ORBIT_STEPS steps.  The
-    samples are then taken in one pass over arrays: each sample is one
-    DOP853 step, with the same tableau, from the start of the accepted step
-    that contains it.  The compiled solver is not reentrant, so a potential
-    must not integrate an orbit from inside its own evaluation; nothing in
-    the library nests orbit integrations.
+    Stepping runs DOP853 under scipy's step-size controller, in Python
+    floats, from 0 to t_final with rtol = atol = tol, on at most
+    MAX_ORBIT_STEPS steps, accepted or rejected.  The samples are then taken
+    in one pass over arrays: each sample is one DOP853 step, with the same
+    tableau, from the start of the accepted step that contains it.  An
+    exception raised by the potential reaches the caller unchanged, and a
+    potential may itself integrate orbits.
     """
     if tol <= 0:
         raise DomainError("tolerance must be positive")
@@ -323,16 +434,15 @@ def integrate_orbit(spec: PotentialSpec, p0: PhasePoint, t_final: float,
         t_eval = np.linspace(0.0, t_final, n_samples)
     else:
         t_eval = _checked_t_eval(t_eval, t_final)
-    steps_t, steps_u, code = _accepted_steps(spec, p0, t_final, tol)
-    if code < 0:
+    steps_t, steps_u, failure = _accepted_steps(spec, p0, t_final, tol)
+    if failure:
         # the samples up to the last accepted step
         t_eval = t_eval[np.sign(t_final) * (t_eval - steps_t[-1]) <= 0.0]
     traj = _trajectory_from_solution(
         spec, p0, t_eval, _sample_steps(spec, p0, steps_t, steps_u, t_eval))
-    if code < 0:
-        raise ConvergenceError(
-            "orbit integration failed: "
-            + _DOP853_FAILURES[code].format(MAX_ORBIT_STEPS), partial=traj)
+    if failure:
+        raise ConvergenceError("orbit integration failed: " + failure,
+                               partial=traj)
     return traj
 
 
@@ -351,38 +461,77 @@ def _checked_t_eval(t_eval, t_final: float) -> np.ndarray:
 
 
 def _accepted_steps(spec, p0, t_final: float, tol: float):
-    """Every accepted step of compiled DOP853 from u = 0 at t = 0 to t_final.
+    """Every accepted DOP853 step from u = 0 at t = 0 to t_final.
 
     Returns the step times (K + 1,) and deviations (K + 1, 2d), both
-    starting at t = 0, and the solver's return code, negative on failure.
-    The compiled code cannot carry an exception out of the right-hand side:
-    it would go on calling it.  So the right-hand side stores an exception
-    and returns NaNs from then on, which no step passes (solout stops the
-    solver should one be accepted) until the step size underflows; then the
-    exception is raised again here.
+    starting at t = 0, and None, or the reason the integration stopped after
+    K steps: MAX_ORBIT_STEPS steps taken, or a step size below ten spacings
+    of the floats at t.  The controller is scipy's (solve_ivp's RungeKutta):
+    a step is accepted where _error_norm is below 1, and the next step size
+    is the last one times SAFETY err^(-1/8) within [MIN_FACTOR, MAX_FACTOR],
+    at most 1 after a rejection.
     """
+    n = 2 * p0.d
+    times, states = [0.0], [(0.0,) * n]
     if t_final == 0.0:
-        return np.zeros(1), np.zeros((1, 2 * p0.d)), 1
-    times, states, error = [], [], []
-
-    def solout(t, u):
-        if error:
-            return -1
+        return np.array(times), np.array(states), None
+    rhs = _deviation_rhs(spec, p0)
+    step = _step_closure(spec, p0)
+    direction = math.copysign(1.0, t_final)
+    t, u = 0.0, states[0]
+    f = rhs(t, u)
+    h_abs = _first_step(rhs, f, t_final, tol)
+    attempts = 0
+    while t != t_final:
+        min_step = 10.0 * abs(math.nextafter(t, direction * math.inf) - t)
+        h_abs = max(h_abs, min_step)
+        rejected = False
+        while True:
+            if h_abs < min_step or attempts == MAX_ORBIT_STEPS:
+                failure = ("step size became too small" if h_abs < min_step
+                           else f"more than {MAX_ORBIT_STEPS} steps needed")
+                return np.array(times), np.array(states), failure
+            attempts += 1
+            t_new = t + direction * h_abs
+            if direction * (t_new - t_final) > 0.0:
+                t_new = t_final
+            h = t_new - t
+            u_new, f_new, err5, err3 = step(t, u, f, h)
+            error = _error_norm(err5, err3, u, u_new, h, tol)
+            if error < 1.0:
+                factor = (_MAX_FACTOR if error == 0.0 else
+                          min(_MAX_FACTOR, _SAFETY * error ** _ERROR_EXPONENT))
+                h_abs = abs(h) * (min(1.0, factor) if rejected else factor)
+                break
+            h_abs = abs(h) * max(_MIN_FACTOR,
+                                 _SAFETY * error ** _ERROR_EXPONENT)
+            rejected = True
+        t, u, f = t_new, u_new, f_new
         times.append(t)
-        states.append(u.copy())
-        return 0
+        states.append(u)
+    return np.array(times), np.array(states), None
 
-    solver = ode(_deviation_rhs(spec, p0, error)).set_integrator(
-        "dop853", rtol=tol, atol=tol, nsteps=MAX_ORBIT_STEPS)
-    solver.set_solout(solout)
-    solver.set_initial_value(np.zeros(2 * p0.d), 0.0)
-    with warnings.catch_warnings():
-        # a failure is reported through the return code
-        warnings.simplefilter("ignore", UserWarning)
-        solver.integrate(t_final)
-    if error:
-        raise error[0]
-    return np.array(times), np.array(states), solver.get_return_code()
+
+def _first_step(rhs, f0, t_final: float, tol: float) -> float:
+    """|h| of the first step from u = 0, where f0 = rhs(0, u).
+
+    This is scipy's select_initial_step (Hairer, Norsett and Wanner, section
+    II.4) without its cap of 100 h0: at u = 0 the rule takes h0 = 1e-6, so
+    the cap would hold every orbit's first step at 1e-4, about five growing
+    steps short of its natural size.  The step is (0.01 / max(d1, d2))^(1/8)
+    from the rms sizes d1 of f0 and d2 of its change over h0 per unit time,
+    both in units of tol.
+    """
+    span = abs(t_final)
+    h0 = min(1e-6, span)
+    dt = math.copysign(h0, t_final)
+    f1 = rhs(dt, [dt * a for a in f0])
+    d1 = math.sqrt(sum([a * a for a in f0]) / len(f0)) / tol
+    d2 = math.sqrt(sum([(b - a) * (b - a) for a, b in zip(f0, f1)])
+                   / len(f0)) / tol / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        return min(max(1e-6, h0 * 1e-3), span)
+    return min((0.01 / max(d1, d2)) ** (1.0 / 8), span)
 
 
 def _sample_steps(spec, p0, steps_t, steps_u, t_eval) -> np.ndarray:
@@ -391,22 +540,48 @@ def _sample_steps(spec, p0, steps_t, steps_u, t_eval) -> np.ndarray:
     sign = -1.0 if steps_t[-1] < 0 else 1.0
     # steps_t starts at 0, and t_eval lies between 0 and t_final
     k = np.searchsorted(sign * steps_t, sign * t_eval, side="right") - 1
-    return _dop853_step(_deviation_rhs_rows(spec, p0), steps_t[k],
-                        steps_u[k], t_eval - steps_t[k])
+    return _dop853_step(spec, p0, steps_t[k], steps_u[k], t_eval - steps_t[k])
 
 
-def _dop853_step(rhs, t, u, h) -> np.ndarray:
-    """One explicit DOP853 step of size h (m,) from each row of u (m, n)."""
-    a, b, c = dop853_coefficients.A, dop853_coefficients.B, dop853_coefficients.C
-    k = np.empty((b.size,) + u.shape)
-    flat = k.reshape(b.size, -1)
+def _dop853_step(spec, p0, t, u, h) -> np.ndarray:
+    """One DOP853 step of size h (m,) from each row of u (m, 2d) at t (m,).
+
+    The homogeneous kind with a softening takes its closed-form force
+    unchecked.  A bad point makes the step non-finite, and the step is then
+    taken again on grad_potential_array, which raises the DomainError of the
+    first stage that met one; the table kind and zero softening take
+    grad_potential_array throughout.  Both give the same floats.
+    """
+    if spec.kind == "homogeneous" and spec.softening > 0.0:
+        _, s2, ak, power = _radial_constants(spec)
+
+        def radial(x, y):
+            f = ak * (x * x + (y * y).sum(axis=1) + s2) ** power
+            return f[:, None] * np.concatenate([x[:, None], y], axis=1)
+
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            out = _dop853_rows(radial, p0, t, u, h)
+        if np.isfinite(out).all():
+            return out
+    return _dop853_rows(lambda x, y: -grad_potential_array(spec, x, y),
+                        p0, t, u, h)
+
+
+def _dop853_rows(force, p0, t, u, h) -> np.ndarray:
+    """_dop853_step with the force -grad q on rows x (m,), y (m, d - 1);
+    the free parabola is taken at all twelve stage times at once."""
+    d = p0.d
+    x, y, _, _ = free_flow_arrays(p0.x, p0.y, p0.eta, p0.zeta,
+                                  t + _C_ARRAY[:12, None] * h)
+    k = np.empty((12,) + u.shape)
+    flat = k.reshape(12, -1)
     h_col = h[:, None]
-    t_stage = t + c[:b.size, None] * h
-    k[0] = rhs(t, u)
-    for s in range(1, b.size):
-        du = (a[s, :s] @ flat[:s]).reshape(u.shape)
-        k[s] = rhs(t_stage[s], u + h_col * du)
-    return u + h_col * (b @ flat).reshape(u.shape)
+    for s in range(12):
+        us = (u + h_col * (_A_ROWS[s, :s] @ flat[:s]).reshape(u.shape)
+              if s else u)
+        k[s, :, :d] = us[:, d:]
+        k[s, :, d:] = force(x[s] + us[:, 0], y[s] + us[:, 1:d])
+    return u + h_col * (_A_ROWS[12] @ flat).reshape(u.shape)
 
 
 def _trajectory_from_solution(spec, p0, times, us) -> Trajectory:
@@ -433,9 +608,11 @@ def _energies(spec: PotentialSpec, states: np.ndarray) -> np.ndarray:
 
 
 def is_escaping(traj: Trajectory, x_escape: float = 100.0) -> bool:
-    """Escape heuristic: x beyond threshold with eta positive and growing."""
+    """Escape heuristic: x beyond threshold with eta moving away from 0 in
+    the orbit's time direction, positive and growing on a forward orbit,
+    negative and falling on a backward one (x grows like t^2/2 both ways)."""
     xs = traj.states[:, 0]
-    etas = traj.states[:, traj.d]
+    etas = traj.states[:, traj.d] * (-1.0 if traj.times[-1] < 0 else 1.0)
     tail = slice(max(0, len(xs) - 10), None)
     return bool(xs[-1] > x_escape and np.all(etas[tail] > 0)
                 and np.all(np.diff(etas[tail]) > 0))

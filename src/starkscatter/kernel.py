@@ -29,11 +29,11 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import fft
-from scipy.optimize import minimize_scalar
 
 from .errors import ConfigError, DomainError
 from .potentials import PotentialSpec, eval_potential_array
-from .quadrature import converge, map_half_line, map_power, panels
+from .quadrature import (converge, golden_section, map_half_line, map_power,
+                         panels)
 from .special import KernelLaw, c1_constant, c2_constant
 
 
@@ -249,7 +249,8 @@ def _fit_powers(k: np.ndarray, y: np.ndarray, ell: float):
 
     Variable projection: at fixed p the fit is linear in (A, B, C), and p
     minimises the remaining residual over (l - 1/2, l + 1/2), the interval
-    between the neighbouring exponents l - 1/2 and s's l + 1/2.  Returns
+    between the neighbouring exponents l - 1/2 and s's l + 1/2, found by
+    golden-section search to 1e-12.  Returns
     (p, A, B), the standard errors of (p, A, B) from the Jacobian of the
     four-parameter model and the residual variance on n - 4 degrees of
     freedom, and the relative residuals.
@@ -262,10 +263,8 @@ def _fit_powers(k: np.ndarray, y: np.ndarray, ell: float):
         coef = np.linalg.lstsq(basis, ones, rcond=None)[0]
         return coef, basis @ coef - 1.0
 
-    p = float(minimize_scalar(
-        lambda p: float(np.sum(linear(p)[1] ** 2)),
-        bounds=(ell - 0.5, ell + 0.5), method="bounded",
-        options={"xatol": 1e-12}).x)
+    p = golden_section(lambda p: float(np.sum(linear(p)[1] ** 2)),
+                       ell - 0.5, ell + 0.5, 1e-12)
     (a, b, _), resid = linear(p)
     jac = np.column_stack([k ** p, sub, ones,
                            a * k ** p * np.log(k)]) / y[:, None]

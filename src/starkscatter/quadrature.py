@@ -10,7 +10,8 @@ either layout until every output element has converged and reports the last
 change.
 
 The module also holds the one log-log least-squares fit, `loglog_fit`,
-which the decay-rate and convergence-rate fits share.
+which the decay-rate and convergence-rate fits share, and the one
+one-dimensional minimiser, `golden_section`.
 """
 
 from __future__ import annotations
@@ -134,3 +135,29 @@ def loglog_fit(x, y) -> tuple[float, float, float, float]:
     sxx = float(np.sum((lx - lx.mean()) ** 2))
     return (float(coef[0]), float(coef[1]), math.sqrt(sigma2 / sxx),
             math.sqrt(sigma2 * (1.0 / lx.size + lx.mean() ** 2 / sxx)))
+
+
+_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def golden_section(f, lo: float, hi: float, tol: float) -> float:
+    """Minimiser of f on the bracket [lo, hi] by golden-section search.
+
+    f must be unimodal there.  Each evaluation shrinks the bracket by the
+    golden ratio, keeping the side of the smaller of its two inner values,
+    until it is at most tol wide; returns its midpoint.  Where rounding
+    makes f flat near its minimum, the result lies somewhere on that flat
+    stretch.
+    """
+    c, d = hi - _GOLDEN * (hi - lo), lo + _GOLDEN * (hi - lo)
+    fc, fd = f(c), f(d)
+    for _ in range(math.ceil(math.log(tol / (hi - lo)) / math.log(_GOLDEN))):
+        if fc < fd:
+            hi, d, fd = d, c, fc
+            c = hi - _GOLDEN * (hi - lo)
+            fc = f(c)
+        else:
+            lo, c, fc = c, d, fd
+            d = lo + _GOLDEN * (hi - lo)
+            fd = f(d)
+    return (lo + hi) / 2.0

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from starkscatter import checks, parabolic
+from starkscatter import checks, parabolic, special
 
 
 def test_parabolic_check_sees_a_wrong_jacobian(monkeypatch):
@@ -20,3 +20,14 @@ def test_parabolic_check_keeps_its_points():
     for d in (2, 3):
         chk = checks.parabolic_identities(np.random.default_rng(7), 2000, d)
         assert chk.n_kept > 0.9 * 2000
+
+
+def test_c1_quadrature_matches_the_closed_form_and_sees_an_error(monkeypatch):
+    # verify-all's five exponents agree to rounding; a c1 off by 1e-9
+    # relative is reported as such
+    alphas = (0.8, 1.0, 1.5, 2.0, 3.0)
+    assert checks.c1_quadrature(alphas) < 1e-14
+    exact = special.c1_constant
+    monkeypatch.setattr(special, "c1_constant",
+                        lambda alpha: (1.0 + 1e-9) * exact(alpha))
+    assert checks.c1_quadrature(alphas) == pytest.approx(1e-9, rel=1e-4)

@@ -229,17 +229,70 @@ def test_orbit_matches_solve_ivp(kind, d, t_final):
 @pytest.mark.parametrize("d", [2, 3])
 @pytest.mark.parametrize("t_final", [1e4, -50.0], ids=["forward", "backward"])
 def test_batched_step_reproduces_the_compiled_steps(d, t_final):
-    # the sample pass's tableau is the compiled solver's: one batched step
-    # from each accepted step's start, with its length, lands on the next
+    # the sample pass's tableau is the stepper's: one batched step from each
+    # accepted step's start, with its length, lands on the next
     spec = coulomb(0.1, softening=1e-3)
     p0 = PhasePoint(20.0, [1.5, -0.5][:d - 1], 6.0, [0.2, 0.1][:d - 1])
-    times, us, code = classical._accepted_steps(spec, p0, t_final, 1e-12)
-    assert code > 0 and times[0] == 0.0 and times.size > 20
+    times, us, failure = classical._accepted_steps(spec, p0, t_final, 1e-12)
+    assert failure is None and times[0] == 0.0 and times.size > 20
     assert np.all(np.sign(t_final) * np.diff(times) > 0.0)
-    nxt = classical._dop853_step(classical._deviation_rhs_rows(spec, p0),
-                                 times[:-1], us[:-1], np.diff(times))
+    nxt = classical._dop853_step(spec, p0, times[:-1], us[:-1],
+                                 np.diff(times))
     err = np.linalg.norm(nxt - us[1:], axis=1)
     assert np.all(err <= 1e-13 * np.linalg.norm(us[1:], axis=1))
+
+
+@pytest.mark.parametrize("spec, p0, t_final", [
+    (coulomb(0.1, softening=1e-3), PhasePoint(20.0, [1.5], 6.0, [0.2]), -50.0),
+    (coulomb(0.1, softening=1e-3),
+     PhasePoint(20.0, [1.5, -0.5], 6.0, [0.2, 0.1]), 1e4),
+    # two rejected steps
+    (coulomb(0.5, softening=0.1), PhasePoint(5.0, [1.0], 1.0, [0.2]), 50.0),
+], ids=["backward-d2", "forward-d3", "rejections"])
+def test_steps_follow_scipys_dop853_controller(spec, p0, t_final):
+    # from the same first step, scipy's DOP853 accepts the same steps; the
+    # error estimates cancel heavily, so their rounding, which depends on
+    # the order of the sums, moves a step size by up to about 1e-8, and the
+    # step times drift apart by up to 2e-5 over 40 steps
+    from scipy.integrate import DOP853
+
+    times, us, _ = classical._accepted_steps(spec, p0, t_final, 1e-12)
+    rhs = classical._deviation_rhs(spec, p0)
+    solver = DOP853(lambda t, u: np.array(rhs(t, u.tolist())), 0.0,
+                    np.zeros(2 * p0.d), t_final, rtol=1e-12, atol=1e-12,
+                    first_step=abs(times[1]))
+    ref = [0.0]
+    while solver.status == "running":
+        solver.step()
+        ref.append(solver.t)
+    np.testing.assert_allclose(times, ref, rtol=1e-4)
+    np.testing.assert_allclose(us[-1], solver.y, rtol=0.0, atol=1e-12)
+
+
+def test_tableau_is_scipys_dop853_bitwise():
+    from scipy.integrate._ivp import dop853_coefficients as ref
+
+    def bits(values):
+        return np.asarray(values, dtype=float).view(np.uint64).tolist()
+
+    assert bits(classical._C) == bits(ref.C[:13])
+    for s, row in enumerate(classical._A):
+        assert bits(row) == bits(ref.A[s, :s])
+    assert bits(classical._A[12]) == bits(ref.B)
+    assert bits(classical._E3) == bits(ref.E3)
+    assert bits(classical._E5) == bits(ref.E5)
+    assert bits(classical._A_ROWS) == bits(
+        np.vstack([ref.A[:12, :12], ref.B]))
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_first_step_is_not_capped_at_the_origin(d):
+    # the deviation starts at exactly 0, where scipy's select_initial_step
+    # caps the first step at 100 h0 = 1e-4; the stepper drops that cap
+    spec = coulomb(0.1, softening=1e-3)
+    p0 = PhasePoint(20.0, [1.5, -0.5][:d - 1], 6.0, [0.2, 0.1][:d - 1])
+    times, _, _ = classical._accepted_steps(spec, p0, 1e4, 1e-12)
+    assert times[1] > 1e-2
 
 
 def test_zero_time_span_returns_the_initial_point():
@@ -250,42 +303,46 @@ def test_zero_time_span_returns_the_initial_point():
 
 
 def _counted(monkeypatch):
-    """Count the calls of the scalar and of the row right-hand sides."""
-    counts = {"scalar": 0, "rows": 0}
+    """Count the scalar steps, accepted or rejected, and the force calls of
+    the batched sample pass."""
+    counts = {"steps": 0, "rows": 0}
+    step_closure, dop853_rows = classical._step_closure, classical._dop853_rows
 
-    def counting(name, factory):
-        def make(*args):
-            rhs = factory(*args)
+    def counting_closure(*args):
+        step = step_closure(*args)
 
-            def counted(t, u):
-                counts[name] += 1
-                return rhs(t, u)
+        def counted(*step_args):
+            counts["steps"] += 1
+            return step(*step_args)
 
-            return counted
+        return counted
 
-        return make
+    def counting_rows(force, *args):
+        def counted(x, y):
+            counts["rows"] += 1
+            return force(x, y)
 
-    monkeypatch.setattr(classical, "_deviation_rhs",
-                        counting("scalar", classical._deviation_rhs))
-    monkeypatch.setattr(classical, "_deviation_rhs_rows",
-                        counting("rows", classical._deviation_rhs_rows))
+        return dop853_rows(counted, *args)
+
+    monkeypatch.setattr(classical, "_step_closure", counting_closure)
+    monkeypatch.setattr(classical, "_dop853_rows", counting_rows)
     return counts
 
 
 def test_work_counts_do_not_depend_on_sampling(monkeypatch):
-    # the compiled solver steps the same whatever the samples, and the
-    # sample pass is one DOP853 step: 12 stages, each one call on all rows
+    # the stepper steps the same whatever the samples, and the sample pass
+    # is one DOP853 step: 12 stages, each one force call on all rows
     counts = _counted(monkeypatch)
     spec = coulomb(0.1, softening=1e-3)
     p0 = PhasePoint(20.0, [1.5], 6.0, [0.2])
     seen = []
     for t_eval in (None, np.concatenate([[0.0], np.geomspace(1.0, 1e4, 160)]),
                    None):
-        counts.update(scalar=0, rows=0)
+        counts.update(steps=0, rows=0)
         integrate_orbit(spec, p0, 1e4, tol=1e-12, t_eval=t_eval, n_samples=2)
         seen.append(dict(counts))
-    assert seen[0]["scalar"] > 100
-    assert seen == [{"scalar": seen[0]["scalar"], "rows": 12}] * 3
+    assert seen[0]["steps"] > 20
+    assert seen == [{"steps": seen[0]["steps"], "rows": 12}] * 3
 
 
 def _orbit_of_a_few_hundred_steps(**kwargs):
@@ -314,42 +371,72 @@ class _PotentialFault(Exception):
 
 @pytest.mark.parametrize("fault", [_PotentialFault, DomainError])
 def test_exception_in_the_potential_reaches_the_caller(fault):
-    # the compiled solver cannot pass it through; it is stored and raised
-    # again, unchanged, once the solver returns
+    # the exception leaves the stepping loop at once, as it was raised
+    raised = []
+
     def func(x, y):
         if np.any(x > 8.0):
-            raise fault("raised by the potential")
+            raised.append(fault("raised by the potential"))
+            raise raised[-1]
         return 0.0 * x
 
     spec = PotentialSpec(kind="table", func=func)
-    with pytest.raises(fault, match="raised by the potential"):
+    with pytest.raises(fault, match="raised by the potential") as info:
         integrate_orbit(spec, PhasePoint(5.0, [1.0], 1.0, [0.2]), 50.0)
+    assert len(raised) == 1 and info.value is raised[0]
+
+
+def test_potential_may_integrate_an_orbit_itself():
+    # the stepper holds no global state, so orbits nest
+    inner = []
+
+    def func(x, y):
+        traj = integrate_orbit(zero_potential(),
+                               PhasePoint(1.0, [0.0], 0.0, [0.0]), 1.0,
+                               n_samples=2)
+        inner.append(traj.states[-1, 0])
+        return 0.1 / np.sqrt(1.0 + x * x + np.sum(y * y, axis=-1))
+
+    spec = PotentialSpec(kind="table", func=func)
+    p0 = PhasePoint(5.0, [1.0], 1.0, [0.2])
+    traj = integrate_orbit(spec, p0, 5.0, tol=1e-10, n_samples=5)
+    reference = integrate_orbit(homogeneous(0.1, 1.0, softening=1.0), p0,
+                                5.0, tol=1e-10, n_samples=5)
+    assert inner and set(inner) == {1.5}
+    np.testing.assert_allclose(traj.states, reference.states, rtol=1e-7)
 
 
 class _FaultyPower:
-    """A power whose use by a float raises _PotentialFault and keeps it."""
+    """The Coulomb power -3/2, whose use by a float raises _PotentialFault
+    at the given use and keeps it."""
 
-    def __init__(self):
-        self.raised = []
+    def __init__(self, raise_at):
+        self.raise_at, self.uses, self.raised = raise_at, 0, []
 
     def __rpow__(self, base):
-        self.raised.append(_PotentialFault("raised in the radial force"))
-        raise self.raised[-1]
+        self.uses += 1
+        if self.uses == self.raise_at:
+            self.raised.append(_PotentialFault("raised in the radial force"))
+            raise self.raised[-1]
+        return base ** -1.5
 
 
 @pytest.mark.parametrize("d", [2, 3])
 def test_exception_in_the_radial_rhs_reaches_the_caller(d, monkeypatch):
-    # the homogeneous closures at d = 2 and 3 store the exception themselves
-    power = _FaultyPower()
+    # the first two uses are the first-step estimate's; the fifth is in a
+    # stage of the step closure with named floats, and it is raised from
+    # there, unchanged
+    power = _FaultyPower(raise_at=5)
     radial_constants = classical._radial_constants
     monkeypatch.setattr(classical, "_radial_constants",
                         lambda spec: radial_constants(spec)[:3] + (power,))
     spec, p0 = coulomb(0.5, softening=0.1), _rhs_point(d)
-    assert (classical._deviation_rhs(spec, p0, []).__qualname__
-            == "_deviation_rhs.<locals>.rhs")
+    assert (classical._step_closure(spec, p0).__qualname__
+            == "_step_closure.<locals>.step")
     with pytest.raises(_PotentialFault) as info:
         integrate_orbit(spec, p0, 50.0)
     assert len(power.raised) == 1 and info.value is power.raised[0]
+    assert info.traceback[-2].name == "step"
 
 
 @pytest.mark.parametrize("t_final, t_eval", [
@@ -392,9 +479,34 @@ def test_escape_detection():
     assert is_escaping(traj)
 
 
+@pytest.mark.parametrize("d", [2, 3])
+def test_incoming_orbit_escapes_backwards(d):
+    # backwards in time x grows like t^2/2 too, while eta falls to -inf
+    spec = coulomb(0.1, softening=1e-3)
+    p0 = PhasePoint(20.0, [1.5, -0.5][:d - 1], 6.0, [0.2, 0.1][:d - 1])
+    t_grid = -100.0 * 2.0 ** np.arange(7)
+    assert is_escaping(integrate_orbit(spec, p0, t_grid[-1], tol=1e-10,
+                                       t_eval=t_grid))
+    z_inf, err = asymptotic_momentum(spec, p0, direction=-1)
+    assert err < 1e-10 and np.all(np.abs(z_inf - p0.zeta) > 1e-4)
+
+
+def test_orbit_that_does_not_escape_is_rejected():
+    # to t = -10 a backward orbit is still climbing towards its turning
+    # point: no asymptotic momentum
+    spec = coulomb(0.1, softening=1e-3)
+    p0 = PhasePoint(20.0, [1.5], 6.0, [0.2])
+    traj = integrate_orbit(spec, p0, -10.0, tol=1e-10,
+                           t_eval=-np.geomspace(1.0, 10.0, 8))
+    assert not is_escaping(traj)
+    with pytest.raises(ConvergenceError, match="does not escape"):
+        classical.momentum_limit(traj)
+
+
 # ---------------------------------------------------------------------------
-# right-hand sides: the closure of the homogeneous kind at d = 2 and 3, the
-# generic closure and the sample pass's row form round alike
+# right-hand sides and steps: the step closure of the homogeneous kind at
+# d = 2 and 3, the generic step and the sample pass's batched step round
+# alike
 
 def _bits(values):
     return np.asarray(values, dtype=float).view(np.uint64)
@@ -405,13 +517,21 @@ def _rhs_point(d):
 
 
 def _random_deviations(d, n=300):
-    """Seeded (t, u) pairs; t spans both directions, and u reaches points
-    near the origin and far from it."""
+    """Seeded (t, u, h) triples; t and h span both directions, and u reaches
+    points near the origin and far from it."""
     rng = np.random.default_rng(7 + d)
     ts = rng.uniform(-30.0, 30.0, n)
     us = rng.normal(scale=[5.0] * d + [2.0] * d, size=(n, 2 * d))
     us[::3, :d] = -_rhs_point(d).as_vector()[:d] + 1e-3 * us[::3, :d]
-    return ts, us
+    return ts, us, rng.uniform(-1.0, 1.0, n)
+
+
+def _outcome(step, *args):
+    """The bits of a step's results, or the DomainError it raised."""
+    try:
+        return [_bits(part).tolist() for part in step(*args)]
+    except DomainError as exc:
+        return str(exc)
 
 
 @pytest.mark.parametrize("softening", [1e-3, 0.0])
@@ -420,31 +540,34 @@ def _random_deviations(d, n=300):
 def test_radial_rhs_matches_the_generic_rhs_bitwise(d, alpha, softening):
     spec = homogeneous(0.7, alpha, softening=softening)
     p0 = _rhs_point(d)
-    fast = classical._deviation_rhs(spec, p0)
-    generic = classical._generic_rhs(spec, p0)
-    assert fast.__qualname__ == "_deviation_rhs.<locals>.rhs"
-    ts, us = _random_deviations(d)
-    for t, u in zip(ts.tolist(), us):
-        got = fast(t, u)
-        assert type(got) is list
-        np.testing.assert_array_equal(_bits(got), _bits(generic(t, u)))
+    rhs = classical._deviation_rhs(spec, p0)
+    fast = classical._step_closure(spec, p0)
+    generic = classical._generic_step(rhs)
+    assert fast.__qualname__ == "_step_closure.<locals>.step"
+    assert generic.__qualname__ == "_generic_step.<locals>.step"
+    ts, us, hs = _random_deviations(d)
+    for t, u, h in zip(ts.tolist(), us.tolist(), hs.tolist()):
+        f = rhs(t, u)
+        assert _outcome(fast, t, u, f, h) == _outcome(generic, t, u, f, h)
 
 
 @pytest.mark.parametrize("softening", [1e-3, 0.0])
 @pytest.mark.parametrize("alpha", [1.0, 1.5])
 @pytest.mark.parametrize("d", [2, 3])
 def test_row_rhs_matches_the_scalar_rhs_row_by_row(d, alpha, softening):
+    # numpy's array power (SIMD on some builds) may round the last bit of
+    # the force apart from the C library's pow of Python floats, so the
+    # batched step agrees with the scalar one to rounding, not bitwise
     spec = homogeneous(0.7, alpha, softening=softening)
     p0 = _rhs_point(d)
-    scalar = classical._deviation_rhs(spec, p0)
-    ts, us = _random_deviations(d)
-    rows = classical._deviation_rhs_rows(spec, p0)(ts, us)
-    ref = np.array([scalar(t, u) for t, u in zip(ts.tolist(), us)])
-    # the velocities are copied; numpy's array power (SIMD on some builds)
-    # may round the last bit apart from the C library's pow of Python
-    # floats, and the force inherits that ulp
-    np.testing.assert_array_equal(_bits(rows[:, :d]), _bits(ref[:, :d]))
-    np.testing.assert_array_max_ulp(rows[:, d:], ref[:, d:], maxulp=4)
+    rhs = classical._deviation_rhs(spec, p0)
+    step = classical._step_closure(spec, p0)
+    ts, us, hs = _random_deviations(d)
+    rows = classical._dop853_step(spec, p0, ts, us, hs)
+    ref = np.array([step(t, u, rhs(t, u), h)[0]
+                    for t, u, h in zip(ts.tolist(), us.tolist(), hs.tolist())])
+    np.testing.assert_allclose(rows, ref, rtol=1e-13,
+                               atol=1e-13 * np.abs(ref).max())
 
 
 _BAD_POINTS = {
@@ -460,15 +583,20 @@ _BAD_POINTS = {
 @pytest.mark.parametrize("case", sorted(_BAD_POINTS))
 @pytest.mark.parametrize("d", [2, 3])
 def test_every_rhs_raises_the_same_domain_error(d, case):
+    # a step of size 0 takes every stage at its starting point
     spec, message = _BAD_POINTS[case]
     p0 = _rhs_point(d)
     u = -p0.as_vector()                 # the origin at t = 0
     if case == "non-finite":
         u[0] = np.nan
-    calls = [lambda: classical._deviation_rhs(spec, p0)(0.0, u),
-             lambda: classical._generic_rhs(spec, p0)(0.0, u),
-             lambda: classical._deviation_rhs_rows(spec, p0)(
-                 np.zeros(3), np.tile(u, (3, 1)))]
+    zeros = [0.0] * (2 * d)
+    calls = [lambda: classical._deviation_rhs(spec, p0)(0.0, u.tolist()),
+             lambda: classical._step_closure(spec, p0)(0.0, u.tolist(),
+                                                       zeros, 0.0),
+             lambda: classical._generic_step(classical._deviation_rhs(
+                 spec, p0))(0.0, u.tolist(), zeros, 0.0),
+             lambda: classical._dop853_step(spec, p0, np.zeros(3),
+                                            np.tile(u, (3, 1)), np.zeros(3))]
     for call in calls:
         with pytest.raises(DomainError, match=message):
             call()

@@ -219,21 +219,27 @@ def test_block_mismatch_exits_2_before_any_stage(capsys, tmp_path):
     assert not outdir.exists() or not any(outdir.iterdir())
 
 
-@pytest.mark.parametrize("command", ["verify-all", "kernel"])
-@pytest.mark.parametrize("overrides, code, error, message", [
+_ALPHA_OUT_OF_LAW = (
+    ["--potential.kind=homogeneous", "--potential.alpha=2.1"], 4, "domain",
+    "kernel law needs potential.alpha in (1/2, dimension - 1/2) = (0.5, "
+    "1.5), got 2.1")
+
+
+@pytest.mark.parametrize("command, overrides, code, error, message", [
+    pytest.param("verify-all", *_ALPHA_OUT_OF_LAW,
+                 id="alpha=2.1-verify-all"),
+    pytest.param("kernel", *_ALPHA_OUT_OF_LAW, id="alpha=2.1-kernel"),
     pytest.param(
-        ["--potential.kind=homogeneous", "--potential.alpha=2.1"], 4,
-        "domain", "kernel law needs potential.alpha in (1/2, dimension - "
-        "1/2) = (0.5, 1.5), got 2.1", id="alpha=2.1"),
-    pytest.param(
-        ["--potential.kappa=0"], 2, "config", "kernel fit needs a "
-        "homogeneous or coulomb potential with kappa != 0", id="kappa=0"),
+        "kernel", ["--potential.kappa=0"], 2, "config", "kernel fit needs a "
+        "homogeneous or coulomb potential with kappa != 0",
+        id="kappa=0-kernel"),
 ])
 def test_kernel_domain_exits_before_any_stage(capsys, tmp_path, command,
                                               overrides, code, error,
                                               message):
     # a potential the kernel law cannot take stops verify-all before its
-    # first stage, as it stops kernel, with the same error
+    # first stage, as it stops kernel, with the same error; verify-all
+    # takes kappa = 0 as the free case (test_free_case_is_read_from_kappa)
     outdir = tmp_path / "out"
     assert main([command, *overrides, f"--output_dir={outdir}"]) == code
     out, err = capsys.readouterr()
@@ -286,6 +292,16 @@ def test_momenta_summary_fields(capsys, tmp_path):
     assert len(summary["zeta_infinity"]) == 1
     assert summary["error_estimate"] >= 0.0
     assert (tmp_path / "momenta.csv").exists()
+
+
+def test_incoming_momenta_exit_0(capsys, tmp_path):
+    # a backward orbit escapes with eta falling to -inf
+    code, summary = _run(capsys, "momenta", "--config",
+                         str(CONFIGS / "coulomb_d3.json"),
+                         "--momenta.direction=-1", f"--output_dir={tmp_path}")
+    assert code == 0
+    assert len(summary["zeta_infinity"]) == 2
+    assert 0.0 < summary["error_estimate"] < 1e-10
 
 
 def test_momenta_integrates_once(capsys, tmp_path, monkeypatch):
@@ -372,6 +388,26 @@ def test_shipped_config_verifies(capsys, tmp_path, name):
         assert {"fitted_prefactor_stderr", "subleading_coefficient",
                 "subleading_coefficient_stderr",
                 "half_sample_change"} <= kernel.keys()
+
+
+@pytest.mark.parametrize("command", ["transport", "verify-all"])
+@pytest.mark.parametrize("spelling", ["--potential.kind=zero",
+                                      "--potential.kappa=0"],
+                         ids=["kind=zero", "kappa=0"])
+def test_free_case_is_read_from_kappa(capsys, tmp_path, command, spelling):
+    # q = 0 is one potential whichever way the config spells it: transport
+    # skips the decay fit, and verify-all runs the free-case suite
+    code, summary = _run(capsys, command, "--config",
+                         str(CONFIGS / "coulomb_d3.json"), spelling,
+                         f"--output_dir={tmp_path}")
+    assert code == 0
+    if command == "transport":
+        assert "decay_exponent_b1" not in summary
+        assert summary["residuals"] == {"k=1": 0.0, "k=2": 0.0}
+    else:
+        assert summary["passed"] is True
+        assert "free_case" in summary["suites"]
+        assert "kernel" not in summary["suites"]
 
 
 def test_incoming_branch_verifies(capsys, tmp_path):

@@ -1,9 +1,12 @@
 """Package hygiene: the public names resolve, no module imports dead names,
-scipy.integrate is imported only where the one quadrature primitive,
-quadrature.converge, does not serve, one-point functions stay in their own
-module and no module reaches into another's private names."""
+the package imports no scipy.integrate and loads no scipy subpackage beyond
+special and fft, one-point functions stay in their own module and no module
+reaches into another's private names."""
 
 import ast
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -48,10 +51,9 @@ def test_module_uses_every_name_it_imports(path):
     assert not unused, f"{path.name} imports names it never uses: {unused}"
 
 
-# scipy.integrate names a module may import: the compiled orbit solver and
-# its DOP853 tableau, and the scipy quad oracle of verify-all's c1 check
-_SCIPY_INTEGRATE = {"classical": {"ode", "dop853_coefficients"},
-                    "cli": {"quad"}}
+# scipy.integrate names a module may import: none, since orbits step in
+# classical's own DOP853 and verify-all's c1 oracle is a tanh-sinh rule
+_SCIPY_INTEGRATE = {}
 
 
 def _scipy_integrate_names(tree: ast.Module) -> set:
@@ -75,6 +77,19 @@ def test_scipy_integrate_only_where_allowed(path):
     extra = _scipy_integrate_names(tree) - _SCIPY_INTEGRATE.get(path.stem,
                                                                 set())
     assert not extra, f"{path.name} imports scipy.integrate names {extra}"
+
+
+def test_cli_import_leaves_out_the_heavy_scipy_subpackages():
+    # scipy.integrate pulls in optimize, sparse and linalg, about a third of
+    # the import time and peak memory; a fresh interpreter shows what the
+    # command line loads
+    heavy = ["scipy.integrate", "scipy.optimize", "scipy.sparse",
+             "scipy.linalg"]
+    code = ("import json, sys; import starkscatter.cli; "
+            f"print(json.dumps([m for m in {heavy!r} if m in sys.modules]))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True)
+    assert json.loads(out.stdout) == []
 
 
 # the one-point functions, which only their own module may use: every other

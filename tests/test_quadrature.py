@@ -1,4 +1,5 @@
-"""The panel refinement loop and the shared log-log least-squares fit."""
+"""The panel refinement loop, the shared log-log least-squares fit and the
+one-dimensional minimiser."""
 
 import math
 import statistics
@@ -7,8 +8,8 @@ import numpy as np
 import pytest
 
 from starkscatter import BudgetError
-from starkscatter.quadrature import (MAX_PANELS, converge, half_line,
-                                     loglog_fit, panels)
+from starkscatter.quadrature import (MAX_PANELS, converge, golden_section,
+                                     half_line, loglog_fit, panels)
 
 
 def test_plain_panels_converge_on_an_oscillatory_integral():
@@ -79,3 +80,26 @@ def test_loglog_fit_of_two_points_has_no_error_estimate():
     assert slope == pytest.approx(1.0, rel=1e-14)
     assert intercept == pytest.approx(math.log(2.0), rel=1e-14)
     assert slope_err == 0.0 and intercept_err == 0.0
+
+
+@pytest.mark.parametrize("f, lo, hi, xmin", [
+    # minima that rounding resolves: the value at the minimum is 0
+    (lambda x: (x - math.log(2.0)) ** 2, 0.0, 2.0, math.log(2.0)),
+    (lambda x: abs(math.sin(x - 1.0 / 3.0)) * math.exp(x), -0.4, 1.5,
+     1.0 / 3.0),
+    # at the end of the bracket
+    (lambda x: math.exp(-x), 0.5, 1.5, 1.5),
+], ids=["quadratic", "kink", "bracket-end"])
+def test_golden_section_finds_the_minimum_to_tol(f, lo, hi, xmin):
+    calls = []
+
+    def counted(x):
+        calls.append(x)
+        return f(x)
+
+    x = golden_section(counted, lo, hi, 1e-12)
+    assert abs(x - xmin) <= 1e-12
+    assert all(lo <= c <= hi for c in calls)
+    # one evaluation per golden-ratio shrink of the bracket, plus the first
+    assert len(calls) == 2 + math.ceil(math.log(1e-12 / (hi - lo))
+                                       / math.log((math.sqrt(5.0) - 1) / 2))
