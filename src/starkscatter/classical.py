@@ -745,11 +745,16 @@ def decay_slope(traj: Trajectory, observable: str, window) -> tuple[float, float
 
 
 def _log_subsample(ts: np.ndarray, per_octave: int = 4) -> np.ndarray:
-    """Indices of samples closest to a log-uniform grid."""
+    """Indices of samples closest to a log-uniform grid, increasing, each once.
+
+    The searched indices never decrease, so dropping repeats keeps each
+    once; np.unique would also import numpy.ma, about 10 ms, at its first
+    call.
+    """
     lo, hi = np.log2(ts[0]), np.log2(ts[-1])
     targets = np.linspace(lo, hi, max(8, int((hi - lo) * per_octave) + 1))
-    idx = np.unique(np.searchsorted(np.log2(ts), targets).clip(0, ts.size - 1))
-    return idx
+    idx = np.searchsorted(np.log2(ts), targets).clip(0, ts.size - 1)
+    return idx[np.diff(idx, prepend=-1) > 0]
 
 
 def _mourre_parts(x, y, eta, zeta, m):

@@ -16,10 +16,11 @@ takes blocks of positions of 2^15 nodes, a few MB whatever the batch size.
 `radial_kernel` recovers the kernel from the radial Born profile with one
 FFTLog transform (Talman, J. Comput. Phys. 29 (1978) 35; Hamilton, MNRAS
 312 (2000) 257): the (d - 1)-dimensional Fourier transform of a radial
-function is a Hankel transform of order (d - 3)/2, which `scipy.fft.fht`
-evaluates on log-spaced radii.  The profile is the Born symbol out to
-sqrt(2) extent and its two-term tail beyond, and `fit_kernel_law` fits the
-law together with the next-order term that the cutoff R puts into it.
+function is a Hankel transform of order (d - 3)/2, which `radial_transform`
+evaluates on log-spaced radii with numpy's real FFT.  The profile is the
+Born symbol out to sqrt(2) extent and its two-term tail beyond, and
+`fit_kernel_law` fits the law together with the next-order term that the
+cutoff R puts into it.
 """
 
 from __future__ import annotations
@@ -28,13 +29,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import fft
+from numpy.fft import irfft, rfft
 
 from .errors import ConfigError, DomainError
 from .potentials import PotentialSpec, eval_potential_array
-from .quadrature import (converge, golden_section, map_half_line, map_power,
+from .quadrature import (brent_minimum, converge, map_half_line, map_power,
                          panels)
-from .special import KernelLaw, c1_constant, c2_constant
+from .special import KernelLaw, c1_constant, c2_constant, loggamma
 
 
 # nodes per block of rows of a born_symbols pass, 256 KB a float temporary
@@ -113,6 +114,7 @@ def kernel_singularity_law(d: int, alpha: float, kappa: float) -> KernelLaw:
 # ---------------------------------------------------------------------------
 # transform and fit
 
+_LN2 = math.log(2.0)
 # Half-width in ln r of the radii of radial_kernel, about 17 decades on each
 # side of extent.  Widening it to 60 moves the fitted exponent by under 1e-7
 # and the prefactor by under 1e-6 relative (d = 2, 3; alpha 0.75 to 1.5).
@@ -143,19 +145,40 @@ def radial_transform(r: np.ndarray, f: np.ndarray, d: int,
 
     r holds n log-spaced radii and f the real profile at them.  The
     integral is (2 pi)^{(d-1)/2} k^{(3-d)/2} integral f(r) J_mu(k r)
-    r^{(d-1)/2} dr with mu = (d - 3)/2, which `scipy.fft.fht` evaluates at
-    n log-spaced wavenumbers k (k_j r_{n-1-j} fixed by its low-ringing
-    offset).  fht treats f r^{(d-1)/2 - bias} as periodic in ln r, so the
-    bias should make it equal, or small, at both ends.  Returns (k,
-    transform).
+    r^{(d-1)/2} dr with mu = (d - 3)/2, a Hankel transform of a = f
+    r^{(d-1)/2}, which Hamilton's FFTLog evaluates at n log-spaced
+    wavenumbers.  It biases a by r^{-bias}, takes one real FFT, multiplies
+    by u_m = (k_c r_c)^{-2 pi i m / L} U(bias + 2 pi i m / L), with U(x) =
+    2^x Gamma((mu + 1 + x)/2) / Gamma((mu + 1 - x)/2) and L = n dln the
+    period in ln r, and takes one inverse FFT.  The wavenumbers satisfy
+    k_j r_{n-1-j} = k_c r_c, whose log is the low-ringing offset nearest 0.
+    The FFT treats a r^{-bias} as periodic in ln r, so the bias should make
+    it equal, or small, at both ends.  |bias| < (d - 1)/2 keeps both Gamma
+    arguments in Re > 0, where `loggamma` holds; outside, loggamma raises
+    DomainError.  Returns (k, transform).
     """
     half = (d - 1) / 2.0
     mu = (d - 3) / 2.0
-    dln = math.log(r[-1] / r[0]) / (r.size - 1)
-    offset = fft.fhtoffset(dln, mu, bias=bias)
+    n = r.size
+    dln = math.log(r[-1] / r[0]) / (n - 1)
+    x_plus, x_minus = (mu + 1.0 + bias) / 2.0, (mu + 1.0 - bias) / 2.0
+    # the low-ringing offset, from the phase of U at the Nyquist frequency,
+    # x = bias + i pi / dln
+    nyquist = math.pi / (2.0 * dln)
+    arg = (_LN2 / dln + (loggamma(x_plus + 1j * nyquist).imag
+                         + loggamma(x_minus + 1j * nyquist).imag) / math.pi)
+    offset = (arg - round(arg)) * dln
+    y = np.linspace(0.0, math.pi * (n // 2) / (n * dln), n // 2 + 1)
+    lg_plus = loggamma(x_plus + 1j * y)
+    lg_minus = loggamma(x_minus + 1j * y)
+    u = np.exp(lg_plus.real - lg_minus.real + _LN2 * bias
+               + 1j * (lg_plus.imag + lg_minus.imag
+                       + 2.0 * (_LN2 - offset) * y))
+    ln_r = (np.arange(n) - (n - 1) / 2.0) * dln
+    a = f * r ** half * np.exp(-bias * ln_r)
+    transform = irfft(rfft(a) * u, n)[::-1] * np.exp(-bias * (ln_r + offset))
     k = math.exp(offset) / r[::-1]
-    a = fft.fht(f * r ** half, dln, mu, offset=offset, bias=bias)
-    return k, (2.0 * math.pi * k) ** -half * a
+    return k, (2.0 * math.pi * k) ** -half * transform
 
 
 def radial_kernel(spec: PotentialSpec, d: int, n: int, extent: float,
@@ -170,10 +193,11 @@ def radial_kernel(spec: PotentialSpec, d: int, n: int, extent: float,
     its periodic continuation in ln r has no jump.  f keeps one sign, and q
     falls between the rates 1/2 - alpha + (d-1)/2 and (d-1)/2 of
     f r^{(d-1)/2} at large and small r (within 0.15 of their midpoint at
-    extent 1e5 for alpha 0.75 to 1.5), away from the first pole of scipy's
-    coefficients at q = -(d-1)/2.  Returns (k, T) with T = i times the
-    transform of Im t.  A table potential, or kappa = 0, where the profile
-    vanishes, is a ConfigError.
+    extent 1e5 for alpha 0.75 to 1.5).  As 1/2 < alpha < d - 1/2, q lies
+    inside (-(d-1)/2, (d-1)/2), where the Gamma arguments of
+    radial_transform's coefficients have Re > 0.  Returns (k, T) with T = i
+    times the transform of Im t.  A table potential, or kappa = 0, where the
+    profile vanishes, is a ConfigError.
     """
     if spec.kind != "homogeneous" or spec.kappa == 0.0:
         raise ConfigError("radial kernel needs a homogeneous or coulomb "
@@ -250,10 +274,9 @@ def _fit_powers(k: np.ndarray, y: np.ndarray, ell: float):
     Variable projection: at fixed p the fit is linear in (A, B, C), and p
     minimises the remaining residual over (l - 1/2, l + 1/2), the interval
     between the neighbouring exponents l - 1/2 and s's l + 1/2, found by
-    golden-section search to 1e-12.  Returns
-    (p, A, B), the standard errors of (p, A, B) from the Jacobian of the
-    four-parameter model and the residual variance on n - 4 degrees of
-    freedom, and the relative residuals.
+    Brent's method to 1e-12.  Returns (p, A, B), the standard errors of
+    (p, A, B) from the Jacobian of the four-parameter model and the residual
+    variance on n - 4 degrees of freedom, and the relative residuals.
     """
     sub = np.log(k) if abs(ell + 0.5) < 1e-12 else k ** (ell + 0.5)
     ones = np.ones_like(k)
@@ -263,8 +286,8 @@ def _fit_powers(k: np.ndarray, y: np.ndarray, ell: float):
         coef = np.linalg.lstsq(basis, ones, rcond=None)[0]
         return coef, basis @ coef - 1.0
 
-    p = golden_section(lambda p: float(np.sum(linear(p)[1] ** 2)),
-                       ell - 0.5, ell + 0.5, 1e-12)
+    p = brent_minimum(lambda p: float(np.sum(linear(p)[1] ** 2)),
+                      ell - 0.5, ell + 0.5, 1e-12)
     (a, b, _), resid = linear(p)
     jac = np.column_stack([k ** p, sub, ones,
                            a * k ** p * np.log(k)]) / y[:, None]

@@ -755,6 +755,19 @@ def _decay_slope_reference(traj, observable, window):
     return float(coef[0]), 2.0 * math.sqrt(var_slope), len(ts)
 
 
+@pytest.mark.parametrize("ts", [np.geomspace(0.1, 1e4, 120),
+                                np.geomspace(1e2, 1e4, 9),
+                                np.array([1.0, 1.5, 2.0, 2.01, 2.02, 2.03,
+                                          40.0, 41.0, 1e3])],
+                         ids=["dense", "sparse", "clustered"])
+def test_log_subsample_keeps_each_nearest_sample_once(ts):
+    lo, hi = np.log2(ts[0]), np.log2(ts[-1])
+    targets = np.linspace(lo, hi, max(8, int((hi - lo) * 4) + 1))
+    reference = np.unique(np.searchsorted(np.log2(ts), targets)
+                          .clip(0, ts.size - 1))
+    assert np.array_equal(_log_subsample(ts, per_octave=4), reference)
+
+
 @pytest.mark.parametrize("d", [2, 3])
 @pytest.mark.parametrize("observable", ["Gamma_norm", "gamma_par"])
 def test_decay_slope_matches_pointwise_reference(d, observable):

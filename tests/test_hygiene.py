@@ -1,7 +1,6 @@
 """Package hygiene: the public names resolve, no module imports dead names,
-the package imports no scipy.integrate and loads no scipy subpackage beyond
-special and fft, one-point functions stay in their own module and no module
-reaches into another's private names."""
+no module imports scipy and the package loads none, one-point functions stay
+in their own module and no module reaches into another's private names."""
 
 import ast
 import json
@@ -51,45 +50,86 @@ def test_module_uses_every_name_it_imports(path):
     assert not unused, f"{path.name} imports names it never uses: {unused}"
 
 
-# scipy.integrate names a module may import: none, since orbits step in
-# classical's own DOP853 and verify-all's c1 oracle is a tanh-sinh rule
-_SCIPY_INTEGRATE = {}
-
-
-def _scipy_integrate_names(tree: ast.Module) -> set:
+def _scipy_imports(tree: ast.Module) -> set:
+    """Every scipy module or name the module imports, dotted."""
     names = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             names |= {a.name for a in node.names
-                      if a.name.startswith("scipy.integrate")}
+                      if a.name.partition(".")[0] == "scipy"}
         elif isinstance(node, ast.ImportFrom):
-            if (node.module or "").startswith("scipy.integrate"):
-                names |= {a.name for a in node.names}
-            elif node.module == "scipy":
-                names |= {"scipy." + a.name for a in node.names
-                          if a.name == "integrate"}
+            if (node.module or "").partition(".")[0] == "scipy":
+                names |= {f"{node.module}.{a.name}" for a in node.names}
     return names
+
+
+def test_scipy_import_check_sees_every_form():
+    tree = ast.parse("import scipy\nimport scipy.special as sp\n"
+                     "from scipy import fft\n"
+                     "from scipy.integrate import quad\nimport numpy.fft\n")
+    assert _scipy_imports(tree) == {"scipy", "scipy.special", "scipy.fft",
+                                    "scipy.integrate.quad"}
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
 def test_scipy_integrate_only_where_allowed(path):
+    # no module may: orbits step in classical's own DOP853 and verify-all's
+    # c1 oracle is a tanh-sinh rule
     tree = ast.parse(path.read_text(), filename=str(path))
-    extra = _scipy_integrate_names(tree) - _SCIPY_INTEGRATE.get(path.stem,
-                                                                set())
+    extra = {n for n in _scipy_imports(tree)
+             if n.startswith("scipy.integrate")}
     assert not extra, f"{path.name} imports scipy.integrate names {extra}"
 
 
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_module_imports_no_scipy(path):
+    # Ai, loggamma and the FFTLog are numpy code; scipy is a test oracle only
+    tree = ast.parse(path.read_text(), filename=str(path))
+    names = _scipy_imports(tree)
+    assert not names, f"{path.name} imports {names}"
+
+
 def test_cli_import_leaves_out_the_heavy_scipy_subpackages():
-    # scipy.integrate pulls in optimize, sparse and linalg, about a third of
-    # the import time and peak memory; a fresh interpreter shows what the
-    # command line loads
-    heavy = ["scipy.integrate", "scipy.optimize", "scipy.sparse",
-             "scipy.linalg"]
+    # a fresh interpreter shows what the command line loads: no scipy module
+    # at all, and numpy's fft and random, which the library uses, at import
+    # rather than lazily inside a run
     code = ("import json, sys; import starkscatter.cli; "
-            f"print(json.dumps([m for m in {heavy!r} if m in sys.modules]))")
+            "print(json.dumps([sorted(m for m in sys.modules "
+            "if m.startswith('scipy')), "
+            "[m in sys.modules for m in ('numpy.fft', 'numpy.random')]]))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True)
-    assert json.loads(out.stdout) == []
+    assert json.loads(out.stdout) == [[], [True, True]]
+
+
+def test_runs_import_nothing_the_cli_import_left_out(tmp_path):
+    # a module first imported inside a run costs the run its import time,
+    # outside every stage span; argparse's messages import locale, through
+    # gettext, at their first use
+    root = Path(starkscatter.__file__).parents[2]
+    code = f"""
+import contextlib, io, json, sys
+import numpy as np
+import starkscatter.cli as cli
+from starkscatter import PhasePoint, classical, coulomb
+before = set(sys.modules)
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.main(["verify-all", "--config",
+                       {str(root / "configs")!r} + "/" + name + ".json",
+                       {"--output_dir=" + str(tmp_path)!r}])
+             for name in ("zero", "coulomb_d3")]
+spec, p0 = coulomb(0.1), PhasePoint(20.0, [1.0], 6.0, [0.1])
+traj = classical.integrate_orbit(spec, p0, 1e4, tol=1e-10,
+                                 t_eval=np.geomspace(1.0, 1e4, 40))
+classical.decay_slope(traj, "Gamma_norm", (1e2, 1e4))
+classical.asymptotic_momentum(spec, p0)
+print(json.dumps([codes, sorted(set(sys.modules) - before)]))
+"""
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True)
+    codes, imported = json.loads(out.stdout)
+    assert codes == [0, 0]
+    assert set(imported) <= {"locale", "_locale"}
 
 
 # the one-point functions, which only their own module may use: every other

@@ -5,6 +5,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
+import scipy.fft
 
 from starkscatter import (
     DomainError,
@@ -240,6 +241,44 @@ def test_gaussian_profile_transforms_to_its_closed_form(d):
     np.testing.assert_allclose(
         t[inside], (2.0 * math.pi) ** ((1 - d) / 2.0)
         * np.exp(-k[inside] ** 2 / 2.0), rtol=1e-7)
+
+
+def _scipy_radial_transform(r, f, d, bias):
+    """radial_transform by scipy.fft.fht, as the library computed it before."""
+    half, mu = (d - 1) / 2.0, (d - 3) / 2.0
+    dln = math.log(r[-1] / r[0]) / (r.size - 1)
+    offset = scipy.fft.fhtoffset(dln, mu, bias=bias)
+    k = math.exp(offset) / r[::-1]
+    return k, (2.0 * math.pi * k) ** -half * scipy.fft.fht(
+        f * r ** half, dln, mu, offset=offset, bias=bias)
+
+
+@pytest.mark.parametrize("d,alpha", [(3, 1.0), (3, 0.75), (3, 1.5),
+                                     (2, 1.0), (2, 1.25), (4, 1.5)])
+def test_radial_transform_matches_scipy_fht(monkeypatch, d, alpha):
+    # on the profile radial_kernel transforms, over its fit window, and on
+    # the pure power, which transforms to the law at every wavenumber;
+    # elsewhere the kernel's transform falls to rounding noise
+    inputs = []
+
+    def recorded(r, f, d, bias):
+        inputs.append((r, f, bias))
+        return radial_transform(r, f, d, bias)
+
+    monkeypatch.setattr(kernel, "radial_transform", recorded)
+    spec, extent = _spec(alpha), 1e5
+    radial_kernel(spec, d, 2048, extent, 0.0, 2.0)
+    r, profile, bias = inputs[0]
+    k, t = radial_transform(r, profile, d, bias)
+    k_ref, t_ref = _scipy_radial_transform(r, profile, d, bias)
+    np.testing.assert_allclose(k, k_ref, rtol=1e-15)
+    window = (k > 10.0 * 2.0 * math.pi / extent) & (k < 60.0 * 2.0 * math.pi
+                                                     / extent)
+    np.testing.assert_allclose(t[window], t_ref[window], rtol=1e-12)
+    power, power_bias = r ** (0.5 - alpha), 0.5 - alpha + (d - 1) / 2.0
+    np.testing.assert_allclose(
+        radial_transform(r, power, d, power_bias)[1],
+        _scipy_radial_transform(r, power, d, power_bias)[1], rtol=1e-12)
 
 
 @pytest.mark.parametrize("alpha", [0.75, 1.0, 1.5])

@@ -5,6 +5,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
+import scipy.special
 
 from starkscatter import (
     BudgetError,
@@ -17,6 +18,7 @@ from starkscatter import (
     free_eigenfunction,
     stationary_phase_eigenfunction,
 )
+from starkscatter import oscillatory
 from starkscatter.oscillatory import airy_reduction_quadrature
 
 _CBRT2 = 2.0 ** (1.0 / 3.0)
@@ -185,6 +187,23 @@ def test_eigenfunction_converges_far_out():
     xi = BumpProfile(1.5, 2.0)
     s = eigenfunction_sample(5000.0, [250.0], xi, tol=1e-10)
     assert s.rel_error < 0.01
+
+
+@pytest.mark.parametrize("d, x, y, center, width", [
+    (2, 8.0, [1.0], [0.5], 0.8),                # Ai across the switch at -10
+    (2, -9.0, [0.5], [0.0], 1.0),               # Ai on the decaying side
+    (3, 20.0, [1.5, -0.4], [0.5, 0.2], 0.8),    # the asymptotic series
+], ids=["switch", "decaying", "d3"])
+def test_eigenfunction_unchanged_from_scipy_airy(monkeypatch, d, x, y, center,
+                                                 width):
+    # the same nodes with Ai from scipy.special.airy, which the library
+    # computed it with before
+    xi = BumpProfile(center, width)
+    value = free_eigenfunction(x, y, xi, tol=1e-10, d=d)
+    monkeypatch.setattr(oscillatory, "airy_ai",
+                        lambda u: scipy.special.airy(u)[0])
+    reference = free_eigenfunction(x, y, xi, tol=1e-10, d=d)
+    assert abs(value - reference) <= 1e-13 * abs(reference)
 
 
 def test_eigenfunction_node_budget_raises_before_the_grid():

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from starkscatter import BudgetError
-from starkscatter.quadrature import (MAX_PANELS, converge, golden_section,
+from starkscatter.quadrature import (MAX_PANELS, brent_minimum, converge,
                                      half_line, loglog_fit, panels)
 
 
@@ -82,24 +82,27 @@ def test_loglog_fit_of_two_points_has_no_error_estimate():
     assert slope_err == 0.0 and intercept_err == 0.0
 
 
-@pytest.mark.parametrize("f, lo, hi, xmin", [
+# at most 60 evaluations, about what golden-section steps alone take on these
+# brackets (2 + ceil(log(1e-12 / width) / log 0.618), 60 or 61); at most 40
+# where parabolic steps fit
+@pytest.mark.parametrize("f, lo, hi, xmin, most_calls", [
     # minima that rounding resolves: the value at the minimum is 0
-    (lambda x: (x - math.log(2.0)) ** 2, 0.0, 2.0, math.log(2.0)),
+    (lambda x: (x - math.log(2.0)) ** 2, 0.0, 2.0, math.log(2.0), 40),
+    (lambda x: (x - 1.2) ** 4, 0.0, 2.0, 1.2, 40),
+    # parabolas do not fit a kink, nor a minimum at the end of the bracket:
+    # golden-section steps carry the search there
     (lambda x: abs(math.sin(x - 1.0 / 3.0)) * math.exp(x), -0.4, 1.5,
-     1.0 / 3.0),
-    # at the end of the bracket
-    (lambda x: math.exp(-x), 0.5, 1.5, 1.5),
-], ids=["quadratic", "kink", "bracket-end"])
-def test_golden_section_finds_the_minimum_to_tol(f, lo, hi, xmin):
+     1.0 / 3.0, 60),
+    (lambda x: math.exp(-x), 0.5, 1.5, 1.5, 60),
+], ids=["quadratic", "quartic", "kink", "bracket-end"])
+def test_brent_minimum_finds_the_minimum_to_tol(f, lo, hi, xmin, most_calls):
     calls = []
 
     def counted(x):
         calls.append(x)
         return f(x)
 
-    x = golden_section(counted, lo, hi, 1e-12)
+    x = brent_minimum(counted, lo, hi, 1e-12)
     assert abs(x - xmin) <= 1e-12
     assert all(lo <= c <= hi for c in calls)
-    # one evaluation per golden-ratio shrink of the bracket, plus the first
-    assert len(calls) == 2 + math.ceil(math.log(1e-12 / (hi - lo))
-                                       / math.log((math.sqrt(5.0) - 1) / 2))
+    assert len(calls) <= most_calls

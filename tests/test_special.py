@@ -11,7 +11,7 @@ import pytest
 from scipy.integrate import quad
 
 from starkscatter import DomainError, airy_ai, c1_constant, c2_constant
-from starkscatter.special import c2_constant_from_c1
+from starkscatter.special import c2_constant_from_c1, loggamma
 
 
 # ---------------------------------------------------------------------------
@@ -79,6 +79,64 @@ def test_airy_rejects_nonfinite():
 def test_airy_rejects_a_nonfinite_array_entry():
     with pytest.raises(DomainError):
         airy_ai(np.array([0.0, 1.0, np.inf]))
+
+
+def test_airy_rejects_an_argument_whose_phase_overflows():
+    assert math.isfinite(airy_ai(-1e205))
+    with pytest.raises(DomainError, match="overflows"):
+        airy_ai(np.array([0.0, -1e300]))
+
+
+def _mp_airy(us):
+    with mpmath.workdps(30):
+        return np.array([float(mpmath.airyai(float(u))) for u in us])
+
+
+def test_airy_against_mpmath_across_every_switch():
+    # Taylor series about anchors 0.25 apart serve |u| <= 10, each within
+    # 0.125 of its anchor, and the asymptotic series serve |u| > 10: both
+    # sides of every switch, and [-30, 30] between them, to within a few
+    # roundings of zeta = 2/3 |u|^{3/2} (1e-14 relative at u = 30)
+    switches = np.concatenate([np.arange(-9.875, 9.9, 0.25), [-10.0, 10.0]])
+    us = np.concatenate([np.linspace(-30.0, 30.0, 1201), switches,
+                         switches - 1e-9, switches + 1e-9])
+    ai = airy_ai(us)
+    ref = _mp_airy(us)
+    assert np.max(np.abs(ai - ref)) <= 2e-14
+    assert np.max(np.abs(ai / ref - 1.0)[us >= 0.0]) <= 1e-13
+
+
+def test_airy_far_out_is_finite_without_a_warning():
+    # filterwarnings = error makes any floating-point warning fail the test;
+    # Ai(100) = 2.6e-291 is still a normal double, and Ai underflows to 0
+    # well before |u|^{3/2} overflows
+    far = airy_ai(np.array([100.0, -100.0, 1000.0, 1e300]))
+    ref = _mp_airy([100.0, -100.0])
+    assert np.all(np.isfinite(far))
+    assert abs(far[0] / ref[0] - 1.0) <= 1e-12
+    assert abs(far[1] - ref[1]) <= 1e-13
+    assert np.all(far[2:] == 0.0)
+
+
+@pytest.mark.parametrize("re", [0.125, 0.25, 0.75, 1.0])
+def test_loggamma_against_mpmath(re):
+    # Re z of the FFTLog's Gamma arguments, Im z up to 500, and both sides
+    # of |z| = 16, below which the argument is shifted up by 16
+    edge = math.sqrt(256.0 - re * re)
+    im = np.concatenate([np.linspace(0.0, 500.0, 501), [edge - 1e-9, edge,
+                         edge + 1e-9], -np.geomspace(1e-3, 500.0, 21)])
+    with mpmath.workdps(30):
+        ref = np.array([complex(mpmath.loggamma(mpmath.mpc(re, float(y))))
+                        for y in im])
+    got = loggamma(re + 1j * im)
+    assert np.all(np.abs(got - ref) <= 5e-14 * np.maximum(1.0, np.abs(ref)))
+    assert type(loggamma(re)) is complex
+
+
+@pytest.mark.parametrize("z", [0.0, -0.5 + 2j, 1j, complex("nan")])
+def test_loggamma_outside_the_right_half_plane_is_a_domain_error(z):
+    with pytest.raises(DomainError):
+        loggamma(np.array([1.0, z]))
 
 
 # ---------------------------------------------------------------------------
