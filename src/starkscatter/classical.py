@@ -9,18 +9,21 @@ Orbits are held as arrays: a Trajectory stores its samples as an (N, 2d)
 state array with (N,) times and energies, and builds PhasePoints only when
 they are read.  The energies, the radiation observables of decay_slope and
 the asymptotic momentum are computed on whole trajectories at once.  Orbits
-are stepped by DOP853 under scipy's step-size controller in Python floats:
-one step is one closure call, with every coordinate named for the
-homogeneous kind at d = 2 and 3, otherwise one closure for every kind and d.
-The batched pass that takes the samples computes the homogeneous force
-itself.  Other kinds, and points the closed form cannot take, go to
-potentials.grad_potential_array and its DomainError.
+are stepped by DOP853 under scipy's step-size controller in Python floats.
+One step is one call of straight-line code that is generated from the
+tableau for the orbit's dimension and compiled at the first orbit of that
+dimension in the process; it computes the homogeneous force itself and
+returns scipy's error norm with the new state.  The batched pass that takes
+the samples computes the homogeneous force on arrays.  The table kind, and
+points the closed form cannot take, go to potentials.grad_potential_array
+and its DomainError.
 The free case is the homogeneous kind at kappa = 0, where the deviation
 stays exactly 0.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -214,8 +217,12 @@ _SAFETY, _MIN_FACTOR, _MAX_FACTOR, _ERROR_EXPONENT = 0.9, 0.2, 10.0, -1.0 / 8
 
 def _radial_constants(spec: PotentialSpec):
     """r2_min, s2, ak, power of the force ak (r^2 + s2)^power (x, y) of the
-    homogeneous kind, at points with r2_min < r^2 < inf."""
-    r2_min = EXCLUSION_RADIUS ** 2 if spec.softening == 0.0 else -1.0
+    homogeneous kind, at points with r2_min < r^2 < inf; r2_min is inf for
+    the table kind, which has no closed form."""
+    if spec.kind != "homogeneous":
+        r2_min = math.inf
+    else:
+        r2_min = EXCLUSION_RADIUS ** 2 if spec.softening == 0.0 else -1.0
     return (r2_min, spec.softening ** 2, spec.alpha * spec.kappa,
             -spec.alpha / 2.0 - 1.0)
 
@@ -238,14 +245,13 @@ def _deviation_rhs(spec: PotentialSpec, p0: PhasePoint):
     x0, eta0 = float(p0.x), float(p0.eta)
     y0, zeta0 = p0.y.tolist(), p0.zeta.tolist()
     r2_min, s2, ak, power = _radial_constants(spec)
-    radial = spec.kind == "homogeneous"
 
     def rhs(t, u):
         x = x0 + t * eta0 + 0.5 * t * t + u[0]
         y = [a + t * b + c for a, b, c in zip(y0, zeta0, u[1:1 + n])]
         # (u_x, u_y) dot = (u_eta, u_zeta); (u_eta, u_zeta) dot = -grad q
         r2 = x * x + sum([c * c for c in y])
-        if radial and r2_min < r2 < math.inf:
+        if r2_min < r2 < math.inf:
             try:
                 f = ak * (r2 + s2) ** power
             except (ZeroDivisionError, OverflowError):
@@ -257,146 +263,113 @@ def _deviation_rhs(spec: PotentialSpec, p0: PhasePoint):
     return rhs
 
 
-def _step_closure(spec: PotentialSpec, p0: PhasePoint):
-    """One DOP853 step of the deviation of p0.
+def _step_closure(spec: PotentialSpec, p0: PhasePoint, tol: float):
+    """One DOP853 step of the deviation of p0, with scipy's error norm.
 
     step(t, u, f, h) takes the deviation u at t with f, its right-hand side
     (the last step's final stage), and returns the deviation at t + h, its
-    right-hand side and the E5 and E3 error estimates.  It works in Python
-    floats and loops over the nonzero tableau entries: on 2d <= 6
-    components, numpy's per-operation overhead would be most of the cost.
-    The homogeneous kind at d = 2 and 3 names every float and computes its
-    force itself, and a point where that closed form fails takes
-    grad_potential_array; every other kind and d take _generic_step.
+    right-hand side and the error norm of the step at rtol = atol = tol: a
+    step is accepted below 1.  It is _step_maker's code for p0's dimension.
     """
-    if spec.kind != "homogeneous" or p0.d not in (2, 3):
-        return _generic_step(_deviation_rhs(spec, p0))
-    r2_min, s2, ak, power = _radial_constants(spec)
-    inf = math.inf
-    if p0.d == 2:
-        x0, y0, eta0, zeta0 = p0.as_vector().tolist()
-
-        def step(t, u, f, h):
-            u0, u1, u2, u3 = u
-            ks = [f]
-            for c, row in _STAGES:
-                a0 = a1 = a2 = a3 = 0.0
-                for j, w in row:
-                    k0, k1, k2, k3 = ks[j]
-                    a0 += w * k0
-                    a1 += w * k1
-                    a2 += w * k2
-                    a3 += w * k3
-                v0, v1 = u0 + a0 * h, u1 + a1 * h
-                v2, v3 = u2 + a2 * h, u3 + a3 * h
-                ts = t + c * h
-                x = x0 + ts * eta0 + 0.5 * ts * ts + v0
-                y = y0 + ts * zeta0 + v1
-                r2 = x * x + y * y
-                g = None
-                if r2_min < r2 < inf:
-                    try:
-                        g = ak * (r2 + s2) ** power
-                    except (ZeroDivisionError, OverflowError):
-                        pass
-                ks.append((v2, v3, g * x, g * y) if g is not None
-                          else (v2, v3, *_point_force(spec, x, [y])))
-            v = (v0, v1, v2, v3)
-            errors = []
-            for row in _ERRORS:
-                a0 = a1 = a2 = a3 = 0.0
-                for j, w in row:
-                    k0, k1, k2, k3 = ks[j]
-                    a0 += w * k0
-                    a1 += w * k1
-                    a2 += w * k2
-                    a3 += w * k3
-                errors.append((a0, a1, a2, a3))
-            return v, ks[-1], *errors
-
-        return step
-    x0, y0, y1_0, eta0, zeta0, zeta1_0 = p0.as_vector().tolist()
-
-    def step(t, u, f, h):
-        u0, u1, u2, u3, u4, u5 = u
-        ks = [f]
-        for c, row in _STAGES:
-            a0 = a1 = a2 = a3 = a4 = a5 = 0.0
-            for j, w in row:
-                k0, k1, k2, k3, k4, k5 = ks[j]
-                a0 += w * k0
-                a1 += w * k1
-                a2 += w * k2
-                a3 += w * k3
-                a4 += w * k4
-                a5 += w * k5
-            v0, v1, v2 = u0 + a0 * h, u1 + a1 * h, u2 + a2 * h
-            v3, v4, v5 = u3 + a3 * h, u4 + a4 * h, u5 + a5 * h
-            ts = t + c * h
-            x = x0 + ts * eta0 + 0.5 * ts * ts + v0
-            y = y0 + ts * zeta0 + v1
-            y1 = y1_0 + ts * zeta1_0 + v2
-            r2 = x * x + (y * y + y1 * y1)
-            g = None
-            if r2_min < r2 < inf:
-                try:
-                    g = ak * (r2 + s2) ** power
-                except (ZeroDivisionError, OverflowError):
-                    pass
-            ks.append((v3, v4, v5, g * x, g * y, g * y1) if g is not None
-                      else (v3, v4, v5, *_point_force(spec, x, [y, y1])))
-        v = (v0, v1, v2, v3, v4, v5)
-        errors = []
-        for row in _ERRORS:
-            a0 = a1 = a2 = a3 = a4 = a5 = 0.0
-            for j, w in row:
-                k0, k1, k2, k3, k4, k5 = ks[j]
-                a0 += w * k0
-                a1 += w * k1
-                a2 += w * k2
-                a3 += w * k3
-                a4 += w * k4
-                a5 += w * k5
-            errors.append((a0, a1, a2, a3, a4, a5))
-        return v, ks[-1], *errors
-
-    return step
+    return _step_maker(p0.d)(spec, p0.as_vector().tolist(),
+                             _radial_constants(spec), tol)
 
 
-def _generic_step(rhs):
-    """_step_closure on lists, for any kind and d, with rhs from
-    _deviation_rhs; it rounds as the closures with named floats do."""
-    def combine(ks, row):
-        acc = [0.0] * len(ks[0])
-        for j, w in row:
-            acc = [a + w * k for a, k in zip(acc, ks[j])]
-        return acc
-
-    def step(t, u, f, h):
-        ks = [f]
-        for c, row in _STAGES:
-            v = [a + b * h for a, b in zip(u, combine(ks, row))]
-            ks.append(rhs(t + c * h, v))
-        return (v, ks[-1], *[combine(ks, row) for row in _ERRORS])
-
-    return step
+@functools.cache
+def _step_maker(d: int):
+    """make_step of _step_source(d), compiled at the first orbit of
+    dimension d in the process."""
+    namespace = {}
+    exec(compile(_step_source(d), f"<DOP853 step, d = {d}>", "exec"),
+         globals(), namespace)
+    return namespace["make_step"]
 
 
-def _error_norm(err5, err3, u, v, h: float, tol: float) -> float:
-    """scipy's DOP853 error norm of a step of size h from u to v.
+def _step_source(d: int) -> str:
+    """Source of make_step(spec, start, radial, tol) at dimension d.
 
-    With each component of the E5 and E3 estimates divided by tol (1 +
-    max(|u|, |v|)), and s5, s3 their sums of squares, the norm is
-    |h| s5 / sqrt((s5 + s3 / 100) n); a step is accepted below 1.
+    make_step takes the start point as the list x0, y0_1 .., eta0, zeta0_1
+    .. and _radial_constants(spec), and returns _step_closure's step.  The
+    step is straight-line code on Python floats: on 2d components numpy's
+    per-operation overhead would be most of the cost, and a loop over the
+    tableau doubles it.  Every sum is written out in the order of _STAGES
+    and _ERRORS, so each float rounds as the loop rounds it.  Stage s forms
+    the positions p<i> and its K, k<s>_<i>: the velocities, then the force,
+    the closed form where it holds and _point_force elsewhere.
     """
-    s5 = s3 = 0.0
-    for a5, a3, a, b in zip(err5, err3, u, v):
-        scale = tol + max(abs(a), abs(b)) * tol
-        q5 = a5 / scale
-        q3 = a3 / scale
-        s5 += q5 * q5
-        s3 += q3 * q3
-    return abs(h) * s5 / math.sqrt((s5 + 0.01 * s3) * len(u)) if s5 else 0.0
+    n = 2 * d
+    ys = [f"y{i}" for i in range(1, d)]
+    start = ["x0", *[f"c{y}" for y in ys], "eta0", *[f"z{y}" for y in ys]]
+    squares = " + ".join([f"{y} * {y}" for y in ys])
+    # the components of the new deviation: stage 12's positions and velocities
+    new = [f"p{i}" for i in range(d)] + [f"k12_{i}" for i in range(d)]
+
+    def names(prefix: str) -> str:
+        return ", ".join([f"{prefix}{i}" for i in range(n)])
+
+    def total(terms: list) -> str:
+        # added left to right, as a loop adds them to 0.0
+        return " + ".join(["0.0", *terms])
+
+    def weighted(row, i: int) -> str:
+        return total([f"{w!r} * k{j}_{i}" for j, w in row])
+
+    lines = [
+        "def make_step(spec, start, radial, tol):",
+        f"    {', '.join(start)} = start",
+        "    r2_min, s2, ak, power = radial",
+        "    inf, sqrt = math.inf, math.sqrt",
+        "",
+        "    def step(t, u, f, h):",
+        f"        {names('u')} = u",
+        f"        {names('k0_')} = f",
+    ]
+    for s, (c, row) in enumerate(_STAGES, start=1):
+        state = [f"p{i}" for i in range(d)] + [f"k{s}_{i}" for i in range(d)]
+        forces = [f"k{s}_{i}" for i in range(d, n)]
+        lines += [
+            f"        ts = t + {c!r} * h",
+            *[f"        {name} = u{i} + ({weighted(row, i)}) * h"
+              for i, name in enumerate(state)],
+            "        x = x0 + ts * eta0 + 0.5 * ts * ts + p0",
+            *[f"        {y} = c{y} + ts * z{y} + p{i}"
+              for i, y in enumerate(ys, start=1)],
+            "        r2 = x * x" + (f" + ({squares})" if ys else ""),
+            "        try:",
+            "            g = ak * (r2 + s2) ** power if r2_min < r2 < inf "
+            "else None",
+            "        except (ZeroDivisionError, OverflowError):",
+            "            g = None",
+            "        if g is None:",
+            f"            {', '.join(forces)}, = _point_force(spec, x, "
+            f"[{', '.join(ys)}])",
+            "        else:",
+            *[f"            {k} = g * {y}"
+              for k, y in zip(forces, ["x", *ys])],
+        ]
+    # scipy's error norm: with E5 and E3 over tol (1 + max(|u|, |v|)) by
+    # component and s5, s3 their sums of squares, |h| s5 / sqrt((s5 + s3 /
+    # 100) n); a step is accepted below 1.  |u| and the max are written out,
+    # which rounds alike: only a NaN norm's sign can differ, and NaN rejects
+    for i in range(n):
+        lines += [
+            f"        a = u{i} if u{i} >= 0.0 else -u{i}",
+            f"        b = {new[i]} if {new[i]} >= 0.0 else -{new[i]}",
+            "        scale = tol + (b if b > a else a) * tol",
+            *[f"        q{e}_{i} = ({weighted(row, i)}) / scale"
+              for e, row in zip((5, 3), _ERRORS)],
+        ]
+    lines += [
+        *[f"        s{e} = "
+          + total([f"q{e}_{i} * q{e}_{i}" for i in range(n)])
+          for e in (5, 3)],
+        f"        error = abs(h) * s5 / sqrt((s5 + 0.01 * s3) * {n}) if s5 "
+        "else 0.0",
+        f"        return ({', '.join(new)}), ({names('k12_')}), error",
+        "",
+        "    return step",
+    ]
+    return "\n".join(lines) + "\n"
 
 
 # Steps, accepted or rejected, that one orbit integration may take before it
@@ -467,7 +440,7 @@ def _accepted_steps(spec, p0, t_final: float, tol: float):
     starting at t = 0, and None, or the reason the integration stopped after
     K steps: MAX_ORBIT_STEPS steps taken, or a step size below ten spacings
     of the floats at t.  The controller is scipy's (solve_ivp's RungeKutta):
-    a step is accepted where _error_norm is below 1, and the next step size
+    a step is accepted where its error norm is below 1, and the next step size
     is the last one times SAFETY err^(-1/8) within [MIN_FACTOR, MAX_FACTOR],
     at most 1 after a rejection.
     """
@@ -476,7 +449,7 @@ def _accepted_steps(spec, p0, t_final: float, tol: float):
     if t_final == 0.0:
         return np.array(times), np.array(states), None
     rhs = _deviation_rhs(spec, p0)
-    step = _step_closure(spec, p0)
+    step = _step_closure(spec, p0, tol)
     direction = math.copysign(1.0, t_final)
     t, u = 0.0, states[0]
     f = rhs(t, u)
@@ -496,8 +469,7 @@ def _accepted_steps(spec, p0, t_final: float, tol: float):
             if direction * (t_new - t_final) > 0.0:
                 t_new = t_final
             h = t_new - t
-            u_new, f_new, err5, err3 = step(t, u, f, h)
-            error = _error_norm(err5, err3, u, u_new, h, tol)
+            u_new, f_new, error = step(t, u, f, h)
             if error < 1.0:
                 factor = (_MAX_FACTOR if error == 0.0 else
                           min(_MAX_FACTOR, _SAFETY * error ** _ERROR_EXPONENT))
@@ -555,24 +527,30 @@ def _dop853_step(spec, p0, t, u, h) -> np.ndarray:
     if spec.kind == "homogeneous" and spec.softening > 0.0:
         _, s2, ak, power = _radial_constants(spec)
 
-        def radial(x, y):
+        def radial(z, out):
+            x, y = z[:, 0], z[:, 1:]
             f = ak * (x * x + (y * y).sum(axis=1) + s2) ** power
-            return f[:, None] * np.concatenate([x[:, None], y], axis=1)
+            np.multiply(f[:, None], z, out=out)
 
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             out = _dop853_rows(radial, p0, t, u, h)
         if np.isfinite(out).all():
             return out
-    return _dop853_rows(lambda x, y: -grad_potential_array(spec, x, y),
-                        p0, t, u, h)
+
+    def gradient(z, out):
+        np.negative(grad_potential_array(spec, z[:, 0], z[:, 1:]), out=out)
+
+    return _dop853_rows(gradient, p0, t, u, h)
 
 
 def _dop853_rows(force, p0, t, u, h) -> np.ndarray:
-    """_dop853_step with the force -grad q on rows x (m,), y (m, d - 1);
-    the free parabola is taken at all twelve stage times at once."""
+    """_dop853_step with force(z, out), which writes -grad q at the
+    positions z (m, d) into out (m, d).  The free parabola's positions at
+    all twelve stage times are formed at once."""
     d = p0.d
     x, y, _, _ = free_flow_arrays(p0.x, p0.y, p0.eta, p0.zeta,
                                   t + _C_ARRAY[:12, None] * h)
+    free = np.concatenate([x[..., None], y], axis=-1)
     k = np.empty((12,) + u.shape)
     flat = k.reshape(12, -1)
     h_col = h[:, None]
@@ -580,7 +558,7 @@ def _dop853_rows(force, p0, t, u, h) -> np.ndarray:
         us = (u + h_col * (_A_ROWS[s, :s] @ flat[:s]).reshape(u.shape)
               if s else u)
         k[s, :, :d] = us[:, d:]
-        k[s, :, d:] = force(x[s] + us[:, 0], y[s] + us[:, 1:d])
+        force(free[s] + us[:, :d], k[s, :, d:])
     return u + h_col * (_A_ROWS[12] @ flat).reshape(u.shape)
 
 
@@ -686,10 +664,24 @@ def gamma_observables_arrays(x, y, eta, zeta) -> GammaObservables:
     x, y, eta, zeta = (np.asarray(a, dtype=float) for a in (x, y, eta, zeta))
     if not np.all(_exact_phase_mask(x, y)):
         raise DomainError("outside the exact-phase domain x > C, |y|/x < 1/C")
-    # Extended precision throughout: gamma_par hides a near-total cancellation
-    # between the f and g components of gamma at late times, and double
-    # rounding would floor it around 1e-8.  In this domain r + x > 2, so the
-    # coordinate mollifier is the identity and f^2 = r + x exactly.
+    x, y, r, gamma = _gamma(x, y, eta, zeta)
+    gamma_tilde = _gamma_tilde(x, y, r)
+    return GammaObservables(gamma=gamma.astype(float),
+                            gamma_tilde=gamma_tilde.astype(float),
+                            gamma_par=_gamma_par(x, y, r, gamma).astype(float),
+                            Gamma_norm=_Gamma_norm(gamma, gamma_tilde)
+                            .astype(float))
+
+
+def _gamma(x, y, eta, zeta):
+    """x, y, r and gamma = (eta, zeta) - grad(theta1) in extended precision,
+    at points of the exact-phase domain.
+
+    gamma_par hides a near-total cancellation between the f and g components
+    of gamma at late times, and double rounding would floor it around 1e-8.
+    In this domain r + x > 2, so the coordinate mollifier is the identity
+    and f^2 = r + x exactly.
+    """
     x = x.astype(np.longdouble)
     y = y.astype(np.longdouble)
     y_sq = np.sum(y * y, axis=-1)
@@ -699,18 +691,24 @@ def gamma_observables_arrays(x, y, eta, zeta) -> GammaObservables:
     grad_theta1 = np.column_stack([sp, sp[:, None] * y / (x + w)[:, None]])
     momenta = np.column_stack([eta.astype(np.longdouble),
                                zeta.astype(np.longdouble)])
-    gamma = momenta - grad_theta1
+    return x, y, r, momenta - grad_theta1
+
+
+def _gamma_tilde(x, y, r):
+    return y / (r + x)[:, None]
+
+
+def _gamma_par(x, y, r, gamma):
+    """The component of gamma along grad f, over |grad f|^2."""
     f = np.sqrt(r + x)
-    gamma_tilde = y / (r + x)[:, None]
     gf = np.column_stack([(x / r + 1.0) / (2.0 * f),
                           y / (r * 2.0 * f)[:, None]])
-    gamma_par = np.sum(gf * gamma, axis=-1) / np.sum(gf * gf, axis=-1)
+    return np.sum(gf * gamma, axis=-1) / np.sum(gf * gf, axis=-1)
+
+
+def _Gamma_norm(gamma, gamma_tilde):
     big = np.concatenate([gamma, gamma_tilde], axis=-1)
-    return GammaObservables(gamma=gamma.astype(float),
-                            gamma_tilde=gamma_tilde.astype(float),
-                            gamma_par=gamma_par.astype(float),
-                            Gamma_norm=np.sqrt(np.sum(big * big, axis=-1))
-                            .astype(float))
+    return np.sqrt(np.sum(big * big, axis=-1))
 
 
 def decay_slope(traj: Trajectory, observable: str, window) -> tuple[float, float]:
@@ -728,10 +726,11 @@ def decay_slope(traj: Trajectory, observable: str, window) -> tuple[float, float
     x, y = traj.states[:, 0], traj.states[:, 1:d]
     mask = ((traj.times >= t_lo) & (traj.times <= t_hi)
             & _exact_phase_mask(x, y))
-    obs = gamma_observables_arrays(x[mask], y[mask], traj.states[mask, d],
-                                   traj.states[mask, d + 1:])
-    vals = np.abs(obs.Gamma_norm if observable == "Gamma_norm"
-                  else obs.gamma_par)
+    x, y, r, gamma = _gamma(x[mask], y[mask], traj.states[mask, d],
+                            traj.states[mask, d + 1:])
+    vals = np.abs((_Gamma_norm(gamma, _gamma_tilde(x, y, r))
+                   if observable == "Gamma_norm"
+                   else _gamma_par(x, y, r, gamma)).astype(float))
     nonzero = vals > 0.0
     ts, vals = traj.times[mask][nonzero], vals[nonzero]
     # dyadic subsampling: keep roughly log-uniform times

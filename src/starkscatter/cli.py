@@ -34,11 +34,6 @@ from .potentials import (
 
 CONFIG_ENV_VAR = "STARKSCATTER_CONFIG"
 
-SUBCOMMANDS = (
-    "orbit", "momenta", "eikonal", "transport", "born", "kernel",
-    "airy-compare", "verify-all",
-)
-
 # The config schema.  Every key a config may set, with its default; a key's
 # type is its default's type (float keys also take JSON integers, list keys
 # hold numbers).  A type in place of a default declares an optional key of
@@ -238,13 +233,20 @@ def _phase_point(cfg: dict, section: str) -> classical.PhasePoint:
 # ---------------------------------------------------------------------------
 # artifact emission
 
+# Rows that write_csv formats with one % and writes at once: one format of
+# the whole file would hold every row's text in memory at the same time.
+_CSV_BLOCK_ROWS = 1024
+
+
 def write_csv(path: Path, header: list[str], rows) -> None:
     """rows as a 2-d float array, every value in %.17g (1.0 is written 1)."""
     rows = np.asarray(rows, dtype=float)
     line = ",".join(["%.17g"] * rows.shape[1]) + "\n"
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        fh.writelines(line % tuple(row.tolist()) for row in rows)
+        for start in range(0, len(rows), _CSV_BLOCK_ROWS):
+            block = rows[start:start + _CSV_BLOCK_ROWS]
+            fh.write((line * len(block)) % tuple(block.ravel().tolist()))
 
 
 def _emit(cfg: dict, name: str, summary: dict) -> dict:
@@ -556,23 +558,25 @@ _DISPATCH = {
 }
 
 
-def _usage() -> str:
-    return ("usage: starkscatter {%s} [--config PATH] [--key.path=value ...]"
-            % ",".join(SUBCOMMANDS))
+_USAGE = ("usage: starkscatter {%s} [--config PATH] [--key.path=value ...]"
+          % ",".join(_DISPATCH))
+
+# Built at import: the parser's first message lookup imports locale through
+# gettext, about 2 ms that would otherwise fall inside every run.
+_PARSER = argparse.ArgumentParser(prog="starkscatter", usage=_USAGE,
+                                  add_help=True)
+_PARSER.add_argument("subcommand", nargs="?")
+_PARSER.add_argument("--config", default=None)
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = argparse.ArgumentParser(
-        prog="starkscatter", usage=_usage(), add_help=True)
-    parser.add_argument("subcommand", nargs="?")
-    parser.add_argument("--config", default=None)
     try:
-        ns, rest = parser.parse_known_args(argv)
+        ns, rest = _PARSER.parse_known_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     if ns.subcommand not in _DISPATCH:
-        print(_usage(), file=sys.stderr)
+        print(_USAGE, file=sys.stderr)
         return 2
     try:
         cfg = load_config(ns.config, rest)

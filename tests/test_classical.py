@@ -1,6 +1,9 @@
 """Free flow, perturbed orbits, invariant cones and the gamma observables."""
 
+import json
 import math
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -318,9 +321,9 @@ def _counted(monkeypatch):
         return counted
 
     def counting_rows(force, *args):
-        def counted(x, y):
+        def counted(z, out):
             counts["rows"] += 1
-            return force(x, y)
+            force(z, out)
 
         return dop853_rows(counted, *args)
 
@@ -343,6 +346,31 @@ def test_work_counts_do_not_depend_on_sampling(monkeypatch):
         seen.append(dict(counts))
     assert seen[0]["steps"] > 20
     assert seen == [{"steps": seen[0]["steps"], "rows": 12}] * 3
+
+
+def test_benchmark_orbits_take_the_same_steps(monkeypatch):
+    # the 100 seed-2026 zero-energy Coulomb orbits of the benchmark's orbits
+    # workload, d = 2 and 3 alternating: each is integrated to t = 1e4 at tol
+    # 1e-12 and, for its asymptotic momentum, to 6400 at 1e-10, and no step
+    # is rejected
+    counts = _counted(monkeypatch)
+    spec = coulomb(0.1, softening=1e-3)
+    rng = np.random.default_rng(2026)
+    accepted = 0
+    for i in range(100):
+        d = 2 + i % 2
+        x0 = rng.uniform(15.0, 30.0)
+        y0 = rng.uniform(-2.0, 2.0, size=d - 1)
+        zeta0 = rng.uniform(-0.5, 0.5, size=d - 1)
+        eta0 = math.sqrt(2.0 * (x0 - eval_potential(spec, x0, y0))
+                         - float(zeta0 @ zeta0))
+        p0 = PhasePoint(x0, y0, eta0, zeta0)
+        for t_final, tol in ((1e4, 1e-12), (6400.0, 1e-10)):
+            times, _, failure = classical._accepted_steps(spec, p0, t_final,
+                                                          tol)
+            assert failure is None
+            accepted += times.size - 1
+    assert accepted == counts["steps"] == 6896
 
 
 def _orbit_of_a_few_hundred_steps(**kwargs):
@@ -424,15 +452,12 @@ class _FaultyPower:
 @pytest.mark.parametrize("d", [2, 3])
 def test_exception_in_the_radial_rhs_reaches_the_caller(d, monkeypatch):
     # the first two uses are the first-step estimate's; the fifth is in a
-    # stage of the step closure with named floats, and it is raised from
-    # there, unchanged
+    # stage of the generated step, and it is raised from there, unchanged
     power = _FaultyPower(raise_at=5)
     radial_constants = classical._radial_constants
     monkeypatch.setattr(classical, "_radial_constants",
                         lambda spec: radial_constants(spec)[:3] + (power,))
     spec, p0 = coulomb(0.5, softening=0.1), _rhs_point(d)
-    assert (classical._step_closure(spec, p0).__qualname__
-            == "_step_closure.<locals>.step")
     with pytest.raises(_PotentialFault) as info:
         integrate_orbit(spec, p0, 50.0)
     assert len(power.raised) == 1 and info.value is power.raised[0]
@@ -504,16 +529,16 @@ def test_orbit_that_does_not_escape_is_rejected():
 
 
 # ---------------------------------------------------------------------------
-# right-hand sides and steps: the step closure of the homogeneous kind at
-# d = 2 and 3, the generic step and the sample pass's batched step round
-# alike
+# right-hand sides and steps: the generated step, the reference step on the
+# scalar right-hand side and the sample pass's batched step round alike
 
 def _bits(values):
     return np.asarray(values, dtype=float).view(np.uint64)
 
 
 def _rhs_point(d):
-    return PhasePoint(5.0, [1.0, -0.5][:d - 1], 1.0, [0.2, 0.1][:d - 1])
+    return PhasePoint(5.0, [1.0, -0.5, 0.3][:d - 1], 1.0,
+                      [0.2, 0.1, -0.1][:d - 1])
 
 
 def _random_deviations(d, n=300):
@@ -526,6 +551,37 @@ def _random_deviations(d, n=300):
     return ts, us, rng.uniform(-1.0, 1.0, n)
 
 
+def _reference_step(spec, p0, tol):
+    """The DOP853 step as a loop over the nonzero tableau entries, on lists
+    and the scalar right-hand side, with scipy's error norm."""
+    rhs = classical._deviation_rhs(spec, p0)
+
+    def combine(ks, row):
+        acc = [0.0] * len(ks[0])
+        for j, w in row:
+            acc = [a + w * k for a, k in zip(acc, ks[j])]
+        return acc
+
+    def step(t, u, f, h):
+        ks = [f]
+        for c, row in classical._STAGES:
+            v = [a + b * h for a, b in zip(u, combine(ks, row))]
+            ks.append(rhs(t + c * h, v))
+        err5, err3 = [combine(ks, row) for row in classical._ERRORS]
+        s5 = s3 = 0.0
+        for a5, a3, a, b in zip(err5, err3, u, v):
+            scale = tol + max(abs(a), abs(b)) * tol
+            q5 = a5 / scale
+            q3 = a3 / scale
+            s5 += q5 * q5
+            s3 += q3 * q3
+        error = (abs(h) * s5 / math.sqrt((s5 + 0.01 * s3) * len(u)) if s5
+                 else 0.0)
+        return v, ks[-1], error
+
+    return step
+
+
 def _outcome(step, *args):
     """The bits of a step's results, or the DomainError it raised."""
     try:
@@ -534,21 +590,52 @@ def _outcome(step, *args):
         return str(exc)
 
 
-@pytest.mark.parametrize("softening", [1e-3, 0.0])
-@pytest.mark.parametrize("alpha", [1.0, 1.5])
-@pytest.mark.parametrize("d", [2, 3])
-def test_radial_rhs_matches_the_generic_rhs_bitwise(d, alpha, softening):
-    spec = homogeneous(0.7, alpha, softening=softening)
+def _assert_steps_match_the_reference(spec, d):
     p0 = _rhs_point(d)
     rhs = classical._deviation_rhs(spec, p0)
-    fast = classical._step_closure(spec, p0)
-    generic = classical._generic_step(rhs)
-    assert fast.__qualname__ == "_step_closure.<locals>.step"
-    assert generic.__qualname__ == "_generic_step.<locals>.step"
+    step = classical._step_closure(spec, p0, 1e-12)
+    reference = _reference_step(spec, p0, 1e-12)
     ts, us, hs = _random_deviations(d)
     for t, u, h in zip(ts.tolist(), us.tolist(), hs.tolist()):
         f = rhs(t, u)
-        assert _outcome(fast, t, u, f, h) == _outcome(generic, t, u, f, h)
+        assert _outcome(step, t, u, f, h) == _outcome(reference, t, u, f, h)
+
+
+@pytest.mark.parametrize("softening", [1e-3, 0.0])
+@pytest.mark.parametrize("alpha", [1.0, 1.5])
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_radial_rhs_matches_the_generic_rhs_bitwise(d, alpha, softening):
+    _assert_steps_match_the_reference(
+        homogeneous(0.7, alpha, softening=softening), d)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_table_step_matches_the_reference_step_bitwise(d):
+    def func(x, y):
+        return 0.7 / np.sqrt(1.0 + x * x + np.sum(y * y, axis=-1))
+
+    _assert_steps_match_the_reference(PotentialSpec(kind="table", func=func),
+                                      d)
+
+
+def test_step_code_is_compiled_once_per_dimension():
+    # in a fresh interpreter: the command line's import compiles no step,
+    # and the first orbit of each dimension compiles its own
+    code = """
+import json
+import starkscatter.cli
+from starkscatter import PhasePoint, classical, coulomb
+compiled = [classical._step_maker.cache_info().misses]
+for d in (2, 3, 2, 4, 3, 2):
+    p0 = PhasePoint(20.0, [1.5, -0.5, 0.3][:d - 1], 6.0,
+                    [0.2, 0.1, 0.0][:d - 1])
+    classical.integrate_orbit(coulomb(0.1), p0, 100.0, n_samples=2)
+    compiled.append(classical._step_maker.cache_info().misses)
+print(json.dumps(compiled))
+"""
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True)
+    assert json.loads(out.stdout) == [0, 1, 2, 2, 3, 3, 3]
 
 
 @pytest.mark.parametrize("softening", [1e-3, 0.0])
@@ -561,7 +648,7 @@ def test_row_rhs_matches_the_scalar_rhs_row_by_row(d, alpha, softening):
     spec = homogeneous(0.7, alpha, softening=softening)
     p0 = _rhs_point(d)
     rhs = classical._deviation_rhs(spec, p0)
-    step = classical._step_closure(spec, p0)
+    step = classical._step_closure(spec, p0, 1e-12)
     ts, us, hs = _random_deviations(d)
     rows = classical._dop853_step(spec, p0, ts, us, hs)
     ref = np.array([step(t, u, rhs(t, u), h)[0]
@@ -581,7 +668,7 @@ _BAD_POINTS = {
 
 
 @pytest.mark.parametrize("case", sorted(_BAD_POINTS))
-@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("d", [2, 3, 4])
 def test_every_rhs_raises_the_same_domain_error(d, case):
     # a step of size 0 takes every stage at its starting point
     spec, message = _BAD_POINTS[case]
@@ -591,10 +678,10 @@ def test_every_rhs_raises_the_same_domain_error(d, case):
         u[0] = np.nan
     zeros = [0.0] * (2 * d)
     calls = [lambda: classical._deviation_rhs(spec, p0)(0.0, u.tolist()),
-             lambda: classical._step_closure(spec, p0)(0.0, u.tolist(),
-                                                       zeros, 0.0),
-             lambda: classical._generic_step(classical._deviation_rhs(
-                 spec, p0))(0.0, u.tolist(), zeros, 0.0),
+             lambda: classical._step_closure(spec, p0, 1e-12)(
+                 0.0, u.tolist(), zeros, 0.0),
+             lambda: _reference_step(spec, p0, 1e-12)(0.0, u.tolist(), zeros,
+                                                      0.0),
              lambda: classical._dop853_step(spec, p0, np.zeros(3),
                                             np.tile(u, (3, 1)), np.zeros(3))]
     for call in calls:

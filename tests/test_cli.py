@@ -1,8 +1,10 @@
 """Command-line interface: configs, overrides, artifacts, exit codes."""
 
 import json
+import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from starkscatter import asymptotic_momentum, classical, free_flow
@@ -13,6 +15,7 @@ from starkscatter.cli import (
     apply_override,
     load_config,
     main,
+    write_csv,
 )
 
 
@@ -63,6 +66,9 @@ def test_override_parses_json_values():
 
 def test_unknown_subcommand_exits_2(capsys):
     assert main(["frobnicate"]) == 2
+    assert capsys.readouterr().err == (
+        "usage: starkscatter {orbit,momenta,eikonal,transport,born,kernel,"
+        "airy-compare,verify-all} [--config PATH] [--key.path=value ...]\n")
 
 
 def test_missing_config_file_exits_2(capsys):
@@ -371,6 +377,20 @@ def test_csv_values_roundtrip_at_full_precision(capsys, tmp_path):
         x = float(row.split(",")[0])
         # %.17g formatting is lossless for doubles
         assert "%.17g" % x == row.split(",")[0]
+
+
+@pytest.mark.parametrize("n_rows", [0, 1, 1023, 1024, 1025])
+def test_csv_blocks_write_each_value_as_it_formats_alone(tmp_path, n_rows):
+    # the rows are formatted in blocks of 1024; the first and last row and
+    # the rows on either side of a block boundary hold special values, and
+    # 1.0 is written 1
+    rows = np.random.default_rng(n_rows).normal(scale=1e3, size=(n_rows, 6))
+    for i in {0, 1023, 1024, n_rows - 1} & set(range(n_rows)):
+        rows[i] = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1.0]
+    write_csv(tmp_path / "rows.csv", ["a", "b", "c", "d", "e", "f"], rows)
+    expected = "a,b,c,d,e,f\n" + "".join(
+        ",".join(["%.17g" % v for v in row]) + "\n" for row in rows.tolist())
+    assert (tmp_path / "rows.csv").read_bytes() == expected.encode()
 
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"

@@ -104,8 +104,7 @@ def test_cli_import_leaves_out_the_heavy_scipy_subpackages():
 
 def test_runs_import_nothing_the_cli_import_left_out(tmp_path):
     # a module first imported inside a run costs the run its import time,
-    # outside every stage span; argparse's messages import locale, through
-    # gettext, at their first use
+    # outside every stage span
     root = Path(starkscatter.__file__).parents[2]
     code = f"""
 import contextlib, io, json, sys
@@ -129,7 +128,7 @@ print(json.dumps([codes, sorted(set(sys.modules) - before)]))
                          text=True, check=True)
     codes, imported = json.loads(out.stdout)
     assert codes == [0, 0]
-    assert set(imported) <= {"locale", "_locale"}
+    assert imported == []
 
 
 # the one-point functions, which only their own module may use: every other
