@@ -13,10 +13,11 @@ are stepped by DOP853 under scipy's step-size controller in Python floats.
 One step is one call of straight-line code that is generated from the
 tableau for the orbit's dimension and compiled at the first orbit of that
 dimension in the process; it computes the homogeneous force itself and
-returns scipy's error norm with the new state.  The batched pass that takes
-the samples computes the homogeneous force on arrays.  The table kind, and
-points the closed form cannot take, go to potentials.grad_potential_array
-and its DomainError.
+returns scipy's error norm with the new state.  The right-hand side that the
+first step's estimate calls is generated with it, from the same force code.
+The batched pass that takes the samples computes the homogeneous force on
+arrays.  The table kind, and points the closed form cannot take, go to
+potentials.grad_potential_array and its DomainError.
 The free case is the homogeneous kind at kappa = 0, where the deviation
 stays exactly 0.
 """
@@ -232,44 +233,14 @@ def _point_force(spec: PotentialSpec, x: float, y: list) -> list:
     return (-grad_potential_array(spec, [x], [y])[0]).tolist()
 
 
-def _deviation_rhs(spec: PotentialSpec, p0: PhasePoint):
-    """Hamilton's equations for the deviation from the free parabola of p0.
-
-    The deviation u = state - free_flow(p0, t) stays O(1) on scattering
-    orbits while x itself grows like t^2/2, so integrating u keeps the
-    error control meaningful over long times.  The right-hand side takes and
-    returns Python floats, for any kind and d: the homogeneous closed form
-    where it holds, else grad_potential_array and its DomainError.
-    """
-    n = p0.d - 1
-    x0, eta0 = float(p0.x), float(p0.eta)
-    y0, zeta0 = p0.y.tolist(), p0.zeta.tolist()
-    r2_min, s2, ak, power = _radial_constants(spec)
-
-    def rhs(t, u):
-        x = x0 + t * eta0 + 0.5 * t * t + u[0]
-        y = [a + t * b + c for a, b, c in zip(y0, zeta0, u[1:1 + n])]
-        # (u_x, u_y) dot = (u_eta, u_zeta); (u_eta, u_zeta) dot = -grad q
-        r2 = x * x + sum([c * c for c in y])
-        if r2_min < r2 < math.inf:
-            try:
-                f = ak * (r2 + s2) ** power
-            except (ZeroDivisionError, OverflowError):
-                pass
-            else:
-                return [*u[1 + n:], f * x, *[f * c for c in y]]
-        return [*u[1 + n:], *_point_force(spec, x, y)]
-
-    return rhs
-
-
 def _step_closure(spec: PotentialSpec, p0: PhasePoint, tol: float):
-    """One DOP853 step of the deviation of p0, with scipy's error norm.
+    """One DOP853 step of the deviation of p0, with scipy's error norm, and
+    the deviation's right-hand side: _step_maker's code for p0's dimension.
 
-    step(t, u, f, h) takes the deviation u at t with f, its right-hand side
-    (the last step's final stage), and returns the deviation at t + h, its
-    right-hand side and the error norm of the step at rtol = atol = tol: a
-    step is accepted below 1.  It is _step_maker's code for p0's dimension.
+    step(t, u, f, h) takes the deviation u at t with f = rhs(t, u) (the last
+    step's final stage), and returns the deviation at t + h, its right-hand
+    side and the error norm of the step at rtol = atol = tol: a step is
+    accepted below 1.
     """
     return _step_maker(p0.d)(spec, p0.as_vector().tolist(),
                              _radial_constants(spec), tol)
@@ -289,13 +260,19 @@ def _step_source(d: int) -> str:
     """Source of make_step(spec, start, radial, tol) at dimension d.
 
     make_step takes the start point as the list x0, y0_1 .., eta0, zeta0_1
-    .. and _radial_constants(spec), and returns _step_closure's step.  The
-    step is straight-line code on Python floats: on 2d components numpy's
-    per-operation overhead would be most of the cost, and a loop over the
-    tableau doubles it.  Every sum is written out in the order of _STAGES
-    and _ERRORS, so each float rounds as the loop rounds it.  Stage s forms
-    the positions p<i> and its K, k<s>_<i>: the velocities, then the force,
-    the closed form where it holds and _point_force elsewhere.
+    .. and _radial_constants(spec), and returns _step_closure's step and
+    rhs.  Both work on the deviation u = state - free_flow(p0, t), which
+    stays O(1) on scattering orbits while x itself grows like t^2/2, so the
+    error control stays meaningful over long times.  rhs(t, u) is Hamilton's
+    equations for u, (u_x, u_y) dot = (u_eta, u_zeta) and (u_eta, u_zeta)
+    dot = -grad q.  The step is straight-line code on Python floats: on 2d
+    components numpy's per-operation overhead would be most of the cost, and
+    a loop over the tableau doubles it.  Every sum is written out in the
+    order of _STAGES and _ERRORS, so each float rounds as the loop rounds
+    it.  Stage s forms the positions p<i> and its K, k<s>_<i>: the
+    velocities, then the force.  One helper writes the force for rhs and
+    for every stage: the closed form where it holds and _point_force
+    elsewhere, for any kind.
     """
     n = 2 * d
     ys = [f"y{i}" for i in range(1, d)]
@@ -304,8 +281,8 @@ def _step_source(d: int) -> str:
     # the components of the new deviation: stage 12's positions and velocities
     new = [f"p{i}" for i in range(d)] + [f"k12_{i}" for i in range(d)]
 
-    def names(prefix: str) -> str:
-        return ", ".join([f"{prefix}{i}" for i in range(n)])
+    def names(prefix: str, first: int = 0) -> str:
+        return ", ".join([f"{prefix}{i}" for i in range(first, n)])
 
     def total(terms: list) -> str:
         # added left to right, as a loop adds them to 0.0
@@ -314,25 +291,11 @@ def _step_source(d: int) -> str:
     def weighted(row, i: int) -> str:
         return total([f"{w!r} * k{j}_{i}" for j, w in row])
 
-    lines = [
-        "def make_step(spec, start, radial, tol):",
-        f"    {', '.join(start)} = start",
-        "    r2_min, s2, ak, power = radial",
-        "    inf, sqrt = math.inf, math.sqrt",
-        "",
-        "    def step(t, u, f, h):",
-        f"        {names('u')} = u",
-        f"        {names('k0_')} = f",
-    ]
-    for s, (c, row) in enumerate(_STAGES, start=1):
-        state = [f"p{i}" for i in range(d)] + [f"k{s}_{i}" for i in range(d)]
-        forces = [f"k{s}_{i}" for i in range(d, n)]
-        lines += [
-            f"        ts = t + {c!r} * h",
-            *[f"        {name} = u{i} + ({weighted(row, i)}) * h"
-              for i, name in enumerate(state)],
-            "        x = x0 + ts * eta0 + 0.5 * ts * ts + p0",
-            *[f"        {y} = c{y} + ts * z{y} + p{i}"
+    def force(t: str, positions: str, forces: str) -> list:
+        # -grad q at the deviation's positions at time t, into forces
+        return [
+            f"        x = x0 + {t} * eta0 + 0.5 * {t} * {t} + {positions}0",
+            *[f"        {y} = c{y} + {t} * z{y} + {positions}{i}"
               for i, y in enumerate(ys, start=1)],
             "        r2 = x * x" + (f" + ({squares})" if ys else ""),
             "        try:",
@@ -341,11 +304,35 @@ def _step_source(d: int) -> str:
             "        except (ZeroDivisionError, OverflowError):",
             "            g = None",
             "        if g is None:",
-            f"            {', '.join(forces)}, = _point_force(spec, x, "
+            f"            {names(forces, d)}, = _point_force(spec, x, "
             f"[{', '.join(ys)}])",
             "        else:",
-            *[f"            {k} = g * {y}"
-              for k, y in zip(forces, ["x", *ys])],
+            *[f"            {forces}{i} = g * {y}"
+              for i, y in enumerate(["x", *ys], start=d)],
+        ]
+
+    lines = [
+        "def make_step(spec, start, radial, tol):",
+        f"    {', '.join(start)} = start",
+        "    r2_min, s2, ak, power = radial",
+        "    inf, sqrt = math.inf, math.sqrt",
+        "",
+        "    def rhs(t, u):",
+        f"        {names('u')} = u",
+        *force("t", "u", "f"),
+        f"        return [{names('u', d)}, {names('f', d)}]",
+        "",
+        "    def step(t, u, f, h):",
+        f"        {names('u')} = u",
+        f"        {names('k0_')} = f",
+    ]
+    for s, (c, row) in enumerate(_STAGES, start=1):
+        state = [f"p{i}" for i in range(d)] + [f"k{s}_{i}" for i in range(d)]
+        lines += [
+            f"        ts = t + {c!r} * h",
+            *[f"        {name} = u{i} + ({weighted(row, i)}) * h"
+              for i, name in enumerate(state)],
+            *force("ts", "p", f"k{s}_"),
         ]
     # scipy's error norm: with E5 and E3 over tol (1 + max(|u|, |v|)) by
     # component and s5, s3 their sums of squares, |h| s5 / sqrt((s5 + s3 /
@@ -367,7 +354,7 @@ def _step_source(d: int) -> str:
         "else 0.0",
         f"        return ({', '.join(new)}), ({names('k12_')}), error",
         "",
-        "    return step",
+        "    return step, rhs",
     ]
     return "\n".join(lines) + "\n"
 
@@ -448,8 +435,7 @@ def _accepted_steps(spec, p0, t_final: float, tol: float):
     times, states = [0.0], [(0.0,) * n]
     if t_final == 0.0:
         return np.array(times), np.array(states), None
-    rhs = _deviation_rhs(spec, p0)
-    step = _step_closure(spec, p0, tol)
+    step, rhs = _step_closure(spec, p0, tol)
     direction = math.copysign(1.0, t_final)
     t, u = 0.0, states[0]
     f = rhs(t, u)
@@ -592,7 +578,8 @@ def is_escaping(traj: Trajectory, x_escape: float = 100.0) -> bool:
     xs = traj.states[:, 0]
     etas = traj.states[:, traj.d] * (-1.0 if traj.times[-1] < 0 else 1.0)
     tail = slice(max(0, len(xs) - 10), None)
-    return bool(xs[-1] > x_escape and np.all(etas[tail] > 0)
+    # one sample shows no growth
+    return bool(len(xs) > 1 and xs[-1] > x_escape and np.all(etas[tail] > 0)
                 and np.all(np.diff(etas[tail]) > 0))
 
 
@@ -621,9 +608,12 @@ def momentum_limit(traj: Trajectory):
 
     The residual is assumed to decay like t^(-2 delta), the rate inherited
     from the potential decay; a two-point Richardson step on the last two
-    samples extrapolates it away.  Raises ConvergenceError when the orbit
-    does not escape, unless q = 0 (the homogeneous kind at kappa = 0).
+    samples extrapolates it away.  Raises DomainError on fewer than two
+    samples, and ConvergenceError when the orbit does not escape, unless
+    q = 0 (the homogeneous kind at kappa = 0).
     """
+    if len(traj) < 2:
+        raise DomainError("momentum_limit needs at least two samples")
     spec = traj.spec
     if not is_escaping(traj) and (spec.kind == "table" or spec.kappa != 0.0):
         raise ConvergenceError(

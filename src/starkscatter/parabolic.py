@@ -178,7 +178,12 @@ def theta_calculus(x: float, y, d: int | None = None) -> PhaseData:
 
 
 def _eikonal_domain(x, y: np.ndarray):
-    disc = x * x - np.sum(y * y, axis=-1)
+    with np.errstate(over="ignore"):
+        x_sq, y_sq = x * x, np.sum(y * y, axis=-1)
+    if not np.all(np.isfinite(x_sq)):
+        raise DomainError("x^2 overflows or is not finite: the eikonal phase "
+                          "needs finite |x| below about 1.3e154")
+    disc = x_sq - y_sq
     if np.any((x <= 0.0) | (disc <= _CAUSTIC_MARGIN * x * x)):
         raise DomainError("caustic region: requires x > 0 and x^2 > y^2")
     return np.sqrt(disc)

@@ -38,6 +38,7 @@ from starkscatter.classical import (
     is_escaping,
 )
 from starkscatter.parabolic import theta1_calculus
+from starkscatter.potentials import grad_potential_array
 
 
 def _random_point(rng, d=2):
@@ -260,7 +261,7 @@ def test_steps_follow_scipys_dop853_controller(spec, p0, t_final):
     from scipy.integrate import DOP853
 
     times, us, _ = classical._accepted_steps(spec, p0, t_final, 1e-12)
-    rhs = classical._deviation_rhs(spec, p0)
+    _, rhs = classical._step_closure(spec, p0, 1e-12)
     solver = DOP853(lambda t, u: np.array(rhs(t, u.tolist())), 0.0,
                     np.zeros(2 * p0.d), t_final, rtol=1e-12, atol=1e-12,
                     first_step=abs(times[1]))
@@ -312,13 +313,13 @@ def _counted(monkeypatch):
     step_closure, dop853_rows = classical._step_closure, classical._dop853_rows
 
     def counting_closure(*args):
-        step = step_closure(*args)
+        step, rhs = step_closure(*args)
 
         def counted(*step_args):
             counts["steps"] += 1
             return step(*step_args)
 
-        return counted
+        return counted, rhs
 
     def counting_rows(force, *args):
         def counted(z, out):
@@ -497,6 +498,26 @@ def test_orbit_with_one_sample_has_no_drift():
     assert traj.energy_drift() == 0.0
 
 
+@pytest.mark.parametrize("spec", [zero_potential(), coulomb(0.1)],
+                         ids=["free", "coulomb"])
+def test_orbit_with_one_sample_does_not_escape(spec):
+    # x is far out and eta positive at the one sample, but one eta shows no
+    # growth
+    traj = integrate_orbit(spec, PhasePoint(5.0, [1.0], 1.0, [0.2]), 100.0,
+                           t_eval=[100.0])
+    assert traj.states[0, 0] > 100.0 and traj.states[0, 2] > 0.0
+    assert not is_escaping(traj)
+
+
+@pytest.mark.parametrize("spec", [zero_potential(), coulomb(0.1)],
+                         ids=["free", "coulomb"])
+def test_momentum_limit_of_one_sample_raises(spec):
+    traj = integrate_orbit(spec, PhasePoint(5.0, [1.0], 1.0, [0.2]), 100.0,
+                           n_samples=1)
+    with pytest.raises(DomainError, match="at least two samples"):
+        classical.momentum_limit(traj)
+
+
 def test_escape_detection():
     spec = coulomb(0.1, softening=0.1)
     traj = integrate_orbit(spec, PhasePoint(10.0, [1.0], 2.0, [0.1]),
@@ -551,10 +572,37 @@ def _random_deviations(d, n=300):
     return ts, us, rng.uniform(-1.0, 1.0, n)
 
 
+def _reference_rhs(spec, p0):
+    """Hamilton's equations for the deviation from the free parabola of p0,
+    written by hand on Python floats: the homogeneous closed form where it
+    holds, else grad_potential_array and its DomainError."""
+    n = p0.d - 1
+    x0, eta0 = float(p0.x), float(p0.eta)
+    y0, zeta0 = p0.y.tolist(), p0.zeta.tolist()
+    r2_min, s2, ak, power = classical._radial_constants(spec)
+
+    def rhs(t, u):
+        x = x0 + t * eta0 + 0.5 * t * t + u[0]
+        y = [a + t * b + c for a, b, c in zip(y0, zeta0, u[1:1 + n])]
+        # (u_x, u_y) dot = (u_eta, u_zeta); (u_eta, u_zeta) dot = -grad q
+        r2 = x * x + sum([c * c for c in y])
+        if r2_min < r2 < math.inf:
+            try:
+                f = ak * (r2 + s2) ** power
+            except (ZeroDivisionError, OverflowError):
+                pass
+            else:
+                return [*u[1 + n:], f * x, *[f * c for c in y]]
+        force = -grad_potential_array(spec, [x], [y])[0]
+        return [*u[1 + n:], *force.tolist()]
+
+    return rhs
+
+
 def _reference_step(spec, p0, tol):
     """The DOP853 step as a loop over the nonzero tableau entries, on lists
     and the scalar right-hand side, with scipy's error norm."""
-    rhs = classical._deviation_rhs(spec, p0)
+    rhs = _reference_rhs(spec, p0)
 
     def combine(ks, row):
         acc = [0.0] * len(ks[0])
@@ -592,8 +640,8 @@ def _outcome(step, *args):
 
 def _assert_steps_match_the_reference(spec, d):
     p0 = _rhs_point(d)
-    rhs = classical._deviation_rhs(spec, p0)
-    step = classical._step_closure(spec, p0, 1e-12)
+    rhs = _reference_rhs(spec, p0)
+    step, _ = classical._step_closure(spec, p0, 1e-12)
     reference = _reference_step(spec, p0, 1e-12)
     ts, us, hs = _random_deviations(d)
     for t, u, h in zip(ts.tolist(), us.tolist(), hs.tolist()):
@@ -609,13 +657,14 @@ def test_radial_rhs_matches_the_generic_rhs_bitwise(d, alpha, softening):
         homogeneous(0.7, alpha, softening=softening), d)
 
 
+def _table_func(x, y):
+    return 0.7 / np.sqrt(1.0 + x * x + np.sum(y * y, axis=-1))
+
+
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_table_step_matches_the_reference_step_bitwise(d):
-    def func(x, y):
-        return 0.7 / np.sqrt(1.0 + x * x + np.sum(y * y, axis=-1))
-
-    _assert_steps_match_the_reference(PotentialSpec(kind="table", func=func),
-                                      d)
+    _assert_steps_match_the_reference(
+        PotentialSpec(kind="table", func=_table_func), d)
 
 
 def test_step_code_is_compiled_once_per_dimension():
@@ -647,8 +696,7 @@ def test_row_rhs_matches_the_scalar_rhs_row_by_row(d, alpha, softening):
     # batched step agrees with the scalar one to rounding, not bitwise
     spec = homogeneous(0.7, alpha, softening=softening)
     p0 = _rhs_point(d)
-    rhs = classical._deviation_rhs(spec, p0)
-    step = classical._step_closure(spec, p0, 1e-12)
+    step, rhs = classical._step_closure(spec, p0, 1e-12)
     ts, us, hs = _random_deviations(d)
     rows = classical._dop853_step(spec, p0, ts, us, hs)
     ref = np.array([step(t, u, rhs(t, u), h)[0]
@@ -677,9 +725,9 @@ def test_every_rhs_raises_the_same_domain_error(d, case):
     if case == "non-finite":
         u[0] = np.nan
     zeros = [0.0] * (2 * d)
-    calls = [lambda: classical._deviation_rhs(spec, p0)(0.0, u.tolist()),
-             lambda: classical._step_closure(spec, p0, 1e-12)(
-                 0.0, u.tolist(), zeros, 0.0),
+    step, rhs = classical._step_closure(spec, p0, 1e-12)
+    calls = [lambda: rhs(0.0, u.tolist()),
+             lambda: step(0.0, u.tolist(), zeros, 0.0),
              lambda: _reference_step(spec, p0, 1e-12)(0.0, u.tolist(), zeros,
                                                       0.0),
              lambda: classical._dop853_step(spec, p0, np.zeros(3),
@@ -687,6 +735,38 @@ def test_every_rhs_raises_the_same_domain_error(d, case):
     for call in calls:
         with pytest.raises(DomainError, match=message):
             call()
+
+
+_RHS_SPECS = {
+    **{f"alpha{alpha:g}-softening{softening:g}":
+       homogeneous(0.7, alpha, softening=softening)
+       for alpha in (1.0, 1.5) for softening in (1e-3, 0.0)},
+    "table": PotentialSpec(kind="table", func=_table_func),
+    "alpha300": _BAD_POINTS["unrepresentable"][0],
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_RHS_SPECS))
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_generated_rhs_matches_the_reference_rhs_bitwise(d, kind):
+    # on the seeded deviations, at the origin and at a NaN position; a
+    # DomainError counts by its message
+    spec, p0 = _RHS_SPECS[kind], _rhs_point(d)
+    _, rhs = classical._step_closure(spec, p0, 1e-12)
+    reference = _reference_rhs(spec, p0)
+    ts, us, _ = _random_deviations(d)
+    origin = -p0.as_vector()
+    not_finite = origin.copy()
+    not_finite[0] = np.nan
+    cases = [*zip(ts.tolist(), us.tolist()), (0.0, origin.tolist()),
+             (0.0, not_finite.tolist())]
+    outcomes = [_outcome(rhs, t, u) for t, u in cases]
+    assert outcomes == [_outcome(reference, t, u) for t, u in cases]
+    # a NaN position is bad for every kind, the origin for zero softening
+    # and where the force is not representable
+    assert "non-finite point" in outcomes[-1]
+    assert isinstance(outcomes[-2], str) == (
+        kind in ("alpha1-softening0", "alpha1.5-softening0", "alpha300"))
 
 
 # ---------------------------------------------------------------------------
@@ -734,6 +814,37 @@ def test_deflection_linear_in_coupling():
             float(np.linalg.norm(np.atleast_1d(z_inf) - p0.zeta)))
     slope = np.polyfit(np.log(kappas), np.log(deflections), 1)[0]
     assert slope == pytest.approx(1.0, abs=0.05)
+
+
+# ---------------------------------------------------------------------------
+# scaling covariance: x, y -> s^2 x, s^2 y, t -> s t and eta, zeta -> s eta,
+# s zeta carry h to s^2 h when kappa -> kappa s^(2 + 2 alpha) and the
+# softening -> s^2 softening, so orbits map to orbits
+
+@pytest.mark.parametrize("s", [2.0, 4.0])
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("alpha", [0.75, 1.0, 1.5])
+def test_orbits_are_scaling_covariant(alpha, d, s):
+    # a power of 2 scales exactly, but the error control's atol does not
+    # scale, so the steps differ and the orbits agree to tol, not bitwise
+    spec = homogeneous(0.1, alpha, softening=1e-3)
+    scaled = homogeneous(0.1 * s ** (2.0 + 2.0 * alpha), alpha,
+                         softening=s * s * 1e-3)
+    p0 = PhasePoint(20.0, [1.5, -0.5][:d - 1], 6.0, [0.2, 0.1][:d - 1])
+    p0_s = PhasePoint(s * s * p0.x, s * s * p0.y, s * p0.eta, s * p0.zeta)
+    t_eval = np.concatenate([[0.0], np.geomspace(1.0, 1e3, 40)])
+    traj = integrate_orbit(spec, p0, 1e3, tol=1e-12, t_eval=t_eval)
+    traj_s = integrate_orbit(scaled, p0_s, s * 1e3, tol=1e-12,
+                             t_eval=s * t_eval)
+    assert np.array_equal(traj_s.times, s * traj.times)
+    ref = traj.states * np.repeat([s * s, s], d)
+    # relative to each component's largest size along the orbit
+    assert np.all(np.abs(traj_s.states - ref)
+                  <= 1e-12 * np.abs(ref).max(axis=0))
+    z_inf, _ = asymptotic_momentum(spec, p0)
+    z_inf_s, _ = asymptotic_momentum(scaled, p0_s, t_start=s * 100.0)
+    assert (np.linalg.norm(z_inf_s - s * z_inf)
+            <= 1e-11 * np.linalg.norm(s * z_inf))
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,11 @@
 """Package hygiene: the public names resolve, no module imports dead names,
 no module imports scipy and the package loads none, one-point functions stay
-in their own module and no module reaches into another's private names."""
+in their own module, no module reaches into another's private names and
+every private definition is used somewhere in the package."""
 
 import ast
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -206,3 +208,73 @@ def test_no_module_uses_another_modules_private_names(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     used = _private_uses(tree)
     assert not used, f"{path.name} uses private names {used}"
+
+
+def _private_definitions(tree: ast.Module) -> set:
+    """The _-prefixed functions, classes and constants a module defines at
+    its top level, dunder names left out."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [
+                node.target]
+            names |= {n.id for t in targets for n in ast.walk(t)
+                      if isinstance(n, ast.Name)}
+    return {n for n in names if n.startswith("_") and not n.startswith("__")}
+
+
+def _docstrings(tree: ast.Module) -> set:
+    """The ids of the docstring nodes of the module and its definitions."""
+    ids = set()
+    for node in ast.walk(tree):
+        if (isinstance(node, (ast.Module, ast.FunctionDef, ast.ClassDef))
+                and node.body):
+            first = node.body[0]
+            if (isinstance(first, ast.Expr)
+                    and isinstance(first.value, ast.Constant)
+                    and isinstance(first.value.value, str)):
+                ids.add(id(first.value))
+    return ids
+
+
+def _uses(tree: ast.Module) -> set:
+    """Every name the module reads, every attribute it reads and every word
+    of its string literals but the docstrings: generated source names the
+    helpers it calls."""
+    docstrings = _docstrings(tree)
+    words = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            words.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            words.add(node.attr)
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                and id(node) not in docstrings):
+            words |= set(re.findall(r"\w+", node.value))
+    return words
+
+
+def test_dead_code_check_sees_every_use():
+    tree = ast.parse('"""_in_the_docstring"""\n'
+                     "_A, _B = 1, 2\n_C: int = 3\n__all__ = []\n"
+                     "def _f():\n    '''_E'''\n    return _A\n"
+                     "class _G:\n    pass\n"
+                     "def _in_the_docstring():\n    pass\n"
+                     "source = f'{_A} = _B.x(_G)'\nm._C\n")
+    assert _private_definitions(tree) == {"_A", "_B", "_C", "_f", "_G",
+                                          "_in_the_docstring"}
+    assert _private_definitions(tree) - _uses(tree) == {
+        "_f", "_in_the_docstring"}
+
+
+def test_every_private_definition_is_used_in_src():
+    # a helper that only the tests call is dead code of the library
+    trees = {p.stem: ast.parse(p.read_text(), filename=str(p))
+             for p in Path(starkscatter.__file__).parent.glob("*.py")}
+    used = set().union(*[_uses(tree) for tree in trees.values()])
+    dead = {name: sorted(_private_definitions(tree) - used)
+            for name, tree in trees.items()}
+    dead = {name: names for name, names in dead.items() if names}
+    assert not dead, f"unused private definitions: {dead}"

@@ -342,6 +342,20 @@ def test_theta1_caustic_domain():
         theta1_calculus(3.0, [3.0])
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("x, y", [(1e300, [1e299]), (1e200, [0.0]),
+                                  (-1e200, [0.0]), (2e154, [1.0, 1e153])],
+                         ids=["off-axis", "axial", "negative", "d3"])
+def test_eikonal_phase_names_an_overflowing_square(x, y):
+    # x^2 is inf beyond about 1.3e154, where x^2 - y^2 would be inf - inf
+    # or an axial point would look caustic
+    for call in (theta1_value, theta1_calculus,
+                 lambda x, y: eikonal_residual(np.array([10.0, x]),
+                                               np.array([[0.0] * len(y), y]))):
+        with pytest.raises(DomainError, match="x\\^2 overflows"):
+            call(x, y)
+
+
 def test_phase_difference_scaling():
     # theta1 - f^3/3 = O(f^3 (y/x)^4): quartic slope in y/x at fixed x
     x = 1e4
