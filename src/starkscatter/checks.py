@@ -74,7 +74,7 @@ def parabolic_identities(rng: np.random.Generator, n: int,
         np.abs(2.0 * r * np.sum(gf * gf, axis=-1) - 1.0),
     ])
 
-    jac = parabolic.jacobian_det(x, y, d)
+    jac = parabolic.jacobian_det(x, y)
     h = 1e-6 * np.maximum(1.0, r)
     # row j of plus/minus is the point moved by +-h along axis j
     z = np.concatenate([x[:, None], y], axis=1)[:, None, :]

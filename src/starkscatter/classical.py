@@ -12,12 +12,11 @@ the asymptotic momentum are computed on whole trajectories at once.  Orbits
 are stepped by DOP853 under scipy's step-size controller in Python floats.
 One step is one call of straight-line code that is generated from the
 tableau for the orbit's dimension and compiled at the first orbit of that
-dimension in the process; it computes the homogeneous force itself and
-returns scipy's error norm with the new state.  The right-hand side that the
-first step's estimate calls is generated with it, from the same force code.
-The batched pass that takes the samples computes the homogeneous force on
-arrays.  The table kind, and points the closed form cannot take, go to
-potentials.grad_potential_array and its DomainError.
+dimension in the process; it evaluates potentials.force_law on floats and
+returns scipy's error norm with the new state, and the first step's
+right-hand side is generated with it.  The batched pass that takes the
+samples calls potentials.force_rows.  The table kind, and points the closed
+form cannot take, go to grad_potential_array and its DomainError.
 The free case is the homogeneous kind at kappa = 0, where the deviation
 stays exactly 0.
 """
@@ -32,8 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, DomainError
-from .potentials import (EXCLUSION_RADIUS, PotentialSpec,
-                         eval_potential_array, grad_potential_array)
+from .potentials import (PotentialSpec, eval_potential_array, force_law,
+                         force_rows, grad_potential_array)
 from .quadrature import loglog_fit
 
 # Domain constant C for the exact-phase observables: x > C, |y|/x < 1/C.
@@ -216,23 +215,6 @@ _A_ROWS = np.array([row + (0.0,) * (12 - len(row)) for row in _A])
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR, _ERROR_EXPONENT = 0.9, 0.2, 10.0, -1.0 / 8
 
 
-def _radial_constants(spec: PotentialSpec):
-    """r2_min, s2, ak, power of the force ak (r^2 + s2)^power (x, y) of the
-    homogeneous kind, at points with r2_min < r^2 < inf; r2_min is inf for
-    the table kind, which has no closed form."""
-    if spec.kind != "homogeneous":
-        r2_min = math.inf
-    else:
-        r2_min = EXCLUSION_RADIUS ** 2 if spec.softening == 0.0 else -1.0
-    return (r2_min, spec.softening ** 2, spec.alpha * spec.kappa,
-            -spec.alpha / 2.0 - 1.0)
-
-
-def _point_force(spec: PotentialSpec, x: float, y: list) -> list:
-    """-grad q at one point, as a list; DomainError where q is undefined."""
-    return (-grad_potential_array(spec, [x], [y])[0]).tolist()
-
-
 def _step_closure(spec: PotentialSpec, p0: PhasePoint, tol: float):
     """One DOP853 step of the deviation of p0, with scipy's error norm, and
     the deviation's right-hand side: _step_maker's code for p0's dimension.
@@ -243,7 +225,7 @@ def _step_closure(spec: PotentialSpec, p0: PhasePoint, tol: float):
     accepted below 1.
     """
     return _step_maker(p0.d)(spec, p0.as_vector().tolist(),
-                             _radial_constants(spec), tol)
+                             force_law(spec), tol)
 
 
 @functools.cache
@@ -257,10 +239,10 @@ def _step_maker(d: int):
 
 
 def _step_source(d: int) -> str:
-    """Source of make_step(spec, start, radial, tol) at dimension d.
+    """Source of make_step(spec, start, law, tol) at dimension d.
 
     make_step takes the start point as the list x0, y0_1 .., eta0, zeta0_1
-    .. and _radial_constants(spec), and returns _step_closure's step and
+    .. and potentials.force_law(spec), and returns _step_closure's step and
     rhs.  Both work on the deviation u = state - free_flow(p0, t), which
     stays O(1) on scattering orbits while x itself grows like t^2/2, so the
     error control stays meaningful over long times.  rhs(t, u) is Hamilton's
@@ -271,8 +253,8 @@ def _step_source(d: int) -> str:
     order of _STAGES and _ERRORS, so each float rounds as the loop rounds
     it.  Stage s forms the positions p<i> and its K, k<s>_<i>: the
     velocities, then the force.  One helper writes the force for rhs and
-    for every stage: the closed form where it holds and _point_force
-    elsewhere, for any kind.
+    for every stage: the force law's closed form on Python floats where it
+    holds, and grad_potential_array elsewhere, for any kind.
     """
     n = 2 * d
     ys = [f"y{i}" for i in range(1, d)]
@@ -304,17 +286,17 @@ def _step_source(d: int) -> str:
             "        except (ZeroDivisionError, OverflowError):",
             "            g = None",
             "        if g is None:",
-            f"            {names(forces, d)}, = _point_force(spec, x, "
-            f"[{', '.join(ys)}])",
+            f"            {names(forces, d)}, = (-grad_potential_array("
+            f"spec, [x], [[{', '.join(ys)}]])[0]).tolist()",
             "        else:",
             *[f"            {forces}{i} = g * {y}"
               for i, y in enumerate(["x", *ys], start=d)],
         ]
 
     lines = [
-        "def make_step(spec, start, radial, tol):",
+        "def make_step(spec, start, law, tol):",
         f"    {', '.join(start)} = start",
-        "    r2_min, s2, ak, power = radial",
+        "    r2_min, s2, ak, power = law",
         "    inf, sqrt = math.inf, math.sqrt",
         "",
         "    def rhs(t, u):",
@@ -504,22 +486,18 @@ def _sample_steps(spec, p0, steps_t, steps_u, t_eval) -> np.ndarray:
 def _dop853_step(spec, p0, t, u, h) -> np.ndarray:
     """One DOP853 step of size h (m,) from each row of u (m, 2d) at t (m,).
 
-    The homogeneous kind with a softening takes its closed-form force
-    unchecked.  A bad point makes the step non-finite, and the step is then
-    taken again on grad_potential_array, which raises the DomainError of the
-    first stage that met one; the table kind and zero softening take
-    grad_potential_array throughout.  Both give the same floats.
+    Where the force law holds at every point, force_rows runs unchecked, as
+    grad_potential_array's checks slow the pass by about 70 %.  A bad point
+    makes the step non-finite, and it is taken again on
+    grad_potential_array, which raises the DomainError of the first stage
+    that met one; the table kind and zero softening take it throughout.
+    Both give the same floats.
     """
-    if spec.kind == "homogeneous" and spec.softening > 0.0:
-        _, s2, ak, power = _radial_constants(spec)
-
-        def radial(z, out):
-            x, y = z[:, 0], z[:, 1:]
-            f = ak * (x * x + (y * y).sum(axis=1) + s2) ** power
-            np.multiply(f[:, None], z, out=out)
-
+    law = force_law(spec)
+    if law[0] < 0.0:
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            out = _dop853_rows(radial, p0, t, u, h)
+            out = _dop853_rows(functools.partial(force_rows, law), p0, t, u,
+                               h)
         if np.isfinite(out).all():
             return out
 
@@ -571,15 +549,15 @@ def _energies(spec: PotentialSpec, states: np.ndarray) -> np.ndarray:
     return kinetic - x + eval_potential_array(spec, x, y)
 
 
-def is_escaping(traj: Trajectory, x_escape: float = 100.0) -> bool:
-    """Escape heuristic: x beyond threshold with eta moving away from 0 in
-    the orbit's time direction, positive and growing on a forward orbit,
+def is_escaping(traj: Trajectory) -> bool:
+    """Escape heuristic: x beyond 100 with eta moving away from 0 in the
+    orbit's time direction, positive and growing on a forward orbit,
     negative and falling on a backward one (x grows like t^2/2 both ways)."""
     xs = traj.states[:, 0]
     etas = traj.states[:, traj.d] * (-1.0 if traj.times[-1] < 0 else 1.0)
     tail = slice(max(0, len(xs) - 10), None)
     # one sample shows no growth
-    return bool(len(xs) > 1 and xs[-1] > x_escape and np.all(etas[tail] > 0)
+    return bool(len(xs) > 1 and xs[-1] > 100.0 and np.all(etas[tail] > 0)
                 and np.all(np.diff(etas[tail]) > 0))
 
 
@@ -704,14 +682,16 @@ def _Gamma_norm(gamma, gamma_tilde):
 def decay_slope(traj: Trajectory, observable: str, window) -> tuple[float, float]:
     """Log-log decay exponent of an observable over a time window.
 
-    observable is "Gamma_norm" or "gamma_par".  Times are subsampled
-    dyadically; samples where the observable vanishes or the observables are
-    undefined are dropped.  Returns (slope, confidence half-width).
+    observable is "Gamma_norm" or "gamma_par", over 0 < t_lo < t_hi.  Times
+    are subsampled dyadically; samples where the observable vanishes or the
+    observables are undefined are dropped.  Returns (slope, half-width).
     """
     if observable not in ("Gamma_norm", "gamma_par"):
         raise DomainError('observable must be "Gamma_norm" or "gamma_par", '
                           f"got {observable!r}")
     t_lo, t_hi = window
+    if not 0.0 < t_lo < t_hi:
+        raise DomainError(f"window ({t_lo:g}, {t_hi:g}) needs 0 < t_lo < t_hi")
     d = traj.d
     x, y = traj.states[:, 0], traj.states[:, 1:d]
     mask = ((traj.times >= t_lo) & (traj.times <= t_hi)
@@ -725,7 +705,7 @@ def decay_slope(traj: Trajectory, observable: str, window) -> tuple[float, float
     ts, vals = traj.times[mask][nonzero], vals[nonzero]
     # dyadic subsampling: keep roughly log-uniform times
     if ts.size >= 8:
-        keep = _log_subsample(ts, per_octave=4)
+        keep = _log_subsample(ts)
         ts, vals = ts[keep], vals[keep]
     if ts.size < 8:
         raise ConvergenceError("fewer than 8 usable samples for the decay fit")
@@ -733,15 +713,15 @@ def decay_slope(traj: Trajectory, observable: str, window) -> tuple[float, float
     return slope, 2.0 * slope_err
 
 
-def _log_subsample(ts: np.ndarray, per_octave: int = 4) -> np.ndarray:
-    """Indices of samples closest to a log-uniform grid, increasing, each once.
+def _log_subsample(ts: np.ndarray) -> np.ndarray:
+    """Indices of the samples nearest a log grid of 4 an octave, each once.
 
     The searched indices never decrease, so dropping repeats keeps each
     once; np.unique would also import numpy.ma, about 10 ms, at its first
     call.
     """
     lo, hi = np.log2(ts[0]), np.log2(ts[-1])
-    targets = np.linspace(lo, hi, max(8, int((hi - lo) * per_octave) + 1))
+    targets = np.linspace(lo, hi, max(8, int((hi - lo) * 4) + 1))
     idx = np.searchsorted(np.log2(ts), targets).clip(0, ts.size - 1)
     return idx[np.diff(idx, prepend=-1) > 0]
 

@@ -312,8 +312,8 @@ def cmd_eikonal(cfg: dict) -> dict:
     chk = checks.eikonal(default_rng(cfg["seed"]), sec["n_points"],
                          d, sec["x_range"], sec["y_over_x"])
     x, y = chk.x, chk.y
-    jac = parabolic.jacobian_det(x, y, d)
-    lap = parabolic.theta_laplacian(x, y, d)
+    jac = parabolic.jacobian_det(x, y)
+    lap = parabolic.theta_laplacian(x, y)
     write_csv(_outdir(cfg) / "eikonal.csv",
               ["x"] + [f"y{i+1}" for i in range(d - 1)]
               + ["residual", "jacobian", "laplacian_theta"],
@@ -349,7 +349,7 @@ def cmd_transport(cfg: dict) -> dict:
     if sec["decay_fit"] and spec.kappa != 0.0:
         (summary["decay_exponent_b1"],
          summary["decay_exponent_q1"]) = transport.decay_fit_symbols(
-            1, spec, sign=sign, tol=tol, m=m, eps=eps, d=d)
+            spec, sign=sign, tol=tol, m=m, eps=eps, d=d)
     return _emit(cfg, "transport", summary)
 
 

@@ -97,12 +97,15 @@ def born_symbols(spec: PotentialSpec, zeta, ys, lam: float = 0.0,
 
 
 def homogeneous_symbol_asymptote(kappa: float, alpha: float, y) -> complex:
-    """Large-|y| closed form -2i kappa c1(alpha) |y|^{1/2 - alpha}."""
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    y_norm = float(np.linalg.norm(y))
+    """Large-|y| closed form -2i kappa c1(alpha) |y|^{1/2 - alpha}; |y| by
+    hypot, which neither overflows nor underflows."""
+    y_norm = math.hypot(*np.asarray(y, dtype=float).ravel())
     if y_norm == 0.0:
         raise DomainError("asymptote undefined at y = 0")
-    return -2j * kappa * c1_constant(alpha) * y_norm ** (0.5 - alpha)
+    try:
+        return -2j * kappa * c1_constant(alpha) * y_norm ** (0.5 - alpha)
+    except OverflowError:
+        raise DomainError(f"asymptote overflows at |y| = {y_norm:g}") from None
 
 
 def kernel_singularity_law(d: int, alpha: float, kappa: float) -> KernelLaw:

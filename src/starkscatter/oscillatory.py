@@ -80,19 +80,19 @@ def airy_reduction(x, zeta, lam: float = 0.0):
     return complex(value) if np.ndim(arg) == 0 else value.astype(complex)
 
 
-def airy_reduction_quadrature(w, angle: float = math.pi / 8.0,
-                              tol: float = 1e-12):
+def airy_reduction_quadrature(w, tol: float = 1e-12):
     """Oracle: the eta-integral at x + lam - zeta^2/2 = w by contour quadrature.
 
     The contour is bent at the origin, eta = u e^{-i angle} for u > 0 and
-    eta = u e^{+i angle} for u < 0, which puts both ends into sectors where
-    the cubic exponential decays like exp(-sin(3 angle) |u|^3 / 6).  Both
-    rays are integrated over u in (0, inf) on mapped Gauss-Legendre panels
-    (map power 1, scale 4) for all w at once, refined until every value
-    changes by at most tol * max(1, |value|); BudgetError if it does not.
-    w may be an array; kept for verification only.
+    eta = u e^{+i angle} for u < 0 with angle = pi/8, which puts both ends
+    into sectors where the cubic exponential decays like exp(-sin(3 angle)
+    |u|^3 / 6).  Both rays are integrated over u in (0, inf) on mapped
+    Gauss-Legendre panels (map power 1, scale 4) for all w at once, refined
+    until every value changes by at most tol * max(1, |value|); BudgetError
+    if it does not.  w may be an array; kept for verification only.
     """
     w_arr = np.atleast_1d(np.asarray(w, dtype=float))
+    angle = math.pi / 8.0
     # outgoing direction of each ray, and the sign of its contribution
     rays = ((np.exp(-1j * angle), 1.0), (-np.exp(1j * angle), -1.0))
 
@@ -111,20 +111,21 @@ def airy_reduction_quadrature(w, angle: float = math.pi / 8.0,
 
 
 def free_eigenfunction(x: float, y, xi, lam: float = 0.0,
-                       tol: float = 1e-10, d: int = 2) -> complex:
+                       tol: float = 1e-10) -> complex:
     """c * integral of xi(zeta) e^{i y.zeta} (Airy-reduced eta-integral).
 
-    For d = 2 and 3: one tensor-product panel sum over the box xi.support
-    = (lo, hi), refined by quadrature.converge.  The profile xi is called
-    once per pass, on the (n, d - 1) array of nodes.  Axis i turns the phase
+    For d = 1 + len(y) = 2 and 3: one tensor-product panel sum over the box
+    xi.support = (lo, hi), refined by quadrature.converge.  xi is called once
+    per pass, on the (n, d - 1) array of nodes.  Axis i turns the phase
     by at most |y_i| + sqrt(2 max(x + lam, 0)) max|zeta_i| radians per unit
     and is cut into equal tiles of at most _TILE_RADIANS; a pass of more
     than _MAX_NODES nodes raises BudgetError before it is built.
     """
     y = np.atleast_1d(np.asarray(y, dtype=float))
-    if d not in (2, 3) or y.size != d - 1:
-        raise DomainError("free_eigenfunction needs d = 2 or 3 and a y block "
-                          "of d - 1 entries")
+    d = 1 + y.size
+    if d not in (2, 3):
+        raise DomainError("free_eigenfunction needs d = 2 or 3: a y block "
+                          "of one or two entries")
     lo, hi = (np.atleast_1d(np.asarray(b, dtype=float)) for b in xi.support)
     rate = (np.abs(y) + math.sqrt(2.0 * max(x + lam, 0.0))
             * np.maximum(np.abs(lo), np.abs(hi)))
@@ -152,17 +153,16 @@ def free_eigenfunction(x: float, y, xi, lam: float = 0.0,
     return complex((2.0 * math.pi) ** (-(d + 1) / 2.0) * value)
 
 
-def stationary_phase_eigenfunction(x: float, y, xi, lam: float = 0.0,
-                                   d: int = 2) -> complex:
+def stationary_phase_eigenfunction(x: float, y, xi,
+                                   lam: float = 0.0) -> complex:
     """Two-term critical-point asymptote of the eigenfunction.
 
     Each term carries amplitude (2X)^{-d/4} / sqrt(2 pi), the phase factor
     e^{+-i theta1(X, y)} with X = x + lam, the quarter-turn factor
-    e^{-+i pi d/4} and the profile evaluated at +-omega, omega = y / sqrt(2X).
+    e^{-+i pi d/4} with d = 1 + len(y), and the profile at +-y / sqrt(2X).
     """
     y = np.atleast_1d(np.asarray(y, dtype=float))
-    if y.size != d - 1:
-        raise DomainError("y block inconsistent with dimension")
+    d = 1 + y.size
     X = x + lam
     y_norm = float(np.linalg.norm(y))
     if not (X > 0.0 and y_norm < X):
@@ -176,11 +176,11 @@ def stationary_phase_eigenfunction(x: float, y, xi, lam: float = 0.0,
 
 
 def eigenfunction_sample(x: float, y, xi, lam: float = 0.0,
-                         tol: float = 1e-10, d: int = 2) -> EigenfunctionSample:
+                         tol: float = 1e-10) -> EigenfunctionSample:
     return EigenfunctionSample(
         x=x, y=np.atleast_1d(np.asarray(y, dtype=float)), lam=lam,
-        exact=free_eigenfunction(x, y, xi, lam, tol, d),
-        asymptotic=stationary_phase_eigenfunction(x, y, xi, lam, d),
+        exact=free_eigenfunction(x, y, xi, lam, tol),
+        asymptotic=stationary_phase_eigenfunction(x, y, xi, lam),
     )
 
 
@@ -194,7 +194,7 @@ def asymptotic_convergence(y_over_x: float, x_list, xi, lam: float = 0.0,
     samples = []
     for x in x_list:
         y = np.full(d - 1, y_over_x * x / math.sqrt(d - 1))
-        samples.append(eigenfunction_sample(x, y, xi, lam, tol, d))
+        samples.append(eigenfunction_sample(x, y, xi, lam, tol))
     errs = np.array([s.rel_error for s in samples])
     if np.any(errs <= 0.0):
         raise DomainError("degenerate data: zero relative error")

@@ -96,19 +96,15 @@ def _require_identity_regime(x, y):
     return r
 
 
-def _identity_frame(x, y, d):
+def _identity_frame(x, y):
     """(y, d, r, f = sqrt(r + x)) in the identity regime, batches allowed.
 
     x has shape S and y shape S + (d - 1,); there r + x > 2, so the
     mollifier is the identity and f^2 = r + x exactly.
     """
     y = np.asarray(y, dtype=float)
-    if d is None:
-        d = 1 + y.shape[-1]
-    elif d != 1 + y.shape[-1]:
-        raise DomainError("dimension inconsistent with the y block")
     r = _require_identity_regime(x, y)
-    return y, d, r, np.sqrt(r + x)
+    return y, 1 + y.shape[-1], r, np.sqrt(r + x)
 
 
 def grad_f(x, y) -> np.ndarray:
@@ -140,25 +136,25 @@ def grad_g(x: float, y) -> np.ndarray:
     return out
 
 
-def jacobian_det(x, y, d: int | None = None):
+def jacobian_det(x, y):
     """|det| of the coordinate change (x, y) -> (f, g): f^{2-d}/(f^2+g^2).
 
     x may be an array of shape (n,) with y of shape (n, d - 1).
     """
-    y, d, _, f = _identity_frame(x, y, d)
+    y, d, _, f = _identity_frame(x, y)
     g = y / f[..., None]
     return _scalar_or_array(f ** (2 - d) / (f * f + np.sum(g * g, axis=-1)))
 
 
-def theta_laplacian(x, y, d: int | None = None):
+def theta_laplacian(x, y):
     """Laplacian d f / (2 r) of f^3/3, batched like jacobian_det."""
-    _, d, r, f = _identity_frame(x, y, d)
+    _, d, r, f = _identity_frame(x, y)
     return _scalar_or_array(0.5 * d * f / r)
 
 
-def theta_calculus(x: float, y, d: int | None = None) -> PhaseData:
+def theta_calculus(x: float, y) -> PhaseData:
     """Value, gradient, Hessian and Laplacian of f^3/3 (identity regime)."""
-    y, d, r, f = _identity_frame(x, y, d)
+    y, d, r, f = _identity_frame(x, y)
 
     value = f ** 3 / 3.0
     grad = np.empty(d)
@@ -174,7 +170,7 @@ def theta_calculus(x: float, y, d: int | None = None) -> PhaseData:
     hess[1:, 1:] = (-0.5 * yy * f / r ** 3 + 0.25 * yy / (r ** 2 * f)
                     + 0.5 * f / r * np.eye(d - 1))
     return PhaseData(value=value, gradient=grad, hessian=hess,
-                     laplacian=theta_laplacian(x, y, d))
+                     laplacian=theta_laplacian(x, y))
 
 
 def _eikonal_domain(x, y: np.ndarray):

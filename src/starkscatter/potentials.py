@@ -15,6 +15,9 @@ with S and S' broadcasting, give q at the broadcast shape.  A table
 potential's callable follows the same contract, so a batch of nodes is one
 call of it; eval_potential and grad_potential are the one-point case, with
 the checks of the array functions.
+
+The force law -grad q is written here once: force_law gives its constants,
+force_rows its closed form on rows, and classical steps orbits on both.
 """
 
 from __future__ import annotations
@@ -139,10 +142,9 @@ def grad_potential(spec: PotentialSpec, x: float, y) -> np.ndarray:
 def grad_potential_array(spec: PotentialSpec, x, y) -> np.ndarray:
     """Gradient on rows: x of shape (m,), y (m, d - 1); result (m, d).
 
-    The homogeneous kind uses the closed form, with DomainError where it is
-    out of the double range; the table kind takes central differences with
-    step _FD_STEP max(1, r), all 2 d m shifted points in one call of its
-    func.
+    The homogeneous kind is -force_rows, with DomainError where that is out
+    of the double range; the table kind takes central differences with step
+    _FD_STEP max(1, r), all 2 d m shifted points in one call of its func.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -154,14 +156,32 @@ def grad_potential_array(spec: PotentialSpec, x, y) -> np.ndarray:
         z = np.stack([z[:, None] + step, z[:, None] - step])    # (2, m, d, d)
         q = spec.func(z[..., 0], z[..., 1:])                    # (2, m, d)
         return (q[0] - q[1]) / (2 * h[:, None])
-    s = r2 + spec.softening ** 2
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        pref = -spec.alpha * spec.kappa * s ** (-spec.alpha / 2.0 - 1.0)
-        if not np.isfinite(pref).all():
-            bad = float(r2[~np.isfinite(pref)][0])
-            raise DomainError(f"potential not representable at r^2 = {bad:g} "
-                              f"with softening {spec.softening:g}")
-        return pref[:, None] * z
+        force = force_rows(force_law(spec), z)
+    bad = r2[~np.isfinite(force).all(axis=1)]
+    if bad.size:
+        raise DomainError(f"potential not representable at r^2 = {bad[0]:g} "
+                          f"with softening {spec.softening:g}")
+    return -force
+
+
+def force_law(spec: PotentialSpec) -> tuple:
+    """(r2_min, s2, ak, power): -grad q = ak (r^2 + s2)^power (x, y) where
+    r2_min < r^2 < inf, everywhere with a softening and outside the
+    exclusion ball without; nowhere for the table kind."""
+    r2_min = (np.inf if spec.kind != "homogeneous" else
+              EXCLUSION_RADIUS ** 2 if spec.softening == 0.0 else -1.0)
+    return (r2_min, spec.softening ** 2, spec.alpha * spec.kappa,
+            -spec.alpha / 2.0 - 1.0)
+
+
+def force_rows(law: tuple, z: np.ndarray, out=None) -> np.ndarray:
+    """-grad q of force_law at the rows z (m, d), into out (m, d) or a new
+    array; unchecked, it is inf or nan where the closed form fails."""
+    _, s2, ak, power = law
+    x, y = z[:, 0], z[:, 1:]
+    f = ak * (x * x + (y * y).sum(axis=1) + s2) ** power
+    return np.multiply(f[:, None], z, out=out)
 
 
 def eval_potential_array(spec: PotentialSpec, x, y):

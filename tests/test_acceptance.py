@@ -115,7 +115,7 @@ def test_transport_hierarchy_verification():
             slope = np.polyfit(np.log(hs), np.log(res), 1)[0]
             assert slope == pytest.approx(2.0, abs=0.4)
     x_values = np.geomspace(1e2, 1e4, 7)
-    b_exp, q_exp = decay_fit_symbols(1, spec, x_values=x_values)
+    b_exp, q_exp = decay_fit_symbols(spec, x_values=x_values)
     assert b_exp == pytest.approx(-0.5, abs=0.1)
     assert q_exp == pytest.approx(-1.5, abs=0.1)
     assert time.perf_counter() - start < 300.0

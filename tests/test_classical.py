@@ -38,7 +38,7 @@ from starkscatter.classical import (
     is_escaping,
 )
 from starkscatter.parabolic import theta1_calculus
-from starkscatter.potentials import grad_potential_array
+from starkscatter.potentials import force_law, force_rows, grad_potential_array
 
 
 def _random_point(rng, d=2):
@@ -455,9 +455,8 @@ def test_exception_in_the_radial_rhs_reaches_the_caller(d, monkeypatch):
     # the first two uses are the first-step estimate's; the fifth is in a
     # stage of the generated step, and it is raised from there, unchanged
     power = _FaultyPower(raise_at=5)
-    radial_constants = classical._radial_constants
-    monkeypatch.setattr(classical, "_radial_constants",
-                        lambda spec: radial_constants(spec)[:3] + (power,))
+    monkeypatch.setattr(classical, "force_law",
+                        lambda spec: force_law(spec)[:3] + (power,))
     spec, p0 = coulomb(0.5, softening=0.1), _rhs_point(d)
     with pytest.raises(_PotentialFault) as info:
         integrate_orbit(spec, p0, 50.0)
@@ -579,7 +578,7 @@ def _reference_rhs(spec, p0):
     n = p0.d - 1
     x0, eta0 = float(p0.x), float(p0.eta)
     y0, zeta0 = p0.y.tolist(), p0.zeta.tolist()
-    r2_min, s2, ak, power = classical._radial_constants(spec)
+    r2_min, s2, ak, power = force_law(spec)
 
     def rhs(t, u):
         x = x0 + t * eta0 + 0.5 * t * t + u[0]
@@ -769,6 +768,25 @@ def test_generated_rhs_matches_the_reference_rhs_bitwise(d, kind):
         kind in ("alpha1-softening0", "alpha1.5-softening0", "alpha300"))
 
 
+@pytest.mark.parametrize("kind", sorted(_RHS_SPECS.keys()
+                                        - {"table", "alpha300"}))
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_gradient_is_the_negated_force_rows_bitwise(d, kind):
+    # the one array closed form: grad_potential_array is force_rows negated,
+    # on the seeded positions of the right-hand side tests, and both round
+    # as the prefactor form written out here
+    spec, p0 = _RHS_SPECS[kind], _rhs_point(d)
+    ts, us, _ = _random_deviations(d)
+    x, y, _, _ = free_flow_arrays(p0.x, p0.y, p0.eta, p0.zeta, ts)
+    z = np.column_stack([x + us[:, 0], y + us[:, 1:d]])
+    grad = grad_potential_array(spec, z[:, 0], z[:, 1:])
+    assert np.array_equal(_bits(grad), _bits(-force_rows(force_law(spec), z)))
+    r2 = z[:, 0] * z[:, 0] + np.sum(z[:, 1:] * z[:, 1:], axis=-1)
+    pref = -spec.alpha * spec.kappa * (r2 + spec.softening ** 2) ** (
+        -spec.alpha / 2.0 - 1.0)
+    assert np.array_equal(_bits(grad), _bits(pref[:, None] * z))
+
+
 # ---------------------------------------------------------------------------
 # asymptotic momentum
 
@@ -944,7 +962,7 @@ def _decay_slope_reference(traj, observable, window):
             ts.append(t)
             vals.append(v)
     ts, vals = np.asarray(ts), np.asarray(vals)
-    keep = _log_subsample(ts, per_octave=4)
+    keep = _log_subsample(ts)
     lt, lv = np.log(ts[keep]), np.log(vals[keep])
     coef, res, _, _ = np.linalg.lstsq(
         np.vstack([lt, np.ones_like(lt)]).T, lv, rcond=None)
@@ -963,7 +981,7 @@ def test_log_subsample_keeps_each_nearest_sample_once(ts):
     targets = np.linspace(lo, hi, max(8, int((hi - lo) * 4) + 1))
     reference = np.unique(np.searchsorted(np.log2(ts), targets)
                           .clip(0, ts.size - 1))
-    assert np.array_equal(_log_subsample(ts, per_octave=4), reference)
+    assert np.array_equal(_log_subsample(ts), reference)
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -991,6 +1009,25 @@ def test_decay_slope_needs_enough_samples():
         # window containing fewer than 8 usable samples
         decay_slope(traj, "Gamma_norm", (900.0, 1e3))
 
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("t_final, window", [
+    (1e4, (0.0, 1e4)),
+    (1e4, (-5.0, 1e4)),
+    (1e4, (1e4, 1e2)),
+    (-1e4, (-1e4, -1e2)),
+], ids=["from-zero", "negative-start", "reversed", "backward"])
+def test_decay_slope_rejects_a_window_it_cannot_fit(t_final, window):
+    # a log-log fit needs 0 < t_lo < t_hi; these windows overflowed, met a
+    # NaN or claimed too few samples
+    t_eval = np.concatenate([[0.0], np.geomspace(1.0, 1e4, 60)])
+    traj = integrate_orbit(coulomb(0.1), PhasePoint(20.0, [1.0], 6.0, [0.2]),
+                           t_final, tol=1e-10,
+                           t_eval=math.copysign(1.0, t_final) * t_eval)
+    with pytest.raises(DomainError,
+                       match=r"window \(.*\) needs 0 < t_lo < t_hi"):
+        decay_slope(traj, "Gamma_norm", window)
 
 
 def test_unknown_observable_name_is_rejected():

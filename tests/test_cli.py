@@ -103,9 +103,12 @@ def test_unsupported_transport_order_exits_2(capsys, tmp_path, k_max):
 @pytest.mark.parametrize("argv", [
     ["kernel", "--dimension=400"],
     ["born", "--potential.kind=homogeneous", "--potential.alpha=400"],
+    ["born", "--potential.kind=homogeneous", "--potential.alpha=2",
+     "--born.r_min=1e-300"],
 ], ids=" ".join)
 def test_constant_overflow_exits_4(capsys, tmp_path, argv):
-    # Gamma overflows in c2 (d = 400) and in c1 (alpha = 400)
+    # Gamma overflows in c2 (d = 400) and in c1 (alpha = 400), and the Born
+    # asymptote's |y|^{1/2 - alpha} at |y| = 1e-300 (alpha = 2)
     code = main(argv + [f"--output_dir={tmp_path}"])
     out, err = capsys.readouterr()
     assert code == 4 and err == ""

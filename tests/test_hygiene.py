@@ -278,3 +278,43 @@ def test_every_private_definition_is_used_in_src():
             for name, tree in trees.items()}
     dead = {name: names for name, names in dead.items() if names}
     assert not dead, f"unused private definitions: {dead}"
+
+
+def _force_law_inputs(tree: ast.Module) -> set:
+    """The inputs of the force law a module reads itself: an attribute named
+    softening, and EXCLUSION_RADIUS imported or read as an attribute."""
+    found = set()
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute)
+                and node.attr in ("softening", "EXCLUSION_RADIUS")
+                and isinstance(node.ctx, ast.Load)):
+            found.add(node.attr)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            found |= {a.name.rpartition(".")[2] for a in node.names} & {
+                "EXCLUSION_RADIUS"}
+    return found
+
+
+def test_force_law_input_check_sees_every_form():
+    tree = ast.parse("from .potentials import EXCLUSION_RADIUS as R\n"
+                     "from . import potentials\n"
+                     "s = spec.softening ** 2\n"
+                     "r = potentials.EXCLUSION_RADIUS\n"
+                     "spec.kappa, cfg['softening']\n"
+                     "coulomb(kappa, softening=softening)\n")
+    assert _force_law_inputs(tree) == {"softening", "EXCLUSION_RADIUS"}
+    assert _force_law_inputs(ast.parse(
+        "spec.kappa, cfg['softening']\n"
+        "coulomb(kappa, softening=softening)\n")) == set()
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES
+                                  if p.stem != "potentials"],
+                         ids=lambda p: p.stem)
+def test_force_law_inputs_stay_in_potentials(path):
+    # potentials owns the force law: force_law gives its constants and
+    # force_rows evaluates it, so no other module reads the softening or
+    # the exclusion radius
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = _force_law_inputs(tree)
+    assert not found, f"{path.name} reads {found}: call potentials.force_law"

@@ -65,6 +65,24 @@ def test_born_symbols_vanish_at_kappa_zero(softening, d):
     assert np.all(values == 0.0) and np.all(change == 0.0)
 
 
+@pytest.mark.parametrize("s", [2.0, 4.0])
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("alpha", [0.75, 1.0, 1.5])
+def test_born_symbols_are_scaling_covariant(alpha, d, s):
+    # y -> s^2 y, zeta -> s zeta, lam -> s^2 lam, R -> s^2 R and kappa ->
+    # kappa s^{2 + 2 alpha} carry q / sqrt(2x + 2 lam - zeta^2) dx to s^3
+    # times itself; a power of 2 scales exactly, the stop rule does not
+    zeta = np.array([0.3, -0.2][:d - 1])
+    ys = np.array([[5.0, -3.0], [40.0, 10.0], [300.0, -200.0]])[:, :d - 1]
+    values, _ = born_symbols(homogeneous(1.0, alpha), zeta, ys, lam=0.25,
+                             R=2.0, tol=1e-12)
+    scaled, _ = born_symbols(homogeneous(s ** (2.0 + 2.0 * alpha), alpha),
+                             s * zeta, s * s * ys, lam=s * s * 0.25,
+                             R=s * s * 2.0, tol=1e-12)
+    assert np.all(np.abs(scaled - s ** 3 * values)
+                  <= 1e-13 * np.abs(s ** 3 * values))
+
+
 @pytest.mark.parametrize("alpha", [0.75, 1.0, 1.5, 2.5])
 def test_born_symbol_against_mpmath(alpha):
     # the default radius is R = 2 at zeta = 0, lam = 0
@@ -189,6 +207,20 @@ def test_asymptote_value_and_scaling():
     assert abs(doubled / single) == pytest.approx(2.0 ** -1.0, rel=1e-12)
     with pytest.raises(DomainError):
         homogeneous_symbol_asymptote(1.0, 1.0, [0.0])
+    with pytest.raises(DomainError, match="overflows at"):
+        homogeneous_symbol_asymptote(1.0, 2.0, [1e-300])
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("r", [1e-200, 1e200])
+@pytest.mark.parametrize("d", [2, 3])
+def test_asymptote_takes_the_norm_without_overflow_or_underflow(r, d):
+    # |y|^2 underflows to 0 at 1e-200 and overflows at 1e200, |y| does not
+    y = [r] + [0.0] * (d - 2)
+    expected = -2j * c1_constant(1.0) * r ** -0.5
+    assert expected != 0.0
+    assert homogeneous_symbol_asymptote(1.0, 1.0, y) == pytest.approx(
+        expected, rel=1e-15)
 
 
 # ---------------------------------------------------------------------------

@@ -144,9 +144,9 @@ def test_eigenfunction_linear_in_profile(d, y, center1, center2, tol):
     x = 20.0
     xi1 = BumpProfile(center1, 0.8)
     xi2 = BumpProfile(center2, 0.5)
-    u1 = free_eigenfunction(x, y, xi1, tol=tol, d=d)
-    u2 = free_eigenfunction(x, y, xi2, tol=tol, d=d)
-    u12 = free_eigenfunction(x, y, _SumProfile(xi1, xi2), tol=tol, d=d)
+    u1 = free_eigenfunction(x, y, xi1, tol=tol)
+    u2 = free_eigenfunction(x, y, xi2, tol=tol)
+    u12 = free_eigenfunction(x, y, _SumProfile(xi1, xi2), tol=tol)
     assert u12 == pytest.approx(u1 + u2, rel=1e-8)
 
 
@@ -158,8 +158,8 @@ def test_eigenfunction_conjugate_symmetry(d, y, center):
     # conj(u[xi]) = u[xi(-.)] for real profiles: reality of the Airy factor
     x = 15.0
     xi = BumpProfile(center, 0.6)
-    u = free_eigenfunction(x, y, xi, tol=1e-11, d=d)
-    u_flip = free_eigenfunction(x, y, _FlippedProfile(xi), tol=1e-11, d=d)
+    u = free_eigenfunction(x, y, xi, tol=1e-11)
+    u_flip = free_eigenfunction(x, y, _FlippedProfile(xi), tol=1e-11)
     assert u.conjugate() == pytest.approx(u_flip, rel=1e-9)
 
 
@@ -177,8 +177,7 @@ def test_eigenfunction_d3_by_dimension_reduction(x):
         wk * b2([zk]) * free_eigenfunction(x - 0.5 * zk * zk, [y1], b1,
                                            tol=1e-12)
         for zk, wk in zip(z, weights))
-    u3 = free_eigenfunction(x, [y1, 0.0], _ProductProfile(b1, b2), tol=1e-10,
-                            d=3)
+    u3 = free_eigenfunction(x, [y1, 0.0], _ProductProfile(b1, b2), tol=1e-10)
     assert abs(u3 - reduced) <= 1e-9 * abs(reduced)
 
 
@@ -199,18 +198,17 @@ def test_eigenfunction_unchanged_from_scipy_airy(monkeypatch, d, x, y, center,
     # the same nodes with Ai from scipy.special.airy, which the library
     # computed it with before
     xi = BumpProfile(center, width)
-    value = free_eigenfunction(x, y, xi, tol=1e-10, d=d)
+    value = free_eigenfunction(x, y, xi, tol=1e-10)
     monkeypatch.setattr(oscillatory, "airy_ai",
                         lambda u: scipy.special.airy(u)[0])
-    reference = free_eigenfunction(x, y, xi, tol=1e-10, d=d)
+    reference = free_eigenfunction(x, y, xi, tol=1e-10)
     assert abs(value - reference) <= 1e-13 * abs(reference)
 
 
 def test_eigenfunction_node_budget_raises_before_the_grid():
     # sqrt(2e6) |zeta| ~ 4e3 radians per unit: ~1.7e4 nodes per axis
     with pytest.raises(BudgetError):
-        free_eigenfunction(1e6, [0.0, 0.0], BumpProfile([1.0, 1.0], 2.0),
-                           d=3)
+        free_eigenfunction(1e6, [0.0, 0.0], BumpProfile([1.0, 1.0], 2.0))
 
 
 def test_eigenfunction_annihilated_by_stark_operator():
@@ -281,11 +279,10 @@ def test_caustic_domain_error():
 
 
 def test_dimension_consistency_checks():
+    # d = 1 + len(y) = 4 has no tensor-product rule
     xi = BumpProfile(1.5, 2.0)
-    with pytest.raises(DomainError):
-        stationary_phase_eigenfunction(100.0, [1.0, 2.0], xi, d=2)
-    with pytest.raises(DomainError):
-        free_eigenfunction(100.0, [1.0], xi, d=3)
+    with pytest.raises(DomainError, match="d = 2 or 3"):
+        free_eigenfunction(100.0, [1.0, 2.0, 3.0], xi)
 
 
 def test_bump_profile_support_and_smoothness():

@@ -123,8 +123,8 @@ def test_mollifier_plateau_identity_and_smoothness():
 # jacobian
 
 def test_jacobian_examples():
-    assert jacobian_det(3.0, [4.0], 2) == pytest.approx(0.1, rel=1e-13)
-    assert jacobian_det(3.0, [4.0, 0.0], 3) == pytest.approx(
+    assert jacobian_det(3.0, [4.0]) == pytest.approx(0.1, rel=1e-13)
+    assert jacobian_det(3.0, [4.0, 0.0]) == pytest.approx(
         8.0 ** -0.5 / 10.0, rel=1e-13)
 
 
@@ -151,11 +151,6 @@ def test_jacobian_matches_numeric_determinant():
                          float(pp.g[0] - pm.g[0]) / (2 * h)])
         num = abs(np.linalg.det(np.array(cols).T))
         assert jacobian_det(x, y) == pytest.approx(num, rel=1e-6)
-
-
-def test_jacobian_dimension_check():
-    with pytest.raises(DomainError):
-        jacobian_det(3.0, [4.0], 3)
 
 
 def test_jacobian_outside_identity_regime():
@@ -238,11 +233,11 @@ def test_batched_phase_functions_match_scalar_calls(d):
     np.testing.assert_array_max_ulp(
         res, [eikonal_residual(a, b) for a, b in zip(x, y)], maxulp=4)
     np.testing.assert_array_max_ulp(
-        jacobian_det(x, y, d), [jacobian_det(a, b, d) for a, b in zip(x, y)],
+        jacobian_det(x, y), [jacobian_det(a, b) for a, b in zip(x, y)],
         maxulp=4)
     np.testing.assert_array_max_ulp(
-        theta_laplacian(x, y, d),
-        [theta_calculus(a, b, d).laplacian for a, b in zip(x, y)], maxulp=4)
+        theta_laplacian(x, y),
+        [theta_calculus(a, b).laplacian for a, b in zip(x, y)], maxulp=4)
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -291,7 +286,7 @@ def test_batched_caustic_and_regime_inputs_raise():
     with pytest.raises(DomainError):
         jacobian_det(np.array([10.0, -5.0]), np.array([[1.0], [0.1]]))
     with pytest.raises(DomainError):
-        theta_laplacian(x, np.zeros((2, 2)), 2)
+        theta_laplacian(np.array([10.0, -5.0]), np.zeros((2, 2)))
 
 
 def test_theta1_gradient_solves_eikonal_directly():

@@ -264,7 +264,7 @@ def test_transport_residual_second_order_in_step():
 def test_decay_rates_along_outgoing_ray():
     spec = coulomb(1.0)
     x_values = np.geomspace(1e2, 1e4, 7)
-    b_exp, q_exp = decay_fit_symbols(1, spec, x_values=x_values)
+    b_exp, q_exp = decay_fit_symbols(spec, x_values=x_values)
     assert b_exp == pytest.approx(-0.5, abs=0.05)
     assert q_exp == pytest.approx(-1.5, abs=0.05)
 
@@ -272,7 +272,7 @@ def test_decay_rates_along_outgoing_ray():
 def test_decay_rate_faster_for_shorter_range():
     spec = homogeneous(1.0, 1.5, softening=0.0)
     x_values = np.geomspace(1e2, 1e4, 5)
-    slope, _ = decay_fit_symbols(1, spec, x_values=x_values)
+    slope, _ = decay_fit_symbols(spec, x_values=x_values)
     # b1 ~ integral of r^{-3/2} along the flow decays faster than coulomb b1
     assert slope < -0.7
 
@@ -318,6 +318,30 @@ def test_symbols_vanish_at_kappa_zero(softening, p):
     for res in symbols(2, p, homogeneous(0.0, 1.0, softening=softening)):
         assert (res.value, res.q, res.tail_estimate, res.quad_error,
                 res.residual) == (0.0, 0.0, 0.0, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("alpha", [0.75, 1.0, 1.5])
+def test_symbols_are_scaling_covariant(alpha, d):
+    # x, y -> s^2 x, s^2 y, t, eta, zeta -> s t, s eta, s zeta, kappa ->
+    # kappa s^{2 + 2 alpha} and softening -> s^2 softening: q gains s^2
+    # and dt s, so b_1 gains s^3.  hbar does not scale, and -1/2 Laplacian
+    # b_1 loses s^4 against q b_1: b_2(s) = s^6 A + B
+    p = PhasePoint(100.0, [5.0, -3.0][:d - 1], 15.0, [0.3, 0.1][:d - 1])
+    b = {}
+    for s in (1.0, 2.0, 4.0):
+        spec = homogeneous(s ** (2.0 + 2.0 * alpha), alpha,
+                           softening=s * s * 1e-3)
+        p_s = PhasePoint(s * s * p.x, s * s * p.y, s * p.eta, s * p.zeta)
+        b[s] = [res.value for res in symbols(2, p_s, spec, t_max=s * 1e5,
+                                             h_eta=s * 1e-3, tol=1e-12)]
+    for s in (2.0, 4.0):
+        assert abs(b[s][0] - s ** 3 * b[1.0][0]) <= 1e-11 * abs(
+            s ** 3 * b[1.0][0])
+    # A and B from s = 1 and 2 predict s = 4
+    A = (b[2.0][1] - b[1.0][1]) / 63.0
+    B = b[1.0][1] - A
+    assert abs(4096.0 * A + B - b[4.0][1]) <= 1e-10 * abs(b[4.0][1])
 
 
 def test_lower_orders_do_not_depend_on_k_max():
