@@ -8,11 +8,12 @@ artifacts into output_dir and prints a one-line JSON summary to stdout.
 
 Exit codes: 0 success, 2 config error, 3 numerical-budget error, 4 domain
 error.  With a fixed config and seed all artifacts are byte-identical.
+`main` splits the argument list itself rather than through argparse, which
+would load gettext and locale into every process.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import math
 import os
@@ -561,26 +562,40 @@ _DISPATCH = {
 _USAGE = ("usage: starkscatter {%s} [--config PATH] [--key.path=value ...]"
           % ",".join(_DISPATCH))
 
-# Built at import: the parser's first message lookup imports locale through
-# gettext, about 2 ms that would otherwise fall inside every run.
-_PARSER = argparse.ArgumentParser(prog="starkscatter", usage=_USAGE,
-                                  add_help=True)
-_PARSER.add_argument("subcommand", nargs="?")
-_PARSER.add_argument("--config", default=None)
-
 
 def main(argv: list[str] | None = None) -> int:
+    """Run `SUBCOMMAND [--config PATH] [--key.path=value ...]`; the exit code.
+
+    The subcommand is the first token that does not start with "-";
+    `--config PATH` and `--config=PATH` name the config (the last one
+    counts), `-h` or `--help` anywhere prints the usage line, and every other
+    token is an override.
+    """
     argv = list(sys.argv[1:] if argv is None else argv)
-    try:
-        ns, rest = _PARSER.parse_known_args(argv)
-    except SystemExit as exc:
-        return 0 if exc.code in (0, None) else 2
-    if ns.subcommand not in _DISPATCH:
+    if "-h" in argv or "--help" in argv:
+        print(_USAGE)
+        return 0
+    subcommand, config, rest = None, None, []
+    tokens = iter(argv)
+    for tok in tokens:
+        if tok == "--config":
+            config = next(tokens, None)
+            if config is None:
+                print(f"{_USAGE}\nstarkscatter: error: --config needs a PATH",
+                      file=sys.stderr)
+                return 2
+        elif tok.startswith("--config="):
+            config = tok.partition("=")[2]
+        elif subcommand is None and not tok.startswith("-"):
+            subcommand = tok
+        else:
+            rest.append(tok)
+    if subcommand not in _DISPATCH:
         print(_USAGE, file=sys.stderr)
         return 2
     try:
-        cfg = load_config(ns.config, rest)
-        summary = _DISPATCH[ns.subcommand](cfg)
+        cfg = load_config(config, rest)
+        summary = _DISPATCH[subcommand](cfg)
         print(json.dumps(summary, sort_keys=True))
         return 0 if summary.get("passed", True) else 1
     except ConfigError as exc:

@@ -127,6 +127,9 @@ def free_eigenfunction(x: float, y, xi, lam: float = 0.0,
         raise DomainError("free_eigenfunction needs d = 2 or 3: a y block "
                           "of one or two entries")
     lo, hi = (np.atleast_1d(np.asarray(b, dtype=float)) for b in xi.support)
+    if lo.size != y.size or hi.size != y.size:
+        raise DomainError(f"profile box of dimension {lo.size} does not "
+                          f"match y of dimension {y.size}")
     rate = (np.abs(y) + math.sqrt(2.0 * max(x + lam, 0.0))
             * np.maximum(np.abs(lo), np.abs(hi)))
     tiles = np.maximum(1, np.ceil(rate * (hi - lo) / _TILE_RADIANS)).astype(int)

@@ -7,11 +7,13 @@ decays like t^{-p}, the mapped integrand behaves like (1 - s)^{P (p - 1) - 1}
 at s = 1; `map_power` picks P so that it stays bounded there (P = 1, the
 plain s / (1 - s) map, for p = 2 or 3).  `converge` doubles the panels of
 either layout until every output element has converged and reports the last
-change.
+change.  The nodes and weights are literals, and the in-panel integration
+matrix of `tails` is built from them by the rule itself, so that importing
+the module needs neither numpy.polynomial nor a LAPACK eigensolver.
 
-The module also holds the one log-log least-squares fit, `loglog_fit`,
-which the decay-rate and convergence-rate fits share, and the one
-one-dimensional minimiser, `brent_minimum`.
+The module also holds the one log-log least-squares fit, `loglog_fit`, a
+closed-form line without LAPACK, which the decay-rate and convergence-rate
+fits share, and the one one-dimensional minimiser, `brent_minimum`.
 """
 
 from __future__ import annotations
@@ -22,18 +24,43 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import BudgetError
+from .errors import BudgetError, DomainError
 
 MAX_PANELS = 64
 
 _GL_ORDER = 16
-_leg = np.polynomial.legendre
-_GL_NODES, _GL_WEIGHTS = _leg.leggauss(_GL_ORDER)
+# the nodes and weights of numpy.polynomial.legendre.leggauss(16), bitwise,
+# from the middle out: the rule is symmetric about 0
+_GL_HALF_NODES = np.array([
+    0.09501250983763744, 0.2816035507792589, 0.45801677765722737,
+    0.6178762444026438, 0.755404408355003, 0.8656312023878318,
+    0.9445750230732326, 0.9894009349916499])
+_GL_HALF_WEIGHTS = np.array([
+    0.18945061045506864, 0.18260341504492364, 0.16915651939500265,
+    0.1495959888165767, 0.12462897125553407, 0.0951585116824926,
+    0.062253523938647456, 0.027152459411754176])
+_GL_NODES = np.concatenate([-_GL_HALF_NODES[::-1], _GL_HALF_NODES])
+_GL_WEIGHTS = np.concatenate([_GL_HALF_WEIGHTS[::-1], _GL_HALF_WEIGHTS])
+
+
+def _tail_row(lo: float) -> np.ndarray:
+    """Integrals over [lo, 1] of the Lagrange polynomials of the nodes.
+
+    The rule mapped onto [lo, 1] integrates their degree 15 exactly; one
+    row at a time keeps the product array at 16^3 entries.
+    """
+    t = lo + 0.5 * (1.0 - lo) * (_GL_NODES + 1.0)
+    spread = _GL_NODES[:, None] - _GL_NODES
+    np.fill_diagonal(spread, 1.0)
+    factors = (t[:, None, None] - _GL_NODES) / spread    # [node k, i, m]
+    diag = np.arange(_GL_ORDER)
+    factors[:, diag, diag] = 1.0
+    return 0.5 * (1.0 - lo) * (_GL_WEIGHTS @ factors.prod(axis=-1))
+
+
 # _GL_TAIL[j, i]: integral over [node j, 1] of the Lagrange polynomial of
-# node i, from its Legendre coefficients, which the Gauss rule gives exactly
-_GL_TAIL = -_leg.legval(_GL_NODES, _leg.legint(
-    _leg.legvander(_GL_NODES, _GL_ORDER - 1).T * _GL_WEIGHTS
-    * (np.arange(_GL_ORDER) + 0.5)[:, None], lbnd=1.0)).T
+# node i
+_GL_TAIL = np.array([_tail_row(lo) for lo in _GL_NODES])
 
 
 def map_power(decay: float, least: int = 1) -> int:
@@ -126,16 +153,26 @@ def loglog_fit(x, y) -> tuple[float, float, float, float]:
     """Least-squares line log y = slope log x + intercept, for x, y > 0.
 
     Returns (slope, intercept, slope_stderr, intercept_stderr); the standard
-    errors come from the residual variance on max(1, n - 2) degrees of
-    freedom.
+    errors come from the residual variance on n - 2 degrees of freedom, and
+    are 0 for the exact line through two points.  Raises DomainError unless
+    every x and y is finite and positive and log x takes two distinct
+    values.
     """
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))
+            and np.all(x > 0.0) and np.all(y > 0.0)):
+        raise DomainError("log-log fit needs finite x, y > 0")
     lx, ly = np.log(x), np.log(y)
-    coef, res, _, _ = np.linalg.lstsq(
-        np.vstack([lx, np.ones_like(lx)]).T, ly, rcond=None)
-    sigma2 = float(res[0]) / max(1, lx.size - 2) if res.size else 0.0
-    sxx = float(np.sum((lx - lx.mean()) ** 2))
-    return (float(coef[0]), float(coef[1]), math.sqrt(sigma2 / sxx),
-            math.sqrt(sigma2 * (1.0 / lx.size + lx.mean() ** 2 / sxx)))
+    mean_x, mean_y = float(lx.mean()), float(ly.mean())
+    dx, dy = lx - mean_x, ly - mean_y
+    sxx = float(dx @ dx)
+    if sxx == 0.0:
+        raise DomainError("log-log fit needs two distinct x values")
+    slope = float(dx @ dy) / sxx
+    res = dy - slope * dx
+    sigma2 = float(res @ res) / (lx.size - 2) if lx.size > 2 else 0.0
+    return (slope, mean_y - slope * mean_x, math.sqrt(sigma2 / sxx),
+            math.sqrt(sigma2 * (1.0 / lx.size + mean_x ** 2 / sxx)))
 
 
 # the golden-section fraction, and the float spacing relative to |x|

@@ -64,11 +64,47 @@ def test_override_parses_json_values():
 # ---------------------------------------------------------------------------
 # exit codes
 
+USAGE = ("usage: starkscatter {orbit,momenta,eikonal,transport,born,kernel,"
+         "airy-compare,verify-all} [--config PATH] [--key.path=value ...]\n")
+
+
 def test_unknown_subcommand_exits_2(capsys):
     assert main(["frobnicate"]) == 2
-    assert capsys.readouterr().err == (
-        "usage: starkscatter {orbit,momenta,eikonal,transport,born,kernel,"
-        "airy-compare,verify-all} [--config PATH] [--key.path=value ...]\n")
+    assert capsys.readouterr().err == USAGE
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["--help"], ["orbit", "-h"],
+                                  ["--orbit.x=5", "--help", "frobnicate"]])
+def test_help_prints_the_usage_line_and_exits_0(capsys, argv):
+    assert main(argv) == 0
+    assert capsys.readouterr() == (USAGE, "")
+
+
+def test_config_without_a_path_exits_2(capsys):
+    assert main(["eikonal", "--config"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(USAGE)
+
+
+def test_config_spellings_and_places_give_the_same_run(capsys, tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"eikonal": {"n_points": 50}}))
+    runs = []
+    for argv in (["eikonal", "--config", str(path)],
+                 ["eikonal", f"--config={path}"],
+                 ["--config", str(path), "eikonal"]):
+        outdir = tmp_path / str(len(runs))
+        code, summary = _run(capsys, *argv, f"--output_dir={outdir}")
+        runs.append((code, summary, (outdir / "eikonal.csv").read_bytes()))
+    assert runs[0][0] == 0 and runs[0][1]["n_points"] == 50
+    assert runs[1] == runs[0] and runs[2] == runs[0]
+
+
+def test_stray_option_is_a_config_error(capsys, tmp_path):
+    code, summary = _run(capsys, "eikonal", "-x", f"--output_dir={tmp_path}")
+    assert code == 2
+    assert summary == {"error": "config",
+                       "message": "unrecognized argument: -x"}
 
 
 def test_missing_config_file_exits_2(capsys):

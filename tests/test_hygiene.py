@@ -1,18 +1,22 @@
 """Package hygiene: the public names resolve, no module imports dead names,
-no module imports scipy and the package loads none, one-point functions stay
-in their own module, no module reaches into another's private names and
-every private definition is used somewhere in the package."""
+no module imports scipy and the package loads none, the orbit path makes no
+LAPACK call, one-point functions stay in their own module, no module reaches
+into another's private names and every private definition is used somewhere
+in the package."""
 
 import ast
 import json
+import math
 import re
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import starkscatter
+from starkscatter import PhasePoint, classical, coulomb, eval_potential
 
 MODULES = sorted(p for p in Path(starkscatter.__file__).parent.glob("*.py")
                  if p.name != "__init__.py")
@@ -93,15 +97,45 @@ def test_module_imports_no_scipy(path):
 
 def test_cli_import_leaves_out_the_heavy_scipy_subpackages():
     # a fresh interpreter shows what the command line loads: no scipy module
-    # at all, and numpy's fft and random, which the library uses, at import
-    # rather than lazily inside a run
+    # at all, no argparse (nor the gettext and locale it brings) and no
+    # numpy.polynomial, and numpy's fft and random, which the library uses,
+    # at import rather than lazily inside a run
     code = ("import json, sys; import starkscatter.cli; "
             "print(json.dumps([sorted(m for m in sys.modules "
             "if m.startswith('scipy')), "
-            "[m in sys.modules for m in ('numpy.fft', 'numpy.random')]]))")
+            "[m in sys.modules for m in ('argparse', 'gettext', 'locale', "
+            "'numpy.polynomial', 'numpy.fft', 'numpy.random')]]))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True)
-    assert json.loads(out.stdout) == [[], [True, True]]
+    assert json.loads(out.stdout) == [[], [False] * 4 + [True] * 2]
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_orbit_path_makes_no_lapack_call(monkeypatch, d):
+    # the first LAPACK call costs a process about 1 MB of peak RSS: one
+    # orbit as the benchmark runs it (integrate to t = 1e4, both decay fits,
+    # extrapolate) with every gufunc behind numpy.linalg made to raise
+    from numpy.linalg import _umath_linalg
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("LAPACK called")
+
+    for name in dir(_umath_linalg):
+        if isinstance(getattr(_umath_linalg, name), np.ufunc):
+            monkeypatch.setattr(_umath_linalg, name, refuse)
+    with pytest.raises(AssertionError, match="LAPACK called"):
+        np.linalg.lstsq(np.eye(2), np.ones(2), rcond=None)
+
+    spec = coulomb(0.1, softening=1e-3)
+    x0, y0, zeta0 = 20.0, np.full(d - 1, 0.5), np.full(d - 1, 0.1)
+    eta0 = math.sqrt(2.0 * (x0 - eval_potential(spec, x0, y0))
+                     - float(zeta0 @ zeta0))    # zero energy
+    p0 = PhasePoint(x0, y0, eta0, zeta0)
+    t_eval = np.concatenate([[0.0], np.geomspace(1.0, 1e4, 160)])
+    traj = classical.integrate_orbit(spec, p0, 1e4, tol=1e-12, t_eval=t_eval)
+    for observable in ("Gamma_norm", "gamma_par"):
+        classical.decay_slope(traj, observable, (1e2, 1e4))
+    classical.asymptotic_momentum(spec, p0)
 
 
 def test_runs_import_nothing_the_cli_import_left_out(tmp_path):

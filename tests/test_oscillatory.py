@@ -283,6 +283,11 @@ def test_dimension_consistency_checks():
     xi = BumpProfile(1.5, 2.0)
     with pytest.raises(DomainError, match="d = 2 or 3"):
         free_eigenfunction(100.0, [1.0, 2.0, 3.0], xi)
+    # the profile's box must have the dimension of y, either way round
+    with pytest.raises(DomainError, match="dimension 1 .* dimension 2"):
+        free_eigenfunction(100.0, [1.0, 2.0], xi)
+    with pytest.raises(DomainError, match="dimension 2 .* dimension 1"):
+        free_eigenfunction(100.0, [1.0], BumpProfile([1.5, 0.2], 2.0))
 
 
 def test_bump_profile_support_and_smoothness():

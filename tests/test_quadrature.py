@@ -7,9 +7,26 @@ import statistics
 import numpy as np
 import pytest
 
-from starkscatter import BudgetError
+from starkscatter import BudgetError, DomainError, quadrature
 from starkscatter.quadrature import (MAX_PANELS, brent_minimum, converge,
                                      half_line, loglog_fit, panels)
+
+
+def test_gauss_rule_is_numpys_bitwise():
+    # numpy.polynomial is the oracle only: the library holds the rule
+    nodes, weights = np.polynomial.legendre.leggauss(16)
+    assert np.array_equal(quadrature._GL_NODES, nodes)
+    assert np.array_equal(quadrature._GL_WEIGHTS, weights)
+
+
+def test_tail_matrix_against_legendre_integration():
+    # the integral over [node j, 1] of node i's Lagrange polynomial, from
+    # its Legendre coefficients, which the Gauss rule gives exactly
+    leg = np.polynomial.legendre
+    nodes, weights = leg.leggauss(16)
+    coef = leg.legvander(nodes, 15).T * weights * (np.arange(16) + 0.5)[:, None]
+    ref = -leg.legval(nodes, leg.legint(coef, lbnd=1.0)).T
+    assert np.max(np.abs(quadrature._GL_TAIL - ref)) <= 1e-15
 
 
 def test_plain_panels_converge_on_an_oscillatory_integral():
@@ -80,6 +97,22 @@ def test_loglog_fit_of_two_points_has_no_error_estimate():
     assert slope == pytest.approx(1.0, rel=1e-14)
     assert intercept == pytest.approx(math.log(2.0), rel=1e-14)
     assert slope_err == 0.0 and intercept_err == 0.0
+
+
+@pytest.mark.parametrize("x, y", [
+    ([1.0, 1.0, 1.0], [1.0, 2.0, 3.0]),
+    ([2.0], [3.0]),
+    ([0.0, 1.0, 2.0], [1.0, 2.0, 3.0]),
+    ([-1.0, 1.0, 2.0], [1.0, 2.0, 3.0]),
+    ([1.0, 2.0, 3.0], [1.0, 0.0, 3.0]),
+    ([1.0, 2.0, 3.0], [1.0, -2.0, 3.0]),
+    ([1.0, 2.0, math.inf], [1.0, 2.0, 3.0]),
+    ([1.0, 2.0, 3.0], [1.0, math.nan, 3.0]),
+], ids=["equal-x", "one-point", "x-zero", "x-negative", "y-zero",
+        "y-negative", "x-inf", "y-nan"])
+def test_loglog_fit_rejects_what_it_cannot_fit(x, y):
+    with pytest.raises(DomainError):
+        loglog_fit(x, y)
 
 
 # at most 60 evaluations, about what golden-section steps alone take on these
