@@ -2,20 +2,114 @@
 
 `verify-all` and the acceptance tests run the same checks; each caller picks
 its seed, sample count and dimension and applies its own bounds.  A check
-draws its sample points from the generator it is given, evaluates the
-library on whole arrays and returns the worst errors it saw together with
-the number of points it kept.
+draws its sample points from the stream it is given, evaluates the library
+on whole arrays and returns the worst errors it saw together with the number
+of points it kept.
+
+A stream is any object with the two methods of `RandomStream`:
+`uniform(low, high, size)` and `integers(low, high)`.  `verify-all` passes a
+`SplitMix64`, whose output is fixed by its seed alone, on every numpy
+version, and which needs no `numpy.random` (that import alone costs a
+process 6 MB of RSS, over half of it OpenSSL's hashlib); numpy's `Generator`
+meets the same contract.
 """
 
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
+from typing import NamedTuple, Protocol
 
 import numpy as np
 
 from . import classical, kernel, parabolic, special, transport
 from .potentials import zero_potential
+
+
+class RandomStream(Protocol):
+    """What a check draws from: a `SplitMix64` or a numpy `Generator`."""
+
+    def uniform(self, low, high, size=None): ...
+
+    def integers(self, low, high): ...
+
+
+_GOLDEN = 0x9E3779B97F4A7C15        # the counter's increment, odd, ~2^64/phi
+_BLOCK = 8192                       # values generated at a time
+# the finalizer: z ^= z >> shift, then z *= multiplier, twice; z ^= z >> 31
+_MIX = ((np.uint64(30), np.uint64(0xBF58476D1CE4E5B9)),
+        (np.uint64(27), np.uint64(0x94D049BB133111EB)))
+_LAST_SHIFT = np.uint64(31)
+_MANTISSA_SHIFT = np.uint64(11)     # keeps the top 53 bits of a word
+
+
+class SplitMix64:
+    """The SplitMix64 generator (Steele, Lea and Flood, OOPSLA 2014).
+
+    Output i (from 1) is the finalizer of seed + i 0x9E3779B97F4A7C15
+    mod 2^64, so the stream is fixed by the seed, taken mod 2^64.  Values
+    are made in numpy uint64 arithmetic, which wraps without a warning on
+    arrays, in blocks of at most 8192, so a draw holds little beyond its
+    output array.
+    """
+
+    def __init__(self, seed: int):
+        self._counter = int(seed) % 2 ** 64
+
+    def _words(self, n: int):
+        """The next n outputs, as uint64 blocks of at most _BLOCK values.
+
+        Each block is a view of one buffer, overwritten by the next.
+        """
+        m = min(n, _BLOCK)
+        z, t = np.empty(m, np.uint64), np.empty(m, np.uint64)
+        for start in range(0, n, _BLOCK):
+            k = min(_BLOCK, n - start)
+            zk, tk = z[:k], t[:k]
+            # the block's counters: the last one plus 1, ..., k increments
+            np.multiply(np.arange(1, k + 1, dtype=np.uint64),
+                        np.uint64(_GOLDEN), out=zk)
+            zk += np.uint64(self._counter)
+            self._counter = (self._counter + k * _GOLDEN) % 2 ** 64
+            for shift, multiplier in _MIX:
+                np.right_shift(zk, shift, out=tk)
+                zk ^= tk
+                zk *= multiplier
+            np.right_shift(zk, _LAST_SHIFT, out=tk)
+            zk ^= tk
+            yield zk
+
+    def _unit(self, n: int) -> np.ndarray:
+        """n doubles (z >> 11) 2^-53 on [0, 1), in stream order."""
+        u = np.empty(n)
+        start = 0
+        for z in self._words(n):
+            z >>= _MANTISSA_SHIFT
+            u[start:start + z.size] = z
+            start += z.size
+        u *= 2.0 ** -53
+        return u
+
+    def uniform(self, low, high, size=None):
+        """low + (high - low) u, u from the stream in row-major order.
+
+        low and high broadcast against size; with size None they are
+        numbers and one float is returned.  The values lie in [low, high),
+        except that, as with numpy's uniform, rounding can reach high on
+        some bounds for u within a few ulps of 1.
+        """
+        if size is None:
+            return low + (high - low) * float(self._unit(1)[0])
+        u = self._unit(int(np.prod(size))).reshape(size)
+        u *= np.subtract(high, low, dtype=float)
+        u += low
+        return u
+
+    def integers(self, low: int, high: int) -> int:
+        """An integer uniform on low, ..., high - 1: the top bits of
+        (high - low) z / 2^64 for the next output z, bias below
+        (high - low) / 2^64."""
+        (z,) = next(self._words(1))
+        return low + ((high - low) * int(z) >> 64)
 
 
 class EikonalCheck(NamedTuple):
@@ -25,7 +119,7 @@ class EikonalCheck(NamedTuple):
     max_abs_residual: float
 
 
-def eikonal(rng: np.random.Generator, n: int, d: int, x_range,
+def eikonal(rng: RandomStream, n: int, d: int, x_range,
             y_over_x: float) -> EikonalCheck:
     """The exact phase against the eikonal equation at n random points.
 
@@ -47,7 +141,7 @@ class ParabolicCheck(NamedTuple):
     n_kept: int
 
 
-def parabolic_identities(rng: np.random.Generator, n: int,
+def parabolic_identities(rng: RandomStream, n: int,
                          d: int) -> ParabolicCheck:
     """Coordinate identities and the closed-form Jacobian at random points.
 
@@ -96,7 +190,7 @@ class ConeCheck(NamedTuple):
     n_points: int
 
 
-def cone_invariance(rng: np.random.Generator, n: int, d: int,
+def cone_invariance(rng: RandomStream, n: int, d: int,
                     m: float = 1.0, eps: float = 0.3) -> ConeCheck:
     """Points of the outgoing cone X^+_{m, eps} that the free flow moves out.
 
@@ -124,7 +218,7 @@ def cone_invariance(rng: np.random.Generator, n: int, d: int,
     return ConeCheck(violations, n)
 
 
-def c2_routes(rng: np.random.Generator, n: int) -> float:
+def c2_routes(rng: RandomStream, n: int) -> float:
     """Largest relative gap between the two assemblies of c2.
 
     Each of the n draws takes d uniform in {2, ..., 5}, then alpha uniform

@@ -21,7 +21,6 @@ import sys
 from pathlib import Path
 
 import numpy as np
-from numpy.random import default_rng
 
 from . import (checks, classical, kernel, oscillatory, parabolic, special,
                transport)
@@ -310,7 +309,7 @@ def cmd_momenta(cfg: dict) -> dict:
 def cmd_eikonal(cfg: dict) -> dict:
     d = cfg["dimension"]
     sec = cfg["eikonal"]
-    chk = checks.eikonal(default_rng(cfg["seed"]), sec["n_points"],
+    chk = checks.eikonal(checks.SplitMix64(cfg["seed"]), sec["n_points"],
                          d, sec["x_range"], sec["y_over_x"])
     x, y = chk.x, chk.y
     jac = parabolic.jacobian_det(x, y)
@@ -442,7 +441,7 @@ def cmd_airy_compare(cfg: dict) -> dict:
 # verify-all
 
 def _suite_parabolic(cfg: dict) -> dict:
-    chk = checks.parabolic_identities(default_rng(cfg["seed"] + 1),
+    chk = checks.parabolic_identities(checks.SplitMix64(cfg["seed"] + 1),
                                       2000, cfg["dimension"])
     return {"max_identity_residual": chk.max_identity_residual,
             "max_jacobian_mismatch": chk.max_jacobian_mismatch,
@@ -454,7 +453,7 @@ def _suite_constants(cfg: dict) -> dict:
     worst = checks.c1_quadrature((0.8, 1.0, 1.5, 2.0, 3.0))
     c2_31 = special.c2_constant(3, 1.0)
     err_c2 = abs(c2_31 - (-1j / math.sqrt(2.0 * math.pi)))
-    worst_routes = checks.c2_routes(default_rng(cfg["seed"] + 2), 20)
+    worst_routes = checks.c2_routes(checks.SplitMix64(cfg["seed"] + 2), 20)
     return {"max_c1_quadrature_mismatch": worst,
             "c2_coulomb_d3_error": err_c2,
             "max_c2_route_mismatch": worst_routes,
@@ -463,7 +462,7 @@ def _suite_constants(cfg: dict) -> dict:
 
 
 def _suite_region(cfg: dict) -> dict:
-    chk = checks.cone_invariance(default_rng(cfg["seed"] + 3),
+    chk = checks.cone_invariance(checks.SplitMix64(cfg["seed"] + 3),
                                  10000, cfg["dimension"], m=cfg["region"]["m"],
                                  eps=cfg["region"]["eps"])
     return {"n_points": chk.n_points, "violations": chk.violations,

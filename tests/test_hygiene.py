@@ -1,8 +1,8 @@
 """Package hygiene: the public names resolve, no module imports dead names,
-no module imports scipy and the package loads none, the orbit path makes no
-LAPACK call, one-point functions stay in their own module, no module reaches
-into another's private names and every private definition is used somewhere
-in the package."""
+no module imports scipy and the package loads none, a verification run loads
+no numpy.random, the orbit path makes no LAPACK call, one-point functions
+stay in their own module, no module reaches into another's private names and
+every private definition is used somewhere in the package."""
 
 import ast
 import json
@@ -95,19 +95,42 @@ def test_module_imports_no_scipy(path):
     assert not names, f"{path.name} imports {names}"
 
 
+# numpy.random brings secrets and OpenSSL's hashlib with it: 6 MB of RSS
+# for a seeded stream that checks.SplitMix64 gives in numpy arithmetic
+_RANDOM_MODULES = ("numpy.random", "secrets", "hashlib", "_hashlib")
+
+
 def test_cli_import_leaves_out_the_heavy_scipy_subpackages():
     # a fresh interpreter shows what the command line loads: no scipy module
-    # at all, no argparse (nor the gettext and locale it brings) and no
-    # numpy.polynomial, and numpy's fft and random, which the library uses,
-    # at import rather than lazily inside a run
+    # at all, no argparse (nor the gettext and locale it brings), no
+    # numpy.polynomial and no numpy.random, and numpy's fft, which the
+    # library uses, at import rather than lazily inside a run
+    absent = ("argparse", "gettext", "locale", "numpy.polynomial",
+              *_RANDOM_MODULES)
     code = ("import json, sys; import starkscatter.cli; "
             "print(json.dumps([sorted(m for m in sys.modules "
             "if m.startswith('scipy')), "
-            "[m in sys.modules for m in ('argparse', 'gettext', 'locale', "
-            "'numpy.polynomial', 'numpy.fft', 'numpy.random')]]))")
+            f"[m in sys.modules for m in {absent + ('numpy.fft',)!r}]]))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True)
-    assert json.loads(out.stdout) == [[], [False] * 4 + [True] * 2]
+    assert json.loads(out.stdout) == [[], [False] * len(absent) + [True]]
+
+
+def test_verify_run_loads_no_random_stream_module(tmp_path):
+    # a stage that imported numpy.random lazily would put its 6 MB and
+    # about 10 ms into the run
+    config = Path(starkscatter.__file__).parents[2] / "configs" / "zero.json"
+    code = f"""
+import contextlib, io, json, sys
+import starkscatter.cli as cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(["verify-all", "--config", {str(config)!r},
+                     {"--output_dir=" + str(tmp_path)!r}])
+print(json.dumps([code, [m for m in {_RANDOM_MODULES!r} if m in sys.modules]]))
+"""
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True)
+    assert json.loads(out.stdout) == [0, []]
 
 
 @pytest.mark.parametrize("d", [2, 3])
