@@ -14,11 +14,11 @@ One step is one call of straight-line code that is generated from the
 tableau for the orbit's dimension and compiled at the first orbit of that
 dimension in the process; it evaluates potentials.force_law on floats and
 returns scipy's error norm with the new state, and the first step's
-right-hand side is generated with it.  The batched pass that takes the
-samples calls potentials.force_rows.  The table kind, and points the closed
-form cannot take, go to grad_potential_array and its DomainError.
-The free case is the homogeneous kind at kappa = 0, where the deviation
-stays exactly 0.
+right-hand side is generated with it.  The table kind, and points the
+closed form cannot take, go to potentials.force_rows on one row and its
+DomainError, and the batched pass that takes the samples calls force_rows
+on all its rows at each stage.  The free case is the homogeneous kind at
+kappa = 0, where the deviation stays exactly 0.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import ConvergenceError, DomainError
 from .potentials import (PotentialSpec, eval_potential_array, force_law,
-                         force_rows, grad_potential_array)
+                         force_rows)
 from .quadrature import loglog_fit
 
 # Domain constant C for the exact-phase observables: x > C, |y|/x < 1/C.
@@ -254,7 +254,8 @@ def _step_source(d: int) -> str:
     it.  Stage s forms the positions p<i> and its K, k<s>_<i>: the
     velocities, then the force.  One helper writes the force for rhs and
     for every stage: the force law's closed form on Python floats where it
-    holds, and grad_potential_array elsewhere, for any kind.
+    holds, and elsewhere, for any kind, checked: potentials.force_rows on
+    the one row, with its DomainError.
     """
     n = 2 * d
     ys = [f"y{i}" for i in range(1, d)]
@@ -286,8 +287,7 @@ def _step_source(d: int) -> str:
             "        except (ZeroDivisionError, OverflowError):",
             "            g = None",
             "        if g is None:",
-            f"            {names(forces, d)}, = (-grad_potential_array("
-            f"spec, [x], [[{', '.join(ys)}]])[0]).tolist()",
+            f"            {names(forces, d)}, = checked([x, {', '.join(ys)}])",
             "        else:",
             *[f"            {forces}{i} = g * {y}"
               for i, y in enumerate(["x", *ys], start=d)],
@@ -298,6 +298,11 @@ def _step_source(d: int) -> str:
         f"    {', '.join(start)} = start",
         "    r2_min, s2, ak, power = law",
         "    inf, sqrt = math.inf, math.sqrt",
+        "",
+        "    def checked(z):",
+        "        with np.errstate(divide='ignore', over='ignore', "
+        "invalid='ignore'):",
+        "            return force_rows(spec, np.array([z]))[0].tolist()",
         "",
         "    def rhs(t, u):",
         f"        {names('u')} = u",
@@ -486,31 +491,10 @@ def _sample_steps(spec, p0, steps_t, steps_u, t_eval) -> np.ndarray:
 def _dop853_step(spec, p0, t, u, h) -> np.ndarray:
     """One DOP853 step of size h (m,) from each row of u (m, 2d) at t (m,).
 
-    Where the force law holds at every point, force_rows runs unchecked, as
-    grad_potential_array's checks slow the pass by about 70 %.  A bad point
-    makes the step non-finite, and it is taken again on
-    grad_potential_array, which raises the DomainError of the first stage
-    that met one; the table kind and zero softening take it throughout.
-    Both give the same floats.
+    The free parabola's positions at all twelve stage times are formed at
+    once, and each stage's force is one call of force_rows on every row,
+    which raises the DomainError of the first stage that meets a bad point.
     """
-    law = force_law(spec)
-    if law[0] < 0.0:
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            out = _dop853_rows(functools.partial(force_rows, law), p0, t, u,
-                               h)
-        if np.isfinite(out).all():
-            return out
-
-    def gradient(z, out):
-        np.negative(grad_potential_array(spec, z[:, 0], z[:, 1:]), out=out)
-
-    return _dop853_rows(gradient, p0, t, u, h)
-
-
-def _dop853_rows(force, p0, t, u, h) -> np.ndarray:
-    """_dop853_step with force(z, out), which writes -grad q at the
-    positions z (m, d) into out (m, d).  The free parabola's positions at
-    all twelve stage times are formed at once."""
     d = p0.d
     x, y, _, _ = free_flow_arrays(p0.x, p0.y, p0.eta, p0.zeta,
                                   t + _C_ARRAY[:12, None] * h)
@@ -518,12 +502,13 @@ def _dop853_rows(force, p0, t, u, h) -> np.ndarray:
     k = np.empty((12,) + u.shape)
     flat = k.reshape(12, -1)
     h_col = h[:, None]
-    for s in range(12):
-        us = (u + h_col * (_A_ROWS[s, :s] @ flat[:s]).reshape(u.shape)
-              if s else u)
-        k[s, :, :d] = us[:, d:]
-        force(free[s] + us[:, :d], k[s, :, d:])
-    return u + h_col * (_A_ROWS[12] @ flat).reshape(u.shape)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for s in range(12):
+            us = (u + h_col * (_A_ROWS[s, :s] @ flat[:s]).reshape(u.shape)
+                  if s else u)
+            k[s, :, :d] = us[:, d:]
+            force_rows(spec, free[s] + us[:, :d], k[s, :, d:])
+        return u + h_col * (_A_ROWS[12] @ flat).reshape(u.shape)
 
 
 def _trajectory_from_solution(spec, p0, times, us) -> Trajectory:
@@ -584,11 +569,14 @@ def asymptotic_momentum(spec: PotentialSpec, p0: PhasePoint,
 def momentum_limit(traj: Trajectory):
     """zeta(+-inf) and its error estimate from an orbit sampled at dyadic times.
 
-    The residual is assumed to decay like t^(-2 delta), the rate inherited
-    from the potential decay; a two-point Richardson step on the last two
-    samples extrapolates it away.  Raises DomainError on fewer than two
-    samples, and ConvergenceError when the orbit does not escape, unless
-    q = 0 (the homogeneous kind at kappa = 0).
+    The residual zeta(t) - zeta(+-inf) decays like t^-p.  On a scattering
+    orbit r ~ t^2/2 and |y| ~ |t|: the transverse force of the homogeneous
+    kappa r^-alpha is kappa alpha |y| r^(-alpha - 2) ~ t^(-2 alpha - 3), so
+    p = 2 alpha + 2, and a table potential, which need not be radial, takes
+    the bound p = 2 alpha + 1 of its declared decay r^-alpha.  A two-point
+    Richardson step on the last two samples extrapolates it away.  Raises
+    DomainError on fewer than two samples, and ConvergenceError when the
+    orbit does not escape, unless q = 0 (the homogeneous kind at kappa = 0).
     """
     if len(traj) < 2:
         raise DomainError("momentum_limit needs at least two samples")
@@ -597,7 +585,7 @@ def momentum_limit(traj: Trajectory):
         raise ConvergenceError(
             "orbit does not escape within the time budget", partial=traj)
     zetas = traj.states[:, traj.d + 1:]
-    rate = 2.0 ** (2.0 * spec.delta)
+    rate = 2.0 ** (2.0 * spec.alpha + (1.0 if spec.kind == "table" else 2.0))
     z_T, z_2T = zetas[-2], zetas[-1]
     z_inf = z_2T + (z_2T - z_T) / (rate - 1.0)
     err = float(np.linalg.norm(z_2T - z_T) / (rate - 1.0))

@@ -43,7 +43,7 @@ _DEFAULT_CONFIG = {
     "seed": 0,
     "output_dir": "out",
     "potential": {"kind": "coulomb", "kappa": 1.0, "softening": 1e-3,
-                  "alpha": float, "delta": float},
+                  "alpha": float},
     "region": {"m": 1.0, "eps": 0.3},
     "orbit": {
         "x": 10.0, "y": [1.0], "eta": 1.0, "zeta": [0.3],
@@ -121,7 +121,12 @@ def load_config(path: str | None, overrides: list[str] = ()) -> dict:
         if not isinstance(raw, dict):
             raise ConfigError("config root must be a JSON object")
     parse_overrides(raw, overrides)
-    return _validate(_DEFAULT_CONFIG, raw, "")
+    cfg = _validate(_DEFAULT_CONFIG, raw, "")
+    pot = cfg["potential"]
+    if pot["alpha"] is not None and pot["kind"] != "homogeneous":
+        raise ConfigError('potential.alpha applies only to kind '
+                          f'"homogeneous", not {json.dumps(pot["kind"])}')
+    return cfg
 
 
 def _validate(schema: dict, raw: dict, prefix: str) -> dict:
@@ -200,8 +205,7 @@ def potential_from_config(cfg: dict) -> PotentialSpec:
             return coulomb(kappa, softening=softening)
         if pot["alpha"] is None:
             raise ConfigError("homogeneous potential requires alpha")
-        return homogeneous(kappa, pot["alpha"], delta=pot["delta"],
-                           softening=softening)
+        return homogeneous(kappa, pot["alpha"], softening=softening)
     except DomainError as exc:
         raise ConfigError(str(exc)) from exc
 

@@ -77,10 +77,10 @@ def born_symbols(spec: PotentialSpec, zeta, ys, lam: float = 0.0,
         raise DomainError("R too small: square root not bounded away from 0")
     pot = spec.unsoftened()
     scale = np.maximum(np.sqrt(np.sum(ys * ys, axis=-1)), R)[:, None]
-    # q decays like x^{-decay_rate} and the square root adds x^{-1/2}.  The
+    # q decays like x^{-alpha} and the square root adds x^{-1/2}.  The
     # square root varies on the scale R, reached at s ~ (R / c)^{1/P}: P >= 4
     # keeps that inside the first panels for |y| up to about 1e5 R.
-    power = map_power(spec.decay_rate + 0.5, least=4)
+    power = map_power(spec.alpha + 0.5, least=4)
 
     def one_pass(base):
         out = np.empty(len(ys), dtype=complex)

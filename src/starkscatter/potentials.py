@@ -1,10 +1,10 @@
 """Short-range Stark potentials and their gradients.
 
-Admissible potentials decay like r^{-(1+2*delta)/2} with delta in (0, 1/2];
-the Coulomb potential (delta = 1/2) is the canonical slowly decaying member
-of the class.  Evaluation is split into the field direction x and the
-orthogonal block y, matching the phase-space splitting used everywhere else
-in the library.
+Admissible potentials decay like r^{-alpha} with alpha > 1/2, the paper's
+r^{-(1+2 delta)/2} at delta = min(alpha - 1/2, 1/2); the Coulomb potential
+(alpha = 1) is the canonical slowly decaying member of the class.
+Evaluation is split into the field direction x and the orthogonal block y,
+matching the phase-space splitting used everywhere else in the library.
 
 There are two kinds: the homogeneous kappa r^{-alpha} (Coulomb at alpha =
 1) and a table potential given by a callable.  The free case q = 0 is the
@@ -13,16 +13,18 @@ homogeneous kind at kappa = 0, and goes through the same arithmetic.
 Every kind is evaluated on arrays: x of shape S and y of shape S' + (d - 1,),
 with S and S' broadcasting, give q at the broadcast shape.  A table
 potential's callable follows the same contract, so a batch of nodes is one
-call of it; eval_potential and grad_potential are the one-point case, with
-the checks of the array functions.
+call of it; eval_potential and grad_potential are the one-point case of
+force_rows, with its checks.
 
 The force law -grad q is written here once: force_law gives its constants,
-force_rows its closed form on rows, and classical steps orbits on both.
+and force_rows evaluates it on rows, checked, with the DomainError of a
+point outside the potential's domain.  classical steps orbits on both.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -42,8 +44,9 @@ class PotentialSpec:
 
     kind       "homogeneous" or "table"
     kappa      coupling constant (homogeneous kind; 0 for the free case)
-    alpha      homogeneity exponent (homogeneous kind; 1 for Coulomb)
-    delta      decay parameter in (0, 1/2]
+    alpha      decay exponent, q = O(r^-alpha), above 1/2: the homogeneity
+               exponent of the homogeneous kind (1 for Coulomb), a declared
+               bound for the table kind
     softening  regularization length near the origin (dynamics only)
     func       callable q(x, y) for the table kind, on arrays: x of shape S,
                y of shape S' + (d - 1,), q at the broadcast shape of S, S'
@@ -52,28 +55,18 @@ class PotentialSpec:
     kind: str = "homogeneous"
     kappa: float = 0.0
     alpha: float = 1.0
-    delta: float = 0.5
     softening: float = 1e-3
     func: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
 
     def __post_init__(self):
         if self.kind not in ("homogeneous", "table"):
             raise DomainError(f"unknown potential kind {self.kind!r}")
-        if self.kind == "homogeneous":
-            if self.alpha <= 0.5:
-                raise DomainError("homogeneous exponent must exceed 1/2")
-        if not (0.0 < self.delta <= 0.5):
-            raise DomainError("delta must lie in (0, 1/2]")
+        if self.alpha <= 0.5:
+            raise DomainError("decay exponent alpha must exceed 1/2")
         if self.softening < 0.0:
             raise DomainError("softening must be nonnegative")
         if self.kind == "table" and self.func is None:
             raise DomainError("table kind requires a callable")
-
-    @property
-    def decay_rate(self) -> float:
-        """a with q = O(r^-a): alpha, or the class bound 1/2 + delta for a
-        table."""
-        return 0.5 + self.delta if self.kind == "table" else self.alpha
 
     def unsoftened(self) -> "PotentialSpec":
         """Copy with softening removed (exact power law, kernel formulas)."""
@@ -90,17 +83,11 @@ def coulomb(kappa: float, softening: float = 1e-3) -> PotentialSpec:
     return homogeneous(kappa, 1.0, softening=softening)
 
 
-def homogeneous(kappa: float, alpha: float, delta: Optional[float] = None,
+def homogeneous(kappa: float, alpha: float,
                 softening: float = 1e-3) -> PotentialSpec:
-    """Homogeneous potential kappa * r^(-alpha).
-
-    The decay parameter defaults to min(alpha - 1/2, 1/2), the largest value
-    consistent with both the decay condition and the admissible range.
-    """
-    if delta is None:
-        delta = min(alpha - 0.5, 0.5)
+    """Homogeneous potential kappa * r^(-alpha)."""
     return PotentialSpec(kind="homogeneous", kappa=kappa, alpha=alpha,
-                         delta=delta, softening=softening)
+                         softening=softening)
 
 
 def _check_ball(spec: PotentialSpec, r2) -> None:
@@ -109,60 +96,42 @@ def _check_ball(spec: PotentialSpec, r2) -> None:
             "evaluation inside the origin exclusion ball with zero softening")
 
 
-def _check_rows(spec: PotentialSpec, x, y) -> np.ndarray:
-    """r^2 of the rows x (m,), y (m, d - 1); DomainError at a non-finite
-    point, where r^2 overflows too, or inside the exclusion ball."""
-    with np.errstate(over="ignore"):
-        r2 = x * x + np.sum(y * y, axis=-1)
+def _check_r2(spec: PotentialSpec, r2) -> None:
+    """DomainError where r^2 is not finite, at a non-finite point or where
+    it overflows, or inside the exclusion ball."""
     if not np.isfinite(r2).all():
         raise DomainError("potential evaluated at a non-finite point")
     _check_ball(spec, r2)
-    return r2
+
+
+def _row(x: float, y) -> np.ndarray:
+    """The point (x, y) as one row z of shape (1, d)."""
+    return np.concatenate([[float(x)], np.asarray(y, dtype=float)])[None]
+
+
+def _r2(z: np.ndarray) -> np.ndarray:
+    """r^2 of the rows z (m, d), summed as eval_potential_array sums it."""
+    x, y = z[:, 0], z[:, 1:]
+    return x * x + (y * y).sum(axis=1)
 
 
 def eval_potential(spec: PotentialSpec, x: float, y) -> float:
-    """Potential energy q(x, y) at one point, with the checks of
-    grad_potential_array (the row checks alone for the table kind)."""
-    x = np.array([float(x)])
-    y = np.asarray(y, dtype=float)[None]
-    if spec.kind == "table":
-        _check_rows(spec, x, y)
-    else:
-        # DomainError where q or grad q is out of the double range
-        grad_potential_array(spec, x, y)
-    return float(eval_potential_array(spec, x, y)[0])
+    """Potential energy q(x, y) at one point, with the checks of force_rows
+    (the r^2 checks alone for the table kind)."""
+    z = _row(x, y)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        if spec.kind == "table":
+            _check_r2(spec, _r2(z))
+        else:
+            # DomainError where q or grad q is out of the double range
+            force_rows(spec, z)
+    return float(eval_potential_array(spec, z[:, 0], z[:, 1:])[0])
 
 
 def grad_potential(spec: PotentialSpec, x: float, y) -> np.ndarray:
     """Gradient (d_x q, grad_y q) as a vector of length d."""
-    y = np.asarray(y, dtype=float)
-    return grad_potential_array(spec, [float(x)], y[None])[0]
-
-
-def grad_potential_array(spec: PotentialSpec, x, y) -> np.ndarray:
-    """Gradient on rows: x of shape (m,), y (m, d - 1); result (m, d).
-
-    The homogeneous kind is -force_rows, with DomainError where that is out
-    of the double range; the table kind takes central differences with step
-    _FD_STEP max(1, r), all 2 d m shifted points in one call of its func.
-    """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    r2 = _check_rows(spec, x, y)
-    z = np.concatenate([x[:, None], y], axis=1)
-    if spec.kind == "table":
-        h = _FD_STEP * np.maximum(1.0, np.sqrt(r2))
-        step = h[:, None, None] * np.eye(z.shape[1])            # (m, d, d)
-        z = np.stack([z[:, None] + step, z[:, None] - step])    # (2, m, d, d)
-        q = spec.func(z[..., 0], z[..., 1:])                    # (2, m, d)
-        return (q[0] - q[1]) / (2 * h[:, None])
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        force = force_rows(force_law(spec), z)
-    bad = r2[~np.isfinite(force).all(axis=1)]
-    if bad.size:
-        raise DomainError(f"potential not representable at r^2 = {bad[0]:g} "
-                          f"with softening {spec.softening:g}")
-    return -force
+        return -force_rows(spec, _row(x, y))[0]
 
 
 def force_law(spec: PotentialSpec) -> tuple:
@@ -175,13 +144,40 @@ def force_law(spec: PotentialSpec) -> tuple:
             -spec.alpha / 2.0 - 1.0)
 
 
-def force_rows(law: tuple, z: np.ndarray, out=None) -> np.ndarray:
-    """-grad q of force_law at the rows z (m, d), into out (m, d) or a new
-    array; unchecked, it is inf or nan where the closed form fails."""
-    _, s2, ak, power = law
-    x, y = z[:, 0], z[:, 1:]
-    f = ak * (x * x + (y * y).sum(axis=1) + s2) ** power
-    return np.multiply(f[:, None], z, out=out)
+def force_rows(spec: PotentialSpec, z: np.ndarray, out=None) -> np.ndarray:
+    """-grad q at the rows z (m, d), into out (m, d) or a new array.
+
+    The homogeneous kind is force_law's closed form with one test: f = ak
+    (r^2 + s2)^power has one sign and |f z_i| <= |f| max(1, r^2), so the sum
+    f . r^2 is finite only where every f, r^2 and force component is, and
+    is not finite where they are all finite only if the sum overflowed.
+    Where the test fails, or with zero softening a row lies in the exclusion
+    ball, the rows are checked: DomainError at a non-finite point, then in
+    the exclusion ball, then where the force is not representable, and
+    else the closed form is returned.  The table kind takes central
+    differences with step _FD_STEP max(1, r), all 2 d m shifted points in
+    one call of its func.  Floating-point warnings are left to the caller's
+    np.errstate.
+    """
+    r2 = _r2(z)
+    if spec.kind == "table":
+        _check_r2(spec, r2)
+        h = _FD_STEP * np.maximum(1.0, np.sqrt(r2))
+        step = h[:, None, None] * np.eye(z.shape[1])            # (m, d, d)
+        z = np.stack([z[:, None] + step, z[:, None] - step])    # (2, m, d, d)
+        q = spec.func(z[..., 0], z[..., 1:])                    # (2, m, d)
+        return np.divide(q[1] - q[0], 2 * h[:, None], out=out)
+    r2_min, s2, ak, power = force_law(spec)
+    f = ak * (r2 + s2) ** power
+    force = np.multiply(f[:, None], z, out=out)
+    if math.isfinite(f.dot(r2)) and (r2_min < 0.0 or (r2 > r2_min).all()):
+        return force
+    _check_r2(spec, r2)
+    bad = r2[~np.isfinite(force).all(axis=1)]
+    if bad.size:
+        raise DomainError(f"potential not representable at r^2 = {bad[0]:g} "
+                          f"with softening {spec.softening:g}")
+    return force
 
 
 def eval_potential_array(spec: PotentialSpec, x, y):

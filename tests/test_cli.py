@@ -232,6 +232,29 @@ def test_malformed_config_exits_2(capsys, tmp_path, argv):
     assert json.loads(line)["error"] == "config"
 
 
+@pytest.mark.parametrize("command, overrides, message", [
+    ("born", ["--potential.alpha=1.5"],
+     'potential.alpha applies only to kind "homogeneous", not "coulomb"'),
+    ("orbit", ["--potential.kind=zero", "--potential.alpha=2"],
+     'potential.alpha applies only to kind "homogeneous", not "zero"'),
+    ("born", ["--potential.kind=homogeneous", "--potential.alpha=1.5",
+              "--potential.delta=0.3"],
+     "unknown config key potential.delta"),
+], ids=["alpha-coulomb", "alpha-zero", "delta"])
+def test_potential_key_the_kind_does_not_read_exits_2(capsys, tmp_path,
+                                                      command, overrides,
+                                                      message):
+    # an exponent that coulomb and zero fix, or the removed decay
+    # parameter, is a config error, not an override that changes nothing
+    outdir = tmp_path / "out"
+    code = main([command, "--config", str(CONFIGS / "coulomb_d2.json"),
+                 *overrides, f"--output_dir={outdir}"])
+    out, err = capsys.readouterr()
+    assert code == 2 and err == ""
+    assert json.loads(out) == {"error": "config", "message": message}
+    assert not outdir.exists()
+
+
 def test_unknown_key_in_config_file_exits_2(capsys, tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"dimension": 2, "worker": 1}))

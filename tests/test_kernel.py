@@ -275,6 +275,24 @@ def test_gaussian_profile_transforms_to_its_closed_form(d):
         * np.exp(-k[inside] ** 2 / 2.0), rtol=1e-7)
 
 
+@pytest.mark.parametrize("s", [2.0, 4.0])
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_radial_transform_is_scaling_covariant(d, s):
+    # on the radii s r the same profile values transform to s^{d-1} times
+    # the transform on r, at the wavenumbers k / s: bitwise where s^{(d-1)/2}
+    # is a power of 2, and to rounding where it is sqrt(2) or 2 sqrt(2)
+    r = np.geomspace(1e-30, 1e2, 2048)
+    f = np.exp(-r * r / 2.0)
+    k, t = radial_transform(r, f, d, bias=0.0)
+    k_s, t_s = radial_transform(s * r, f, d, bias=0.0)
+    assert np.array_equal(k_s, k / s)
+    if ((d - 1) * math.log2(s)) % 2 == 0:
+        assert np.array_equal(t_s, s ** (d - 1) * t)
+    else:
+        np.testing.assert_allclose(t_s, s ** (d - 1) * t, rtol=0.0,
+                                   atol=1e-12 * np.abs(s ** (d - 1) * t).max())
+
+
 def _scipy_radial_transform(r, f, d, bias):
     """radial_transform by scipy.fft.fht, as the library computed it before."""
     half, mu = (d - 1) / 2.0, (d - 3) / 2.0

@@ -19,9 +19,20 @@ from starkscatter.kernel import born_symbols
 from starkscatter.potentials import (
     PotentialSpec,
     eval_potential_array,
-    grad_potential_array,
+    force_rows,
     radial_jets,
 )
+
+
+def _delta(spec):
+    """The paper's decay parameter: q = O(r^{-(1+2 delta)/2}), delta in
+    (0, 1/2]."""
+    return min(spec.alpha - 0.5, 0.5)
+
+
+def _rows(x, y):
+    return np.column_stack([np.asarray(x, dtype=float),
+                            np.asarray(y, dtype=float)])
 
 
 def test_zero_potential_vanishes():
@@ -49,7 +60,7 @@ def test_kappa_zero_is_exactly_zero(softening, d):
     if softening > 0.0:
         x[0], y[0] = 0.0, 0.0
     values = [eval_potential_array(spec, x, y),
-              grad_potential_array(spec, x, y), *radial_jets(spec, x, y),
+              force_rows(spec, _rows(x, y)), *radial_jets(spec, x, y),
               [eval_potential(spec, a, b) for a, b in zip(x, y)],
               [grad_potential(spec, a, b) for a, b in zip(x, y)]]
     for v in values:
@@ -66,7 +77,7 @@ def test_coulomb_value_and_gradient():
 def test_coulomb_fixes_alpha_and_delta():
     spec = coulomb(2.5)
     assert spec.alpha == 1.0
-    assert spec.delta == 0.5
+    assert _delta(spec) == 0.5
 
 
 def test_homogeneous_value_and_gradient():
@@ -77,22 +88,19 @@ def test_homogeneous_value_and_gradient():
     np.testing.assert_allclose(g, [-2.0, 0.0], atol=1e-14)
 
 
-def test_homogeneous_default_delta():
-    assert homogeneous(1.0, 0.8).delta == pytest.approx(0.3)
-    assert homogeneous(1.0, 1.0).delta == pytest.approx(0.5)
-    assert homogeneous(1.0, 3.0).delta == pytest.approx(0.5)
-
-
 def test_homogeneous_rejects_small_alpha():
     with pytest.raises(DomainError):
         homogeneous(1.0, 0.5)
 
 
-def test_delta_range_validated():
-    with pytest.raises(DomainError):
-        PotentialSpec(kind="homogeneous", kappa=1.0, alpha=2.0, delta=0.7)
-    with pytest.raises(DomainError):
-        PotentialSpec(kind="homogeneous", kappa=1.0, alpha=2.0, delta=0.0)
+def test_decay_exponent_range_validated():
+    # alpha > 1/2, delta > 0, for a table's declared decay as for the
+    # homogeneous kind
+    for kind in ("homogeneous", "table"):
+        with pytest.raises(DomainError, match="alpha must exceed 1/2"):
+            PotentialSpec(kind=kind, kappa=1.0, alpha=0.5,
+                          func=_COULOMB_TABLE.func)
+    assert PotentialSpec(kind="table", func=_COULOMB_TABLE.func).alpha == 1.0
 
 
 def test_origin_exclusion_without_softening():
@@ -140,7 +148,8 @@ def test_grad_potential_array_rows_match_grad_potential(spec, d):
     rng = np.random.default_rng(40 + d)
     x = rng.uniform(-50.0, 1e4, size=300)
     y = rng.uniform(-30.0, 30.0, size=(300, d - 1))
-    got = grad_potential_array(spec, x, y)
+    # the checked rows, negated, are the gradient
+    got = -force_rows(spec, _rows(x, y))
     assert got.shape == (300, d)
     if spec.kind == "homogeneous":
         # the closed form in Python floats, as the orbit right-hand sides
@@ -164,8 +173,8 @@ def test_table_gradient_matches_the_closed_form(d):
     rng = np.random.default_rng(40 + d)
     x = rng.uniform(-50.0, 1e4, size=300)
     y = rng.uniform(-30.0, 30.0, size=(300, d - 1))
-    got = grad_potential_array(_COULOMB_TABLE, x, y)
-    ref = grad_potential_array(coulomb(0.7, softening=1e-3), x, y)
+    got = force_rows(_COULOMB_TABLE, _rows(x, y))
+    ref = force_rows(coulomb(0.7, softening=1e-3), _rows(x, y))
     err = np.linalg.norm(got - ref, axis=1) / np.linalg.norm(ref, axis=1)
     assert np.all(err <= 1e-6)
 
@@ -191,7 +200,7 @@ def test_table_func_is_called_once_per_batch(d):
     rng = np.random.default_rng(d)
     x = rng.uniform(1.0, 50.0, size=40)
     y = rng.uniform(-30.0, 30.0, size=(40, d - 1))
-    grad_potential_array(spec, x, y)
+    force_rows(spec, _rows(x, y))
     assert func.calls == [(3, (2, 40, d))]
     func.calls.clear()
     _energies(spec, np.column_stack([x, y, x, y]))
@@ -224,19 +233,23 @@ def test_table_func_is_called_once_per_batch(d):
 ], ids=["underflow", "overflow"])
 def test_grad_potential_array_unrepresentable_raises_domain_error(spec):
     # one bad row among good ones, the point of the scalar test above
-    with pytest.raises(DomainError, match="not representable"):
-        grad_potential_array(spec, [3.0, 0.0, 5.0], [[1.0], [0.0], [2.0]])
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"), \
+            pytest.raises(DomainError, match="not representable"):
+        force_rows(spec, _rows([3.0, 0.0, 5.0], [[1.0], [0.0], [2.0]]))
 
 
 @pytest.mark.parametrize("x, y, match", [
     ([3.0, 0.0], [[1.0], [0.0]], "exclusion ball"),
     ([3.0, math.inf], [[1.0], [0.0]], "non-finite"),
     ([3.0, 2.0], [[1.0], [math.nan]], "non-finite"),
+    # inside the ball, off the origin, where the closed form is finite
+    ([3.0, 5e-9], [[1.0], [-5e-9]], "exclusion ball"),
 ])
 def test_grad_potential_array_rejects_bad_points(x, y, match):
     spec = coulomb(1.0, softening=0.0)
-    with pytest.raises(DomainError, match=match):
-        grad_potential_array(spec, x, y)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"), \
+            pytest.raises(DomainError, match=match):
+        force_rows(spec, _rows(x, y))
     with pytest.raises(DomainError, match=match):
         grad_potential(spec, x[-1], y[-1])
 
@@ -247,12 +260,12 @@ def test_softening_regularizes_near_origin():
 
 
 def test_decay_bound_along_rays():
-    # |q| <= C r^{-(1+2 delta)/2} with delta from the descriptor
+    # |q| <= C r^{-(1+2 delta)/2}, delta = min(alpha - 1/2, 1/2)
     rng = np.random.default_rng(5)
     for spec in (coulomb(1.0, softening=0.0),
                  homogeneous(1.0, 1.5, softening=0.0),
                  homogeneous(2.0, 0.8, softening=0.0)):
-        rate = -(1.0 + 2.0 * spec.delta) / 2.0
+        rate = -(1.0 + 2.0 * _delta(spec)) / 2.0
         for _ in range(50):
             r = 10.0 ** rng.uniform(0.0, 6.0)
             u = rng.normal(size=3)
@@ -264,7 +277,7 @@ def test_decay_bound_along_rays():
 def test_gradient_decay_one_order_faster():
     rng = np.random.default_rng(6)
     spec = homogeneous(1.0, 1.5, softening=0.0)
-    rate = -(1.0 + 2.0 * spec.delta) / 2.0 - 1.0
+    rate = -(1.0 + 2.0 * _delta(spec)) / 2.0 - 1.0
     for _ in range(30):
         r = 10.0 ** rng.uniform(0.5, 6.0)
         u = rng.normal(size=3)
@@ -370,5 +383,5 @@ def test_unsoftened_copy_removes_softening_only():
     spec = homogeneous(1.2, 1.4, softening=0.05)
     bare = spec.unsoftened()
     assert bare.softening == 0.0
-    assert (bare.kind, bare.kappa, bare.alpha, bare.delta) == (
-        spec.kind, spec.kappa, spec.alpha, spec.delta)
+    assert (bare.kind, bare.kappa, bare.alpha) == (
+        spec.kind, spec.kappa, spec.alpha)
