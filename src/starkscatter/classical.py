@@ -8,22 +8,15 @@ conservation.
 Orbits are held as arrays: a Trajectory stores its samples as an (N, 2d)
 state array with (N,) times and energies, and builds PhasePoints only when
 they are read.  The energies, the radiation observables of decay_slope and
-the asymptotic momentum are computed on whole trajectories at once.  Orbits
-are stepped by DOP853 under scipy's step-size controller in Python floats.
-One step is one call of straight-line code that is generated from the
-tableau for the orbit's dimension and compiled at the first orbit of that
-dimension in the process; it evaluates potentials.force_law on floats and
-returns scipy's error norm with the new state, and the first step's
-right-hand side is generated with it.  The table kind, and points the
-closed form cannot take, go to potentials.force_rows on one row and its
-DomainError, and the batched pass that takes the samples calls force_rows
-on all its rows at each stage.  The free case is the homogeneous kind at
-kappa = 0, where the deviation stays exactly 0.
-"""
+the asymptotic momentum are computed on whole trajectories at once.  An
+orbit is integrated as its deviation from the free parabola, by Gauss-
+Legendre collocation on quadrature's 16-node panels solved by Picard
+sweeps; a sweep is one potentials.force_rows call on every node of a
+window of panels, and the samples are panel ends.  The free case is the
+homogeneous kind at kappa = 0, where the deviation stays exactly 0."""
 
 from __future__ import annotations
 
-import functools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -31,9 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, DomainError
-from .potentials import (PotentialSpec, eval_potential_array, force_law,
-                         force_rows)
-from .quadrature import loglog_fit
+from .potentials import PotentialSpec, eval_potential_array, force_rows
+from .quadrature import loglog_fit, panels, running
 
 # Domain constant C for the exact-phase observables: x > C, |y|/x < 1/C.
 THETA1_DOMAIN_C = 10.0
@@ -95,13 +87,15 @@ class Trajectory:
     """Time-stamped orbit with its conserved-energy record.
 
     times has shape (N,), energies (N,) and states (N, 2d): row i is the
-    phase point (x, y, eta, zeta) at times[i].
+    phase point (x, y, eta, zeta) at times[i].  error_estimate (2d,) is the
+    integrator's achieved error estimate by component, in state units.
     """
 
     times: np.ndarray
     states: np.ndarray
     energies: np.ndarray
     spec: PotentialSpec
+    error_estimate: np.ndarray
 
     def __len__(self):
         return len(self.times)
@@ -152,222 +146,42 @@ def free_flow_arrays(x, y, eta, zeta, t):
             eta + t, zeta)
 
 
-# The DOP853 tableau: Dormand and Prince's explicit 8(5,3) pair with the
-# coefficients of Hairer's DOP853 code (Hairer, Norsett and Wanner, Solving
-# Ordinary Differential Equations I, section II.10), as scipy holds them.
-# Stage s = 1 .. 12 is taken at t + C[s] h from u + h sum_j A[s][j] K_j.
-# Row 12 of A (C = 1) holds the weights of the solution, so the last stage
-# is the new state and its K the next step's K_0; E5 and E3 weight K_0 ..
-# K_12 in the two error estimates.
-_C = (0.0, 0.05260015195876773, 0.0789002279381516, 0.1183503419072274,
-      0.2816496580927726, 0.3333333333333333, 0.25, 0.3076923076923077,
-      0.6512820512820513, 0.6, 0.8571428571428571, 1.0, 1.0)
-_A = (
-    (),
-    (0.05260015195876773,),
-    (0.0197250569845379, 0.0591751709536137),
-    (0.02958758547680685, 0.0, 0.08876275643042054),
-    (0.2413651341592667, 0.0, -0.8845494793282861, 0.924834003261792),
-    (0.037037037037037035, 0.0, 0.0, 0.17082860872947386,
-     0.12546768756682242),
-    (0.037109375, 0.0, 0.0, 0.17025221101954405, 0.06021653898045596,
-     -0.017578125),
-    (0.03709200011850479, 0.0, 0.0, 0.17038392571223998, 0.10726203044637328,
-     -0.015319437748624402, 0.008273789163814023),
-    (0.6241109587160757, 0.0, 0.0, -3.3608926294469414, -0.868219346841726,
-     27.59209969944671, 20.154067550477894, -43.48988418106996),
-    (0.47766253643826434, 0.0, 0.0, -2.4881146199716677, -0.590290826836843,
-     21.230051448181193, 15.279233632882423, -33.28821096898486,
-     -0.020331201708508627),
-    (-0.9371424300859873, 0.0, 0.0, 5.186372428844064, 1.0914373489967295,
-     -8.149787010746927, -18.52006565999696, 22.739487099350505,
-     2.4936055526796523, -3.0467644718982196),
-    (2.273310147516538, 0.0, 0.0, -10.53449546673725, -2.0008720582248625,
-     -17.9589318631188, 27.94888452941996, -2.8589982771350235,
-     -8.87285693353063, 12.360567175794303, 0.6433927460157636),
-    (0.054293734116568765, 0.0, 0.0, 0.0, 0.0, 4.450312892752409,
-     1.8915178993145003, -5.801203960010585, 0.3111643669578199,
-     -0.1521609496625161, 0.20136540080403034, 0.04471061572777259),
-)
-_E5 = (0.01312004499419488, 0.0, 0.0, 0.0, 0.0, -1.2251564463762044,
-       -0.4957589496572502, 1.6643771824549864, -0.35032884874997366,
-       0.3341791187130175, 0.08192320648511571, -0.022355307863886294, 0.0)
-_E3 = (-0.18980075407240762, 0.0, 0.0, 0.0, 0.0, 4.450312892752409,
-       1.8915178993145003, -5.801203960010585, -0.4226823213237919,
-       -0.1521609496625161, 0.20136540080403034, 0.02265179219836082, 0.0)
-
-
-def _nonzero(weights) -> tuple:
-    """The (j, weight) pairs of the nonzero weights."""
-    return tuple((j, w) for j, w in enumerate(weights) if w != 0.0)
-
-
-# what the scalar steps loop over: (C[s], the nonzero (j, A[s][j])) for
-# stages 1 .. 12, and the nonzero (j, weight) of E5 and of E3
-_STAGES = tuple((_C[s], _nonzero(_A[s])) for s in range(1, 13))
-_ERRORS = (_nonzero(_E5), _nonzero(_E3))
-# the batched sample step's arrays: C, and A padded to (13, 12)
-_C_ARRAY = np.array(_C)
-_A_ROWS = np.array([row + (0.0,) * (12 - len(row)) for row in _A])
-
-# scipy's step-size controller (solve_ivp's RungeKutta): the step grows or
-# shrinks by SAFETY err^(-1/8), within [MIN_FACTOR, MAX_FACTOR]
-_SAFETY, _MIN_FACTOR, _MAX_FACTOR, _ERROR_EXPONENT = 0.9, 0.2, 10.0, -1.0 / 8
-
-
-def _step_closure(spec: PotentialSpec, p0: PhasePoint, tol: float):
-    """One DOP853 step of the deviation of p0, with scipy's error norm, and
-    the deviation's right-hand side: _step_maker's code for p0's dimension.
-
-    step(t, u, f, h) takes the deviation u at t with f = rhs(t, u) (the last
-    step's final stage), and returns the deviation at t + h, its right-hand
-    side and the error norm of the step at rtol = atol = tol: a step is
-    accepted below 1.
-    """
-    return _step_maker(p0.d)(spec, p0.as_vector().tolist(),
-                             force_law(spec), tol)
-
-
-@functools.cache
-def _step_maker(d: int):
-    """make_step of _step_source(d), compiled at the first orbit of
-    dimension d in the process."""
-    namespace = {}
-    exec(compile(_step_source(d), f"<DOP853 step, d = {d}>", "exec"),
-         globals(), namespace)
-    return namespace["make_step"]
-
-
-def _step_source(d: int) -> str:
-    """Source of make_step(spec, start, law, tol) at dimension d.
-
-    make_step takes the start point as the list x0, y0_1 .., eta0, zeta0_1
-    .. and potentials.force_law(spec), and returns _step_closure's step and
-    rhs.  Both work on the deviation u = state - free_flow(p0, t), which
-    stays O(1) on scattering orbits while x itself grows like t^2/2, so the
-    error control stays meaningful over long times.  rhs(t, u) is Hamilton's
-    equations for u, (u_x, u_y) dot = (u_eta, u_zeta) and (u_eta, u_zeta)
-    dot = -grad q.  The step is straight-line code on Python floats: on 2d
-    components numpy's per-operation overhead would be most of the cost, and
-    a loop over the tableau doubles it.  Every sum is written out in the
-    order of _STAGES and _ERRORS, so each float rounds as the loop rounds
-    it.  Stage s forms the positions p<i> and its K, k<s>_<i>: the
-    velocities, then the force.  One helper writes the force for rhs and
-    for every stage: the force law's closed form on Python floats where it
-    holds, and elsewhere, for any kind, checked: potentials.force_rows on
-    the one row, with its DomainError.
-    """
-    n = 2 * d
-    ys = [f"y{i}" for i in range(1, d)]
-    start = ["x0", *[f"c{y}" for y in ys], "eta0", *[f"z{y}" for y in ys]]
-    squares = " + ".join([f"{y} * {y}" for y in ys])
-    # the components of the new deviation: stage 12's positions and velocities
-    new = [f"p{i}" for i in range(d)] + [f"k12_{i}" for i in range(d)]
-
-    def names(prefix: str, first: int = 0) -> str:
-        return ", ".join([f"{prefix}{i}" for i in range(first, n)])
-
-    def total(terms: list) -> str:
-        # added left to right, as a loop adds them to 0.0
-        return " + ".join(["0.0", *terms])
-
-    def weighted(row, i: int) -> str:
-        return total([f"{w!r} * k{j}_{i}" for j, w in row])
-
-    def force(t: str, positions: str, forces: str) -> list:
-        # -grad q at the deviation's positions at time t, into forces
-        return [
-            f"        x = x0 + {t} * eta0 + 0.5 * {t} * {t} + {positions}0",
-            *[f"        {y} = c{y} + {t} * z{y} + {positions}{i}"
-              for i, y in enumerate(ys, start=1)],
-            "        r2 = x * x" + (f" + ({squares})" if ys else ""),
-            "        try:",
-            "            g = ak * (r2 + s2) ** power if r2_min < r2 < inf "
-            "else None",
-            "        except (ZeroDivisionError, OverflowError):",
-            "            g = None",
-            "        if g is None:",
-            f"            {names(forces, d)}, = checked([x, {', '.join(ys)}])",
-            "        else:",
-            *[f"            {forces}{i} = g * {y}"
-              for i, y in enumerate(["x", *ys], start=d)],
-        ]
-
-    lines = [
-        "def make_step(spec, start, law, tol):",
-        f"    {', '.join(start)} = start",
-        "    r2_min, s2, ak, power = law",
-        "    inf, sqrt = math.inf, math.sqrt",
-        "",
-        "    def checked(z):",
-        "        with np.errstate(divide='ignore', over='ignore', "
-        "invalid='ignore'):",
-        "            return force_rows(spec, np.array([z]))[0].tolist()",
-        "",
-        "    def rhs(t, u):",
-        f"        {names('u')} = u",
-        *force("t", "u", "f"),
-        f"        return [{names('u', d)}, {names('f', d)}]",
-        "",
-        "    def step(t, u, f, h):",
-        f"        {names('u')} = u",
-        f"        {names('k0_')} = f",
-    ]
-    for s, (c, row) in enumerate(_STAGES, start=1):
-        state = [f"p{i}" for i in range(d)] + [f"k{s}_{i}" for i in range(d)]
-        lines += [
-            f"        ts = t + {c!r} * h",
-            *[f"        {name} = u{i} + ({weighted(row, i)}) * h"
-              for i, name in enumerate(state)],
-            *force("ts", "p", f"k{s}_"),
-        ]
-    # scipy's error norm: with E5 and E3 over tol (1 + max(|u|, |v|)) by
-    # component and s5, s3 their sums of squares, |h| s5 / sqrt((s5 + s3 /
-    # 100) n); a step is accepted below 1.  |u| and the max are written out,
-    # which rounds alike: only a NaN norm's sign can differ, and NaN rejects
-    for i in range(n):
-        lines += [
-            f"        a = u{i} if u{i} >= 0.0 else -u{i}",
-            f"        b = {new[i]} if {new[i]} >= 0.0 else -{new[i]}",
-            "        scale = tol + (b if b > a else a) * tol",
-            *[f"        q{e}_{i} = ({weighted(row, i)}) / scale"
-              for e, row in zip((5, 3), _ERRORS)],
-        ]
-    lines += [
-        *[f"        s{e} = "
-          + total([f"q{e}_{i} * q{e}_{i}" for i in range(n)])
-          for e in (5, 3)],
-        f"        error = abs(h) * s5 / sqrt((s5 + 0.01 * s3) * {n}) if s5 "
-        "else 0.0",
-        f"        return ({', '.join(new)}), ({names('k12_')}), error",
-        "",
-        "    return step, rhs",
-    ]
-    return "\n".join(lines) + "\n"
-
-
-# Steps, accepted or rejected, that one orbit integration may take before it
-# fails with ConvergenceError.  The orbits of the shipped configs, of the
-# tests and of the benchmark take at most about 60 accepted steps.
+# Panels, laid out or laid out again, that one orbit integration may take
+# before it fails with ConvergenceError; a benchmark orbit takes 160.
 MAX_ORBIT_STEPS = 100_000
+
+# The width controller: a panel whose tail is r times its bound asks for
+# SAFETY r^(-1/8) times its width, within [MIN_FACTOR, MAX_FACTOR].  The tail
+# falls like the width^17 only once the panel resolves the force, far more
+# slowly before.  After a cut the window holds _MIN_WINDOW panels or more; a
+# front panel that has not converged in _STALL sweeps is halved.
+_SAFETY, _MIN_FACTOR, _MAX_FACTOR, _ERROR_EXPONENT = 0.6, 0.02, 4.0, -1.0 / 8
+_MIN_WINDOW, _STALL = 32, 8
 
 
 def integrate_orbit(spec: PotentialSpec, p0: PhasePoint, t_final: float,
                     tol: float = 1e-10, t_eval: Sequence[float] | None = None,
                     n_samples: int = 200) -> Trajectory:
-    """Integrate Hamilton's equations with an adaptive embedded RK pair.
+    """Integrate Hamilton's equations by Gauss-Legendre collocation.
 
-    The integration variable is the deviation from the free parabola of the
-    initial condition; the closed-form free part is added back in extended
-    precision at the sample times.  Sampling defaults to a uniform grid of
-    n_samples times; pass t_eval for custom (e.g. logarithmic) sampling,
-    inside [0, t_final] and strictly monotone towards t_final.
-
-    Stepping runs DOP853 under scipy's step-size controller, in Python
-    floats, from 0 to t_final with rtol = atol = tol, on at most
-    MAX_ORBIT_STEPS steps, accepted or rejected.  The samples are then taken
-    in one pass over arrays: each sample is one DOP853 step, with the same
-    tableau, from the start of the accepted step that contains it.  An
+    The integration variable is the deviation u from the free parabola of
+    the initial condition, u'' = -grad q(free(t) + u), u(0) = u'(0) = 0;
+    the free part is added back in extended precision at the sample times,
+    a uniform grid of n_samples, or t_eval inside [0, t_final] and strictly
+    monotone towards t_final.  The panels, of quadrature's 16 nodes, have
+    edges at 0, at every sample time and at t_final.  A window of them is
+    solved by Picard sweeps (modified Chebyshev-Picard iteration, Bai and
+    Junkins, J. Astronaut. Sci. 58 (2011) 583), whose fixed point is Gauss
+    collocation: a sweep is one force_rows call on every node, and
+    quadrature.running integrates the force into the velocity and that
+    into the position.  The leading panels are accepted once the sweep
+    moved each component of their end states by at most tol (1 + |value|)
+    and their tail, the P_15 coefficient of the force times the squared
+    half-width, is as small against the position; a panel with a larger
+    tail is laid out again from the width controller, with those after it.
+    At most MAX_ORBIT_STEPS panels are laid out.  error_estimate sums the
+    last change and the tail (once times the half-width, for the velocity)
+    of every panel.  A sweep meets points off the converged orbit; an
     exception raised by the potential reaches the caller unchanged, and a
     potential may itself integrate orbits.
     """
@@ -381,12 +195,17 @@ def integrate_orbit(spec: PotentialSpec, p0: PhasePoint, t_final: float,
         t_eval = np.linspace(0.0, t_final, n_samples)
     else:
         t_eval = _checked_t_eval(t_eval, t_final)
-    steps_t, steps_u, failure = _accepted_steps(spec, p0, t_final, tol)
-    if failure:
-        # the samples up to the last accepted step
-        t_eval = t_eval[np.sign(t_final) * (t_eval - steps_t[-1]) <= 0.0]
-    traj = _trajectory_from_solution(
-        spec, p0, t_eval, _sample_steps(spec, p0, steps_t, steps_u, t_eval))
+    if t_final == 0.0:
+        zeros = np.zeros((t_eval.size, 2 * p0.d))
+        return _trajectory_from_solution(spec, p0, t_eval, zeros, zeros[0])
+    # the grid: 0, the samples and t_final, each once
+    first = int(t_eval[0] != 0.0)
+    grid = np.concatenate([[0.0] * first, t_eval,
+                           [t_final] * int(t_eval[-1] != t_final)])
+    us, reached, error, failure = _collocate(spec, p0, grid, tol)
+    samples = slice(first, min(first + t_eval.size, reached))
+    traj = _trajectory_from_solution(spec, p0, grid[samples], us[samples],
+                                     error)
     if failure:
         raise ConvergenceError("orbit integration failed: " + failure,
                                partial=traj)
@@ -407,111 +226,135 @@ def _checked_t_eval(t_eval, t_final: float) -> np.ndarray:
     return t_eval
 
 
-def _accepted_steps(spec, p0, t_final: float, tol: float):
-    """Every accepted DOP853 step from u = 0 at t = 0 to t_final.
-
-    Returns the step times (K + 1,) and deviations (K + 1, 2d), both
-    starting at t = 0, and None, or the reason the integration stopped after
-    K steps: MAX_ORBIT_STEPS steps taken, or a step size below ten spacings
-    of the floats at t.  The controller is scipy's (solve_ivp's RungeKutta):
-    a step is accepted where its error norm is below 1, and the next step size
-    is the last one times SAFETY err^(-1/8) within [MIN_FACTOR, MAX_FACTOR],
-    at most 1 after a rejection.
-    """
-    n = 2 * p0.d
-    times, states = [0.0], [(0.0,) * n]
-    if t_final == 0.0:
-        return np.array(times), np.array(states), None
-    step, rhs = _step_closure(spec, p0, tol)
-    direction = math.copysign(1.0, t_final)
-    t, u = 0.0, states[0]
-    f = rhs(t, u)
-    h_abs = _first_step(rhs, f, t_final, tol)
-    attempts = 0
-    while t != t_final:
-        min_step = 10.0 * abs(math.nextafter(t, direction * math.inf) - t)
-        h_abs = max(h_abs, min_step)
-        rejected = False
-        while True:
-            if h_abs < min_step or attempts == MAX_ORBIT_STEPS:
-                failure = ("step size became too small" if h_abs < min_step
-                           else f"more than {MAX_ORBIT_STEPS} steps needed")
-                return np.array(times), np.array(states), failure
-            attempts += 1
-            t_new = t + direction * h_abs
-            if direction * (t_new - t_final) > 0.0:
-                t_new = t_final
-            h = t_new - t
-            u_new, f_new, error = step(t, u, f, h)
-            if error < 1.0:
-                factor = (_MAX_FACTOR if error == 0.0 else
-                          min(_MAX_FACTOR, _SAFETY * error ** _ERROR_EXPONENT))
-                h_abs = abs(h) * (min(1.0, factor) if rejected else factor)
-                break
-            h_abs = abs(h) * max(_MIN_FACTOR,
-                                 _SAFETY * error ** _ERROR_EXPONENT)
-            rejected = True
-        t, u, f = t_new, u_new, f_new
-        times.append(t)
-        states.append(u)
-    return np.array(times), np.array(states), None
+def _factor(ratio) -> float:
+    """The width factor a tail of ratio times its bound asks for, under
+    the sweep's np.errstate: a tail of 0 asks for MAX_FACTOR."""
+    return min(_MAX_FACTOR,
+               max(_MIN_FACTOR, _SAFETY * ratio ** _ERROR_EXPONENT))
 
 
-def _first_step(rhs, f0, t_final: float, tol: float) -> float:
-    """|h| of the first step from u = 0, where f0 = rhs(0, u).
-
-    This is scipy's select_initial_step (Hairer, Norsett and Wanner, section
-    II.4) without its cap of 100 h0: at u = 0 the rule takes h0 = 1e-6, so
-    the cap would hold every orbit's first step at 1e-4, about five growing
-    steps short of its natural size.  The step is (0.01 / max(d1, d2))^(1/8)
-    from the rms sizes d1 of f0 and d2 of its change over h0 per unit time,
-    both in units of tol.
-    """
-    span = abs(t_final)
-    h0 = min(1e-6, span)
-    dt = math.copysign(h0, t_final)
-    f1 = rhs(dt, [dt * a for a in f0])
-    d1 = math.sqrt(sum([a * a for a in f0]) / len(f0)) / tol
-    d2 = math.sqrt(sum([(b - a) * (b - a) for a, b in zip(f0, f1)])
-                   / len(f0)) / tol / h0
-    if d1 <= 1e-15 and d2 <= 1e-15:
-        return min(max(1e-6, h0 * 1e-3), span)
-    return min((0.01 / max(d1, d2)) ** (1.0 / 8), span)
-
-
-def _sample_steps(spec, p0, steps_t, steps_u, t_eval) -> np.ndarray:
-    """Deviations (N, 2d) at t_eval, each one DOP853 step from the start of
-    the accepted step that contains it, all in one batch."""
-    sign = -1.0 if steps_t[-1] < 0 else 1.0
-    # steps_t starts at 0, and t_eval lies between 0 and t_final
-    k = np.searchsorted(sign * steps_t, sign * t_eval, side="right") - 1
-    return _dop853_step(spec, p0, steps_t[k], steps_u[k], t_eval - steps_t[k])
+def _lay_out(grid, a: float, h: float, count: int):
+    """Up to count panel ends from a on, with their grid index or -1: the
+    fewest equal panels of width at most h in each grid interval, with h
+    growing by half from one panel to the next, so that a window reaches
+    past a stretch that needs narrow panels; too wide a panel is cut."""
+    sign = -1.0 if grid[-1] < 0 else 1.0
+    k = int(np.searchsorted(sign * grid, sign * a, side="right"))
+    targets = grid[k:k + count]
+    if np.max(np.abs(targets - np.concatenate([[a], targets[:-1]]))) <= h:
+        # the grid intervals themselves
+        return targets, np.arange(k, k + targets.size)
+    ends, marks = [], []
+    while len(ends) < count and k < grid.size:
+        rest = abs(grid[k] - a)
+        if rest <= h:
+            a, mark = grid[k], k
+            k += 1
+        else:
+            a, mark = a + sign * rest / math.ceil(rest / h), -1
+        ends.append(a)
+        marks.append(mark)
+        h *= 1.5
+    return np.array(ends), np.array(marks, dtype=int)
 
 
-def _dop853_step(spec, p0, t, u, h) -> np.ndarray:
-    """One DOP853 step of size h (m,) from each row of u (m, 2d) at t (m,).
-
-    The free parabola's positions at all twelve stage times are formed at
-    once, and each stage's force is one call of force_rows on every row,
-    which raises the DomainError of the first stage that meets a bad point.
-    """
+def _collocate(spec, p0, grid, tol: float):
+    """Deviations (n, 2d) at the n grid times from u = u' = 0 at grid[0] =
+    0, the number of grid times reached, the error estimate (2d,), and None
+    or the reason the integration stopped."""
     d = p0.d
-    x, y, _, _ = free_flow_arrays(p0.x, p0.y, p0.eta, p0.zeta,
-                                  t + _C_ARRAY[:12, None] * h)
-    free = np.concatenate([x[..., None], y], axis=-1)
-    k = np.empty((12,) + u.shape)
-    flat = k.reshape(12, -1)
-    h_col = h[:, None]
+    nodes = panels(1).t[:, None]                    # (16, 1) on (0, 1)
+    out, error, reached = np.zeros((grid.size, 2 * d)), np.zeros(2 * d), 1
+    # the window: panel edges (P + 1,), with start = (u, u', u'') at
+    # edges[0]; by panel, the half-width (P, 1), grid index (P,), end state
+    # (P, 2d) and last node's force (P, d) of the last sweep; at the nodes,
+    # the free positions and the position iterate (16, P, d)
+    edges, half, marks = np.zeros(1), np.zeros((0, 1)), np.zeros(0, int)
+    ends, last = np.zeros((0, 2 * d)), np.zeros((0, d))
+    free = U = np.zeros((16, 0, d))
+    h, window, laid, stall = math.inf, MAX_ORBIT_STEPS, 0, 0
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for s in range(12):
-            us = (u + h_col * (_A_ROWS[s, :s] @ flat[:s]).reshape(u.shape)
-                  if s else u)
-            k[s, :, :d] = us[:, d:]
-            force_rows(spec, free[s] + us[:, :d], k[s, :, d:])
-        return u + h_col * (_A_ROWS[12] @ flat).reshape(u.shape)
+        start = (np.zeros(d), np.zeros(d),
+                 force_rows(spec, p0.as_vector()[None, :d])[0])
+        while True:
+            t = edges[-1]
+            if marks.size < window - 1 and t != grid[-1]:
+                if h < 10.0 * abs(math.nextafter(t, math.inf) - t):
+                    return out, reached, error, "panel width became too small"
+                new, new_marks = _lay_out(grid, t, h, window - marks.size)
+                laid += new.size
+                if laid > MAX_ORBIT_STEPS:
+                    return (out, reached, error,
+                            f"more than {MAX_ORBIT_STEPS} panels needed")
+                # the guess: the Taylor quadratic from the window's last end
+                u, v, a = ((ends[-1, :d], ends[-1, d:], last[-1])
+                           if marks.size else start)
+                lo = np.concatenate([edges[-1:], new[:-1]])
+                times = lo + nodes * (new - lo)
+                x, y, _, _ = free_flow_arrays(p0.x, p0.y, p0.eta, p0.zeta,
+                                              times)
+                tau = np.concatenate([times, new[None]])[..., None] - t
+                guess = u + tau * (v + 0.5 * tau * a)
+                free = np.concatenate(
+                    [free, np.concatenate([x[..., None], y], axis=-1)], axis=1)
+                U = np.concatenate([U, guess[:-1]], axis=1)
+                ends = np.concatenate(
+                    [ends, np.concatenate([guess[-1], v + tau[-1] * a], 1)])
+                last = np.concatenate([last, np.zeros((new.size, d))])
+                edges = np.concatenate([edges, new])
+                half = np.concatenate([half, 0.5 * (new - lo)[:, None]])
+                marks = np.concatenate([marks, new_marks])
+            # one sweep: the force at every node, integrated twice
+            u0, v0, _ = start
+            A = force_rows(spec, (free + U).reshape(-1, d)).reshape(U.shape)
+            a_in, a_whole, a_last = running(A, half)
+            v_end = v0 + np.cumsum(a_whole, axis=0)
+            v_in, v_whole, _ = running(a_in + (v_end - a_whole), half)
+            u_end = u0 + np.cumsum(v_whole, axis=0)
+            U, last = v_in + (u_end - v_whole), A[-1]
+            new_ends = np.concatenate([u_end, v_end], axis=1)
+            scale = tol * (1.0 + np.abs(new_ends))
+            change = np.abs(new_ends - ends)
+            # the tails in state units: the position's, then the velocity's
+            tail = np.abs(a_last * half)
+            tail = np.concatenate([tail * np.abs(half), tail], axis=1)
+            ratio = np.max(tail[:, :d] / scale[:, :d], axis=1)
+            ok = np.all(change <= scale, axis=1) & (ratio <= 1.0)
+            ends = new_ends
+            m = int(np.argmin(ok)) if not ok.all() else ok.size
+            stall = 0 if m else stall + 1
+            if m:
+                # accept the leading m panels
+                hit = marks[:m] >= 0
+                out[marks[:m][hit]] = ends[:m][hit]
+                error += np.sum(change[:m] + tail[:m], axis=0)
+                reached = max(reached, int(marks[m - 1]) + 1)
+                if reached == grid.size:
+                    return out, reached, error, None
+                start = (ends[m - 1, :d], ends[m - 1, d:], last[m - 1])
+            bad = np.flatnonzero(ratio[m:] > 1.0)
+            if bad.size or stall > _STALL:
+                # the panels from the first that fails its tail, or a front
+                # panel that does not converge, are laid out again
+                cut = m + int(bad[0]) if bad.size else m
+                h = 2.0 * abs(half[cut, 0]) * (
+                    min(1.0, _factor(ratio[cut])) if bad.size else 0.5)
+                window, stall = max(_MIN_WINDOW, cut - m), 0
+            else:
+                cut = marks.size
+                if m == cut:
+                    window *= 2
+                # the next width from the window's last panel, which a
+                # panel clipped by a grid time shrinks but does not grow
+                w, f = 2.0 * abs(half[-1, 0]), _factor(ratio[-1])
+                if not (marks[-1] >= 0 and w < h and f >= 1.0):
+                    h = w * f
+            edges, free, U = edges[m:cut + 1], free[:, m:cut], U[:, m:cut]
+            half, marks, ends, last = (a[m:cut]
+                                       for a in (half, marks, ends, last))
 
 
-def _trajectory_from_solution(spec, p0, times, us) -> Trajectory:
+def _trajectory_from_solution(spec, p0, times, us, error) -> Trajectory:
     n = p0.d - 1
     times = np.asarray(times, dtype=float)
     tl = times.astype(np.longdouble)
@@ -523,7 +366,8 @@ def _trajectory_from_solution(spec, p0, times, us) -> Trajectory:
     if not np.all(np.isfinite(states)):
         raise DomainError("phase point must be finite")
     return Trajectory(times=times, states=states,
-                      energies=_energies(spec, states), spec=spec)
+                      energies=_energies(spec, states), spec=spec,
+                      error_estimate=error)
 
 
 def _energies(spec: PotentialSpec, states: np.ndarray) -> np.ndarray:
@@ -574,9 +418,11 @@ def momentum_limit(traj: Trajectory):
     kappa r^-alpha is kappa alpha |y| r^(-alpha - 2) ~ t^(-2 alpha - 3), so
     p = 2 alpha + 2, and a table potential, which need not be radial, takes
     the bound p = 2 alpha + 1 of its declared decay r^-alpha.  A two-point
-    Richardson step on the last two samples extrapolates it away.  Raises
-    DomainError on fewer than two samples, and ConvergenceError when the
-    orbit does not escape, unless q = 0 (the homogeneous kind at kappa = 0).
+    Richardson step on the last two samples extrapolates it away.  The error
+    estimate is that step's size plus the integrator's own estimate for
+    zeta.  Raises DomainError on fewer than two samples, and
+    ConvergenceError when the orbit does not escape, unless q = 0 (the
+    homogeneous kind at kappa = 0).
     """
     if len(traj) < 2:
         raise DomainError("momentum_limit needs at least two samples")
@@ -588,7 +434,8 @@ def momentum_limit(traj: Trajectory):
     rate = 2.0 ** (2.0 * spec.alpha + (1.0 if spec.kind == "table" else 2.0))
     z_T, z_2T = zetas[-2], zetas[-1]
     z_inf = z_2T + (z_2T - z_T) / (rate - 1.0)
-    err = float(np.linalg.norm(z_2T - z_T) / (rate - 1.0))
+    err = float(np.linalg.norm(z_2T - z_T) / (rate - 1.0)
+                + np.linalg.norm(traj.error_estimate[traj.d + 1:]))
     return z_inf, err
 
 

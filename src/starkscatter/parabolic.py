@@ -123,19 +123,6 @@ def grad_f(x, y) -> np.ndarray:
     return np.concatenate([np.expand_dims(gx, -1), gy], axis=-1)
 
 
-def grad_g(x: float, y) -> np.ndarray:
-    """Jacobian of g = y / f: rows are components g_i, columns (x, y)."""
-    y = np.asarray(y, dtype=float)
-    f = to_parabolic(x, y).f
-    gf = grad_f(x, y)
-    n = y.size
-    out = np.zeros((n, 1 + n))
-    for i in range(n):
-        out[i, :] = -y[i] / f ** 2 * gf
-        out[i, 1 + i] += 1.0 / f
-    return out
-
-
 def jacobian_det(x, y):
     """|det| of the coordinate change (x, y) -> (f, g): f^{2-d}/(f^2+g^2).
 
@@ -220,12 +207,6 @@ def theta1_value(x: float, y) -> float:
     y = np.asarray(y, dtype=float)
     w = _eikonal_domain(x, y)
     return (4.0 / 3.0) * np.sqrt(x + w) * (x - 0.5 * w)
-
-
-def theta1_minus_theta(x: float, y) -> float:
-    """Difference between the exact phase and f^3/3; of order f^3 |y/x|^4."""
-    y = np.asarray(y, dtype=float)
-    return theta1_value(x, y) - theta_calculus(x, y).value
 
 
 def eikonal_residual(x, y):

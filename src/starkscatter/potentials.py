@@ -16,9 +16,9 @@ potential's callable follows the same contract, so a batch of nodes is one
 call of it; eval_potential and grad_potential are the one-point case of
 force_rows, with its checks.
 
-The force law -grad q is written here once: force_law gives its constants,
-and force_rows evaluates it on rows, checked, with the DomainError of a
-point outside the potential's domain.  classical steps orbits on both.
+The force law -grad q is written here once: force_rows evaluates it on
+rows, checked, with the DomainError of a point outside the potential's
+domain, and classical integrates orbits on it.
 """
 
 from __future__ import annotations
@@ -134,23 +134,14 @@ def grad_potential(spec: PotentialSpec, x: float, y) -> np.ndarray:
         return -force_rows(spec, _row(x, y))[0]
 
 
-def force_law(spec: PotentialSpec) -> tuple:
-    """(r2_min, s2, ak, power): -grad q = ak (r^2 + s2)^power (x, y) where
-    r2_min < r^2 < inf, everywhere with a softening and outside the
-    exclusion ball without; nowhere for the table kind."""
-    r2_min = (np.inf if spec.kind != "homogeneous" else
-              EXCLUSION_RADIUS ** 2 if spec.softening == 0.0 else -1.0)
-    return (r2_min, spec.softening ** 2, spec.alpha * spec.kappa,
-            -spec.alpha / 2.0 - 1.0)
-
-
 def force_rows(spec: PotentialSpec, z: np.ndarray, out=None) -> np.ndarray:
     """-grad q at the rows z (m, d), into out (m, d) or a new array.
 
-    The homogeneous kind is force_law's closed form with one test: f = ak
-    (r^2 + s2)^power has one sign and |f z_i| <= |f| max(1, r^2), so the sum
-    f . r^2 is finite only where every f, r^2 and force component is, and
-    is not finite where they are all finite only if the sum overflowed.
+    The homogeneous kind is the closed form f (x, y), with f = alpha kappa
+    (r^2 + softening^2)^(-alpha/2 - 1), and one test: f has one sign and
+    |f z_i| <= |f| max(1, r^2), so the sum f . r^2 is finite only where
+    every f, r^2 and force component is, and is not finite where they are
+    all finite only if the sum overflowed.
     Where the test fails, or with zero softening a row lies in the exclusion
     ball, the rows are checked: DomainError at a non-finite point, then in
     the exclusion ball, then where the force is not representable, and
@@ -167,10 +158,11 @@ def force_rows(spec: PotentialSpec, z: np.ndarray, out=None) -> np.ndarray:
         z = np.stack([z[:, None] + step, z[:, None] - step])    # (2, m, d, d)
         q = spec.func(z[..., 0], z[..., 1:])                    # (2, m, d)
         return np.divide(q[1] - q[0], 2 * h[:, None], out=out)
-    r2_min, s2, ak, power = force_law(spec)
-    f = ak * (r2 + s2) ** power
+    f = spec.alpha * spec.kappa * (r2 + spec.softening ** 2) ** (
+        -spec.alpha / 2.0 - 1.0)
     force = np.multiply(f[:, None], z, out=out)
-    if math.isfinite(f.dot(r2)) and (r2_min < 0.0 or (r2 > r2_min).all()):
+    if math.isfinite(f.dot(r2)) and (spec.softening != 0.0 or (
+            r2 > EXCLUSION_RADIUS ** 2).all()):
         return force
     _check_r2(spec, r2)
     bad = r2[~np.isfinite(force).all(axis=1)]

@@ -7,9 +7,11 @@ decays like t^{-p}, the mapped integrand behaves like (1 - s)^{P (p - 1) - 1}
 at s = 1; `map_power` picks P so that it stays bounded there (P = 1, the
 plain s / (1 - s) map, for p = 2 or 3).  `converge` doubles the panels of
 either layout until every output element has converged and reports the last
-change.  The nodes and weights are literals, and the in-panel integration
-matrix of `tails` is built from them by the rule itself, so that importing
-the module needs neither numpy.polynomial nor a LAPACK eigensolver.
+change.  `running` integrates panels of unequal width from each panel's
+start, for the orbit integrator.  The nodes and weights are literals, and
+the in-panel integration matrices are built from them by the rule itself,
+so that importing the module needs neither numpy.polynomial nor a LAPACK
+eigensolver.
 
 The module also holds the one log-log least-squares fit, `loglog_fit`, a
 closed-form line without LAPACK, which the decay-rate and convergence-rate
@@ -61,6 +63,20 @@ def _tail_row(lo: float) -> np.ndarray:
 # _GL_TAIL[j, i]: integral over [node j, 1] of the Lagrange polynomial of
 # node i
 _GL_TAIL = np.array([_tail_row(lo) for lo in _GL_NODES])
+
+
+def _running_rows() -> np.ndarray:
+    """Rows (18, 16) on node values: the integrals from -1 to each node,
+    over [-1, 1], and the P_15 coefficient of the interpolant, (15 + 1/2)
+    w_i P_15(x_i) by the three-term recurrence."""
+    prev, cur = np.ones(_GL_ORDER), _GL_NODES
+    for n in range(1, _GL_ORDER - 1):
+        prev, cur = cur, ((2 * n + 1) * _GL_NODES * cur - n * prev) / (n + 1)
+    return np.vstack([_GL_WEIGHTS - _GL_TAIL, _GL_WEIGHTS,
+                      (_GL_ORDER - 0.5) * _GL_WEIGHTS * cur])
+
+
+_GL_RUNNING = _running_rows()
 
 
 def map_power(decay: float, least: int = 1) -> int:
@@ -122,6 +138,19 @@ def tails(f: np.ndarray, half: float) -> np.ndarray:
     panel = half * (fp @ _GL_WEIGHTS)
     later = np.cumsum(panel[..., ::-1], axis=-1)[..., ::-1] - panel
     return (half * (fp @ _GL_TAIL.T) + later[..., None]).reshape(f.shape)
+
+
+def running(f: np.ndarray, half: np.ndarray):
+    """Integrals over panels of unequal width from each panel's start.
+
+    f (16, ...) holds values at the nodes along its first axis; half, the
+    half-widths, broadcasts against the others.  Returns the integrals to
+    every node (16, ...) and to the panel's end (...), and the P_15
+    coefficient of the panel's interpolant (...), its least resolved part.
+    """
+    rows = _GL_RUNNING @ f.reshape(_GL_ORDER, -1)
+    rows = rows.reshape((-1,) + f.shape[1:])
+    return half * rows[:_GL_ORDER], half * rows[_GL_ORDER], rows[-1]
 
 
 def converge(one_pass, rule, tol: float, module: str,

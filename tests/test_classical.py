@@ -1,9 +1,7 @@
 """Free flow, perturbed orbits, invariant cones and the gamma observables."""
 
-import json
 import math
-import subprocess
-import sys
+import timeit
 import warnings
 
 import numpy as np
@@ -38,7 +36,7 @@ from starkscatter.classical import (
     is_escaping,
 )
 from starkscatter.parabolic import theta1_calculus
-from starkscatter.potentials import force_law, force_rows
+from starkscatter.potentials import force_rows
 
 
 def _random_point(rng, d=2):
@@ -190,7 +188,7 @@ def test_table_orbit_tracks_the_builtin_kind(p0):
 
 
 # ---------------------------------------------------------------------------
-# compiled stepping and batched samples
+# collocation: the solve_ivp oracle, a near collision, work and budget
 
 _KAPPA, _SOFT = 0.5, 0.1
 _ORACLE_SPECS = {
@@ -230,75 +228,6 @@ def test_orbit_matches_solve_ivp(kind, d, t_final):
     assert np.all(err <= 100.0 * tol * np.linalg.norm(ref, axis=1))
 
 
-@pytest.mark.parametrize("d", [2, 3])
-@pytest.mark.parametrize("t_final", [1e4, -50.0], ids=["forward", "backward"])
-def test_batched_step_reproduces_the_compiled_steps(d, t_final):
-    # the sample pass's tableau is the stepper's: one batched step from each
-    # accepted step's start, with its length, lands on the next
-    spec = coulomb(0.1, softening=1e-3)
-    p0 = PhasePoint(20.0, [1.5, -0.5][:d - 1], 6.0, [0.2, 0.1][:d - 1])
-    times, us, failure = classical._accepted_steps(spec, p0, t_final, 1e-12)
-    assert failure is None and times[0] == 0.0 and times.size > 20
-    assert np.all(np.sign(t_final) * np.diff(times) > 0.0)
-    nxt = classical._dop853_step(spec, p0, times[:-1], us[:-1],
-                                 np.diff(times))
-    err = np.linalg.norm(nxt - us[1:], axis=1)
-    assert np.all(err <= 1e-13 * np.linalg.norm(us[1:], axis=1))
-
-
-@pytest.mark.parametrize("spec, p0, t_final", [
-    (coulomb(0.1, softening=1e-3), PhasePoint(20.0, [1.5], 6.0, [0.2]), -50.0),
-    (coulomb(0.1, softening=1e-3),
-     PhasePoint(20.0, [1.5, -0.5], 6.0, [0.2, 0.1]), 1e4),
-    # two rejected steps
-    (coulomb(0.5, softening=0.1), PhasePoint(5.0, [1.0], 1.0, [0.2]), 50.0),
-], ids=["backward-d2", "forward-d3", "rejections"])
-def test_steps_follow_scipys_dop853_controller(spec, p0, t_final):
-    # from the same first step, scipy's DOP853 accepts the same steps; the
-    # error estimates cancel heavily, so their rounding, which depends on
-    # the order of the sums, moves a step size by up to about 1e-8, and the
-    # step times drift apart by up to 2e-5 over 40 steps
-    from scipy.integrate import DOP853
-
-    times, us, _ = classical._accepted_steps(spec, p0, t_final, 1e-12)
-    _, rhs = classical._step_closure(spec, p0, 1e-12)
-    solver = DOP853(lambda t, u: np.array(rhs(t, u.tolist())), 0.0,
-                    np.zeros(2 * p0.d), t_final, rtol=1e-12, atol=1e-12,
-                    first_step=abs(times[1]))
-    ref = [0.0]
-    while solver.status == "running":
-        solver.step()
-        ref.append(solver.t)
-    np.testing.assert_allclose(times, ref, rtol=1e-4)
-    np.testing.assert_allclose(us[-1], solver.y, rtol=0.0, atol=1e-12)
-
-
-def test_tableau_is_scipys_dop853_bitwise():
-    from scipy.integrate._ivp import dop853_coefficients as ref
-
-    def bits(values):
-        return np.asarray(values, dtype=float).view(np.uint64).tolist()
-
-    assert bits(classical._C) == bits(ref.C[:13])
-    for s, row in enumerate(classical._A):
-        assert bits(row) == bits(ref.A[s, :s])
-    assert bits(classical._A[12]) == bits(ref.B)
-    assert bits(classical._E3) == bits(ref.E3)
-    assert bits(classical._E5) == bits(ref.E5)
-    assert bits(classical._A_ROWS) == bits(
-        np.vstack([ref.A[:12, :12], ref.B]))
-
-
-@pytest.mark.parametrize("d", [2, 3])
-def test_first_step_is_not_capped_at_the_origin(d):
-    # the deviation starts at exactly 0, where scipy's select_initial_step
-    # caps the first step at 100 h0 = 1e-4; the stepper drops that cap
-    spec = coulomb(0.1, softening=1e-3)
-    p0 = PhasePoint(20.0, [1.5, -0.5][:d - 1], 6.0, [0.2, 0.1][:d - 1])
-    times, _, _ = classical._accepted_steps(spec, p0, 1e4, 1e-12)
-    assert times[1] > 1e-2
-
-
 def test_zero_time_span_returns_the_initial_point():
     p0 = PhasePoint(5.0, [1.0], 1.0, [0.2])
     traj = integrate_orbit(coulomb(0.5, softening=0.1), p0, 0.0, n_samples=3)
@@ -306,55 +235,66 @@ def test_zero_time_span_returns_the_initial_point():
     assert traj.states.tolist() == [p0.as_vector().tolist()] * 3
 
 
+def _near_collision(tol):
+    # from rest at (2, 0.5) a strong attraction drops the orbit to r = 5e-3
+    return integrate_orbit(coulomb(-10.0, softening=1e-3),
+                           PhasePoint(2.0, [0.5], 0.0, [0.0]), 20.0,
+                           tol=tol, n_samples=21)
+
+
+def test_near_collision_error_follows_the_tolerance():
+    # the width controller takes the panels from 1 down to about 2e-5 at
+    # the orbit's close passes and back.  Against the tol-1e-13 run, DOP853
+    # missed by 2.2e-4 at tol 1e-10, the bound here; at 1e-12 it missed by
+    # 1.3e-6, which is within this orbit's rounding floor: a one-ulp shift
+    # of x0 moves the tol-1e-13 states by 1.5e-6, and DOP853 at 1e-13 and
+    # 3e-14 disagreed by 1.8e-5.  The 1e-12 bound, 1e-5, sits above that
+    # floor and 22 times below the bound at 1e-10
+    ref = _near_collision(1e-13).states
+    for tol, bound in ((1e-10, 2.2e-4), (1e-12, 1e-5)):
+        assert np.max(np.abs(_near_collision(tol).states - ref)) <= bound
+    seconds = min(timeit.repeat(lambda: _near_collision(1e-12), number=1,
+                                repeat=3))
+    assert seconds < 0.1
+
+
+def test_front_panel_that_does_not_contract_is_halved():
+    # a stiff harmonic table potential, q = 5000 r^2: at tol 1e-4 the tails
+    # let a panel span more than Picard iteration contracts on (five front
+    # panels stall and are halved), and the samples still meet the oracle
+    spec = PotentialSpec(kind="table", func=lambda x, y: 5e3 * (
+        x * x + np.sum(y * y, axis=-1)))
+    p0 = PhasePoint(1.0, [0.5], 0.0, [0.3])
+    t_eval = np.linspace(0.0, 2.0, 5)
+    traj = integrate_orbit(spec, p0, 2.0, tol=1e-4, t_eval=t_eval)
+    ref = _hamilton_oracle(spec, p0, 2.0, 1e-12, t_eval)
+    err = np.linalg.norm(traj.states - ref, axis=1)
+    assert np.all(err <= 100.0 * 1e-4 * np.linalg.norm(ref, axis=1))
+
+
 def _counted(monkeypatch):
-    """Count the scalar steps, accepted or rejected, and the force calls of
-    the batched sample pass."""
-    counts = {"steps": 0, "rows": 0}
-    step_closure, force_rows = classical._step_closure, classical.force_rows
+    """Count the force_rows calls of the orbit integrator and their rows."""
+    counts = {"calls": 0, "rows": 0}
+    force_rows = classical.force_rows
 
-    def counting_closure(*args):
-        step, rhs = step_closure(*args)
+    def counting_rows(spec, z, out=None):
+        counts["calls"] += 1
+        counts["rows"] += len(z)
+        return force_rows(spec, z, out)
 
-        def counted(*step_args):
-            counts["steps"] += 1
-            return step(*step_args)
-
-        return counted, rhs
-
-    def counting_rows(*args):
-        counts["rows"] += 1
-        return force_rows(*args)
-
-    monkeypatch.setattr(classical, "_step_closure", counting_closure)
     monkeypatch.setattr(classical, "force_rows", counting_rows)
     return counts
 
 
-def test_work_counts_do_not_depend_on_sampling(monkeypatch):
-    # the stepper steps the same whatever the samples, and the sample pass
-    # is one DOP853 step: 12 stages, each one force call on all rows
-    counts = _counted(monkeypatch)
-    spec = coulomb(0.1, softening=1e-3)
-    p0 = PhasePoint(20.0, [1.5], 6.0, [0.2])
-    seen = []
-    for t_eval in (None, np.concatenate([[0.0], np.geomspace(1.0, 1e4, 160)]),
-                   None):
-        counts.update(steps=0, rows=0)
-        integrate_orbit(spec, p0, 1e4, tol=1e-12, t_eval=t_eval, n_samples=2)
-        seen.append(dict(counts))
-    assert seen[0]["steps"] > 20
-    assert seen == [{"steps": seen[0]["steps"], "rows": 12}] * 3
-
-
-def test_benchmark_orbits_take_the_same_steps(monkeypatch):
+def test_benchmark_orbits_take_the_same_work(monkeypatch):
     # the 100 seed-2026 zero-energy Coulomb orbits of the benchmark's orbits
     # workload, d = 2 and 3 alternating: each is integrated to t = 1e4 at tol
-    # 1e-12 and, for its asymptotic momentum, to 6400 at 1e-10, and no step
-    # is rejected
-    counts = _counted(monkeypatch)
+    # 1e-12 on the workload's 161 samples, and to 6400 at 1e-10 for its
+    # asymptotic momentum.  The work of each pass is the force_rows calls,
+    # one for the start point and one a sweep, and the rows they take
     spec = coulomb(0.1, softening=1e-3)
     rng = np.random.default_rng(2026)
-    accepted = 0
+    points = []
     for i in range(100):
         d = 2 + i % 2
         x0 = rng.uniform(15.0, 30.0)
@@ -362,28 +302,35 @@ def test_benchmark_orbits_take_the_same_steps(monkeypatch):
         zeta0 = rng.uniform(-0.5, 0.5, size=d - 1)
         eta0 = math.sqrt(2.0 * (x0 - eval_potential(spec, x0, y0))
                          - float(zeta0 @ zeta0))
-        p0 = PhasePoint(x0, y0, eta0, zeta0)
-        for t_final, tol in ((1e4, 1e-12), (6400.0, 1e-10)):
-            times, _, failure = classical._accepted_steps(spec, p0, t_final,
-                                                          tol)
-            assert failure is None
-            accepted += times.size - 1
-    assert accepted == counts["steps"] == 6896
+        points.append(PhasePoint(x0, y0, eta0, zeta0))
+    t_eval = np.concatenate([[0.0], np.geomspace(1.0, 1e4, 160)])
+    counts = _counted(monkeypatch)
+    work = []
+    for run in (lambda p0: integrate_orbit(spec, p0, 1e4, tol=1e-12,
+                                           t_eval=t_eval),
+                lambda p0: asymptotic_momentum(spec, p0)):
+        counts.update(calls=0, rows=0)
+        for p0 in points:
+            run(p0)
+        work.append(dict(counts))
+    assert work == [{"calls": 500, "rows": 913_556},
+                    {"calls": 520, "rows": 92_036}]
 
 
-def _orbit_of_a_few_hundred_steps(**kwargs):
+def _orbit_of_a_few_dozen_panels(**kwargs):
     return integrate_orbit(coulomb(0.5, softening=0.1),
                            PhasePoint(5.0, [1.0], 1.0, [0.2]), 50.0,
                            tol=1e-12, n_samples=26, **kwargs)
 
 
 def test_step_budget_raises_with_the_samples_reached(monkeypatch):
-    full = _orbit_of_a_few_hundred_steps()
+    full = _orbit_of_a_few_dozen_panels()
     monkeypatch.setattr(classical, "MAX_ORBIT_STEPS", 20)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        with pytest.raises(ConvergenceError, match="more than 20 steps") as info:
-            _orbit_of_a_few_hundred_steps()
+        with pytest.raises(ConvergenceError,
+                           match="more than 20 panels") as info:
+            _orbit_of_a_few_dozen_panels()
     assert caught == []
     partial = info.value.partial
     assert 0 < len(partial) < len(full)
@@ -397,7 +344,7 @@ class _PotentialFault(Exception):
 
 @pytest.mark.parametrize("fault", [_PotentialFault, DomainError])
 def test_exception_in_the_potential_reaches_the_caller(fault):
-    # the exception leaves the stepping loop at once, as it was raised
+    # the exception leaves the sweeps at once, as it was raised
     raised = []
 
     def func(x, y):
@@ -413,7 +360,7 @@ def test_exception_in_the_potential_reaches_the_caller(fault):
 
 
 def test_potential_may_integrate_an_orbit_itself():
-    # the stepper holds no global state, so orbits nest
+    # the integrator holds no global state, so orbits nest
     inner = []
 
     def func(x, y):
@@ -430,35 +377,6 @@ def test_potential_may_integrate_an_orbit_itself():
                                 5.0, tol=1e-10, n_samples=5)
     assert inner and set(inner) == {1.5}
     np.testing.assert_allclose(traj.states, reference.states, rtol=1e-7)
-
-
-class _FaultyPower:
-    """The Coulomb power -3/2, whose use by a float raises _PotentialFault
-    at the given use and keeps it."""
-
-    def __init__(self, raise_at):
-        self.raise_at, self.uses, self.raised = raise_at, 0, []
-
-    def __rpow__(self, base):
-        self.uses += 1
-        if self.uses == self.raise_at:
-            self.raised.append(_PotentialFault("raised in the radial force"))
-            raise self.raised[-1]
-        return base ** -1.5
-
-
-@pytest.mark.parametrize("d", [2, 3])
-def test_exception_in_the_radial_rhs_reaches_the_caller(d, monkeypatch):
-    # the first two uses are the first-step estimate's; the fifth is in a
-    # stage of the generated step, and it is raised from there, unchanged
-    power = _FaultyPower(raise_at=5)
-    monkeypatch.setattr(classical, "force_law",
-                        lambda spec: force_law(spec)[:3] + (power,))
-    spec, p0 = coulomb(0.5, softening=0.1), _rhs_point(d)
-    with pytest.raises(_PotentialFault) as info:
-        integrate_orbit(spec, p0, 50.0)
-    assert len(power.raised) == 1 and info.value is power.raised[0]
-    assert info.traceback[-2].name == "step"
 
 
 @pytest.mark.parametrize("t_final, t_eval", [
@@ -546,8 +464,7 @@ def test_orbit_that_does_not_escape_is_rejected():
 
 
 # ---------------------------------------------------------------------------
-# right-hand sides and steps: the generated step, the reference step on the
-# scalar right-hand side and the sample pass's batched step round alike
+# the force on rows, and the DomainError an orbit meets
 
 def _bits(values):
     return np.asarray(values, dtype=float).view(np.uint64)
@@ -559,146 +476,17 @@ def _rhs_point(d):
 
 
 def _random_deviations(d, n=300):
-    """Seeded (t, u, h) triples; t and h span both directions, and u reaches
-    points near the origin and far from it."""
+    """Seeded (t, u) pairs; t spans both directions, and u reaches points
+    near the origin and far from it."""
     rng = np.random.default_rng(7 + d)
     ts = rng.uniform(-30.0, 30.0, n)
     us = rng.normal(scale=[5.0] * d + [2.0] * d, size=(n, 2 * d))
     us[::3, :d] = -_rhs_point(d).as_vector()[:d] + 1e-3 * us[::3, :d]
-    return ts, us, rng.uniform(-1.0, 1.0, n)
-
-
-def _reference_rhs(spec, p0):
-    """Hamilton's equations for the deviation from the free parabola of p0,
-    written by hand on Python floats: the homogeneous closed form where it
-    holds, else grad_potential and its DomainError."""
-    n = p0.d - 1
-    x0, eta0 = float(p0.x), float(p0.eta)
-    y0, zeta0 = p0.y.tolist(), p0.zeta.tolist()
-    r2_min, s2, ak, power = force_law(spec)
-
-    def rhs(t, u):
-        x = x0 + t * eta0 + 0.5 * t * t + u[0]
-        y = [a + t * b + c for a, b, c in zip(y0, zeta0, u[1:1 + n])]
-        # (u_x, u_y) dot = (u_eta, u_zeta); (u_eta, u_zeta) dot = -grad q
-        r2 = x * x + sum([c * c for c in y])
-        if r2_min < r2 < math.inf:
-            try:
-                f = ak * (r2 + s2) ** power
-            except (ZeroDivisionError, OverflowError):
-                pass
-            else:
-                return [*u[1 + n:], f * x, *[f * c for c in y]]
-        force = -grad_potential(spec, x, y)
-        return [*u[1 + n:], *force.tolist()]
-
-    return rhs
-
-
-def _reference_step(spec, p0, tol):
-    """The DOP853 step as a loop over the nonzero tableau entries, on lists
-    and the scalar right-hand side, with scipy's error norm."""
-    rhs = _reference_rhs(spec, p0)
-
-    def combine(ks, row):
-        acc = [0.0] * len(ks[0])
-        for j, w in row:
-            acc = [a + w * k for a, k in zip(acc, ks[j])]
-        return acc
-
-    def step(t, u, f, h):
-        ks = [f]
-        for c, row in classical._STAGES:
-            v = [a + b * h for a, b in zip(u, combine(ks, row))]
-            ks.append(rhs(t + c * h, v))
-        err5, err3 = [combine(ks, row) for row in classical._ERRORS]
-        s5 = s3 = 0.0
-        for a5, a3, a, b in zip(err5, err3, u, v):
-            scale = tol + max(abs(a), abs(b)) * tol
-            q5 = a5 / scale
-            q3 = a3 / scale
-            s5 += q5 * q5
-            s3 += q3 * q3
-        error = (abs(h) * s5 / math.sqrt((s5 + 0.01 * s3) * len(u)) if s5
-                 else 0.0)
-        return v, ks[-1], error
-
-    return step
-
-
-def _outcome(step, *args):
-    """The bits of a step's results, or the DomainError it raised."""
-    try:
-        return [_bits(part).tolist() for part in step(*args)]
-    except DomainError as exc:
-        return str(exc)
-
-
-def _assert_steps_match_the_reference(spec, d):
-    p0 = _rhs_point(d)
-    rhs = _reference_rhs(spec, p0)
-    step, _ = classical._step_closure(spec, p0, 1e-12)
-    reference = _reference_step(spec, p0, 1e-12)
-    ts, us, hs = _random_deviations(d)
-    for t, u, h in zip(ts.tolist(), us.tolist(), hs.tolist()):
-        f = rhs(t, u)
-        assert _outcome(step, t, u, f, h) == _outcome(reference, t, u, f, h)
-
-
-@pytest.mark.parametrize("softening", [1e-3, 0.0])
-@pytest.mark.parametrize("alpha", [1.0, 1.5])
-@pytest.mark.parametrize("d", [2, 3, 4])
-def test_radial_rhs_matches_the_generic_rhs_bitwise(d, alpha, softening):
-    _assert_steps_match_the_reference(
-        homogeneous(0.7, alpha, softening=softening), d)
+    return ts, us
 
 
 def _table_func(x, y):
     return 0.7 / np.sqrt(1.0 + x * x + np.sum(y * y, axis=-1))
-
-
-@pytest.mark.parametrize("d", [2, 3, 4])
-def test_table_step_matches_the_reference_step_bitwise(d):
-    _assert_steps_match_the_reference(
-        PotentialSpec(kind="table", func=_table_func), d)
-
-
-def test_step_code_is_compiled_once_per_dimension():
-    # in a fresh interpreter: the command line's import compiles no step,
-    # and the first orbit of each dimension compiles its own
-    code = """
-import json
-import starkscatter.cli
-from starkscatter import PhasePoint, classical, coulomb
-compiled = [classical._step_maker.cache_info().misses]
-for d in (2, 3, 2, 4, 3, 2):
-    p0 = PhasePoint(20.0, [1.5, -0.5, 0.3][:d - 1], 6.0,
-                    [0.2, 0.1, 0.0][:d - 1])
-    classical.integrate_orbit(coulomb(0.1), p0, 100.0, n_samples=2)
-    compiled.append(classical._step_maker.cache_info().misses)
-print(json.dumps(compiled))
-"""
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, check=True)
-    assert json.loads(out.stdout) == [0, 1, 2, 2, 3, 3, 3]
-
-
-@pytest.mark.parametrize("softening", [1e-3, 0.0])
-@pytest.mark.parametrize("alpha", [1.0, 1.5])
-@pytest.mark.parametrize("d", [2, 3])
-def test_row_rhs_matches_the_scalar_rhs_row_by_row(d, alpha, softening):
-    # numpy's array power (SIMD on some builds) may round the last bit of
-    # the force apart from the C library's pow of Python floats, so the
-    # batched step agrees with the scalar one to rounding, not bitwise
-    spec = homogeneous(0.7, alpha, softening=softening)
-    p0 = _rhs_point(d)
-    step, rhs = classical._step_closure(spec, p0, 1e-12)
-    ts, us, hs = _random_deviations(d)
-    rows = classical._dop853_step(spec, p0, ts, us, hs)
-    ref = np.array([step(t, u, rhs(t, u), h)[0]
-                    for t, u, h in zip(ts.tolist(), us.tolist(), hs.tolist())])
-    np.testing.assert_allclose(rows, ref, rtol=1e-13,
-                               atol=1e-13 * np.abs(ref).max())
 
 
 _BAD_POINTS = {
@@ -717,22 +505,25 @@ _BAD_POINTS = {
 @pytest.mark.parametrize("case", sorted(_BAD_POINTS))
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_every_rhs_raises_the_same_domain_error(d, case):
-    # a step of size 0 takes every stage at its starting point
+    # the force at a bad point, by force_rows among good rows, by
+    # grad_potential alone and by an orbit that starts there (its start
+    # point's force is taken first), raises the same DomainError
     spec, message = _BAD_POINTS[case]
-    p0 = _rhs_point(d)
-    u = -p0.as_vector()                 # the origin at t = 0
+    z = np.zeros(d)                     # the origin
     if case == "non-finite":
-        u[0] = np.nan
+        z[0] = np.nan
     elif case == "r2-overflow":
-        u[0] = 1e200
-    zeros = [0.0] * (2 * d)
-    step, rhs = classical._step_closure(spec, p0, 1e-12)
-    calls = [lambda: rhs(0.0, u.tolist()),
-             lambda: step(0.0, u.tolist(), zeros, 0.0),
-             lambda: _reference_step(spec, p0, 1e-12)(0.0, u.tolist(), zeros,
-                                                      0.0),
-             lambda: classical._dop853_step(spec, p0, np.zeros(3),
-                                            np.tile(u, (3, 1)), np.zeros(3))]
+        z[0] = 1e200
+    rows = np.vstack([np.full((3, d), 2.0), z])
+
+    def row_force():
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            return force_rows(spec, rows)
+
+    calls = [row_force, lambda: grad_potential(spec, z[0], z[1:])]
+    if case != "non-finite":            # a phase point must be finite
+        calls.append(lambda: integrate_orbit(
+            spec, PhasePoint(z[0], z[1:], 0.0, np.zeros(d - 1)), 1.0))
     for call in calls:
         with pytest.raises(DomainError, match=message):
             call()
@@ -747,29 +538,6 @@ _RHS_SPECS = {
 }
 
 
-@pytest.mark.parametrize("kind", sorted(_RHS_SPECS))
-@pytest.mark.parametrize("d", [2, 3, 4])
-def test_generated_rhs_matches_the_reference_rhs_bitwise(d, kind):
-    # on the seeded deviations, at the origin and at a NaN position; a
-    # DomainError counts by its message
-    spec, p0 = _RHS_SPECS[kind], _rhs_point(d)
-    _, rhs = classical._step_closure(spec, p0, 1e-12)
-    reference = _reference_rhs(spec, p0)
-    ts, us, _ = _random_deviations(d)
-    origin = -p0.as_vector()
-    not_finite = origin.copy()
-    not_finite[0] = np.nan
-    cases = [*zip(ts.tolist(), us.tolist()), (0.0, origin.tolist()),
-             (0.0, not_finite.tolist())]
-    outcomes = [_outcome(rhs, t, u) for t, u in cases]
-    assert outcomes == [_outcome(reference, t, u) for t, u in cases]
-    # a NaN position is bad for every kind, the origin for zero softening
-    # and where the force is not representable
-    assert "non-finite point" in outcomes[-1]
-    assert isinstance(outcomes[-2], str) == (
-        kind in ("alpha1-softening0", "alpha1.5-softening0", "alpha300"))
-
-
 @pytest.mark.parametrize("kind", sorted(_RHS_SPECS.keys()
                                         - {"table", "alpha300"}))
 @pytest.mark.parametrize("d", [2, 3, 4])
@@ -778,7 +546,7 @@ def test_gradient_is_the_negated_force_rows_bitwise(d, kind):
     # the rows negated, on the seeded positions of the right-hand side
     # tests, and both round as the prefactor form written out here
     spec, p0 = _RHS_SPECS[kind], _rhs_point(d)
-    ts, us, _ = _random_deviations(d)
+    ts, us = _random_deviations(d)
     x, y, _, _ = free_flow_arrays(p0.x, p0.y, p0.eta, p0.zeta, ts)
     z = np.column_stack([x + us[:, 0], y + us[:, 1:d]])
     force = force_rows(spec, z)
@@ -798,7 +566,7 @@ def test_gradient_is_the_negated_force_rows_bitwise(d, kind):
 def test_force_rows_false_alarm_returns_the_closed_form(d, spec, scale):
     # 200 rows at radii between scale and 1.5 scale, where every force
     # component is finite but a sum over the rows of f r^2, or of f,
-    # overflows: under the sample pass's errstate, force_rows returns the
+    # overflows: under the sweep's errstate, force_rows returns the
     # closed form, bitwise, and raises nothing
     rng = np.random.default_rng(90 + d)
     z = rng.normal(size=(200, d))

@@ -191,7 +191,7 @@ def test_orbit_step_budget_exits_3(capsys, tmp_path, monkeypatch):
     (line,) = out.splitlines()
     assert json.loads(line) == {
         "error": "convergence",
-        "message": "orbit integration failed: more than 20 steps needed"}
+        "message": "orbit integration failed: more than 20 panels needed"}
 
 
 @pytest.mark.parametrize("argv", [
@@ -370,6 +370,27 @@ def test_incoming_momenta_exit_0(capsys, tmp_path):
     assert code == 0
     assert len(summary["zeta_infinity"]) == 2
     assert 0.0 < summary["error_estimate"] < 1e-10
+
+
+@pytest.mark.parametrize("config", [None, "coulomb_d3.json"],
+                         ids=["default", "coulomb_d3"])
+def test_momenta_error_estimate_bounds_the_tight_answer(capsys, tmp_path,
+                                                        config):
+    # the estimate adds the integrator's own error for zeta to the
+    # Richardson step, so it covers the move to the tol-1e-13 answer
+    chosen = ["--config", str(CONFIGS / config)] if config else []
+
+    def momenta(tol):
+        code, summary = _run(capsys, "momenta", *chosen,
+                             f"--output_dir={tmp_path}",
+                             f"--momenta.tol={tol}")
+        assert code == 0
+        return np.array(summary["zeta_infinity"]), summary["error_estimate"]
+
+    tight, _ = momenta(1e-13)
+    for tol in (1e-6, 1e-8, 1e-10):
+        zeta, estimate = momenta(tol)
+        assert np.linalg.norm(zeta - tight) <= estimate
 
 
 def test_momenta_integrates_once(capsys, tmp_path, monkeypatch):

@@ -79,7 +79,7 @@ def test_scipy_import_check_sees_every_form():
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
 def test_scipy_integrate_only_where_allowed(path):
-    # no module may: orbits step in classical's own DOP853 and verify-all's
+    # no module may: orbits are classical's own collocation and verify-all's
     # c1 oracle is a tanh-sinh rule
     tree = ast.parse(path.read_text(), filename=str(path))
     extra = {n for n in _scipy_imports(tree)
@@ -267,9 +267,9 @@ def test_no_module_uses_another_modules_private_names(path):
     assert not used, f"{path.name} uses private names {used}"
 
 
-def _private_definitions(tree: ast.Module) -> set:
-    """The _-prefixed functions, classes and constants a module defines at
-    its top level, dunder names left out."""
+def _definitions(tree: ast.Module) -> set:
+    """The functions, classes and constants a module defines at its top
+    level."""
     names = set()
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
@@ -279,7 +279,18 @@ def _private_definitions(tree: ast.Module) -> set:
                 node.target]
             names |= {n.id for t in targets for n in ast.walk(t)
                       if isinstance(n, ast.Name)}
-    return {n for n in names if n.startswith("_") and not n.startswith("__")}
+    return names
+
+
+def _private_definitions(tree: ast.Module) -> set:
+    """The _-prefixed top-level definitions, dunder names left out."""
+    return {n for n in _definitions(tree)
+            if n.startswith("_") and not n.startswith("__")}
+
+
+def _public_definitions(tree: ast.Module) -> set:
+    """The top-level definitions without a leading underscore."""
+    return {n for n in _definitions(tree) if not n.startswith("_")}
 
 
 def _docstrings(tree: ast.Module) -> set:
@@ -326,15 +337,36 @@ def test_dead_code_check_sees_every_use():
         "_f", "_in_the_docstring"}
 
 
-def test_every_private_definition_is_used_in_src():
-    # a helper that only the tests call is dead code of the library
+def _unused(definitions, exported=()) -> dict:
+    """By module, the definitions(tree) that no module of src/ uses and
+    that are not in exported."""
     trees = {p.stem: ast.parse(p.read_text(), filename=str(p))
              for p in Path(starkscatter.__file__).parent.glob("*.py")}
-    used = set().union(*[_uses(tree) for tree in trees.values()])
-    dead = {name: sorted(_private_definitions(tree) - used)
+    used = set().union(*[_uses(tree) for tree in trees.values()],
+                       exported)
+    dead = {name: sorted(definitions(tree) - used)
             for name, tree in trees.items()}
-    dead = {name: names for name, names in dead.items() if names}
+    return {name: names for name, names in dead.items() if names}
+
+
+def test_public_definition_check_sees_every_form():
+    tree = ast.parse("A, _B = 1, 2\nC: int = 3\n__all__ = ['D']\n"
+                     "def e():\n    return A\nclass F:\n    pass\n")
+    assert _public_definitions(tree) == {"A", "C", "e", "F"}
+    assert _public_definitions(tree) - _uses(tree) == {"C", "e", "F"}
+
+
+def test_every_private_definition_is_used_in_src():
+    # a helper that only the tests call is dead code of the library
+    dead = _unused(_private_definitions)
     assert not dead, f"unused private definitions: {dead}"
+
+
+def test_every_public_definition_is_exported_or_used_in_src():
+    # a public name that the package does not export and src/ does not call
+    # is an API for the tests alone
+    dead = _unused(_public_definitions, starkscatter.__all__)
+    assert not dead, f"public definitions neither exported nor used: {dead}"
 
 
 def _force_law_inputs(tree: ast.Module) -> set:
@@ -369,9 +401,8 @@ def test_force_law_input_check_sees_every_form():
                                   if p.stem != "potentials"],
                          ids=lambda p: p.stem)
 def test_force_law_inputs_stay_in_potentials(path):
-    # potentials owns the force law: force_law gives its constants and
-    # force_rows evaluates it, so no other module reads the softening or
-    # the exclusion radius
+    # potentials owns the force law: force_rows evaluates it, so no other
+    # module reads the softening or the exclusion radius
     tree = ast.parse(path.read_text(), filename=str(path))
     found = _force_law_inputs(tree)
-    assert not found, f"{path.name} reads {found}: call potentials.force_law"
+    assert not found, f"{path.name} reads {found}: call potentials.force_rows"

@@ -16,10 +16,8 @@ from starkscatter import (
 )
 from starkscatter.parabolic import (
     grad_f,
-    grad_g,
     mollifier,
     mollifier_deriv,
-    theta1_minus_theta,
     theta_laplacian,
 )
 
@@ -68,7 +66,9 @@ def test_gradient_identities():
     for x, y, r in _random_identity_points(rng, 200, d=3):
         gf = grad_f(x, y)
         assert 2.0 * r * float(gf @ gf) == pytest.approx(1.0, rel=1e-12)
-        gg = grad_g(x, y)
+        # the Jacobian of g = y / f, one row per component g_i
+        f = to_parabolic(x, y).f
+        gg = np.eye(len(y), 1 + len(y), 1) / f - np.outer(y, gf) / f ** 2
         for i in range(gg.shape[0]):
             assert float(gf @ gg[i]) == pytest.approx(0.0, abs=1e-12)
 
@@ -355,7 +355,9 @@ def test_phase_difference_scaling():
     # theta1 - f^3/3 = O(f^3 (y/x)^4): quartic slope in y/x at fixed x
     x = 1e4
     ratios = np.array([0.02, 0.04, 0.08])
-    diffs = np.array([abs(theta1_minus_theta(x, [c * x])) for c in ratios])
+    diffs = np.array([abs(theta1_value(x, [c * x])
+                          - theta_calculus(x, [c * x]).value)
+                      for c in ratios])
     slope = np.polyfit(np.log(ratios), np.log(diffs), 1)[0]
     assert slope == pytest.approx(4.0, abs=0.2)
 

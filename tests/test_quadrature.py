@@ -29,6 +29,25 @@ def test_tail_matrix_against_legendre_integration():
     assert np.max(np.abs(quadrature._GL_TAIL - ref)) <= 1e-15
 
 
+def test_running_integrals_on_panels_of_unequal_width():
+    # f = (c_0 .. c_15) in Legendre terms on each of three panels, of
+    # widths 2, -0.5 (backward) and 1e-3, and two columns: the integrals
+    # from each panel's start are the Legendre antiderivative's, the last
+    # coefficient is c_15
+    leg = np.polynomial.legendre
+    nodes = quadrature._GL_NODES
+    half = np.array([[1.0], [-0.25], [5e-4]])
+    coef = np.random.default_rng(3).normal(size=(3, 2, 16))
+    f = np.stack([[leg.legval(nodes, c) for c in panel] for panel in coef])
+    head, whole, last = quadrature.running(np.moveaxis(f, -1, 0), half)
+    anti = np.stack([[leg.legval(np.append(nodes, 1.0),
+                                 leg.legint(c, lbnd=-1.0)) for c in panel]
+                     for panel in coef]) * half[:, :, None]
+    assert np.max(np.abs(head - np.moveaxis(anti[..., :16], -1, 0))) <= 1e-14
+    assert np.max(np.abs(whole - anti[..., 16])) <= 1e-14
+    assert np.max(np.abs(last - coef[..., 15])) <= 1e-13
+
+
 def test_plain_panels_converge_on_an_oscillatory_integral():
     # int_0^1 cos(w s) ds = sin(w) / w, for a batch of frequencies
     w = np.array([1.0, 40.0, 400.0])
