@@ -12,8 +12,10 @@ the asymptotic momentum are computed on whole trajectories at once.  An
 orbit is integrated as its deviation from the free parabola, by Gauss-
 Legendre collocation on quadrature's 16-node panels solved by Picard
 sweeps; a sweep is one potentials.force_rows call on every node of a
-window of panels, and the samples are panel ends.  The free case is the
-homogeneous kind at kappa = 0, where the deviation stays exactly 0."""
+window of panels.  The width controller sizes the panels, not the samples:
+a sample inside a panel is read off the panel's collocation polynomial.
+The free case is the homogeneous kind at kappa = 0, where the deviation
+stays exactly 0."""
 
 from __future__ import annotations
 
@@ -24,8 +26,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, DomainError
-from .potentials import PotentialSpec, eval_potential_array, force_rows
-from .quadrature import loglog_fit, panels, running
+from .potentials import (PotentialSpec, eval_potential_array, force_rows,
+                         r_squared)
+from .quadrature import loglog_fit, panels, running, running_rows
 
 # Domain constant C for the exact-phase observables: x > C, |y|/x < 1/C.
 THETA1_DOMAIN_C = 10.0
@@ -147,7 +150,7 @@ def free_flow_arrays(x, y, eta, zeta, t):
 
 
 # Panels, laid out or laid out again, that one orbit integration may take
-# before it fails with ConvergenceError; a benchmark orbit takes 160.
+# before it fails with ConvergenceError; a benchmark orbit takes 19.
 MAX_ORBIT_STEPS = 100_000
 
 # The width controller: a panel whose tail is r times its bound asks for
@@ -157,6 +160,8 @@ MAX_ORBIT_STEPS = 100_000
 # front panel that has not converged in _STALL sweeps is halved.
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR, _ERROR_EXPONENT = 0.6, 0.02, 4.0, -1.0 / 8
 _MIN_WINDOW, _STALL = 32, 8
+# the 16 nodes of a panel on (0, 1), as a column
+_NODES = panels(1).t[:, None]
 
 
 def integrate_orbit(spec: PotentialSpec, p0: PhasePoint, t_final: float,
@@ -168,10 +173,12 @@ def integrate_orbit(spec: PotentialSpec, p0: PhasePoint, t_final: float,
     the initial condition, u'' = -grad q(free(t) + u), u(0) = u'(0) = 0;
     the free part is added back in extended precision at the sample times,
     a uniform grid of n_samples, or t_eval inside [0, t_final] and strictly
-    monotone towards t_final.  The panels, of quadrature's 16 nodes, have
-    edges at 0, at every sample time and at t_final.  A window of them is
-    solved by Picard sweeps (modified Chebyshev-Picard iteration, Bai and
-    Junkins, J. Astronaut. Sci. 58 (2011) 583), whose fixed point is Gauss
+    monotone towards t_final.  The panels, of quadrature's 16 nodes, run
+    from 0 to t_final; the first is as wide as the start's own time scale
+    |position| / |velocity|, and each ends at the last sample time within
+    its width, or short of the next one.  A window of them is solved by
+    Picard sweeps (modified Chebyshev-Picard iteration, Bai and Junkins,
+    J. Astronaut. Sci. 58 (2011) 583), whose fixed point is Gauss
     collocation: a sweep is one force_rows call on every node, and
     quadrature.running integrates the force into the velocity and that
     into the position.  The leading panels are accepted once the sweep
@@ -179,11 +186,15 @@ def integrate_orbit(spec: PotentialSpec, p0: PhasePoint, t_final: float,
     and their tail, the P_15 coefficient of the force times the squared
     half-width, is as small against the position; a panel with a larger
     tail is laid out again from the width controller, with those after it.
-    At most MAX_ORBIT_STEPS panels are laid out.  error_estimate sums the
-    last change and the tail (once times the half-width, for the velocity)
-    of every panel.  A sweep meets points off the converged orbit; an
-    exception raised by the potential reaches the caller unchanged, and a
-    potential may itself integrate orbits.
+    A sample on a panel's end is its end state.  A sample inside an
+    accepted panel is read off the panel's collocation polynomial: the
+    velocity integrates the node forces from the panel's start by
+    quadrature.running_rows, and the position the node velocities, as the
+    sweep integrates them.  At most MAX_ORBIT_STEPS panels are laid out.
+    error_estimate sums the last change and the tail (once times the
+    half-width, for the velocity) of every panel.  A sweep meets points
+    off the converged orbit; an exception raised by the potential reaches
+    the caller unchanged, and a potential may itself integrate orbits.
     """
     if tol <= 0:
         raise DomainError("tolerance must be positive")
@@ -234,28 +245,26 @@ def _factor(ratio) -> float:
 
 
 def _lay_out(grid, a: float, h: float, count: int):
-    """Up to count panel ends from a on, with their grid index or -1: the
-    fewest equal panels of width at most h in each grid interval, with h
-    growing by half from one panel to the next, so that a window reaches
-    past a stretch that needs narrow panels; too wide a panel is cut."""
+    """Up to count panel ends from a on, and whether each is a grid time:
+    a panel ends at the last grid time within h of its start, or, with none
+    there, at the first of the fewest equal panels of width at most h to
+    the next grid time; h grows by half from one panel to the next, so that
+    a window reaches past a stretch that needs narrow panels."""
     sign = -1.0 if grid[-1] < 0 else 1.0
-    k = int(np.searchsorted(sign * grid, sign * a, side="right"))
-    targets = grid[k:k + count]
-    if np.max(np.abs(targets - np.concatenate([[a], targets[:-1]]))) <= h:
-        # the grid intervals themselves
-        return targets, np.arange(k, k + targets.size)
-    ends, marks = [], []
+    ahead = sign * grid
+    k = int(np.searchsorted(ahead, sign * a, side="right"))
+    ends, on_grid = [], []
     while len(ends) < count and k < grid.size:
-        rest = abs(grid[k] - a)
-        if rest <= h:
-            a, mark = grid[k], k
-            k += 1
+        j = int(np.searchsorted(ahead, sign * a + h, side="right"))
+        on_grid.append(j > k)
+        if j > k:
+            a, k = grid[j - 1], j
         else:
-            a, mark = a + sign * rest / math.ceil(rest / h), -1
+            rest = abs(grid[k] - a)
+            a += sign * rest / math.ceil(rest / h)
         ends.append(a)
-        marks.append(mark)
         h *= 1.5
-    return np.array(ends), np.array(marks, dtype=int)
+    return np.array(ends), np.array(on_grid)
 
 
 def _collocate(spec, p0, grid, tol: float):
@@ -263,34 +272,38 @@ def _collocate(spec, p0, grid, tol: float):
     0, the number of grid times reached, the error estimate (2d,), and None
     or the reason the integration stopped."""
     d = p0.d
-    nodes = panels(1).t[:, None]                    # (16, 1) on (0, 1)
+    sign = -1.0 if grid[-1] < 0 else 1.0
     out, error, reached = np.zeros((grid.size, 2 * d)), np.zeros(2 * d), 1
     # the window: panel edges (P + 1,), with start = (u, u', u'') at
-    # edges[0]; by panel, the half-width (P, 1), grid index (P,), end state
-    # (P, 2d) and last node's force (P, d) of the last sweep; at the nodes,
-    # the free positions and the position iterate (16, P, d)
-    edges, half, marks = np.zeros(1), np.zeros((0, 1)), np.zeros(0, int)
+    # edges[0]; by panel, the half-width (P, 1), whether it ends at a grid
+    # time (P,), end state (P, 2d) and last node's force (P, d) of the last
+    # sweep; at the nodes, the free positions and the position iterate
+    # (16, P, d)
+    edges, half, on_grid = np.zeros(1), np.zeros((0, 1)), np.zeros(0, bool)
     ends, last = np.zeros((0, 2 * d)), np.zeros((0, d))
     free = U = np.zeros((16, 0, d))
-    h, window, laid, stall = math.inf, MAX_ORBIT_STEPS, 0, 0
+    # the first width: the start's own time scale |position| / |velocity|
+    r, speed = math.hypot(p0.x, *p0.y), math.hypot(p0.eta, *p0.zeta)
+    h = r / speed if r > 0.0 and speed > 0.0 else math.inf
+    window, laid, stall = MAX_ORBIT_STEPS, 0, 0
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         start = (np.zeros(d), np.zeros(d),
                  force_rows(spec, p0.as_vector()[None, :d])[0])
         while True:
             t = edges[-1]
-            if marks.size < window - 1 and t != grid[-1]:
+            if on_grid.size < window - 1 and t != grid[-1]:
                 if h < 10.0 * abs(math.nextafter(t, math.inf) - t):
                     return out, reached, error, "panel width became too small"
-                new, new_marks = _lay_out(grid, t, h, window - marks.size)
+                new, new_on_grid = _lay_out(grid, t, h, window - on_grid.size)
                 laid += new.size
                 if laid > MAX_ORBIT_STEPS:
                     return (out, reached, error,
                             f"more than {MAX_ORBIT_STEPS} panels needed")
                 # the guess: the Taylor quadratic from the window's last end
                 u, v, a = ((ends[-1, :d], ends[-1, d:], last[-1])
-                           if marks.size else start)
+                           if on_grid.size else start)
                 lo = np.concatenate([edges[-1:], new[:-1]])
-                times = lo + nodes * (new - lo)
+                times = lo + _NODES * (new - lo)
                 x, y, _, _ = free_flow_arrays(p0.x, p0.y, p0.eta, p0.zeta,
                                               times)
                 tau = np.concatenate([times, new[None]])[..., None] - t
@@ -303,13 +316,14 @@ def _collocate(spec, p0, grid, tol: float):
                 last = np.concatenate([last, np.zeros((new.size, d))])
                 edges = np.concatenate([edges, new])
                 half = np.concatenate([half, 0.5 * (new - lo)[:, None]])
-                marks = np.concatenate([marks, new_marks])
+                on_grid = np.concatenate([on_grid, new_on_grid])
             # one sweep: the force at every node, integrated twice
             u0, v0, _ = start
             A = force_rows(spec, (free + U).reshape(-1, d)).reshape(U.shape)
             a_in, a_whole, a_last = running(A, half)
             v_end = v0 + np.cumsum(a_whole, axis=0)
-            v_in, v_whole, _ = running(a_in + (v_end - a_whole), half)
+            V = a_in + (v_end - a_whole)
+            v_in, v_whole, _ = running(V, half)
             u_end = u0 + np.cumsum(v_whole, axis=0)
             U, last = v_in + (u_end - v_whole), A[-1]
             new_ends = np.concatenate([u_end, v_end], axis=1)
@@ -324,11 +338,25 @@ def _collocate(spec, p0, grid, tol: float):
             m = int(np.argmin(ok)) if not ok.all() else ok.size
             stall = 0 if m else stall + 1
             if m:
-                # accept the leading m panels
-                hit = marks[:m] >= 0
-                out[marks[:m][hit]] = ends[:m][hit]
+                # accept the leading m panels: the samples on their ends
+                # are the end states, those inside them are read off the
+                # collocation polynomial, integrated as the sweep does
+                times = grid[reached:int(np.searchsorted(
+                    sign * grid, sign * edges[m], side="right"))]
+                p = np.searchsorted(sign * edges[1:m + 1], sign * times)
+                inside = np.flatnonzero(times != edges[p + 1])
+                out[reached:reached + times.size] = ends[p]
+                if inside.size:
+                    # at s in (-1, 1) of panel p, from its start state
+                    p = p[inside]
+                    s = (times[inside] - edges[p]) / half[p, 0] - 1.0
+                    nodal = np.concatenate([V[:, p], A[:, p]], axis=2)
+                    out[reached + inside] = (
+                        ends[p] - np.concatenate([v_whole, a_whole], 1)[p]
+                        + half[p] * (running_rows(s)[:, None]
+                                     @ nodal.swapaxes(0, 1))[:, 0])
                 error += np.sum(change[:m] + tail[:m], axis=0)
-                reached = max(reached, int(marks[m - 1]) + 1)
+                reached += times.size
                 if reached == grid.size:
                     return out, reached, error, None
                 start = (ends[m - 1, :d], ends[m - 1, d:], last[m - 1])
@@ -341,17 +369,17 @@ def _collocate(spec, p0, grid, tol: float):
                     min(1.0, _factor(ratio[cut])) if bad.size else 0.5)
                 window, stall = max(_MIN_WINDOW, cut - m), 0
             else:
-                cut = marks.size
+                cut = on_grid.size
                 if m == cut:
                     window *= 2
                 # the next width from the window's last panel, which a
                 # panel clipped by a grid time shrinks but does not grow
                 w, f = 2.0 * abs(half[-1, 0]), _factor(ratio[-1])
-                if not (marks[-1] >= 0 and w < h and f >= 1.0):
+                if not (on_grid[-1] and w < h and f >= 1.0):
                     h = w * f
             edges, free, U = edges[m:cut + 1], free[:, m:cut], U[:, m:cut]
-            half, marks, ends, last = (a[m:cut]
-                                       for a in (half, marks, ends, last))
+            half, on_grid, ends, last = (a[m:cut]
+                                         for a in (half, on_grid, ends, last))
 
 
 def _trajectory_from_solution(spec, p0, times, us, error) -> Trajectory:
@@ -374,8 +402,7 @@ def _energies(spec: PotentialSpec, states: np.ndarray) -> np.ndarray:
     """h at every row of an (N, 2d) state array."""
     d = states.shape[1] // 2
     x, y, eta, zeta = states[:, 0], states[:, 1:d], states[:, d], states[:, d + 1:]
-    kinetic = 0.5 * (eta ** 2 + np.sum(zeta * zeta, axis=-1))
-    return kinetic - x + eval_potential_array(spec, x, y)
+    return 0.5 * r_squared(eta, zeta) - x + eval_potential_array(spec, x, y)
 
 
 def is_escaping(traj: Trajectory) -> bool:
@@ -567,7 +594,7 @@ def _mourre_parts(x, y, eta, zeta, m):
     The square root is taken of max(2x + 2<y>_m, 0); it is meaningful only
     where x + <y>_m > 0.
     """
-    y_m = np.sqrt(m * m + np.sum(y * y, axis=-1))
+    y_m = np.sqrt(r_squared(m, y))
     a_num = eta + np.sum(y / y_m[..., None] * zeta, axis=-1)
     return x + y_m, a_num, np.sqrt(np.maximum(2.0 * x + 2.0 * y_m, 0.0))
 

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
+from .potentials import r_squared
 
 # Relative margin below which x^2 - y^2 counts as caustic.
 _CAUSTIC_MARGIN = 1e-12
@@ -130,7 +131,7 @@ def jacobian_det(x, y):
     """
     y, d, _, f = _identity_frame(x, y)
     g = y / f[..., None]
-    return _scalar_or_array(f ** (2 - d) / (f * f + np.sum(g * g, axis=-1)))
+    return _scalar_or_array(f ** (2 - d) / r_squared(f, g))
 
 
 def theta_laplacian(x, y):

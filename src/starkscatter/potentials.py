@@ -109,10 +109,16 @@ def _row(x: float, y) -> np.ndarray:
     return np.concatenate([[float(x)], np.asarray(y, dtype=float)])[None]
 
 
-def _r2(z: np.ndarray) -> np.ndarray:
-    """r^2 of the rows z (m, d), summed as eval_potential_array sums it."""
-    x, y = z[:, 0], z[:, 1:]
-    return x * x + (y * y).sum(axis=1)
+def r_squared(x, y: np.ndarray):
+    """x^2 + |y|^2 for x of shape S and y of shape S' + (n,), at their
+    broadcast shape.  |y|^2 adds the squared columns of y in order, which
+    is np.sum(y * y, axis=-1) bitwise for n < 8, without its reduction loop
+    over each row."""
+    n = y.shape[-1]
+    y_sq = y[..., 0] * y[..., 0] if n else np.zeros(y.shape[:-1], y.dtype)
+    for i in range(1, n):
+        y_sq += y[..., i] * y[..., i]
+    return x * x + y_sq
 
 
 def eval_potential(spec: PotentialSpec, x: float, y) -> float:
@@ -121,7 +127,7 @@ def eval_potential(spec: PotentialSpec, x: float, y) -> float:
     z = _row(x, y)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         if spec.kind == "table":
-            _check_r2(spec, _r2(z))
+            _check_r2(spec, r_squared(z[:, 0], z[:, 1:]))
         else:
             # DomainError where q or grad q is out of the double range
             force_rows(spec, z)
@@ -150,7 +156,7 @@ def force_rows(spec: PotentialSpec, z: np.ndarray, out=None) -> np.ndarray:
     one call of its func.  Floating-point warnings are left to the caller's
     np.errstate.
     """
-    r2 = _r2(z)
+    r2 = r_squared(z[:, 0], z[:, 1:])
     if spec.kind == "table":
         _check_r2(spec, r2)
         h = _FD_STEP * np.maximum(1.0, np.sqrt(r2))
@@ -177,7 +183,7 @@ def eval_potential_array(spec: PotentialSpec, x, y):
     broadcast shape of S and S'."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    r2 = x * x + np.sum(y * y, axis=-1)
+    r2 = r_squared(x, y)
     _check_ball(spec, r2)
     if spec.kind == "table":
         return spec.func(x, y)
@@ -199,10 +205,11 @@ def radial_jets(spec: PotentialSpec, x, y):
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     d = 1 + y.shape[-1]
-    r2 = x * x + np.sum(y * y, axis=-1)
+    r2 = r_squared(x, y)
+    _check_ball(spec, r2)
     u = r2 + spec.softening ** 2
     c = -spec.alpha / 2.0 - np.arange(4.0)
-    q = eval_potential_array(spec, x, y)
+    q = spec.kappa * u ** (-spec.alpha / 2.0)
     g1 = c[0] * q / u
     g2 = c[1] * g1 / u
     # r^2 g^(n+1) = (r^2 / u) c_n g^(n), with the ratio in [0, 1]: far out on

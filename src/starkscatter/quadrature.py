@@ -8,10 +8,11 @@ at s = 1; `map_power` picks P so that it stays bounded there (P = 1, the
 plain s / (1 - s) map, for p = 2 or 3).  `converge` doubles the panels of
 either layout until every output element has converged and reports the last
 change.  `running` integrates panels of unequal width from each panel's
-start, for the orbit integrator.  The nodes and weights are literals, and
-the in-panel integration matrices are built from them by the rule itself,
-so that importing the module needs neither numpy.polynomial nor a LAPACK
-eigensolver.
+start, for the orbit integrator, and `running_rows` gives the rows of
+that integral at any point of a panel.  The nodes and weights are
+literals, and the in-panel integration matrices are built from them by
+the rule itself, so that importing the module needs neither
+numpy.polynomial nor a LAPACK eigensolver.
 
 The module also holds the one log-log least-squares fit, `loglog_fit`, a
 closed-form line without LAPACK, which the decay-rate and convergence-rate
@@ -65,18 +66,44 @@ def _tail_row(lo: float) -> np.ndarray:
 _GL_TAIL = np.array([_tail_row(lo) for lo in _GL_NODES])
 
 
-def _running_rows() -> np.ndarray:
-    """Rows (18, 16) on node values: the integrals from -1 to each node,
-    over [-1, 1], and the P_15 coefficient of the interpolant, (15 + 1/2)
-    w_i P_15(x_i) by the three-term recurrence."""
-    prev, cur = np.ones(_GL_ORDER), _GL_NODES
-    for n in range(1, _GL_ORDER - 1):
-        prev, cur = cur, ((2 * n + 1) * _GL_NODES * cur - n * prev) / (n + 1)
-    return np.vstack([_GL_WEIGHTS - _GL_TAIL, _GL_WEIGHTS,
-                      (_GL_ORDER - 0.5) * _GL_WEIGHTS * cur])
+def _legendre(x: np.ndarray, n: int) -> np.ndarray:
+    """P_0 .. P_n at the points x, (n + 1,) + x.shape, by the three-term
+    recurrence."""
+    p = [np.ones_like(x), x]
+    for k in range(1, n):
+        p.append(((2 * k + 1) * x * p[k] - k * p[k - 1]) / (k + 1))
+    return np.array(p[:n + 1])
 
 
-_GL_RUNNING = _running_rows()
+# _GL_LEGENDRE[n, i]: (n + 1/2) w_i P_n(x_i), the rows that take node values
+# to the Legendre coefficients of their interpolant
+_GL_LEGENDRE = ((np.arange(_GL_ORDER) + 0.5)[:, None] * _GL_WEIGHTS
+                * _legendre(_GL_NODES, _GL_ORDER - 1))
+# the rows (18, 16) on node values: the integrals from -1 to each node, over
+# [-1, 1], and the P_15 coefficient of the interpolant
+_GL_RUNNING = np.vstack([_GL_WEIGHTS - _GL_TAIL, _GL_WEIGHTS,
+                         _GL_LEGENDRE[-1]])
+
+
+def _chebyshev_running() -> np.ndarray:
+    """The integrals from -1 to s of the Lagrange polynomials of the nodes
+    in Chebyshev terms, (17, 16): at s = cos(theta) they are
+    cos(k theta) @ this table.  The integral of P_n is (P_{n+1} -
+    P_{n-1}) / (2n + 1), and s + 1 for n = 0; taken at the 17 Chebyshev
+    points, a discrete cosine transform gives the degree-16 polynomials
+    exactly."""
+    n = _GL_ORDER + 1
+    theta = math.pi * (np.arange(n) + 0.5) / n
+    p = _legendre(np.cos(theta), _GL_ORDER)
+    integrals = np.vstack([p[0] + p[1],
+                           (p[2:] - p[:-2]) / (2.0 * np.arange(1, n - 1)
+                                               + 1.0)[:, None]])
+    cosines = np.cos(np.arange(n)[:, None] * theta) * (2.0 / n)
+    cosines[0] *= 0.5
+    return cosines @ integrals.T @ _GL_LEGENDRE
+
+
+_GL_CHEBYSHEV = _chebyshev_running()
 
 
 def map_power(decay: float, least: int = 1) -> int:
@@ -151,6 +178,15 @@ def running(f: np.ndarray, half: np.ndarray):
     rows = _GL_RUNNING @ f.reshape(_GL_ORDER, -1)
     rows = rows.reshape((-1,) + f.shape[1:])
     return half * rows[:_GL_ORDER], half * rows[_GL_ORDER], rows[-1]
+
+
+def running_rows(s: np.ndarray) -> np.ndarray:
+    """Rows (..., 16) on node values: the integrals from -1 to each point s
+    of [-1, 1] of the nodes' interpolant, so that half * running_rows(s) @ f
+    integrates the node values f of a panel from its start to the point s
+    of it, as `running` does to the nodes."""
+    theta = np.arccos(s)[..., None]
+    return np.cos(np.arange(_GL_ORDER + 1) * theta) @ _GL_CHEBYSHEV
 
 
 def converge(one_pass, rule, tol: float, module: str,

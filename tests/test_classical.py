@@ -219,13 +219,43 @@ def _hamilton_oracle(spec, p0, t_final, tol, t_eval):
 @pytest.mark.parametrize("d", [2, 3])
 @pytest.mark.parametrize("t_final", [50.0, -50.0], ids=["forward", "backward"])
 def test_orbit_matches_solve_ivp(kind, d, t_final):
+    # on 200 samples most lie inside a panel and are read off its polynomial
     spec, tol = _ORACLE_SPECS[kind], 1e-10
     p0 = PhasePoint(5.0, [1.0, -0.5][:d - 1], 1.0, [0.2, 0.1][:d - 1])
-    t_eval = np.linspace(0.0, t_final, 26)
-    traj = integrate_orbit(spec, p0, t_final, tol=tol, t_eval=t_eval)
-    ref = _hamilton_oracle(spec, p0, t_final, tol, t_eval)
-    err = np.linalg.norm(traj.states - ref, axis=1)
-    assert np.all(err <= 100.0 * tol * np.linalg.norm(ref, axis=1))
+    for n_samples in (26, 200):
+        t_eval = np.linspace(0.0, t_final, n_samples)
+        traj = integrate_orbit(spec, p0, t_final, tol=tol, t_eval=t_eval)
+        ref = _hamilton_oracle(spec, p0, t_final, tol, t_eval)
+        err = np.linalg.norm(traj.states - ref, axis=1)
+        assert np.all(err <= 100.0 * tol * np.linalg.norm(ref, axis=1))
+
+
+@pytest.mark.parametrize("kind", ["coulomb", "homogeneous"])
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("t_final", [50.0, -50.0], ids=["forward", "backward"])
+def test_error_estimate_bounds_the_interior_samples(monkeypatch, kind, d,
+                                                    t_final):
+    # against the tol-1e-13 run, at 200 samples of which at least 150 lie
+    # inside a panel; the closed-form kinds only, since the table kind's
+    # finite-difference force is itself noisy near 1e-10
+    spec = _ORACLE_SPECS[kind]
+    p0 = PhasePoint(5.0, [1.0, -0.5][:d - 1], 1.0, [0.2, 0.1][:d - 1])
+    t_eval = np.linspace(0.0, t_final, 200)
+    tight = integrate_orbit(spec, p0, t_final, tol=1e-13, t_eval=t_eval)
+    inside = []
+    running_rows = classical.running_rows
+
+    def recording_rows(s):
+        inside.append(s.size)
+        return running_rows(s)
+
+    monkeypatch.setattr(classical, "running_rows", recording_rows)
+    for tol in (1e-6, 1e-8, 1e-10):
+        inside.clear()
+        traj = integrate_orbit(spec, p0, t_final, tol=tol, t_eval=t_eval)
+        assert sum(inside) >= 150
+        assert np.all(np.abs(traj.states - tight.states)
+                      <= traj.error_estimate)
 
 
 def test_zero_time_span_returns_the_initial_point():
@@ -313,27 +343,34 @@ def test_benchmark_orbits_take_the_same_work(monkeypatch):
         for p0 in points:
             run(p0)
         work.append(dict(counts))
-    assert work == [{"calls": 500, "rows": 913_556},
-                    {"calls": 520, "rows": 92_036}]
+    assert work == [{"calls": 500, "rows": 112_788},
+                    {"calls": 420, "rows": 89_380}]
 
 
-def _orbit_of_a_few_dozen_panels(**kwargs):
-    return integrate_orbit(coulomb(0.5, softening=0.1),
-                           PhasePoint(5.0, [1.0], 1.0, [0.2]), 50.0,
-                           tol=1e-12, n_samples=26, **kwargs)
+def test_dense_samples_take_the_same_work(monkeypatch):
+    # the orbit of configs/coulomb_d3.json, 200 uniform samples to t = 100:
+    # the panels hold many samples each, which are read off their
+    # polynomials, not laid out as panel ends
+    counts = _counted(monkeypatch)
+    integrate_orbit(coulomb(1.0, softening=1e-3),
+                    PhasePoint(10.0, [1.0, 0.5], 1.0, [0.3, -0.2]), 100.0,
+                    tol=1e-12, n_samples=200)
+    assert counts == {"calls": 7, "rows": 849}
 
 
 def test_step_budget_raises_with_the_samples_reached(monkeypatch):
-    full = _orbit_of_a_few_dozen_panels()
-    monkeypatch.setattr(classical, "MAX_ORBIT_STEPS", 20)
+    # the near collision lays out about 2600 panels, and reaches its
+    # samples up to t = 6 within the first 1000
+    full = _near_collision(1e-12)
+    monkeypatch.setattr(classical, "MAX_ORBIT_STEPS", 1000)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         with pytest.raises(ConvergenceError,
-                           match="more than 20 panels") as info:
-            _orbit_of_a_few_dozen_panels()
+                           match="more than 1000 panels") as info:
+            _near_collision(1e-12)
     assert caught == []
     partial = info.value.partial
-    assert 0 < len(partial) < len(full)
+    assert 1 < len(partial) < len(full)
     np.testing.assert_array_equal(partial.times, full.times[:len(partial)])
     np.testing.assert_array_equal(partial.states, full.states[:len(partial)])
 

@@ -184,14 +184,15 @@ def test_memory_error_exits_3(capsys, tmp_path, monkeypatch):
 
 
 def test_orbit_step_budget_exits_3(capsys, tmp_path, monkeypatch):
-    monkeypatch.setattr(classical, "MAX_ORBIT_STEPS", 20)
+    # the default orbit lays out 15 panels
+    monkeypatch.setattr(classical, "MAX_ORBIT_STEPS", 10)
     code = main(["orbit", f"--output_dir={tmp_path}"])
     out, err = capsys.readouterr()
     assert code == 3 and err == ""
     (line,) = out.splitlines()
     assert json.loads(line) == {
         "error": "convergence",
-        "message": "orbit integration failed: more than 20 panels needed"}
+        "message": "orbit integration failed: more than 10 panels needed"}
 
 
 @pytest.mark.parametrize("argv", [

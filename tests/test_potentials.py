@@ -20,6 +20,7 @@ from starkscatter.potentials import (
     PotentialSpec,
     eval_potential_array,
     force_rows,
+    r_squared,
     radial_jets,
 )
 
@@ -33,6 +34,24 @@ def _delta(spec):
 def _rows(x, y):
     return np.column_stack([np.asarray(x, dtype=float),
                             np.asarray(y, dtype=float)])
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+@pytest.mark.parametrize("n", range(1, 8))
+def test_r_squared_is_numpys_sum_bitwise(dtype, n):
+    # contiguous rows, a strided slice of wider rows, a broadcast x and a
+    # spread of magnitudes, so that the order of the additions shows
+    rng = np.random.default_rng(n)
+    wide = (rng.standard_normal((300, n + 2))
+            * 10.0 ** rng.uniform(-8.0, 8.0, (300, n + 2))).astype(dtype)
+    x = wide[:, 0].copy()
+    for y in (wide[:, 2:].copy(), wide[:, 1:n + 1], wide[:5, 2:]):
+        xs = x[:len(y)]
+        assert np.array_equal(r_squared(xs, y), xs * xs + np.sum(y * y, axis=-1))
+        assert r_squared(xs, y).dtype == dtype
+    y = wide[:4, 2:]
+    assert np.array_equal(r_squared(x[:3, None], y),
+                          x[:3, None] * x[:3, None] + np.sum(y * y, axis=-1))
 
 
 def test_zero_potential_vanishes():

@@ -48,6 +48,24 @@ def test_running_integrals_on_panels_of_unequal_width():
     assert np.max(np.abs(last - coef[..., 15])) <= 1e-13
 
 
+def test_running_rows_at_any_point_of_a_panel():
+    # the integrals from -1 to s of the node values' interpolant, against
+    # the Legendre antiderivative of its coefficients; at the nodes and at
+    # the ends they are the rows `running` applies
+    leg = np.polynomial.legendre
+    nodes, weights = leg.leggauss(16)
+    coef = leg.legvander(nodes, 15).T * weights * (np.arange(16) + 0.5)[:, None]
+    s = np.concatenate([[-1.0, 1.0], np.random.default_rng(5).uniform(
+        -1.0, 1.0, 500)])
+    ref = leg.legval(s, leg.legint(coef, lbnd=-1.0)).T
+    rows = quadrature.running_rows(s)
+    assert rows.shape == (502, 16)
+    assert np.max(np.abs(rows - ref)) <= 1e-15
+    at_nodes = quadrature.running_rows(nodes)
+    assert np.max(np.abs(at_nodes - quadrature._GL_RUNNING[:16])) <= 1e-15
+    assert np.max(np.abs(rows[1] - quadrature._GL_RUNNING[16])) <= 1e-15
+
+
 def test_plain_panels_converge_on_an_oscillatory_integral():
     # int_0^1 cos(w s) ds = sin(w) / w, for a batch of frequencies
     w = np.array([1.0, 40.0, 400.0])
