@@ -20,6 +20,7 @@ stays exactly 0."""
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -114,7 +115,7 @@ class Trajectory:
     def energy_drift(self) -> float:
         e0 = self.energies[0]
         scale = max(1.0, abs(e0))
-        return float(np.max(np.abs(self.energies - e0)) / scale)
+        return float(np.abs(self.energies - e0).max() / scale)
 
     def to_csv_rows(self) -> np.ndarray:
         """Rows t, x, y_1.., eta, zeta_1.., energy as one (N, 2d + 2) array."""
@@ -230,9 +231,9 @@ def _checked_t_eval(t_eval, t_final: float) -> np.ndarray:
     if t_eval.size == 0:
         raise DomainError("t_eval must hold at least one time")
     sign = -1.0 if t_final < 0 else 1.0
-    if not np.all((sign * t_eval >= 0.0) & (sign * t_eval <= sign * t_final)):
+    if not ((sign * t_eval >= 0.0) & (sign * t_eval <= sign * t_final)).all():
         raise DomainError(f"t_eval must lie between 0 and t_final = {t_final:g}")
-    if np.any(sign * np.diff(t_eval) <= 0.0):
+    if (sign * (t_eval[1:] - t_eval[:-1]) <= 0.0).any():
         raise DomainError("t_eval must be strictly monotone towards t_final")
     return t_eval
 
@@ -251,16 +252,16 @@ def _lay_out(grid, a: float, h: float, count: int):
     the next grid time; h grows by half from one panel to the next, so that
     a window reaches past a stretch that needs narrow panels."""
     sign = -1.0 if grid[-1] < 0 else 1.0
-    ahead = sign * grid
-    k = int(np.searchsorted(ahead, sign * a, side="right"))
+    ahead = (sign * grid).tolist()
+    k = bisect_right(ahead, sign * a)
     ends, on_grid = [], []
-    while len(ends) < count and k < grid.size:
-        j = int(np.searchsorted(ahead, sign * a + h, side="right"))
+    while len(ends) < count and k < len(ahead):
+        j = bisect_right(ahead, sign * a + h)
         on_grid.append(j > k)
         if j > k:
-            a, k = grid[j - 1], j
+            a, k = sign * ahead[j - 1], j
         else:
-            rest = abs(grid[k] - a)
+            rest = ahead[k] - sign * a
             a += sign * rest / math.ceil(rest / h)
         ends.append(a)
         h *= 1.5
@@ -273,6 +274,7 @@ def _collocate(spec, p0, grid, tol: float):
     or the reason the integration stopped."""
     d = p0.d
     sign = -1.0 if grid[-1] < 0 else 1.0
+    ahead = (sign * grid).tolist()
     out, error, reached = np.zeros((grid.size, 2 * d)), np.zeros(2 * d), 1
     # the window: panel edges (P + 1,), with start = (u, u', u'') at
     # edges[0]; by panel, the half-width (P, 1), whether it ends at a grid
@@ -321,46 +323,46 @@ def _collocate(spec, p0, grid, tol: float):
             u0, v0, _ = start
             A = force_rows(spec, (free + U).reshape(-1, d)).reshape(U.shape)
             a_in, a_whole, a_last = running(A, half)
-            v_end = v0 + np.cumsum(a_whole, axis=0)
+            v_end = v0 + a_whole.cumsum(0)
             V = a_in + (v_end - a_whole)
             v_in, v_whole, _ = running(V, half)
-            u_end = u0 + np.cumsum(v_whole, axis=0)
+            u_end = u0 + v_whole.cumsum(0)
             U, last = v_in + (u_end - v_whole), A[-1]
             new_ends = np.concatenate([u_end, v_end], axis=1)
             scale = tol * (1.0 + np.abs(new_ends))
             change = np.abs(new_ends - ends)
-            # the tails in state units: the position's, then the velocity's
+            # the tail in velocity units, and as a position against its bound
             tail = np.abs(a_last * half)
-            tail = np.concatenate([tail * np.abs(half), tail], axis=1)
-            ratio = np.max(tail[:, :d] / scale[:, :d], axis=1)
-            ok = np.all(change <= scale, axis=1) & (ratio <= 1.0)
+            ratio = (tail * np.abs(half) / scale[:, :d]).max(1)
+            ok = (change <= scale).all(1) & (ratio <= 1.0)
             ends = new_ends
-            m = int(np.argmin(ok)) if not ok.all() else ok.size
+            m = int(ok.argmin()) if not ok.all() else ok.size
             stall = 0 if m else stall + 1
             if m:
                 # accept the leading m panels: the samples on their ends
                 # are the end states, those inside them are read off the
                 # collocation polynomial, integrated as the sweep does
-                times = grid[reached:int(np.searchsorted(
-                    sign * grid, sign * edges[m], side="right"))]
-                p = np.searchsorted(sign * edges[1:m + 1], sign * times)
-                inside = np.flatnonzero(times != edges[p + 1])
+                times = grid[reached:bisect_right(ahead, sign * edges[m])]
+                p = (sign * edges[1:m + 1]).searchsorted(sign * times)
+                inside = (times != edges[p + 1]).nonzero()[0]
                 out[reached:reached + times.size] = ends[p]
                 if inside.size:
                     # at s in (-1, 1) of panel p, from its start state
                     p = p[inside]
                     s = (times[inside] - edges[p]) / half[p, 0] - 1.0
-                    nodal = np.concatenate([V[:, p], A[:, p]], axis=2)
+                    nodal = np.concatenate([V, A], axis=2)[:, p]
                     out[reached + inside] = (
                         ends[p] - np.concatenate([v_whole, a_whole], 1)[p]
                         + half[p] * (running_rows(s)[:, None]
                                      @ nodal.swapaxes(0, 1))[:, 0])
-                error += np.sum(change[:m] + tail[:m], axis=0)
+                # the tails in state units: the position's, the velocity's
+                error += (change[:m] + np.concatenate(
+                    [tail[:m] * np.abs(half[:m]), tail[:m]], 1)).sum(0)
                 reached += times.size
                 if reached == grid.size:
                     return out, reached, error, None
                 start = (ends[m - 1, :d], ends[m - 1, d:], last[m - 1])
-            bad = np.flatnonzero(ratio[m:] > 1.0)
+            bad = (ratio[m:] > 1.0).nonzero()[0]
             if bad.size or stall > _STALL:
                 # the panels from the first that fails its tail, or a front
                 # panel that does not converge, are laid out again
@@ -377,9 +379,10 @@ def _collocate(spec, p0, grid, tol: float):
                 w, f = 2.0 * abs(half[-1, 0]), _factor(ratio[-1])
                 if not (on_grid[-1] and w < h and f >= 1.0):
                     h = w * f
-            edges, free, U = edges[m:cut + 1], free[:, m:cut], U[:, m:cut]
-            half, on_grid, ends, last = (a[m:cut]
-                                         for a in (half, on_grid, ends, last))
+            if m or cut < on_grid.size:
+                edges, free, U = edges[m:cut + 1], free[:, m:cut], U[:, m:cut]
+                half, on_grid, ends, last = (
+                    a[m:cut] for a in (half, on_grid, ends, last))
 
 
 def _trajectory_from_solution(spec, p0, times, us, error) -> Trajectory:
@@ -390,8 +393,8 @@ def _trajectory_from_solution(spec, p0, times, us, error) -> Trajectory:
     y = p0.y + times[:, None] * p0.zeta + us[:, 1:1 + n]
     eta = (np.longdouble(p0.eta) + tl + us[:, 1 + n]).astype(float)
     zeta = p0.zeta + us[:, 2 + n:]
-    states = np.column_stack([x, y, eta, zeta])
-    if not np.all(np.isfinite(states)):
+    states = np.concatenate([x[:, None], y, eta[:, None], zeta], 1)
+    if not np.isfinite(states).all():
         raise DomainError("phase point must be finite")
     return Trajectory(times=times, states=states,
                       energies=_energies(spec, states), spec=spec,
@@ -461,8 +464,8 @@ def momentum_limit(traj: Trajectory):
     rate = 2.0 ** (2.0 * spec.alpha + (1.0 if spec.kind == "table" else 2.0))
     z_T, z_2T = zetas[-2], zetas[-1]
     z_inf = z_2T + (z_2T - z_T) / (rate - 1.0)
-    err = float(np.linalg.norm(z_2T - z_T) / (rate - 1.0)
-                + np.linalg.norm(traj.error_estimate[traj.d + 1:]))
+    step, own = z_2T - z_T, traj.error_estimate[traj.d + 1:]
+    err = math.sqrt(step @ step) / (rate - 1.0) + math.sqrt(own @ own)
     return z_inf, err
 
 
@@ -481,7 +484,7 @@ def gamma_observables(p: PhasePoint) -> GammaObservables:
 
 def _exact_phase_mask(x, y) -> np.ndarray:
     """Membership in the exact-phase domain x > C, |y|/x < 1/C, batched."""
-    ynorm = np.sqrt(np.sum(y * y, axis=-1))
+    ynorm = np.sqrt((y * y).sum(-1))
     return (x > THETA1_DOMAIN_C) & (ynorm < x / THETA1_DOMAIN_C)
 
 
@@ -494,7 +497,7 @@ def gamma_observables_arrays(x, y, eta, zeta) -> GammaObservables:
     x, y, eta, zeta = (np.asarray(a, dtype=float) for a in (x, y, eta, zeta))
     if not np.all(_exact_phase_mask(x, y)):
         raise DomainError("outside the exact-phase domain x > C, |y|/x < 1/C")
-    x, y, r, gamma = _gamma(x, y, eta, zeta)
+    x, y, r, gamma = _gamma(x, y, np.column_stack([eta, zeta]))
     gamma_tilde = _gamma_tilde(x, y, r)
     return GammaObservables(gamma=gamma.astype(float),
                             gamma_tilde=gamma_tilde.astype(float),
@@ -503,9 +506,9 @@ def gamma_observables_arrays(x, y, eta, zeta) -> GammaObservables:
                             .astype(float))
 
 
-def _gamma(x, y, eta, zeta):
-    """x, y, r and gamma = (eta, zeta) - grad(theta1) in extended precision,
-    at points of the exact-phase domain.
+def _gamma(x, y, momenta):
+    """x, y, r and gamma = momenta - grad(theta1) in extended precision,
+    at points of the exact-phase domain, for momenta (eta, zeta) (n, d).
 
     gamma_par hides a near-total cancellation between the f and g components
     of gamma at late times, and double rounding would floor it around 1e-8.
@@ -514,14 +517,13 @@ def _gamma(x, y, eta, zeta):
     """
     x = x.astype(np.longdouble)
     y = y.astype(np.longdouble)
-    y_sq = np.sum(y * y, axis=-1)
+    y_sq = (y * y).sum(-1)
     r = np.sqrt(x * x + y_sq)
     w = np.sqrt(x * x - y_sq)
     sp = np.sqrt(x + w)
-    grad_theta1 = np.column_stack([sp, sp[:, None] * y / (x + w)[:, None]])
-    momenta = np.column_stack([eta.astype(np.longdouble),
-                               zeta.astype(np.longdouble)])
-    return x, y, r, momenta - grad_theta1
+    grad_theta1 = np.concatenate([sp[:, None], sp[:, None] * y
+                                  / (x + w)[:, None]], 1)
+    return x, y, r, momenta.astype(np.longdouble) - grad_theta1
 
 
 def _gamma_tilde(x, y, r):
@@ -531,14 +533,14 @@ def _gamma_tilde(x, y, r):
 def _gamma_par(x, y, r, gamma):
     """The component of gamma along grad f, over |grad f|^2."""
     f = np.sqrt(r + x)
-    gf = np.column_stack([(x / r + 1.0) / (2.0 * f),
-                          y / (r * 2.0 * f)[:, None]])
-    return np.sum(gf * gamma, axis=-1) / np.sum(gf * gf, axis=-1)
+    gf = np.concatenate([((x / r + 1.0) / (2.0 * f))[:, None],
+                         y / (r * 2.0 * f)[:, None]], 1)
+    return (gf * gamma).sum(-1) / (gf * gf).sum(-1)
 
 
 def _Gamma_norm(gamma, gamma_tilde):
     big = np.concatenate([gamma, gamma_tilde], axis=-1)
-    return np.sqrt(np.sum(big * big, axis=-1))
+    return np.sqrt((big * big).sum(-1))
 
 
 def decay_slope(traj: Trajectory, observable: str, window) -> tuple[float, float]:
@@ -558,8 +560,7 @@ def decay_slope(traj: Trajectory, observable: str, window) -> tuple[float, float
     x, y = traj.states[:, 0], traj.states[:, 1:d]
     mask = ((traj.times >= t_lo) & (traj.times <= t_hi)
             & _exact_phase_mask(x, y))
-    x, y, r, gamma = _gamma(x[mask], y[mask], traj.states[mask, d],
-                            traj.states[mask, d + 1:])
+    x, y, r, gamma = _gamma(x[mask], y[mask], traj.states[mask, d:])
     vals = np.abs((_Gamma_norm(gamma, _gamma_tilde(x, y, r))
                    if observable == "Gamma_norm"
                    else _gamma_par(x, y, r, gamma)).astype(float))
@@ -575,17 +576,20 @@ def decay_slope(traj: Trajectory, observable: str, window) -> tuple[float, float
     return slope, 2.0 * slope_err
 
 
-def _log_subsample(ts: np.ndarray) -> np.ndarray:
+def _log_subsample(ts: np.ndarray) -> list[int]:
     """Indices of the samples nearest a log grid of 4 an octave, each once.
 
-    The searched indices never decrease, so dropping repeats keeps each
-    once; np.unique would also import numpy.ma, about 10 ms, at its first
-    call.
+    The grid is np.linspace's from log2 of the first time to log2 of the
+    last, searched in the list of log times up to the last sample; the
+    searched indices never decrease, so dropping repeats keeps each once.
     """
-    lo, hi = np.log2(ts[0]), np.log2(ts[-1])
-    targets = np.linspace(lo, hi, max(8, int((hi - lo) * 4) + 1))
-    idx = np.searchsorted(np.log2(ts), targets).clip(0, ts.size - 1)
-    return idx[np.diff(idx, prepend=-1) > 0]
+    lt = np.log2(ts).tolist()
+    lo, hi = lt[0], lt[-1]
+    n = max(8, int((hi - lo) * 4) + 1)
+    step = (hi - lo) / (n - 1)
+    targets = [lo + i * step for i in range(n - 1)] + [hi]
+    return list(dict.fromkeys(bisect_left(lt, t, 0, len(lt) - 1)
+                              for t in targets))
 
 
 def _mourre_parts(x, y, eta, zeta, m):

@@ -115,9 +115,10 @@ def r_squared(x, y: np.ndarray):
     is np.sum(y * y, axis=-1) bitwise for n < 8, without its reduction loop
     over each row."""
     n = y.shape[-1]
-    y_sq = y[..., 0] * y[..., 0] if n else np.zeros(y.shape[:-1], y.dtype)
+    sq = y * y
+    y_sq = sq[..., 0] if n else np.zeros(y.shape[:-1], y.dtype)
     for i in range(1, n):
-        y_sq += y[..., i] * y[..., i]
+        y_sq = y_sq + sq[..., i]
     return x * x + y_sq
 
 

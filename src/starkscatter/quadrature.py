@@ -177,7 +177,8 @@ def running(f: np.ndarray, half: np.ndarray):
     """
     rows = _GL_RUNNING @ f.reshape(_GL_ORDER, -1)
     rows = rows.reshape((-1,) + f.shape[1:])
-    return half * rows[:_GL_ORDER], half * rows[_GL_ORDER], rows[-1]
+    integrals = half * rows[:_GL_ORDER + 1]
+    return integrals[:_GL_ORDER], integrals[_GL_ORDER], rows[-1]
 
 
 def running_rows(s: np.ndarray) -> np.ndarray:
@@ -224,11 +225,15 @@ def loglog_fit(x, y) -> tuple[float, float, float, float]:
     values.
     """
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))
-            and np.all(x > 0.0) and np.all(y > 0.0)):
+    if not ((x > 0.0).all() and (y > 0.0).all()):
         raise DomainError("log-log fit needs finite x, y > 0")
+    # the log of a positive float is finite unless the float is inf, and
+    # the sums of the logs are finite unless a log is
     lx, ly = np.log(x), np.log(y)
-    mean_x, mean_y = float(lx.mean()), float(ly.mean())
+    sum_x, sum_y = float(lx.sum()), float(ly.sum())
+    if not math.isfinite(sum_x + sum_y):
+        raise DomainError("log-log fit needs finite x, y > 0")
+    mean_x, mean_y = sum_x / lx.size, sum_y / ly.size
     dx, dy = lx - mean_x, ly - mean_y
     sxx = float(dx @ dx)
     if sxx == 0.0:

@@ -6,6 +6,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 from starkscatter import (
@@ -272,7 +274,7 @@ def _near_collision(tol):
                            tol=tol, n_samples=21)
 
 
-def test_near_collision_error_follows_the_tolerance():
+def test_near_collision_error_follows_the_tolerance(monkeypatch):
     # the width controller takes the panels from 1 down to about 2e-5 at
     # the orbit's close passes and back.  Against the tol-1e-13 run, DOP853
     # missed by 2.2e-4 at tol 1e-10, the bound here; at 1e-12 it missed by
@@ -286,6 +288,10 @@ def test_near_collision_error_follows_the_tolerance():
     seconds = min(timeit.repeat(lambda: _near_collision(1e-12), number=1,
                                 repeat=3))
     assert seconds < 0.1
+    # the work behind that time, which does not vary with the host's load
+    counts = _counted(monkeypatch)
+    _near_collision(1e-12)
+    assert counts == {"calls": 251, "rows": 111_041}
 
 
 def test_front_panel_that_does_not_contract_is_halved():
@@ -345,6 +351,38 @@ def test_benchmark_orbits_take_the_same_work(monkeypatch):
         work.append(dict(counts))
     assert work == [{"calls": 500, "rows": 112_788},
                     {"calls": 420, "rows": 89_380}]
+    # the output bits of three orbits: the final state, both decay slopes
+    # and zeta(inf) with its error.  Orbit 59's gamma_par slope is set by
+    # the rounding of the last state digits, so a change to the arithmetic
+    # shows there first.  _gamma and the free part of the states are taken
+    # in long double, so the bits hold where it has a 64-bit mantissa
+    if np.finfo(np.longdouble).nmant != 63:
+        pytest.skip("the pinned bits need an 80-bit long double")
+    for i, pinned in _PINNED_ORBITS.items():
+        traj = integrate_orbit(spec, points[i], 1e4, tol=1e-12,
+                               t_eval=t_eval)
+        z_inf, z_err = asymptotic_momentum(spec, points[i])
+        assert repr([traj.states[-1].tolist(),
+                     decay_slope(traj, "Gamma_norm", (1e2, 1e4))[0],
+                     decay_slope(traj, "gamma_par", (1e2, 1e4))[0],
+                     z_inf.tolist(), z_err]) == pinned, i
+
+
+# repr of [final state, Gamma and gamma_par decay slopes, zeta(inf), its
+# error] of three benchmark orbits
+_PINNED_ORBITS = {
+    0: "[[50059484.651263654, -326.6465242311608, 10005.946696912624, "
+       "-0.03272061631503201], -0.9904852461151284, -1.9488152187897456, "
+       "[-0.032720616315032015], 1.2776275708482653e-14]",
+    1: "[[50063929.49897765, 4050.868462398888, -3225.2109886780668, "
+       "10006.390894309401, 0.40514488204095095, -0.32263730668315876], "
+       "-0.9896905920016841, -1.980883339400009, [0.40514488204095095, "
+       "-0.32263730668315876], 8.953215317900489e-15]",
+    59: "[[50064081.95347289, -1343.6211389251914, -646.8472928441494, "
+        "10006.4061423031, -0.1342802234782961, -0.06475626016412472], "
+        "-0.9897438018393363, -1.9196305570956222, [-0.13428022347829613, "
+        "-0.06475626016412472], 1.723983769340427e-14]",
+}
 
 
 def test_dense_samples_take_the_same_work(monkeypatch):
@@ -356,6 +394,52 @@ def test_dense_samples_take_the_same_work(monkeypatch):
                     PhasePoint(10.0, [1.0, 0.5], 1.0, [0.3, -0.2]), 100.0,
                     tol=1e-12, n_samples=200)
     assert counts == {"calls": 7, "rows": 849}
+
+
+def _lay_out_reference(grid, a, h, count):
+    """The panel layout as two np.searchsorted calls a panel."""
+    sign = -1.0 if grid[-1] < 0 else 1.0
+    ahead = sign * grid
+    k = int(np.searchsorted(ahead, sign * a, side="right"))
+    ends, on_grid = [], []
+    while len(ends) < count and k < grid.size:
+        j = int(np.searchsorted(ahead, sign * a + h, side="right"))
+        on_grid.append(j > k)
+        if j > k:
+            a, k = grid[j - 1], j
+        else:
+            rest = abs(grid[k] - a)
+            a += sign * rest / math.ceil(rest / h)
+        ends.append(a)
+        h *= 1.5
+    return np.array(ends), np.array(on_grid)
+
+
+@st.composite
+def _layouts(draw):
+    """A grid 0, t_1, .., t_n strictly monotone either way, a start on a
+    grid time or between two, a first width and a panel count."""
+    times = draw(st.lists(st.floats(1e-3, 1e4), min_size=1, max_size=40,
+                          unique=True))
+    sign = draw(st.sampled_from([1.0, -1.0]))
+    grid = sign * np.array([0.0] + sorted(times))
+    i = draw(st.integers(0, grid.size - 2))
+    a = grid[i]
+    if draw(st.booleans()):
+        a += draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)) * (
+            grid[i + 1] - grid[i])
+    h = draw(st.one_of(st.floats(1e-3, 1e4), st.just(math.inf)))
+    return grid, a, h, draw(st.integers(1, 40))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_layouts())
+def test_lay_out_matches_the_searchsorted_reference(layout):
+    ends, on_grid = classical._lay_out(*layout)
+    ref_ends, ref_on_grid = _lay_out_reference(*layout)
+    assert ends.dtype == ref_ends.dtype and on_grid.dtype == ref_on_grid.dtype
+    assert ends.tobytes() == ref_ends.tobytes()
+    assert on_grid.tobytes() == ref_on_grid.tobytes()
 
 
 def test_step_budget_raises_with_the_samples_reached(monkeypatch):

@@ -145,8 +145,11 @@ def test_loglog_fit_of_two_points_has_no_error_estimate():
     ([1.0, 2.0, 3.0], [1.0, -2.0, 3.0]),
     ([1.0, 2.0, math.inf], [1.0, 2.0, 3.0]),
     ([1.0, 2.0, 3.0], [1.0, math.nan, 3.0]),
+    ([1.0, math.nan, 3.0], [1.0, 2.0, 3.0]),
+    ([1.0, 2.0, 3.0], [1.0, 2.0, math.inf]),
+    ([-math.inf, 2.0, 3.0], [1.0, 2.0, 3.0]),
 ], ids=["equal-x", "one-point", "x-zero", "x-negative", "y-zero",
-        "y-negative", "x-inf", "y-nan"])
+        "y-negative", "x-inf", "y-nan", "x-nan", "y-inf", "x-minus-inf"])
 def test_loglog_fit_rejects_what_it_cannot_fit(x, y):
     with pytest.raises(DomainError):
         loglog_fit(x, y)
