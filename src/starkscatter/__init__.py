@@ -13,7 +13,6 @@ from .potentials import (
     PotentialSpec,
     coulomb,
     eval_potential,
-    grad_potential,
     homogeneous,
     zero_potential,
 )
@@ -38,31 +37,22 @@ from .classical import (
     decay_slope,
     energy,
     free_flow,
-    free_flow_arrays,
     gamma_observables,
-    in_region_X,
     integrate_orbit,
-    mourre_ratio,
 )
 from .transport import (
     SymbolResult,
     decay_fit_symbols,
-    symbol_b,
-    symbol_q,
     symbols,
 )
 from .oscillatory import (
     BumpProfile,
-    EigenfunctionSample,
     airy_reduction,
-    asymptotic_convergence,
-    eigenfunction_sample,
     free_eigenfunction,
     stationary_phase_eigenfunction,
 )
 from .kernel import (
     KernelFit,
-    born_symbol,
     born_symbol_tail,
     born_symbols,
     fit_kernel_law,
@@ -85,7 +75,6 @@ __all__ = [
     "homogeneous",
     "zero_potential",
     "eval_potential",
-    "grad_potential",
     "KernelLaw",
     "airy_ai",
     "c1_constant",
@@ -103,28 +92,19 @@ __all__ = [
     "Trajectory",
     "GammaObservables",
     "free_flow",
-    "free_flow_arrays",
     "integrate_orbit",
     "energy",
     "asymptotic_momentum",
     "gamma_observables",
     "decay_slope",
-    "in_region_X",
     "cone_mask",
-    "mourre_ratio",
     "SymbolResult",
-    "symbol_b",
-    "symbol_q",
     "symbols",
     "decay_fit_symbols",
     "BumpProfile",
-    "EigenfunctionSample",
     "airy_reduction",
     "free_eigenfunction",
     "stationary_phase_eigenfunction",
-    "eigenfunction_sample",
-    "asymptotic_convergence",
-    "born_symbol",
     "born_symbols",
     "homogeneous_symbol_asymptote",
     "kernel_singularity_law",

@@ -211,8 +211,8 @@ def cone_invariance(rng: RandomStream, n: int, d: int,
     z = np.concatenate(blocks)[:n]
     violations = 0
     for t in (1.0, 10.0, 100.0):
-        flowed = classical.free_flow_arrays(z[:, 0], z[:, 1:d], z[:, d],
-                                            z[:, d + 1:], t)
+        flowed = classical.free_flow(z[:, 0], z[:, 1:d], z[:, d],
+                                     z[:, d + 1:], t)
         violations += int(np.count_nonzero(
             ~classical.cone_mask(*flowed, m=m, eps=eps, sign=+1)))
     return ConeCheck(violations, n)
@@ -277,11 +277,11 @@ def free_case(d: int) -> FreeCaseCheck:
     spec = zero_potential()
     p = classical.PhasePoint(x=20.0, y=np.ones(d - 1), eta=3.0,
                              zeta=0.3 * np.ones(d - 1))
-    y = np.zeros(d - 1)
-    y[0] = 5.0
+    ys = np.zeros((1, d - 1))
+    ys[0, 0] = 5.0
     z_inf, err = classical.asymptotic_momentum(spec, p, n_doublings=3)
     b1, b2 = transport.symbols(2, p, spec)
-    return FreeCaseCheck(abs(b1.value), abs(b2.value),
-                         abs(kernel.born_symbol(spec, np.zeros(d - 1), y)),
+    t_psym, _ = kernel.born_symbols(spec, np.zeros(d - 1), ys)
+    return FreeCaseCheck(abs(b1.value), abs(b2.value), float(abs(t_psym[0])),
                          float(np.linalg.norm(np.atleast_1d(z_inf) - p.zeta)),
                          float(err))

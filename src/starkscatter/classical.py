@@ -124,28 +124,19 @@ class Trajectory:
 
 @dataclass(frozen=True)
 class GammaObservables:
-    """Radiation observables at one point, or at n points along a leading axis
-    (gamma_par and Gamma_norm are then arrays of shape (n,))."""
+    """Radiation observables at n points: gamma (n, d), gamma_tilde
+    (n, d - 1), gamma_par and Gamma_norm (n,)."""
 
     gamma: np.ndarray
     gamma_tilde: np.ndarray
-    gamma_par: float | np.ndarray
-    Gamma_norm: float | np.ndarray
+    gamma_par: np.ndarray
+    Gamma_norm: np.ndarray
 
 
-def energy(spec: PotentialSpec, p: PhasePoint) -> float:
-    return float(_energies(spec, p.as_vector()[None])[0])
-
-
-def free_flow(p0: PhasePoint, t: float) -> PhasePoint:
-    """Exact free orbit: x gains t*eta + t^2/2, eta gains t, zeta fixed."""
-    x, y, eta, zeta = free_flow_arrays(p0.x, p0.y, p0.eta, p0.zeta, t)
-    return PhasePoint(x=x, y=y, eta=eta, zeta=zeta.copy())
-
-
-def free_flow_arrays(x, y, eta, zeta, t):
-    """free_flow on arrays: x, eta of shape S, y, zeta of shape S + (d-1,);
-    t is a number or an array that broadcasts with S."""
+def free_flow(x, y, eta, zeta, t):
+    """Exact free orbit: x gains t*eta + t^2/2, y gains t*zeta, eta gains t,
+    zeta is fixed.  x, eta have shape S, y, zeta shape S + (d-1,); t is a
+    number or an array that broadcasts with S."""
     return (x + t * eta + 0.5 * t * t, y + np.asarray(t)[..., None] * zeta,
             eta + t, zeta)
 
@@ -193,9 +184,13 @@ def integrate_orbit(spec: PotentialSpec, p0: PhasePoint, t_final: float,
     quadrature.running_rows, and the position the node velocities, as the
     sweep integrates them.  At most MAX_ORBIT_STEPS panels are laid out.
     error_estimate sums the last change and the tail (once times the
-    half-width, for the velocity) of every panel.  A sweep meets points
-    off the converged orbit; an exception raised by the potential reaches
-    the caller unchanged, and a potential may itself integrate orbits.
+    half-width, for the velocity) of every panel.  The last change is the
+    term that bounds the collocation's truncation error: the tails alone
+    fall short of the error at the interior samples, so a rule that stops
+    the sweeps sooner needs a truncation estimate of its own.  A sweep
+    meets points off the converged orbit; an exception raised by the
+    potential reaches the caller unchanged, and a potential may itself
+    integrate orbits.
     """
     if tol <= 0:
         raise DomainError("tolerance must be positive")
@@ -306,8 +301,7 @@ def _collocate(spec, p0, grid, tol: float):
                            if on_grid.size else start)
                 lo = np.concatenate([edges[-1:], new[:-1]])
                 times = lo + _NODES * (new - lo)
-                x, y, _, _ = free_flow_arrays(p0.x, p0.y, p0.eta, p0.zeta,
-                                              times)
+                x, y, _, _ = free_flow(p0.x, p0.y, p0.eta, p0.zeta, times)
                 tau = np.concatenate([times, new[None]])[..., None] - t
                 guess = u + tau * (v + 0.5 * tau * a)
                 free = np.concatenate(
@@ -397,11 +391,11 @@ def _trajectory_from_solution(spec, p0, times, us, error) -> Trajectory:
     if not np.isfinite(states).all():
         raise DomainError("phase point must be finite")
     return Trajectory(times=times, states=states,
-                      energies=_energies(spec, states), spec=spec,
+                      energies=energy(spec, states), spec=spec,
                       error_estimate=error)
 
 
-def _energies(spec: PotentialSpec, states: np.ndarray) -> np.ndarray:
+def energy(spec: PotentialSpec, states: np.ndarray) -> np.ndarray:
     """h at every row of an (N, 2d) state array."""
     d = states.shape[1] // 2
     x, y, eta, zeta = states[:, 0], states[:, 1:d], states[:, d], states[:, d + 1:]
@@ -469,30 +463,20 @@ def momentum_limit(traj: Trajectory):
     return z_inf, err
 
 
-def gamma_observables(p: PhasePoint) -> GammaObservables:
-    """Radiation observables measuring deviation from the asymptotic parabola.
-
-    gamma = (eta, zeta) - grad(theta1), gamma_tilde = y / f^2 and gamma_par
-    is the component of gamma along grad(f), normalized by |grad f|^2.
-    """
-    obs = gamma_observables_arrays(np.array([p.x]), p.y[None], np.array([p.eta]),
-                                   p.zeta[None])
-    return GammaObservables(gamma=obs.gamma[0], gamma_tilde=obs.gamma_tilde[0],
-                            gamma_par=float(obs.gamma_par[0]),
-                            Gamma_norm=float(obs.Gamma_norm[0]))
-
-
 def _exact_phase_mask(x, y) -> np.ndarray:
     """Membership in the exact-phase domain x > C, |y|/x < 1/C, batched."""
     ynorm = np.sqrt((y * y).sum(-1))
     return (x > THETA1_DOMAIN_C) & (ynorm < x / THETA1_DOMAIN_C)
 
 
-def gamma_observables_arrays(x, y, eta, zeta) -> GammaObservables:
-    """gamma_observables on arrays: x, eta of shape (n,), y, zeta (n, d-1).
+def gamma_observables(x, y, eta, zeta) -> GammaObservables:
+    """Radiation observables measuring deviation from the asymptotic parabola,
+    at n points: x, eta of shape (n,), y, zeta (n, d-1).
 
-    The fields of the result carry the leading axis n.  Raises DomainError
-    if any point lies outside the exact-phase domain.
+    gamma = (eta, zeta) - grad(theta1), gamma_tilde = y / f^2 and gamma_par
+    is the component of gamma along grad(f), normalized by |grad f|^2.  The
+    fields of the result carry the leading axis n.  Raises DomainError if
+    any point lies outside the exact-phase domain.
     """
     x, y, eta, zeta = (np.asarray(a, dtype=float) for a in (x, y, eta, zeta))
     if not np.all(_exact_phase_mask(x, y)):
@@ -546,9 +530,12 @@ def _Gamma_norm(gamma, gamma_tilde):
 def decay_slope(traj: Trajectory, observable: str, window) -> tuple[float, float]:
     """Log-log decay exponent of an observable over a time window.
 
-    observable is "Gamma_norm" or "gamma_par", over 0 < t_lo < t_hi.  Times
-    are subsampled dyadically; samples where the observable vanishes or the
-    observables are undefined are dropped.  Returns (slope, half-width).
+    observable is "Gamma_norm" or "gamma_par", over 0 < t_lo < t_hi.  The
+    samples in the window where the observables are defined are taken
+    first; of 8 or more, those nearest a log grid are kept (_log_subsample).
+    The observable is formed on the kept samples only, those where it
+    vanishes are dropped, and fewer than 8 left raise ConvergenceError.
+    Returns (slope, half-width).
     """
     if observable not in ("Gamma_norm", "gamma_par"):
         raise DomainError('observable must be "Gamma_norm" or "gamma_par", '
@@ -558,18 +545,16 @@ def decay_slope(traj: Trajectory, observable: str, window) -> tuple[float, float
         raise DomainError(f"window ({t_lo:g}, {t_hi:g}) needs 0 < t_lo < t_hi")
     d = traj.d
     x, y = traj.states[:, 0], traj.states[:, 1:d]
-    mask = ((traj.times >= t_lo) & (traj.times <= t_hi)
-            & _exact_phase_mask(x, y))
-    x, y, r, gamma = _gamma(x[mask], y[mask], traj.states[mask, d:])
+    rows = ((traj.times >= t_lo) & (traj.times <= t_hi)
+            & _exact_phase_mask(x, y)).nonzero()[0]
+    if rows.size >= 8:
+        rows = rows[_log_subsample(traj.times[rows])]
+    x, y, r, gamma = _gamma(x[rows], y[rows], traj.states[rows, d:])
     vals = np.abs((_Gamma_norm(gamma, _gamma_tilde(x, y, r))
                    if observable == "Gamma_norm"
                    else _gamma_par(x, y, r, gamma)).astype(float))
     nonzero = vals > 0.0
-    ts, vals = traj.times[mask][nonzero], vals[nonzero]
-    # dyadic subsampling: keep roughly log-uniform times
-    if ts.size >= 8:
-        keep = _log_subsample(ts)
-        ts, vals = ts[keep], vals[keep]
+    ts, vals = traj.times[rows][nonzero], vals[nonzero]
     if ts.size < 8:
         raise ConvergenceError("fewer than 8 usable samples for the decay fit")
     slope, _, slope_err, _ = loglog_fit(ts, vals)
@@ -592,39 +577,18 @@ def _log_subsample(ts: np.ndarray) -> list[int]:
                               for t in targets))
 
 
-def _mourre_parts(x, y, eta, zeta, m):
-    """(x + <y>_m, numerator eta + yhat_m . zeta, sqrt(2x + 2<y>_m)), batched.
-
-    The square root is taken of max(2x + 2<y>_m, 0); it is meaningful only
-    where x + <y>_m > 0.
-    """
-    y_m = np.sqrt(r_squared(m, y))
-    a_num = eta + np.sum(y / y_m[..., None] * zeta, axis=-1)
-    return x + y_m, a_num, np.sqrt(np.maximum(2.0 * x + 2.0 * y_m, 0.0))
-
-
 def cone_mask(x, y, eta, zeta, m: float = 1.0, eps: float = 0.3,
               sign: int = +1) -> np.ndarray:
-    """Membership in X^{+-}_{m, eps} for arrays of phase points.
+    """Membership in X^{+-}_{m, eps} for arrays of phase points: x + <y>_m
+    > 0 and +-a > -eps for the Mourre ratio a = (eta + yhat_m . zeta) /
+    sqrt(2x + 2<y>_m).
 
     x and eta have shape S, y and zeta shape S + (d - 1,); the result is a
     boolean array of shape S.
     """
     x, y, eta, zeta = (np.asarray(a, dtype=float) for a in (x, y, eta, zeta))
-    shift, a_num, root = _mourre_parts(x, y, eta, zeta, m)
+    y_m = np.sqrt(r_squared(m, y))
+    a_num = eta + np.sum(y / y_m[..., None] * zeta, axis=-1)
+    root = np.sqrt(np.maximum(2.0 * x + 2.0 * y_m, 0.0))
     s = 1.0 if sign >= 0 else -1.0
-    return (shift > 0.0) & (s * a_num > -eps * root)
-
-
-def in_region_X(p: PhasePoint, m: float = 1.0, eps: float = 0.3,
-                sign: int = +1) -> bool:
-    """Membership in the flow-invariant cone X^{+-}_{m, eps}."""
-    return bool(cone_mask(p.x, p.y, p.eta, p.zeta, m, eps, sign))
-
-
-def mourre_ratio(p: PhasePoint, m: float = 1.0) -> float:
-    """a = (eta + yhat_m . zeta) / sqrt(2x + 2<y>_m), defined for x+<y>_m>0."""
-    shift, a_num, root = _mourre_parts(p.x, p.y, p.eta, p.zeta, m)
-    if shift <= 0.0:
-        raise DomainError("a is defined only where x + <y>_m > 0")
-    return float(a_num / root)
+    return (x + y_m > 0.0) & (s * a_num > -eps * root)

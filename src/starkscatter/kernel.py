@@ -11,7 +11,6 @@ the mapped Gauss-Legendre rule of `quadrature`: x = R + c (s / (1 - s))^P
 with c = max(|y|, R) and P chosen from the decay rate alpha + 1/2 of the
 integrand, so every position converges on the same panel layout.  A pass
 takes blocks of positions of 2^15 nodes, a few MB whatever the batch size.
-`born_symbol` is its one-position case.
 
 `radial_kernel` recovers the kernel from the radial Born profile with one
 FFTLog transform (Talman, J. Comput. Phys. 29 (1978) 35; Hamilton, MNRAS
@@ -49,24 +48,16 @@ def default_radius(zeta, lam: float) -> float:
     return max(2.0, z2 - 2.0 * lam + 2.0)
 
 
-def born_symbol(spec: PotentialSpec, zeta, y, lam: float = 0.0,
-                R: float | None = None, tol: float = 1e-10) -> complex:
-    """-2i * integral_R^inf q(x, -y) / sqrt(2x + 2 lam - zeta^2) dx.
-
-    The kernel formulas are statements about the exact power law, so the
-    potential is evaluated unsoftened here.
-    """
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    return complex(born_symbols(spec, zeta, y[None, :], lam, R, tol)[0][0])
-
-
 def born_symbols(spec: PotentialSpec, zeta, ys, lam: float = 0.0,
                  R: float | None = None, tol: float = 1e-10):
-    """born_symbol at every row of ys, (n, d - 1), in one batched quadrature.
+    """-2i * integral_R^inf q(x, -y) / sqrt(2x + 2 lam - zeta^2) dx at every
+    row y of ys, (n, d - 1), in one batched quadrature.
 
     Returns the symbols and, per symbol, the last refinement change of the
     panel rule, which stops once every change is at most tol * max(1, |t|).
     Each refinement pass evaluates the potential _BLOCK_NODES nodes at a time.
+    The kernel formulas are statements about the exact power law, so the
+    potential is evaluated unsoftened here.
     """
     zeta = np.atleast_1d(np.asarray(zeta, dtype=float))
     ys = np.asarray(ys, dtype=float)
@@ -93,7 +84,7 @@ def born_symbols(spec: PotentialSpec, zeta, ys, lam: float = 0.0,
                 q / np.sqrt(2.0 * x + 2.0 * lam - z2) * rule.w, axis=-1)
         return out
 
-    return converge(one_pass, panels, tol, "kernel", "born_symbol")
+    return converge(one_pass, panels, tol, "kernel", "born_symbols")
 
 
 def homogeneous_symbol_asymptote(kappa: float, alpha: float, y) -> complex:

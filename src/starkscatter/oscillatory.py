@@ -12,34 +12,18 @@ real critical points.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import parabolic
 from .errors import BudgetError, DomainError
-from .quadrature import converge, half_line, loglog_fit, panels
+from .quadrature import converge, half_line, panels
 from .special import airy_ai
 
 _CBRT2 = 2.0 ** (1.0 / 3.0)
 # free_eigenfunction: most radians of phase on one tile, most nodes a pass
 _TILE_RADIANS = 128.0
 _MAX_NODES = 2 ** 21
-
-
-@dataclass(frozen=True)
-class EigenfunctionSample:
-    x: float
-    y: np.ndarray
-    lam: float
-    exact: complex
-    asymptotic: complex
-
-    @property
-    def rel_error(self) -> float:
-        if self.exact == 0:
-            raise DomainError("relative error undefined for vanishing value")
-        return abs(self.exact - self.asymptotic) / abs(self.exact)
 
 
 class BumpProfile:
@@ -176,29 +160,3 @@ def stationary_phase_eigenfunction(x: float, y, xi,
     plus = np.exp(-1j * math.pi * d / 4.0) * np.exp(1j * theta1) * xi(omega)
     minus = np.exp(1j * math.pi * d / 4.0) * np.exp(-1j * theta1) * xi(-omega)
     return complex(amp * (plus + minus))
-
-
-def eigenfunction_sample(x: float, y, xi, lam: float = 0.0,
-                         tol: float = 1e-10) -> EigenfunctionSample:
-    return EigenfunctionSample(
-        x=x, y=np.atleast_1d(np.asarray(y, dtype=float)), lam=lam,
-        exact=free_eigenfunction(x, y, xi, lam, tol),
-        asymptotic=stationary_phase_eigenfunction(x, y, xi, lam),
-    )
-
-
-def asymptotic_convergence(y_over_x: float, x_list, xi, lam: float = 0.0,
-                           tol: float = 1e-10, d: int = 2):
-    """Fit the decay exponent of the relative stationary-phase error.
-
-    Returns (exponent, samples); the exponent should not exceed -1/2.
-    """
-    x_list = np.asarray(x_list, dtype=float)
-    samples = []
-    for x in x_list:
-        y = np.full(d - 1, y_over_x * x / math.sqrt(d - 1))
-        samples.append(eigenfunction_sample(x, y, xi, lam, tol))
-    errs = np.array([s.rel_error for s in samples])
-    if np.any(errs <= 0.0):
-        raise DomainError("degenerate data: zero relative error")
-    return loglog_fit(x_list, errs)[0], samples

@@ -13,8 +13,8 @@ homogeneous kind at kappa = 0, and goes through the same arithmetic.
 Every kind is evaluated on arrays: x of shape S and y of shape S' + (d - 1,),
 with S and S' broadcasting, give q at the broadcast shape.  A table
 potential's callable follows the same contract, so a batch of nodes is one
-call of it; eval_potential and grad_potential are the one-point case of
-force_rows, with its checks.
+call of it; eval_potential is the one-point case of force_rows, with its
+checks.
 
 The force law -grad q is written here once: force_rows evaluates it on
 rows, checked, with the DomainError of a point outside the potential's
@@ -133,12 +133,6 @@ def eval_potential(spec: PotentialSpec, x: float, y) -> float:
             # DomainError where q or grad q is out of the double range
             force_rows(spec, z)
     return float(eval_potential_array(spec, z[:, 0], z[:, 1:])[0])
-
-
-def grad_potential(spec: PotentialSpec, x: float, y) -> np.ndarray:
-    """Gradient (d_x q, grad_y q) as a vector of length d."""
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        return -force_rows(spec, _row(x, y))[0]
 
 
 def force_rows(spec: PotentialSpec, z: np.ndarray, out=None) -> np.ndarray:

@@ -15,8 +15,8 @@ the rule itself, so that importing the module needs neither
 numpy.polynomial nor a LAPACK eigensolver.
 
 The module also holds the one log-log least-squares fit, `loglog_fit`, a
-closed-form line without LAPACK, which the decay-rate and convergence-rate
-fits share, and the one one-dimensional minimiser, `brent_minimum`.
+closed-form line without LAPACK, which the decay-rate fits share, and the
+one one-dimensional minimiser, `brent_minimum`.
 """
 
 from __future__ import annotations

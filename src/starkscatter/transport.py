@@ -32,7 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .classical import PhasePoint, cone_mask, free_flow_arrays
+from .classical import PhasePoint, cone_mask, free_flow
 from .errors import DomainError
 from .potentials import PotentialSpec, radial_jets
 from .quadrature import converge, half_line, loglog_fit, map_power, tails
@@ -76,9 +76,8 @@ def _hierarchy(k, X, Y, ETA, ZETA, spec, sign, tol, m) -> _Jets:
 
     def one_pass(rule):
         t, jac, w = rule.t, rule.jac, rule.w
-        Xt, Yt, _, _ = free_flow_arrays(X[:, None], Y[:, None, :],
-                                        ETA[:, None], ZETA[:, None, :],
-                                        sgn * t)
+        Xt, Yt, _, _ = free_flow(X[:, None], Y[:, None, :], ETA[:, None],
+                                 ZETA[:, None, :], sgn * t)
         q, grad, lap, bilap = radial_jets(spec, Xt, Yt)
         grad = np.moveaxis(grad, -1, 1)                   # (n, d, nodes)
         b = [c * np.sum(q * w, axis=-1)]
@@ -99,7 +98,7 @@ def _hierarchy(k, X, Y, ETA, ZETA, spec, sign, tol, m) -> _Jets:
     # q decays like t^{-2 alpha} along the flow
     cur, change = converge(one_pass,
                            half_line(tau, map_power(2.0 * spec.alpha)), tol,
-                           "transport", "symbol_b")
+                           "transport", "symbols")
     return _Jets(q=radial_jets(spec, X, Y)[0], b=cur[:k], lap_b=cur[k:2 * k],
                  grad_b1=cur[2 * k:].T, b_err=change[:k])
 
@@ -109,7 +108,6 @@ def _solve(k, x, y, eta, zeta, spec, sign, tol, m, eps) -> _Jets:
     check and one cone check of every row."""
     if not (1 <= k <= K_MAX_DEFAULT):
         raise DomainError(f"symbol order must lie in [1, {K_MAX_DEFAULT}]")
-    x, y, eta, zeta = (np.asarray(a, dtype=float) for a in (x, y, eta, zeta))
     if not np.all(cone_mask(x, y, eta, zeta, m=m, eps=eps, sign=sign)):
         raise DomainError("phase point outside the invariant cone X")
     return _hierarchy(k, x, y, eta, zeta, spec, sign, tol, m)
@@ -143,7 +141,7 @@ def symbols(k_max: int, p: PhasePoint, spec: PotentialSpec, sign: int = +1,
     z = z + step
     t = np.zeros(6)
     t[5] = (1.0 if sign >= 0 else -1.0) * t_max
-    rows = free_flow_arrays(z[:, 0], z[:, 1:d], z[:, d], z[:, d + 1:], t)
+    rows = free_flow(z[:, 0], z[:, 1:d], z[:, d], z[:, d + 1:], t)
     jets = _solve(k_max, *rows, spec, sign, tol, m, eps)
     results = []
     for k in range(1, k_max + 1):
@@ -156,22 +154,6 @@ def symbols(k_max: int, p: PhasePoint, spec: PotentialSpec, sign: int = +1,
             quad_error=float(jets.b_err[k - 1, 0]),
             residual=float(abs(1j * (d_eta + d_dir) - jets.q_k(k - 1)[0]))))
     return results
-
-
-def symbol_b(k: int, p: PhasePoint, spec: PotentialSpec, sign: int = +1,
-             tol: float = 1e-10, m: float = 1.0, eps: float = 0.3) -> complex:
-    """b_k at p alone, from a one-row solve."""
-    jets = _solve(k, [p.x], p.y[None], [p.eta], p.zeta[None], spec, sign,
-                  tol, m, eps)
-    return complex(jets.b[k - 1, 0])
-
-
-def symbol_q(k: int, p: PhasePoint, spec: PotentialSpec, sign: int = +1,
-             tol: float = 1e-10, m: float = 1.0, eps: float = 0.3) -> complex:
-    """q_k = q * b_k - (1/2) Laplacian b_k at p alone, from a one-row solve."""
-    jets = _solve(k, [p.x], p.y[None], [p.eta], p.zeta[None], spec, sign,
-                  tol, m, eps)
-    return complex(jets.q_k(k)[0])
 
 
 def decay_fit_symbols(spec: PotentialSpec, sign: int = +1, x_values=None,

@@ -12,7 +12,6 @@ from scipy.integrate import quad
 
 from starkscatter import (
     PhasePoint,
-    asymptotic_convergence,
     BumpProfile,
     c1_constant,
     c2_constant,
@@ -20,12 +19,15 @@ from starkscatter import (
     decay_slope,
     eval_potential,
     fit_kernel_law,
+    free_eigenfunction,
     integrate_orbit,
     kernel_singularity_law,
     radial_kernel,
+    stationary_phase_eigenfunction,
     symbols,
 )
 from starkscatter import checks
+from starkscatter.quadrature import loglog_fit
 from starkscatter.transport import decay_fit_symbols
 
 
@@ -126,10 +128,15 @@ def test_stationary_phase_asymptote_accuracy():
     # at least like x^{-1/2} along doubling x
     start = time.perf_counter()
     xi = BumpProfile(1.5, 2.0)
-    exponent, samples = asymptotic_convergence(
-        0.05, [50.0, 100.0, 200.0, 400.0, 800.0], xi, tol=1e-10)
-    assert samples[-1].rel_error <= 0.01
-    assert exponent <= -0.5
+    xs = [50.0, 100.0, 200.0, 400.0, 800.0]
+    errs = []
+    for x in xs:
+        y = [0.05 * x]
+        exact = free_eigenfunction(x, y, xi, tol=1e-10)
+        errs.append(abs(exact - stationary_phase_eigenfunction(x, y, xi))
+                    / abs(exact))
+    assert errs[-1] <= 0.01
+    assert loglog_fit(xs, errs)[0] <= -0.5
     assert time.perf_counter() - start < 60.0
 
 

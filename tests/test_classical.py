@@ -23,18 +23,13 @@ from starkscatter import (
     eval_potential,
     free_flow,
     gamma_observables,
-    grad_potential,
     homogeneous,
-    in_region_X,
     integrate_orbit,
-    mourre_ratio,
     zero_potential,
 )
 from starkscatter.classical import (
     _log_subsample,
     cone_mask,
-    free_flow_arrays,
-    gamma_observables_arrays,
     is_escaping,
 )
 from starkscatter.parabolic import theta1_calculus
@@ -48,11 +43,26 @@ def _random_point(rng, d=2):
                       zeta=rng.uniform(-2.0, 2.0, size=d - 1))
 
 
+def _flow(p, t):
+    """p moved by the free flow for a time t."""
+    return PhasePoint(*free_flow(p.x, p.y, p.eta, p.zeta, t))
+
+
+def _in_cone(p, **kwargs):
+    return bool(cone_mask(p.x, p.y, p.eta, p.zeta, **kwargs))
+
+
+def _observables(p):
+    """gamma_observables on the one row p."""
+    return gamma_observables(np.array([p.x]), p.y[None], np.array([p.eta]),
+                             p.zeta[None])
+
+
 # ---------------------------------------------------------------------------
 # free flow
 
 def test_free_flow_example():
-    p = free_flow(PhasePoint(0.0, [0.0], 0.0, [1.0]), 2.0)
+    p = _flow(PhasePoint(0.0, [0.0], 0.0, [1.0]), 2.0)
     assert p.x == pytest.approx(2.0)
     np.testing.assert_allclose(p.y, [2.0])
     assert p.eta == pytest.approx(2.0)
@@ -62,7 +72,7 @@ def test_free_flow_example():
 def test_free_flow_identity_at_zero_time():
     rng = np.random.default_rng(20)
     p = _random_point(rng, d=3)
-    q = free_flow(p, 0.0)
+    q = _flow(p, 0.0)
     assert q.x == p.x and q.eta == p.eta
     np.testing.assert_array_equal(q.y, p.y)
     np.testing.assert_array_equal(q.zeta, p.zeta)
@@ -78,7 +88,7 @@ def test_orbit_at_kappa_zero_is_the_free_flow(softening, d):
     p0 = PhasePoint(-20.5, np.linspace(1.25, 3.0, d - 1), 3.75,
                     np.linspace(-0.5, 0.25, d - 1))
     traj = integrate_orbit(spec, p0, 64.0, t_eval=np.arange(65.0))
-    free = np.array([free_flow(p0, t).as_vector() for t in traj.times])
+    free = np.array([_flow(p0, t).as_vector() for t in traj.times])
     np.testing.assert_array_equal(traj.states, free)
     assert traj.energy_drift() == 0.0
 
@@ -88,8 +98,8 @@ def test_free_flow_group_law():
     for _ in range(50):
         p = _random_point(rng, d=3)
         s, t = rng.uniform(-3.0, 3.0, size=2)
-        a = free_flow(free_flow(p, s), t)
-        b = free_flow(p, s + t)
+        a = _flow(_flow(p, s), t)
+        b = _flow(p, s + t)
         assert a.x == pytest.approx(b.x, rel=1e-13, abs=1e-13)
         np.testing.assert_allclose(a.y, b.y, rtol=1e-13, atol=1e-13)
         assert a.eta == pytest.approx(b.eta, rel=1e-13, abs=1e-13)
@@ -100,9 +110,9 @@ def test_free_flow_conserves_energy():
     rng = np.random.default_rng(22)
     spec = zero_potential()
     p = _random_point(rng)
-    e0 = energy(spec, p)
-    for t in (0.5, 3.0, 40.0):
-        assert energy(spec, free_flow(p, t)) == pytest.approx(e0, abs=1e-9)
+    states = np.array([_flow(p, t).as_vector() for t in (0.0, 0.5, 3.0, 40.0)])
+    e = energy(spec, states)
+    assert e[1:] == pytest.approx(np.full(3, e[0]), abs=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -113,7 +123,7 @@ def test_zero_potential_orbit_matches_free_flow():
     p0 = PhasePoint(1.0, [2.0], 0.5, [-0.3])
     traj = integrate_orbit(spec, p0, 50.0, tol=1e-12, n_samples=51)
     for t, p in zip(traj.times, traj.points):
-        q = free_flow(p0, t)
+        q = _flow(p0, t)
         assert p.x == pytest.approx(q.x, rel=1e-12, abs=1e-10)
         np.testing.assert_allclose(p.y, q.y, rtol=1e-12, atol=1e-10)
         assert p.eta == pytest.approx(q.eta, rel=1e-12, abs=1e-10)
@@ -208,8 +218,8 @@ def _hamilton_oracle(spec, p0, t_final, tol, t_eval):
     field[0] = 1.0
 
     def rhs(t, s):
-        return np.concatenate([s[d:], field - grad_potential(spec, s[0],
-                                                               s[1:d])])
+        return np.concatenate([s[d:],
+                               field + force_rows(spec, s[None, :d])[0]])
 
     sol = solve_ivp(rhs, (0.0, t_final), p0.as_vector(), method="DOP853",
                     rtol=tol, atol=tol, t_eval=t_eval)
@@ -627,7 +637,7 @@ _BAD_POINTS = {
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_every_rhs_raises_the_same_domain_error(d, case):
     # the force at a bad point, by force_rows among good rows, by
-    # grad_potential alone and by an orbit that starts there (its start
+    # force_rows on it alone and by an orbit that starts there (its start
     # point's force is taken first), raises the same DomainError
     spec, message = _BAD_POINTS[case]
     z = np.zeros(d)                     # the origin
@@ -637,11 +647,11 @@ def test_every_rhs_raises_the_same_domain_error(d, case):
         z[0] = 1e200
     rows = np.vstack([np.full((3, d), 2.0), z])
 
-    def row_force():
+    def row_force(rows):
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             return force_rows(spec, rows)
 
-    calls = [row_force, lambda: grad_potential(spec, z[0], z[1:])]
+    calls = [lambda: row_force(rows), lambda: row_force(z[None])]
     if case != "non-finite":            # a phase point must be finite
         calls.append(lambda: integrate_orbit(
             spec, PhasePoint(z[0], z[1:], 0.0, np.zeros(d - 1)), 1.0))
@@ -663,16 +673,16 @@ _RHS_SPECS = {
                                         - {"table", "alpha300"}))
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_gradient_is_the_negated_force_rows_bitwise(d, kind):
-    # the one closed form: grad_potential at each row is force_rows on all
-    # the rows negated, on the seeded positions of the right-hand side
-    # tests, and both round as the prefactor form written out here
+    # the one closed form: force_rows on each row alone is force_rows on
+    # all the rows, on the seeded positions of the right-hand side tests,
+    # and both round as the prefactor form written out here
     spec, p0 = _RHS_SPECS[kind], _rhs_point(d)
     ts, us = _random_deviations(d)
-    x, y, _, _ = free_flow_arrays(p0.x, p0.y, p0.eta, p0.zeta, ts)
+    x, y, _, _ = free_flow(p0.x, p0.y, p0.eta, p0.zeta, ts)
     z = np.column_stack([x + us[:, 0], y + us[:, 1:d]])
     force = force_rows(spec, z)
-    grad = [grad_potential(spec, row[0], row[1:]) for row in z]
-    assert np.array_equal(_bits(grad), _bits(-force))
+    one = [force_rows(spec, row[None])[0] for row in z]
+    assert np.array_equal(_bits(one), _bits(force))
     r2 = z[:, 0] * z[:, 0] + np.sum(z[:, 1:] * z[:, 1:], axis=-1)
     pref = spec.alpha * spec.kappa * (r2 + spec.softening ** 2) ** (
         -spec.alpha / 2.0 - 1.0)
@@ -805,32 +815,32 @@ def test_gamma_vanishes_on_the_asymptotic_parabola():
     x, y = 400.0, np.array([12.0])
     g = theta1_calculus(x, y).gradient
     p = PhasePoint(x, y, float(g[0]), g[1:])
-    obs = gamma_observables(p)
+    obs = _observables(p)
     np.testing.assert_allclose(obs.gamma, 0.0, atol=1e-13)
-    assert obs.gamma_par == pytest.approx(0.0, abs=1e-13)
+    assert obs.gamma_par[0] == pytest.approx(0.0, abs=1e-13)
 
 
 def test_gamma_tilde_definition():
     x, y = 100.0, np.array([4.0])
     p = PhasePoint(x, y, 14.0, [0.1])
-    obs = gamma_observables(p)
+    obs = _observables(p)
     r = math.hypot(x, 4.0)
-    np.testing.assert_allclose(obs.gamma_tilde, y / (r + x), rtol=1e-13)
+    np.testing.assert_allclose(obs.gamma_tilde[0], y / (r + x), rtol=1e-13)
 
 
 def test_gamma_norm_combines_components():
     p = PhasePoint(100.0, [4.0], 14.0, [0.1])
-    obs = gamma_observables(p)
-    expected = math.sqrt(float(obs.gamma @ obs.gamma)
-                         + float(obs.gamma_tilde @ obs.gamma_tilde))
-    assert obs.Gamma_norm == pytest.approx(expected, rel=1e-12)
+    obs = _observables(p)
+    expected = math.sqrt(float(obs.gamma[0] @ obs.gamma[0])
+                         + float(obs.gamma_tilde[0] @ obs.gamma_tilde[0]))
+    assert obs.Gamma_norm[0] == pytest.approx(expected, rel=1e-12)
 
 
 def test_gamma_observables_domain():
     with pytest.raises(DomainError):
-        gamma_observables(PhasePoint(5.0, [0.0], 1.0, [0.0]))
+        _observables(PhasePoint(5.0, [0.0], 1.0, [0.0]))
     with pytest.raises(DomainError):
-        gamma_observables(PhasePoint(100.0, [50.0], 1.0, [0.0]))
+        _observables(PhasePoint(100.0, [50.0], 1.0, [0.0]))
 
 
 def _gamma_reference(p):
@@ -863,20 +873,20 @@ def _zero_energy_orbit(d, x0, t_eval):
 def test_batched_gamma_observables_match_pointwise(d):
     traj = _zero_energy_orbit(d, 20.0, np.geomspace(1.0, 1e4, 80))
     s = traj.states
-    obs = gamma_observables_arrays(s[:, 0], s[:, 1:d], s[:, d], s[:, d + 1:])
+    obs = gamma_observables(s[:, 0], s[:, 1:d], s[:, d], s[:, d + 1:])
     assert obs.gamma.shape == (80, d) and obs.gamma_tilde.shape == (80, d - 1)
     for i, p in enumerate(traj.points):
-        one = gamma_observables(p)
+        one = _observables(p)
         par, norm = _gamma_reference(p)
-        for value in (one.Gamma_norm, norm):
+        for value in (one.Gamma_norm[0], norm):
             assert abs(obs.Gamma_norm[i] - value) <= 4 * np.spacing(value)
-        for value in (one.gamma_par, par):
+        for value in (one.gamma_par[0], par):
             assert abs(obs.gamma_par[i] - value) <= 1e-12 * abs(value)
-        np.testing.assert_array_equal(obs.gamma[i], one.gamma)
-        np.testing.assert_array_equal(obs.gamma_tilde[i], one.gamma_tilde)
+        np.testing.assert_array_equal(obs.gamma[i], one.gamma[0])
+        np.testing.assert_array_equal(obs.gamma_tilde[i], one.gamma_tilde[0])
     with pytest.raises(DomainError):
-        gamma_observables_arrays(s[:2, 0], np.full((2, d - 1), 100.0),
-                                 s[:2, d], s[:2, d + 1:])
+        gamma_observables(s[:2, 0], np.full((2, d - 1), 100.0),
+                          s[:2, d], s[:2, d + 1:])
 
 
 def _decay_slope_reference(traj, observable, window):
@@ -886,10 +896,11 @@ def _decay_slope_reference(traj, observable, window):
         if not window[0] <= t <= window[1]:
             continue
         try:
-            obs = gamma_observables(p)
+            obs = _observables(p)
         except DomainError:
             continue
-        v = abs(obs.Gamma_norm if observable == "Gamma_norm" else obs.gamma_par)
+        v = abs(obs.Gamma_norm[0] if observable == "Gamma_norm"
+                else obs.gamma_par[0])
         if v > 0.0:
             ts.append(t)
             vals.append(v)
@@ -994,12 +1005,12 @@ def test_gamma_decay_along_scattering_orbits(spec):
 # invariant cones
 
 def test_region_membership_examples():
-    assert in_region_X(PhasePoint(10.0, [0.0], 1.0, [0.0]))
-    assert not in_region_X(PhasePoint(-10.0, [0.0], 1.0, [0.0]))
+    assert _in_cone(PhasePoint(10.0, [0.0], 1.0, [0.0]))
+    assert not _in_cone(PhasePoint(-10.0, [0.0], 1.0, [0.0]))
     # incoming momentum slightly below the -eps margin
     p = PhasePoint(10.0, [0.0], -5.0, [0.0])
-    assert not in_region_X(p, eps=0.3, sign=+1)
-    assert in_region_X(p, eps=0.3, sign=-1)
+    assert not _in_cone(p, eps=0.3, sign=+1)
+    assert _in_cone(p, eps=0.3, sign=-1)
 
 
 def test_region_invariance_under_free_flow():
@@ -1007,11 +1018,11 @@ def test_region_invariance_under_free_flow():
     checked = 0
     while checked < 2000:
         p = _random_point(rng, d=3)
-        if not in_region_X(p):
+        if not _in_cone(p):
             continue
         checked += 1
         for t in (1.0, 10.0, 100.0):
-            assert in_region_X(free_flow(p, t))
+            assert _in_cone(_flow(p, t))
 
 
 def _in_cone_reference(p, m, eps, sign):
@@ -1036,32 +1047,31 @@ def test_cone_mask_matches_pointwise_membership(d, sign):
     zeta = rng.uniform(-3.0, 3.0, size=(n, d - 1))
     mask = cone_mask(x, y, eta, zeta, m=1.5, eps=0.2, sign=sign)
     points = [PhasePoint(*row) for row in zip(x, y, eta, zeta)]
-    assert mask.tolist() == [in_region_X(p, m=1.5, eps=0.2, sign=sign)
-                             for p in points]
     assert mask.tolist() == [_in_cone_reference(p, 1.5, 0.2, sign)
                              for p in points]
     behind = x + np.sqrt(1.5 ** 2 + np.sum(y * y, axis=-1)) <= 0.0
     assert behind.any() and mask.any() and not mask[~behind].all()
-    # the batched free flow moves every point as free_flow does
-    flowed = free_flow_arrays(x, y, eta, zeta, 10.0)
+    # the free flow moves every row as the flow of that point alone does
+    flowed = free_flow(x, y, eta, zeta, 10.0)
     for i in (0, n // 2, n - 1):
-        q = free_flow(points[i], 10.0)
+        q = _flow(points[i], 10.0)
         assert (flowed[0][i], flowed[2][i]) == (q.x, q.eta)
         assert flowed[1][i].tolist() == q.y.tolist()
 
 
 def test_mourre_ratio_stays_above_cone_margin():
-    # orbits started in the cone with a(0) > -eps never cross the margin
+    # orbits started in the cone, where the Mourre ratio a(0) > -eps, never
+    # cross the margin: cone_mask tests a > -eps where x + <y>_m > 0
     eps = 0.3
     rng = np.random.default_rng(26)
     checked = 0
     while checked < 200:
         p = _random_point(rng, d=2)
-        if not in_region_X(p, eps=eps) or mourre_ratio(p) <= -eps:
+        if not _in_cone(p, eps=eps):
             continue
         checked += 1
-        for t in np.linspace(0.0, 50.0, 26):
-            assert mourre_ratio(free_flow(p, float(t))) > -eps
+        flowed = free_flow(p.x, p.y, p.eta, p.zeta, np.linspace(0.0, 50.0, 26))
+        assert cone_mask(*flowed, eps=eps).all()
 
 
 def test_mourre_ratio_numerator_monotone_along_free_flow():
@@ -1070,15 +1080,19 @@ def test_mourre_ratio_numerator_monotone_along_free_flow():
         p = _random_point(rng, d=3)
         vals = []
         for t in np.linspace(0.0, 25.0, 100):
-            q = free_flow(p, float(t))
+            q = _flow(p, float(t))
             y_m = math.sqrt(1.0 + float(q.y @ q.y))
             vals.append(q.eta + float(q.y @ q.zeta) / y_m)
         assert all(b >= a - 1e-10 for a, b in zip(vals, vals[1:]))
 
 
 def test_mourre_ratio_domain():
-    with pytest.raises(DomainError):
-        mourre_ratio(PhasePoint(-10.0, [0.0], 1.0, [0.0]))
+    # the ratio is defined where x + <y>_m > 0 only: behind that, no
+    # momentum puts a point into either cone
+    for eta in (-1e3, 1.0, 1e3):
+        for sign in (+1, -1):
+            assert not _in_cone(PhasePoint(-10.0, [0.0], eta, [0.0]),
+                                sign=sign)
 
 
 def test_phase_point_validation():

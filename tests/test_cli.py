@@ -343,15 +343,13 @@ def test_orbit_zero_potential_matches_free_flow(capsys, tmp_path):
                          "--orbit.t_final=10", "--orbit.n_samples=11")
     assert code == 0
     assert summary["energy_drift"] < 1e-12
-    rows = (tmp_path / "orbit.csv").read_text().strip().split("\n")[1:]
+    rows = np.loadtxt(tmp_path / "orbit.csv", delimiter=",", skiprows=1)
+    t, x, y1, eta, zeta1, _ = rows.T
     p0 = PhasePoint(10.0, [1.0], 1.0, [0.3])
-    for row in rows:
-        t, x, y1, eta, zeta1, _ = (float(v) for v in row.split(","))
-        q = free_flow(p0, t)
-        assert x == pytest.approx(q.x, abs=1e-9)
-        assert y1 == pytest.approx(q.y[0], abs=1e-9)
-        assert eta == pytest.approx(q.eta, abs=1e-9)
-        assert zeta1 == pytest.approx(q.zeta[0], abs=1e-9)
+    fx, fy, feta, fzeta = free_flow(p0.x, p0.y, p0.eta, p0.zeta, t)
+    for got, want in ((x, fx), (y1, fy[:, 0]), (eta, feta),
+                      (zeta1, np.broadcast_to(fzeta, t.shape))):
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-9)
 
 
 def test_momenta_summary_fields(capsys, tmp_path):

@@ -1,10 +1,13 @@
 """Package hygiene: the public names resolve, no module imports dead names,
 no module imports scipy and the package loads none, a verification run loads
 no numpy.random, the orbit path makes no LAPACK call, one-point functions
-stay in their own module, no module reaches into another's private names and
-every private definition is used somewhere in the package."""
+stay in their own module, removed names stay removed, the benchmark's entry
+points and the README's library example still work, no module reaches into
+another's private names and every private definition is used somewhere in
+the package."""
 
 import ast
+import importlib
 import json
 import math
 import re
@@ -20,6 +23,7 @@ from starkscatter import PhasePoint, classical, coulomb, eval_potential
 
 MODULES = sorted(p for p in Path(starkscatter.__file__).parent.glob("*.py")
                  if p.name != "__init__.py")
+ROOT = Path(starkscatter.__file__).parents[2]
 
 
 def test_star_import_resolves_every_public_name():
@@ -191,13 +195,15 @@ print(json.dumps([codes, sorted(set(sys.modules) - before)]))
 
 
 # the one-point functions, which only their own module may use: every other
-# module works on a batch of points in one array call
-_ONE_POINT = {"potentials": {"eval_potential", "grad_potential"},
-              "classical": {"in_region_X", "free_flow", "gamma_observables",
-                            "energy", "mourre_ratio"}}
+# module works on a batch of points in one array call.  classical's two are
+# deleted and stay out of use; its batched forms took the plain names
+# free_flow, energy and gamma_observables
+_ONE_POINT = {"potentials": {"eval_potential"},
+              "classical": {"in_region_X", "mourre_ratio"}}
 
 
-def _one_point_uses(path: Path, owner: str) -> set:
+def _imported_or_read(path: Path) -> set:
+    """The names a module imports by name or reads as an attribute."""
     tree = ast.parse(path.read_text(), filename=str(path))
     names = set()
     for node in ast.walk(tree):
@@ -205,14 +211,14 @@ def _one_point_uses(path: Path, owner: str) -> set:
             names |= {a.name for a in node.names}
         elif isinstance(node, ast.Attribute):
             names.add(node.attr)
-    return names & _ONE_POINT[owner]
+    return names
 
 
 @pytest.mark.parametrize("path", [p for p in MODULES
                                   if p.stem != "potentials"],
                          ids=lambda p: p.stem)
 def test_one_point_potential_functions_stay_in_potentials(path):
-    used = _one_point_uses(path, "potentials")
+    used = _imported_or_read(path) & _ONE_POINT["potentials"]
     assert not used, f"{path.name} uses {used}: call the array functions"
 
 
@@ -220,8 +226,86 @@ def test_one_point_potential_functions_stay_in_potentials(path):
                                   if p.stem != "classical"],
                          ids=lambda p: p.stem)
 def test_one_point_classical_functions_stay_in_classical(path):
-    used = _one_point_uses(path, "classical")
-    assert not used, f"{path.name} uses {used}: call the array functions"
+    used = _imported_or_read(path) & _ONE_POINT["classical"]
+    assert not used, f"{path.name} uses {used}: call cone_mask"
+
+
+# one-point forks of batched computations and the old names of the batched
+# forms: each computation has one public name, the batched one
+_REMOVED = ("symbol_b", "symbol_q", "born_symbol", "grad_potential",
+            "in_region_X", "mourre_ratio", "asymptotic_convergence",
+            "eigenfunction_sample", "EigenfunctionSample",
+            "gamma_observables_arrays", "free_flow_arrays", "_energies")
+
+
+def test_removed_names_stay_removed():
+    # neither defined or re-exported anywhere in the package, nor called
+    modules = [starkscatter] + [
+        importlib.import_module(f"starkscatter.{p.stem}") for p in MODULES]
+    back = [f"{m.__name__}.{name}" for m in modules for name in _REMOVED
+            if hasattr(m, name)]
+    back += [f"{p.name} uses {name}" for p in MODULES
+             for name in sorted(_imported_or_read(p) & set(_REMOVED))]
+    assert not back, f"removed names are back: {back}"
+
+
+def _assigned_literal(tree: ast.Module, name: str):
+    """The literal value of the top-level assignment to name."""
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == name
+                        for t in node.targets)):
+            return ast.literal_eval(node.value)
+    raise AssertionError(f"no assignment to {name}")
+
+
+def _benchmark_names() -> set:
+    """(module, name) for every package name the benchmark calls: the
+    worker's imports from starkscatter and its classical.<name> and
+    cli.<name> reads, the runner's stage spans and the tracer's layers and
+    private CLI functions."""
+    bench = ROOT / "bench"
+    names = set()
+    worker = ast.parse((bench / "worker.py").read_text())
+    for node in ast.walk(worker):
+        if isinstance(node, ast.ImportFrom) and node.module == "starkscatter":
+            names |= {("", a.name) for a in node.names}
+        elif (isinstance(node, ast.Attribute)
+              and isinstance(node.value, ast.Name)
+              and node.value.id in ("classical", "cli")):
+            names.add((node.value.id, node.attr))
+    stages = _assigned_literal(ast.parse((bench / "run.py").read_text()),
+                               "STAGES")
+    names |= {tuple(span.split(".")) for span in stages}
+    tracer = ast.parse((bench / "tracer.py").read_text())
+    names |= {(layer, "") for layer in _assigned_literal(tracer, "LAYERS")}
+    names |= {("cli", name)
+              for name in _assigned_literal(tracer, "CLI_PRIVATE")}
+    return names
+
+
+def test_benchmark_entry_points_resolve():
+    # an API change that removed one of these would turn a benchmark
+    # workload into failed runs, not into a failing test
+    names = _benchmark_names()
+    assert {("", "PhasePoint"), ("classical", "integrate_orbit"),
+            ("cli", "main"), ("cli", "cmd_eikonal"),
+            ("cli", "_emit"), ("potentials", "")} <= names
+    missing = []
+    for module, name in sorted(names):
+        owner = (importlib.import_module(f"starkscatter.{module}") if module
+                 else starkscatter)
+        if name and not hasattr(owner, name):
+            missing.append(f"{module or 'starkscatter'}.{name}")
+    assert not missing, f"the benchmark calls missing names: {missing}"
+
+
+def test_readme_library_example_runs(capsys):
+    readme = (ROOT / "README.md").read_text()
+    example = readme.split("## Library example", 1)[1]
+    code = re.search(r"```python\n(.*?)```", example, re.DOTALL).group(1)
+    exec(compile(code, "README.md", "exec"), {})
+    assert capsys.readouterr().out
 
 
 def _private_uses(tree: ast.Module) -> set:

@@ -11,7 +11,6 @@ from starkscatter import (
     DomainError,
     KernelLaw,
     PotentialSpec,
-    born_symbol,
     born_symbol_tail,
     c1_constant,
     c2_constant,
@@ -28,6 +27,11 @@ from starkscatter.cli import cmd_kernel, load_config
 from starkscatter.errors import ConfigError
 from starkscatter import kernel
 from starkscatter.kernel import born_symbols
+
+
+def _born(spec, zeta, y, **kwargs):
+    """born_symbols at the one row y."""
+    return complex(born_symbols(spec, zeta, [y], **kwargs)[0][0])
 
 
 def _mpmath_born(q, R):
@@ -52,7 +56,7 @@ def _mpmath_born(q, R):
 # born symbol
 
 def test_born_symbol_zero_potential():
-    assert born_symbol(zero_potential(), [0.0, 0.0], [5.0, 0.0]) == 0.0
+    assert _born(zero_potential(), [0.0, 0.0], [5.0, 0.0]) == 0.0
 
 
 @pytest.mark.parametrize("softening", [1e-3, 0.0])
@@ -90,8 +94,7 @@ def test_born_symbol_against_mpmath(alpha):
     for r in (1e-2, 1.0, 50.0, 3.5e4, 1e5, 1.4e5):
         oracle = _mpmath_born(
             lambda x: (x * x + r * r) ** (-mpmath.mpf(alpha) / 2), 2.0)
-        assert born_symbol(spec, [0.0], [r]) == pytest.approx(oracle,
-                                                              rel=1e-9)
+        assert _born(spec, [0.0], [r]) == pytest.approx(oracle, rel=1e-9)
 
 
 def test_born_symbol_table_kind_against_mpmath():
@@ -105,8 +108,7 @@ def test_born_symbol_table_kind_against_mpmath():
             oracle = -2j * complex(mpmath.quad(
                 lambda x: mpmath.exp(-(x * x + y_sq) / 9) / mpmath.sqrt(2 * x),
                 [2, 4, 8, 16, 32, 64]))
-        assert born_symbol(spec, [0.0, 0.0], y) == pytest.approx(oracle,
-                                                                 rel=1e-9)
+        assert _born(spec, [0.0, 0.0], y) == pytest.approx(oracle, rel=1e-9)
 
 
 def test_born_symbols_report_the_achieved_refinement_change():
@@ -123,7 +125,7 @@ def test_born_symbols_report_the_achieved_refinement_change():
         oracle = _mpmath_born(
             lambda x: (x * x + r * r) ** (-mpmath.mpf(0.75) / 2), 2.0)
         assert abs(val - oracle) <= err + 4e-16 * abs(oracle)
-        assert born_symbol(spec, [0.0], [r], tol=tol) == pytest.approx(
+        assert _born(spec, [0.0], [r], tol=tol) == pytest.approx(
             val, rel=1e-12)
 
 
@@ -154,21 +156,21 @@ def test_born_symbols_do_not_depend_on_the_row_blocks(d, kind, monkeypatch):
 
 def test_born_symbol_linear_in_coupling():
     y = [3.0]
-    a = born_symbol(coulomb(1.0), [0.0], y)
-    b = born_symbol(coulomb(2.0), [0.0], y)
+    a = _born(coulomb(1.0), [0.0], y)
+    b = _born(coulomb(2.0), [0.0], y)
     assert b == pytest.approx(2.0 * a, rel=1e-10)
 
 
 def test_born_symbol_negative_imaginary_for_positive_coupling():
-    val = born_symbol(coulomb(1.0), [0.0], [3.0])
+    val = _born(coulomb(1.0), [0.0], [3.0])
     assert val.real == 0.0
     assert val.imag < 0.0
 
 
 def test_born_symbol_even_in_y():
     spec = homogeneous(1.0, 1.5)
-    a = born_symbol(spec, [0.0], [4.0])
-    b = born_symbol(spec, [0.0], [-4.0])
+    a = _born(spec, [0.0], [4.0])
+    b = _born(spec, [0.0], [-4.0])
     assert a == pytest.approx(b, rel=1e-12)
 
 
@@ -177,7 +179,7 @@ def test_born_symbol_approaches_homogeneous_asymptote():
     ratios = []
     for r in (1e2, 1e3, 1e4):
         y = [r]
-        val = born_symbol(spec, [0.0], y, R=1.0)
+        val = _born(spec, [0.0], y, R=1.0)
         asym = homogeneous_symbol_asymptote(1.0, 1.0, y)
         ratios.append(val.imag / asym.imag)
     assert abs(ratios[-1] - 1.0) < 0.02
@@ -188,14 +190,14 @@ def test_born_symbol_approaches_homogeneous_asymptote():
 def test_born_symbol_insensitive_to_energy_and_zeta_at_large_y():
     spec = coulomb(1.0)
     y = [2e3]
-    base = born_symbol(spec, [0.0], y, lam=0.0)
-    shifted = born_symbol(spec, [0.4], y, lam=0.3)
+    base = _born(spec, [0.0], y, lam=0.0)
+    shifted = _born(spec, [0.4], y, lam=0.3)
     assert abs(shifted - base) < 0.02 * abs(base)
 
 
 def test_born_symbol_domain_check():
     with pytest.raises(DomainError):
-        born_symbol(coulomb(1.0), [3.0], [5.0], R=1.0)
+        _born(coulomb(1.0), [3.0], [5.0], R=1.0)
 
 
 def test_asymptote_value_and_scaling():

@@ -9,11 +9,10 @@ from starkscatter import (
     DomainError,
     coulomb,
     eval_potential,
-    grad_potential,
     homogeneous,
     zero_potential,
 )
-from starkscatter.classical import _energies
+from starkscatter.classical import energy
 from starkscatter import kernel
 from starkscatter.kernel import born_symbols
 from starkscatter.potentials import (
@@ -34,6 +33,12 @@ def _delta(spec):
 def _rows(x, y):
     return np.column_stack([np.asarray(x, dtype=float),
                             np.asarray(y, dtype=float)])
+
+
+def _grad(spec, x, y):
+    """grad q at one point: force_rows on the one row (x, y), negated."""
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        return -force_rows(spec, _rows([x], [y]))[0]
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
@@ -57,7 +62,7 @@ def test_r_squared_is_numpys_sum_bitwise(dtype, n):
 def test_zero_potential_vanishes():
     spec = zero_potential()
     assert eval_potential(spec, 3.0, [4.0]) == 0.0
-    assert np.all(grad_potential(spec, 3.0, [4.0, 0.0]) == 0.0)
+    assert np.all(_grad(spec, 3.0, [4.0, 0.0]) == 0.0)
 
 
 def test_zero_potential_is_the_homogeneous_kind_at_kappa_zero():
@@ -81,7 +86,7 @@ def test_kappa_zero_is_exactly_zero(softening, d):
     values = [eval_potential_array(spec, x, y),
               force_rows(spec, _rows(x, y)), *radial_jets(spec, x, y),
               [eval_potential(spec, a, b) for a, b in zip(x, y)],
-              [grad_potential(spec, a, b) for a, b in zip(x, y)]]
+              [_grad(spec, a, b) for a, b in zip(x, y)]]
     for v in values:
         assert np.all(np.asarray(v) == 0.0)
 
@@ -89,7 +94,7 @@ def test_kappa_zero_is_exactly_zero(softening, d):
 def test_coulomb_value_and_gradient():
     spec = coulomb(1.0, softening=0.0)
     assert eval_potential(spec, 3.0, [4.0]) == pytest.approx(0.2, abs=1e-15)
-    g = grad_potential(spec, 3.0, [4.0])
+    g = _grad(spec, 3.0, [4.0])
     np.testing.assert_allclose(g, [-3.0 / 125.0, -4.0 / 125.0], rtol=1e-14)
 
 
@@ -103,7 +108,7 @@ def test_homogeneous_value_and_gradient():
     spec = homogeneous(2.0, 2.0, softening=0.0)
     assert eval_potential(spec, 0.0, [1.0, 1.0]) == pytest.approx(1.0)
     spec1 = homogeneous(1.0, 2.0, softening=0.0)
-    g = grad_potential(spec1, 1.0, [0.0])
+    g = _grad(spec1, 1.0, [0.0])
     np.testing.assert_allclose(g, [-2.0, 0.0], atol=1e-14)
 
 
@@ -135,7 +140,7 @@ def test_origin_exclusion_without_softening():
 ], ids=["underflow", "overflow"])
 def test_unrepresentable_potential_raises_domain_error(spec):
     with pytest.raises(DomainError, match="not representable"):
-        grad_potential(spec, 0.0, [0.0])
+        _grad(spec, 0.0, [0.0])
     with pytest.raises(DomainError, match="not representable"):
         eval_potential(spec, 0.0, [0.0])
 
@@ -150,7 +155,7 @@ _COULOMB_TABLE = PotentialSpec(kind="table", func=lambda x, y: 0.7 * (
                                   (0.0, [1e200])])
 def test_non_finite_point_raises_domain_error(spec, x, y):
     # an overflowing r^2 is a non-finite point, not a numpy warning
-    for f in (eval_potential, grad_potential):
+    for f in (eval_potential, _grad):
         with pytest.raises(DomainError, match="non-finite point"):
             f(spec, x, y)
 
@@ -178,8 +183,7 @@ def test_grad_potential_array_rows_match_grad_potential(spec, d):
             -a * kappa * (float(xi) * float(xi) + float(np.sum(yi * yi)) + s2)
             ** (-a / 2.0 - 1.0) * np.r_[xi, yi] for xi, yi in zip(x, y)])
     else:
-        ref = np.array([grad_potential(spec, xi, yi)
-                        for xi, yi in zip(x, y)])
+        ref = np.array([_grad(spec, xi, yi) for xi, yi in zip(x, y)])
     np.testing.assert_allclose(got, ref, rtol=1e-15, atol=0.0)
 
 
@@ -222,12 +226,11 @@ def test_table_func_is_called_once_per_batch(d):
     force_rows(spec, _rows(x, y))
     assert func.calls == [(3, (2, 40, d))]
     func.calls.clear()
-    _energies(spec, np.column_stack([x, y, x, y]))
+    energy(spec, np.column_stack([x, y, x, y]))
     assert func.calls == [(1, (40,))]
     func.calls.clear()
     eval_potential(spec, x[0], y[0])
-    grad_potential(spec, x[0], y[0])
-    assert func.calls == [(1, (1,)), (3, (2, 1, d))]
+    assert func.calls == [(1, (1,))]
     # born_symbols: one call per block of rows of each refinement pass, 16
     # nodes per panel from 8 panels, doubling; 600 rows are 3 blocks at 8
     for n_rows in (5, 600):
@@ -270,7 +273,7 @@ def test_grad_potential_array_rejects_bad_points(x, y, match):
             pytest.raises(DomainError, match=match):
         force_rows(spec, _rows(x, y))
     with pytest.raises(DomainError, match=match):
-        grad_potential(spec, x[-1], y[-1])
+        _grad(spec, x[-1], y[-1])
 
 
 def test_softening_regularizes_near_origin():
@@ -301,7 +304,7 @@ def test_gradient_decay_one_order_faster():
         r = 10.0 ** rng.uniform(0.5, 6.0)
         u = rng.normal(size=3)
         u /= np.linalg.norm(u)
-        g = grad_potential(spec, r * u[0], r * u[1:])
+        g = _grad(spec, r * u[0], r * u[1:])
         assert np.linalg.norm(g) <= 10.0 * r ** rate
 
 
@@ -314,7 +317,7 @@ def test_gradient_matches_finite_differences(spec):
     for _ in range(20):
         x = rng.uniform(-5.0, 5.0)
         y = rng.uniform(-5.0, 5.0, size=2)
-        g = grad_potential(spec, x, y)
+        g = _grad(spec, x, y)
         h = 1e-6
         num = np.empty(3)
         num[0] = (eval_potential(spec, x + h, y)
@@ -331,7 +334,7 @@ def test_table_kind_uses_callable_and_fd_gradient():
     spec = PotentialSpec(kind="table", kappa=1.0, func=lambda x, y: np.exp(
         -x * x - np.sum(y * y, axis=-1)))
     assert eval_potential(spec, 0.0, [0.0]) == pytest.approx(1.0)
-    g = grad_potential(spec, 0.5, [0.25])
+    g = _grad(spec, 0.5, [0.25])
     q = eval_potential(spec, 0.5, [0.25])
     np.testing.assert_allclose(g, [-2 * 0.5 * q, -2 * 0.25 * q], rtol=1e-6)
 
@@ -374,7 +377,7 @@ def test_radial_jets_match_values_and_power_law_laplacians():
     q, grad, _, _ = radial_jets(spec, x, y)
     np.testing.assert_allclose(q, [eval_potential(spec, a, b)
                                    for a, b in zip(x, y)], rtol=1e-14)
-    np.testing.assert_allclose(grad, [grad_potential(spec, a, b)
+    np.testing.assert_allclose(grad, [_grad(spec, a, b)
                                       for a, b in zip(x, y)], rtol=1e-14)
     # Laplacian r^-a = a (a + 2 - d) r^(-a-2), applied twice for the
     # bi-Laplacian; coulomb in d = 3 is harmonic

@@ -13,8 +13,6 @@ from starkscatter import (
     coulomb,
     eval_potential,
     homogeneous,
-    symbol_b,
-    symbol_q,
     symbols,
     zero_potential,
 )
@@ -96,7 +94,7 @@ def test_b1_against_direct_flow_quadrature():
     spec = coulomb(1.0, softening=0.0)
     for p in (POINT, PhasePoint(80.0, [-3.0], 13.0, [-0.2])):
         oracle = _flow_quad_b1(spec, p)
-        val = symbol_b(1, p, spec, tol=1e-12)
+        val = symbols(1, p, spec, tol=1e-12)[0].value
         assert val == pytest.approx(oracle, rel=1e-9)
 
 
@@ -108,8 +106,8 @@ def test_b1_power_decay_against_mpmath(alpha):
     # decay removes both
     spec = homogeneous(1.0, alpha, softening=0.0)
     oracle = _mpmath_b1(spec, POINT)
-    assert symbol_b(1, POINT, spec, tol=1e-12) == pytest.approx(oracle,
-                                                                rel=1e-10)
+    assert symbols(1, POINT, spec, tol=1e-12)[0].value == pytest.approx(
+        oracle, rel=1e-10)
     assert symbols(2, POINT, spec, h_eta=0.2, tol=1e-9)[1].residual < 1e-4
 
 
@@ -124,7 +122,7 @@ def test_slow_decay_converges_at_the_command_line_point(alpha):
     for k in (1, 2):
         res = symbols(k, POINT, spec, t_max=1e5, tol=1e-9)[k - 1]
         assert np.isfinite(res.value) and np.isfinite(res.tail_estimate)
-    assert symbol_b(1, POINT, spec, tol=1e-9) == pytest.approx(
+    assert symbols(1, POINT, spec, tol=1e-9)[0].value == pytest.approx(
         _mpmath_b1(spec, POINT), rel=1e-8)
 
 
@@ -132,14 +130,14 @@ def test_table_potential_is_rejected():
     # a table potential has no closed-form jets to integrate along the flow
     table = PotentialSpec(kind="table", func=lambda x, y: 0.0 * x)
     with pytest.raises(DomainError, match="closed-form jets"):
-        symbol_b(1, POINT, table)
+        symbols(1, POINT, table)
 
 
 def test_unreachable_decay_raises_budget_error():
     # alpha this close to 1/2 needs a map power that overflows the float
     # range within the panel cap: a budget failure, never a wrong value
     with pytest.raises(BudgetError):
-        symbol_b(1, POINT, homogeneous(1.0, 0.501, softening=0.0))
+        symbols(1, POINT, homogeneous(1.0, 0.501, softening=0.0))
 
 
 @pytest.mark.parametrize("spec", [coulomb(1.0, softening=0.0),
@@ -161,39 +159,39 @@ def test_b1_incoming_branch_against_quadrature():
     spec = coulomb(1.0, softening=0.0)
     p = PhasePoint(100.0, [5.0], -15.0, [-0.3])
     oracle = _flow_quad_b1(spec, p, sign=-1)
-    val = symbol_b(1, p, spec, sign=-1, tol=1e-12)
+    val = symbols(1, p, spec, sign=-1, tol=1e-12)[0].value
     assert val == pytest.approx(oracle, rel=1e-9)
 
 
 def test_branch_flip_symmetry():
     # b1^-(x, y, -eta, -zeta) = -b1^+(x, y, eta, zeta) by time reflection
     spec = coulomb(1.0, softening=0.0)
-    plus = symbol_b(1, POINT, spec, sign=+1, tol=1e-11)
+    plus = symbols(1, POINT, spec, sign=+1, tol=1e-11)[0].value
     flipped = PhasePoint(POINT.x, POINT.y, -POINT.eta, -POINT.zeta)
-    minus = symbol_b(1, flipped, spec, sign=-1, tol=1e-11)
+    minus = symbols(1, flipped, spec, sign=-1, tol=1e-11)[0].value
     assert minus == pytest.approx(-plus, rel=1e-9)
 
 
 def test_b1_linear_in_coupling():
-    a = symbol_b(1, POINT, coulomb(1.0), tol=1e-11)
-    b = symbol_b(1, POINT, coulomb(2.5), tol=1e-11)
+    a = symbols(1, POINT, coulomb(1.0), tol=1e-11)[0].value
+    b = symbols(1, POINT, coulomb(2.5), tol=1e-11)[0].value
     assert b == pytest.approx(2.5 * a, rel=1e-10)
 
 
 def test_zero_potential_symbols_vanish():
     spec = zero_potential()
-    assert symbol_b(1, POINT, spec) == 0.0
-    assert symbol_b(2, POINT, spec) == 0.0
-    assert abs(symbol_q(1, POINT, spec)) < 1e-15
+    b1, b2 = symbols(2, POINT, spec)
+    assert b1.value == 0.0 and b2.value == 0.0
+    assert abs(b1.q) < 1e-15
 
 
 def test_symbol_phase_structure():
     # b1 is purely imaginary and q1 = q b1 - lap/2 keeps that phase; b2 is
     # then purely real, alternating with k
     spec = coulomb(1.0)
-    b1 = symbol_b(1, POINT, spec, tol=1e-11)
+    b1 = symbols(1, POINT, spec, tol=1e-11)[0].value
     assert abs(b1.real) < 1e-12 * abs(b1)
-    b2 = symbol_b(2, POINT, spec, tol=1e-10)
+    b2 = symbols(2, POINT, spec, tol=1e-10)[1].value
     assert abs(b2.imag) < 1e-9 * abs(b2)
 
 
@@ -210,7 +208,7 @@ def test_q1_splits_into_potential_and_laplacian_parts():
     jets = _hierarchy(1, *_row(POINT), spec, +1, 1e-10, 1.0)
     qb = complex(jets.q[0] * jets.b[0, 0])
     lap_half = complex(-0.5 * jets.lap_b[0, 0])
-    total = symbol_q(1, POINT, spec, tol=1e-10)
+    total = symbols(1, POINT, spec, tol=1e-10)[0].q
     assert qb + lap_half == pytest.approx(total, rel=1e-8)
     # the Laplacian correction is subleading at this distance
     assert abs(lap_half) < abs(qb)
@@ -236,13 +234,13 @@ def test_q2_against_differenced_b2():
     spec = coulomb(1.0)
 
     def b2(z):
-        return symbol_b(2, z, spec, tol=1e-13)
+        return symbols(2, z, spec, tol=1e-13)[1].value
 
     for p in (POINT, POINT_D3):
         oracle = eval_potential(spec, p.x, p.y) * b2(p) \
             - 0.5 * _fd_laplacian(b2, p)
-        assert symbol_q(2, p, spec, tol=1e-9) == pytest.approx(oracle,
-                                                               rel=1e-7)
+        assert symbols(2, p, spec, tol=1e-9)[1].q == pytest.approx(oracle,
+                                                                  rel=1e-7)
 
 
 def test_transport_pde_residual_small():
@@ -281,13 +279,7 @@ def test_symbol_domain_checks():
     spec = coulomb(1.0)
     inside_wrong_branch = PhasePoint(100.0, [5.0], -15.0, [0.3])
     with pytest.raises(DomainError):
-        symbol_b(1, inside_wrong_branch, spec, sign=+1)
-    with pytest.raises(DomainError):
-        symbol_b(0, POINT, spec)
-    with pytest.raises(DomainError):
-        symbol_b(3, POINT, spec)
-    with pytest.raises(DomainError):
-        symbol_q(0, POINT, spec)
+        symbols(1, inside_wrong_branch, spec, sign=+1)
     with pytest.raises(DomainError):
         symbols(0, POINT, spec)
 
@@ -355,11 +347,12 @@ def test_lower_orders_do_not_depend_on_k_max():
 
 @pytest.mark.parametrize("p", [POINT, POINT_D3])
 def test_one_point_symbols_match_symbols(p):
+    # the six-row solve of symbols gives at p what a solve of p alone gives
     spec = coulomb(1.0)
     tol = 1e-10
+    jets = _hierarchy(2, *_row(p), spec, +1, tol, 1.0)
     for k, res in enumerate(symbols(2, p, spec, tol=tol), 1):
-        for v, w in ((res.value, symbol_b(k, p, spec, tol=tol)),
-                     (res.q, symbol_q(k, p, spec, tol=tol))):
+        for v, w in ((res.value, jets.b[k - 1, 0]), (res.q, jets.q_k(k)[0])):
             assert abs(v - w) <= tol * max(1.0, abs(v))
 
 
