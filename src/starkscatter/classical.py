@@ -12,14 +12,15 @@ the asymptotic momentum are computed on whole trajectories at once.  An
 orbit is integrated as its deviation from the free parabola, by Gauss-
 Legendre collocation on quadrature's 16-node panels solved by Picard
 sweeps; a sweep is one potentials.force_rows call on every node of a
-window of panels.  The width controller sizes the panels, not the samples:
-a sample inside a panel is read off the panel's collocation polynomial.
-The free case is the homogeneous kind at kappa = 0, where the deviation
-stays exactly 0."""
+window of panels.  The width controller alone places the panels, towards
+the final time; every sample is read off its panel's collocation
+polynomial, so the samples do not change the orbit.  The free case is the
+homogeneous kind at kappa = 0, where the deviation stays exactly 0."""
 
 from __future__ import annotations
 
 import math
+import sys
 from bisect import bisect_left, bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -92,7 +93,9 @@ class Trajectory:
 
     times has shape (N,), energies (N,) and states (N, 2d): row i is the
     phase point (x, y, eta, zeta) at times[i].  error_estimate (2d,) is the
-    integrator's achieved error estimate by component, in state units.
+    integrator's achieved error estimate by component, in state units; it
+    leaves out the table kind's central-difference force error, about
+    1e-10 relative.
     """
 
     times: np.ndarray
@@ -142,7 +145,7 @@ def free_flow(x, y, eta, zeta, t):
 
 
 # Panels, laid out or laid out again, that one orbit integration may take
-# before it fails with ConvergenceError; a benchmark orbit takes 19.
+# before it fails with ConvergenceError; a benchmark orbit takes 18 or 19.
 MAX_ORBIT_STEPS = 100_000
 
 # The width controller: a panel whose tail is r times its bound asks for
@@ -166,31 +169,31 @@ def integrate_orbit(spec: PotentialSpec, p0: PhasePoint, t_final: float,
     the free part is added back in extended precision at the sample times,
     a uniform grid of n_samples, or t_eval inside [0, t_final] and strictly
     monotone towards t_final.  The panels, of quadrature's 16 nodes, run
-    from 0 to t_final; the first is as wide as the start's own time scale
-    |position| / |velocity|, and each ends at the last sample time within
-    its width, or short of the next one.  A window of them is solved by
-    Picard sweeps (modified Chebyshev-Picard iteration, Bai and Junkins,
-    J. Astronaut. Sci. 58 (2011) 583), whose fixed point is Gauss
-    collocation: a sweep is one force_rows call on every node, and
-    quadrature.running integrates the force into the velocity and that
-    into the position.  The leading panels are accepted once the sweep
-    moved each component of their end states by at most tol (1 + |value|)
-    and their tail, the P_15 coefficient of the force times the squared
-    half-width, is as small against the position; a panel with a larger
-    tail is laid out again from the width controller, with those after it.
-    A sample on a panel's end is its end state.  A sample inside an
-    accepted panel is read off the panel's collocation polynomial: the
-    velocity integrates the node forces from the panel's start by
-    quadrature.running_rows, and the position the node velocities, as the
-    sweep integrates them.  At most MAX_ORBIT_STEPS panels are laid out.
-    error_estimate sums the last change and the tail (once times the
-    half-width, for the velocity) of every panel.  The last change is the
-    term that bounds the collocation's truncation error: the tails alone
-    fall short of the error at the interior samples, so a rule that stops
-    the sweeps sooner needs a truncation estimate of its own.  A sweep
-    meets points off the converged orbit; an exception raised by the
-    potential reaches the caller unchanged, and a potential may itself
-    integrate orbits.
+    from 0 to t_final and are placed by the width controller alone, so the
+    samples change neither the work nor the final state nor error_estimate;
+    the first is as wide as the start's own time scale |position| /
+    |velocity|.  A window of them is solved by Picard sweeps (modified
+    Chebyshev-Picard iteration, Bai and Junkins, J. Astronaut. Sci. 58
+    (2011) 583), whose fixed point is Gauss collocation: a sweep is one
+    force_rows call on every node, and quadrature.running integrates the
+    force into the velocity and that into the position.  The leading
+    panels are accepted once the sweep moved each component of their end
+    states by at most tol (1 + |value|) and their tail, the P_15
+    coefficient of the force times the squared half-width, is as small
+    against the position; a panel with a larger tail is laid out again
+    from the width controller, with those after it.  Every sample in an
+    accepted panel, one on its end included, is read off the panel's
+    collocation polynomial: the velocity integrates the node forces from
+    the panel's start by quadrature.running_rows, and the position the
+    node velocities, as the sweep integrates them.  At most MAX_ORBIT_STEPS
+    panels are laid out.  error_estimate sums the last change and the tail
+    (once times the half-width, for the velocity) of every panel.  The
+    last change is the term that bounds the collocation's truncation
+    error: the tails alone fall short of the error at the interior
+    samples, so a rule that stops the sweeps sooner needs a truncation
+    estimate of its own.  A sweep meets points off the converged orbit; an
+    exception raised by the potential reaches the caller unchanged, and a
+    potential may itself integrate orbits.
     """
     if tol <= 0:
         raise DomainError("tolerance must be positive")
@@ -240,27 +243,18 @@ def _factor(ratio) -> float:
                max(_MIN_FACTOR, _SAFETY * ratio ** _ERROR_EXPONENT))
 
 
-def _lay_out(grid, a: float, h: float, count: int):
-    """Up to count panel ends from a on, and whether each is a grid time:
-    a panel ends at the last grid time within h of its start, or, with none
-    there, at the first of the fewest equal panels of width at most h to
-    the next grid time; h grows by half from one panel to the next, so that
-    a window reaches past a stretch that needs narrow panels."""
-    sign = -1.0 if grid[-1] < 0 else 1.0
-    ahead = (sign * grid).tolist()
-    k = bisect_right(ahead, sign * a)
-    ends, on_grid = [], []
-    while len(ends) < count and k < len(ahead):
-        j = bisect_right(ahead, sign * a + h)
-        on_grid.append(j > k)
-        if j > k:
-            a, k = sign * ahead[j - 1], j
-        else:
-            rest = ahead[k] - sign * a
-            a += sign * rest / math.ceil(rest / h)
+def _lay_out(t_final: float, a: float, h: float, count: int):
+    """Up to count panel ends from a towards t_final: t_final within h of
+    a panel's start, or else the first of the fewest equal panels of width
+    at most h to it; h grows by half a panel, so that a window reaches past
+    a stretch that needs narrow panels."""
+    ends = []
+    while len(ends) < count and a != t_final:
+        rest = t_final - a
+        a = t_final if abs(rest) <= h else a + rest / math.ceil(abs(rest) / h)
         ends.append(a)
         h *= 1.5
-    return np.array(ends), np.array(on_grid)
+    return np.array(ends)
 
 
 def _collocate(spec, p0, grid, tol: float):
@@ -272,11 +266,10 @@ def _collocate(spec, p0, grid, tol: float):
     ahead = (sign * grid).tolist()
     out, error, reached = np.zeros((grid.size, 2 * d)), np.zeros(2 * d), 1
     # the window: panel edges (P + 1,), with start = (u, u', u'') at
-    # edges[0]; by panel, the half-width (P, 1), whether it ends at a grid
-    # time (P,), end state (P, 2d) and last node's force (P, d) of the last
-    # sweep; at the nodes, the free positions and the position iterate
-    # (16, P, d)
-    edges, half, on_grid = np.zeros(1), np.zeros((0, 1)), np.zeros(0, bool)
+    # edges[0]; by panel, the half-width (P, 1), end state (P, 2d) and last
+    # node's force (P, d) of the last sweep; at the nodes, the free
+    # positions and the position iterate (16, P, d)
+    edges, half = np.zeros(1), np.zeros((0, 1))
     ends, last = np.zeros((0, 2 * d)), np.zeros((0, d))
     free = U = np.zeros((16, 0, d))
     # the first width: the start's own time scale |position| / |velocity|
@@ -288,17 +281,17 @@ def _collocate(spec, p0, grid, tol: float):
                  force_rows(spec, p0.as_vector()[None, :d])[0])
         while True:
             t = edges[-1]
-            if on_grid.size < window - 1 and t != grid[-1]:
+            if len(half) < window - 1 and t != grid[-1]:
                 if h < 10.0 * abs(math.nextafter(t, math.inf) - t):
                     return out, reached, error, "panel width became too small"
-                new, new_on_grid = _lay_out(grid, t, h, window - on_grid.size)
+                new = _lay_out(grid[-1], t, h, window - len(half))
                 laid += new.size
                 if laid > MAX_ORBIT_STEPS:
                     return (out, reached, error,
                             f"more than {MAX_ORBIT_STEPS} panels needed")
                 # the guess: the Taylor quadratic from the window's last end
                 u, v, a = ((ends[-1, :d], ends[-1, d:], last[-1])
-                           if on_grid.size else start)
+                           if len(half) else start)
                 lo = np.concatenate([edges[-1:], new[:-1]])
                 times = lo + _NODES * (new - lo)
                 x, y, _, _ = free_flow(p0.x, p0.y, p0.eta, p0.zeta, times)
@@ -309,10 +302,8 @@ def _collocate(spec, p0, grid, tol: float):
                 U = np.concatenate([U, guess[:-1]], axis=1)
                 ends = np.concatenate(
                     [ends, np.concatenate([guess[-1], v + tau[-1] * a], 1)])
-                last = np.concatenate([last, np.zeros((new.size, d))])
                 edges = np.concatenate([edges, new])
                 half = np.concatenate([half, 0.5 * (new - lo)[:, None]])
-                on_grid = np.concatenate([on_grid, new_on_grid])
             # one sweep: the force at every node, integrated twice
             u0, v0, _ = start
             A = force_rows(spec, (free + U).reshape(-1, d)).reshape(U.shape)
@@ -333,19 +324,15 @@ def _collocate(spec, p0, grid, tol: float):
             m = int(ok.argmin()) if not ok.all() else ok.size
             stall = 0 if m else stall + 1
             if m:
-                # accept the leading m panels: the samples on their ends
-                # are the end states, those inside them are read off the
-                # collocation polynomial, integrated as the sweep does
+                # accept the leading m panels: the samples in them are read
+                # off the collocation polynomial at s in (-1, 1] of panel
+                # p, from its start state, integrated as the sweep does
                 times = grid[reached:bisect_right(ahead, sign * edges[m])]
-                p = (sign * edges[1:m + 1]).searchsorted(sign * times)
-                inside = (times != edges[p + 1]).nonzero()[0]
-                out[reached:reached + times.size] = ends[p]
-                if inside.size:
-                    # at s in (-1, 1) of panel p, from its start state
-                    p = p[inside]
-                    s = (times[inside] - edges[p]) / half[p, 0] - 1.0
+                if times.size:
+                    p = (sign * edges[1:m + 1]).searchsorted(sign * times)
+                    s = (times - edges[p]) / half[p, 0] - 1.0
                     nodal = np.concatenate([V, A], axis=2)[:, p]
-                    out[reached + inside] = (
+                    out[reached:reached + times.size] = (
                         ends[p] - np.concatenate([v_whole, a_whole], 1)[p]
                         + half[p] * (running_rows(s)[:, None]
                                      @ nodal.swapaxes(0, 1))[:, 0])
@@ -365,18 +352,14 @@ def _collocate(spec, p0, grid, tol: float):
                     min(1.0, _factor(ratio[cut])) if bad.size else 0.5)
                 window, stall = max(_MIN_WINDOW, cut - m), 0
             else:
-                cut = on_grid.size
+                cut = len(half)
                 if m == cut:
                     window *= 2
-                # the next width from the window's last panel, which a
-                # panel clipped by a grid time shrinks but does not grow
-                w, f = 2.0 * abs(half[-1, 0]), _factor(ratio[-1])
-                if not (on_grid[-1] and w < h and f >= 1.0):
-                    h = w * f
-            if m or cut < on_grid.size:
+                # the next width from the window's last panel
+                h = 2.0 * abs(half[-1, 0]) * _factor(ratio[-1])
+            if m or cut < len(half):
                 edges, free, U = edges[m:cut + 1], free[:, m:cut], U[:, m:cut]
-                half, on_grid, ends, last = (
-                    a[m:cut] for a in (half, on_grid, ends, last))
+                half, ends, last = (a[m:cut] for a in (half, ends, last))
 
 
 def _trajectory_from_solution(spec, p0, times, us, error) -> Trajectory:
@@ -417,21 +400,29 @@ def is_escaping(traj: Trajectory) -> bool:
 def asymptotic_momentum(spec: PotentialSpec, p0: PhasePoint,
                         direction: int = +1, t_start: float = 100.0,
                         n_doublings: int = 6, tol: float = 1e-10):
-    """Asymptotic orthogonal momentum zeta(+-inf) with an error estimate.
-
-    zeta is sampled at dyadically increasing times t_start * 2^k, k = 0..
-    n_doublings, and extrapolated by momentum_limit.  Returns (zeta_limit,
-    error_estimate).
+    """Asymptotic orthogonal momentum zeta(+-inf) with an error estimate:
+    zeta on the dyadic_orbit, extrapolated by momentum_limit.  Returns
+    (zeta_limit, error_estimate).
     """
+    return momentum_limit(dyadic_orbit(spec, p0, direction, t_start,
+                                       n_doublings, tol))
+
+
+def dyadic_orbit(spec: PotentialSpec, p0: PhasePoint, direction: int,
+                 t_start: float, n_doublings: int, tol: float) -> Trajectory:
+    """The orbit at the times t_start * 2^k, k = 0..n_doublings, forwards
+    for direction >= 0 and backwards else; DomainError unless t_start is
+    positive and finite, n_doublings at least 1 and t_start * 2^n_doublings
+    finite, which is checked before any array is formed."""
     if not 0.0 < t_start < math.inf:
         raise DomainError("t_start must be positive and finite")
     if n_doublings < 1:
         raise DomainError("n_doublings must be at least 1")
-    sign = 1 if direction >= 0 else -1
-    t_grid = t_start * 2.0 ** np.arange(n_doublings + 1)
-    traj = integrate_orbit(spec, p0, sign * t_grid[-1], tol=tol,
-                           t_eval=sign * t_grid)
-    return momentum_limit(traj)
+    if math.frexp(t_start)[1] + n_doublings > sys.float_info.max_exp:
+        raise DomainError("t_start * 2^n_doublings overflows")
+    sign = 1.0 if direction >= 0 else -1.0
+    t_grid = np.ldexp(sign * t_start, np.arange(n_doublings + 1))
+    return integrate_orbit(spec, p0, t_grid[-1], tol=tol, t_eval=t_grid)
 
 
 def momentum_limit(traj: Trajectory):

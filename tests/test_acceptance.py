@@ -180,7 +180,7 @@ def test_verification_run_is_deterministic(tmp_path):
                   "t_final": 100.0, "n_samples": 50, "tol": 1e-12},
         "transport": {"x": 100.0, "y": [5.0, 0.0], "eta": 15.0,
                       "zeta": [0.3, 0.0], "k_max": 2, "sign": 1, "tol": 1e-9,
-                      "t_max": 1e5, "h_eta": 0.2, "decay_fit": False},
+                      "t_max": 1e5, "h_eta": 0.2},
         "born": {"zeta": None, "lam": 0.0, "r_min": 1.0, "r_max": 1e4,
                  "n_radii": 10},
         "kernel": {"n": 2048, "extent": 1e5, "lam": 0.0,

@@ -141,10 +141,12 @@ def test_unsupported_transport_order_exits_2(capsys, tmp_path, k_max):
     ["born", "--potential.kind=homogeneous", "--potential.alpha=400"],
     ["born", "--potential.kind=homogeneous", "--potential.alpha=2",
      "--born.r_min=1e-300"],
+    ["momenta", "--momenta.n_doublings=2000"],
 ], ids=" ".join)
 def test_constant_overflow_exits_4(capsys, tmp_path, argv):
-    # Gamma overflows in c2 (d = 400) and in c1 (alpha = 400), and the Born
-    # asymptote's |y|^{1/2 - alpha} at |y| = 1e-300 (alpha = 2)
+    # Gamma overflows in c2 (d = 400) and in c1 (alpha = 400), the Born
+    # asymptote's |y|^{1/2 - alpha} at |y| = 1e-300 (alpha = 2), and the
+    # last sample time 100 * 2^2000 of the momenta grid
     code = main(argv + [f"--output_dir={tmp_path}"])
     out, err = capsys.readouterr()
     assert code == 4 and err == ""
@@ -221,6 +223,7 @@ def test_orbit_step_budget_exits_3(capsys, tmp_path, monkeypatch):
     ["orbit", "--orbit.y=5"],
     ["orbit", "--orbit.x=NaN"],
     ["transport", "--transport.decay_fit=1"],
+    ["transport", "--transport.decay_fit=false"],
     pytest.param(["orbit", "--orbit.x=1" + "0" * 400], id="float overflow"),
     pytest.param(["orbit", "--orbit.x=1" + "0" * 5000], id="integer too long"),
 ], ids=" ".join)
@@ -411,8 +414,7 @@ def test_momenta_integrates_once(capsys, tmp_path, monkeypatch):
 
 
 def test_transport_csv_layout(capsys, tmp_path):
-    code, summary = _run(capsys, "transport", f"--output_dir={tmp_path}",
-                         "--transport.decay_fit=false")
+    code, summary = _run(capsys, "transport", f"--output_dir={tmp_path}")
     assert code == 0
     header = (tmp_path / "transport.csv").read_text().split("\n")[0]
     assert header == ("x,y1,eta,zeta1,k,b_re,b_im,q_re,q_im,"

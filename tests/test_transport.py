@@ -286,7 +286,8 @@ def test_symbol_domain_checks():
 
 def test_transport_stage_solves_once_for_every_order(tmp_path, monkeypatch):
     # one solve serves b_k, q_k, the tail estimates and the residuals of
-    # every order; the decay fit adds one solve for both fitted symbols
+    # every order; at kappa != 0 the decay fit adds one solve for both
+    # fitted symbols
     calls = []
 
     def counted(*args):
@@ -294,10 +295,10 @@ def test_transport_stage_solves_once_for_every_order(tmp_path, monkeypatch):
         return _hierarchy(*args)
 
     monkeypatch.setattr(transport, "_hierarchy", counted)
-    for decay_fit, solves in (("false", 1), ("true", 2)):
+    for kappa, solves in (("0", 1), ("1", 2)):
         calls.clear()
         cfg = cli.load_config(None, [f"--output_dir={tmp_path}",
-                                     f"--transport.decay_fit={decay_fit}"])
+                                     f"--potential.kappa={kappa}"])
         summary = cli.cmd_transport(cfg)
         assert set(summary["residuals"]) == {"k=1", "k=2"}
         assert len(calls) == solves
