@@ -19,12 +19,9 @@ from .potentials import (
 from .special import KernelLaw, airy_ai, c1_constant, c2_constant
 from .parabolic import (
     ParabolicPoint,
-    PhaseData,
     eikonal_residual,
+    exact_phase,
     jacobian_det,
-    theta1_calculus,
-    theta1_value,
-    theta_calculus,
     theta_laplacian,
     to_parabolic,
 )
@@ -56,7 +53,6 @@ from .kernel import (
     born_symbol_tail,
     born_symbols,
     fit_kernel_law,
-    homogeneous_symbol_asymptote,
     kernel_singularity_law,
     radial_kernel,
     radial_transform,
@@ -80,12 +76,9 @@ __all__ = [
     "c1_constant",
     "c2_constant",
     "ParabolicPoint",
-    "PhaseData",
     "to_parabolic",
-    "theta_calculus",
     "theta_laplacian",
-    "theta1_calculus",
-    "theta1_value",
+    "exact_phase",
     "jacobian_det",
     "eikonal_residual",
     "PhasePoint",
@@ -106,7 +99,6 @@ __all__ = [
     "free_eigenfunction",
     "stationary_phase_eigenfunction",
     "born_symbols",
-    "homogeneous_symbol_asymptote",
     "kernel_singularity_law",
     "born_symbol_tail",
     "radial_transform",

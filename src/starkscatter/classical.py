@@ -28,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, DomainError
+from .parabolic import exact_phase
 from .potentials import (PotentialSpec, eval_potential_array, force_rows,
                          r_squared)
 from .quadrature import loglog_fit, panels, running, running_rows
@@ -412,14 +413,19 @@ def dyadic_orbit(spec: PotentialSpec, p0: PhasePoint, direction: int,
                  t_start: float, n_doublings: int, tol: float) -> Trajectory:
     """The orbit at the times t_start * 2^k, k = 0..n_doublings, forwards
     for direction >= 0 and backwards else; DomainError unless t_start is
-    positive and finite, n_doublings at least 1 and t_start * 2^n_doublings
-    finite, which is checked before any array is formed."""
+    positive and finite, n_doublings at least 1 and x^2 finite for the
+    free parabola's x ~ t^2 / 2 at the last time t = t_start *
+    2^n_doublings (the potential squares x), checked before any work."""
     if not 0.0 < t_start < math.inf:
         raise DomainError("t_start must be positive and finite")
     if n_doublings < 1:
         raise DomainError("n_doublings must be at least 1")
-    if math.frexp(t_start)[1] + n_doublings > sys.float_info.max_exp:
-        raise DomainError("t_start * 2^n_doublings overflows")
+    # log2 of (t^2 / 2)^2 at the last time
+    if 4.0 * (math.log2(t_start) + n_doublings) - 2.0 >= sys.float_info.max_exp:
+        raise DomainError(
+            f"n_doublings = {n_doublings} from t_start = {t_start:g}: x^2 "
+            "overflows for the free parabola's x ~ t^2 / 2 at the last time "
+            "t_start * 2^n_doublings")
     sign = 1.0 if direction >= 0 else -1.0
     t_grid = np.ldexp(sign * t_start, np.arange(n_doublings + 1))
     return integrate_orbit(spec, p0, t_grid[-1], tol=tol, t_eval=t_grid)
@@ -483,7 +489,8 @@ def gamma_observables(x, y, eta, zeta) -> GammaObservables:
 
 def _gamma(x, y, momenta):
     """x, y, r and gamma = momenta - grad(theta1) in extended precision,
-    at points of the exact-phase domain, for momenta (eta, zeta) (n, d).
+    at points of the exact-phase domain, for momenta (eta, zeta) (n, d);
+    the gradient is parabolic.exact_phase's.
 
     gamma_par hides a near-total cancellation between the f and g components
     of gamma at late times, and double rounding would floor it around 1e-8.
@@ -492,12 +499,8 @@ def _gamma(x, y, momenta):
     """
     x = x.astype(np.longdouble)
     y = y.astype(np.longdouble)
-    y_sq = (y * y).sum(-1)
-    r = np.sqrt(x * x + y_sq)
-    w = np.sqrt(x * x - y_sq)
-    sp = np.sqrt(x + w)
-    grad_theta1 = np.concatenate([sp[:, None], sp[:, None] * y
-                                  / (x + w)[:, None]], 1)
+    _, grad_theta1 = exact_phase(x, y)
+    r = np.sqrt(x * x + (y * y).sum(-1))
     return x, y, r, momenta.astype(np.longdouble) - grad_theta1
 
 

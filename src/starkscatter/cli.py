@@ -368,8 +368,7 @@ def cmd_born(cfg: dict) -> dict:
     summary = {"command": "born", "n_radii": len(radii),
                "max_abs_symbol": float(np.max(np.abs(values)))}
     if spec.kappa != 0.0:
-        asym = np.array([kernel.homogeneous_symbol_asymptote(
-            spec.kappa, spec.alpha, y).imag for y in ys])
+        asym = kernel.born_symbol_tail(spec, radii, sec["lam"])
         ratio = values.imag / asym
         header += ["asymptote_im", "ratio"]
         columns += [asym, ratio]

@@ -87,18 +87,6 @@ def born_symbols(spec: PotentialSpec, zeta, ys, lam: float = 0.0,
     return converge(one_pass, panels, tol, "kernel", "born_symbols")
 
 
-def homogeneous_symbol_asymptote(kappa: float, alpha: float, y) -> complex:
-    """Large-|y| closed form -2i kappa c1(alpha) |y|^{1/2 - alpha}; |y| by
-    hypot, which neither overflows nor underflows."""
-    y_norm = math.hypot(*np.asarray(y, dtype=float).ravel())
-    if y_norm == 0.0:
-        raise DomainError("asymptote undefined at y = 0")
-    try:
-        return -2j * kappa * c1_constant(alpha) * y_norm ** (0.5 - alpha)
-    except OverflowError:
-        raise DomainError(f"asymptote overflows at |y| = {y_norm:g}") from None
-
-
 def kernel_singularity_law(d: int, alpha: float, kappa: float) -> KernelLaw:
     """Power law of the kernel of S - I at the diagonal."""
     return KernelLaw(prefactor=kappa * c2_constant(d, alpha),
@@ -119,18 +107,29 @@ _MIN_FIT_SAMPLES = 10
 
 
 def born_symbol_tail(spec: PotentialSpec, r, lam: float,
-                     R: float) -> np.ndarray:
+                     R: float | None = None) -> np.ndarray:
     """Im t(0, y) at large |y| = r: -2 kappa c1 r^{1/2-alpha} + c_R r^{-alpha}.
 
     integral_R^inf = integral_{-lam}^inf - integral_{-lam}^R.  The first part
     gives the asymptote -2 kappa c1 r^{1/2 - alpha} up to O(lam r^{-1/2 -
     alpha}), the second c_R r^{-alpha} (1 + O(R^2 / r^2)) with c_R =
-    2 kappa sqrt(2 (R + lam)), the cutoff term the asymptote leaves out.
+    2 kappa sqrt(2 (R + lam)), the cutoff term the asymptote leaves out;
+    with R None the tail is the asymptote alone.  DomainError unless every
+    r is positive and the tail finite.
     """
     r = np.asarray(r, dtype=float)
-    c_R = 2.0 * spec.kappa * math.sqrt(2.0 * (R + lam))
-    return (-2.0 * spec.kappa * c1_constant(spec.alpha)
-            * r ** (0.5 - spec.alpha) + c_R * r ** -spec.alpha)
+    if not (r > 0.0).all():
+        raise DomainError("asymptote undefined unless r > 0")
+    with np.errstate(over="ignore", invalid="ignore"):
+        tail = (-2.0 * spec.kappa * c1_constant(spec.alpha)
+                * r ** (0.5 - spec.alpha))
+        if R is not None:
+            c_R = 2.0 * spec.kappa * math.sqrt(2.0 * (R + lam))
+            tail = tail + c_R * r ** -spec.alpha
+    if not np.isfinite(tail).all():
+        raise DomainError("asymptote overflows at r = "
+                          f"{r[~np.isfinite(tail)].min():g}")
+    return tail
 
 
 def radial_transform(r: np.ndarray, f: np.ndarray, d: int,

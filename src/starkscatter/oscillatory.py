@@ -147,14 +147,13 @@ def stationary_phase_eigenfunction(x: float, y, xi,
     Each term carries amplitude (2X)^{-d/4} / sqrt(2 pi), the phase factor
     e^{+-i theta1(X, y)} with X = x + lam, the quarter-turn factor
     e^{-+i pi d/4} with d = 1 + len(y), and the profile at +-y / sqrt(2X).
+    theta1 is parabolic.exact_phase's, which raises DomainError on the
+    caustic X^2 <= y^2 and for X <= 0.
     """
     y = np.atleast_1d(np.asarray(y, dtype=float))
     d = 1 + y.size
     X = x + lam
-    y_norm = float(np.linalg.norm(y))
-    if not (X > 0.0 and y_norm < X):
-        raise DomainError("caustic margin violated: need x + lam > |y|")
-    theta1 = parabolic.theta1_value(X, y)
+    theta1 = float(parabolic.exact_phase(X, y)[0])
     omega = y / math.sqrt(2.0 * X)
     amp = (2.0 * X) ** (-d / 4.0) / math.sqrt(2.0 * math.pi)
     plus = np.exp(-1j * math.pi * d / 4.0) * np.exp(1j * theta1) * xi(omega)

@@ -17,6 +17,8 @@ from .potentials import r_squared
 
 # Relative margin below which x^2 - y^2 counts as caustic.
 _CAUSTIC_MARGIN = 1e-12
+# x^2 above this leaves the float range
+_FLOAT_MAX = np.finfo(float).max
 
 
 @dataclass(frozen=True)
@@ -29,16 +31,6 @@ class ParabolicPoint:
     @property
     def d(self) -> int:
         return 1 + self.g.shape[-1]
-
-
-@dataclass(frozen=True)
-class PhaseData:
-    """Value, gradient, Hessian and Laplacian of a phase function."""
-
-    value: float
-    gradient: np.ndarray
-    hessian: np.ndarray
-    laplacian: float
 
 
 def _scalar_or_array(a):
@@ -140,89 +132,40 @@ def theta_laplacian(x, y):
     return _scalar_or_array(0.5 * d * f / r)
 
 
-def theta_calculus(x: float, y) -> PhaseData:
-    """Value, gradient, Hessian and Laplacian of f^3/3 (identity regime)."""
-    y, d, r, f = _identity_frame(x, y)
+def exact_phase(x, y):
+    """The exact eikonal phase theta1 and its gradient, in long double.
 
-    value = f ** 3 / 3.0
-    grad = np.empty(d)
-    grad[0] = f ** 3 / (2.0 * r)
-    grad[1:] = f * y / (2.0 * r)
-
-    hess = np.empty((d, d))
-    hess[0, 0] = -0.5 * x * f ** 3 / r ** 3 + 0.75 * f ** 3 / r ** 2
-    mixed = -0.5 * y * f ** 3 / r ** 3 + 0.75 * y * f / r ** 2
-    hess[0, 1:] = mixed
-    hess[1:, 0] = mixed
-    yy = np.outer(y, y)
-    hess[1:, 1:] = (-0.5 * yy * f / r ** 3 + 0.25 * yy / (r ** 2 * f)
-                    + 0.5 * f / r * np.eye(d - 1))
-    return PhaseData(value=value, gradient=grad, hessian=hess,
-                     laplacian=theta_laplacian(x, y))
-
-
-def _eikonal_domain(x, y: np.ndarray):
-    with np.errstate(over="ignore"):
-        x_sq, y_sq = x * x, np.sum(y * y, axis=-1)
-    if not np.all(np.isfinite(x_sq)):
-        raise DomainError("x^2 overflows or is not finite: the eikonal phase "
-                          "needs finite |x| below about 1.3e154")
-    disc = x_sq - y_sq
-    if np.any((x <= 0.0) | (disc <= _CAUSTIC_MARGIN * x * x)):
+    theta1 = (4/3) sqrt(x + w) (x - w/2) with w = (x^2 - y^2)^{1/2}, and
+    grad theta1 = sqrt(x + w) (1, y / (x + w)).  x has shape S and y shape
+    S + (d - 1,); returns theta1 (S) and the gradient (S + (d,)) as long
+    double arrays.  DomainError unless every point has finite x^2 (|x|
+    below about 1.3e154) and lies off the caustic, x > 0 and x^2 > y^2.
+    """
+    x = np.asarray(x, dtype=np.longdouble)
+    y = np.asarray(y, dtype=np.longdouble)
+    x_sq = x * x
+    disc = x_sq - (y * y).sum(-1)
+    finite = x_sq <= _FLOAT_MAX
+    if not (finite & (x > 0.0) & (disc > _CAUSTIC_MARGIN * x_sq)).all():
+        if not finite.all():
+            raise DomainError("x^2 overflows or is not finite: the eikonal "
+                              "phase needs finite |x| below about 1.3e154")
         raise DomainError("caustic region: requires x > 0 and x^2 > y^2")
-    return np.sqrt(disc)
-
-
-def theta1_calculus(x: float, y) -> PhaseData:
-    """The exact eikonal phase with gradient and Hessian in closed form."""
-    y = np.asarray(y, dtype=float)
-    d = 1 + y.size
-    w = _eikonal_domain(x, y)          # (x^2 - y^2)^{1/2}
-    sp = np.sqrt(x + w)                # sqrt(x + w)
-    sm = np.sqrt(max(x - w, 0.0))      # sqrt(x - w)
-
-    value = (4.0 / 3.0) * sp * (x - 0.5 * w)
-    grad = np.empty(d)
-    grad[0] = sp
-    grad[1:] = sp * y / (x + w)
-
-    hess = np.empty((d, d))
-    hess[0, 0] = 0.5 * sp / w
-    ynorm = float(np.linalg.norm(y))
-    if ynorm == 0.0:
-        # axial limit: Hessian is sqrt(2x)/(2x) times the identity
-        hess[:, :] = np.eye(d) * (0.5 * sp / w)
-    else:
-        yhat = y / ynorm
-        mixed = -0.5 * yhat * sm / w
-        hess[0, 1:] = mixed
-        hess[1:, 0] = mixed
-        proj = np.outer(yhat, yhat)
-        hess[1:, 1:] = (0.5 * proj * sp / w
-                        + sm / ynorm * (np.eye(d - 1) - proj))
-    return PhaseData(value=value, gradient=grad, hessian=hess,
-                     laplacian=float(np.trace(hess)))
-
-
-def theta1_value(x: float, y) -> float:
-    y = np.asarray(y, dtype=float)
-    w = _eikonal_domain(x, y)
-    return (4.0 / 3.0) * np.sqrt(x + w) * (x - 0.5 * w)
+    w = np.sqrt(disc)
+    sp = np.sqrt(x + w)
+    grad = np.concatenate([sp[..., None],
+                           sp[..., None] * y / (x + w)[..., None]], -1)
+    return (4.0 / 3.0) * sp * (x - 0.5 * w), grad
 
 
 def eikonal_residual(x, y):
-    """|grad|^2 / 2 - x for the exact phase; zero up to rounding.
+    """|grad|^2 / 2 - x for exact_phase's gradient; zero up to rounding.
 
     Evaluated in extended precision so the cancellation between |grad|^2 / 2
     and x does not swamp the residual at large x.  x may be an array of
     shape (n,) with y of shape (n, d - 1).
     """
-    y = np.asarray(y, dtype=float)
-    _eikonal_domain(x, y)
-    xl = np.asarray(x, dtype=np.longdouble)
-    yl = y.astype(np.longdouble)
-    y_sq = np.sum(yl * yl, axis=-1)
-    w = np.sqrt(xl * xl - y_sq)
-    # |grad|^2 = (x + w) + y^2 / (x + w) for the closed-form gradient
-    grad_sq = (xl + w) + y_sq / (xl + w)
-    return _scalar_or_array((0.5 * grad_sq - xl).astype(float))
+    _, grad = exact_phase(x, y)
+    return _scalar_or_array(
+        (0.5 * (grad * grad).sum(-1) - np.asarray(x, dtype=np.longdouble))
+        .astype(float))

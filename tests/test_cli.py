@@ -142,17 +142,30 @@ def test_unsupported_transport_order_exits_2(capsys, tmp_path, k_max):
     ["born", "--potential.kind=homogeneous", "--potential.alpha=2",
      "--born.r_min=1e-300"],
     ["momenta", "--momenta.n_doublings=2000"],
+    ["momenta", "--momenta.n_doublings=250"],
 ], ids=" ".join)
 def test_constant_overflow_exits_4(capsys, tmp_path, argv):
     # Gamma overflows in c2 (d = 400) and in c1 (alpha = 400), the Born
-    # asymptote's |y|^{1/2 - alpha} at |y| = 1e-300 (alpha = 2), and the
-    # last sample time 100 * 2^2000 of the momenta grid
+    # asymptote's r^{1/2 - alpha} at r = 1e-300 (alpha = 2), and the square
+    # of the free parabola's x ~ t^2 / 2 at the last time of the momenta
+    # grid, 100 * 2^250 = 1.8e77 (or 100 * 2^2000, itself out of range)
     code = main(argv + [f"--output_dir={tmp_path}"])
     out, err = capsys.readouterr()
     assert code == 4 and err == ""
     (line,) = out.splitlines()
     assert json.loads(line)["error"] == "domain"
-    assert "overflows" in json.loads(line)["message"]
+    message = json.loads(line)["message"]
+    assert "overflows" in message
+    # the momenta message names the key to lower
+    assert argv[0] != "momenta" or "n_doublings" in message
+
+
+def test_momenta_converges_below_the_doubling_limit(capsys, tmp_path):
+    # 100 * 2^248 = 4.5e76: x^2 ~ 1e306 stays finite
+    code, summary = _run(capsys, "momenta", "--momenta.n_doublings=248",
+                         f"--output_dir={tmp_path}")
+    assert code == 0
+    assert all(math.isfinite(z) for z in summary["zeta_infinity"])
 
 
 @pytest.mark.parametrize("argv", [

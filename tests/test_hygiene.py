@@ -230,12 +230,15 @@ def test_one_point_classical_functions_stay_in_classical(path):
     assert not used, f"{path.name} uses {used}: call cone_mask"
 
 
-# one-point forks of batched computations and the old names of the batched
-# forms: each computation has one public name, the batched one
+# one-point forks of batched computations, the old names of the batched
+# forms and the copies of the closed forms that exact_phase and
+# born_symbol_tail now own: each computation has one public name
 _REMOVED = ("symbol_b", "symbol_q", "born_symbol", "grad_potential",
             "in_region_X", "mourre_ratio", "asymptotic_convergence",
             "eigenfunction_sample", "EigenfunctionSample",
-            "gamma_observables_arrays", "free_flow_arrays", "_energies")
+            "gamma_observables_arrays", "free_flow_arrays", "_energies",
+            "theta1_calculus", "theta1_value", "theta_calculus", "PhaseData",
+            "homogeneous_symbol_asymptote")
 
 
 def test_removed_names_stay_removed():

@@ -17,7 +17,6 @@ from starkscatter import (
     coulomb,
     fit_kernel_law,
     homogeneous,
-    homogeneous_symbol_asymptote,
     kernel_singularity_law,
     radial_kernel,
     radial_transform,
@@ -178,10 +177,8 @@ def test_born_symbol_approaches_homogeneous_asymptote():
     spec = coulomb(1.0)
     ratios = []
     for r in (1e2, 1e3, 1e4):
-        y = [r]
-        val = _born(spec, [0.0], y, R=1.0)
-        asym = homogeneous_symbol_asymptote(1.0, 1.0, y)
-        ratios.append(val.imag / asym.imag)
+        val = _born(spec, [0.0], [r], R=1.0)
+        ratios.append(val.imag / born_symbol_tail(spec, r, 0.0))
     assert abs(ratios[-1] - 1.0) < 0.02
     # and the approach is from flattening bias shrinking with |y|
     assert abs(ratios[2] - 1.0) < abs(ratios[0] - 1.0)
@@ -201,28 +198,20 @@ def test_born_symbol_domain_check():
 
 
 def test_asymptote_value_and_scaling():
-    y = [1e4]
-    asym = homogeneous_symbol_asymptote(1.0, 1.0, y)
-    assert asym == pytest.approx(-2j * c1_constant(1.0) * 1e-2, rel=1e-13)
-    doubled = homogeneous_symbol_asymptote(1.0, 1.5, [2e4])
-    single = homogeneous_symbol_asymptote(1.0, 1.5, y)
-    assert abs(doubled / single) == pytest.approx(2.0 ** -1.0, rel=1e-12)
-    with pytest.raises(DomainError):
-        homogeneous_symbol_asymptote(1.0, 1.0, [0.0])
-    with pytest.raises(DomainError, match="overflows at"):
-        homogeneous_symbol_asymptote(1.0, 2.0, [1e-300])
-
-
-@pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("r", [1e-200, 1e200])
-@pytest.mark.parametrize("d", [2, 3])
-def test_asymptote_takes_the_norm_without_overflow_or_underflow(r, d):
-    # |y|^2 underflows to 0 at 1e-200 and overflows at 1e200, |y| does not
-    y = [r] + [0.0] * (d - 2)
-    expected = -2j * c1_constant(1.0) * r ** -0.5
-    assert expected != 0.0
-    assert homogeneous_symbol_asymptote(1.0, 1.0, y) == pytest.approx(
-        expected, rel=1e-15)
+    # R = None leaves the asymptote -2 kappa c1 r^{1/2 - alpha} alone; R
+    # adds the cutoff term 2 kappa sqrt(2 (R + lam)) r^{-alpha}
+    spec = coulomb(1.0)
+    asym = born_symbol_tail(spec, 1e4, 0.0)
+    assert asym == pytest.approx(-2.0 * c1_constant(1.0) * 1e-2, rel=1e-13)
+    r = np.array([1e4, 2e4])
+    doubled, single = born_symbol_tail(homogeneous(1.0, 1.5), r, 0.0)[::-1]
+    assert doubled / single == pytest.approx(2.0 ** -1.0, rel=1e-12)
+    assert born_symbol_tail(spec, 1e4, 0.3, R=2.0) == pytest.approx(
+        asym + 2.0 * math.sqrt(2.0 * 2.3) * 1e-4, rel=1e-13)
+    with pytest.raises(DomainError, match="unless r > 0"):
+        born_symbol_tail(spec, [1.0, 0.0], 0.0)
+    with pytest.raises(DomainError, match="overflows at r = 1e-300"):
+        born_symbol_tail(homogeneous(1.0, 2.0), [1.0, 1e-300], 0.0)
 
 
 # ---------------------------------------------------------------------------

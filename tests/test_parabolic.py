@@ -8,10 +8,8 @@ import pytest
 from starkscatter import (
     DomainError,
     eikonal_residual,
+    exact_phase,
     jacobian_det,
-    theta1_calculus,
-    theta1_value,
-    theta_calculus,
     to_parabolic,
 )
 from starkscatter.parabolic import (
@@ -162,45 +160,30 @@ def test_jacobian_outside_identity_regime():
 # the phase f^3/3
 
 def test_theta_value_and_laplacian_example():
-    data = theta_calculus(3.0, [4.0])
+    # f^3/3 and its Laplacian d f / (2 r) at (3, 4), where f = sqrt(8) and
+    # r = 5
     f = math.sqrt(8.0)
-    assert data.value == pytest.approx(f ** 3 / 3.0, rel=1e-13)
-    assert data.laplacian == pytest.approx(f / 5.0, rel=1e-13)
-    d3 = theta_calculus(3.0, [4.0, 0.0])
-    assert d3.laplacian == pytest.approx(1.5 * f / 5.0, rel=1e-13)
+    assert to_parabolic(3.0, [4.0]).f ** 3 / 3.0 == pytest.approx(
+        f ** 3 / 3.0, rel=1e-13)
+    assert theta_laplacian(3.0, [4.0]) == pytest.approx(f / 5.0, rel=1e-13)
+    assert theta_laplacian(3.0, [4.0, 0.0]) == pytest.approx(1.5 * f / 5.0,
+                                                             rel=1e-13)
 
 
-def test_theta_gradient_and_hessian_by_finite_differences():
-    rng = np.random.default_rng(16)
-    for x, y, r in _random_identity_points(rng, 30, d=3):
-        data = theta_calculus(x, y)
-        h = 1e-5 * max(1.0, r)
-
-        def value(dx, dy):
-            return theta_calculus(x + dx, y + dy).value
-
-        d = 1 + y.size
-        for j in range(d):
-            dx = h if j == 0 else 0.0
-            dy = np.zeros(y.size)
-            if j > 0:
-                dy[j - 1] = h
-            fd = (value(dx, dy) - value(-dx, -dy)) / (2 * h)
-            assert fd == pytest.approx(data.gradient[j], rel=1e-7, abs=1e-9)
-
-        num_hess = np.empty((d, d))
-        for j in range(d):
-            dx = h if j == 0 else 0.0
-            dy = np.zeros(y.size)
-            if j > 0:
-                dy[j - 1] = h
-            gp = theta_calculus(x + dx, y + dy).gradient
-            gm = theta_calculus(x - dx, y - dy).gradient
-            num_hess[:, j] = (gp - gm) / (2 * h)
-        np.testing.assert_allclose(data.hessian, num_hess,
-                                   rtol=1e-5, atol=1e-9)
-        assert data.laplacian == pytest.approx(np.trace(data.hessian),
-                                               rel=1e-12)
+@pytest.mark.parametrize("d", [2, 3])
+def test_theta_laplacian_by_second_differences(d):
+    # the sum over the d axes of the central second differences of f^3/3,
+    # all shifted points in one to_parabolic call
+    rng = np.random.default_rng(16 + d)
+    x, y, r = (np.array(a) for a in zip(*_random_identity_points(rng, 30, d)))
+    h = 1e-3 * r
+    shifts = np.eye(d)[:, None, :] * h[:, None]        # (d, n, d)
+    points = np.concatenate([np.column_stack([x, y])[None] + s * shifts
+                             for s in (1.0, 0.0, -1.0)])
+    f = to_parabolic(points[..., 0], points[..., 1:]).f.reshape(3, d, -1)
+    second = (f[0] ** 3 - 2.0 * f[1] ** 3 + f[2] ** 3) / (3.0 * h * h)
+    np.testing.assert_allclose(theta_laplacian(x, y), second.sum(0),
+                               rtol=1e-5)
 
 
 # ---------------------------------------------------------------------------
@@ -208,9 +191,10 @@ def test_theta_gradient_and_hessian_by_finite_differences():
 
 def test_theta1_on_axis():
     x = 7.0
-    data = theta1_calculus(x, [0.0])
-    assert data.value == pytest.approx((2.0 * x) ** 1.5 / 3.0, rel=1e-13)
-    np.testing.assert_allclose(data.gradient, [math.sqrt(2.0 * x), 0.0],
+    theta1, grad = exact_phase(x, [0.0])
+    assert theta1.dtype == grad.dtype == np.longdouble
+    assert float(theta1) == pytest.approx((2.0 * x) ** 1.5 / 3.0, rel=1e-13)
+    np.testing.assert_allclose(grad.astype(float), [math.sqrt(2.0 * x), 0.0],
                                rtol=1e-13)
 
 
@@ -236,8 +220,8 @@ def test_batched_phase_functions_match_scalar_calls(d):
         jacobian_det(x, y), [jacobian_det(a, b) for a, b in zip(x, y)],
         maxulp=4)
     np.testing.assert_array_max_ulp(
-        theta_laplacian(x, y),
-        [theta_calculus(a, b).laplacian for a, b in zip(x, y)], maxulp=4)
+        theta_laplacian(x, y), [theta_laplacian(a, b) for a, b in zip(x, y)],
+        maxulp=4)
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -291,50 +275,53 @@ def test_batched_caustic_and_regime_inputs_raise():
 
 def test_theta1_gradient_solves_eikonal_directly():
     rng = np.random.default_rng(18)
-    for _ in range(100):
-        x = 10.0 ** rng.uniform(0.5, 3.0)
-        y = np.array([rng.uniform(-0.3, 0.3) * x])
-        g = theta1_calculus(x, y).gradient
-        assert 0.5 * float(g @ g) == pytest.approx(x, rel=1e-11)
+    x = 10.0 ** rng.uniform(0.5, 3.0, size=100)
+    y = rng.uniform(-0.3, 0.3, size=(100, 1)) * x[:, None]
+    grad = exact_phase(x, y)[1].astype(float)
+    np.testing.assert_allclose(0.5 * (grad * grad).sum(-1), x, rtol=1e-11)
 
 
-def test_theta1_hessian_by_finite_differences():
-    rng = np.random.default_rng(19)
-    for _ in range(30):
-        x = 10.0 ** rng.uniform(1.0, 3.0)
-        y = rng.uniform(-0.2, 0.2, size=2) * x / math.sqrt(2.0)
-        data = theta1_calculus(x, y)
-        h = 1e-5 * x
-        num = np.empty((3, 3))
-        for j in range(3):
-            dx = h if j == 0 else 0.0
-            dy = np.zeros(2)
-            if j > 0:
-                dy[j - 1] = h
-            gp = theta1_calculus(x + dx, y + dy).gradient
-            gm = theta1_calculus(x - dx, y - dy).gradient
-            num[:, j] = (gp - gm) / (2 * h)
-        np.testing.assert_allclose(data.hessian, num, rtol=1e-5, atol=1e-9)
+@pytest.mark.parametrize("d", [2, 3])
+def test_exact_phase_gradient_by_finite_differences(d):
+    # central differences of theta1 along each axis, every shifted point in
+    # one batched call
+    rng = np.random.default_rng(19 + d)
+    n = 40
+    x = 10.0 ** rng.uniform(1.0, 3.0, size=n)
+    y = rng.uniform(-0.4, 0.4, size=(n, d - 1)) * x[:, None]
+    pts = np.column_stack([x, y])
+    shifted = pts[None] + np.eye(d)[:, None, :] * (1e-4 * x)[:, None]
+    back = pts[None] - np.eye(d)[:, None, :] * (1e-4 * x)[:, None]
+    both = np.concatenate([shifted, back])               # (2d, n, d)
+    values = exact_phase(both[..., 0], both[..., 1:])[0].reshape(2, d, n)
+    # the steps as taken, after rounding x +- h
+    steps = (shifted - back)[np.arange(d), :, np.arange(d)]
+    fd = ((values[0] - values[1]) / steps).T             # (n, d)
+    np.testing.assert_allclose(exact_phase(x, y)[1].astype(float),
+                               fd.astype(float), rtol=1e-7)
 
 
-def test_theta1_hessian_leading_form():
-    # on the axis the Hessian is (2x)^{-1/2} times the identity
-    x = 250.0
-    data = theta1_calculus(x, [0.0, 0.0])
-    np.testing.assert_allclose(data.hessian,
-                               np.eye(3) / math.sqrt(2.0 * x), rtol=1e-12)
-    # slightly off axis it stays within O(y/x) of that form
-    off = theta1_calculus(x, [1.0, 0.0]).hessian
-    assert np.max(np.abs(off - np.eye(3) / math.sqrt(2.0 * x))) < 2.0 / x
+@pytest.mark.parametrize("d", [2, 3])
+def test_exact_phase_batched_equals_per_row_calls_bitwise(d):
+    rng = np.random.default_rng(60 + d)
+    x = 10.0 ** rng.uniform(-1.0, 8.0, size=300)
+    y = rng.uniform(-0.9, 0.9, size=(300, d - 1)) * x[:, None] / math.sqrt(d)
+    theta1, grad = exact_phase(x, y)
+    assert theta1.shape == (300,) and grad.shape == (300, d)
+    for k in range(x.size):
+        row_theta1, row_grad = exact_phase(float(x[k]), y[k])
+        assert row_theta1 == theta1[k]
+        np.testing.assert_array_equal(row_grad, grad[k], strict=True)
 
 
 def test_theta1_caustic_domain():
-    with pytest.raises(DomainError):
-        theta1_value(1.0, [2.0])
-    with pytest.raises(DomainError):
-        theta1_value(-1.0, [0.0])
-    with pytest.raises(DomainError):
-        theta1_calculus(3.0, [3.0])
+    for x, y in ((1.0, [2.0]), (-1.0, [0.0]), (3.0, [3.0]), (0.0, [0.0]),
+                 (10.0, [6.0, 8.0])):
+        with pytest.raises(DomainError, match="caustic"):
+            exact_phase(x, y)
+    # one caustic row fails the batch
+    with pytest.raises(DomainError, match="caustic"):
+        exact_phase(np.array([10.0, 5.0]), np.array([[1.0], [6.0]]))
 
 
 @pytest.mark.filterwarnings("error")
@@ -342,9 +329,9 @@ def test_theta1_caustic_domain():
                                   (-1e200, [0.0]), (2e154, [1.0, 1e153])],
                          ids=["off-axis", "axial", "negative", "d3"])
 def test_eikonal_phase_names_an_overflowing_square(x, y):
-    # x^2 is inf beyond about 1.3e154, where x^2 - y^2 would be inf - inf
-    # or an axial point would look caustic
-    for call in (theta1_value, theta1_calculus,
+    # x^2 leaves the float range beyond about 1.3e154, where x^2 - y^2
+    # would be inf - inf or an axial point would look caustic in doubles
+    for call in (exact_phase,
                  lambda x, y: eikonal_residual(np.array([10.0, x]),
                                                np.array([[0.0] * len(y), y]))):
         with pytest.raises(DomainError, match="x\\^2 overflows"):
@@ -355,8 +342,8 @@ def test_phase_difference_scaling():
     # theta1 - f^3/3 = O(f^3 (y/x)^4): quartic slope in y/x at fixed x
     x = 1e4
     ratios = np.array([0.02, 0.04, 0.08])
-    diffs = np.array([abs(theta1_value(x, [c * x])
-                          - theta_calculus(x, [c * x]).value)
+    diffs = np.array([abs(float(exact_phase(x, [c * x])[0])
+                          - to_parabolic(x, [c * x]).f ** 3 / 3.0)
                       for c in ratios])
     slope = np.polyfit(np.log(ratios), np.log(diffs), 1)[0]
     assert slope == pytest.approx(4.0, abs=0.2)
@@ -370,7 +357,7 @@ def test_f_difference_scaling():
     for c in ratios:
         y = [c * x]
         f = to_parabolic(x, y).f
-        f1 = (3.0 * theta1_value(x, y)) ** (1.0 / 3.0)
+        f1 = (3.0 * float(exact_phase(x, y)[0])) ** (1.0 / 3.0)
         diffs.append(abs(f - f1) / f)
     slope = np.polyfit(np.log(ratios), np.log(diffs), 1)[0]
     assert slope == pytest.approx(4.0, abs=0.3)
