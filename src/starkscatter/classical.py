@@ -29,8 +29,8 @@ import numpy as np
 
 from .errors import ConvergenceError, DomainError
 from .parabolic import exact_phase
-from .potentials import (PotentialSpec, eval_potential_array, force_rows,
-                         r_squared)
+from .potentials import (FD_FORCE_ERROR, PotentialSpec, eval_potential_array,
+                         force_rows, r_squared)
 from .quadrature import loglog_fit, panels, running, running_rows
 
 # Domain constant C for the exact-phase observables: x > C, |y|/x < 1/C.
@@ -94,9 +94,8 @@ class Trajectory:
 
     times has shape (N,), energies (N,) and states (N, 2d): row i is the
     phase point (x, y, eta, zeta) at times[i].  error_estimate (2d,) is the
-    integrator's achieved error estimate by component, in state units; it
-    leaves out the table kind's central-difference force error, about
-    1e-10 relative.
+    integrator's achieved error estimate by component, in state units,
+    with the table kind's central-difference force error in it.
     """
 
     times: np.ndarray
@@ -188,7 +187,10 @@ def integrate_orbit(spec: PotentialSpec, p0: PhasePoint, t_final: float,
     the panel's start by quadrature.running_rows, and the position the
     node velocities, as the sweep integrates them.  At most MAX_ORBIT_STEPS
     panels are laid out.  error_estimate sums the last change and the tail
-    (once times the half-width, for the velocity) of every panel.  The
+    (once times the half-width, for the velocity) of every panel; for the
+    table kind it adds the force's rounding, potentials.FD_FORCE_ERROR of
+    the panel's largest force component, integrated over the panel for the
+    velocity and carried on to t_final for the position.  The
     last change is the term that bounds the collocation's truncation
     error: the tails alone fall short of the error at the interior
     samples, so a rule that stops the sweeps sooner needs a truncation
@@ -340,6 +342,14 @@ def _collocate(spec, p0, grid, tol: float):
                 # the tails in state units: the position's, the velocity's
                 error += (change[:m] + np.concatenate(
                     [tail[:m] * np.abs(half[:m]), tail[:m]], 1)).sum(0)
+                if spec.kind == "table":
+                    # the rounding of its central-difference force, over
+                    # each panel for the velocity and on to t_final for
+                    # the position
+                    dv = (FD_FORCE_ERROR * np.abs(A[:, :m]).max((0, 2))
+                          * 2.0 * np.abs(half[:m, 0]))
+                    error[:d] += dv @ np.abs(grid[-1] - edges[:m])
+                    error[d:] += dv.sum()
                 reached += times.size
                 if reached == grid.size:
                     return out, reached, error, None

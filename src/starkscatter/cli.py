@@ -236,20 +236,180 @@ def _phase_point(cfg: dict, section: str) -> classical.PhasePoint:
 # ---------------------------------------------------------------------------
 # artifact emission
 
-# Rows that write_csv formats with one % and writes at once: one format of
-# the whole file would hold every row's text in memory at the same time.
+# Rows that write_csv formats and writes at once: formatting the whole file
+# at once would hold every row's text in memory at the same time.
 _CSV_BLOCK_ROWS = 1024
+
+# '%.17g' writes a double v through its 17-digit significand N, the exact
+# value of |v| rounded half to even, and the decade X of N: fixed notation
+# for -4 <= X < 17, else d.dddde+XX, without trailing zeros or a bare point.
+# write_csv finds N in numpy for the decades below (two-digit exponents) and
+# leaves every value it cannot decide exactly to _format_one.
+_DECADES = (-99, 99)
+_SPLIT = 134217729.0            # 2^27 + 1, Veltkamp's splitter
+# p + tail is |v| 10^j to within 1e-14 and exact where 10^j is a double;
+# an inexact one this close to a half-integer may round either way
+_TIE_MARGIN = 1e-7
+_E16, _E17 = 10 ** 16, 10 ** 17
+# A value's cell, one byte per row, 0 a hole: row 0 the sign, 1-5 the
+# "0.000" of fixed notation below 1, 6-23 the digits and the point, 24-27
+# "e+XX", 28 the separator.
+_CELL = 29
+_ROWS = np.arange(18, dtype=np.uint8)[:, None]
+_LEAD = np.frombuffer(b"0.000", np.uint8)[:, None]
+
+
+def _pow10_table() -> tuple:
+    """10^(16 - x) for the decades x of _DECADES and one more on each side,
+    lowest x first: the correctly rounded doubles hi of 10^j and lo of
+    10^j - hi (Python's int true division rounds correctly), and hi's
+    Veltkamp halves."""
+    hi, lo = [], []
+    for x in range(_DECADES[0] - 1, _DECADES[1] + 2):
+        j = 16 - x
+        if j >= 0:
+            h = float(10 ** j)
+            lo.append(float(10 ** j - int(h)))
+        else:
+            d = 10 ** -j
+            h = 1 / d
+            num, den = h.as_integer_ratio()
+            lo.append((den - num * d) / (den * d))
+        hi.append(h)
+    hi = np.array(hi)
+    c = _SPLIT * hi
+    hi_h = c - (c - hi)
+    return hi, hi_h, hi - hi_h, np.array(lo)
+
+
+_POW10 = _pow10_table()
+
+
+def _scaled(a: np.ndarray, x: np.ndarray):
+    """N = rint(a 10^(16 - x)) as int64, the remainder f of that rounding
+    and the slack f may be off by (0 where 10^(16 - x) is a double).
+
+    p + tail is Dekker's product of the split a and 10^(16 - x), which
+    needs no FMA; above 2^53 every double is an integer, so N is
+    p + rint(tail)."""
+    hi, hi_h, hi_l, lo = (t.take(x - (_DECADES[0] - 1)) for t in _POW10)
+    c = _SPLIT * a
+    a_h = c - (c - a)
+    a_l = a - a_h
+    p = a * hi
+    tail = ((((a_h * hi_h - p) + a_h * hi_l + a_l * hi_h) + a_l * hi_l)
+            + a * lo)
+    r = np.rint(tail)
+    return (p.astype(np.int64) + r.astype(np.int64), tail - r,
+            np.where(lo == 0.0, 0.0, _TIE_MARGIN))
+
+
+def _significands(v: np.ndarray):
+    """'%.17g''s significands N (int64) and decades X for the values v, and
+    the mask of the values they are exact for; zeros get N = 0 at X = 0.
+
+    X starts as floor(log10 |v|).  Next to a power of ten that may miss the
+    decade by one, and N leaves [1e16, 1e17]: those values are scaled once
+    more from the next decade.  N = 1e17 is the carry to 1e16 at X + 1.
+    The mask leaves out non-finite values, decades outside _DECADES,
+    near-ties and N still outside [1e16, 1e17].
+    """
+    a = np.abs(v)
+    finite = np.isfinite(a) & (a != 0.0)
+    x = np.floor(np.log10(np.where(finite, a, 1.0)))
+    ok = finite & (x >= _DECADES[0]) & (x <= _DECADES[1])
+    a = np.where(ok, a, 1.0)
+    x = np.where(ok, x, 0.0).astype(np.int64)
+    n, f, slack = _scaled(a, x)
+    step = (n > _E17).astype(np.int64) - ((n < _E16)
+                                          | (n == _E16) & (f < slack))
+    redo = np.flatnonzero(step)
+    if redo.size:
+        x[redo] += step[redo]
+        n[redo], f[redo], slack[redo] = _scaled(a[redo], x[redo])
+    carry = n == _E17
+    x += carry
+    ok &= ((np.abs(f) + slack <= 0.5) & (n <= _E17) & (x >= _DECADES[0])
+           & (x <= _DECADES[1]) & ((n > _E16) | (n == _E16) & (f >= slack)))
+    return (np.where(ok, np.where(carry, _E16, n), 0), np.where(ok, x, 0),
+            ok | (v == 0.0))
+
+
+def _format_one(v: float) -> str:
+    return "%.17g" % v
+
+
+def _csv_block(block: np.ndarray) -> bytes:
+    """A 2-d float block as CSV lines, each value as '%.17g' writes it."""
+    rows, cols = block.shape
+    v = block.ravel()
+    n, x, ok = _significands(v)
+    m = v.size
+    # N's digits, most significant first, from its uint32 halves; tz counts
+    # the trailing zeros after the first digit
+    digits = np.empty((18, m), np.uint8)
+    digits[17] = 0
+    high = n // 10 ** 9
+    part = (n - high * 10 ** 9).astype(np.uint32)      # digits 8 to 16
+    tz = np.zeros(m, np.uint8)
+    zeros = np.ones(m, bool)
+    for k in range(16, -1, -1):
+        if k == 7:
+            part = high.astype(np.uint32)              # digits 0 to 7
+        q = part // 10
+        d = part - q * 10
+        digits[k] = d
+        part = q
+        if k:
+            zeros &= d == 0
+            tz += zeros
+    x = x.astype(np.int8)                   # |X| <= 99
+    expo = (x < -4) | (x > 16)
+    int_part = ~expo & (x >= 0)
+    below_one = ~expo & (x < 0)
+    # the last digit written and the digit the point follows (17: none)
+    last = np.maximum(16 - tz, int_part * x).astype(np.uint8)
+    point = (int_part * x + below_one * np.int8(17)).astype(np.uint8)
+    digits += 48
+    digits *= _ROWS <= last
+    cell = np.empty((_CELL, m), np.uint8)
+    body = cell[6:24]
+    np.multiply(digits, _ROWS <= point, out=body)
+    body[1:] += digits[:-1] * (_ROWS[1:] > point + 1)
+    body += (_ROWS == point + 1) * ((last > point) * np.uint8(ord(".")))
+    np.multiply(_LEAD, _ROWS[:5] < below_one * (1 - x), out=cell[1:6])
+    cell[0] = np.signbit(v) * np.uint8(ord("-"))
+    ax = np.abs(x).astype(np.uint8)
+    tens = ax // 10
+    cell[24] = expo * np.uint8(ord("e"))
+    cell[25] = expo * (np.uint8(ord("-")) - (x >= 0) * np.uint8(2))  # or +
+    cell[26] = expo * (tens + 48)
+    cell[27] = expo * (ax - tens * 10 + 48)
+    sep = cell[28].reshape(rows, cols)
+    sep[:] = ord(",")
+    sep[:, -1] = ord("\n")
+    for i in np.flatnonzero(~ok):
+        text = np.frombuffer(_format_one(float(v[i])).encode(), np.uint8)
+        cell[:-1, i] = 0
+        cell[:text.size, i] = text
+    chars = cell.T.ravel()
+    return np.compress(chars != 0, chars).tobytes()
 
 
 def write_csv(path: Path, header: list[str], rows) -> None:
-    """rows as a 2-d float array, every value in %.17g (1.0 is written 1)."""
+    """rows as a 2-d float array; every value's bytes are those of
+    '%.17g' % value (1.0 is written 1).
+
+    The digits come from an exact double-double significand
+    (_significands), laid out in numpy one block of rows at a time; '%'
+    formats only the values that method cannot decide (_format_one):
+    near-ties, non-finite values and values outside _DECADES.
+    """
     rows = np.asarray(rows, dtype=float)
-    line = ",".join(["%.17g"] * rows.shape[1]) + "\n"
-    with open(path, "w", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\n").encode())
         for start in range(0, len(rows), _CSV_BLOCK_ROWS):
-            block = rows[start:start + _CSV_BLOCK_ROWS]
-            fh.write((line * len(block)) % tuple(block.ravel().tolist()))
+            fh.write(_csv_block(rows[start:start + _CSV_BLOCK_ROWS]))
 
 
 def _emit(cfg: dict, name: str, summary: dict) -> dict:

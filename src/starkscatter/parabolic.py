@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .potentials import r_squared
+from .potentials import norm_squared, r_squared
 
 # Relative margin below which x^2 - y^2 counts as caustic.
 _CAUSTIC_MARGIN = 1e-12
@@ -141,10 +141,18 @@ def exact_phase(x, y):
     double arrays.  DomainError unless every point has finite x^2 (|x|
     below about 1.3e154) and lies off the caustic, x > 0 and x^2 > y^2.
     """
+    x, w, sp, grad = _phase_parts(x, y)
+    return (4.0 / 3.0) * sp * (x - 0.5 * w), grad
+
+
+def _phase_parts(x, y):
+    """x, w, sqrt(x + w) and grad theta1 of exact_phase, in long double."""
     x = np.asarray(x, dtype=np.longdouble)
-    y = np.asarray(y, dtype=np.longdouble)
+    # y and the gradient are held column by column, the short last axis
+    # first, so that every operation runs over the batch
+    y = np.array(np.rollaxis(np.asarray(y), -1), dtype=np.longdouble)
     x_sq = x * x
-    disc = x_sq - (y * y).sum(-1)
+    disc = x_sq - norm_squared(np.rollaxis(y, 0, y.ndim))
     finite = x_sq <= _FLOAT_MAX
     if not (finite & (x > 0.0) & (disc > _CAUSTIC_MARGIN * x_sq)).all():
         if not finite.all():
@@ -152,10 +160,13 @@ def exact_phase(x, y):
                               "phase needs finite |x| below about 1.3e154")
         raise DomainError("caustic region: requires x > 0 and x^2 > y^2")
     w = np.sqrt(disc)
-    sp = np.sqrt(x + w)
-    grad = np.concatenate([sp[..., None],
-                           sp[..., None] * y / (x + w)[..., None]], -1)
-    return (4.0 / 3.0) * sp * (x - 0.5 * w), grad
+    x_w = x + w
+    sp = np.sqrt(x_w)
+    grad = np.empty((1 + len(y),) + sp.shape, np.longdouble)
+    grad[0] = sp
+    np.multiply(sp, y, out=grad[1:])
+    grad[1:] /= x_w
+    return x, w, sp, np.rollaxis(grad, 0, grad.ndim)
 
 
 def eikonal_residual(x, y):
@@ -165,7 +176,5 @@ def eikonal_residual(x, y):
     and x does not swamp the residual at large x.  x may be an array of
     shape (n,) with y of shape (n, d - 1).
     """
-    _, grad = exact_phase(x, y)
-    return _scalar_or_array(
-        (0.5 * (grad * grad).sum(-1) - np.asarray(x, dtype=np.longdouble))
-        .astype(float))
+    x, _, _, grad = _phase_parts(x, y)
+    return _scalar_or_array((0.5 * norm_squared(grad) - x).astype(float))

@@ -34,6 +34,11 @@ from .errors import DomainError
 
 # Finite-difference step scale for table-defined gradients.
 _FD_STEP = 1e-6
+# The relative rounding error of those central differences: the shifted
+# points round by half an ulp of z and func's two values by about as much
+# of q, each about epsilon / (2 _FD_STEP) of the force where |q| is at
+# most |grad q| max(1, r), as for r^-alpha tails.
+FD_FORCE_ERROR = np.finfo(float).eps / _FD_STEP
 # Points with r at most this are rejected where the softening is 0.
 EXCLUSION_RADIUS = 1e-8
 
@@ -109,17 +114,22 @@ def _row(x: float, y) -> np.ndarray:
     return np.concatenate([[float(x)], np.asarray(y, dtype=float)])[None]
 
 
-def r_squared(x, y: np.ndarray):
-    """x^2 + |y|^2 for x of shape S and y of shape S' + (n,), at their
-    broadcast shape.  |y|^2 adds the squared columns of y in order, which
-    is np.sum(y * y, axis=-1) bitwise for n < 8, without its reduction loop
-    over each row."""
+def norm_squared(y: np.ndarray):
+    """|y|^2 over the last axis of y, adding the squared columns in order:
+    np.sum(y * y, axis=-1) bitwise for fewer than 8 columns, without its
+    reduction loop over each row."""
     n = y.shape[-1]
     sq = y * y
     y_sq = sq[..., 0] if n else np.zeros(y.shape[:-1], y.dtype)
     for i in range(1, n):
         y_sq = y_sq + sq[..., i]
-    return x * x + y_sq
+    return y_sq
+
+
+def r_squared(x, y: np.ndarray):
+    """x^2 + |y|^2 for x of shape S and y of shape S' + (n,), at their
+    broadcast shape."""
+    return x * x + norm_squared(y)
 
 
 def eval_potential(spec: PotentialSpec, x: float, y) -> float:

@@ -270,6 +270,32 @@ def test_error_estimate_bounds_the_interior_samples(monkeypatch, kind, d,
                       <= traj.error_estimate)
 
 
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("t_final", [50.0, -50.0, 200.0, -200.0])
+def test_error_estimate_counts_the_table_force_rounding(d, t_final):
+    # the tails and last changes alone fell short of the tol-1e-13 run by
+    # up to 3.1 times at t_final = +-50: the central-difference force is
+    # noisy near 1e-10.  Its rounding, kept to each panel, still falls
+    # short by 2.8 times at t = 200: it must be carried on to t_final
+    spec = _ORACLE_SPECS["table"]
+    p0 = PhasePoint(5.0, [1.0, -0.5][:d - 1], 1.0, [0.2, 0.1][:d - 1])
+    t_eval = np.linspace(0.0, t_final, 200)
+    tight = integrate_orbit(spec, p0, t_final, tol=1e-13, t_eval=t_eval)
+    traj = integrate_orbit(spec, p0, t_final, tol=1e-10, t_eval=t_eval)
+    assert np.all(np.abs(traj.states - tight.states) <= traj.error_estimate)
+
+
+def test_table_force_rounding_leaves_the_closed_forms_alone(monkeypatch):
+    # the term is the table kind's alone: a Coulomb orbit's estimate does
+    # not move when the rounding constant does
+    p0 = PhasePoint(5.0, [1.0], 1.0, [0.2])
+    spec = _ORACLE_SPECS["coulomb"]
+    before = integrate_orbit(spec, p0, 50.0, tol=1e-10).error_estimate
+    monkeypatch.setattr(classical, "FD_FORCE_ERROR", 1.0)
+    after = integrate_orbit(spec, p0, 50.0, tol=1e-10).error_estimate
+    assert after.tolist() == before.tolist()
+
+
 def test_zero_time_span_returns_the_initial_point():
     p0 = PhasePoint(5.0, [1.0], 1.0, [0.2])
     traj = integrate_orbit(coulomb(0.5, softening=0.1), p0, 0.0, n_samples=3)

@@ -1,10 +1,10 @@
 """Package hygiene: the public names resolve, no module imports dead names,
-no module imports scipy and the package loads none, a verification run loads
-no numpy.random, the orbit path makes no LAPACK call, one-point functions
-stay in their own module, removed names stay removed, the benchmark's entry
-points and the README's library example still work, no module reaches into
-another's private names and every private definition is used somewhere in
-the package."""
+no module imports scipy and the package loads none (nor fractions or
+decimal), a verification run loads no numpy.random, the orbit path makes no
+LAPACK call, one-point functions stay in their own module, removed names
+stay removed, the benchmark's entry points and the README's library example
+still work, no module reaches into another's private names and every
+private definition is used somewhere in the package."""
 
 import ast
 import importlib
@@ -107,10 +107,11 @@ _RANDOM_MODULES = ("numpy.random", "secrets", "hashlib", "_hashlib")
 def test_cli_import_leaves_out_the_heavy_scipy_subpackages():
     # a fresh interpreter shows what the command line loads: no scipy module
     # at all, no argparse (nor the gettext and locale it brings), no
-    # numpy.polynomial and no numpy.random, and numpy's fft, which the
-    # library uses, at import rather than lazily inside a run
+    # numpy.polynomial and no numpy.random, no fractions or decimal (the
+    # CSV writer's powers of ten come from Python ints), and numpy's fft,
+    # which the library uses, at import rather than lazily inside a run
     absent = ("argparse", "gettext", "locale", "numpy.polynomial",
-              *_RANDOM_MODULES)
+              *_RANDOM_MODULES, "fractions", "decimal")
     code = ("import json, sys; import starkscatter.cli; "
             "print(json.dumps([sorted(m for m in sys.modules "
             "if m.startswith('scipy')), "
