@@ -139,9 +139,14 @@ class GammaObservables:
 def free_flow(x, y, eta, zeta, t):
     """Exact free orbit: x gains t*eta + t^2/2, y gains t*zeta, eta gains t,
     zeta is fixed.  x, eta have shape S, y, zeta shape S + (d-1,); t is a
-    number or an array that broadcasts with S."""
-    return (x + t * eta + 0.5 * t * t, y + np.asarray(t)[..., None] * zeta,
-            eta + t, zeta)
+    number or an array that broadcasts with S.  y + t zeta is formed one
+    column of y at a time, so that each pass runs along the batch."""
+    y, zeta, t = np.asarray(y), np.asarray(zeta), np.asarray(t)
+    shape = np.broadcast(y[..., :1], t[..., None], zeta[..., :1]).shape
+    y_t = np.empty(shape[:-1] + y.shape[-1:], np.result_type(y, t, zeta))
+    for i in range(y.shape[-1]):
+        np.add(y[..., i], t * zeta[..., i], out=y_t[..., i])
+    return x + t * eta + 0.5 * t * t, y_t, eta + t, zeta
 
 
 # Panels, laid out or laid out again, that one orbit integration may take
@@ -298,13 +303,19 @@ def _collocate(spec, p0, grid, tol: float):
                 lo = np.concatenate([edges[-1:], new[:-1]])
                 times = lo + _NODES * (new - lo)
                 x, y, _, _ = free_flow(p0.x, p0.y, p0.eta, p0.zeta, times)
-                tau = np.concatenate([times, new[None]])[..., None] - t
-                guess = u + tau * (v + 0.5 * tau * a)
+                # tau (17, P): the nodes and the panel ends; the guess is
+                # formed one component at a time, along the panels
+                tau = np.concatenate([times, new[None]]) - t
+                half_tau, guess = 0.5 * tau, np.empty(tau.shape + (d,))
+                for i in range(d):
+                    np.add(u[i], tau * (v[i] + half_tau * a[i]),
+                           out=guess[..., i])
                 free = np.concatenate(
                     [free, np.concatenate([x[..., None], y], axis=-1)], axis=1)
                 U = np.concatenate([U, guess[:-1]], axis=1)
+                v_ends = v + tau[-1, :, None] * a
                 ends = np.concatenate(
-                    [ends, np.concatenate([guess[-1], v + tau[-1] * a], 1)])
+                    [ends, np.concatenate([guess[-1], v_ends], 1)])
                 edges = np.concatenate([edges, new])
                 half = np.concatenate([half, 0.5 * (new - lo)[:, None]])
             # one sweep: the force at every node, integrated twice
@@ -588,11 +599,16 @@ def cone_mask(x, y, eta, zeta, m: float = 1.0, eps: float = 0.3,
     sqrt(2x + 2<y>_m).
 
     x and eta have shape S, y and zeta shape S + (d - 1,); the result is a
-    boolean array of shape S.
+    boolean array of shape S.  <y>_m and yhat_m . zeta are summed over the
+    columns of y and zeta in order, one column at a time, so that each pass
+    runs along the batch.
     """
     x, y, eta, zeta = (np.asarray(a, dtype=float) for a in (x, y, eta, zeta))
     y_m = np.sqrt(r_squared(m, y))
-    a_num = eta + np.sum(y / y_m[..., None] * zeta, axis=-1)
+    dot = y[..., 0] / y_m * zeta[..., 0] if y.shape[-1] else 0.0
+    for i in range(1, y.shape[-1]):
+        dot = dot + y[..., i] / y_m * zeta[..., i]
+    a_num = eta + dot
     root = np.sqrt(np.maximum(2.0 * x + 2.0 * y_m, 0.0))
     s = 1.0 if sign >= 0 else -1.0
     return (x + y_m > 0.0) & (s * a_num > -eps * root)

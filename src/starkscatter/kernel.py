@@ -10,7 +10,12 @@ which `radial_kernel` and `fit_kernel_law` recover from the symbol.
 the mapped Gauss-Legendre rule of `quadrature`: x = R + c (s / (1 - s))^P
 with c = max(|y|, R) and P chosen from the decay rate alpha + 1/2 of the
 integrand, so every position converges on the same panel layout.  A pass
-takes blocks of positions of 2^15 nodes, a few MB whatever the batch size.
+maps its panels once, at unit scale, on the nodes only.  The positions
+with |y| <= R sit at the floor c = R and share one vector of x, square
+roots and weights; every other position forms x = R + c (s / (1 - s))^P
+and scales its weighted sum by c.  A pass takes blocks of positions of
+2^15 nodes, one potential call a block, so that its temporaries on the
+nodes stay under 2 MB whatever the batch size.
 
 `radial_kernel` recovers the kernel from the radial Born profile with one
 FFTLog transform (Talman, J. Comput. Phys. 29 (1978) 35; Hamilton, MNRAS
@@ -31,7 +36,7 @@ import numpy as np
 from numpy.fft import irfft, rfft
 
 from .errors import ConfigError, DomainError
-from .potentials import PotentialSpec, eval_potential_array
+from .potentials import PotentialSpec, eval_potential_array, norm_squared
 from .quadrature import (brent_minimum, converge, map_half_line, map_power,
                          panels)
 from .special import KernelLaw, c1_constant, c2_constant, loggamma
@@ -55,9 +60,14 @@ def born_symbols(spec: PotentialSpec, zeta, ys, lam: float = 0.0,
 
     Returns the symbols and, per symbol, the last refinement change of the
     panel rule, which stops once every change is at most tol * max(1, |t|).
-    Each refinement pass evaluates the potential _BLOCK_NODES nodes at a time.
-    The kernel formulas are statements about the exact power law, so the
-    potential is evaluated unsoftened here.
+    Each refinement pass evaluates the map g(s) = (s / (1 - s))^P and its
+    weights on the nodes only.  Rows with |y| <= R share one x, square
+    root and weight vector and evaluate only q per node; a block of rows
+    that holds another row forms x = R + max(|y|, R) g per row.  The
+    potential is evaluated _BLOCK_NODES nodes at a time, one call a block,
+    and a row's value does not depend on the blocks.  The kernel formulas
+    are statements about the exact power law, so the potential is
+    evaluated unsoftened here.
     """
     zeta = np.atleast_1d(np.asarray(zeta, dtype=float))
     ys = np.asarray(ys, dtype=float)
@@ -67,21 +77,31 @@ def born_symbols(spec: PotentialSpec, zeta, ys, lam: float = 0.0,
     if 2.0 * R + 2.0 * lam - z2 <= 0.0:
         raise DomainError("R too small: square root not bounded away from 0")
     pot = spec.unsoftened()
-    scale = np.maximum(np.sqrt(np.sum(ys * ys, axis=-1)), R)[:, None]
+    scale = np.maximum(np.sqrt(norm_squared(ys)), R)
+    # the rows at the floor of the scale, which share their nodes
+    floor = scale == R
     # q decays like x^{-alpha} and the square root adds x^{-1/2}.  The
     # square root varies on the scale R, reached at s ~ (R / c)^{1/P}: P >= 4
     # keeps that inside the first panels for |y| up to about 1e5 R.
     power = map_power(spec.alpha + 0.5, least=4)
 
     def one_pass(base):
+        # the map at unit scale, g(s) and its weights, on the nodes only;
+        # a row of scale c has x = R + c g and its weighted sum times c
+        unit = map_half_line(base, 1.0, power)
+        x_floor = R + R * unit.t
+        w_floor = unit.w / np.sqrt(2.0 * x_floor + 2.0 * lam - z2)
         out = np.empty(len(ys), dtype=complex)
         rows = max(1, _BLOCK_NODES // base.t.size)
         for block in (slice(lo, lo + rows) for lo in range(0, len(ys), rows)):
-            rule = map_half_line(base, scale[block], power)
-            x = R + rule.t
+            c = scale[block, None]
+            if floor[block].all():
+                x, w = x_floor, w_floor
+            else:
+                x = R + c * unit.t
+                w = unit.w / np.sqrt(2.0 * x + 2.0 * lam - z2)
             q = eval_potential_array(pot, x, -ys[block, None, :])
-            out[block] = -2j * np.sum(
-                q / np.sqrt(2.0 * x + 2.0 * lam - z2) * rule.w, axis=-1)
+            out[block] = -2j * (c[:, 0] * np.sum(q * w, axis=-1))
         return out
 
     return converge(one_pass, panels, tol, "kernel", "born_symbols")

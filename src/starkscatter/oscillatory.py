@@ -71,9 +71,10 @@ def airy_reduction_quadrature(w, tol: float = 1e-12):
     eta = u e^{+i angle} for u < 0 with angle = pi/8, which puts both ends
     into sectors where the cubic exponential decays like exp(-sin(3 angle)
     |u|^3 / 6).  Both rays are integrated over u in (0, inf) on mapped
-    Gauss-Legendre panels (map power 1, scale 4) for all w at once, refined
-    until every value changes by at most tol * max(1, |value|); BudgetError
-    if it does not.  w may be an array; kept for verification only.
+    Gauss-Legendre panels (map power 1, scale 4), one layout shared by
+    every w, refined until every value changes by at most tol * max(1,
+    |value|); BudgetError if it does not.  w may be an array; kept for
+    verification only.
     """
     w_arr = np.atleast_1d(np.asarray(w, dtype=float))
     angle = math.pi / 8.0
@@ -89,7 +90,7 @@ def airy_reduction_quadrature(w, tol: float = 1e-12):
                 * rule.w, axis=-1)
         return total
 
-    value, _ = converge(one_pass, half_line(np.full(w_arr.size, 4.0), 1), tol,
+    value, _ = converge(one_pass, half_line([4.0], 1), tol,
                         "oscillatory", "airy_reduction_quadrature")
     return complex(value[0]) if np.ndim(w) == 0 else value
 

@@ -67,8 +67,9 @@ def _blend_variable(t):
 
 
 def _radius(x, y):
-    """r = |(x, y)| for x of shape S and y of shape S + (d - 1,)."""
-    return np.hypot(x, np.linalg.norm(y, axis=-1))
+    """r = |(x, y)| for x of shape S and y of shape S + (d - 1,), with |y|
+    from the columns of y (np.linalg.norm's value, bitwise)."""
+    return np.hypot(x, np.sqrt(norm_squared(y)))
 
 
 def to_parabolic(x, y) -> ParabolicPoint:

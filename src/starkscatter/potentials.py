@@ -115,14 +115,17 @@ def _row(x: float, y) -> np.ndarray:
 
 
 def norm_squared(y: np.ndarray):
-    """|y|^2 over the last axis of y, adding the squared columns in order:
-    np.sum(y * y, axis=-1) bitwise for fewer than 8 columns, without its
-    reduction loop over each row."""
-    n = y.shape[-1]
-    sq = y * y
-    y_sq = sq[..., 0] if n else np.zeros(y.shape[:-1], y.dtype)
-    for i in range(1, n):
-        y_sq = y_sq + sq[..., i]
+    """|y|^2 over the last axis of y, squaring and adding the columns in
+    order: np.sum(y * y, axis=-1) bitwise for fewer than 8 columns.  Each
+    pass runs along the batch, also on a strided slice such as z[:, 1:d],
+    where y * y would run numpy's inner loop over the short last axis."""
+    if not y.shape[-1]:
+        return np.zeros(y.shape[:-1], y.dtype)
+    col = y[..., 0]
+    y_sq = col * col
+    for i in range(1, y.shape[-1]):
+        col = y[..., i]
+        y_sq = y_sq + col * col
     return y_sq
 
 

@@ -147,8 +147,9 @@ def half_line(scale, power: int):
     return lambda n_panels: map_half_line(panels(n_panels), scale, power)
 
 
-def map_half_line(base: Rule, scale: np.ndarray, power: int) -> Rule:
-    """The panels of base on (0, 1) mapped to [0, inf) for scales (n, 1)."""
+def map_half_line(base: Rule, scale, power: int) -> Rule:
+    """The panels of base on (0, 1) mapped to [0, inf) for scales (n, 1),
+    or for one scale given as a number, which keeps the rule on the nodes."""
     s = base.t
     t = scale * s ** power / (1.0 - s) ** power
     jac = scale * power * s ** (power - 1) / (1.0 - s) ** (power + 1)

@@ -1095,6 +1095,64 @@ def test_cone_mask_matches_pointwise_membership(d, sign):
         assert flowed[1][i].tolist() == q.y.tolist()
 
 
+def _strided_rows(rng, n, d):
+    """Rows (x, y, eta, zeta) of one (n, 2d) array, y and zeta as the
+    strided slices z[:, 1:d] and z[:, d + 1:] the checks pass."""
+    z = rng.uniform(-20.0, 20.0, size=(n, 2 * d))
+    return z[:, 0], z[:, 1:d], z[:, d], z[:, d + 1:]
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_free_flow_columns_equal_the_broadcast_expression(d):
+    # y + t zeta one column at a time has the bits of the broadcast over
+    # the short last axis, for a number t, a row of times and a grid
+    x, y, eta, zeta = _strided_rows(np.random.default_rng(40 + d), 500, d)
+    t_grid = np.random.default_rng(d).uniform(-50.0, 50.0, size=(500, 7))
+    for args, t in (((x, y, eta, zeta), 10.0),
+                    ((x, y, eta, zeta), np.linspace(-3.0, 80.0, 500)),
+                    ((x[:, None], y[:, None, :], eta[:, None],
+                      zeta[:, None, :]), t_grid)):
+        x_t, y_t, eta_t, zeta_t = free_flow(*args, t)
+        x0, y0, eta0, zeta0 = args
+        t = np.asarray(t)
+        reference = y0 + t[..., None] * zeta0
+        assert y_t.shape == reference.shape
+        np.testing.assert_array_equal(y_t.view(np.uint64),
+                                      reference.view(np.uint64))
+        np.testing.assert_array_equal(x_t, x0 + t * eta0 + 0.5 * t * t)
+        np.testing.assert_array_equal(eta_t, eta0 + t)
+        assert zeta_t is zeta0
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+@pytest.mark.parametrize("sign", [+1, -1])
+def test_cone_mask_columns_equal_the_broadcast_expression(d, sign):
+    # eta is set so that a = -eps sqrt(2x + 2<y>_m) up to its last bit, by
+    # the broadcast expression: a column sum that rounded otherwise would
+    # flip some rows
+    m, eps = 1.5, 0.2
+    x, y, _, zeta = _strided_rows(np.random.default_rng(50 + d), 2000, d)
+    s = 1.0 if sign >= 0 else -1.0
+    y_m = np.sqrt(m * m + np.sum(y * y, axis=-1))
+    dot = np.sum(y / y_m[..., None] * zeta, axis=-1)
+    root = np.sqrt(np.maximum(2.0 * x + 2.0 * y_m, 0.0))
+    eta = -s * eps * root - dot
+    reference = (x + y_m > 0.0) & (s * (eta + dot) > -eps * root)
+    assert 0 < np.count_nonzero(reference) < np.count_nonzero(x + y_m > 0.0)
+    np.testing.assert_array_equal(
+        cone_mask(x, y, eta, zeta, m=m, eps=eps, sign=sign), reference)
+    # and on rows flowed for a number t and a row of times
+    for t in (10.0, np.linspace(0.0, 100.0, 2000)):
+        flowed = free_flow(x, y, eta, zeta, t)
+        xf, yf, etaf, zf = flowed
+        y_m = np.sqrt(m * m + np.sum(yf * yf, axis=-1))
+        a_num = etaf + np.sum(yf / y_m[..., None] * zf, axis=-1)
+        root = np.sqrt(np.maximum(2.0 * xf + 2.0 * y_m, 0.0))
+        np.testing.assert_array_equal(
+            cone_mask(*flowed, m=m, eps=eps, sign=sign),
+            (xf + y_m > 0.0) & (s * a_num > -eps * root))
+
+
 def test_mourre_ratio_stays_above_cone_margin():
     # orbits started in the cone, where the Mourre ratio a(0) > -eps, never
     # cross the margin: cone_mask tests a > -eps where x + <y>_m > 0

@@ -138,10 +138,21 @@ _BLOCKING_SPECS = {
 @pytest.mark.parametrize("kind", sorted(_BLOCKING_SPECS))
 @pytest.mark.parametrize("d", [2, 3])
 def test_born_symbols_do_not_depend_on_the_row_blocks(d, kind, monkeypatch):
-    # 300 rows: 256 + 44 rows a block at 8 panels; blocks of one row and one
-    # block of every row give the same bits
+    # 300 rows: 256 + 44 rows a block at 8 panels, 128 a block from 16.
+    # More than a third of them lie at the floor |y| <= R = 2, one exactly
+    # on it: the first 128, which fill whole blocks from 16 panels on and
+    # share their nodes there, and every fourth row after them, which sits
+    # in blocks with rows beyond R.  Blocks of one row and one block of
+    # every row give the same bits.
     spec = _BLOCKING_SPECS[kind]
-    ys = np.random.default_rng(d).uniform(-1e3, 1e3, size=(300, d - 1))
+    rng = np.random.default_rng(d)
+    ys = rng.uniform(-1e3, 1e3, size=(300, d - 1))
+    floor = np.arange(300) < 128
+    floor[128::4] = True
+    ys[floor] = rng.uniform(-1.0, 1.0, size=(floor.sum(), d - 1))
+    ys[0] = 0.0
+    ys[0, 0] = 2.0
+    assert np.count_nonzero(np.linalg.norm(ys, axis=1) <= 2.0) >= 100
     runs = []
     for block_nodes in (kernel._BLOCK_NODES, 1, 2 ** 40):
         monkeypatch.setattr(kernel, "_BLOCK_NODES", block_nodes)
@@ -151,6 +162,19 @@ def test_born_symbols_do_not_depend_on_the_row_blocks(d, kind, monkeypatch):
                                       runs[0][0].view(np.uint64))
         np.testing.assert_array_equal(errors.view(np.uint64),
                                       runs[0][1].view(np.uint64))
+
+
+@pytest.mark.parametrize("alpha", [0.75, 1.0, 1.5])
+def test_born_symbols_floor_and_far_rows_in_one_batch_against_mpmath(alpha):
+    # |y| = 1 lies below the floor R = 2 and shares the block's nodes, |y| =
+    # 50 forms its own, in the one block of the batch
+    spec = coulomb(1.0) if alpha == 1.0 else homogeneous(1.0, alpha)
+    ys = np.array([[0.6, -0.8], [30.0, 40.0]])
+    values, _ = born_symbols(spec, [0.0, 0.0], ys)
+    for r, value in zip((1.0, 50.0), values):
+        oracle = _mpmath_born(
+            lambda x: (x * x + r * r) ** (-mpmath.mpf(alpha) / 2), 2.0)
+        assert complex(value) == pytest.approx(oracle, rel=1e-9)
 
 
 def test_born_symbol_linear_in_coupling():

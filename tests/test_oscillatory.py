@@ -16,7 +16,7 @@ from starkscatter import (
     free_eigenfunction,
     stationary_phase_eigenfunction,
 )
-from starkscatter import oscillatory
+from starkscatter import oscillatory, quadrature
 from starkscatter.oscillatory import airy_reduction_quadrature
 from starkscatter.quadrature import loglog_fit
 
@@ -119,6 +119,19 @@ def test_contour_oracle_against_mpmath():
         ref = [complex(c * 2 * mpmath.pi * mpmath.airyai(-c * float(w)))
                for w in ws]
     assert np.max(np.abs(airy_reduction_quadrature(ws) - ref)) <= 1e-12
+
+
+def test_contour_oracle_one_scale_equals_one_scale_per_argument(monkeypatch):
+    # the layout shared by every argument gives the bits of the layout
+    # mapped once per argument, at the same scale
+    ws = np.linspace(-10.0, 10.0, 21)
+    shared = airy_reduction_quadrature(ws)
+    monkeypatch.setattr(oscillatory, "half_line", lambda scale, power:
+                        quadrature.half_line(np.full(ws.size, scale[0]),
+                                             power))
+    per_argument = airy_reduction_quadrature(ws)
+    np.testing.assert_array_equal(shared.view(np.uint64),
+                                  per_argument.view(np.uint64))
 
 
 def test_contour_oracle_raises_when_tol_is_unreachable():

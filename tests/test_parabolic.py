@@ -13,6 +13,7 @@ from starkscatter import (
     to_parabolic,
 )
 from starkscatter.parabolic import (
+    _radius,
     grad_f,
     mollifier,
     mollifier_deriv,
@@ -115,6 +116,22 @@ def test_mollifier_plateau_identity_and_smoothness():
         h = 1e-4
         second = (mollifier(t + h) - 2 * mollifier(t) + mollifier(t - h)) / h ** 2
         assert second > -1e-6
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_radius_is_the_hypot_of_numpys_norm_bitwise(d):
+    # |y| from the columns of y, on contiguous rows, a strided slice of
+    # wider rows, one point and a batch of batches, over a spread of sizes
+    rng = np.random.default_rng(60 + d)
+    wide = (rng.standard_normal((400, d + 2))
+            * 10.0 ** rng.uniform(-6.0, 6.0, (400, d + 2)))
+    x = wide[:, 0].copy()
+    for xs, y in ((x, wide[:, 2:d + 1].copy()), (x, wide[:, 1:d]),
+                  (x[0], wide[0, 1:d]),
+                  (x.reshape(20, 20), wide[:, 1:d].reshape(20, 20, d - 1))):
+        reference = np.hypot(xs, np.linalg.norm(y, axis=-1))
+        np.testing.assert_array_equal(np.asarray(_radius(xs, y)).view(np.uint64),
+                                      reference.view(np.uint64))
 
 
 # ---------------------------------------------------------------------------

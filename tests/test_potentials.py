@@ -232,21 +232,29 @@ def test_table_func_is_called_once_per_batch(d):
     eval_potential(spec, x[0], y[0])
     assert func.calls == [(1, (1,))]
     # born_symbols: one call per block of rows of each refinement pass, 16
-    # nodes per panel from 8 panels, doubling; 600 rows are 3 blocks at 8
-    for n_rows in (5, 600):
+    # nodes per panel from 8 panels, doubling; 600 rows are 3 blocks at 8.
+    # A block of rows at the floor |y| <= R = 2 alone passes the nodes
+    # they share, x of shape (nodes,); any other block x (rows, nodes)
+    far = rng.uniform(-30.0, 30.0, size=(600, d - 1))
+    near = rng.uniform(-1.0, 1.0, size=(600, d - 1))
+    for ys, ndims in ((far[:5], {2}), (far, {2}), (near[:5], {1}),
+                      (np.concatenate([near[:300], far[300:]]), {1, 2})):
         func.calls.clear()
-        ys = rng.uniform(-30.0, 30.0, size=(n_rows, d - 1))
+        n_rows = len(ys)
+        at_floor = np.linalg.norm(ys, axis=1) <= 2.0
         born_symbols(spec, np.zeros(d - 1), ys)
         final_panels = func.calls[-1][1][-1] // 16
         expected = []
         for i in range(int(math.log2(final_panels / 8)) + 1):
             nodes = 128 * 2 ** i
             rows = kernel._BLOCK_NODES // nodes
-            expected += [(2, (min(rows, n_rows - lo), nodes))
+            expected += [(1 if at_floor[lo:lo + rows].all() else 2,
+                          (min(rows, n_rows - lo), nodes))
                          for lo in range(0, n_rows, rows)]
         assert func.calls == expected
         first_pass = [call for call in func.calls if call[1][-1] == 128]
         assert len(first_pass) == (1 if n_rows == 5 else 3)
+        assert {call[0] for call in func.calls} == ndims
 
 
 @pytest.mark.parametrize("spec", [
