@@ -9,28 +9,29 @@ Orbits are held as arrays: a Trajectory stores its samples as an (N, 2d)
 state array with (N,) times and energies, and builds PhasePoints only when
 they are read.  The energies, the radiation observables of decay_slope and
 the asymptotic momentum are computed on whole trajectories at once.  An
-orbit is integrated as its deviation from the free parabola, by Gauss-
-Legendre collocation on quadrature's 16-node panels solved by Picard
-sweeps; a sweep is one potentials.force_rows call on every node of a
-window of panels.  The width controller alone places the panels, towards
-the final time; every sample is read off its panel's collocation
-polynomial, so the samples do not change the orbit.  The free case is the
-homogeneous kind at kappa = 0, where the deviation stays exactly 0."""
+orbit is integrated as its deviation from the free parabola, by
+Gauss-Legendre collocation on quadrature's 16-node panels solved by Picard
+sweeps; a sweep is one potentials.force_rows call on every node of a window
+of panels.  The width controller alone places the panels, towards the final
+time; every sample is read off its panel's collocation polynomial, so the
+samples do not change the orbit.  A Trajectory is frozen with read-only
+arrays, so decay_slope works out each window of it once.  The free case is
+the homogeneous kind at kappa = 0, where the deviation stays exactly 0."""
 
 from __future__ import annotations
 
 import math
 import sys
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConvergenceError, DomainError
 from .parabolic import exact_phase
 from .potentials import (FD_FORCE_ERROR, PotentialSpec, eval_potential_array,
-                         force_rows, r_squared)
+                         force_rows, norm_squared, r_squared)
 from .quadrature import loglog_fit, panels, running, running_rows
 
 # Domain constant C for the exact-phase observables: x > C, |y|/x < 1/C.
@@ -88,14 +89,17 @@ class _PointsView(Sequence):
         return PhasePoint.from_vector(self._states[i], self._d)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Trajectory:
     """Time-stamped orbit with its conserved-energy record.
 
     times has shape (N,), energies (N,) and states (N, 2d): row i is the
     phase point (x, y, eta, zeta) at times[i].  error_estimate (2d,) is the
     integrator's achieved error estimate by component, in state units,
-    with the table kind's central-difference force error in it.
+    with the table kind's central-difference force error in it.  The
+    instance is frozen and its four arrays are read-only, so decay_slope
+    keeps what it works out for a window in a private memo that cannot go
+    stale.
     """
 
     times: np.ndarray
@@ -103,6 +107,14 @@ class Trajectory:
     energies: np.ndarray
     spec: PotentialSpec
     error_estimate: np.ndarray
+    # decay_slope's window (t_lo, t_hi) -> the kept times and their
+    # extended-precision x, y, r and gamma
+    _windows: dict = field(default_factory=dict, init=False, repr=False,
+                           compare=False)
+
+    def __post_init__(self):
+        for a in (self.times, self.states, self.energies, self.error_estimate):
+            a.flags.writeable = False
 
     def __len__(self):
         return len(self.times)
@@ -150,7 +162,7 @@ def free_flow(x, y, eta, zeta, t):
 
 
 # Panels, laid out or laid out again, that one orbit integration may take
-# before it fails with ConvergenceError; a benchmark orbit takes 18 or 19.
+# before it fails with ConvergenceError; a benchmark orbit takes about 12.
 MAX_ORBIT_STEPS = 100_000
 
 # The width controller: a panel whose tail is r times its bound asks for
@@ -177,31 +189,33 @@ def integrate_orbit(spec: PotentialSpec, p0: PhasePoint, t_final: float,
     from 0 to t_final and are placed by the width controller alone, so the
     samples change neither the work nor the final state nor error_estimate;
     the first is as wide as the start's own time scale |position| /
-    |velocity|.  A window of them is solved by Picard sweeps (modified
-    Chebyshev-Picard iteration, Bai and Junkins, J. Astronaut. Sci. 58
-    (2011) 583), whose fixed point is Gauss collocation: a sweep is one
-    force_rows call on every node, and quadrature.running integrates the
-    force into the velocity and that into the position.  The leading
-    panels are accepted once the sweep moved each component of their end
-    states by at most tol (1 + |value|) and their tail, the P_15
-    coefficient of the force times the squared half-width, is as small
-    against the position; a panel with a larger tail is laid out again
-    from the width controller, with those after it.  Every sample in an
-    accepted panel, one on its end included, is read off the panel's
-    collocation polynomial: the velocity integrates the node forces from
-    the panel's start by quadrature.running_rows, and the position the
-    node velocities, as the sweep integrates them.  At most MAX_ORBIT_STEPS
-    panels are laid out.  error_estimate sums the last change and the tail
-    (once times the half-width, for the velocity) of every panel; for the
-    table kind it adds the force's rounding, potentials.FD_FORCE_ERROR of
-    the panel's largest force component, integrated over the panel for the
-    velocity and carried on to t_final for the position.  The
-    last change is the term that bounds the collocation's truncation
-    error: the tails alone fall short of the error at the interior
-    samples, so a rule that stops the sweeps sooner needs a truncation
-    estimate of its own.  A sweep meets points off the converged orbit; an
-    exception raised by the potential reaches the caller unchanged, and a
-    potential may itself integrate orbits.
+    |velocity|, and the first layout, made before any tail is known,
+    doubles the widths towards t_final.  A window of them is solved by
+    Picard sweeps (modified Chebyshev-Picard iteration, Bai and Junkins, J.
+    Astronaut. Sci. 58 (2011) 583), whose fixed point is Gauss
+    collocation: a sweep is one force_rows call on every node, and
+    quadrature.running integrates the force into the velocity and that into
+    the position.  The leading panels are accepted once the sweep moved
+    each component of their end states by at most tol (1 + |value|) and
+    their tail, the P_15 coefficient of the force times the squared
+    half-width, is as small against the position; a panel with a larger
+    tail is laid out again from the width controller, with those after it,
+    the widths growing by half a panel.  Every sample in an accepted panel,
+    one on its end included, is read off the panel's collocation
+    polynomial: the velocity integrates the node forces from the panel's
+    start by quadrature.running_rows, and the position the node velocities,
+    as the sweep integrates them.  At most MAX_ORBIT_STEPS panels are laid
+    out.  error_estimate sums the last change and the tail (once times the
+    half-width, for the velocity) of every panel; for the table kind it
+    adds the force's rounding, potentials.FD_FORCE_ERROR of the panel's
+    largest force component, integrated over the panel for the velocity and
+    carried on to t_final for the position.  The last change is the term
+    that bounds the collocation's truncation error: the tails alone fall
+    short of the error at the interior samples, so a rule that stops the
+    sweeps sooner needs a truncation estimate of its own.  A sweep meets
+    points off the converged orbit; an exception raised by the potential
+    reaches the caller unchanged, and a potential may itself integrate
+    orbits.
     """
     if tol <= 0:
         raise DomainError("tolerance must be positive")
@@ -251,17 +265,17 @@ def _factor(ratio) -> float:
                max(_MIN_FACTOR, _SAFETY * ratio ** _ERROR_EXPONENT))
 
 
-def _lay_out(t_final: float, a: float, h: float, count: int):
+def _lay_out(t_final: float, a: float, h: float, count: int, growth: float):
     """Up to count panel ends from a towards t_final: t_final within h of
     a panel's start, or else the first of the fewest equal panels of width
-    at most h to it; h grows by half a panel, so that a window reaches past
-    a stretch that needs narrow panels."""
+    at most h to it; h grows by the factor growth with each panel, so
+    that a window reaches past a stretch that needs narrow panels."""
     ends = []
     while len(ends) < count and a != t_final:
         rest = t_final - a
         a = t_final if abs(rest) <= h else a + rest / math.ceil(abs(rest) / h)
         ends.append(a)
-        h *= 1.5
+        h *= growth
     return np.array(ends)
 
 
@@ -292,7 +306,10 @@ def _collocate(spec, p0, grid, tol: float):
             if len(half) < window - 1 and t != grid[-1]:
                 if h < 10.0 * abs(math.nextafter(t, math.inf) - t):
                     return out, reached, error, "panel width became too small"
-                new = _lay_out(grid[-1], t, h, window - len(half))
+                # the first layout, made before any tail was seen, doubles
+                # its widths towards t_final; the later ones grow by half
+                new = _lay_out(grid[-1], t, h, window - len(half),
+                               1.5 if laid else 2.0)
                 laid += new.size
                 if laid > MAX_ORBIT_STEPS:
                     return (out, reached, error,
@@ -482,8 +499,9 @@ def momentum_limit(traj: Trajectory):
 
 
 def _exact_phase_mask(x, y) -> np.ndarray:
-    """Membership in the exact-phase domain x > C, |y|/x < 1/C, batched."""
-    ynorm = np.sqrt((y * y).sum(-1))
+    """Membership in the exact-phase domain x > C, |y|/x < 1/C, batched;
+    |y|^2 is potentials.norm_squared's, column by column."""
+    ynorm = np.sqrt(norm_squared(y))
     return (x > THETA1_DOMAIN_C) & (ynorm < x / THETA1_DOMAIN_C)
 
 
@@ -550,6 +568,9 @@ def decay_slope(traj: Trajectory, observable: str, window) -> tuple[float, float
     first; of 8 or more, those nearest a log grid are kept (_log_subsample).
     The observable is formed on the kept samples only, those where it
     vanishes are dropped, and fewer than 8 left raise ConvergenceError.
+    The kept samples and their extended-precision gamma are worked out
+    once for each window of a trajectory and kept on it, so fitting the
+    second observable over the same window repeats none of that work.
     Returns (slope, half-width).
     """
     if observable not in ("Gamma_norm", "gamma_par"):
@@ -558,38 +579,46 @@ def decay_slope(traj: Trajectory, observable: str, window) -> tuple[float, float
     t_lo, t_hi = window
     if not 0.0 < t_lo < t_hi:
         raise DomainError(f"window ({t_lo:g}, {t_hi:g}) needs 0 < t_lo < t_hi")
-    d = traj.d
-    x, y = traj.states[:, 0], traj.states[:, 1:d]
-    rows = ((traj.times >= t_lo) & (traj.times <= t_hi)
-            & _exact_phase_mask(x, y)).nonzero()[0]
-    if rows.size >= 8:
-        rows = rows[_log_subsample(traj.times[rows])]
-    x, y, r, gamma = _gamma(x[rows], y[rows], traj.states[rows, d:])
+    kept = traj._windows.get((t_lo, t_hi))
+    if kept is None:
+        kept = traj._windows[t_lo, t_hi] = _window_gamma(traj, t_lo, t_hi)
+    ts, x, y, r, gamma = kept
     vals = np.abs((_Gamma_norm(gamma, _gamma_tilde(x, y, r))
                    if observable == "Gamma_norm"
                    else _gamma_par(x, y, r, gamma)).astype(float))
     nonzero = vals > 0.0
-    ts, vals = traj.times[rows][nonzero], vals[nonzero]
+    ts, vals = ts[nonzero], vals[nonzero]
     if ts.size < 8:
         raise ConvergenceError("fewer than 8 usable samples for the decay fit")
     slope, _, slope_err, _ = loglog_fit(ts, vals)
     return slope, 2.0 * slope_err
 
 
+def _window_gamma(traj: Trajectory, t_lo: float, t_hi: float):
+    """The times of the samples decay_slope keeps in [t_lo, t_hi], with
+    their x, y, r and gamma from _gamma."""
+    d = traj.d
+    x, y = traj.states[:, 0], traj.states[:, 1:d]
+    rows = ((traj.times >= t_lo) & (traj.times <= t_hi)
+            & _exact_phase_mask(x, y)).nonzero()[0]
+    if rows.size >= 8:
+        rows = rows[_log_subsample(traj.times[rows])]
+    return (traj.times[rows],) + _gamma(x[rows], y[rows],
+                                        traj.states[rows, d:])
+
+
 def _log_subsample(ts: np.ndarray) -> list[int]:
     """Indices of the samples nearest a log grid of 4 an octave, each once.
 
     The grid is np.linspace's from log2 of the first time to log2 of the
-    last, searched in the list of log times up to the last sample; the
-    searched indices never decrease, so dropping repeats keeps each once.
+    last, each point found on the left in the log times; the indices never
+    decrease, so dropping repeats keeps each once.
     """
-    lt = np.log2(ts).tolist()
-    lo, hi = lt[0], lt[-1]
+    lt = np.log2(ts)
+    lo, hi = float(lt[0]), float(lt[-1])
     n = max(8, int((hi - lo) * 4) + 1)
-    step = (hi - lo) / (n - 1)
-    targets = [lo + i * step for i in range(n - 1)] + [hi]
-    return list(dict.fromkeys(bisect_left(lt, t, 0, len(lt) - 1)
-                              for t in targets))
+    return list(dict.fromkeys(lt.searchsorted(np.linspace(lo, hi, n))
+                              .tolist()))
 
 
 def cone_mask(x, y, eta, zeta, m: float = 1.0, eps: float = 0.3,

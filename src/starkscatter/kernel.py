@@ -14,8 +14,8 @@ maps its panels once, at unit scale, on the nodes only.  The positions
 with |y| <= R sit at the floor c = R and share one vector of x, square
 roots and weights; every other position forms x = R + c (s / (1 - s))^P
 and scales its weighted sum by c.  A pass takes blocks of positions of
-2^15 nodes, one potential call a block, so that its temporaries on the
-nodes stay under 2 MB whatever the batch size.
+2^14 nodes, one potential call a block, so that its temporaries on the
+nodes stay under 1 MB whatever the batch size.
 
 `radial_kernel` recovers the kernel from the radial Born profile with one
 FFTLog transform (Talman, J. Comput. Phys. 29 (1978) 35; Hamilton, MNRAS
@@ -42,8 +42,10 @@ from .quadrature import (brent_minimum, converge, map_half_line, map_power,
 from .special import KernelLaw, c1_constant, c2_constant, loggamma
 
 
-# nodes per block of rows of a born_symbols pass, 256 KB a float temporary
-_BLOCK_NODES = 2 ** 15
+# nodes per block of rows of a born_symbols pass, 128 KB a float temporary:
+# at 2^15 nodes every call on the kernel radii took some 700 fresh memory
+# pages, also once warm, at 2^14 and 2^13 none, and 2^14 was the fastest
+_BLOCK_NODES = 2 ** 14
 
 
 def default_radius(zeta, lam: float) -> float:

@@ -232,13 +232,14 @@ def test_table_func_is_called_once_per_batch(d):
     eval_potential(spec, x[0], y[0])
     assert func.calls == [(1, (1,))]
     # born_symbols: one call per block of rows of each refinement pass, 16
-    # nodes per panel from 8 panels, doubling; 600 rows are 3 blocks at 8.
-    # A block of rows at the floor |y| <= R = 2 alone passes the nodes
-    # they share, x of shape (nodes,); any other block x (rows, nodes)
+    # nodes per panel from 8 panels, doubling; 600 rows are 5 blocks of 128
+    # at 8.  A block of rows at the floor |y| <= R = 2 alone passes the
+    # nodes they share, x of shape (nodes,); any other block x (rows, nodes)
     far = rng.uniform(-30.0, 30.0, size=(600, d - 1))
     near = rng.uniform(-1.0, 1.0, size=(600, d - 1))
-    for ys, ndims in ((far[:5], {2}), (far, {2}), (near[:5], {1}),
-                      (np.concatenate([near[:300], far[300:]]), {1, 2})):
+    for ys, first_ndims in ((far[:5], [2]), (far, [2] * 5), (near[:5], [1]),
+                            (np.concatenate([near[:300], far[300:]]),
+                             [1, 1, 2, 2, 2])):
         func.calls.clear()
         n_rows = len(ys)
         at_floor = np.linalg.norm(ys, axis=1) <= 2.0
@@ -252,9 +253,8 @@ def test_table_func_is_called_once_per_batch(d):
                           (min(rows, n_rows - lo), nodes))
                          for lo in range(0, n_rows, rows)]
         assert func.calls == expected
-        first_pass = [call for call in func.calls if call[1][-1] == 128]
-        assert len(first_pass) == (1 if n_rows == 5 else 3)
-        assert {call[0] for call in func.calls} == ndims
+        first_pass = [call[0] for call in func.calls if call[1][-1] == 128]
+        assert first_pass == first_ndims
 
 
 @pytest.mark.parametrize("spec", [
