@@ -35,10 +35,9 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.fft import irfft, rfft
 
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, ConvergenceError, DomainError
 from .potentials import PotentialSpec, eval_potential_array, norm_squared
-from .quadrature import (brent_minimum, converge, map_half_line, map_power,
-                         panels)
+from .quadrature import converge, map_half_line, map_power, panels
 from .special import KernelLaw, c1_constant, c2_constant, loggamma
 
 
@@ -79,7 +78,11 @@ def born_symbols(spec: PotentialSpec, zeta, ys, lam: float = 0.0,
     if 2.0 * R + 2.0 * lam - z2 <= 0.0:
         raise DomainError("R too small: square root not bounded away from 0")
     pot = spec.unsoftened()
-    scale = np.maximum(np.sqrt(norm_squared(ys)), R)
+    with np.errstate(over="ignore"):
+        y_sq = norm_squared(ys)
+    if not np.isfinite(y_sq).all():
+        raise DomainError(f"|y|^2 overflows at |y| = {np.abs(ys).max():g}")
+    scale = np.maximum(np.sqrt(y_sq), R)
     # the rows at the floor of the scale, which share their nodes
     floor = scale == R
     # q decays like x^{-alpha} and the square root adds x^{-1/2}.  The
@@ -126,6 +129,9 @@ _LN_HALF_SPAN = 40.0
 # fewest window samples fit_kernel_law accepts: the half-sample refit of the
 # four-parameter model keeps one degree of freedom
 _MIN_FIT_SAMPLES = 10
+# _fit_powers' cap on Gauss-Newton steps, and the step of p that ends them
+_FIT_STEPS = 20
+_FIT_TOL = 1e-12
 
 
 def born_symbol_tail(spec: PotentialSpec, r, lam: float,
@@ -226,8 +232,12 @@ def radial_kernel(spec: PotentialSpec, d: int, n: int, extent: float,
         born_symbols(spec, np.zeros(d - 1), ys, lam, R, tol)[0].imag,
         born_symbol_tail(spec, r[m:], lam, R)])
     ends = profile[[0, -1]] * r[[0, -1]] ** ((d - 1) / 2.0)
-    k, transform = radial_transform(r, profile, d, bias=float(
-        np.log(ends[1] / ends[0]) / np.log(r[-1] / r[0])))
+    with np.errstate(all="ignore"):
+        bias = float(np.log(ends[1] / ends[0]) / np.log(r[-1] / r[0]))
+    if not math.isfinite(bias):
+        raise DomainError(f"Born profile ends {ends[0]:g}, {ends[1]:g} (times "
+                          "r^{(d-1)/2}) not finite, nonzero and of one sign")
+    k, transform = radial_transform(r, profile, d, bias)
     return k, 1j * transform
 
 
@@ -286,27 +296,41 @@ def fit_kernel_law(k: np.ndarray, T: np.ndarray, law: KernelLaw,
 def _fit_powers(k: np.ndarray, y: np.ndarray, ell: float):
     """Least squares of A k^p + B s(k) + C against y, relative to y.
 
-    Variable projection: at fixed p the fit is linear in (A, B, C), and p
-    minimises the remaining residual over (l - 1/2, l + 1/2), the interval
-    between the neighbouring exponents l - 1/2 and s's l + 1/2, found by
-    Brent's method to 1e-12.  Returns (p, A, B), the standard errors of
-    (p, A, B) from the Jacobian of the four-parameter model and the residual
+    Gauss-Newton on (A, B, C, p) from the linear fit of (A, B, C) at
+    p = l, each step a least-squares solve on the model's Jacobian, until
+    a step moves p by at most _FIT_TOL.  p must stay inside
+    (l - 1/2, l + 1/2), between the neighbouring exponent l - 1/2 and s's
+    l + 1/2, where k^p and s(k) are collinear: a step outside it, or
+    _FIT_STEPS steps, raise ConvergenceError.  Returns (p, A, B), the
+    standard errors of (p, A, B) from the Jacobian and the residual
     variance on n - 4 degrees of freedom, and the relative residuals.
     """
     sub = np.log(k) if abs(ell + 0.5) < 1e-12 else k ** (ell + 0.5)
     ones = np.ones_like(k)
 
-    def linear(p):
-        basis = np.column_stack([k ** p, sub, ones]) / y[:, None]
-        coef = np.linalg.lstsq(basis, ones, rcond=None)[0]
-        return coef, basis @ coef - 1.0
+    def jacobian(a, p):
+        power = k ** p
+        return np.column_stack([power, sub, ones,
+                                a * power * np.log(k)]) / y[:, None]
 
-    p = brent_minimum(lambda p: float(np.sum(linear(p)[1] ** 2)),
-                      ell - 0.5, ell + 0.5, 1e-12)
-    (a, b, _), resid = linear(p)
-    jac = np.column_stack([k ** p, sub, ones,
-                           a * k ** p * np.log(k)]) / y[:, None]
+    theta = np.append(np.linalg.lstsq(jacobian(0.0, ell)[:, :3], ones,
+                                      rcond=None)[0], ell)
+    jac = jacobian(theta[0], ell)
+    for _ in range(_FIT_STEPS):
+        step = np.linalg.lstsq(jac, 1.0 - jac[:, :3] @ theta[:3],
+                               rcond=None)[0]
+        theta = theta + step
+        if not ell - 0.5 < theta[3] < ell + 0.5:
+            raise ConvergenceError(f"kernel fit: exponent {theta[3]:g} left "
+                                   f"({ell - 0.5:g}, {ell + 0.5:g})")
+        jac = jacobian(theta[0], theta[3])
+        if abs(step[3]) <= _FIT_TOL:
+            break
+    else:
+        raise ConvergenceError(f"kernel fit: no convergence in {_FIT_STEPS} "
+                               "Gauss-Newton steps")
+    resid = jac[:, :3] @ theta[:3] - 1.0
     sigma2 = float(resid @ resid) / (k.size - 4)
     err = np.sqrt(sigma2 * np.diag(np.linalg.inv(jac.T @ jac)))
-    return ((p, float(a), float(b)),
-            (float(err[3]), float(err[0]), float(err[1])), resid)
+    a, b, _, p = (float(v) for v in theta)
+    return ((p, a, b), (float(err[3]), float(err[0]), float(err[1])), resid)

@@ -15,14 +15,12 @@ the rule itself, so that importing the module needs neither
 numpy.polynomial nor a LAPACK eigensolver.
 
 The module also holds the one log-log least-squares fit, `loglog_fit`, a
-closed-form line without LAPACK, which the decay-rate fits share, and the
-one one-dimensional minimiser, `brent_minimum`.
+closed-form line without LAPACK, which the decay-rate fits share.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from typing import NamedTuple
 
 import numpy as np
@@ -245,58 +243,3 @@ def loglog_fit(x, y) -> tuple[float, float, float, float]:
     return (slope, mean_y - slope * mean_x, math.sqrt(sigma2 / sxx),
             math.sqrt(sigma2 * (1.0 / lx.size + mean_x ** 2 / sxx)))
 
-
-# the golden-section fraction, and the float spacing relative to |x|
-_GOLDEN = (3.0 - math.sqrt(5.0)) / 2.0
-_SPACING = 2.0 * sys.float_info.epsilon
-
-
-def brent_minimum(f, lo: float, hi: float, tol: float) -> float:
-    """Minimiser of f on the bracket [lo, hi] by Brent's method.
-
-    f must be unimodal there.  Each step moves the best point x to the
-    minimum of the parabola through the three best points so far, when that
-    lies inside the bracket and moves less than half the step before last;
-    otherwise it takes a golden-section step into the larger side of the
-    bracket (Brent, Algorithms for Minimization without Derivatives, 1973,
-    ch. 5).  Each evaluation lies at least tol / 3 from x.  Returns x once
-    the bracket around it is at most 2 tol / 3 wide on either side, up to
-    the float spacing at x.  Where rounding makes f flat near its minimum,
-    the result lies somewhere on that flat stretch.
-    """
-    x = w = v = lo + _GOLDEN * (hi - lo)
-    fx = fw = fv = f(x)
-    step = before = 0.0     # the last two steps
-    while True:
-        mid = 0.5 * (lo + hi)
-        tol1 = tol / 3.0 + _SPACING * abs(x)
-        if abs(x - mid) <= 2.0 * tol1 - 0.5 * (hi - lo):
-            return x
-        parabolic = False
-        if abs(before) > tol1:
-            r = (x - w) * (fx - fv)
-            q = (x - v) * (fx - fw)
-            p = (x - v) * q - (x - w) * r
-            q = 2.0 * (q - r)
-            p, q = (-p if q > 0.0 else p), abs(q)
-            limit, before = before, step
-            if (abs(p) < abs(0.5 * q * limit)
-                    and q * (lo - x) < p < q * (hi - x)):
-                step = p / q
-                if min(x + step - lo, hi - x - step) < 2.0 * tol1:
-                    step = math.copysign(tol1, mid - x)
-                parabolic = True
-        if not parabolic:
-            before = (hi if x < mid else lo) - x
-            step = _GOLDEN * before
-        u = x + (step if abs(step) >= tol1 else math.copysign(tol1, step))
-        fu = f(u)
-        if fu <= fx:
-            lo, hi = (lo, x) if u < x else (x, hi)
-            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
-        else:
-            lo, hi = (u, hi) if u < x else (lo, u)
-            if fu <= fw or w == x:
-                v, fv, w, fw = w, fw, u, fu
-            elif fu <= fv or v == x or v == w:
-                v, fv = u, fu

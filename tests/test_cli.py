@@ -164,6 +164,39 @@ def test_constant_overflow_exits_4(capsys, tmp_path, argv):
     assert argv[0] != "momenta" or "n_doublings" in message
 
 
+@pytest.mark.parametrize("argv, quantity", [
+    (["kernel", "--kernel.profile_radius=1e100"], "Born profile"),
+    (["kernel", "--kernel.lam=1e300"], "Born profile"),
+    (["kernel", "--kernel.extent=1e160"], "|y|^2"),
+    (["born", "--born.r_max=1e160"], "|y|^2"),
+], ids=["kernel R=1e100", "kernel lam=1e300", "kernel extent=1e160",
+        "born r_max=1e160"])
+def test_kernel_and_born_overflow_exits_4(capsys, tmp_path, argv, quantity):
+    # a cutoff term 2 kappa sqrt(2 (R + lam)) r^{-alpha} that outweighs the
+    # asymptote at the last radius turns the Born profile's sign, and
+    # |y| = 1e160 squares out of range: each exits 4 without an artifact
+    code = main(argv + [f"--output_dir={tmp_path}"])
+    out, err = capsys.readouterr()
+    assert code == 4 and err == ""
+    (line,) = out.splitlines()
+    assert json.loads(line)["error"] == "domain"
+    assert quantity in json.loads(line)["message"]
+    assert not any(tmp_path.iterdir())
+
+
+def test_kernel_fit_outside_its_bracket_exits_3(capsys, tmp_path):
+    # at R = 1000 the cutoff term dominates the fit window of the default
+    # run, d = 2 Coulomb, and the fitted exponent leaves (l - 1/2, l + 1/2)
+    code = main(["kernel", "--kernel.profile_radius=1e3",
+                 f"--output_dir={tmp_path}"])
+    out, err = capsys.readouterr()
+    assert code == 3 and err == ""
+    (line,) = out.splitlines()
+    assert json.loads(line)["error"] == "convergence"
+    assert "(-1, 0)" in json.loads(line)["message"]
+    assert not any(tmp_path.iterdir())
+
+
 def test_momenta_converges_below_the_doubling_limit(capsys, tmp_path):
     # 100 * 2^248 = 4.5e76: x^2 ~ 1e306 stays finite
     code, summary = _run(capsys, "momenta", "--momenta.n_doublings=248",

@@ -239,7 +239,7 @@ _REMOVED = ("symbol_b", "symbol_q", "born_symbol", "grad_potential",
             "eigenfunction_sample", "EigenfunctionSample",
             "gamma_observables_arrays", "free_flow_arrays", "_energies",
             "theta1_calculus", "theta1_value", "theta_calculus", "PhaseData",
-            "homogeneous_symbol_asymptote")
+            "homogeneous_symbol_asymptote", "brent_minimum")
 
 
 def test_removed_names_stay_removed():

@@ -23,7 +23,7 @@ from starkscatter import (
     zero_potential,
 )
 from starkscatter.cli import cmd_kernel, load_config
-from starkscatter.errors import ConfigError
+from starkscatter.errors import ConfigError, ConvergenceError
 from starkscatter import kernel
 from starkscatter.kernel import born_symbols
 
@@ -375,6 +375,23 @@ def test_radial_kernel_recovers_the_law(d, alpha):
                                                   rel=1e-4)
     assert fit.residual_rms < 1e-8
     assert fit.half_sample_change["exponent"] < 1e-6
+    # p is a stationary point of the residual sum: the Jacobian of the
+    # model is orthogonal to the residuals up to rounding, and refitting
+    # the linear part at p +- 1e-6 leaves a larger sum
+    ks, values, p = fit.k, fit.values, fit.exponent
+    sub = np.log(ks) if law.exponent == -0.5 else ks ** (law.exponent + 0.5)
+    resid = fit.model / values - 1.0
+    jac = np.column_stack([ks ** p, sub, np.ones_like(ks),
+                           fit.prefactor_modulus * ks ** p * np.log(ks)])
+    jac /= values[:, None]
+    assert (np.linalg.norm(jac.T @ resid)
+            < 1e-5 * np.linalg.norm(jac) * np.linalg.norm(resid))
+    for q in (p - 1e-6, p + 1e-6):
+        basis = np.column_stack([ks ** q, sub, np.ones_like(ks)])
+        basis /= values[:, None]
+        coef = np.linalg.lstsq(basis, np.ones_like(ks), rcond=None)[0]
+        moved = basis @ coef - 1.0
+        assert moved @ moved > resid @ resid
     if alpha == 1.0:
         # the cutoff term c_R / |y| transforms to -c_R / (2 pi k) in the
         # plane and to (c_R / pi) log k on the line, c_R = 2 sqrt(2 R)
@@ -383,22 +400,39 @@ def test_radial_kernel_recovers_the_law(d, alpha):
         assert fit.subleading == pytest.approx(expected, rel=1e-3)
 
 
-@pytest.mark.parametrize("ell", [-1.5, -0.5])
-def test_fit_recovers_an_exponent_off_the_law(ell):
-    # synthetic |T| whose leading power is 0.01 off the law's, with the
-    # subleading term of each case (k^{l + 1/2}, or log k at l = -1/2) and
-    # 1e-6 relative noise: p is fitted, not snapped to l, and lies within
-    # four standard errors of the truth
+# at l = -1/2 the power k^{-0.2} is close to a combination of log k and 1
+# over the window, which widens the error of p
+@pytest.mark.parametrize("ell, offset, most_stderr", [
+    (-1.5, 0.01, 1e-4), (-0.5, 0.01, 1e-4), (-1.5, 0.3, 1e-4),
+    (-1.5, -0.3, 1e-4), (-0.5, 0.3, 1e-3), (-0.5, -0.3, 1e-4),
+], ids=["-1.5", "-0.5", "-1.5+0.3", "-1.5-0.3", "-0.5+0.3", "-0.5-0.3"])
+def test_fit_recovers_an_exponent_off_the_law(ell, offset, most_stderr):
+    # synthetic |T| whose leading power is 0.01 or 0.3 off the law's, with
+    # the subleading term of each case (k^{l + 1/2}, or log k at l = -1/2)
+    # and 1e-6 relative noise: p is fitted, not snapped to l, and lies
+    # within four standard errors of the truth
     law = KernelLaw(prefactor=-0.4j, exponent=ell)
     k = np.geomspace(1e-4, 1e-2, 120)
     sub = np.log(k) if ell == -0.5 else k ** (ell + 0.5)
-    truth = 0.4 * k ** (ell + 0.01) - 0.46 * sub + 0.2
+    truth = 0.4 * k ** (ell + offset) - 0.46 * sub + 0.2
     noise = 1.0 + 1e-6 * np.random.default_rng(5).standard_normal(k.size)
     fit = fit_kernel_law(k, truth * noise, law, (6e-4, 3.8e-3))
-    assert 0.0 < fit.exponent_stderr < 1e-4
-    assert abs(fit.exponent - (ell + 0.01)) < 4.0 * fit.exponent_stderr
+    assert 0.0 < fit.exponent_stderr < most_stderr
+    assert abs(fit.exponent - (ell + offset)) < 4.0 * fit.exponent_stderr
     assert abs(fit.prefactor_modulus - 0.4) < 4.0 * fit.prefactor_stderr
     assert abs(fit.subleading + 0.46) < 4.0 * fit.subleading_stderr
+
+
+@pytest.mark.parametrize("offset", [0.8, -0.8])
+@pytest.mark.parametrize("ell", [-1.5, -0.5])
+def test_fit_outside_its_bracket_raises(ell, offset):
+    # a leading power 0.8 off the law's lies outside (l - 1/2, l + 1/2),
+    # where the fit does not follow it
+    k = np.geomspace(6e-4, 3.8e-3, 60)
+    sub = np.log(k) if ell == -0.5 else k ** (ell + 0.5)
+    with pytest.raises(ConvergenceError, match="kernel fit"):
+        kernel._fit_powers(k, 0.4 * k ** (ell + offset) - 0.46 * sub + 0.2,
+                           ell)
 
 
 def test_fit_window_validation():

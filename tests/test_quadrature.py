@@ -1,5 +1,4 @@
-"""The panel refinement loop, the shared log-log least-squares fit and the
-one-dimensional minimiser."""
+"""The panel refinement loop and the shared log-log least-squares fit."""
 
 import math
 import statistics
@@ -8,8 +7,8 @@ import numpy as np
 import pytest
 
 from starkscatter import BudgetError, DomainError, quadrature
-from starkscatter.quadrature import (MAX_PANELS, brent_minimum, converge,
-                                     half_line, loglog_fit, panels)
+from starkscatter.quadrature import (MAX_PANELS, converge, half_line,
+                                     loglog_fit, panels)
 
 
 def test_gauss_rule_is_numpys_bitwise():
@@ -153,29 +152,3 @@ def test_loglog_fit_of_two_points_has_no_error_estimate():
 def test_loglog_fit_rejects_what_it_cannot_fit(x, y):
     with pytest.raises(DomainError):
         loglog_fit(x, y)
-
-
-# at most 60 evaluations, about what golden-section steps alone take on these
-# brackets (2 + ceil(log(1e-12 / width) / log 0.618), 60 or 61); at most 40
-# where parabolic steps fit
-@pytest.mark.parametrize("f, lo, hi, xmin, most_calls", [
-    # minima that rounding resolves: the value at the minimum is 0
-    (lambda x: (x - math.log(2.0)) ** 2, 0.0, 2.0, math.log(2.0), 40),
-    (lambda x: (x - 1.2) ** 4, 0.0, 2.0, 1.2, 40),
-    # parabolas do not fit a kink, nor a minimum at the end of the bracket:
-    # golden-section steps carry the search there
-    (lambda x: abs(math.sin(x - 1.0 / 3.0)) * math.exp(x), -0.4, 1.5,
-     1.0 / 3.0, 60),
-    (lambda x: math.exp(-x), 0.5, 1.5, 1.5, 60),
-], ids=["quadratic", "quartic", "kink", "bracket-end"])
-def test_brent_minimum_finds_the_minimum_to_tol(f, lo, hi, xmin, most_calls):
-    calls = []
-
-    def counted(x):
-        calls.append(x)
-        return f(x)
-
-    x = brent_minimum(counted, lo, hi, 1e-12)
-    assert abs(x - xmin) <= 1e-12
-    assert all(lo <= c <= hi for c in calls)
-    assert len(calls) <= most_calls
