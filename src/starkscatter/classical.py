@@ -25,6 +25,7 @@ import sys
 from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -137,8 +138,7 @@ class Trajectory:
         return np.column_stack([self.times, self.states, self.energies])
 
 
-@dataclass(frozen=True)
-class GammaObservables:
+class GammaObservables(NamedTuple):
     """Radiation observables at n points: gamma (n, d), gamma_tilde
     (n, d - 1), gamma_par and Gamma_norm (n,)."""
 

@@ -413,9 +413,14 @@ def write_csv(path: Path, header: list[str], rows) -> None:
 
 
 def _emit(cfg: dict, name: str, summary: dict) -> dict:
+    """Write the summary as strict JSON: a non-finite value is a
+    DomainError."""
+    try:
+        text = json.dumps(summary, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise DomainError(f"{name} summary: {exc}") from exc
     with open(_outdir(cfg) / f"{name}_summary.json", "w", newline="\n") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
     return summary
 
 
@@ -514,13 +519,21 @@ def cmd_transport(cfg: dict) -> dict:
     return _emit(cfg, "transport", summary)
 
 
+def _born_inputs(cfg: dict) -> tuple[np.ndarray, np.ndarray]:
+    """The born stage's zeta and radii, checked before any work."""
+    d, sec = cfg["dimension"], cfg["born"]
+    zeta = (np.zeros(d - 1) if sec["zeta"] is None
+            else _block(cfg, "born", "zeta"))
+    radii = np.geomspace(sec["r_min"], sec["r_max"], sec["n_radii"])
+    kernel.born_domain(zeta, radii[:, None], sec["lam"])
+    return zeta, radii
+
+
 def cmd_born(cfg: dict) -> dict:
     d = cfg["dimension"]
     spec = potential_from_config(cfg)
     sec = cfg["born"]
-    zeta = (np.zeros(d - 1) if sec["zeta"] is None
-            else _block(cfg, "born", "zeta"))
-    radii = np.geomspace(sec["r_min"], sec["r_max"], sec["n_radii"])
+    zeta, radii = _born_inputs(cfg)
     ys = np.zeros((radii.size, d - 1))
     ys[:, 0] = radii
     values, _ = kernel.born_symbols(spec, zeta, ys, sec["lam"])
@@ -538,7 +551,8 @@ def cmd_born(cfg: dict) -> dict:
 
 
 def _kernel_law(cfg: dict, spec: PotentialSpec) -> special.KernelLaw:
-    """The kernel law the kernel stage fits, checked before any work."""
+    """The kernel law the kernel stage fits, checked with the inputs of
+    its profile before any work."""
     if spec.kappa == 0.0:
         raise ConfigError("kernel fit needs a homogeneous or coulomb "
                           "potential with kappa != 0")
@@ -547,7 +561,11 @@ def _kernel_law(cfg: dict, spec: PotentialSpec) -> special.KernelLaw:
         raise DomainError(f"kernel law needs potential.alpha in (1/2, "
                           f"dimension - 1/2) = (0.5, {d - 0.5}), "
                           f"got {spec.alpha}")
-    return kernel.kernel_singularity_law(d, spec.alpha, spec.kappa)
+    law = kernel.kernel_singularity_law(d, spec.alpha, spec.kappa)
+    sec = cfg["kernel"]
+    kernel.check_profile(spec, d, sec["n"], sec["extent"], sec["lam"],
+                         sec["profile_radius"])
+    return law
 
 
 def cmd_kernel(cfg: dict) -> dict:
@@ -646,6 +664,7 @@ def cmd_verify_all(cfg: dict) -> dict:
     _check_blocks(cfg, ("orbit",) if free else ("orbit", "transport", "born"))
     if not free:
         _kernel_law(cfg, spec)
+        _born_inputs(cfg)
     suites: dict[str, dict] = {}
 
     eik = cmd_eikonal(cfg)
@@ -752,7 +771,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = load_config(config, rest)
         summary = _DISPATCH[subcommand](cfg)
-        print(json.dumps(summary, sort_keys=True))
+        print(json.dumps(summary, sort_keys=True, allow_nan=False))
         return 0 if summary.get("passed", True) else 1
     except ConfigError as exc:
         print(json.dumps({"error": "config", "message": str(exc)}))

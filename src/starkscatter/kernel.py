@@ -30,7 +30,7 @@ cutoff R puts into it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from numpy.fft import irfft, rfft
@@ -47,11 +47,35 @@ from .special import KernelLaw, c1_constant, c2_constant, loggamma
 _BLOCK_NODES = 2 ** 14
 
 
-def default_radius(zeta, lam: float) -> float:
-    """Lower integration limit keeping the square root real and bounded."""
+def _squared(v: np.ndarray, name: str):
+    """|v|^2 over the last axis of v; DomainError naming |name|^2 where it
+    overflows."""
+    with np.errstate(over="ignore"):
+        sq = norm_squared(v)
+    if not np.isfinite(sq).all():
+        raise DomainError(f"|{name}|^2 overflows at |{name}| = "
+                          f"{np.abs(v).max():g}")
+    return sq
+
+
+def born_domain(zeta, ys, lam: float, R: float | None = None):
+    """born_symbols' inputs, checked before any quadrature pass.
+
+    Returns zeta and ys as float arrays, |zeta|^2, R and |y|^2 per row of
+    ys; R None is the lower limit max(2, |zeta|^2 - 2 lam + 2), which keeps
+    the square root real and bounded.  DomainError where |zeta|^2 or |y|^2
+    overflows, or where R leaves the square root not bounded away from 0.
+    It runs no quadrature, so a front end can check a run's inputs before
+    its first stage.
+    """
     zeta = np.atleast_1d(np.asarray(zeta, dtype=float))
-    z2 = float(np.dot(zeta, zeta))
-    return max(2.0, z2 - 2.0 * lam + 2.0)
+    ys = np.asarray(ys, dtype=float)
+    z2 = float(_squared(zeta, "zeta"))
+    if R is None:
+        R = max(2.0, z2 - 2.0 * lam + 2.0)
+    if 2.0 * R + 2.0 * lam - z2 <= 0.0:
+        raise DomainError("R too small: square root not bounded away from 0")
+    return zeta, ys, z2, R, _squared(ys, "y")
 
 
 def born_symbols(spec: PotentialSpec, zeta, ys, lam: float = 0.0,
@@ -70,18 +94,8 @@ def born_symbols(spec: PotentialSpec, zeta, ys, lam: float = 0.0,
     are statements about the exact power law, so the potential is
     evaluated unsoftened here.
     """
-    zeta = np.atleast_1d(np.asarray(zeta, dtype=float))
-    ys = np.asarray(ys, dtype=float)
-    z2 = float(np.dot(zeta, zeta))
-    if R is None:
-        R = default_radius(zeta, lam)
-    if 2.0 * R + 2.0 * lam - z2 <= 0.0:
-        raise DomainError("R too small: square root not bounded away from 0")
+    zeta, ys, z2, R, y_sq = born_domain(zeta, ys, lam, R)
     pot = spec.unsoftened()
-    with np.errstate(over="ignore"):
-        y_sq = norm_squared(ys)
-    if not np.isfinite(y_sq).all():
-        raise DomainError(f"|y|^2 overflows at |y| = {np.abs(ys).max():g}")
     scale = np.maximum(np.sqrt(y_sq), R)
     # the rows at the floor of the scale, which share their nodes
     floor = scale == R
@@ -202,6 +216,38 @@ def radial_transform(r: np.ndarray, f: np.ndarray, d: int,
     return k, (2.0 * math.pi * k) ** -half * transform
 
 
+def _profile_radii(n: int, extent: float):
+    """radial_kernel's n log-spaced radii, extent e^{-40} .. extent e^{40},
+    and the count m of them up to sqrt(2) extent, where the profile comes
+    from born_symbols.  An extent whose last radius overflows squares out
+    of range at radius m: born_domain rejects it."""
+    dln = 2.0 * _LN_HALF_SPAN / n
+    with np.errstate(over="ignore"):
+        r = extent * np.exp((np.arange(n) - (n - 1) / 2.0) * dln)
+    return r, int(np.count_nonzero(r <= math.sqrt(2.0) * extent))
+
+
+def check_profile(spec: PotentialSpec, d: int, n: int, extent: float,
+                  lam: float, R: float) -> None:
+    """DomainError unless radial_kernel can form its profile, before any work.
+
+    born_domain checks the Born part at its largest radius.  The tail at the
+    last radius, times r^{(d-1)/2}, is the end value of the FFTLog bias: it
+    must be finite, nonzero and of the sign of the small-|y| profile,
+    -sign kappa.  A cutoff term c_R r^{-alpha} that outweighs the
+    asymptote there turns that sign.
+    """
+    r, m = _profile_radii(n, extent)
+    born_domain(np.zeros(d - 1), r[m - 1:m, None], lam, R)
+    with np.errstate(over="ignore"):
+        end = born_symbol_tail(spec, r[-1], lam, R) * r[-1] ** ((d - 1) / 2.0)
+    if not (np.isfinite(end) and end != 0.0
+            and (end < 0.0) == (spec.kappa > 0.0)):
+        raise DomainError(f"Born profile end {end:g} at r = {r[-1]:g} (times "
+                          "r^{(d-1)/2}) not finite, nonzero and of the sign "
+                          "-sign kappa of the profile at small r")
+
+
 def radial_kernel(spec: PotentialSpec, d: int, n: int, extent: float,
                   lam: float, R: float,
                   tol: float = 1e-9) -> tuple[np.ndarray, np.ndarray]:
@@ -223,26 +269,27 @@ def radial_kernel(spec: PotentialSpec, d: int, n: int, extent: float,
     if spec.kind != "homogeneous" or spec.kappa == 0.0:
         raise ConfigError("radial kernel needs a homogeneous or coulomb "
                           "potential")
-    dln = 2.0 * _LN_HALF_SPAN / n
-    r = extent * np.exp((np.arange(n) - (n - 1) / 2.0) * dln)
-    m = int(np.count_nonzero(r <= math.sqrt(2.0) * extent))
+    r, m = _profile_radii(n, extent)
     ys = np.zeros((m, d - 1))
     ys[:, 0] = r[:m]
     profile = np.concatenate([
         born_symbols(spec, np.zeros(d - 1), ys, lam, R, tol)[0].imag,
         born_symbol_tail(spec, r[m:], lam, R)])
-    ends = profile[[0, -1]] * r[[0, -1]] ** ((d - 1) / 2.0)
     with np.errstate(all="ignore"):
+        ends = profile[[0, -1]] * r[[0, -1]] ** ((d - 1) / 2.0)
         bias = float(np.log(ends[1] / ends[0]) / np.log(r[-1] / r[0]))
     if not math.isfinite(bias):
         raise DomainError(f"Born profile ends {ends[0]:g}, {ends[1]:g} (times "
                           "r^{(d-1)/2}) not finite, nonzero and of one sign")
-    k, transform = radial_transform(r, profile, d, bias)
+    with np.errstate(over="ignore", invalid="ignore"):
+        k, transform = radial_transform(r, profile, d, bias)
+    if not np.isfinite(transform).all():
+        raise DomainError("kernel transform overflows at k = "
+                          f"{k[~np.isfinite(transform)].max():g}")
     return k, 1j * transform
 
 
-@dataclass(frozen=True)
-class KernelFit:
+class KernelFit(NamedTuple):
     """|T| = A k^p + B s(k) + C fitted on the transform samples in a window.
 
     s(k) = k^{l + 1/2}, or log k where l + 1/2 = 0, is the transform of the
@@ -303,8 +350,13 @@ def _fit_powers(k: np.ndarray, y: np.ndarray, ell: float):
     l + 1/2, where k^p and s(k) are collinear: a step outside it, or
     _FIT_STEPS steps, raise ConvergenceError.  Returns (p, A, B), the
     standard errors of (p, A, B) from the Jacobian and the residual
-    variance on n - 4 degrees of freedom, and the relative residuals.
+    variance on n - 4 degrees of freedom, and the relative residuals.  The
+    fit runs on y scaled by a power of two to [1/2, 1) at its largest, on
+    which the relative model does not depend: at |T| near 1e-300 the
+    columns divided by y overflow.
     """
+    e = int(np.frexp(y.max())[1])
+    y = np.ldexp(y, -e)
     sub = np.log(k) if abs(ell + 0.5) < 1e-12 else k ** (ell + 0.5)
     ones = np.ones_like(k)
 
@@ -332,5 +384,7 @@ def _fit_powers(k: np.ndarray, y: np.ndarray, ell: float):
     resid = jac[:, :3] @ theta[:3] - 1.0
     sigma2 = float(resid @ resid) / (k.size - 4)
     err = np.sqrt(sigma2 * np.diag(np.linalg.inv(jac.T @ jac)))
-    a, b, _, p = (float(v) for v in theta)
-    return ((p, a, b), (float(err[3]), float(err[0]), float(err[1])), resid)
+    a, b = (math.ldexp(v, e) for v in theta[:2])
+    return ((float(theta[3]), a, b),
+            (float(err[3]), math.ldexp(err[0], e), math.ldexp(err[1], e)),
+            resid)

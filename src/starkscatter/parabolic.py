@@ -8,7 +8,7 @@ f |g| = |y|.  The exact phase solves the eikonal equation
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -21,8 +21,7 @@ _CAUSTIC_MARGIN = 1e-12
 _FLOAT_MAX = np.finfo(float).max
 
 
-@dataclass(frozen=True)
-class ParabolicPoint:
+class ParabolicPoint(NamedTuple):
     """f of shape S and g of shape S + (d - 1,); S is () for one point."""
 
     f: float | np.ndarray

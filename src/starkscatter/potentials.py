@@ -70,6 +70,10 @@ class PotentialSpec:
             raise DomainError("decay exponent alpha must exceed 1/2")
         if self.softening < 0.0:
             raise DomainError("softening must be nonnegative")
+        # formed by *: float ** raises OverflowError before any check
+        if not math.isfinite(self.softening * self.softening):
+            raise DomainError(f"softening^2 overflows at softening = "
+                              f"{self.softening:g}")
         if self.kind == "table" and self.func is None:
             raise DomainError("table kind requires a callable")
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -230,8 +230,7 @@ def c2_constant_from_c1(d: int, alpha: float) -> complex:
                 / math.gamma((alpha - 0.5) / 2.0))
 
 
-@dataclass(frozen=True)
-class KernelLaw:
+class KernelLaw(NamedTuple):
     """Diagonal power-law singularity prefactor * |zeta - zeta'|^exponent."""
 
     prefactor: complex

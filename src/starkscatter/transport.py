@@ -27,7 +27,6 @@ plus the sum over the later panels.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -40,8 +39,7 @@ from .quadrature import converge, half_line, loglog_fit, map_power, tails
 K_MAX_DEFAULT = 2
 
 
-@dataclass(frozen=True)
-class SymbolResult:
+class SymbolResult(NamedTuple):
     """b_k and q_k at one point with the checks of b_k (see `symbols`)."""
 
     value: complex

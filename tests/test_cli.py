@@ -643,6 +643,50 @@ def test_near_ties_go_to_the_per_value_format(tmp_path, format_calls):
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not strict JSON")
+
+
+_D3 = ["--config", str(CONFIGS / "coulomb_d3.json")]
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["born", *_D3, "--born.zeta=[1e200,0]"], 4),
+    (["orbit", "--potential.softening=1e300"], 2),
+    (["transport", "--potential.softening=1e300"], 2),
+    (["kernel", *_D3, "--potential.kappa=1e-300"], 0),
+    (["kernel", *_D3, "--potential.kappa=1e300"], 4),
+    (["kernel", *_D3, "--potential.kappa=-1e300"], 4),
+    (["kernel", "--potential.kappa=1e300"], 4),
+    (["kernel", "--kernel.extent=1e300"], 4),
+    (["verify-all", *_D3, "--born.r_max=1e160"], 4),
+    (["verify-all", *_D3, "--kernel.profile_radius=1e100"], 4),
+], ids=["born zeta=1e200", "orbit softening=1e300",
+        "transport softening=1e300", "kernel kappa=1e-300",
+        "kernel kappa=1e300", "kernel kappa=-1e300",
+        "kernel d=2 kappa=1e300", "kernel extent=1e300",
+        "verify-all r_max=1e160", "verify-all R=1e100"])
+def test_extreme_input_keeps_the_exit_contract(capsys, tmp_path, argv, code):
+    # the exit-code contract: the documented code, one line of strict JSON
+    # on stdout, nothing on stderr (warnings are errors here) and no
+    # artifact on a config or domain error
+    outdir = tmp_path / "out"
+    assert main(argv + [f"--output_dir={outdir}"]) == code
+    out, err = capsys.readouterr()
+    assert err == ""
+    (line,) = out.splitlines()
+    summary = json.loads(line, parse_constant=_reject_constant)
+    if code in (2, 4):
+        assert not outdir.exists() or not any(outdir.iterdir())
+    if code == 0:
+        # the fit is relative to |T|, so kappa = 1e-300 fits the exponent
+        # of kappa = 1
+        assert main(["kernel", *_D3, f"--output_dir={tmp_path / 'one'}"]) == 0
+        unit = json.loads(capsys.readouterr().out)
+        assert summary["fitted_exponent"] == pytest.approx(
+            unit["fitted_exponent"], abs=1e-9)
+
+
 @pytest.mark.parametrize("name", ["zero", "coulomb_d2", "coulomb_d3"])
 def test_shipped_config_verifies(capsys, tmp_path, name):
     code, summary = _run(capsys, "verify-all", "--config",

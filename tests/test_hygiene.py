@@ -253,6 +253,39 @@ def test_removed_names_stay_removed():
     assert not back, f"removed names are back: {back}"
 
 
+# the result records, tuples of results in their documented field order
+_RECORDS = {
+    "kernel.KernelFit": (
+        "exponent", "exponent_stderr", "prefactor_modulus",
+        "prefactor_stderr", "subleading", "subleading_stderr", "k_window",
+        "residual_rms", "half_sample_change", "k", "values", "model"),
+    "special.KernelLaw": ("prefactor", "exponent"),
+    "transport.SymbolResult": ("value", "q", "tail_estimate", "quad_error",
+                               "residual"),
+    "classical.GammaObservables": ("gamma", "gamma_tilde", "gamma_par",
+                                   "Gamma_norm"),
+    "parabolic.ParabolicPoint": ("f", "g"),
+}
+
+
+@pytest.mark.parametrize("name", _RECORDS)
+def test_result_records_are_named_tuples(name):
+    module, _, cls = name.partition(".")
+    record = getattr(importlib.import_module(f"starkscatter.{module}"), cls)
+    assert issubclass(record, tuple)
+    assert record._fields == _RECORDS[name]
+
+
+def test_dataclass_only_where_a_type_validates_or_owns_state():
+    decorated = {f"{p.stem}.{node.name}" for p in MODULES
+                 for node in ast.walk(ast.parse(p.read_text()))
+                 if isinstance(node, ast.ClassDef)
+                 and any("dataclass" in ast.unparse(d)
+                         for d in node.decorator_list)}
+    assert decorated == {"classical.PhasePoint", "classical.Trajectory",
+                         "potentials.PotentialSpec"}
+
+
 def _assigned_literal(tree: ast.Module, name: str):
     """The literal value of the top-level assignment to name."""
     for node in tree.body:

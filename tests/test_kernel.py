@@ -423,6 +423,23 @@ def test_fit_recovers_an_exponent_off_the_law(ell, offset, most_stderr):
     assert abs(fit.subleading + 0.46) < 4.0 * fit.subleading_stderr
 
 
+def test_fit_does_not_depend_on_the_scale_of_T():
+    # the fit is relative to |T|: at 1e-300 times the samples the columns
+    # divided by |T| would overflow, and p and the standard errors must
+    # come out as at scale 1
+    law = KernelLaw(prefactor=-0.4j, exponent=-1.5)
+    k = np.geomspace(1e-4, 1e-2, 120)
+    truth = 0.4 * k ** -1.49 - 0.46 * k ** -1.0 + 0.2
+    truth *= 1.0 + 1e-6 * np.random.default_rng(5).standard_normal(k.size)
+    fits = [fit_kernel_law(k, scale * truth, law, (6e-4, 3.8e-3))
+            for scale in (1.0, 1e-300)]
+    assert fits[1].exponent == pytest.approx(fits[0].exponent, abs=1e-12)
+    assert fits[1].exponent_stderr == pytest.approx(fits[0].exponent_stderr,
+                                                    rel=1e-6)
+    assert fits[1].prefactor_modulus == pytest.approx(
+        1e-300 * fits[0].prefactor_modulus, rel=1e-12)
+
+
 @pytest.mark.parametrize("offset", [0.8, -0.8])
 @pytest.mark.parametrize("ell", [-1.5, -0.5])
 def test_fit_outside_its_bracket_raises(ell, offset):

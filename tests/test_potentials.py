@@ -127,6 +127,13 @@ def test_decay_exponent_range_validated():
     assert PotentialSpec(kind="table", func=_COULOMB_TABLE.func).alpha == 1.0
 
 
+def test_softening_whose_square_overflows_is_rejected():
+    # a softening whose square is a double passes
+    assert homogeneous(1.0, 1.0, softening=1e154).softening == 1e154
+    with pytest.raises(DomainError, match="softening\\^2 overflows"):
+        homogeneous(1.0, 1.0, softening=1e155)
+
+
 def test_origin_exclusion_without_softening():
     spec = coulomb(1.0, softening=0.0)
     with pytest.raises(DomainError):
