@@ -630,8 +630,11 @@ def cone_mask(x, y, eta, zeta, m: float = 1.0, eps: float = 0.3,
     x and eta have shape S, y and zeta shape S + (d - 1,); the result is a
     boolean array of shape S.  <y>_m and yhat_m . zeta are summed over the
     columns of y and zeta in order, one column at a time, so that each pass
-    runs along the batch.
+    runs along the batch.  DomainError where m^2 underflows to 0: yhat_m
+    is then 0/0 at y = 0.
     """
+    if m * m == 0.0:
+        raise DomainError(f"cone X needs m^2 > 0, got m = {m:g}")
     x, y, eta, zeta = (np.asarray(a, dtype=float) for a in (x, y, eta, zeta))
     y_m = np.sqrt(r_squared(m, y))
     dot = y[..., 0] / y_m * zeta[..., 0] if y.shape[-1] else 0.0

@@ -5,9 +5,13 @@ verify-all.  A run is described by one JSON config (see configs/ at the
 repository root); individual entries can be overridden on the command line
 with dotted paths, e.g. --potential.kappa=0.5.  Every subcommand writes its
 artifacts into output_dir and prints a one-line JSON summary to stdout.
+`main` runs it on a staging directory inside output_dir and moves the
+artifacts into output_dir only when the run returns its summary, so a run
+that fails, at whichever stage, leaves output_dir as it was.
 
-Exit codes: 0 success, 2 config error, 3 numerical-budget error, 4 domain
-error.  With a fixed config and seed all artifacts are byte-identical.
+Exit codes: 0 success, 1 verification failed, 2 config error, 3
+numerical-budget error, 4 domain error.  With a fixed config and seed all
+artifacts are byte-identical.
 `main` splits the argument list itself rather than through argparse, which
 would load gettext and locale into every process.
 """
@@ -216,14 +220,6 @@ def _block(cfg: dict, section: str, key: str) -> np.ndarray:
         raise ConfigError(f"{section}.{key} must hold dimension - 1 = {n} "
                           f"numbers, got {len(values)}")
     return np.asarray(values, dtype=float)
-
-
-def _check_blocks(cfg: dict, sections) -> None:
-    """Check every y/zeta block of sections before a stage writes anything."""
-    for section in sections:
-        for key in ("y", "zeta"):
-            if cfg[section].get(key) is not None:
-                _block(cfg, section, key)
 
 
 def _phase_point(cfg: dict, section: str) -> classical.PhasePoint:
@@ -519,21 +515,13 @@ def cmd_transport(cfg: dict) -> dict:
     return _emit(cfg, "transport", summary)
 
 
-def _born_inputs(cfg: dict) -> tuple[np.ndarray, np.ndarray]:
-    """The born stage's zeta and radii, checked before any work."""
-    d, sec = cfg["dimension"], cfg["born"]
-    zeta = (np.zeros(d - 1) if sec["zeta"] is None
-            else _block(cfg, "born", "zeta"))
-    radii = np.geomspace(sec["r_min"], sec["r_max"], sec["n_radii"])
-    kernel.born_domain(zeta, radii[:, None], sec["lam"])
-    return zeta, radii
-
-
 def cmd_born(cfg: dict) -> dict:
     d = cfg["dimension"]
     spec = potential_from_config(cfg)
     sec = cfg["born"]
-    zeta, radii = _born_inputs(cfg)
+    zeta = (np.zeros(d - 1) if sec["zeta"] is None
+            else _block(cfg, "born", "zeta"))
+    radii = np.geomspace(sec["r_min"], sec["r_max"], sec["n_radii"])
     ys = np.zeros((radii.size, d - 1))
     ys[:, 0] = radii
     values, _ = kernel.born_symbols(spec, zeta, ys, sec["lam"])
@@ -550,28 +538,17 @@ def cmd_born(cfg: dict) -> dict:
     return _emit(cfg, "born", summary)
 
 
-def _kernel_law(cfg: dict, spec: PotentialSpec) -> special.KernelLaw:
-    """The kernel law the kernel stage fits, checked with the inputs of
-    its profile before any work."""
+def cmd_kernel(cfg: dict) -> dict:
+    d = cfg["dimension"]
+    spec = potential_from_config(cfg)
     if spec.kappa == 0.0:
         raise ConfigError("kernel fit needs a homogeneous or coulomb "
                           "potential with kappa != 0")
-    d = cfg["dimension"]
     if not 0.5 < spec.alpha < d - 0.5:
         raise DomainError(f"kernel law needs potential.alpha in (1/2, "
                           f"dimension - 1/2) = (0.5, {d - 0.5}), "
                           f"got {spec.alpha}")
     law = kernel.kernel_singularity_law(d, spec.alpha, spec.kappa)
-    sec = cfg["kernel"]
-    kernel.check_profile(spec, d, sec["n"], sec["extent"], sec["lam"],
-                         sec["profile_radius"])
-    return law
-
-
-def cmd_kernel(cfg: dict) -> dict:
-    d = cfg["dimension"]
-    spec = potential_from_config(cfg)
-    law = _kernel_law(cfg, spec)
     sec = cfg["kernel"]
     extent = sec["extent"]
     k, T = kernel.radial_kernel(spec, d, sec["n"], extent, lam=sec["lam"],
@@ -661,10 +638,6 @@ def cmd_verify_all(cfg: dict) -> dict:
     spec = potential_from_config(cfg)
     # every potential of the command line is homogeneous: q = 0 at kappa = 0
     free = spec.kappa == 0.0
-    _check_blocks(cfg, ("orbit",) if free else ("orbit", "transport", "born"))
-    if not free:
-        _kernel_law(cfg, spec)
-        _born_inputs(cfg)
     suites: dict[str, dict] = {}
 
     eik = cmd_eikonal(cfg)
@@ -738,6 +711,25 @@ _USAGE = ("usage: starkscatter {%s} [--config PATH] [--key.path=value ...]"
           % ",".join(_DISPATCH))
 
 
+def _staged(command, cfg: dict) -> dict:
+    """command(cfg) with its artifacts written to output_dir/.partial-<pid>
+    and moved into output_dir only once it returns a summary.  A run that
+    raises leaves output_dir as it found it (or created and empty)."""
+    out = Path(cfg["output_dir"])
+    stage = out / f".partial-{os.getpid()}"
+    cfg["output_dir"] = str(stage)
+    try:
+        summary = command(cfg)
+        for path in stage.iterdir():
+            os.replace(path, out / path.name)
+        return summary
+    finally:
+        if stage.exists():
+            for path in stage.iterdir():
+                path.unlink()
+            stage.rmdir()
+
+
 def main(argv: list[str] | None = None) -> int:
     """Run `SUBCOMMAND [--config PATH] [--key.path=value ...]`; the exit code.
 
@@ -770,7 +762,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     try:
         cfg = load_config(config, rest)
-        summary = _DISPATCH[subcommand](cfg)
+        summary = _staged(_DISPATCH[subcommand], cfg)
         print(json.dumps(summary, sort_keys=True, allow_nan=False))
         return 0 if summary.get("passed", True) else 1
     except ConfigError as exc:

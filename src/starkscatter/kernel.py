@@ -25,6 +25,11 @@ evaluates on log-spaced radii with numpy's real FFT.  The profile is the
 Born symbol out to sqrt(2) extent and its two-term tail beyond, and
 `fit_kernel_law` fits the law together with the next-order term that the
 cutoff R puts into it.
+
+Each function checks its own inputs: `born_symbols` raises DomainError
+before its first pass where |zeta|^2 or |y|^2 overflows, and
+`radial_kernel` where the profile's end values are not finite and of one
+sign.
 """
 
 from __future__ import annotations
@@ -58,26 +63,6 @@ def _squared(v: np.ndarray, name: str):
     return sq
 
 
-def born_domain(zeta, ys, lam: float, R: float | None = None):
-    """born_symbols' inputs, checked before any quadrature pass.
-
-    Returns zeta and ys as float arrays, |zeta|^2, R and |y|^2 per row of
-    ys; R None is the lower limit max(2, |zeta|^2 - 2 lam + 2), which keeps
-    the square root real and bounded.  DomainError where |zeta|^2 or |y|^2
-    overflows, or where R leaves the square root not bounded away from 0.
-    It runs no quadrature, so a front end can check a run's inputs before
-    its first stage.
-    """
-    zeta = np.atleast_1d(np.asarray(zeta, dtype=float))
-    ys = np.asarray(ys, dtype=float)
-    z2 = float(_squared(zeta, "zeta"))
-    if R is None:
-        R = max(2.0, z2 - 2.0 * lam + 2.0)
-    if 2.0 * R + 2.0 * lam - z2 <= 0.0:
-        raise DomainError("R too small: square root not bounded away from 0")
-    return zeta, ys, z2, R, _squared(ys, "y")
-
-
 def born_symbols(spec: PotentialSpec, zeta, ys, lam: float = 0.0,
                  R: float | None = None, tol: float = 1e-10):
     """-2i * integral_R^inf q(x, -y) / sqrt(2x + 2 lam - zeta^2) dx at every
@@ -93,8 +78,20 @@ def born_symbols(spec: PotentialSpec, zeta, ys, lam: float = 0.0,
     and a row's value does not depend on the blocks.  The kernel formulas
     are statements about the exact power law, so the potential is
     evaluated unsoftened here.
+
+    R None is the lower limit max(2, |zeta|^2 - 2 lam + 2), which keeps the
+    square root real and bounded.  Before the first pass, DomainError where
+    |zeta|^2 or |y|^2 overflows, or where R leaves the square root not
+    bounded away from 0.
     """
-    zeta, ys, z2, R, y_sq = born_domain(zeta, ys, lam, R)
+    zeta = np.atleast_1d(np.asarray(zeta, dtype=float))
+    ys = np.asarray(ys, dtype=float)
+    z2 = float(_squared(zeta, "zeta"))
+    if R is None:
+        R = max(2.0, z2 - 2.0 * lam + 2.0)
+    if 2.0 * R + 2.0 * lam - z2 <= 0.0:
+        raise DomainError("R too small: square root not bounded away from 0")
+    y_sq = _squared(ys, "y")
     pot = spec.unsoftened()
     scale = np.maximum(np.sqrt(y_sq), R)
     # the rows at the floor of the scale, which share their nodes
@@ -216,38 +213,6 @@ def radial_transform(r: np.ndarray, f: np.ndarray, d: int,
     return k, (2.0 * math.pi * k) ** -half * transform
 
 
-def _profile_radii(n: int, extent: float):
-    """radial_kernel's n log-spaced radii, extent e^{-40} .. extent e^{40},
-    and the count m of them up to sqrt(2) extent, where the profile comes
-    from born_symbols.  An extent whose last radius overflows squares out
-    of range at radius m: born_domain rejects it."""
-    dln = 2.0 * _LN_HALF_SPAN / n
-    with np.errstate(over="ignore"):
-        r = extent * np.exp((np.arange(n) - (n - 1) / 2.0) * dln)
-    return r, int(np.count_nonzero(r <= math.sqrt(2.0) * extent))
-
-
-def check_profile(spec: PotentialSpec, d: int, n: int, extent: float,
-                  lam: float, R: float) -> None:
-    """DomainError unless radial_kernel can form its profile, before any work.
-
-    born_domain checks the Born part at its largest radius.  The tail at the
-    last radius, times r^{(d-1)/2}, is the end value of the FFTLog bias: it
-    must be finite, nonzero and of the sign of the small-|y| profile,
-    -sign kappa.  A cutoff term c_R r^{-alpha} that outweighs the
-    asymptote there turns that sign.
-    """
-    r, m = _profile_radii(n, extent)
-    born_domain(np.zeros(d - 1), r[m - 1:m, None], lam, R)
-    with np.errstate(over="ignore"):
-        end = born_symbol_tail(spec, r[-1], lam, R) * r[-1] ** ((d - 1) / 2.0)
-    if not (np.isfinite(end) and end != 0.0
-            and (end < 0.0) == (spec.kappa > 0.0)):
-        raise DomainError(f"Born profile end {end:g} at r = {r[-1]:g} (times "
-                          "r^{(d-1)/2}) not finite, nonzero and of the sign "
-                          "-sign kappa of the profile at small r")
-
-
 def radial_kernel(spec: PotentialSpec, d: int, n: int, extent: float,
                   lam: float, R: float,
                   tol: float = 1e-9) -> tuple[np.ndarray, np.ndarray]:
@@ -269,7 +234,12 @@ def radial_kernel(spec: PotentialSpec, d: int, n: int, extent: float,
     if spec.kind != "homogeneous" or spec.kappa == 0.0:
         raise ConfigError("radial kernel needs a homogeneous or coulomb "
                           "potential")
-    r, m = _profile_radii(n, extent)
+    dln = 2.0 * _LN_HALF_SPAN / n
+    with np.errstate(over="ignore"):
+        r = extent * np.exp((np.arange(n) - (n - 1) / 2.0) * dln)
+    # born_symbols rejects an extent whose radii up to sqrt(2) extent
+    # square out of range
+    m = int(np.count_nonzero(r <= math.sqrt(2.0) * extent))
     ys = np.zeros((m, d - 1))
     ys[:, 0] = r[:m]
     profile = np.concatenate([

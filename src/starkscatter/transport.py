@@ -27,13 +27,14 @@ plus the sum over the later panels.
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
 
 from .classical import PhasePoint, cone_mask, free_flow
 from .errors import DomainError
-from .potentials import PotentialSpec, radial_jets
+from .potentials import PotentialSpec, norm_squared, r_squared, radial_jets
 from .quadrature import converge, half_line, loglog_fit, map_power, tails
 
 K_MAX_DEFAULT = 2
@@ -123,23 +124,31 @@ def symbols(k_max: int, p: PhasePoint, spec: PotentialSpec, sign: int = +1,
     also bounds the change under any further increase of t_max.  quad_error
     is the last refinement change of b_k at p, at most tol * max(1, |b_k|).
     residual is |i (d_eta + (eta, zeta) . grad_xy) b_k - q_{k-1}| at p by
-    central differences of the shifted rows.
+    central differences of the shifted rows.  A row whose x^2 + |y|^2 or
+    eta^2 + |zeta|^2 overflows is a DomainError, before the solve.
     """
     if h_eta <= 0.0:
         raise DomainError("h_eta must be positive")
     d = p.d
     z = p.as_vector()
-    mom_norm = float(np.linalg.norm(z[d:]))
-    if mom_norm == 0.0:
-        raise DomainError("vanishing momentum: no transport direction")
-    u = z[d:] / mom_norm
-    step = np.zeros((6, 2 * d))
-    step[1:3, d] = h_eta, -h_eta
-    step[3:5, :d] = h_eta * u, -h_eta * u
-    z = z + step
-    t = np.zeros(6)
-    t[5] = (1.0 if sign >= 0 else -1.0) * t_max
-    rows = free_flow(z[:, 0], z[:, 1:d], z[:, d], z[:, d + 1:], t)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mom_norm = math.sqrt(norm_squared(z[d:]))
+        if mom_norm == 0.0:
+            raise DomainError("vanishing momentum: no transport direction")
+        u = z[d:] / mom_norm
+        step = np.zeros((6, 2 * d))
+        step[1:3, d] = h_eta, -h_eta
+        step[3:5, :d] = h_eta * u, -h_eta * u
+        z = z + step
+        t = np.zeros(6)
+        t[5] = (1.0 if sign >= 0 else -1.0) * t_max
+        rows = free_flow(z[:, 0], z[:, 1:d], z[:, d], z[:, d + 1:], t)
+        finite = (np.isfinite(r_squared(rows[0], rows[1]))
+                  & np.isfinite(r_squared(rows[2], rows[3])))
+    if not finite.all():
+        raise DomainError("x^2 + |y|^2 or eta^2 + |zeta|^2 overflows on a "
+                          "row of the transport solve (the point, its "
+                          "h_eta shifts or the point flowed for t_max)")
     jets = _solve(k_max, *rows, spec, sign, tol, m, eps)
     results = []
     for k in range(1, k_max + 1):

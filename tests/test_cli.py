@@ -330,7 +330,7 @@ def test_config_values_are_typed_with_defaults_filled_in():
 
 def test_block_mismatch_exits_2_before_any_stage(capsys, tmp_path):
     # the default orbit block has one transverse entry; at dimension 3 the
-    # error names the key and verify-all writes nothing
+    # error names the key and verify-all leaves no artifact
     outdir = tmp_path / "out"
     code = main(["verify-all", "--dimension=3", f"--output_dir={outdir}"])
     out, err = capsys.readouterr()
@@ -359,9 +359,10 @@ _ALPHA_OUT_OF_LAW = (
 def test_kernel_domain_exits_before_any_stage(capsys, tmp_path, command,
                                               overrides, code, error,
                                               message):
-    # a potential the kernel law cannot take stops verify-all before its
-    # first stage, as it stops kernel, with the same error; verify-all
-    # takes kappa = 0 as the free case (test_free_case_is_read_from_kappa)
+    # a potential the kernel law cannot take stops verify-all with the
+    # error that stops kernel, and no artifact reaches output_dir;
+    # verify-all takes kappa = 0 as the free case
+    # (test_free_case_is_read_from_kappa)
     outdir = tmp_path / "out"
     assert main([command, *overrides, f"--output_dir={outdir}"]) == code
     out, err = capsys.readouterr()
@@ -661,11 +662,22 @@ _D3 = ["--config", str(CONFIGS / "coulomb_d3.json")]
     (["kernel", "--kernel.extent=1e300"], 4),
     (["verify-all", *_D3, "--born.r_max=1e160"], 4),
     (["verify-all", *_D3, "--kernel.profile_radius=1e100"], 4),
+    (["verify-all", *_D3, "--kernel.window=[1e20,1e21]"], 2),
+    (["verify-all", *_D3, "--kernel.n=16"], 2),
+    (["verify-all", *_D3, "--kernel.profile_radius=1e-17"], 4),
+    (["verify-all", *_D3, "--potential.kappa=1e-300"], 4),
+    (["verify-all", *_D3, "--orbit.t_final=1e300"], 4),
+    (["verify-all", *_D3, "--transport.x=1e300"], 4),
+    (["transport", "--region.m=1e-300"], 4),
 ], ids=["born zeta=1e200", "orbit softening=1e300",
         "transport softening=1e300", "kernel kappa=1e-300",
         "kernel kappa=1e300", "kernel kappa=-1e300",
         "kernel d=2 kappa=1e300", "kernel extent=1e300",
-        "verify-all r_max=1e160", "verify-all R=1e100"])
+        "verify-all r_max=1e160", "verify-all R=1e100",
+        "verify-all window=[1e20,1e21]", "verify-all n=16",
+        "verify-all R=1e-17", "verify-all kappa=1e-300",
+        "verify-all t_final=1e300", "verify-all transport x=1e300",
+        "transport m=1e-300"])
 def test_extreme_input_keeps_the_exit_contract(capsys, tmp_path, argv, code):
     # the exit-code contract: the documented code, one line of strict JSON
     # on stdout, nothing on stderr (warnings are errors here) and no
@@ -685,6 +697,73 @@ def test_extreme_input_keeps_the_exit_contract(capsys, tmp_path, argv, code):
         unit = json.loads(capsys.readouterr().out)
         assert summary["fitted_exponent"] == pytest.approx(
             unit["fitted_exponent"], abs=1e-9)
+
+
+@pytest.mark.parametrize("override, code", [
+    ("--kernel.tol=1e-17", 3),
+    ("--kernel.n=16", 2),
+    ("--transport.x=1e300", 4),
+], ids=["kernel tol=1e-17", "kernel n=16", "transport x=1e300"])
+def test_failed_verify_all_leaves_output_dir_as_it_was(capsys, tmp_path,
+                                                       override, code):
+    # the stages before the failing one write into a staging directory
+    # inside output_dir, which the run removes: a file already there keeps
+    # its bytes, also one of a name the run writes
+    outdir = tmp_path / "out"
+    outdir.mkdir()
+    (outdir / "eikonal.csv").write_bytes(b"earlier run\n")
+    (outdir / "notes.txt").write_bytes(b"kept\n")
+    assert main(["verify-all", *_D3, override,
+                 f"--output_dir={outdir}"]) == code
+    out, err = capsys.readouterr()
+    assert err == "" and len(out.splitlines()) == 1
+    assert sorted(p.name for p in outdir.iterdir()) == ["eikonal.csv",
+                                                       "notes.txt"]
+    assert (outdir / "eikonal.csv").read_bytes() == b"earlier run\n"
+    assert (outdir / "notes.txt").read_bytes() == b"kept\n"
+
+
+def test_finished_run_moves_its_artifacts_into_output_dir(capsys, tmp_path):
+    # on exit 0 every artifact replaces the file of its name, the others
+    # stay, and the staging directory is gone
+    (tmp_path / "eikonal.csv").write_bytes(b"earlier run\n")
+    (tmp_path / "notes.txt").write_bytes(b"kept\n")
+    code, summary = _run(capsys, "eikonal", "--eikonal.n_points=10",
+                         f"--output_dir={tmp_path}")
+    assert code == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "eikonal.csv", "eikonal_summary.json", "notes.txt"]
+    assert (tmp_path / "eikonal.csv").read_bytes().startswith(b"x,y1,")
+    assert (tmp_path / "notes.txt").read_bytes() == b"kept\n"
+
+
+_FUZZ_VALUES = ("1e300", "-1e300", "1e-300", "1e17", "1e-17", "-1")
+_FUZZ_KEYS = (
+    [("transport", f"--transport.{key}={{}}")
+     for key in ("x", "eta", "tol", "t_max", "h_eta")]
+    + [("transport", f"--transport.{key}=[{{}},0]") for key in ("y", "zeta")]
+    + [("kernel", f"--kernel.{key}={{}}")
+       for key in ("extent", "lam", "profile_radius", "tol")])
+
+
+@pytest.mark.parametrize("command, override", [
+    (command, key.format(value)) for command, key in _FUZZ_KEYS
+    for value in _FUZZ_VALUES])
+def test_single_key_fuzz_keeps_the_exit_contract(capsys, tmp_path, command,
+                                                 override):
+    # every float key of transport and kernel at the ends of the float
+    # range, near the resolution of 1 and negative: a documented exit code,
+    # one line of strict JSON, nothing on stderr (warnings are errors here)
+    # and no artifact unless the run finished
+    outdir = tmp_path / "out"
+    code = main([command, *_D3, override, f"--output_dir={outdir}"])
+    out, err = capsys.readouterr()
+    assert code in range(5)
+    assert err == ""
+    (line,) = out.splitlines()
+    json.loads(line, parse_constant=_reject_constant)
+    if code >= 2:
+        assert not outdir.exists() or not any(outdir.iterdir())
 
 
 @pytest.mark.parametrize("name", ["zero", "coulomb_d2", "coulomb_d3"])

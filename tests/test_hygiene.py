@@ -232,14 +232,17 @@ def test_one_point_classical_functions_stay_in_classical(path):
 
 
 # one-point forks of batched computations, the old names of the batched
-# forms and the copies of the closed forms that exact_phase and
-# born_symbol_tail now own: each computation has one public name
+# forms, the copies of the closed forms that exact_phase and
+# born_symbol_tail now own, and the CLI's pre-flight copies of the checks
+# that born_symbols and radial_kernel make themselves (with the helpers
+# they left with one caller): each computation has one public name
 _REMOVED = ("symbol_b", "symbol_q", "born_symbol", "grad_potential",
             "in_region_X", "mourre_ratio", "asymptotic_convergence",
             "eigenfunction_sample", "EigenfunctionSample",
             "gamma_observables_arrays", "free_flow_arrays", "_energies",
             "theta1_calculus", "theta1_value", "theta_calculus", "PhaseData",
-            "homogeneous_symbol_asymptote", "brent_minimum")
+            "homogeneous_symbol_asymptote", "brent_minimum", "check_profile",
+            "born_domain", "_check_blocks", "_born_inputs", "_profile_radii")
 
 
 def test_removed_names_stay_removed():
