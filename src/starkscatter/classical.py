@@ -215,12 +215,17 @@ def integrate_orbit(spec: PotentialSpec, p0: PhasePoint, t_final: float,
     sweeps sooner needs a truncation estimate of its own.  A sweep meets
     points off the converged orbit; an exception raised by the potential
     reaches the caller unchanged, and a potential may itself integrate
-    orbits.
+    orbits.  A t_final at which x^2 overflows for the free parabola's
+    x ~ t^2 / 2 is a DomainError before any work.
     """
     if tol <= 0:
         raise DomainError("tolerance must be positive")
     if not math.isfinite(t_final):
         raise DomainError("t_final must be finite")
+    # log2 of (t^2 / 2)^2 at t_final, as in dyadic_orbit
+    if t_final and 4.0 * math.log2(abs(t_final)) - 2.0 >= sys.float_info.max_exp:
+        raise DomainError(f"t_final = {t_final:g}: x^2 overflows for the "
+                          "free parabola's x ~ t^2 / 2 at t_final")
     if t_eval is None:
         if n_samples < 1:
             raise DomainError("n_samples must be at least 1")

@@ -3,11 +3,13 @@
 Subcommands: orbit, momenta, eikonal, transport, born, kernel, airy-compare,
 verify-all.  A run is described by one JSON config (see configs/ at the
 repository root); individual entries can be overridden on the command line
-with dotted paths, e.g. --potential.kappa=0.5.  Every subcommand writes its
-artifacts into output_dir and prints a one-line JSON summary to stdout.
-`main` runs it on a staging directory inside output_dir and moves the
-artifacts into output_dir only when the run returns its summary, so a run
-that fails, at whichever stage, leaves output_dir as it was.
+with dotted paths, e.g. --potential.kappa=0.5.  One key per input: the
+energy lam, kappa r^-alpha's potential.kappa and .alpha, one orbit start.
+Every subcommand writes its artifacts into output_dir and prints a one-line
+JSON summary to stdout.  `main` runs it on a staging directory inside
+output_dir and moves the artifacts into output_dir only when the run
+returns its summary, so a run that fails, at whichever stage, leaves
+output_dir as it was; one that cannot write there is a config error.
 
 Exit codes: 0 success, 1 verification failed, 2 config error, 3
 numerical-budget error, 4 domain error.  With a fixed config and seed all
@@ -29,12 +31,7 @@ import numpy as np
 from . import (checks, classical, kernel, oscillatory, parabolic, special,
                transport)
 from .errors import BudgetError, ConfigError, ConvergenceError, DomainError
-from .potentials import (
-    PotentialSpec,
-    coulomb,
-    homogeneous,
-    zero_potential,
-)
+from .potentials import PotentialSpec, homogeneous
 
 CONFIG_ENV_VAR = "STARKSCATTER_CONFIG"
 
@@ -46,25 +43,23 @@ _DEFAULT_CONFIG = {
     "dimension": 2,
     "seed": 0,
     "output_dir": "out",
-    "potential": {"kind": "coulomb", "kappa": 1.0, "softening": 1e-3,
-                  "alpha": float},
+    "lam": 0.0,
+    "potential": {"kappa": 1.0, "alpha": 1.0, "softening": 1e-3},
     "region": {"m": 1.0, "eps": 0.3},
     "orbit": {
         "x": 10.0, "y": [1.0], "eta": 1.0, "zeta": [0.3],
         "t_final": 100.0, "n_samples": 200, "tol": 1e-12,
     },
-    "momenta": {
-        "x": 10.0, "y": [1.0], "eta": 1.0, "zeta": [0.3],
-        "direction": 1, "t_start": 100.0, "n_doublings": 6, "tol": 1e-10,
-    },
+    "momenta": {"direction": 1, "t_start": 100.0, "n_doublings": 6,
+                "tol": 1e-10},
     "eikonal": {"n_points": 10000, "x_range": [10.0, 1e6], "y_over_x": 0.1},
     "transport": {
         "x": 100.0, "y": [5.0], "eta": 15.0, "zeta": [0.3],
         "k_max": 2, "sign": 1, "tol": 1e-9, "t_max": 1e5, "h_eta": 0.2,
     },
-    "born": {"zeta": list, "lam": 0.0, "r_min": 1.0, "r_max": 1e4, "n_radii": 25},
+    "born": {"zeta": list, "r_min": 1.0, "r_max": 1e4, "n_radii": 25},
     "kernel": {
-        "n": 2048, "extent": 1e5, "lam": 0.0, "window": [10.0, 60.0],
+        "n": 2048, "extent": 1e5, "window": [10.0, 60.0],
         "profile_radius": 1.05, "tol": 1e-9,
     },
     "airy": {"arg_min": -10.0, "arg_max": 10.0, "n_args": 21},
@@ -90,7 +85,6 @@ _RANGES = {
     "n_points": _at_least(1), "n_radii": _at_least(1), "n_args": _at_least(1),
     "k_max": ((lambda v: 1 <= v <= transport.K_MAX_DEFAULT),
               f"in [1, {transport.K_MAX_DEFAULT}]"),
-    "kind": _one_of("zero", "coulomb", "homogeneous"),
     "sign": _one_of(-1, 1), "direction": _one_of(-1, 1),
     "x_range": _INTERVAL, "window": _INTERVAL, "y_over_x": _at_least(0),
     **dict.fromkeys(("tol", "t_final", "t_start", "t_max", "h_eta", "extent",
@@ -124,12 +118,7 @@ def load_config(path: str | None, overrides: list[str] = ()) -> dict:
         if not isinstance(raw, dict):
             raise ConfigError("config root must be a JSON object")
     parse_overrides(raw, overrides)
-    cfg = _validate(_DEFAULT_CONFIG, raw, "")
-    pot = cfg["potential"]
-    if pot["alpha"] is not None and pot["kind"] != "homogeneous":
-        raise ConfigError('potential.alpha applies only to kind '
-                          f'"homogeneous", not {json.dumps(pot["kind"])}')
-    return cfg
+    return _validate(_DEFAULT_CONFIG, raw, "")
 
 
 def _validate(schema: dict, raw: dict, prefix: str) -> dict:
@@ -199,16 +188,11 @@ def parse_overrides(cfg: dict, tokens: list[str]) -> None:
 
 
 def potential_from_config(cfg: dict) -> PotentialSpec:
+    """kappa r^-alpha: Coulomb at alpha = 1, the free case at kappa = 0."""
     pot = cfg["potential"]
-    kind, kappa, softening = pot["kind"], pot["kappa"], pot["softening"]
     try:
-        if kind == "zero":
-            return zero_potential()
-        if kind == "coulomb":
-            return coulomb(kappa, softening=softening)
-        if pot["alpha"] is None:
-            raise ConfigError("homogeneous potential requires alpha")
-        return homogeneous(kappa, pot["alpha"], softening=softening)
+        return homogeneous(pot["kappa"], pot["alpha"],
+                           softening=pot["softening"])
     except DomainError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -452,7 +436,7 @@ def cmd_momenta(cfg: dict) -> dict:
     d = cfg["dimension"]
     spec = potential_from_config(cfg)
     sec = cfg["momenta"]
-    p0 = _phase_point(cfg, "momenta")
+    p0 = _phase_point(cfg, "orbit")
     traj = classical.dyadic_orbit(spec, p0, sec["direction"], sec["t_start"],
                                   sec["n_doublings"], sec["tol"])
     write_csv(_outdir(cfg) / "momenta.csv",
@@ -524,12 +508,12 @@ def cmd_born(cfg: dict) -> dict:
     radii = np.geomspace(sec["r_min"], sec["r_max"], sec["n_radii"])
     ys = np.zeros((radii.size, d - 1))
     ys[:, 0] = radii
-    values, _ = kernel.born_symbols(spec, zeta, ys, sec["lam"])
+    values, _ = kernel.born_symbols(spec, zeta, ys, cfg["lam"])
     header, columns = ["r", "t_re", "t_im"], [radii, values.real, values.imag]
     summary = {"command": "born", "n_radii": len(radii),
                "max_abs_symbol": float(np.max(np.abs(values)))}
     if spec.kappa != 0.0:
-        asym = kernel.born_symbol_tail(spec, radii, sec["lam"])
+        asym = kernel.born_symbol_tail(spec, radii, cfg["lam"])
         ratio = values.imag / asym
         header += ["asymptote_im", "ratio"]
         columns += [asym, ratio]
@@ -542,8 +526,7 @@ def cmd_kernel(cfg: dict) -> dict:
     d = cfg["dimension"]
     spec = potential_from_config(cfg)
     if spec.kappa == 0.0:
-        raise ConfigError("kernel fit needs a homogeneous or coulomb "
-                          "potential with kappa != 0")
+        raise ConfigError("kernel fit needs potential.kappa != 0")
     if not 0.5 < spec.alpha < d - 0.5:
         raise DomainError(f"kernel law needs potential.alpha in (1/2, "
                           f"dimension - 1/2) = (0.5, {d - 0.5}), "
@@ -551,7 +534,7 @@ def cmd_kernel(cfg: dict) -> dict:
     law = kernel.kernel_singularity_law(d, spec.alpha, spec.kappa)
     sec = cfg["kernel"]
     extent = sec["extent"]
-    k, T = kernel.radial_kernel(spec, d, sec["n"], extent, lam=sec["lam"],
+    k, T = kernel.radial_kernel(spec, d, sec["n"], extent, lam=cfg["lam"],
                                 R=sec["profile_radius"], tol=sec["tol"])
     k_ir = 2.0 * math.pi / extent
     w_lo, w_hi = sec["window"]
@@ -636,8 +619,6 @@ def _suite_free_case(cfg: dict) -> dict:
 
 def cmd_verify_all(cfg: dict) -> dict:
     spec = potential_from_config(cfg)
-    # every potential of the command line is homogeneous: q = 0 at kappa = 0
-    free = spec.kappa == 0.0
     suites: dict[str, dict] = {}
 
     eik = cmd_eikonal(cfg)
@@ -655,7 +636,7 @@ def cmd_verify_all(cfg: dict) -> dict:
     suites["orbit"] = {"energy_drift": orb["energy_drift"],
                        "passed": bool(orb["energy_drift"] < 1e-6)}
 
-    if free:
+    if spec.kappa == 0.0:  # q = 0
         suites["free_case"] = _suite_free_case(cfg)
     else:
         tra = cmd_transport(cfg)
@@ -670,12 +651,9 @@ def cmd_verify_all(cfg: dict) -> dict:
             for s in ("b1", "q1"))
         suites["transport"] = {**suite, "passed": bool(ok)}
 
-        brn = cmd_born(cfg)
-        ratio = brn.get("asymptote_ratio_at_r_max")
-        suites["born"] = {
-            "asymptote_ratio_at_r_max": ratio,
-            "passed": bool(ratio is None or abs(ratio - 1.0) < 0.05),
-        }
+        ratio = cmd_born(cfg)["asymptote_ratio_at_r_max"]
+        suites["born"] = {"asymptote_ratio_at_r_max": ratio,
+                          "passed": bool(abs(ratio - 1.0) < 0.05)}
 
         ker = cmd_kernel(cfg)
         suites["kernel"] = {
@@ -714,15 +692,25 @@ _USAGE = ("usage: starkscatter {%s} [--config PATH] [--key.path=value ...]"
 def _staged(command, cfg: dict) -> dict:
     """command(cfg) with its artifacts written to output_dir/.partial-<pid>
     and moved into output_dir only once it returns a summary.  A run that
-    raises leaves output_dir as it found it (or created and empty)."""
+    raises leaves output_dir as it found it (or created and empty); one
+    that cannot write there, or finds a directory of an artifact's name in
+    the way, is a ConfigError naming output_dir."""
     out = Path(cfg["output_dir"])
     stage = out / f".partial-{os.getpid()}"
     cfg["output_dir"] = str(stage)
     try:
         summary = command(cfg)
-        for path in stage.iterdir():
-            os.replace(path, out / path.name)
+        names = [path.name for path in stage.iterdir()]
+        for name in names:
+            if (out / name).is_dir():
+                raise ConfigError(f"output_dir {out} holds a directory "
+                                  f"named {name}")
+        for name in names:
+            os.replace(stage / name, out / name)
         return summary
+    except OSError as exc:
+        raise ConfigError(f"cannot write to output_dir {out}: "
+                          f"{exc.strerror or exc}") from exc
     finally:
         if stage.exists():
             for path in stage.iterdir():

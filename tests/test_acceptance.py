@@ -174,18 +174,17 @@ def test_verification_run_is_deterministic(tmp_path):
     cfg = {
         "dimension": 3,
         "seed": 0,
-        "potential": {"kind": "coulomb", "kappa": 1.0, "softening": 1e-3},
+        "lam": 0.0,
+        "potential": {"kappa": 1.0, "softening": 1e-3},
         "eikonal": {"n_points": 500, "x_range": [10.0, 1e6], "y_over_x": 0.1},
         "orbit": {"x": 10.0, "y": [1.0, 0.0], "eta": 1.0, "zeta": [0.3, 0.0],
                   "t_final": 100.0, "n_samples": 50, "tol": 1e-12},
         "transport": {"x": 100.0, "y": [5.0, 0.0], "eta": 15.0,
                       "zeta": [0.3, 0.0], "k_max": 2, "sign": 1, "tol": 1e-9,
                       "t_max": 1e5, "h_eta": 0.2},
-        "born": {"zeta": None, "lam": 0.0, "r_min": 1.0, "r_max": 1e4,
-                 "n_radii": 10},
-        "kernel": {"n": 2048, "extent": 1e5, "lam": 0.0,
-                   "window": [10.0, 60.0], "profile_radius": 1.05,
-                   "tol": 1e-9},
+        "born": {"zeta": None, "r_min": 1.0, "r_max": 1e4, "n_radii": 10},
+        "kernel": {"n": 2048, "extent": 1e5, "window": [10.0, 60.0],
+                   "profile_radius": 1.05, "tol": 1e-9},
         "airy": {"arg_min": -10.0, "arg_max": 10.0, "n_args": 21},
     }
     cfg_path = tmp_path / "config.json"

@@ -588,6 +588,18 @@ def test_orbit_without_samples_raises_naming_the_parameter(kwargs):
                         PhasePoint(5.0, [1.0], 1.0, [0.2]), 10.0, **kwargs)
 
 
+@pytest.mark.parametrize("t_final", [1e300, -1e300, 2.0 ** 257])
+def test_orbit_whose_parabola_overflows_raises_naming_t_final(t_final):
+    # the potential squares the free parabola's x ~ t^2 / 2, which leaves
+    # the float range from |t| = 2^256.5: a DomainError before any work
+    calls = []
+    spec = PotentialSpec(kind="table",
+                         func=lambda x, y: calls.append(x) or 0.0 * x)
+    with pytest.raises(DomainError, match="t_final"):
+        integrate_orbit(spec, PhasePoint(5.0, [1.0], 1.0, [0.2]), t_final)
+    assert calls == []
+
+
 def test_orbit_with_one_sample_has_no_drift():
     p0 = PhasePoint(5.0, [1.0], 1.0, [0.2])
     traj = integrate_orbit(coulomb(0.5, softening=0.1), p0, 10.0, n_samples=1)

@@ -11,7 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from starkscatter import asymptotic_momentum, classical, cli, free_flow
+from starkscatter import (asymptotic_momentum, classical, cli, coulomb,
+                          free_flow, kernel)
 from starkscatter.classical import PhasePoint
 from starkscatter.cli import (
     _DISPATCH,
@@ -36,7 +37,7 @@ def _run(capsys, *args):
 def test_default_config_loads_without_file():
     cfg = load_config(None)
     assert cfg["dimension"] == 2
-    assert cfg["potential"]["kind"] == "coulomb"
+    assert cfg["potential"]["alpha"] == 1.0  # Coulomb
 
 
 def test_config_file_merges_recursively(tmp_path):
@@ -44,7 +45,7 @@ def test_config_file_merges_recursively(tmp_path):
     path.write_text(json.dumps({"potential": {"kappa": 0.25}, "seed": 7}))
     cfg = load_config(str(path))
     assert cfg["potential"]["kappa"] == 0.25
-    assert cfg["potential"]["kind"] == "coulomb"  # untouched default
+    assert cfg["potential"]["softening"] == 1e-3  # untouched default
     assert cfg["seed"] == 7
 
 
@@ -118,10 +119,29 @@ def test_missing_config_file_exits_2(capsys):
 
 
 def test_bad_potential_kind_exits_2(capsys, tmp_path):
+    # the potential is kappa r^-alpha, with no kind to choose
     code, summary = _run(capsys, "orbit", "--potential.kind=magnetic",
                          f"--output_dir={tmp_path}")
     assert code == 2
-    assert summary["error"] == "config"
+    assert summary == {"error": "config",
+                       "message": "unknown config key potential.kind"}
+
+
+@pytest.mark.parametrize("override", [
+    "--potential.kind=coulomb", "--momenta.x=10", "--momenta.y=[1]",
+    "--momenta.eta=1", "--momenta.zeta=[0.3]", "--born.lam=0",
+    "--kernel.lam=0"])
+def test_removed_key_exits_2(capsys, tmp_path, override):
+    # the orbit start and the energy are each one key (orbit.x, ..., lam),
+    # and Coulomb and the free case are values of kappa and alpha
+    outdir = tmp_path / "out"
+    code = main(["verify-all", override, f"--output_dir={outdir}"])
+    out, err = capsys.readouterr()
+    assert code == 2 and err == ""
+    key = override[2:].partition("=")[0]
+    assert json.loads(out) == {"error": "config",
+                               "message": f"unknown config key {key}"}
+    assert not outdir.exists()
 
 
 def test_domain_error_exits_4(capsys, tmp_path):
@@ -142,17 +162,19 @@ def test_unsupported_transport_order_exits_2(capsys, tmp_path, k_max):
 
 @pytest.mark.parametrize("argv", [
     ["kernel", "--dimension=400"],
-    ["born", "--potential.kind=homogeneous", "--potential.alpha=400"],
-    ["born", "--potential.kind=homogeneous", "--potential.alpha=2",
-     "--born.r_min=1e-300"],
+    ["born", "--potential.alpha=400"],
+    ["born", "--potential.alpha=2", "--born.r_min=1e-300"],
     ["momenta", "--momenta.n_doublings=2000"],
     ["momenta", "--momenta.n_doublings=250"],
+    ["orbit", "--orbit.t_final=1e300"],
+    ["verify-all", "--orbit.t_final=1e300"],
 ], ids=" ".join)
 def test_constant_overflow_exits_4(capsys, tmp_path, argv):
     # Gamma overflows in c2 (d = 400) and in c1 (alpha = 400), the Born
     # asymptote's r^{1/2 - alpha} at r = 1e-300 (alpha = 2), and the square
     # of the free parabola's x ~ t^2 / 2 at the last time of the momenta
-    # grid, 100 * 2^250 = 1.8e77 (or 100 * 2^2000, itself out of range)
+    # grid, 100 * 2^250 = 1.8e77 (or 100 * 2^2000, itself out of range),
+    # or at t_final
     code = main(argv + [f"--output_dir={tmp_path}"])
     out, err = capsys.readouterr()
     assert code == 4 and err == ""
@@ -160,13 +182,14 @@ def test_constant_overflow_exits_4(capsys, tmp_path, argv):
     assert json.loads(line)["error"] == "domain"
     message = json.loads(line)["message"]
     assert "overflows" in message
-    # the momenta message names the key to lower
-    assert argv[0] != "momenta" or "n_doublings" in message
+    # the free parabola's overflow names the key to lower
+    for key in ("n_doublings", "t_final"):
+        assert key in message or key not in argv[1]
 
 
 @pytest.mark.parametrize("argv, quantity", [
     (["kernel", "--kernel.profile_radius=1e100"], "Born profile"),
-    (["kernel", "--kernel.lam=1e300"], "Born profile"),
+    (["kernel", "--lam=1e300"], "Born profile"),
     (["kernel", "--kernel.extent=1e160"], "|y|^2"),
     (["born", "--born.r_max=1e160"], "|y|^2"),
 ], ids=["kernel R=1e100", "kernel lam=1e300", "kernel extent=1e160",
@@ -208,16 +231,14 @@ def test_momenta_converges_below_the_doubling_limit(capsys, tmp_path):
 @pytest.mark.parametrize("argv", [
     ["orbit", "--potential.softening=1e-200"],
     ["momenta", "--potential.softening=1e-200"],
-    ["orbit", "--potential.kind=homogeneous", "--potential.alpha=300",
-     "--potential.softening=0.01"],
+    ["orbit", "--potential.alpha=300", "--potential.softening=0.01"],
 ], ids=" ".join)
 def test_unrepresentable_potential_exits_4(capsys, tmp_path, argv):
-    # the orbit starts at the origin, where the radial power underflows
-    # (ZeroDivisionError) or overflows (OverflowError) in Python floats
-    section = argv[0]
-    code = main(argv + [f"--{section}.x=0", f"--{section}.y=[0]",
-                        f"--{section}.eta=0", f"--{section}.zeta=[0]",
-                        f"--output_dir={tmp_path}"])
+    # the orbit (and momenta's orbit) starts at the origin, where the radial
+    # power underflows (ZeroDivisionError) or overflows (OverflowError) in
+    # Python floats
+    code = main(argv + ["--orbit.x=0", "--orbit.y=[0]", "--orbit.eta=0",
+                        "--orbit.zeta=[0]", f"--output_dir={tmp_path}"])
     out, err = capsys.readouterr()
     assert code == 4 and err == ""
     (line,) = out.splitlines()
@@ -263,7 +284,7 @@ def test_orbit_step_budget_exits_3(capsys, tmp_path, monkeypatch):
     ["eikonal", "--dimension=abc"],
     ["eikonal", "--seed=1.5"],
     ["orbit", "--potential.softening=abc"],
-    ["orbit", "--potential.kind=homogeneous", "--potential.alpha=x"],
+    ["orbit", "--potential.alpha=x"],
     ["born", "--born.n_radii=0"],
     ["born", "--born.r_min=0"],
     ["airy-compare", "--airy.n_args=-1"],
@@ -287,19 +308,14 @@ def test_malformed_config_exits_2(capsys, tmp_path, argv):
 
 
 @pytest.mark.parametrize("command, overrides, message", [
-    ("born", ["--potential.alpha=1.5"],
-     'potential.alpha applies only to kind "homogeneous", not "coulomb"'),
-    ("orbit", ["--potential.kind=zero", "--potential.alpha=2"],
-     'potential.alpha applies only to kind "homogeneous", not "zero"'),
-    ("born", ["--potential.kind=homogeneous", "--potential.alpha=1.5",
-              "--potential.delta=0.3"],
+    ("born", ["--potential.alpha=1.5", "--potential.delta=0.3"],
      "unknown config key potential.delta"),
-], ids=["alpha-coulomb", "alpha-zero", "delta"])
+], ids=["delta"])
 def test_potential_key_the_kind_does_not_read_exits_2(capsys, tmp_path,
                                                       command, overrides,
                                                       message):
-    # an exponent that coulomb and zero fix, or the removed decay
-    # parameter, is a config error, not an override that changes nothing
+    # the removed decay parameter is a config error, not an override that
+    # changes nothing
     outdir = tmp_path / "out"
     code = main([command, "--config", str(CONFIGS / "coulomb_d2.json"),
                  *overrides, f"--output_dir={outdir}"])
@@ -323,7 +339,7 @@ def test_config_values_are_typed_with_defaults_filled_in():
     cfg = load_config(None, ["--orbit.t_final=10", "--born.zeta=[1]"])
     assert type(cfg["orbit"]["t_final"]) is float
     assert cfg["born"]["zeta"] == [1.0]
-    assert cfg["potential"]["alpha"] is None
+    assert load_config(None)["born"]["zeta"] is None  # an optional key
     cfg["orbit"]["y"].append(2.0)  # the result is a copy of the defaults
     assert load_config(None)["orbit"]["y"] == [1.0]
 
@@ -342,7 +358,7 @@ def test_block_mismatch_exits_2_before_any_stage(capsys, tmp_path):
 
 
 _ALPHA_OUT_OF_LAW = (
-    ["--potential.kind=homogeneous", "--potential.alpha=2.1"], 4, "domain",
+    ["--potential.alpha=2.1"], 4, "domain",
     "kernel law needs potential.alpha in (1/2, dimension - 1/2) = (0.5, "
     "1.5), got 2.1")
 
@@ -352,8 +368,8 @@ _ALPHA_OUT_OF_LAW = (
                  id="alpha=2.1-verify-all"),
     pytest.param("kernel", *_ALPHA_OUT_OF_LAW, id="alpha=2.1-kernel"),
     pytest.param(
-        "kernel", ["--potential.kappa=0"], 2, "config", "kernel fit needs a "
-        "homogeneous or coulomb potential with kappa != 0",
+        "kernel", ["--potential.kappa=0"], 2, "config",
+        "kernel fit needs potential.kappa != 0",
         id="kappa=0-kernel"),
 ])
 def test_kernel_domain_exits_before_any_stage(capsys, tmp_path, command,
@@ -393,7 +409,7 @@ def test_eikonal_artifacts(capsys, tmp_path):
 
 def test_orbit_zero_potential_matches_free_flow(capsys, tmp_path):
     code, summary = _run(capsys, "orbit", f"--output_dir={tmp_path}",
-                         "--potential.kind=zero",
+                         "--potential.kappa=0",
                          "--orbit.t_final=10", "--orbit.n_samples=11")
     assert code == 0
     assert summary["energy_drift"] < 1e-12
@@ -464,6 +480,46 @@ def test_momenta_integrates_once(capsys, tmp_path, monkeypatch):
     assert summary["error_estimate"] == err
 
 
+def test_momenta_starts_at_the_orbit_point(capsys, tmp_path):
+    # momenta has no start of its own: it integrates from orbit.x, orbit.y,
+    # orbit.eta and orbit.zeta
+    code, summary = _run(capsys, "momenta", "--orbit.x=20",
+                         "--momenta.n_doublings=3", f"--output_dir={tmp_path}")
+    assert code == 0
+    z_inf, err = asymptotic_momentum(
+        coulomb(1.0), PhasePoint(20.0, [1.0], 1.0, [0.3]), n_doublings=3,
+        tol=1e-10)
+    assert summary["zeta_infinity"] == z_inf.tolist()
+    assert summary["error_estimate"] == err
+
+
+def test_lam_reaches_born_and_kernel(capsys, tmp_path, monkeypatch):
+    # one energy: --lam is the lam of born's symbols and of the kernel's
+    # Born profile
+    lams = []
+    radial = kernel.radial_kernel
+
+    def spied(*args, **kwargs):
+        lams.append(kwargs["lam"])
+        return radial(*args, **kwargs)
+
+    monkeypatch.setattr(kernel, "radial_kernel", spied)
+    code, _ = _run(capsys, "born", "--lam=5", "--born.n_radii=4",
+                   f"--output_dir={tmp_path}")
+    assert code == 0
+    rows = np.loadtxt(tmp_path / "born.csv", delimiter=",", skiprows=1)
+    radii = np.geomspace(1.0, 1e4, 4)
+    values, _ = kernel.born_symbols(coulomb(1.0), np.zeros(1), radii[:, None],
+                                    5.0)
+    assert rows[:, 1].tolist() == values.real.tolist()
+    assert rows[:, 2].tolist() == values.imag.tolist()
+    code, summary = _run(capsys, "kernel", "--lam=5",
+                         f"--output_dir={tmp_path}")
+    assert code == 0 and lams == [5.0]
+    _, at_zero = _run(capsys, "kernel", f"--output_dir={tmp_path}")
+    assert summary["fitted_exponent"] != at_zero["fitted_exponent"]
+
+
 def test_transport_csv_layout(capsys, tmp_path):
     code, summary = _run(capsys, "transport", f"--output_dir={tmp_path}")
     assert code == 0
@@ -483,7 +539,7 @@ def test_born_asymptote_ratio(capsys, tmp_path):
 
 def test_kernel_zero_potential_rejected(capsys, tmp_path):
     code, summary = _run(capsys, "kernel", f"--output_dir={tmp_path}",
-                         "--potential.kind=zero")
+                         "--potential.kappa=0")
     assert code == 2
 
 
@@ -723,6 +779,38 @@ def test_failed_verify_all_leaves_output_dir_as_it_was(capsys, tmp_path,
     assert (outdir / "notes.txt").read_bytes() == b"kept\n"
 
 
+def test_output_dir_that_is_a_file_exits_2(capsys, tmp_path):
+    # a config error naming output_dir, not a traceback
+    path = tmp_path / "file"
+    path.write_bytes(b"kept\n")
+    for outdir in (path, path / "sub"):
+        code = main(["eikonal", "--eikonal.n_points=10",
+                     f"--output_dir={outdir}"])
+        out, err = capsys.readouterr()
+        assert code == 2 and err == ""
+        summary = json.loads(out)
+        assert summary["error"] == "config"
+        assert summary["message"].startswith(
+            f"cannot write to output_dir {outdir}: ")
+    assert path.read_bytes() == b"kept\n"
+
+
+def test_directory_in_the_way_exits_2_with_no_artifact(capsys, tmp_path):
+    # the check comes before the first artifact is moved, so not even
+    # eikonal_summary.json reaches output_dir
+    (tmp_path / "eikonal.csv").mkdir()
+    code = main(["eikonal", "--eikonal.n_points=10",
+                 f"--output_dir={tmp_path}"])
+    out, err = capsys.readouterr()
+    assert code == 2 and err == ""
+    assert json.loads(out) == {
+        "error": "config",
+        "message": f"output_dir {tmp_path} holds a directory named "
+                   "eikonal.csv"}
+    assert [p.name for p in tmp_path.iterdir()] == ["eikonal.csv"]
+    assert not any((tmp_path / "eikonal.csv").iterdir())
+
+
 def test_finished_run_moves_its_artifacts_into_output_dir(capsys, tmp_path):
     # on exit 0 every artifact replaces the file of its name, the others
     # stay, and the staging directory is gone
@@ -738,23 +826,43 @@ def test_finished_run_moves_its_artifacts_into_output_dir(capsys, tmp_path):
 
 
 _FUZZ_VALUES = ("1e300", "-1e300", "1e-300", "1e17", "1e-17", "-1")
-_FUZZ_KEYS = (
-    [("transport", f"--transport.{key}={{}}")
-     for key in ("x", "eta", "tol", "t_max", "h_eta")]
-    + [("transport", f"--transport.{key}=[{{}},0]") for key in ("y", "zeta")]
-    + [("kernel", f"--kernel.{key}={{}}")
-       for key in ("extent", "lam", "profile_radius", "tol")])
+# The command that reads a section, where it is not the section's name.
+_READER = {"": "kernel", "potential": "transport", "region": "transport",
+           "airy": "airy-compare"}
+
+
+def _schema_keys(schema=cli._DEFAULT_CONFIG, prefix=""):
+    """(dotted name, default) of every settable key of the config schema."""
+    for key, default in schema.items():
+        if isinstance(default, dict):
+            yield from _schema_keys(default, f"{prefix}{key}.")
+        else:
+            yield prefix + key, default
+
+
+def _fuzz_keys():
+    """(command, override template) for every float and list key."""
+    for name, default in _schema_keys():
+        section = name.rpartition(".")[0]
+        command = _READER.get(section, section)
+        if type(default) is float:
+            yield command, f"--{name}={{}}"
+        elif default is list or type(default) is list:
+            # a y or zeta block of the d = 3 config, or an interval [v, hi]
+            hi = default[1] if default is not list and len(default) == 2 else 0
+            yield command, f"--{name}=[{{}},{hi}]"
 
 
 @pytest.mark.parametrize("command, override", [
-    (command, key.format(value)) for command, key in _FUZZ_KEYS
+    (command, key.format(value)) for command, key in _fuzz_keys()
     for value in _FUZZ_VALUES])
 def test_single_key_fuzz_keeps_the_exit_contract(capsys, tmp_path, command,
                                                  override):
-    # every float key of transport and kernel at the ends of the float
-    # range, near the resolution of 1 and negative: a documented exit code,
-    # one line of strict JSON, nothing on stderr (warnings are errors here)
-    # and no artifact unless the run finished
+    # every float key of the schema, sent through the command that reads
+    # it, at the ends of the float range, near the resolution of 1 and
+    # negative: a documented exit code, one line of strict JSON, nothing on
+    # stderr (warnings are errors here) and no artifact unless the run
+    # finished
     outdir = tmp_path / "out"
     code = main([command, *_D3, override, f"--output_dir={outdir}"])
     out, err = capsys.readouterr()
@@ -781,11 +889,11 @@ def test_shipped_config_verifies(capsys, tmp_path, name):
 
 
 @pytest.mark.parametrize("command", ["transport", "verify-all"])
-@pytest.mark.parametrize("spelling", ["--potential.kind=zero",
+@pytest.mark.parametrize("spelling", ["--potential.kappa=-0.0",
                                       "--potential.kappa=0"],
-                         ids=["kind=zero", "kappa=0"])
+                         ids=["kappa=-0", "kappa=0"])
 def test_free_case_is_read_from_kappa(capsys, tmp_path, command, spelling):
-    # q = 0 is one potential whichever way the config spells it: transport
+    # q = 0 is one potential whichever zero the config spells: transport
     # skips the decay fit, and verify-all runs the free-case suite
     code, summary = _run(capsys, command, "--config",
                          str(CONFIGS / "coulomb_d3.json"), spelling,
@@ -822,8 +930,47 @@ def test_homogeneous_potential_verifies(capsys, tmp_path, name, alpha):
     # q_1 ~ x^{max(1/2 - 2 alpha, -3/2 - alpha)}, not the Coulomb rates
     code, summary = _run(capsys, "verify-all", "--config",
                          str(CONFIGS / f"{name}.json"),
-                         "--potential.kind=homogeneous",
                          f"--potential.alpha={alpha}",
                          f"--output_dir={tmp_path}")
     assert code == 0
     assert summary["passed"] is True
+
+
+def test_alpha_one_is_the_default_run(capsys, tmp_path):
+    # the default potential is Coulomb, kappa r^-alpha at alpha = 1
+    runs = []
+    for argv in ([], ["--potential.alpha=1"]):
+        outdir = tmp_path / str(len(runs))
+        code = main(["verify-all", *argv, f"--output_dir={outdir}"])
+        runs.append((code, capsys.readouterr(),
+                     {p.name: p.read_bytes() for p in outdir.iterdir()}))
+    assert runs[0][0] == 0
+    assert runs[1] == runs[0]
+
+
+class _Recorded(dict):
+    """A config section that records the dotted name of each key read."""
+
+    def __init__(self, section, reads, prefix=""):
+        super().__init__({
+            key: _Recorded(value, reads, f"{prefix}{key}.")
+            if isinstance(value, dict) else value
+            for key, value in section.items()})
+        self.reads, self.prefix = reads, prefix
+
+    def __getitem__(self, key):
+        self.reads.add(self.prefix + key)
+        return super().__getitem__(key)
+
+
+def test_every_schema_key_is_read(capsys, tmp_path, monkeypatch):
+    # a key that no command reads is a setting that changes nothing
+    reads = set()
+    load = cli.load_config
+    monkeypatch.setattr(cli, "load_config",
+                        lambda *args: _Recorded(load(*args), reads))
+    for argv in (["verify-all", "--config", str(CONFIGS / "zero.json")],
+                 ["verify-all", *_D3], ["momenta"]):
+        assert main([*argv, f"--output_dir={tmp_path}"]) == 0
+    capsys.readouterr()
+    assert {name for name, _ in _schema_keys()} - reads == set()
